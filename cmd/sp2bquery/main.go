@@ -7,6 +7,7 @@
 //	sp2bquery -d doc.sp2b -id q8                # same, from a binary snapshot
 //	sp2bquery -d doc.nt -q my.sparql            # run a query from a file
 //	sp2bquery -d doc.nt -id q4 -engine mem      # use the in-memory engine
+//	sp2bquery -d doc.nt -id q4 -engine native   # tuple executor (default: native-vec, the batch executor)
 //	sp2bquery -d doc.nt -id q2 -count           # print only the count
 //	sp2bquery -d doc.nt -id q1 -format json     # SPARQL JSON results
 //	sp2bquery -d doc.nt -id q2 -analyze         # EXPLAIN ANALYZE operator trace
@@ -42,7 +43,7 @@ func main() {
 		data      = flag.String("d", "", "document to load: N-Triples or .sp2b snapshot (required)")
 		queryFile = flag.String("q", "", "file containing a SPARQL query")
 		queryID   = flag.String("id", "", "benchmark query id (q1..q12c)")
-		engName   = flag.String("engine", "native", "engine configuration (native, mem, native-vec, or any ablation name)")
+		engName   = flag.String("engine", "native-vec", "engine configuration (native-vec, native, mem, or any ablation name)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "query timeout")
 		countOnly = flag.Bool("count", false, "print only the result count")
 		explain   = flag.Bool("explain", false, "print the physical plan")

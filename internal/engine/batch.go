@@ -23,20 +23,19 @@ type Batch struct {
 	cols [][]store.ID // cols[slot][row]; store.NoID = unbound
 	sel  []int32      // selected physical row indexes, ascending; nil = all
 	n    int          // physical rows filled
+	// capacity is kept apart from the columns: a query without variables
+	// has zero-width batches that still carry rows (solutions binding
+	// nothing).
+	capacity int
 }
 
 // NewBatch returns an empty batch of the given column count and row
-// capacity. All cells start as store.NoID so never-written slots read
-// as unbound.
+// capacity. All cells start as store.NoID (the zero ID) so never-written
+// slots read as unbound.
 func NewBatch(width, capacity int) *Batch {
-	if capacity < 1 {
-		capacity = 1
-	}
-	b := &Batch{cols: make([][]store.ID, width)}
+	capacity = max(capacity, 1)
+	b := &Batch{cols: make([][]store.ID, width), capacity: capacity}
 	backing := make([]store.ID, width*capacity)
-	for i := range backing {
-		backing[i] = store.NoID
-	}
 	for s := range b.cols {
 		b.cols[s] = backing[s*capacity : (s+1)*capacity : (s+1)*capacity]
 	}
@@ -47,12 +46,7 @@ func NewBatch(width, capacity int) *Batch {
 func (b *Batch) Width() int { return len(b.cols) }
 
 // Cap returns the row capacity.
-func (b *Batch) Cap() int {
-	if len(b.cols) == 0 {
-		return 0
-	}
-	return cap(b.cols[0])
-}
+func (b *Batch) Cap() int { return b.capacity }
 
 // Len returns the number of physical rows filled, selected or not.
 func (b *Batch) Len() int { return b.n }
@@ -135,4 +129,16 @@ func (b *Batch) Compact() {
 	}
 	b.n = len(b.sel)
 	b.sel = nil
+}
+
+// appendRows copies the rows of the dense batch src from row from
+// onward into b's free rows, as many as fit, and returns how many it
+// copied. The batches must have the same width.
+func (b *Batch) appendRows(src *Batch, from int) int {
+	n := min(src.n-from, b.capacity-b.n)
+	for s, col := range b.cols {
+		copy(col[b.n:b.n+n], src.cols[s][from:from+n])
+	}
+	b.n += n
+	return n
 }

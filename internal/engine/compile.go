@@ -18,9 +18,10 @@ type compiled struct {
 	eng   *Engine
 	slots map[string]int
 	names []string // names[i] is the variable in slot i
-	root  subplan
-	// vec is the batch-at-a-time pipeline when the vectorized path
-	// covers the query (see vec.go); nil means the tuple path runs.
+	// Exactly one executor is planned: vec is the batch-at-a-time
+	// pipeline when the vectorized path covers the query (see vec.go),
+	// root the tuple iterator tree otherwise.
+	root       subplan
 	vec        vecOp
 	projection []string
 	projSlots  []int
@@ -30,7 +31,8 @@ type compiled struct {
 	// under WithAnalyze (see trace.go).
 	trace *traceCollector
 	// cleanups release resources held by operators that outlive a single
-	// next() call — parallel BGP workers register their shutdown here.
+	// next() call — parallel BGP workers (tuple and batch) register their
+	// shutdown here.
 	// The evaluation entry points run them when the query ends, whether
 	// it ran to exhaustion or stopped early (ASK, LIMIT).
 	cleanups []func()
@@ -98,17 +100,19 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 			sc.ShardCount(), sc.ShardCount()))
 	}
 	collectPlanVars(plan, c)
-	root, err := c.build(plan, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.root = root
 	// The vectorized path serves plain SELECTs; ASK needs row-at-a-time
 	// early exit and aggregates consume the core pattern through their
 	// own grouping loop. Construct/Describe reuse Query's SELECT core,
 	// so they inherit the batch path transparently.
 	if e.opts.Vectorized && q.Form == sparql.FormSelect && !q.IsAggregate() {
 		c.compileVec(plan)
+	}
+	if c.vec == nil {
+		root, err := c.build(plan, nil)
+		if err != nil {
+			return nil, err
+		}
+		c.root = root
 	}
 
 	if q.Form == sparql.FormSelect {

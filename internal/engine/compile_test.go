@@ -1,0 +1,110 @@
+package engine_test
+
+import (
+	"strings"
+	"testing"
+
+	"sp2bench/internal/engine"
+	"sp2bench/internal/mvcc"
+	"sp2bench/internal/queries"
+	"sp2bench/internal/rdf"
+	"sp2bench/internal/store"
+)
+
+// countingReader counts the index ranges (Range, RangeIn) and the
+// cardinality probes (Count) a compile opens through it. Not safe for
+// concurrent use: it only watches compiles, which run on one goroutine.
+type countingReader struct {
+	store.Reader
+	ranges, counts int
+}
+
+func (r *countingReader) Range(s, p, o store.ID) store.IndexRange {
+	r.ranges++
+	return r.Reader.Range(s, p, o)
+}
+
+func (r *countingReader) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
+	r.ranges++
+	return r.Reader.RangeIn(ord, s, p, o)
+}
+
+func (r *countingReader) Count(s, p, o store.ID) int {
+	r.counts++
+	return r.Reader.Count(s, p, o)
+}
+
+// explainCounting compiles query id over src through a countingReader.
+func explainCounting(t *testing.T, src store.Reader, opts engine.Options, id string) (string, *countingReader) {
+	t.Helper()
+	q, _ := queries.ByID(id)
+	cr := &countingReader{Reader: src}
+	plan, err := engine.NewReader(cr, opts).Explain(q.Parse())
+	if err != nil {
+		t.Fatalf("%s/%s: %v", opts.Name, id, err)
+	}
+	return plan, cr
+}
+
+// planRanges counts the index ranges a batch plan holds: one per scan,
+// merge and hash stage on its "vec operators:" lines.
+func planRanges(plan string) int {
+	n := 0
+	for _, line := range strings.Split(plan, "\n") {
+		if strings.HasPrefix(line, "vec operators:") {
+			n += strings.Count(line, " scan[") + strings.Count(line, " merge[") + strings.Count(line, " hash[")
+		}
+	}
+	return n
+}
+
+// TestCompilePlansOnce: compiling a query the batch path covers opens
+// each index range of its plan exactly once — no tuple tree is planned
+// beside it — and a query the batch path declines costs no more than
+// the tuple plan alone. Both hold over a plain store and over an MVCC
+// snapshot with a live delta, where every range a delta touches is a
+// freshly merged slice.
+func TestCompilePlansOnce(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	live := mvcc.New(s, mvcc.MergePolicy{Disabled: true})
+	defer live.Close()
+	doc, person := rdf.IRI("urn:new-article"), rdf.IRI("urn:new-person")
+	live.Apply([]rdf.Triple{
+		rdf.NewTriple(doc, rdf.IRI(rdf.RDFType), rdf.IRI(rdf.BenchArticle)),
+		rdf.NewTriple(doc, rdf.IRI(rdf.DCCreator), person),
+		rdf.NewTriple(doc, rdf.IRI(rdf.DCTermsIssued), rdf.Integer(1950)),
+		rdf.NewTriple(person, rdf.IRI(rdf.RDFType), rdf.IRI(rdf.FOAFPerson)),
+		rdf.NewTriple(person, rdf.IRI(rdf.FOAFName), rdf.String("New Person")),
+	})
+	snap := live.Snapshot()
+	defer snap.Close()
+	if snap.DeltaLen() == 0 {
+		t.Fatal("snapshot has no delta")
+	}
+
+	for _, src := range []struct {
+		name string
+		r    store.Reader
+	}{{"store", s}, {"snapshot", snap}} {
+		for _, id := range []string{"q1", "q3b", "q5b", "q6"} {
+			plan, cr := explainCounting(t, src.r, engine.NativeVec(), id)
+			if want := planRanges(plan); want == 0 || cr.ranges != want {
+				t.Errorf("%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
+					src.name, id, cr.ranges, want, plan)
+			}
+			if strings.Contains(plan, "bgp operators:") {
+				t.Errorf("%s/%s: a batch plan also planned tuple operators:\n%s", src.name, id, plan)
+			}
+		}
+		// Q8 (an explicit join of groups) falls back to the tuple path.
+		plan, vec := explainCounting(t, src.r, engine.NativeVec(), "q8")
+		_, tuple := explainCounting(t, src.r, engine.Native(), "q8")
+		if !strings.Contains(plan, "vec: tuple fallback") {
+			t.Fatalf("%s/q8: expected a tuple fallback:\n%s", src.name, plan)
+		}
+		if vec.ranges > tuple.ranges || vec.counts > tuple.counts {
+			t.Errorf("%s/q8: fallback compile opened %d ranges and %d counts, the tuple plan alone %d and %d",
+				src.name, vec.ranges, vec.counts, tuple.ranges, tuple.counts)
+		}
+	}
+}

@@ -57,11 +57,13 @@ type Options struct {
 	MergeJoins bool
 	// Parallel partitions the first pattern's index range of top-level
 	// BGPs across GOMAXPROCS workers, each running the full join pipeline
-	// on its slice, with an order-preserving result merge.
+	// (tuple operators, or a batch scan → join chain under Vectorized) on
+	// its slice, with an order-preserving result merge.
 	Parallel bool
 	// ParallelWorkers overrides the worker count used when Parallel is
-	// set; 0 means GOMAXPROCS. Tests use it to force multi-worker plans
-	// on single-core machines.
+	// set; 0 means GOMAXPROCS. A forced count also partitions BGPs too
+	// small to pay for workers. Tests use it to force multi-worker plans
+	// on single-core machines and on tiny graphs.
 	ParallelWorkers int
 	// Vectorized routes covered SELECT queries through the
 	// batch-at-a-time executor (vec.go): columnar Batch slabs of
@@ -94,8 +96,9 @@ func Native() Options {
 }
 
 // NativeVec returns the native configuration with the vectorized
-// batch executor on top: covered queries run batch-at-a-time, the rest
-// keep the full tuple-path optimizations (including parallel scans).
+// batch executor on top: covered queries run batch-at-a-time (with
+// partitioned parallel scans), the rest keep the full tuple-path
+// optimizations. It is what sp2bserve and sp2bquery serve by default.
 func NativeVec() Options {
 	o := Native()
 	o.Name = "native-vec"

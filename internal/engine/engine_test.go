@@ -29,12 +29,12 @@ func allConfigs() []engine.Options {
 		out = append(out, o)
 	}
 	// The vectorized engine must be indistinguishable too — once at the
-	// default batch size and once with a tiny batch so every operator
-	// crosses batch boundaries mid-query.
+	// default batch size, once with a tiny batch so every operator
+	// crosses batch boundaries mid-query, and partitioned.
 	vec := engine.NativeVec()
 	tiny := engine.NativeVec()
 	tiny.Name, tiny.BatchSize = "native-vec-batch2", 2
-	return append(out, vec, tiny)
+	return append(append(out, vec, tiny), vecParallel4()...)
 }
 
 // tinyLibrary builds a small, fully hand-checkable bibliographic graph.
@@ -475,6 +475,18 @@ func TestRepeatedVariableInPattern(t *testing.T) {
 	res := runAll(t, s, `SELECT ?x WHERE { ?x <http://x/p> ?x }`)
 	if res.Len() != 1 || res.Rows[0][0] != rdf.IRI("http://x/a") {
 		t.Fatalf("self-loop pattern: %v", render(res))
+	}
+}
+
+// TestVariableFreePatterns: a BGP of constant patterns binds no
+// variable, so its batches have no columns, yet they still carry the
+// one empty solution (or none).
+func TestVariableFreePatterns(t *testing.T) {
+	s := tinyLibrary()
+	yes := runAll(t, s, `SELECT * WHERE { <http://x/article1> rdf:type bench:Article . <http://x/j1> rdf:type bench:Journal }`)
+	no := runAll(t, s, `SELECT * WHERE { <http://x/article1> rdf:type bench:Journal . <http://x/j1> rdf:type bench:Journal }`)
+	if yes.Len() != 1 || no.Len() != 0 {
+		t.Fatalf("got %d and %d solutions, want 1 and 0", yes.Len(), no.Len())
 	}
 }
 

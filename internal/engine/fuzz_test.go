@@ -125,13 +125,13 @@ func fuzzQuery(r *rand.Rand) string {
 }
 
 // fuzzEngines are the configurations every generated query must agree
-// across: the two paper families, the vectorized engine, and a
-// vectorized engine with a tiny batch so operators cross batch
-// boundaries constantly.
+// across: the two paper families, the vectorized engine, a vectorized
+// engine with a tiny batch so operators cross batch boundaries
+// constantly, and both of those partitioned across four workers.
 func fuzzEngines() []engine.Options {
 	tiny := engine.NativeVec()
 	tiny.Name, tiny.BatchSize = "native-vec-batch2", 2
-	return []engine.Options{engine.Mem(), engine.Native(), engine.NativeVec(), tiny}
+	return append([]engine.Options{engine.Mem(), engine.Native(), engine.NativeVec(), tiny}, vecParallel4()...)
 }
 
 // checkEngineAgreement runs one (graph seed, query seed) pair through

@@ -389,19 +389,11 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 		i++
 	}
 
-	// Partition the first pattern's range for the parallel executor when
-	// the plan touches enough rows to pay for workers. Partition clamps
-	// to the range's row count, so a one-row scan stays sequential no
-	// matter how large the downstream ranges are.
 	touched := 0
 	for _, ps := range plan.steps {
 		touched += len(ps.rng.Rows)
 	}
-	parts := 1
-	if workers := c.eng.parallelWorkers(); workers > 1 && touched >= parallelMinRows {
-		parts = workers
-	}
-	plan.parts = plan.steps[0].rng.Partition(parts)
+	plan.parts = c.partitionAnchor(plan.steps[0].rng, touched)
 	if !interesting && len(plan.parts) == 1 {
 		return nil // plain nested loop: keep the proven backtracker
 	}
@@ -548,8 +540,7 @@ func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int) (ph
 		return physStep{}, false
 	}
 	want := constWant(step)
-	best := physStep{}
-	bestLead := -1
+	bestOrd, bestLead := store.OrderSPO, -1
 	for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
 		lead := 0
 		for lead < 3 && want[ordPos[ord][lead]] != store.NoID {
@@ -559,19 +550,17 @@ func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int) (ph
 			return physStep{}, false // fully constant: nothing to merge on
 		}
 		pp := step.pos[ordPos[ord][lead]]
-		if !pp.isVar || pp.slot != vslot {
-			continue
-		}
-		if lead > bestLead {
-			rng := c.eng.src.RangeIn(ord, want[0], want[1], want[2])
-			best = physStep{kind: opMerge, step: step, rng: rng, joinSlot: vslot, lead: lead}
-			bestLead = lead
+		if pp.isVar && pp.slot == vslot && lead > bestLead {
+			bestOrd, bestLead = ord, lead
 		}
 	}
 	if bestLead < 0 {
 		return physStep{}, false
 	}
-	return best, true
+	// Only the chosen order's range is opened: over a snapshot with a
+	// live delta every range is a freshly merged slice.
+	rng := c.eng.src.RangeIn(bestOrd, want[0], want[1], want[2])
+	return physStep{kind: opMerge, step: step, rng: rng, joinSlot: vslot, lead: bestLead}, true
 }
 
 // hashStep builds an opHash depth: the pattern's matching triples are

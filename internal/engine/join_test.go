@@ -49,16 +49,29 @@ func operatorAblations() []engine.Options {
 	vecTiny := engine.NativeVec()
 	vecTiny.Name, vecTiny.BatchSize = "native-vec-batch3", 3
 
-	return []engine.Options{nlj, engine.Native(), noHash, noMerge, noPar, par4,
-		vec, vecNoHash, vecNoMerge, vecTiny}
+	return append([]engine.Options{nlj, engine.Native(), noHash, noMerge, noPar, par4,
+		vec, vecNoHash, vecNoMerge, vecTiny}, vecParallel4()...)
+}
+
+// vecParallel4 is the batch executor with four forced partition workers,
+// at the default batch size and with two-row batches so partition
+// boundaries and batch boundaries fall everywhere.
+func vecParallel4() []engine.Options {
+	par4 := engine.NativeVec()
+	par4.Name, par4.ParallelWorkers = "native-vec-parallel4", 4
+	tiny := par4
+	tiny.Name, tiny.BatchSize = "native-vec-parallel4-batch2", 2
+	return []engine.Options{par4, tiny}
 }
 
 // TestGoldenPlans50k pins the reorder-plus-operator choices for the
 // paper's join-heavy queries on a 50k document: Q2's nine-way merge-join
 // star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment,
-// and Q8's tiny merge anchor. The exact row counts are deterministic:
-// the generator is seeded and the counts are structural properties of
-// the document.
+// and Q8's tiny merge anchor — on the tuple executor and, for the
+// queries it covers, the partitioned batch executor, whose EXPLAIN
+// must show only the plan that runs. The exact row counts are
+// deterministic: the generator is seeded and the counts are structural
+// properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k document generation in -short mode")
@@ -66,9 +79,7 @@ func TestGoldenPlans50k(t *testing.T) {
 	s, _ := generatedStore(t, 50_000)
 	opts := engine.Native()
 	opts.ParallelWorkers = 4
-	eng := engine.New(s, opts)
-
-	golden := map[string][]string{
+	checkGoldenPlans(t, engine.New(s, opts), map[string][]string{
 		"q2": {
 			"bgp operators: scan[POS rows=274 sorted=?inproc]" +
 				strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
@@ -87,7 +98,34 @@ func TestGoldenPlans50k(t *testing.T) {
 		"q8": {
 			"bgp operators: scan[POS rows=1 sorted=?erdoes] merge[?erdoes POS rows=2407]",
 		},
-	}
+	})
+
+	vec := vecParallel4()[0]
+	checkGoldenPlans(t, engine.New(s, vec), map[string][]string{
+		"q2": {
+			"vec operators: scan[POS rows=274]" +
+				strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
+		},
+		"q4": {
+			"vec operators: scan[POS rows=2407] nl" +
+				" hash[?article1 build=4241] hash[?article1 build=4239]" +
+				" hash[?journal build=4239] hash[?article2 build=4241]" +
+				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
+		},
+		"q6": {
+			"vec operators: scan[POS rows=9] merge[?class POS rows=7141]" +
+				" hash[?doc build=4710] hash[?doc build=6830] hash[?author build=2407] parallel=4",
+			"vec operators: scan[POS rows=9] merge[?class2 POS rows=7141]" +
+				" hash[?doc2 build=4710] hash[?doc2 build=6830] parallel=4",
+			"leftjoin: vectorized hash anti (hash key: true)",
+		},
+	})
+}
+
+// checkGoldenPlans asserts that each query's EXPLAIN contains every
+// wanted line and, on a batch plan, no tuple operator line.
+func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]string) {
+	t.Helper()
 	for id, wants := range golden {
 		q, ok := queries.ByID(id)
 		if !ok {
@@ -99,8 +137,11 @@ func TestGoldenPlans50k(t *testing.T) {
 		}
 		for _, want := range wants {
 			if !strings.Contains(plan, want) {
-				t.Errorf("%s plan missing %q:\n%s", id, want, plan)
+				t.Errorf("%s/%s plan missing %q:\n%s", eng.Options().Name, id, want, plan)
 			}
+		}
+		if strings.Contains(plan, "vec operators:") && strings.Contains(plan, "bgp operators:") {
+			t.Errorf("%s/%s: a batch plan also shows a tuple plan:\n%s", eng.Options().Name, id, plan)
 		}
 	}
 }
@@ -134,48 +175,54 @@ func TestOperatorChoicesAgreeOn17Queries(t *testing.T) {
 	}
 }
 
+// parallel4 are the two executors with four forced partition workers.
+func parallel4() []engine.Options {
+	par4 := engine.Native()
+	par4.ParallelWorkers = 4
+	return []engine.Options{par4, vecParallel4()[0]}
+}
+
 // TestParallelPartitionedScanRace drives the partitioned parallel
-// executor hard under the race detector: concurrent queries over one
+// executors hard under the race detector: concurrent queries over one
 // shared store, each split across four forced workers.
 func TestParallelPartitionedScanRace(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	eng := engine.New(s, opts)
-
-	ids := []string{"q2", "q3a", "q4", "q5a", "q9"}
-	want := map[string]int{}
-	for _, id := range ids {
-		q, _ := queries.ByID(id)
-		n, err := eng.Count(context.Background(), q.Parse())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		want[id] = n
-	}
-
-	const clients = 4
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		go func() {
-			for _, id := range ids {
-				q, _ := queries.ByID(id)
-				n, err := eng.Count(context.Background(), q.Parse())
-				if err != nil {
-					errs <- err
-					return
-				}
-				if n != want[id] {
-					errs <- fmt.Errorf("%s: got %d results, want %d", id, n, want[id])
-					return
-				}
+	ids := []string{"q2", "q3a", "q4", "q5a", "q6", "q9"}
+	for _, opts := range parallel4() {
+		eng := engine.New(s, opts)
+		want := map[string]int{}
+		for _, id := range ids {
+			q, _ := queries.ByID(id)
+			n, err := eng.Count(context.Background(), q.Parse())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", opts.Name, id, err)
 			}
-			errs <- nil
-		}()
-	}
-	for c := 0; c < clients; c++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+			want[id] = n
+		}
+
+		const clients = 4
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			go func() {
+				for _, id := range ids {
+					q, _ := queries.ByID(id)
+					n, err := eng.Count(context.Background(), q.Parse())
+					if err != nil {
+						errs <- err
+						return
+					}
+					if n != want[id] {
+						errs <- fmt.Errorf("%s/%s: got %d results, want %d", opts.Name, id, n, want[id])
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for c := 0; c < clients; c++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -186,10 +233,13 @@ func TestParallelPartitionedScanRace(t *testing.T) {
 // reach them.
 func TestParallelEarlyExitStopsWorkers(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	eng := engine.New(s, opts)
+	for _, opts := range parallel4() {
+		checkEarlyExitStopsWorkers(t, engine.New(s, opts))
+	}
+}
 
+func checkEarlyExitStopsWorkers(t *testing.T, eng *engine.Engine) {
+	t.Helper()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		q, _ := queries.ByID("q12a") // ASK: stops at the first solution
@@ -211,8 +261,8 @@ func TestParallelEarlyExitStopsWorkers(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after early-exit queries",
-				before, runtime.NumGoroutine())
+			t.Fatalf("%s: goroutines leaked: %d before, %d after early-exit queries",
+				eng.Options().Name, before, runtime.NumGoroutine())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -258,14 +308,18 @@ func TestHashSegmentValueEquality(t *testing.T) {
 // detector prove the join.
 func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
 	ask, _ := queries.ByID("q12a")
-	parsed := ask.Parse()
+	early := []*sparql.Query{ask.Parse(), sparql.MustParse( // ASK and LIMIT: early exits
+		`SELECT ?inproc WHERE { ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?author } LIMIT 1`,
+		rdf.Prefixes)}
 	for i := 0; i < 5; i++ {
-		eng := engine.New(s, opts)
-		if _, err := eng.Query(context.Background(), parsed); err != nil { // ASK: early exit
-			t.Fatal(err)
+		for _, opts := range parallel4() {
+			eng := engine.New(s, opts)
+			for _, q := range early {
+				if _, err := eng.Query(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		s.UpdateTriples([]rdf.Triple{rdf.NewTriple(
 			rdf.IRI(fmt.Sprintf("urn:upd%d", i)), rdf.IRI("urn:p"), rdf.Integer(i),

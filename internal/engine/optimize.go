@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
@@ -45,7 +46,7 @@ func (c *compiled) reorder(patterns []sparql.TriplePattern, outer []string) []sp
 		}
 	}
 	ordered = c.swapDisconnectedBlocks(ordered, outer)
-	if fmtOrder(patterns) != fmtOrder(ordered) {
+	if !slices.Equal(patterns, ordered) {
 		c.notes = append(c.notes, "bgp reordered: "+fmtOrder(ordered))
 	}
 	return ordered

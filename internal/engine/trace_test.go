@@ -47,13 +47,22 @@ func TestAnalyzeTraceConsistency(t *testing.T) {
 // TestAnalyzeTraceVectorized pins the batch path's trace contract on
 // queries the vec executor covers: the root is a vectorized operator
 // tree whose row counts match the result count, and per-batch counters
-// are populated (at least one batch whenever rows flowed).
+// are populated (at least one batch whenever rows flowed). Partitioned
+// BGPs report their fan-out.
 func TestAnalyzeTraceVectorized(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	eng := engine.New(s, engine.NativeVec())
+	for _, opts := range append([]engine.Options{engine.NativeVec()}, vecParallel4()[0]) {
+		checkTraceVectorized(t, engine.New(s, opts))
+	}
+}
+
+func checkTraceVectorized(t *testing.T, eng *engine.Engine) {
+	t.Helper()
 	ctx := context.Background()
-	for _, id := range []string{"q1", "q2", "q4", "q5b", "q9"} {
-		q, _ := queries.ByID(id)
+	forced := eng.Options().ParallelWorkers
+	for _, qid := range []string{"q1", "q2", "q4", "q5b", "q9"} {
+		q, _ := queries.ByID(qid)
+		id := eng.Options().Name + "/" + qid
 		n, tr, err := eng.CountAnalyze(ctx, q.Parse())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -71,6 +80,10 @@ func TestAnalyzeTraceVectorized(t *testing.T) {
 				vectorized = true
 				if tn.Rows > 0 && tn.Batches == 0 {
 					t.Errorf("%s: %s rows=%d but batches=0", id, tn.Op, tn.Rows)
+				}
+				// Q1's anchor range is one row: nothing to partition.
+				if tn.Op == "bgp" && qid != "q1" && forced > 0 && tn.Parallel != forced {
+					t.Errorf("%s: bgp parallel=%d, want %d", id, tn.Parallel, forced)
 				}
 			}
 			for _, c := range tn.Children {

@@ -10,17 +10,19 @@ package engine
 // batch-wise with the same galloping cursor, and FILTER conjuncts
 // compile to column-at-a-time kernels over the selection vector.
 //
-// Coverage is per-query: compileVec walks the algebra tree and returns
-// a reason string for any form the batch path does not cover
-// (aggregates, ASK, explicit group joins, OPTIONAL with conditions or
-// multi-pattern right sides, disconnected blocks), in which case the
-// query runs on the proven tuple operators and Explain records
-// "vec: tuple fallback (<reason>)".
+// Coverage is per-query and decided before either executor is planned:
+// vecDecline walks the algebra tree and returns a reason string for any
+// form the batch path does not cover (explicit group joins, correlated
+// OPTIONAL right sides, unit or disconnected BGPs, ...), in which case
+// the query runs on the tuple operators and Explain records
+// "vec: tuple fallback (<reason>)". ASK and aggregates never reach it.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"sp2bench/internal/algebra"
 	"sp2bench/internal/sparql"
@@ -36,34 +38,194 @@ type vecOp interface {
 	next() (*Batch, error)
 }
 
-// newBatch allocates a batch sized for this query: one column per
-// variable slot, Options.BatchSize rows (DefaultBatchSize when unset).
-func (c *compiled) newBatch() *Batch {
-	capacity := c.eng.opts.BatchSize
-	if capacity <= 0 {
-		capacity = DefaultBatchSize
+// minBatchSize floors estimate-sized batches: a planner underestimate
+// then costs extra batches of 64 rows, never batches of one.
+const minBatchSize = 64
+
+// newBatch allocates a batch for an operator expected to emit about
+// rows rows: one column per variable slot and a row capacity of rows
+// clamped to [minBatchSize, Options.BatchSize] (DefaultBatchSize when
+// unset), so a small result does not pay for a full-size slab in every
+// pipeline stage.
+func (c *compiled) newBatch(rows float64) *Batch {
+	limit := c.eng.opts.BatchSize
+	if limit <= 0 {
+		limit = DefaultBatchSize
+	}
+	capacity := limit
+	if rows < float64(limit) {
+		capacity = min(limit, max(minBatchSize, int(math.Ceil(rows))))
 	}
 	return NewBatch(len(c.names), capacity)
 }
 
-// compileVec attempts to build the batch pipeline for the translated
-// plan. On success c.vec is set (and, under WithAnalyze, the trace root
-// points at the vec operator tree); on failure the tuple path built by
-// compile stays authoritative and the reason is recorded in the notes.
+// compileVec builds the batch pipeline when the vectorized path covers
+// the plan, so compile builds the tuple tree only when it does not:
+// every query is planned once, and a declined query opens no index
+// range on the batch path's behalf. On success c.vec is set (and, under
+// WithAnalyze, the trace root points at the vec operator tree);
+// otherwise the reason is recorded in the notes.
 func (c *compiled) compileVec(plan algebra.Node) {
-	var saved *tnode
-	if c.trace != nil {
-		saved = c.trace.root
-	}
-	op, reason := c.buildVecNode(plan)
-	if op == nil {
+	reason := c.vecDecline(plan)
+	if reason == "" {
+		notes, cleanups := len(c.notes), len(c.cleanups)
+		var root *tnode
 		if c.trace != nil {
-			c.trace.root = saved // discard partially-wrapped vec nodes
+			root = c.trace.root
 		}
-		c.notes = append(c.notes, "vec: tuple fallback ("+reason+")")
-		return
+		var op vecOp
+		if op, reason = c.buildVecNode(plan); op != nil {
+			c.vec = op
+			return
+		}
+		// A late decline (see buildVecBGP): discard the partial build —
+		// its notes, its never-started workers and its trace nodes.
+		c.notes, c.cleanups = c.notes[:notes], c.cleanups[:cleanups]
+		if c.trace != nil {
+			c.trace.root = root
+		}
 	}
-	c.vec = op
+	c.notes = append(c.notes, "vec: tuple fallback ("+reason+")")
+}
+
+// vecDecline reports why the batch path cannot serve plan node n, or ""
+// when it can. It reads only the plan's shape and the engine options —
+// no statistics and no index ranges — so the choice of executor costs
+// nothing when the answer is the tuple path.
+func (c *compiled) vecDecline(n algebra.Node) string {
+	switch node := n.(type) {
+	case *algebra.BGPNode:
+		return c.vecDeclineBGP(node.Patterns, nil)
+	case *algebra.FilterNode:
+		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
+			return c.vecDeclineBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond))
+		}
+		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
+			return ""
+		}
+		return c.vecDecline(node.Input)
+	case *algebra.LeftJoinNode:
+		if !probeJoinShape(node) {
+			return c.vecDeclineHashLeftJoin(node)
+		}
+		if !c.eng.opts.UseIndexes {
+			return "no index access path"
+		}
+		return c.vecDecline(node.Left)
+	case *algebra.UnionNode:
+		if why := c.vecDecline(node.Left); why != "" {
+			return why
+		}
+		return c.vecDecline(node.Right)
+	case *algebra.ProjectNode:
+		return c.vecDecline(node.Input)
+	case *algebra.DistinctNode:
+		return c.vecDecline(node.Input)
+	case *algebra.OrderNode:
+		return c.vecDecline(node.Input)
+	case *algebra.SliceNode:
+		return c.vecDecline(node.Input)
+	case *algebra.JoinNode:
+		return "explicit join of groups"
+	default:
+		return fmt.Sprintf("unsupported node %T", n)
+	}
+}
+
+// vecDeclineBGP is vecDecline for a BGP with its pushed filter
+// conjuncts.
+func (c *compiled) vecDeclineBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) string {
+	if !c.eng.opts.UseIndexes {
+		return "no index access path"
+	}
+	if len(patterns) < 2 {
+		return "unit bgp"
+	}
+	for _, conj := range conjuncts {
+		if len(sparql.ExprVars(conj)) == 0 {
+			return "constant pre-filter"
+		}
+	}
+	if !connectedBGP(patterns, c.eng.opts.ReorderPatterns) {
+		// The tuple layer materializes a disconnected block as a keyed
+		// segment (opHashSeg); the batch path doesn't yet.
+		return "disconnected block"
+	}
+	return ""
+}
+
+// connectedBGP reports whether the patterns can be evaluated without a
+// cross product: each variable-bearing pattern, in query order, shares
+// a variable with the patterns before it — or, when the reorderer may
+// choose the order, with some pattern reachable through shared
+// variables. (The reorderer only strays from a connected order onto a
+// pattern whose estimate is zero; buildVecBGP declines that case late.)
+func connectedBGP(patterns []sparql.TriplePattern, reorder bool) bool {
+	bound := map[string]bool{}
+	for pending := patterns; len(pending) > 0; {
+		var rest []sparql.TriplePattern
+		for _, p := range pending {
+			if disconnected(p, bound) {
+				rest = append(rest, p)
+			} else {
+				addVars(bound, p)
+			}
+		}
+		if len(rest) == len(pending) || (!reorder && len(rest) > 0) {
+			return false
+		}
+		pending = rest
+	}
+	return true
+}
+
+// vecDeclineHashLeftJoin is vecDecline for an OPTIONAL served by
+// vecHashLeftJoin: the right side is evaluated once, so it must be
+// uncorrelated with the left.
+func (c *compiled) vecDeclineHashLeftJoin(node *algebra.LeftJoinNode) string {
+	if !c.eng.opts.HashLeftJoins {
+		return "optional with condition needs hash left joins"
+	}
+	if !isUncorrelated(node.Right, node.Left.Vars(), nil) {
+		return "optional right side correlated with the left"
+	}
+	if why := c.vecDecline(node.Left); why != "" {
+		return why
+	}
+	return c.vecDecline(node.Right)
+}
+
+// probeJoinShape reports whether an OPTIONAL is the shape vecLeftJoin
+// probes per left row (Q2's): a single-pattern right side and no
+// condition. Every other OPTIONAL goes to vecHashLeftJoin.
+func probeJoinShape(node *algebra.LeftJoinNode) bool {
+	rbgp, ok := node.Right.(*algebra.BGPNode)
+	return ok && node.Cond == nil && len(rbgp.Patterns) == 1
+}
+
+// antiJoinShape recognizes the closed-world-negation idiom (Q6/Q7): a
+// FILTER whose conjuncts are all `!bound(?v)` directly over a left join
+// whose BGP right side certainly binds every such ?v. A matched left
+// row is then guaranteed to fail the filter, so the join can drop it
+// internally — the first passing candidate short-circuits the probe and
+// the matched extensions are never emitted at all.
+func antiJoinShape(f *algebra.FilterNode, lj *algebra.LeftJoinNode) bool {
+	rbgp, ok := lj.Right.(*algebra.BGPNode)
+	if !ok {
+		return false // only a BGP certainly binds its variables
+	}
+	certain := toSet(rbgp.Vars())
+	for _, conj := range algebra.SplitConjuncts(f.Cond) {
+		not, ok := conj.(*sparql.Not)
+		if !ok {
+			return false
+		}
+		b, ok := not.Inner.(*sparql.Bound)
+		if !ok || !certain[b.Var] {
+			return false
+		}
+	}
+	return true
 }
 
 // vwrap installs the trace node for a freshly built vec operator; a
@@ -87,8 +249,8 @@ func childTNodes(children ...vecOp) []*tnode {
 	return out
 }
 
-// buildVecNode compiles one algebra node into a vec operator, or
-// returns a nil operator and the reason the batch path cannot serve it.
+// buildVecNode compiles one algebra node that vecDecline accepted into a
+// vec operator. A nil operator carries the reason of a late decline.
 func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 	switch node := n.(type) {
 	case *algebra.BGPNode:
@@ -97,10 +259,8 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
 			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond))
 		}
-		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok {
-			if op, handled, why := c.buildVecAntiJoin(node, lj); handled {
-				return op, why
-			}
+		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
+			return c.buildVecHashLeftJoin(lj, true)
 		}
 		in, why := c.buildVecNode(node.Input)
 		if in == nil {
@@ -110,7 +270,10 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 		f.fast, f.slow = c.compileFilters(algebra.SplitConjuncts(node.Cond))
 		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), ""
 	case *algebra.LeftJoinNode:
-		return c.buildVecLeftJoin(node)
+		if probeJoinShape(node) {
+			return c.buildVecLeftJoin(node)
+		}
+		return c.buildVecHashLeftJoin(node, false)
 	case *algebra.UnionNode:
 		l, why := c.buildVecNode(node.Left)
 		if l == nil {
@@ -164,10 +327,8 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 		}
 		s := &vecSlice{input: in, offset: node.Offset, limit: node.Limit}
 		return c.vwrap(s, &tnode{op: "slice", detail: "vectorized", children: childTNodes(in)}), ""
-	case *algebra.JoinNode:
-		return nil, "explicit join of groups"
 	default:
-		return nil, fmt.Sprintf("unsupported node %T", n)
+		return nil, c.vecDecline(n)
 	}
 }
 
@@ -178,45 +339,42 @@ type compBind struct {
 }
 
 // buildVecBGP compiles a BGP into a scan → join-stage pipeline using
-// the same preparation (reordering, filter placement) and join-operator
-// selection (mergeStep/hashStep, with the tuple layer's thresholds) as
-// planBGP.
+// the same preparation (reordering, filter placement), join-operator
+// selection (mergeStep/hashStep, with the tuple layer's thresholds) and
+// partitioning rule as planBGP. A partitioned BGP runs one pipeline per
+// part of the anchor range under vecParallel.
 func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) (vecOp, string) {
-	opts := c.eng.opts
-	if !opts.UseIndexes {
-		return nil, "no index access path"
-	}
-	// prepareBGP re-runs reordering for the vec pass; drop its duplicate
-	// notes — the tuple build already recorded them.
-	mark := len(c.notes)
 	b, ordered := c.prepareBGP(patterns, conjuncts, nil)
-	c.notes = c.notes[:mark]
 	if b.empty {
 		// A constant is missing from the dictionary: no rows, ever.
 		return c.vwrap(vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"}), ""
 	}
-	if len(b.steps) < 2 {
-		return nil, "unit bgp"
-	}
-	if len(b.preFilters) > 0 || len(b.unitFilters) > 0 {
-		return nil, "constant pre-filter"
-	}
-
-	st := c.eng.src
 	bound := map[string]bool{}
+	for _, p := range ordered {
+		if disconnected(p, bound) {
+			return nil, "disconnected block" // see connectedBGP
+		}
+		addVars(bound, p)
+	}
+	clear(bound)
+
+	opts := c.eng.opts
+	st := c.eng.src
 	boundSlots := map[int]bool{}
 	leftCard := 1.0
 	sortSlot := -1
-	var pipe vecOp
+	touched := 0
+	var scan *vecScan
+	var joins []*vecJoin
 	var tsteps []*tstep
 	var desc strings.Builder
 	desc.WriteString("vec operators:")
 
-	traceStep := func(op, pattern string, est float64) *tstep {
+	traceStep := func(op string, p sparql.TriplePattern, est float64) *tstep {
 		if c.trace == nil {
 			return nil
 		}
-		ts := &tstep{op: op, pattern: pattern, est: est}
+		ts := &tstep{op: op, pattern: p.String(), est: est}
 		tsteps = append(tsteps, ts)
 		return ts
 	}
@@ -225,24 +383,19 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		p := ordered[i]
 		if i == 0 {
 			rng := st.Range(constWant(step).Spread())
-			scan := &vecScan{c: c, rng: rng}
+			scan = &vecScan{c: c, rng: rng}
 			scan.configure(step)
 			scan.fast, scan.slow = c.compileFilters(step.filters)
 			sortSlot = leadVarSlot(step, rng)
 			leftCard = max(1, c.estimate(p, bound))
-			scan.ts = traceStep(opScan.String(), p.String(), leftCard)
+			scan.ts = traceStep(opScan.String(), p, leftCard)
 			fmt.Fprintf(&desc, " scan[%s rows=%d]", rng.Ord, len(rng.Rows))
-			pipe = scan
+			touched += len(rng.Rows)
 			addVars(bound, p)
 			addStepSlots(boundSlots, step)
 			continue
 		}
 		shared := sharedBoundVars(p, bound)
-		if len(shared) == 0 && len(p.Vars()) > 0 && len(bound) > 0 {
-			// Disconnected block: the tuple layer materializes it as a
-			// keyed segment (opHashSeg); the batch path doesn't yet.
-			return nil, "disconnected block"
-		}
 		est := c.estimate(p, bound)
 		ps := physStep{kind: opNL, step: step}
 		if opts.MergeJoins && len(shared) == 1 {
@@ -256,13 +409,17 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 			}
 		}
 		j := &vecJoin{
-			c: c, kind: ps.kind, child: pipe, step: step, rng: ps.rng,
+			c: c, kind: ps.kind, step: step, rng: ps.rng,
 			joinSlot: ps.joinSlot, keyPos: ps.keyPos, lead: ps.lead,
+		}
+		if ps.kind == opHash {
+			j.hash = &vecHashBuild{}
 		}
 		j.configure(boundSlots)
 		j.fast, j.slow = c.compileFilters(step.filters)
 		leftCard *= max(1, est)
-		j.ts = traceStep(ps.kind.String(), p.String(), leftCard)
+		j.est = leftCard
+		j.ts = traceStep(ps.kind.String(), p, leftCard)
 		switch ps.kind {
 		case opMerge:
 			fmt.Fprintf(&desc, " merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows))
@@ -271,13 +428,36 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		default:
 			desc.WriteString(" nl")
 		}
-		pipe = j
+		touched += len(ps.rng.Rows)
+		joins = append(joins, j)
 		addVars(bound, p)
 		addStepSlots(boundSlots, step)
 	}
-	c.notes = append(c.notes, desc.String())
 	n := &tnode{op: "bgp", detail: "vectorized", est: leftCard, steps: tsteps}
+	var pipe vecOp
+	if parts := c.partitionAnchor(scan.rng, touched); len(parts) == 1 {
+		pipe = linkChain(scan, joins, c.cancel)
+	} else {
+		par := &vecParallel{c: c, scan: scan, joins: joins, parts: parts}
+		c.cleanups = append(c.cleanups, par.shutdown)
+		fmt.Fprintf(&desc, " parallel=%d", len(parts))
+		n.parallel = len(parts)
+		pipe = par
+	}
+	c.notes = append(c.notes, desc.String())
 	return c.vwrap(pipe, n), ""
+}
+
+// linkChain links a planned BGP pipeline's stages scan → join → … in
+// place, checking cancellation through cancel.
+func linkChain(scan *vecScan, joins []*vecJoin, cancel *canceller) vecOp {
+	scan.cancel = cancel
+	var pipe vecOp = scan
+	for _, j := range joins {
+		j.child, j.cancel = pipe, cancel
+		pipe = j
+	}
+	return pipe
 }
 
 // addStepSlots records the variable slots a pattern step binds.
@@ -386,8 +566,9 @@ func (vecEmpty) next() (*Batch, error) { return nil, nil }
 // store.IndexRange.CopyColumns, checks repeated-variable positions, and
 // runs the pushed filter kernels.
 type vecScan struct {
-	c   *compiled
-	rng store.IndexRange
+	c      *compiled
+	cancel *canceller // per partition: c.cancel is not goroutine-safe
+	rng    store.IndexRange
 	// slotOf maps each SPO component to its destination slot (-1 = a
 	// constant, or a repeated variable handled via dupOf).
 	slotOf [3]int
@@ -424,7 +605,7 @@ func (v *vecScan) configure(step patternStep) {
 
 func (v *vecScan) open() {
 	if v.out == nil {
-		v.out = v.c.newBatch()
+		v.out = v.c.newBatch(float64(len(v.rng.Rows)))
 	}
 	v.pos = 0
 }
@@ -432,7 +613,7 @@ func (v *vecScan) open() {
 func (v *vecScan) next() (*Batch, error) {
 	out := v.out
 	for v.pos < len(v.rng.Rows) {
-		if err := v.c.cancel.check(); err != nil {
+		if err := v.cancel.check(); err != nil {
 			return nil, err
 		}
 		out.Reset()
@@ -513,13 +694,16 @@ func narrowSel(b *Batch, selbuf *[]int32, pred func(r int32) bool) {
 // filter kernels when the batch fills.
 type vecJoin struct {
 	c        *compiled
+	cancel   *canceller // per partition: c.cancel is not goroutine-safe
 	kind     opKind
 	child    vecOp
 	step     patternStep
 	rng      store.IndexRange // opMerge: co-sorted range; opHash: build range
 	joinSlot int
-	keyPos   int // opHash: SPO position of the join variable
-	lead     int // opMerge: index component position of the join variable
+	keyPos   int           // opHash: SPO position of the join variable
+	lead     int           // opMerge: index component position of the join variable
+	hash     *vecHashBuild // opHash: the table, shared by every partition
+	est      float64       // planner estimate of the rows out of this stage
 
 	prevBound []int      // slots bound upstream, copied into each output row
 	writes    []compBind // components binding new variables
@@ -553,6 +737,14 @@ type vecJoin struct {
 	table *idTable[[]store.EncTriple]
 	cands []store.EncTriple
 	cpos  int
+}
+
+// vecHashBuild is a hash stage's build side: built once per query by
+// whichever partition probes first, then read-only.
+type vecHashBuild struct {
+	once  sync.Once
+	table *idTable[[]store.EncTriple]
+	err   error
 }
 
 // configure splits the pattern's components into probe constraints,
@@ -599,12 +791,11 @@ func (v *vecJoin) configure(boundSlots map[int]bool) {
 func (v *vecJoin) open() {
 	v.child.open()
 	if v.out == nil {
-		v.out = v.c.newBatch()
+		v.out = v.c.newBatch(v.est)
 	}
 	v.in, v.ipos = nil, 0
 	v.probing, v.done = false, false
 	v.minited = false
-	v.table = nil
 }
 
 func (v *vecJoin) next() (*Batch, error) {
@@ -614,7 +805,7 @@ func (v *vecJoin) next() (*Batch, error) {
 	out := v.out
 	out.Reset()
 	for {
-		if err := v.c.cancel.check(); err != nil {
+		if err := v.cancel.check(); err != nil {
 			return nil, err
 		}
 		if v.in == nil {
@@ -786,55 +977,50 @@ func (v *vecJoin) emit(out *Batch, t store.EncTriple) {
 	out.n = n + 1
 }
 
-// buildTable materializes the hash stage's build side once per query.
+// buildTable materializes the hash stage's build side once per query;
+// partitions arriving while another builds wait for its table.
 func (v *vecJoin) buildTable() error {
 	if v.table != nil {
 		return nil
 	}
-	table := newIDTable[[]store.EncTriple](len(v.rng.Rows))
-	it := v.rng.Iterator()
-	n := 0
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		cell := table.at(t[v.keyPos])
-		*cell = append(*cell, t)
-		if n++; n&1023 == 0 {
-			if err := v.c.cancel.check(); err != nil {
-				return err
+	h := v.hash
+	h.once.Do(func() {
+		table := newIDTable[[]store.EncTriple](len(v.rng.Rows))
+		it := v.rng.Iterator()
+		n := 0
+		for {
+			t, ok := it.Next()
+			if !ok {
+				break
+			}
+			cell := table.at(t[v.keyPos])
+			*cell = append(*cell, t)
+			if n++; n&1023 == 0 {
+				if h.err = v.cancel.check(); h.err != nil {
+					return
+				}
 			}
 		}
-	}
-	v.table = table
-	if v.ts != nil {
-		v.ts.build.Store(int64(n))
-	}
-	return nil
+		h.table = table
+		if v.ts != nil {
+			v.ts.build.Store(int64(n))
+		}
+	})
+	v.table = h.table
+	return h.err
 }
 
 // buildVecLeftJoin covers the OPTIONAL shape the benchmark exercises
-// (Q2): a single-pattern right side with no condition, probed per left
-// row; rows with no compatible extension pass through unextended.
-// Conditions and multi-pattern right sides go to the hash variant.
+// (Q2, see probeJoinShape): a single-pattern right side with no
+// condition, probed per left row; rows with no compatible extension
+// pass through unextended.
 func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode) (vecOp, string) {
-	if node.Cond != nil {
-		return c.buildVecHashLeftJoin(node, false)
-	}
-	rbgp, ok := node.Right.(*algebra.BGPNode)
-	if !ok || len(rbgp.Patterns) != 1 {
-		return c.buildVecHashLeftJoin(node, false)
-	}
-	if !c.eng.opts.UseIndexes {
-		return nil, "no index access path"
-	}
 	left, why := c.buildVecNode(node.Left)
 	if left == nil {
 		return nil, why
 	}
 	lj := &vecLeftJoin{c: c, child: left}
-	p := rbgp.Patterns[0]
+	p := node.Right.(*algebra.BGPNode).Patterns[0]
 	for i, term := range []sparql.PatternTerm{p.S, p.P, p.O} {
 		if term.IsVar {
 			lj.step.pos[i] = patPos{isVar: true, slot: c.slot(term.Var)}
@@ -879,7 +1065,7 @@ type vecLeftJoin struct {
 func (v *vecLeftJoin) open() {
 	v.child.open()
 	if v.out == nil {
-		v.out = v.c.newBatch()
+		v.out = v.c.newBatch(math.Inf(1)) // no estimate: full-size batches
 	}
 	v.in, v.ipos = nil, 0
 	v.probing, v.matched, v.done = false, false, false
@@ -982,37 +1168,6 @@ func (v *vecLeftJoin) emit(out *Batch, t store.EncTriple, extend bool) bool {
 	return true
 }
 
-// buildVecAntiJoin recognizes the closed-world-negation idiom (Q6/Q7):
-// a FILTER whose conjuncts are all `!bound(?v)` directly over a left
-// join whose BGP right side certainly binds every such ?v. A matched
-// left row is then guaranteed to fail the filter, so the join can drop
-// it internally — the first passing candidate short-circuits the probe
-// and the matched extensions are never emitted at all. handled=false
-// means the shape doesn't apply and the caller should compile the
-// filter and the left join separately.
-func (c *compiled) buildVecAntiJoin(f *algebra.FilterNode, lj *algebra.LeftJoinNode) (vecOp, bool, string) {
-	rbgp, ok := lj.Right.(*algebra.BGPNode)
-	if !ok {
-		return nil, false, "" // only a BGP certainly binds its variables
-	}
-	certain := toSet(rbgp.Vars())
-	for _, conj := range algebra.SplitConjuncts(f.Cond) {
-		not, ok := conj.(*sparql.Not)
-		if !ok {
-			return nil, false, ""
-		}
-		b, ok := not.Inner.(*sparql.Bound)
-		if !ok || !certain[b.Var] {
-			return nil, false, ""
-		}
-	}
-	op, why := c.buildVecHashLeftJoin(lj, true)
-	if op == nil {
-		return nil, false, why // fall back to leftjoin + filter
-	}
-	return op, true, ""
-}
-
 // buildVecHashLeftJoin covers the OPTIONAL shapes the single-pattern
 // probe cannot: a condition, a multi-pattern right side, or both. It
 // mirrors the tuple path's materialized hash left join — the right
@@ -1020,14 +1175,9 @@ func (c *compiled) buildVecAntiJoin(f *algebra.FilterNode, lj *algebra.LeftJoinN
 // pipeline, and is hashed by the canonical value key of an extracted
 // `?l = ?r` conjunct; the key conjunct stays in the residual because
 // segKey buckets may be coarser than `=`. With anti=true, matched left
-// rows are dropped instead of extended (closed-world negation).
+// rows are dropped instead of extended (closed-world negation, see
+// antiJoinShape).
 func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (vecOp, string) {
-	if !c.eng.opts.HashLeftJoins {
-		return nil, "optional with condition needs hash left joins"
-	}
-	if !isUncorrelated(node.Right, node.Left.Vars(), nil) {
-		return nil, "optional right side correlated with the left"
-	}
 	left, why := c.buildVecNode(node.Left)
 	if left == nil {
 		return nil, why
@@ -1101,7 +1251,7 @@ type vecHashLeftJoin struct {
 func (v *vecHashLeftJoin) open() {
 	v.left.open()
 	if v.out == nil {
-		v.out = v.c.newBatch()
+		v.out = v.c.newBatch(math.Inf(1)) // no estimate: full-size batches
 	}
 	v.built = false
 	v.matRows, v.hash = nil, nil
@@ -1393,9 +1543,6 @@ type vecOrder struct {
 
 func (o *vecOrder) open() {
 	o.input.open()
-	if o.out == nil {
-		o.out = o.c.newBatch()
-	}
 	o.rows = nil
 	o.pos = 0
 	o.built = false
@@ -1420,6 +1567,9 @@ func (o *vecOrder) next() (*Batch, error) {
 		}
 		sortRows(o.c, o.rows, o.keys)
 		o.built = true
+		if o.out == nil {
+			o.out = o.c.newBatch(float64(len(o.rows)))
+		}
 	}
 	out := o.out
 	out.Reset()

@@ -1,0 +1,119 @@
+package engine_test
+
+// Tests for the partitioned batch executor (vecParallel): row order
+// against a sequential run, and worker shutdown on every way a query
+// can end early.
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"sp2bench/internal/engine"
+	"sp2bench/internal/queries"
+	"sp2bench/internal/rdf"
+	"sp2bench/internal/sparql"
+	"sp2bench/internal/store"
+	"sp2bench/internal/testutil"
+)
+
+// TestVecParallelPreservesRowOrder: partitions are contiguous slices of
+// the sorted anchor range, drained in partition order, so a partitioned
+// run returns exactly the sequential run's rows in the same order.
+func TestVecParallelPreservesRowOrder(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	seq := engine.NativeVec()
+	seq.Name, seq.Parallel = "native-vec-sequential", false
+	for _, q := range queries.All() {
+		parsed := q.Parse()
+		ref := orderedRows(t, s, seq, parsed)
+		for _, opts := range vecParallel4() {
+			if got := orderedRows(t, s, opts, parsed); !slices.Equal(got, ref) {
+				t.Errorf("%s: %s returned %d rows in a different order from %s's %d",
+					q.ID, opts.Name, len(got), seq.Name, len(ref))
+			}
+		}
+	}
+}
+
+func orderedRows(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Query) []string {
+	t.Helper()
+	res, err := engine.New(s, opts).Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s: %v", opts.Name, err)
+	}
+	return render(res)
+}
+
+// faultReader passes the first `after` Range calls through and runs
+// fault before every later one; calls arrive from partition workers
+// concurrently.
+type faultReader struct {
+	store.Reader
+	calls atomic.Int64
+	after int64
+	fault func()
+}
+
+func (r *faultReader) Range(s, p, o store.ID) store.IndexRange {
+	if r.calls.Add(1) > r.after {
+		r.fault()
+	}
+	return r.Reader.Range(s, p, o)
+}
+
+var errInjected = errors.New("injected scan fault")
+
+// TestVecParallelStopsWorkers: however a partitioned query ends — LIMIT
+// abandoning the drain, a cancelled context, a context cancelled mid
+// scan, or a fault panicking inside a worker — every worker is joined
+// before the query returns, and the outcome reaches the caller.
+func TestVecParallelStopsWorkers(t *testing.T) {
+	testutil.CheckNoLeaks(t)
+	s, _ := generatedStore(t, 10_000)
+	opts := vecParallel4()[0]
+	q4, _ := queries.ByID("q4") // an nl probe per anchor row, then six hash stages
+	heavy := q4.Parse()
+
+	lim := sparql.MustParse(
+		`SELECT ?inproc WHERE { ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?author } LIMIT 1`,
+		rdf.Prefixes)
+	if n, err := engine.New(s, opts).Count(context.Background(), lim); err != nil || n != 1 {
+		t.Fatalf("LIMIT 1: got %d, %v", n, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := engine.New(s, opts).Count(ctx, heavy); !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("cancelled context: err = %v, want ErrCancelled", err)
+	}
+
+	// faulty returns an engine whose 21st execution-time probe faults.
+	faulty := func(fault func()) *engine.Engine {
+		fr := &faultReader{Reader: s, after: 1 << 62, fault: fault}
+		eng := engine.NewReader(fr, opts)
+		if _, err := eng.Explain(heavy); err != nil {
+			t.Fatal(err)
+		}
+		fr.after = fr.calls.Swap(0) + 20
+		return eng
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := faulty(cancel).Count(ctx, heavy); !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("context cancelled mid-scan: err = %v, want ErrCancelled", err)
+	}
+
+	eng := faulty(func() { panic(errInjected) })
+	func() {
+		defer func() {
+			if r := recover(); r != errInjected {
+				t.Errorf("worker fault: recovered %v, want the injected fault", r)
+			}
+		}()
+		eng.Count(context.Background(), heavy)
+	}()
+}
