@@ -12,6 +12,7 @@ import (
 // report document sizes without re-reading the output.
 type Writer struct {
 	bw      *bufio.Writer
+	line    []byte // reused encoding buffer for one triple
 	triples int64
 	bytes   int64
 	err     error
@@ -28,15 +29,8 @@ func (w *Writer) WriteTriple(t Triple) error {
 	if w.err != nil {
 		return w.err
 	}
-	var b strings.Builder
-	b.Grow(128)
-	t.S.writeNT(&b)
-	b.WriteByte(' ')
-	t.P.writeNT(&b)
-	b.WriteByte(' ')
-	t.O.writeNT(&b)
-	b.WriteString(" .\n")
-	n, err := w.bw.WriteString(b.String())
+	w.line = append(t.appendNT(w.line[:0]), '\n')
+	n, err := w.bw.Write(w.line)
 	w.bytes += int64(n)
 	if err != nil {
 		w.err = err

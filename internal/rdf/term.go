@@ -204,55 +204,66 @@ func parseFloat(s string) (float64, bool) {
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	var b strings.Builder
-	t.writeNT(&b)
-	return b.String()
+	var buf [64]byte
+	return string(AppendNT(buf[:0], t))
 }
 
-func (t Term) writeNT(b *strings.Builder) {
+// AppendNT appends the N-Triples form of t to dst and returns the
+// extended slice. It is the one N-Triples term encoder: Term.String,
+// Triple.String, Writer and the TSV result writer all use it.
+func AppendNT(dst []byte, t Term) []byte {
 	switch t.Kind {
 	case KindIRI:
-		b.WriteByte('<')
-		b.WriteString(t.Value)
-		b.WriteByte('>')
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case KindBlank:
-		b.WriteString("_:")
-		b.WriteString(t.Value)
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case KindLiteral:
-		b.WriteByte('"')
-		escapeInto(b, t.Value)
-		b.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscaped(dst, t.Value)
+		dst = append(dst, '"')
 		switch {
 		case t.Datatype != "":
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		case t.Lang != "":
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		}
+		return dst
 	default:
-		b.WriteString("<invalid>")
+		return append(dst, "<invalid>"...)
 	}
 }
 
-func escapeInto(b *strings.Builder, s string) {
+// appendEscaped appends a literal's lexical form with the five
+// N-Triples string escapes, copying the runs between them in bulk.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
+		var esc string
+		switch s[i] {
 		case '"':
-			b.WriteString(`\"`)
+			esc = `\"`
 		case '\\':
-			b.WriteString(`\\`)
+			esc = `\\`
 		case '\n':
-			b.WriteString(`\n`)
+			esc = `\n`
 		case '\r':
-			b.WriteString(`\r`)
+			esc = `\r`
 		case '\t':
-			b.WriteString(`\t`)
+			esc = `\t`
 		default:
-			b.WriteByte(c)
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, esc...)
+		start = i + 1
 	}
+	return append(dst, s[start:]...)
 }
 
 // Triple is a single RDF statement.
@@ -265,12 +276,16 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple as one N-Triples line (without the newline).
 func (t Triple) String() string {
-	var b strings.Builder
-	t.S.writeNT(&b)
-	b.WriteByte(' ')
-	t.P.writeNT(&b)
-	b.WriteByte(' ')
-	t.O.writeNT(&b)
-	b.WriteString(" .")
-	return b.String()
+	var buf [128]byte
+	return string(t.appendNT(buf[:0]))
+}
+
+// appendNT appends the triple as one N-Triples line without the newline.
+func (t Triple) appendNT(dst []byte) []byte {
+	dst = AppendNT(dst, t.S)
+	dst = append(dst, ' ')
+	dst = AppendNT(dst, t.P)
+	dst = append(dst, ' ')
+	dst = AppendNT(dst, t.O)
+	return append(dst, " ."...)
 }

@@ -180,11 +180,16 @@ func TestTermString(t *testing.T) {
 		{String("hi"), `"hi"^^<` + XSDString + `>`},
 		{Literal(`say "hi"`), `"say \"hi\""`},
 		{Literal("a\nb\tc\\d"), `"a\nb\tc\\d"`},
+		{Literal("\r\"x\"\r"), `"\r\"x\"\r"`},
+		{LangLiteral("hallo", "de"), `"hallo"@de`},
 		{Term{}, "<invalid>"},
 	}
 	for _, tc := range tests {
 		if got := tc.term.String(); got != tc.want {
 			t.Errorf("String() = %s, want %s", got, tc.want)
+		}
+		if got := string(AppendNT([]byte("prefix "), tc.term)); got != "prefix "+tc.want {
+			t.Errorf("AppendNT = %s, want prefix %s", got, tc.want)
 		}
 	}
 }

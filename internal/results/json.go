@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"sp2bench/internal/rdf"
 )
 
 // The wire structures of the SPARQL 1.1 Query Results JSON Format
-// (https://www.w3.org/TR/sparql11-results-json/). The same shapes serve
-// writing and parsing, so the two directions cannot drift apart.
+// (https://www.w3.org/TR/sparql11-results-json/). ParseJSON decodes
+// into them; WriteJSON must produce exactly what json.Encoder makes of
+// them, which the reference writer in the tests checks byte for byte.
 
 type jsonDoc struct {
 	Head    jsonHead     `json:"head"`
@@ -35,39 +38,136 @@ type jsonTerm struct {
 	Lang     string `json:"xml:lang,omitempty"`
 }
 
+// jsonSafe holds the bytes encoding/json copies unchanged with HTML
+// escaping on: printable ASCII except the quote, the backslash and <>&.
+var jsonSafe = newByteSet(0x20, 0x7e, `"\<>&`)
+
 // WriteJSON serializes the result in the SPARQL 1.1 JSON results format.
+// The output is byte for byte what json.Encoder writes for the jsonDoc
+// of the result: members in struct order, each binding's variables in
+// sorted order, unbound cells absent, and a trailing newline.
 func (r *Result) WriteJSON(w io.Writer) error {
-	doc := jsonDoc{}
+	e := newEncoder(w)
 	if r.IsAsk() {
-		doc.Boolean = r.Boolean
-	} else {
-		doc.Head.Vars = r.Vars
-		bindings := make([]map[string]jsonTerm, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			b := make(map[string]jsonTerm, len(row))
-			for i, t := range row {
-				if i >= len(r.Vars) || t.IsZero() {
-					continue // unbound cells are simply absent
-				}
-				b[r.Vars[i]] = encodeJSONTerm(t)
-			}
-			bindings = append(bindings, b)
+		if *r.Boolean {
+			e.str(`{"head":{},"boolean":true}` + "\n")
+		} else {
+			e.str(`{"head":{},"boolean":false}` + "\n")
 		}
-		doc.Results = &jsonResults{Bindings: bindings}
+		return e.close()
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
+	e.str(`{"head":{`)
+	if len(r.Vars) > 0 {
+		e.str(`"vars":[`)
+		for i, v := range r.Vars {
+			if i > 0 {
+				e.str(",")
+			}
+			e.jsonString(v)
+		}
+		e.str("]")
+	}
+	e.str(`},"results":{"bindings":[`)
+	members := jsonMembers(r.Vars)
+	for n, row := range r.Rows {
+		if n > 0 {
+			e.str(",")
+		}
+		e.str("{")
+		first := true
+		for i := range members {
+			t, ok := members[i].cell(row)
+			if !ok {
+				continue // unbound cells are simply absent
+			}
+			if !first {
+				e.str(",")
+			}
+			first = false
+			e.buf = append(e.buf, members[i].key...)
+			e.jsonTerm(t)
+		}
+		e.str("}")
+		if !e.endRow() {
+			return e.close()
+		}
+	}
+	e.str("]}}\n")
+	return e.close()
 }
 
-func encodeJSONTerm(t rdf.Term) jsonTerm {
+// jsonMember is one member of a binding object: a distinct variable
+// name, pre-encoded as `"name":`, and the columns projecting it. A
+// binding is a map, so a name projected twice keeps its last bound cell.
+type jsonMember struct {
+	name string
+	key  []byte
+	cols []int
+}
+
+// jsonMembers returns the binding members in the sorted key order
+// encoding/json gives maps.
+func jsonMembers(vars []string) []jsonMember {
+	slot := make(map[string]int, len(vars))
+	var members []jsonMember
+	for i, v := range vars {
+		k, ok := slot[v]
+		if !ok {
+			k = len(members)
+			slot[v] = k
+			members = append(members, jsonMember{name: v, key: append(appendJSONString(nil, v), ':')})
+		}
+		members[k].cols = append(members[k].cols, i)
+	}
+	slices.SortFunc(members, func(a, b jsonMember) int { return strings.Compare(a.name, b.name) })
+	return members
+}
+
+func (m *jsonMember) cell(row []rdf.Term) (rdf.Term, bool) {
+	for j := len(m.cols) - 1; j >= 0; j-- {
+		if c := m.cols[j]; c < len(row) && !row[c].IsZero() {
+			return row[c], true
+		}
+	}
+	return rdf.Term{}, false
+}
+
+func (e *encoder) jsonTerm(t rdf.Term) {
 	switch t.Kind {
 	case rdf.KindIRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
+		e.str(`{"type":"uri","value":`)
+		e.jsonString(t.Value)
 	case rdf.KindBlank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
+		e.str(`{"type":"bnode","value":`)
+		e.jsonString(t.Value)
 	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
+		e.str(`{"type":"literal","value":`)
+		e.jsonString(t.Value)
+		if t.Datatype != "" {
+			e.str(`,"datatype":`)
+			e.jsonString(t.Datatype)
+		}
+		if t.Lang != "" {
+			e.str(`,"xml:lang":`)
+			e.jsonString(t.Lang)
+		}
 	}
+	e.str("}")
+}
+
+func (e *encoder) jsonString(s string) { e.buf = appendJSONString(e.buf, s) }
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// encodes it.
+func appendJSONString(dst []byte, s string) []byte {
+	if jsonSafe.contains(s) {
+		dst = append(dst, '"')
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
+	// Marshalling a string cannot fail.
+	b, _ := json.Marshal(s)
+	return append(dst, b...)
 }
 
 // ParseJSON reconstructs a Result from the SPARQL 1.1 JSON results

@@ -3,7 +3,8 @@
 // the SPARQL Query Results JSON and XML formats, the CSV/TSV results
 // formats and a human-readable table (SELECT/ASK), an N-Triples writer
 // for CONSTRUCT/DESCRIBE graphs, and a parser for the JSON format so
-// results can round-trip over the wire.
+// results can round-trip over the wire. The SELECT/ASK writers stream
+// through one pooled append buffer (encode.go).
 package results
 
 import (
@@ -153,32 +154,39 @@ func (r *Result) Write(w io.Writer, f Format) error {
 // one tab-separated row per solution with "(unbound)" markers, or
 // "yes"/"no" for ASK.
 func (r *Result) WriteTable(w io.Writer) error {
+	e := newEncoder(w)
 	if r.IsAsk() {
 		if *r.Boolean {
-			_, err := io.WriteString(w, "yes\n")
-			return err
+			e.str("yes\n")
+		} else {
+			e.str("no\n")
 		}
-		_, err := io.WriteString(w, "no\n")
-		return err
+		return e.close()
 	}
-	var b strings.Builder
-	b.WriteString(strings.Join(r.Vars, "\t"))
-	b.WriteByte('\n')
+	for i, v := range r.Vars {
+		if i > 0 {
+			e.str("\t")
+		}
+		e.str(v)
+	}
+	e.str("\n")
 	for _, row := range r.Rows {
 		for j, t := range row {
 			if j > 0 {
-				b.WriteByte('\t')
+				e.str("\t")
 			}
 			if t.IsZero() {
-				b.WriteString("(unbound)")
+				e.str("(unbound)")
 			} else {
-				b.WriteString(t.String())
+				e.buf = rdf.AppendNT(e.buf, t)
 			}
 		}
-		b.WriteByte('\n')
+		e.str("\n")
+		if !e.endRow() {
+			return e.close()
+		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return e.close()
 }
 
 // WriteGraph serializes a CONSTRUCT/DESCRIBE graph as N-Triples.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"sp2bench/internal/engine"
@@ -19,31 +20,11 @@ import (
 // over a 10k-triple document, serialized, parsed back, and compared
 // cell by cell — unbound OPTIONAL cells and typed literals included.
 func TestBenchmarkQueriesRoundTripJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates and queries a 10k document")
-	}
-	var doc bytes.Buffer
-	g, err := gen.New(gen.DefaultParams(10_000), &doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Generate(); err != nil {
-		t.Fatal(err)
-	}
-	st := store.New()
-	if _, err := st.Load(bytes.NewReader(doc.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(st, engine.Native())
-
 	sawUnbound := false
-	for _, q := range queries.All() {
+	for _, q := range benchmarkResults(t) {
 		q := q
-		t.Run(q.ID, func(t *testing.T) {
-			res, err := eng.Query(context.Background(), q.Parse())
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(q.id, func(t *testing.T) {
+			res := q.res
 			want := results.FromEngine(res)
 			var buf strings.Builder
 			if err := want.WriteJSON(&buf); err != nil {
@@ -87,4 +68,77 @@ func TestBenchmarkQueriesRoundTripJSON(t *testing.T) {
 	if !sawUnbound {
 		t.Error("no unbound cell crossed the round trip; expected some from the OPTIONAL queries")
 	}
+}
+
+// TestBenchmarkQueriesMatchReference proves every writer byte-identical
+// to its reference on real workloads: all benchmark queries over the
+// 10k document, in every format.
+func TestBenchmarkQueriesMatchReference(t *testing.T) {
+	for _, q := range benchmarkResults(t) {
+		r := results.FromEngine(q.res)
+		for _, f := range results.AllFormats {
+			var got, want bytes.Buffer
+			if err := r.Write(&got, f); err != nil {
+				t.Fatal(err)
+			}
+			if err := results.WriteReference(&want, r, f); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s as %s: %d bytes differ from the reference's %d",
+					q.id, f, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+type queryResult struct {
+	id  string
+	res *engine.Result
+}
+
+var (
+	benchmarkOnce    sync.Once
+	benchmarkQueries []queryResult
+	benchmarkErr     error
+)
+
+// benchmarkResults evaluates every benchmark query once over a 10k
+// document generated with the default seed, for all tests that need
+// real results.
+func benchmarkResults(t *testing.T) []queryResult {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("generates and queries a 10k document")
+	}
+	benchmarkOnce.Do(func() {
+		var doc bytes.Buffer
+		g, err := gen.New(gen.DefaultParams(10_000), &doc)
+		if err != nil {
+			benchmarkErr = err
+			return
+		}
+		if _, err := g.Generate(); err != nil {
+			benchmarkErr = err
+			return
+		}
+		st := store.New()
+		if _, err := st.Load(bytes.NewReader(doc.Bytes())); err != nil {
+			benchmarkErr = err
+			return
+		}
+		eng := engine.New(st, engine.Native())
+		for _, q := range queries.All() {
+			res, err := eng.Query(context.Background(), q.Parse())
+			if err != nil {
+				benchmarkErr = err
+				return
+			}
+			benchmarkQueries = append(benchmarkQueries, queryResult{q.ID, res})
+		}
+	})
+	if benchmarkErr != nil {
+		t.Fatal(benchmarkErr)
+	}
+	return benchmarkQueries
 }

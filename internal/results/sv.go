@@ -2,7 +2,6 @@ package results
 
 import (
 	"io"
-	"strings"
 
 	"sp2bench/internal/rdf"
 )
@@ -14,62 +13,71 @@ import (
 // serialization; both writers emit a single "true"/"false" line, the
 // de-facto convention of deployed endpoints.
 
+// csvPlain holds the bytes that leave a CSV field unquoted.
+var csvPlain = newByteSet(0x00, 0xff, ",\"\n\r")
+
 // WriteCSV serializes the result in the SPARQL 1.1 CSV results format:
 // a header of variable names, then one RFC 4180 record per solution
 // with raw lexical forms (unbound cells are empty).
 func (r *Result) WriteCSV(w io.Writer) error {
-	var b strings.Builder
+	e := newEncoder(w)
 	if r.IsAsk() {
-		writeBool(&b, *r.Boolean)
-		_, err := io.WriteString(w, b.String())
-		return err
+		e.bool(*r.Boolean)
+		return e.close()
 	}
 	for i, v := range r.Vars {
 		if i > 0 {
-			b.WriteByte(',')
+			e.str(",")
 		}
-		csvField(&b, v)
+		e.csvField("", v)
 	}
-	b.WriteString("\r\n")
+	e.str("\r\n")
 	for _, row := range r.Rows {
 		for i := range r.Vars {
 			if i > 0 {
-				b.WriteByte(',')
+				e.str(",")
 			}
 			if i < len(row) && !row[i].IsZero() {
-				csvField(&b, csvValue(row[i]))
+				e.csvTerm(row[i])
 			}
 		}
-		b.WriteString("\r\n")
+		e.str("\r\n")
+		if !e.endRow() {
+			return e.close()
+		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return e.close()
 }
 
-// csvValue renders a term the way the CSV format prescribes: bare
+// csvTerm writes a term the way the CSV format prescribes: bare
 // lexical forms for IRIs and literals, "_:"-prefixed labels for blank
 // nodes.
-func csvValue(t rdf.Term) string {
+func (e *encoder) csvTerm(t rdf.Term) {
 	if t.Kind == rdf.KindBlank {
-		return "_:" + t.Value
-	}
-	return t.Value
-}
-
-func csvField(b *strings.Builder, s string) {
-	if !strings.ContainsAny(s, ",\"\n\r") {
-		b.WriteString(s)
+		e.csvField("_:", t.Value)
 		return
 	}
-	b.WriteByte('"')
+	e.csvField("", t.Value)
+}
+
+// csvField writes prefix+s as one field, quoted with doubled quotes
+// when it holds a comma, quote or line break (prefix never does).
+func (e *encoder) csvField(prefix, s string) {
+	if csvPlain.contains(s) {
+		e.str(prefix)
+		e.str(s)
+		return
+	}
+	e.str(`"`)
+	e.str(prefix)
 	for i := 0; i < len(s); i++ {
 		if s[i] == '"' {
-			b.WriteString(`""`)
+			e.str(`""`)
 			continue
 		}
-		b.WriteByte(s[i])
+		e.buf = append(e.buf, s[i])
 	}
-	b.WriteByte('"')
+	e.str(`"`)
 }
 
 // WriteTSV serializes the result in the SPARQL 1.1 TSV results format:
@@ -77,39 +85,40 @@ func csvField(b *strings.Builder, s string) {
 // per solution with terms in N-Triples syntax (unbound cells are
 // empty).
 func (r *Result) WriteTSV(w io.Writer) error {
-	var b strings.Builder
+	e := newEncoder(w)
 	if r.IsAsk() {
-		writeBool(&b, *r.Boolean)
-		_, err := io.WriteString(w, b.String())
-		return err
+		e.bool(*r.Boolean)
+		return e.close()
 	}
 	for i, v := range r.Vars {
 		if i > 0 {
-			b.WriteByte('\t')
+			e.str("\t")
 		}
-		b.WriteByte('?')
-		b.WriteString(v)
+		e.str("?")
+		e.str(v)
 	}
-	b.WriteByte('\n')
+	e.str("\n")
 	for _, row := range r.Rows {
 		for i := range r.Vars {
 			if i > 0 {
-				b.WriteByte('\t')
+				e.str("\t")
 			}
 			if i < len(row) && !row[i].IsZero() {
-				b.WriteString(row[i].String())
+				e.buf = rdf.AppendNT(e.buf, row[i])
 			}
 		}
-		b.WriteByte('\n')
+		e.str("\n")
+		if !e.endRow() {
+			return e.close()
+		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return e.close()
 }
 
-func writeBool(b *strings.Builder, v bool) {
+func (e *encoder) bool(v bool) {
 	if v {
-		b.WriteString("true\n")
+		e.str("true\n")
 	} else {
-		b.WriteString("false\n")
+		e.str("false\n")
 	}
 }

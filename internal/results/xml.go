@@ -1,80 +1,101 @@
 package results
 
 import (
+	"bytes"
 	"encoding/xml"
-	"fmt"
 	"io"
-	"strings"
 
 	"sp2bench/internal/rdf"
 )
 
+// xmlSafe holds the bytes xml.EscapeText copies unchanged: printable
+// ASCII except the five characters it writes as entities.
+var xmlSafe = newByteSet(0x20, 0x7e, `"'&<>`)
+
 // WriteXML serializes the result in the SPARQL Query Results XML Format
 // (https://www.w3.org/TR/rdf-sparql-XMLres/).
 func (r *Result) WriteXML(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(xml.Header)
-	b.WriteString(`<sparql xmlns="http://www.w3.org/2005/sparql-results#">` + "\n")
-	b.WriteString("  <head>\n")
+	e := newEncoder(w)
+	e.str(xml.Header)
+	e.str(`<sparql xmlns="http://www.w3.org/2005/sparql-results#">` + "\n")
+	e.str("  <head>\n")
 	for _, v := range r.Vars {
-		b.WriteString(`    <variable name="`)
-		xmlEscape(&b, v)
-		b.WriteString("\"/>\n")
+		e.str(`    <variable name="`)
+		e.xmlText(v)
+		e.str("\"/>\n")
 	}
-	b.WriteString("  </head>\n")
+	e.str("  </head>\n")
 	if r.IsAsk() {
-		fmt.Fprintf(&b, "  <boolean>%t</boolean>\n", *r.Boolean)
-	} else {
-		b.WriteString("  <results>\n")
-		for _, row := range r.Rows {
-			b.WriteString("    <result>\n")
-			for i, t := range row {
-				if i >= len(r.Vars) || t.IsZero() {
-					continue
-				}
-				b.WriteString(`      <binding name="`)
-				xmlEscape(&b, r.Vars[i])
-				b.WriteString(`">`)
-				writeXMLTerm(&b, t)
-				b.WriteString("</binding>\n")
-			}
-			b.WriteString("    </result>\n")
+		if *r.Boolean {
+			e.str("  <boolean>true</boolean>\n")
+		} else {
+			e.str("  <boolean>false</boolean>\n")
 		}
-		b.WriteString("  </results>\n")
+		e.str("</sparql>\n")
+		return e.close()
 	}
-	b.WriteString("</sparql>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	// The opening tag of each variable's bindings, escaped once.
+	open := make([][]byte, len(r.Vars))
+	for i, v := range r.Vars {
+		open[i] = append(appendXMLText([]byte(`      <binding name="`), v), `">`...)
+	}
+	e.str("  <results>\n")
+	for _, row := range r.Rows {
+		e.str("    <result>\n")
+		for i, t := range row {
+			if i >= len(r.Vars) || t.IsZero() {
+				continue
+			}
+			e.buf = append(e.buf, open[i]...)
+			e.xmlTerm(t)
+			e.str("</binding>\n")
+		}
+		e.str("    </result>\n")
+		if !e.endRow() {
+			return e.close()
+		}
+	}
+	e.str("  </results>\n")
+	e.str("</sparql>\n")
+	return e.close()
 }
 
-func writeXMLTerm(b *strings.Builder, t rdf.Term) {
+func (e *encoder) xmlTerm(t rdf.Term) {
 	switch t.Kind {
 	case rdf.KindIRI:
-		b.WriteString("<uri>")
-		xmlEscape(b, t.Value)
-		b.WriteString("</uri>")
+		e.str("<uri>")
+		e.xmlText(t.Value)
+		e.str("</uri>")
 	case rdf.KindBlank:
-		b.WriteString("<bnode>")
-		xmlEscape(b, t.Value)
-		b.WriteString("</bnode>")
+		e.str("<bnode>")
+		e.xmlText(t.Value)
+		e.str("</bnode>")
 	default:
-		b.WriteString("<literal")
+		e.str("<literal")
 		if t.Datatype != "" {
-			b.WriteString(` datatype="`)
-			xmlEscape(b, t.Datatype)
-			b.WriteString(`"`)
+			e.str(` datatype="`)
+			e.xmlText(t.Datatype)
+			e.str(`"`)
 		} else if t.Lang != "" {
-			b.WriteString(` xml:lang="`)
-			xmlEscape(b, t.Lang)
-			b.WriteString(`"`)
+			e.str(` xml:lang="`)
+			e.xmlText(t.Lang)
+			e.str(`"`)
 		}
-		b.WriteString(">")
-		xmlEscape(b, t.Value)
-		b.WriteString("</literal>")
+		e.str(">")
+		e.xmlText(t.Value)
+		e.str("</literal>")
 	}
 }
 
-func xmlEscape(b *strings.Builder, s string) {
-	// xml.EscapeText cannot fail on a strings.Builder.
+func (e *encoder) xmlText(s string) { e.buf = appendXMLText(e.buf, s) }
+
+// appendXMLText appends s escaped as xml.EscapeText escapes it.
+func appendXMLText(dst []byte, s string) []byte {
+	if xmlSafe.contains(s) {
+		return append(dst, s...)
+	}
+	b := bytes.NewBuffer(dst) // appends after dst's bytes
+	// xml.EscapeText cannot fail on a bytes.Buffer.
 	_ = xml.EscapeText(b, []byte(s))
+	return b.Bytes()
 }

@@ -424,14 +424,12 @@ func negotiate(accept string) (results.Format, bool) {
 		if err != nil {
 			continue
 		}
-		sawRange = true
-		q := 1.0
-		if qs, okq := params["q"]; okq {
-			if v, errq := strconv.ParseFloat(qs, 64); errq == nil {
-				q = v
-			}
+		q, okq := quality(params)
+		if !okq {
+			continue
 		}
-		if q <= 0 {
+		sawRange = true
+		if q == 0 {
 			continue
 		}
 		var format results.Format
@@ -461,6 +459,32 @@ func negotiate(accept string) (results.Format, bool) {
 	return best.format, true
 }
 
+// quality returns a media range's q parameter, 1 when absent. ok is
+// false when the value breaks RFC 9110's qvalue grammar,
+// "0" [ "." 0*3DIGIT ] or "1" [ "." 0*3("0") ]; callers skip such a
+// range as if it did not parse.
+func quality(params map[string]string) (q float64, ok bool) {
+	s, present := params["q"]
+	if !present {
+		return 1, true
+	}
+	if len(s) == 0 || len(s) > 5 || (s[0] != '0' && s[0] != '1') {
+		return 0, false
+	}
+	if len(s) > 1 {
+		if s[1] != '.' {
+			return 0, false
+		}
+		for i := 2; i < len(s); i++ {
+			if s[i] < '0' || s[i] > '9' || (s[0] == '1' && s[i] != '0') {
+				return 0, false
+			}
+		}
+	}
+	q, err := strconv.ParseFloat(s, 64)
+	return q, err == nil
+}
+
 // graphAcceptable reports whether an Accept header admits N-Triples
 // (the only graph serialization served). Like negotiate, a header with
 // no parseable media range at all is treated as absent.
@@ -475,11 +499,13 @@ func graphAcceptable(accept string) bool {
 		if err != nil {
 			continue
 		}
+		q, okq := quality(params)
+		if !okq {
+			continue
+		}
 		sawRange = true
-		if q, okq := params["q"]; okq {
-			if v, errq := strconv.ParseFloat(q, 64); errq == nil && v <= 0 {
-				continue
-			}
+		if q == 0 {
+			continue
 		}
 		switch mediaType {
 		case "application/n-triples", "text/plain", "*/*", "application/*", "text/*":

@@ -293,11 +293,35 @@ func TestNegotiate(t *testing.T) {
 		{"text/csv;q=0", results.JSON, false},
 		{"application/pdf", results.JSON, false},
 		{"garbage;;;", results.JSON, true}, // unparseable header = absent
+		// q outside RFC 9110's qvalue grammar makes the range unparseable.
+		{"text/csv;q=NaN, application/sparql-results+json", results.JSON, true},
+		{"text/csv;q=5, application/sparql-results+json", results.JSON, true},
+		{"text/csv;q=Inf, application/sparql-results+xml;q=0.9", results.XML, true},
+		{"text/csv;q=0.001, application/sparql-results+xml;q=0.", results.CSV, true},
+		{"text/csv;q=1.000", results.CSV, true},
 	}
 	for _, c := range cases {
 		got, ok := negotiate(c.accept)
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("negotiate(%q) = (%v, %v), want (%v, %v)", c.accept, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+func TestGraphAcceptable(t *testing.T) {
+	cases := map[string]bool{
+		"":                                     true,
+		"application/n-triples":                true,
+		"text/*;q=0.5":                         true,
+		"text/csv":                             false,
+		"application/n-triples;q=0":            false,
+		"application/n-triples;q=5, text/csv":  false, // malformed range skipped
+		"text/csv;q=NaN":                       true,  // nothing parseable = absent
+		"application/n-triples;q=1., text/csv": true,
+	}
+	for accept, want := range cases {
+		if got := graphAcceptable(accept); got != want {
+			t.Errorf("graphAcceptable(%q) = %v, want %v", accept, got, want)
 		}
 	}
 }
