@@ -1,24 +1,40 @@
 package engine
 
 import (
-	"sp2bench/internal/algebra"
+	"fmt"
+
+	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
 
 // patPos is one compiled position (S, P or O) of a triple pattern step.
 type patPos struct {
-	isVar   bool
-	slot    int      // slot of the variable, when isVar
-	id      store.ID // interned constant, when !isVar
-	missing bool     // constant term absent from the dictionary
+	isVar bool
+	slot  int // slot of the variable, when isVar
+	// id is the interned constant when !isVar. For a variable it is the
+	// IRI a pushed `?v = <iri>` conjunct pins it to (NoID when unpinned):
+	// index keys use it, and the slot is still bound from the triple.
+	id      store.ID
+	missing bool // constant term absent from the dictionary
+}
+
+// key is the position's index-key component under row: the constant or
+// pin, else the variable's current binding (NoID when unbound).
+func (p patPos) key(row []store.ID) store.ID {
+	if p.isVar && p.id == store.NoID {
+		return row[p.slot]
+	}
+	return p.id
 }
 
 // patternStep is one triple pattern with the filter conjuncts evaluated
-// immediately after it binds (filter pushing).
+// immediately after it binds (filter pushing): conjuncts as placed, and
+// filt, the same conjuncts compiled once for every executor.
 type patternStep struct {
-	pos     [3]patPos
-	filters []sparql.Expr
+	pos       [3]patPos
+	conjuncts []sparql.Expr
+	filt      rowFilter
 }
 
 // bgpIter evaluates a basic graph pattern by backtracking over the
@@ -27,12 +43,12 @@ type patternStep struct {
 type bgpIter struct {
 	c     *compiled
 	steps []patternStep
-	// preFilters have all their variables outside the BGP; they are
-	// checked once against the parent row.
-	preFilters []sparql.Expr
-	// unitFilters apply when the BGP has no patterns at all.
-	unitFilters []sparql.Expr
-	empty       bool // some constant is missing from the dictionary
+	// preFilter holds the conjuncts whose variables all lie outside the
+	// BGP; it is checked once against the parent row.
+	preFilter rowFilter
+	// unitFilter applies when the BGP has no patterns at all.
+	unitFilter rowFilter
+	empty      bool // some constant is missing from the dictionary
 
 	// tsteps are the per-depth EXPLAIN ANALYZE counters (nil unless the
 	// query runs under WithAnalyze); test is the planner's cumulative
@@ -73,14 +89,7 @@ func (b *bgpIter) open(parent []store.ID) {
 	b.exhausted = false
 	b.unitEmitted = false
 	b.depth = 0
-	b.preOK = true
-	for _, f := range b.preFilters {
-		v, err := algebra.EvalBool(f, rowBinding{c: b.c, row: b.cur})
-		if err != nil || !v {
-			b.preOK = false
-			return
-		}
-	}
+	b.preOK = b.preFilter.pass(b.c, b.cur)
 }
 
 func (b *bgpIter) next() ([]store.ID, bool, error) {
@@ -92,11 +101,8 @@ func (b *bgpIter) next() ([]store.ID, bool, error) {
 			return nil, false, nil
 		}
 		b.unitEmitted = true
-		for _, f := range b.unitFilters {
-			v, err := algebra.EvalBool(f, rowBinding{c: b.c, row: b.cur})
-			if err != nil || !v {
-				return nil, false, nil
-			}
+		if !b.unitFilter.pass(b.c, b.cur) {
+			return nil, false, nil
 		}
 		return b.cur, true, nil
 	}
@@ -123,7 +129,7 @@ func (b *bgpIter) next() ([]store.ID, bool, error) {
 		if !b.bind(d, t) {
 			continue
 		}
-		if !b.stepFiltersPass(d) {
+		if !b.steps[d].filt.pass(b.c, b.cur) {
 			continue
 		}
 		if b.tsteps != nil {
@@ -149,12 +155,7 @@ func (b *bgpIter) initCursor(d int) {
 	step := &b.steps[d]
 	var want store.EncTriple
 	for i := 0; i < 3; i++ {
-		p := step.pos[i]
-		if p.isVar {
-			want[i] = b.cur[p.slot] // NoID when unbound
-		} else {
-			want[i] = p.id
-		}
+		want[i] = step.pos[i].key(b.cur)
 	}
 	st := &b.state[d]
 	st.want = want
@@ -220,16 +221,6 @@ func (b *bgpIter) clearBound(d int) {
 	b.bound[d] = b.bound[d][:0]
 }
 
-func (b *bgpIter) stepFiltersPass(d int) bool {
-	for _, f := range b.steps[d].filters {
-		v, err := algebra.EvalBool(f, rowBinding{c: b.c, row: b.cur})
-		if err != nil || !v {
-			return false
-		}
-	}
-	return true
-}
-
 // buildBGP compiles a BGP, optionally reordering its patterns and placing
 // the given filter conjuncts (nil when the BGP has no governing FILTER).
 func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (subplan, error) {
@@ -246,29 +237,47 @@ func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.
 	return b, nil
 }
 
-// prepareBGP performs the logical half of BGP compilation — pattern
-// reordering, constant interning, filter conjunct placement — shared by
-// the tuple path (buildBGP) and the vectorized pipeline (buildVecBGP).
+// prepareBGP performs the logical half of BGP compilation — constant
+// pinning, pattern reordering, constant interning, filter conjunct
+// placement and compilation — shared by the tuple path (buildBGP) and
+// the vectorized pipeline (buildVecBGP). The returned patterns are the
+// planner's view of b.steps, in step order: a pinned variable appears as
+// its IRI, so estimates, index keys and join choices treat it as the
+// constant it is.
 func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (*bgpIter, []sparql.TriplePattern) {
-	ordered := patterns
-	if c.eng.opts.ReorderPatterns && len(patterns) > 1 {
-		ordered = c.reorder(patterns, outer)
-	}
 	b := &bgpIter{c: c}
 	bgpVars := map[string]bool{}
-	for _, p := range ordered {
-		for _, v := range p.Vars() {
-			bgpVars[v] = true
+	for _, p := range patterns {
+		addVars(bgpVars, p)
+	}
+	pins, conjuncts := c.pinEqualities(b, conjuncts, bgpVars, outer)
+	planned := pinPatterns(patterns, pins)
+	// ordered keeps the variables: the steps bind every slot, pinned ones
+	// included, and filter placement follows those bindings.
+	plan, ordered := planned, patterns
+	if c.eng.opts.ReorderPatterns && len(patterns) > 1 {
+		plan = c.reorder(planned, outer)
+		ordered = plan
+		if len(pins) > 0 {
+			ordered = unpinOrder(plan, planned, patterns)
 		}
 	}
+	dict := c.eng.src.TermDict()
 	for _, p := range ordered {
 		var step patternStep
 		for i, term := range []sparql.PatternTerm{p.S, p.P, p.O} {
 			if term.IsVar {
 				step.pos[i] = patPos{isVar: true, slot: c.slot(term.Var)}
+				if iri, ok := pins[term.Var]; ok {
+					id, found := dict.Lookup(iri)
+					if !found {
+						b.empty = true
+					}
+					step.pos[i].id = id
+				}
 				continue
 			}
-			id, ok := c.eng.src.TermDict().Lookup(term.Term)
+			id, ok := dict.Lookup(term.Term)
 			if !ok {
 				step.pos[i] = patPos{missing: true}
 				b.empty = true
@@ -286,15 +295,15 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 			outerOnly[v] = true
 		}
 	}
-	var residual []sparql.Expr
+	var pre, unit, residual []sparql.Expr
 	for _, conj := range conjuncts {
 		vars := sparql.ExprVars(conj)
 		if len(b.steps) == 0 {
-			b.unitFilters = append(b.unitFilters, conj)
+			unit = append(unit, conj)
 			continue
 		}
 		if allIn(vars, outerOnly) {
-			b.preFilters = append(b.preFilters, conj)
+			pre = append(pre, conj)
 			continue
 		}
 		at := c.placement(b.steps, ordered, vars, outerOnly)
@@ -302,15 +311,111 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 			residual = append(residual, conj)
 			continue
 		}
-		b.steps[at].filters = append(b.steps[at].filters, conj)
+		b.steps[at].conjuncts = append(b.steps[at].conjuncts, conj)
 	}
 	// Conjuncts that no step can cover (variables bound nowhere) behave
 	// like end-of-BGP filters: attach them to the last step.
-	if len(residual) > 0 && len(b.steps) > 0 {
+	if len(residual) > 0 {
 		last := len(b.steps) - 1
-		b.steps[last].filters = append(b.steps[last].filters, residual...)
+		b.steps[last].conjuncts = append(b.steps[last].conjuncts, residual...)
 	}
-	return b, ordered
+	for i := range b.steps {
+		b.steps[i].filt = c.compileFilters(b.steps[i].conjuncts)
+	}
+	b.preFilter = c.compileFilters(pre)
+	b.unitFilter = c.compileFilters(unit)
+	return b, plan
+}
+
+// pinEqualities takes the pushed conjuncts of the form `?v = <iri>` (or
+// `<iri> = ?v`) whose variable a pattern of this BGP binds and no outer
+// scope does, and returns them as pins together with the remaining
+// conjuncts. `=` between an IRI and any term is term identity, so keying
+// ?v's positions on the IRI's dictionary ID is exactly the filter. A
+// literal constant is never pinned: `=` compares literals by value
+// ("1" = "01"^^xsd:integer). Two different IRIs pinned on one variable
+// make the BGP empty. Pinning is filter pushing, so it needs PushFilters.
+func (c *compiled) pinEqualities(b *bgpIter, conjuncts []sparql.Expr, bgpVars map[string]bool, outer []string) (map[string]rdf.Term, []sparql.Expr) {
+	if !c.eng.opts.PushFilters || len(conjuncts) == 0 {
+		return nil, conjuncts
+	}
+	outerSet := toSet(outer)
+	var pins map[string]rdf.Term
+	var rest []sparql.Expr
+	for _, conj := range conjuncts {
+		v, iri, ok := iriEquality(conj)
+		if !ok || !bgpVars[v] || outerSet[v] {
+			rest = append(rest, conj)
+			continue
+		}
+		if prev, dup := pins[v]; dup {
+			if prev != iri {
+				b.empty = true
+				c.notes = append(c.notes, fmt.Sprintf("filter pins ?%s to both %s and %s: bgp empty", v, prev, iri))
+			}
+			continue
+		}
+		if pins == nil {
+			pins = map[string]rdf.Term{}
+		}
+		pins[v] = iri
+		c.notes = append(c.notes, fmt.Sprintf("filter pinned ?%s = %s", v, iri))
+	}
+	return pins, rest
+}
+
+// iriEquality recognizes `?v = <iri>` and `<iri> = ?v`.
+func iriEquality(e sparql.Expr) (string, rdf.Term, bool) {
+	bin, ok := e.(*sparql.Binary)
+	if !ok || bin.Op != sparql.OpEq {
+		return "", rdf.Term{}, false
+	}
+	v, isVar := bin.Left.(*sparql.VarExpr)
+	t, isTerm := bin.Right.(*sparql.TermExpr)
+	if !isVar || !isTerm {
+		v, isVar = bin.Right.(*sparql.VarExpr)
+		t, isTerm = bin.Left.(*sparql.TermExpr)
+	}
+	if !isVar || !isTerm || !t.Term.IsIRI() {
+		return "", rdf.Term{}, false
+	}
+	return v.Name, t.Term, true
+}
+
+// pinPatterns returns the planner's view of the patterns: each pinned
+// variable replaced by its IRI.
+func pinPatterns(patterns []sparql.TriplePattern, pins map[string]rdf.Term) []sparql.TriplePattern {
+	if len(pins) == 0 {
+		return patterns
+	}
+	out := make([]sparql.TriplePattern, len(patterns))
+	for i, p := range patterns {
+		for _, t := range []*sparql.PatternTerm{&p.S, &p.P, &p.O} {
+			if iri, ok := pins[t.Var]; ok && t.IsVar {
+				*t = sparql.PatternTerm{Term: iri}
+			}
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// unpinOrder maps the reordered planner view back onto the source
+// patterns. Patterns that look equal to the planner are interchangeable,
+// so the first unused match is as good as any.
+func unpinOrder(plan, planned, patterns []sparql.TriplePattern) []sparql.TriplePattern {
+	used := make([]bool, len(planned))
+	out := make([]sparql.TriplePattern, 0, len(plan))
+	for _, p := range plan {
+		for i, q := range planned {
+			if !used[i] && q == p {
+				used[i] = true
+				out = append(out, patterns[i])
+				break
+			}
+		}
+	}
+	return out
 }
 
 // fallbackTraceSteps builds the per-depth EXPLAIN ANALYZE counters for

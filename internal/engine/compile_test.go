@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sp2bench/internal/engine"
@@ -11,26 +12,35 @@ import (
 	"sp2bench/internal/store"
 )
 
-// countingReader counts the index ranges (Range, RangeIn) and the
-// cardinality probes (Count) a compile opens through it. Not safe for
-// concurrent use: it only watches compiles, which run on one goroutine.
+// countingReader counts the index ranges (Range, RangeIn, Iterate) and
+// the cardinality probes (Count) opened through it, and the rows those
+// ranges span. Safe for concurrent use, so it can also watch partitioned
+// executions.
 type countingReader struct {
 	store.Reader
-	ranges, counts int
+	ranges, counts, rows atomic.Int64
+}
+
+func (r *countingReader) opened(rng store.IndexRange) store.IndexRange {
+	r.ranges.Add(1)
+	r.rows.Add(int64(len(rng.Rows)))
+	return rng
 }
 
 func (r *countingReader) Range(s, p, o store.ID) store.IndexRange {
-	r.ranges++
-	return r.Reader.Range(s, p, o)
+	return r.opened(r.Reader.Range(s, p, o))
 }
 
 func (r *countingReader) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
-	r.ranges++
-	return r.Reader.RangeIn(ord, s, p, o)
+	return r.opened(r.Reader.RangeIn(ord, s, p, o))
+}
+
+func (r *countingReader) Iterate(s, p, o store.ID) *store.Iterator {
+	return r.Range(s, p, o).Iterator()
 }
 
 func (r *countingReader) Count(s, p, o store.ID) int {
-	r.counts++
+	r.counts.Add(1)
 	return r.Reader.Count(s, p, o)
 }
 
@@ -64,10 +74,20 @@ func planRanges(plan string) int {
 // the tuple plan alone. Both hold over a plain store and over an MVCC
 // snapshot with a live delta, where every range a delta touches is a
 // freshly merged slice.
-func TestCompilePlansOnce(t *testing.T) {
-	s, _ := generatedStore(t, 10_000)
+// namedReader is one triple source a test sweeps.
+type namedReader struct {
+	name string
+	r    store.Reader
+}
+
+// storeAndSnapshot returns a generated store and an MVCC snapshot of it
+// carrying a live delta (a new article and its author), the two sources
+// the planner must treat alike.
+func storeAndSnapshot(t *testing.T, triples int64) []namedReader {
+	t.Helper()
+	s, _ := generatedStore(t, triples)
 	live := mvcc.New(s, mvcc.MergePolicy{Disabled: true})
-	defer live.Close()
+	t.Cleanup(live.Close)
 	doc, person := rdf.IRI("urn:new-article"), rdf.IRI("urn:new-person")
 	live.Apply([]rdf.Triple{
 		rdf.NewTriple(doc, rdf.IRI(rdf.RDFType), rdf.IRI(rdf.BenchArticle)),
@@ -77,20 +97,20 @@ func TestCompilePlansOnce(t *testing.T) {
 		rdf.NewTriple(person, rdf.IRI(rdf.FOAFName), rdf.String("New Person")),
 	})
 	snap := live.Snapshot()
-	defer snap.Close()
+	t.Cleanup(snap.Close)
 	if snap.DeltaLen() == 0 {
 		t.Fatal("snapshot has no delta")
 	}
+	return []namedReader{{"store", s}, {"snapshot", snap}}
+}
 
-	for _, src := range []struct {
-		name string
-		r    store.Reader
-	}{{"store", s}, {"snapshot", snap}} {
+func TestCompilePlansOnce(t *testing.T) {
+	for _, src := range storeAndSnapshot(t, 10_000) {
 		for _, id := range []string{"q1", "q3b", "q5b", "q6"} {
 			plan, cr := explainCounting(t, src.r, engine.NativeVec(), id)
-			if want := planRanges(plan); want == 0 || cr.ranges != want {
+			if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
 				t.Errorf("%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
-					src.name, id, cr.ranges, want, plan)
+					src.name, id, cr.ranges.Load(), want, plan)
 			}
 			if strings.Contains(plan, "bgp operators:") {
 				t.Errorf("%s/%s: a batch plan also planned tuple operators:\n%s", src.name, id, plan)
@@ -102,9 +122,9 @@ func TestCompilePlansOnce(t *testing.T) {
 		if !strings.Contains(plan, "vec: tuple fallback") {
 			t.Fatalf("%s/q8: expected a tuple fallback:\n%s", src.name, plan)
 		}
-		if vec.ranges > tuple.ranges || vec.counts > tuple.counts {
+		if vec.ranges.Load() > tuple.ranges.Load() || vec.counts.Load() > tuple.counts.Load() {
 			t.Errorf("%s/q8: fallback compile opened %d ranges and %d counts, the tuple plan alone %d and %d",
-				src.name, vec.ranges, vec.counts, tuple.ranges, tuple.counts)
+				src.name, vec.ranges.Load(), vec.counts.Load(), tuple.ranges.Load(), tuple.counts.Load())
 		}
 	}
 }

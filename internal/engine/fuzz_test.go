@@ -85,6 +85,21 @@ func fuzzQuery(r *rand.Rand) string {
 		}
 		return fmt.Sprintf("%s %s %s .", varName(), p, term())
 	}
+	// An IRI equality, either way round — the conjunct filter pinning
+	// turns into an index key — sometimes on an IRI the graph never uses.
+	pin := func() string {
+		iri := "<http://x/nowhere>"
+		switch r.Intn(3) {
+		case 0:
+			iri = fmt.Sprintf("<http://x/p%d>", r.Intn(4))
+		case 1:
+			iri = fmt.Sprintf("<http://x/s%d>", r.Intn(6))
+		}
+		if r.Intn(2) == 0 {
+			return fmt.Sprintf("%s = %s", iri, varName())
+		}
+		return fmt.Sprintf("%s = %s", varName(), iri)
+	}
 	var b strings.Builder
 	// Mostly multi-pattern BGPs (the batch path needs at least one join
 	// stage); the occasional unit BGP exercises the tuple fallback.
@@ -98,8 +113,11 @@ func fuzzQuery(r *rand.Rand) string {
 	}
 	if r.Intn(2) == 0 {
 		b.WriteString("OPTIONAL { " + pattern())
-		if r.Intn(3) == 0 {
+		switch r.Intn(6) {
+		case 0, 1:
 			fmt.Fprintf(&b, " FILTER (%s = %s)", varName(), varName())
+		case 2:
+			fmt.Fprintf(&b, " FILTER (%s)", pin())
 		}
 		b.WriteString(" }\n")
 	}
@@ -108,7 +126,14 @@ func fuzzQuery(r *rand.Rand) string {
 	}
 	if r.Intn(2) == 0 {
 		ops := []string{"=", "!=", "<", ">", "<=", ">="}
-		fmt.Fprintf(&b, "FILTER (%s %s %s)\n", varName(), ops[r.Intn(len(ops))], term())
+		cond := fmt.Sprintf("%s %s %s", varName(), ops[r.Intn(len(ops))], term())
+		switch r.Intn(4) {
+		case 0:
+			cond = pin()
+		case 1:
+			cond = pin() + " && " + cond
+		}
+		fmt.Fprintf(&b, "FILTER (%s)\n", cond)
 	}
 	distinct := ""
 	if r.Intn(3) == 0 {

@@ -84,11 +84,15 @@ type physStep struct {
 	lead     int // opMerge: component position of the join var in rng's order
 
 	seg *segPlan // opHashSeg
+}
 
-	// The step's pushed filter conjuncts, compiled: fast holds the
-	// slot-resolved `?a OP ?b` comparisons, slow everything else.
-	fast []fastCmp
-	slow []sparql.Expr
+// filter is the depth's compiled conjuncts: the pattern's pushed filters,
+// or a hashed block's link filters.
+func (ps *physStep) filter() *rowFilter {
+	if ps.seg != nil {
+		return &ps.seg.link
+	}
+	return &ps.step.filt
 }
 
 // segPlan is a disconnected trailing block: evaluated once (it shares no
@@ -96,11 +100,11 @@ type physStep struct {
 // left row — by equality key when a linking FILTER provides one, as a
 // cached cross product otherwise.
 type segPlan struct {
-	steps       []patternStep
-	linkFilters []sparql.Expr // conjuncts referencing outside vars, checked on merged rows
-	buildSlot   int           // key slot within block rows (-1 = keyless)
-	probeSlot   int           // key slot on the left stream (-1 = keyless)
-	slots       []int         // slots the block binds, for backtrack clearing
+	steps     []patternStep
+	link      rowFilter // conjuncts referencing outside vars, checked on merged rows
+	buildSlot int       // key slot within block rows (-1 = keyless)
+	probeSlot int       // key slot on the left stream (-1 = keyless)
+	slots     []int     // slots the block binds, for backtrack clearing
 }
 
 // fastCmp is a filter conjunct of the shape `?a OP ?b` compiled to slot
@@ -154,27 +158,53 @@ func (f fastCmp) cmpIDs(c *compiled, a, b store.ID) bool {
 	}
 }
 
+// rowFilter is a list of filter conjuncts compiled once at plan time:
+// fast holds the slot-resolved `?a OP ?b` comparisons, slow everything
+// else, which goes through the expression evaluator. Every executor
+// evaluates pushed filters through it — per row (pass) on the tuple
+// operators, per batch (applyVecFilters) on the vectorized ones.
+type rowFilter struct {
+	fast []fastCmp
+	slow []sparql.Expr
+}
+
 // compileFilters splits filter conjuncts into fast slot comparisons and
 // the general remainder.
-func (c *compiled) compileFilters(filters []sparql.Expr) ([]fastCmp, []sparql.Expr) {
-	var fast []fastCmp
-	var slow []sparql.Expr
-	for _, f := range filters {
-		bin, ok := f.(*sparql.Binary)
+func (c *compiled) compileFilters(filters []sparql.Expr) rowFilter {
+	var f rowFilter
+	for _, e := range filters {
+		bin, ok := e.(*sparql.Binary)
 		if ok {
 			switch bin.Op {
 			case sparql.OpEq, sparql.OpNeq, sparql.OpLt, sparql.OpGt, sparql.OpLeq, sparql.OpGeq:
 				lv, ok1 := bin.Left.(*sparql.VarExpr)
 				rv, ok2 := bin.Right.(*sparql.VarExpr)
 				if ok1 && ok2 {
-					fast = append(fast, fastCmp{op: bin.Op, l: c.slot(lv.Name), r: c.slot(rv.Name)})
+					f.fast = append(f.fast, fastCmp{op: bin.Op, l: c.slot(lv.Name), r: c.slot(rv.Name)})
 					continue
 				}
 			}
 		}
-		slow = append(slow, f)
+		f.slow = append(f.slow, e)
 	}
-	return fast, slow
+	return f
+}
+
+// pass evaluates every conjunct on row; a type error rejects the row,
+// as it does in a FILTER.
+func (f *rowFilter) pass(c *compiled, row []store.ID) bool {
+	for _, fc := range f.fast {
+		if !fc.eval(c, row) {
+			return false
+		}
+	}
+	for _, e := range f.slow {
+		v, err := algebra.EvalBool(e, rowBinding{c: c, row: row})
+		if err != nil || !v {
+			return false
+		}
+	}
+	return true
 }
 
 // idTable is a linear-probing open-addressing map from store.ID to V,
@@ -301,7 +331,7 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 	// conjuncts (FILTER(1 > 2) and friends), which bgpIter checks once at
 	// open. The physical iterators do not evaluate them — keep such
 	// degenerate BGPs on the backtracker rather than dropping the filter.
-	if len(b.preFilters) > 0 {
+	if len(b.preFilter.fast)+len(b.preFilter.slow) > 0 {
 		return nil
 	}
 	st := c.eng.src
@@ -340,7 +370,7 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 			j := segmentEnd(ordered, i)
 			segCard := c.blockEstimate(ordered[i:j], nil)
 			if opts.HashJoins {
-				if seg, ok := c.buildSegPlan(b.steps[i:j], ordered[i:j], bound, segCard); ok {
+				if seg, ok := c.buildSegPlan(b.steps[i:j], bound, segCard); ok {
 					plan.steps = append(plan.steps, physStep{kind: opHashSeg, seg: seg})
 					interesting = true
 					for k := i; k < j; k++ {
@@ -367,13 +397,13 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 		est := c.estimate(p, bound)
 		done := false
 		if opts.MergeJoins && len(shared) == 1 {
-			if ms, ok := c.mergeStep(step, shared[0], sortSlot); ok {
+			if ms, ok := c.mergeStep(step, shared[0], sortSlot, leftCard); ok {
 				plan.steps = append(plan.steps, ms)
 				interesting = true
 				done = true
 			}
 		}
-		if !done && opts.HashJoins && len(shared) == 1 && leftCard >= hashJoinThreshold {
+		if !done && len(shared) == 1 {
 			if hs, ok := c.hashStep(step, shared[0], leftCard); ok {
 				plan.steps = append(plan.steps, hs)
 				interesting = true
@@ -396,14 +426,6 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 	plan.parts = c.partitionAnchor(plan.steps[0].rng, touched)
 	if !interesting && len(plan.parts) == 1 {
 		return nil // plain nested loop: keep the proven backtracker
-	}
-	for i := range plan.steps {
-		ps := &plan.steps[i]
-		if ps.kind == opHashSeg {
-			ps.fast, ps.slow = c.compileFilters(ps.seg.linkFilters)
-		} else {
-			ps.fast, ps.slow = c.compileFilters(ps.step.filters)
-		}
 	}
 	plan.shared = newPhysShared(len(plan.steps))
 	plan.test = leftCard
@@ -463,24 +485,26 @@ type constTriple [3]store.ID
 
 func (t constTriple) Spread() (store.ID, store.ID, store.ID) { return t[0], t[1], t[2] }
 
+// constWant is the pattern's index key with nothing bound: its constants
+// and pins, NoID at free variables (and at a constant missing from the
+// dictionary, which makes the whole BGP empty anyway).
 func constWant(step patternStep) constTriple {
-	want := constTriple{store.NoID, store.NoID, store.NoID}
+	var want constTriple
 	for i := 0; i < 3; i++ {
-		if p := step.pos[i]; !p.isVar && !p.missing {
-			want[i] = p.id
-		}
+		want[i] = step.pos[i].id
 	}
 	return want
 }
 
 // leadVarSlot returns the slot of the variable an index-ordered scan of
 // the range emits its rows sorted by: the first post-prefix component
-// holding a variable, provided every component before it is constant
-// (residual constants keep the remaining components sorted).
+// holding a free variable, provided every component before it is
+// constant (residual constants and pins keep the remaining components
+// sorted).
 func leadVarSlot(step patternStep, rng store.IndexRange) int {
 	for i := rng.Lead; i < 3; i++ {
 		pp := step.pos[ordPos[rng.Ord][i]]
-		if pp.isVar {
+		if pp.isVar && pp.id == store.NoID {
 			return pp.slot
 		}
 		// A residual constant fixes this component; sortedness carries to
@@ -534,12 +558,26 @@ func segmentEnd(ordered []sparql.TriplePattern, i int) int {
 // bound variable, the left stream is sorted on it, and some index serves
 // the pattern's constants as a prefix with the join variable as the first
 // component after them.
-func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int) (physStep, bool) {
+//
+// When no index orders all of the pattern's constants before the join
+// variable, the leftover constants become a residual filter and the
+// range spans every row of the shorter prefix — Q2's star merges walk
+// the whole SPO index. Galloping that pays off for a dense sorted
+// stream, but when the exact matches are few enough for hashStep to
+// build on, hashing them reads fewer rows than the residual range holds,
+// and the merge yields to the hash join.
+func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int, leftCard float64) (physStep, bool) {
 	vslot, ok := c.slots[joinVar]
 	if !ok || sortSlot < 0 || vslot != sortSlot {
 		return physStep{}, false
 	}
 	want := constWant(step)
+	consts := 0
+	for _, id := range want {
+		if id != store.NoID {
+			consts++
+		}
+	}
 	bestOrd, bestLead := store.OrderSPO, -1
 	for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
 		lead := 0
@@ -557,17 +595,31 @@ func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int) (ph
 	if bestLead < 0 {
 		return physStep{}, false
 	}
+	if bestLead < consts && c.hashBuilds(want, leftCard) {
+		return physStep{}, false
+	}
 	// Only the chosen order's range is opened: over a snapshot with a
 	// live delta every range is a freshly merged slice.
 	rng := c.eng.src.RangeIn(bestOrd, want[0], want[1], want[2])
 	return physStep{kind: opMerge, step: step, rng: rng, joinSlot: vslot, lead: bestLead}, true
 }
 
-// hashStep builds an opHash depth: the pattern's matching triples are
-// hashed on the shared variable once and probed per left row. It applies
-// only when that build side is the smaller one — otherwise the index
-// nested loop, which builds nothing and probes the (already sorted)
-// index, is the better operator.
+// hashBuilds reports whether hashStep builds on the pattern's matching
+// triples: hash joins are on, the join's estimated input is large enough
+// to pay for a table, and the build side is the smaller one — otherwise
+// the index nested loop, which builds nothing and probes the (already
+// sorted) index, is the better operator.
+func (c *compiled) hashBuilds(want constTriple, leftCard float64) bool {
+	if !c.eng.opts.HashJoins || leftCard < hashJoinThreshold {
+		return false
+	}
+	buildCard := float64(c.eng.src.Count(want.Spread()))
+	return buildCard > 0 && buildCard < leftCard
+}
+
+// hashStep builds an opHash depth when hashBuilds says so: the pattern's
+// matching triples are hashed on the shared variable once and probed per
+// left row.
 func (c *compiled) hashStep(step patternStep, joinVar string, leftCard float64) (physStep, bool) {
 	vslot, ok := c.slots[joinVar]
 	if !ok {
@@ -584,8 +636,7 @@ func (c *compiled) hashStep(step patternStep, joinVar string, leftCard float64) 
 		return physStep{}, false
 	}
 	want := constWant(step)
-	buildCard := float64(c.eng.src.Count(want.Spread()))
-	if buildCard == 0 || buildCard >= leftCard {
+	if !c.hashBuilds(want, leftCard) {
 		return physStep{}, false
 	}
 	rng := c.eng.src.Range(want.Spread())
@@ -597,18 +648,25 @@ func (c *compiled) hashStep(step patternStep, joinVar string, leftCard float64) 
 // block's variables stay internal (evaluated while materializing), the
 // rest become link filters evaluated on merged rows — and an `?a = ?b`
 // link with one side bound before the block supplies the hash key.
-func (c *compiled) buildSegPlan(steps []patternStep, patterns []sparql.TriplePattern, bound map[string]bool, segCard float64) (*segPlan, bool) {
+func (c *compiled) buildSegPlan(steps []patternStep, bound map[string]bool, segCard float64) (*segPlan, bool) {
+	// The block's variables are the slots its steps bind, pinned ones
+	// included.
+	segSlots := map[int]bool{}
+	for _, sp := range steps {
+		addStepSlots(segSlots, sp)
+	}
 	segVars := map[string]bool{}
-	for _, p := range patterns {
-		addVars(segVars, p)
+	for s := range segSlots {
+		segVars[c.names[s]] = true
 	}
 	seg := &segPlan{buildSlot: -1, probeSlot: -1}
+	var links []sparql.Expr
 	for _, sp := range steps {
 		internal := sp
-		internal.filters = nil
-		for _, f := range sp.filters {
+		internal.conjuncts = nil
+		for _, f := range sp.conjuncts {
 			if allIn(sparql.ExprVars(f), segVars) {
-				internal.filters = append(internal.filters, f)
+				internal.conjuncts = append(internal.conjuncts, f)
 				continue
 			}
 			if seg.buildSlot < 0 {
@@ -619,21 +677,18 @@ func (c *compiled) buildSegPlan(steps []patternStep, patterns []sparql.TriplePat
 					// by term identity, the filter is the semantic check.
 				}
 			}
-			seg.linkFilters = append(seg.linkFilters, f)
+			links = append(links, f)
 		}
+		// sp.filt compiled the link filters too, and those reference
+		// variables the block never binds: recompile what stays inside.
+		internal.filt = c.compileFilters(internal.conjuncts)
 		seg.steps = append(seg.steps, internal)
 	}
 	if seg.buildSlot < 0 && segCard > crossCacheCap {
 		return nil, false // keyless and huge: don't materialize
 	}
-	slotSet := map[int]bool{}
-	for v := range segVars {
-		slotSet[c.slot(v)] = true
-	}
-	for s := range slotSet {
-		seg.slots = append(seg.slots, s)
-	}
-	sort.Ints(seg.slots)
+	seg.link = c.compileFilters(links)
+	seg.slots = sortedSlots(segSlots)
 	return seg, true
 }
 
@@ -759,7 +814,7 @@ func (b *physIter) next() ([]store.ID, bool, error) {
 		if !bound {
 			continue
 		}
-		if !b.filtersPass(ps) {
+		if !ps.filter().pass(b.plan.c, b.cur) {
 			continue
 		}
 		if ts := b.plan.tsteps; ts != nil {
@@ -790,12 +845,7 @@ func (b *physIter) initCursor(d int) error {
 	case opNL:
 		var want store.EncTriple
 		for i := 0; i < 3; i++ {
-			p := ps.step.pos[i]
-			if p.isVar {
-				want[i] = b.cur[p.slot]
-			} else {
-				want[i] = p.id
-			}
+			want[i] = ps.step.pos[i].key(b.cur)
 		}
 		rng := b.plan.c.eng.src.Range(want[0], want[1], want[2])
 		st.rows, st.filt, st.ord = rng.Rows, rng.Filt, rng.Ord
@@ -929,21 +979,6 @@ func (b *physIter) clearBound(d int) {
 		b.cur[slot] = store.NoID
 	}
 	b.bound[d] = b.bound[d][:0]
-}
-
-func (b *physIter) filtersPass(ps *physStep) bool {
-	for _, f := range ps.fast {
-		if !f.eval(b.plan.c, b.cur) {
-			return false
-		}
-	}
-	for _, f := range ps.slow {
-		v, err := algebra.EvalBool(f, rowBinding{c: b.plan.c, row: b.cur})
-		if err != nil || !v {
-			return false
-		}
-	}
-	return true
 }
 
 // buildHash materializes an opHash depth's table: the pattern's matching

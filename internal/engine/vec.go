@@ -266,8 +266,7 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 		if in == nil {
 			return nil, why
 		}
-		f := &vecFilter{c: c, input: in}
-		f.fast, f.slow = c.compileFilters(algebra.SplitConjuncts(node.Cond))
+		f := &vecFilter{c: c, input: in, conds: c.compileFilters(algebra.SplitConjuncts(node.Cond))}
 		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), ""
 	case *algebra.LeftJoinNode:
 		if probeJoinShape(node) {
@@ -383,9 +382,8 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		p := ordered[i]
 		if i == 0 {
 			rng := st.Range(constWant(step).Spread())
-			scan = &vecScan{c: c, rng: rng}
+			scan = &vecScan{c: c, rng: rng, conds: step.filt}
 			scan.configure(step)
-			scan.fast, scan.slow = c.compileFilters(step.filters)
 			sortSlot = leadVarSlot(step, rng)
 			leftCard = max(1, c.estimate(p, bound))
 			scan.ts = traceStep(opScan.String(), p, leftCard)
@@ -399,11 +397,11 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		est := c.estimate(p, bound)
 		ps := physStep{kind: opNL, step: step}
 		if opts.MergeJoins && len(shared) == 1 {
-			if ms, ok := c.mergeStep(step, shared[0], sortSlot); ok {
+			if ms, ok := c.mergeStep(step, shared[0], sortSlot, leftCard); ok {
 				ps = ms
 			}
 		}
-		if ps.kind == opNL && opts.HashJoins && len(shared) == 1 && leftCard >= hashJoinThreshold {
+		if ps.kind == opNL && len(shared) == 1 {
 			if hs, ok := c.hashStep(step, shared[0], leftCard); ok {
 				ps = hs
 			}
@@ -411,12 +409,12 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		j := &vecJoin{
 			c: c, kind: ps.kind, step: step, rng: ps.rng,
 			joinSlot: ps.joinSlot, keyPos: ps.keyPos, lead: ps.lead,
+			conds: step.filt,
 		}
 		if ps.kind == opHash {
 			j.hash = &vecHashBuild{}
 		}
 		j.configure(boundSlots)
-		j.fast, j.slow = c.compileFilters(step.filters)
 		leftCard *= max(1, est)
 		j.est = leftCard
 		j.ts = traceStep(ps.kind.String(), p, leftCard)
@@ -483,14 +481,14 @@ func sortedSlots(set map[int]bool) []int {
 // batch's live rows — the fast var-var comparisons as column kernels,
 // the rest per-row through the expression evaluator — then compacts the
 // survivors so the batch leaves the operator dense.
-func applyVecFilters(c *compiled, b *Batch, fast []fastCmp, slow []sparql.Expr, selbuf *[]int32, rowbuf *[]store.ID) {
-	for _, f := range fast {
+func applyVecFilters(c *compiled, b *Batch, conds *rowFilter, selbuf *[]int32, rowbuf *[]store.ID) {
+	for _, f := range conds.fast {
 		if b.Live() == 0 {
 			break
 		}
 		f.kernel(c, b, selbuf)
 	}
-	for _, f := range slow {
+	for _, f := range conds.slow {
 		if b.Live() == 0 {
 			break
 		}
@@ -575,8 +573,7 @@ type vecScan struct {
 	// dupOf marks a component holding a second occurrence of a variable:
 	// the slot it must equal row-wise (-1 = none).
 	dupOf   [3]int
-	fast    []fastCmp
-	slow    []sparql.Expr
+	conds   rowFilter
 	ts      *tstep
 	out     *Batch
 	scratch [3][]store.ID
@@ -642,7 +639,7 @@ func (v *vecScan) next() (*Batch, error) {
 			bcol, scol := out.cols[v.dupOf[i]], v.scratch[i]
 			narrowSel(out, &v.selbuf, func(r int32) bool { return bcol[r] == scol[r] })
 		}
-		applyVecFilters(v.c, out, v.fast, v.slow, &v.selbuf, &v.rowbuf)
+		applyVecFilters(v.c, out, &v.conds, &v.selbuf, &v.rowbuf)
 		if out.Len() > 0 {
 			if v.ts != nil {
 				v.ts.rows.Add(int64(out.Len()))
@@ -711,8 +708,7 @@ type vecJoin struct {
 	wantSlot  [3]int     // opNL: slot supplying the probe constraint (-1 = none)
 	wantConst [3]store.ID
 
-	fast   []fastCmp
-	slow   []sparql.Expr
+	conds  rowFilter
 	ts     *tstep
 	out    *Batch
 	selbuf []int32
@@ -763,14 +759,10 @@ func (v *vecJoin) configure(boundSlots map[int]bool) {
 	for i := 0; i < 3; i++ {
 		v.wantSlot[i] = -1
 		p := v.step.pos[i]
+		v.wantConst[i] = p.id // a constant or pin; NoID at a free variable
 		if !p.isVar {
-			v.wantConst[i] = store.NoID
-			if !p.missing {
-				v.wantConst[i] = p.id
-			}
 			continue
 		}
-		v.wantConst[i] = store.NoID
 		switch {
 		case v.kind == opNL && boundSlots[p.slot]:
 			// The probe's want pins this component; every candidate
@@ -847,7 +839,7 @@ func (v *vecJoin) next() (*Batch, error) {
 // flush applies the stage filters to whatever accumulated and emits it;
 // called once at input exhaustion.
 func (v *vecJoin) flush(out *Batch) (*Batch, error) {
-	applyVecFilters(v.c, out, v.fast, v.slow, &v.selbuf, &v.rowbuf)
+	applyVecFilters(v.c, out, &v.conds, &v.selbuf, &v.rowbuf)
 	if out.Len() == 0 {
 		return nil, nil
 	}
@@ -858,7 +850,7 @@ func (v *vecJoin) flush(out *Batch) (*Batch, error) {
 // flushFull filters a just-filled batch; nil means everything was
 // rejected and the (now compacted) batch has room again.
 func (v *vecJoin) flushFull(out *Batch) *Batch {
-	applyVecFilters(v.c, out, v.fast, v.slow, &v.selbuf, &v.rowbuf)
+	applyVecFilters(v.c, out, &v.conds, &v.selbuf, &v.rowbuf)
 	if out.Len() == 0 {
 		return nil
 	}
@@ -1203,7 +1195,7 @@ func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (
 				// the semantic check (see buildLeftJoin).
 			}
 		}
-		lj.fast, lj.slow = c.compileFilters(conjs)
+		lj.conds = c.compileFilters(conjs)
 	}
 	detail := "vectorized hash"
 	if anti {
@@ -1230,8 +1222,7 @@ type vecHashLeftJoin struct {
 
 	hashLeftSlot, hashRightSlot int
 	rightSlots                  []int
-	fast                        []fastCmp
-	slow                        []sparql.Expr
+	conds                       rowFilter
 	out                         *Batch
 
 	built   bool
@@ -1316,23 +1307,6 @@ func (v *vecHashLeftJoin) candidates(leftRow []store.ID) [][]store.ID {
 	return v.hash[segKey(v.c.eng.src.TermDict().Term(key))]
 }
 
-// condPass evaluates every condition conjunct on the merged scratch
-// row; a type error rejects, like filterIter.
-func (v *vecHashLeftJoin) condPass() bool {
-	for _, f := range v.fast {
-		if !f.eval(v.c, v.scratch) {
-			return false
-		}
-	}
-	for _, f := range v.slow {
-		ok, err := algebra.EvalBool(f, rowBinding{c: v.c, row: v.scratch})
-		if err != nil || !ok {
-			return false
-		}
-	}
-	return true
-}
-
 func (v *vecHashLeftJoin) next() (*Batch, error) {
 	if v.done {
 		return nil, nil
@@ -1382,7 +1356,7 @@ func (v *vecHashLeftJoin) next() (*Batch, error) {
 			for _, s := range v.rightSlots {
 				v.scratch[s] = cand[s]
 			}
-			if !v.condPass() {
+			if !v.conds.pass(v.c, v.scratch) {
 				continue
 			}
 			v.matched = true
@@ -1411,8 +1385,7 @@ func (v *vecHashLeftJoin) next() (*Batch, error) {
 type vecFilter struct {
 	c      *compiled
 	input  vecOp
-	fast   []fastCmp
-	slow   []sparql.Expr
+	conds  rowFilter
 	selbuf []int32
 	rowbuf []store.ID
 }
@@ -1425,7 +1398,7 @@ func (f *vecFilter) next() (*Batch, error) {
 		if b == nil || err != nil {
 			return nil, err
 		}
-		applyVecFilters(f.c, b, f.fast, f.slow, &f.selbuf, &f.rowbuf)
+		applyVecFilters(f.c, b, &f.conds, &f.selbuf, &f.rowbuf)
 		if b.Len() > 0 {
 			return b, nil
 		}

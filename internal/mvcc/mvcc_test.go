@@ -72,6 +72,35 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// termVia resolves id through the store.Reader interface, the way the
+// engine does; noinline keeps the call from being devirtualized.
+//
+//go:noinline
+func termVia(r store.Reader, id store.ID) rdf.Term { return r.TermDict().Term(id) }
+
+// TestSnapshotTermDictDoesNotAllocate: the engine resolves a term per
+// compared or materialized cell, so TermDict must hand out a dictionary
+// view boxed once per snapshot, not one converted per call.
+func TestSnapshotTermDictDoesNotAllocate(t *testing.T) {
+	live := tinyLive(t)
+	live.Apply([]rdf.Triple{spo("c", "p", "d")})
+	sn := live.Snapshot()
+	defer sn.Close()
+	base, _ := sn.TermDict().Lookup(iri("a"))
+	delta, _ := sn.TermDict().Lookup(iri("d"))
+	var sink rdf.Term
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = termVia(sn, base)
+		sink = termVia(sn, delta)
+	})
+	if allocs != 0 {
+		t.Errorf("TermDict().Term allocates %.1f times per call pair, want 0", allocs)
+	}
+	if sink != iri("d") {
+		t.Errorf("Term(delta id) = %v, want d", sink)
+	}
+}
+
 func TestApplyDeduplicates(t *testing.T) {
 	live := tinyLive(t)
 

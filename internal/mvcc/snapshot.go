@@ -23,6 +23,10 @@ type Snapshot struct {
 	s    *Store
 	v    *version
 	dict snapDict
+	// terms is dict boxed as a store.TermSource once, here: converting
+	// the struct on every TermDict call would allocate per call, and the
+	// engine calls it per compared or materialized cell.
+	terms store.TermSource
 
 	// triples lazily materializes the merged SPO dataset for full-scan
 	// consumers (the mem engine); index-based engines never pay for it.
@@ -39,7 +43,7 @@ func (s *Store) Snapshot() *Snapshot {
 	v.refs.Add(1)
 	s.active.Add(1)
 	mActiveSnapshots.Inc()
-	return &Snapshot{
+	sn := &Snapshot{
 		s: s,
 		v: v,
 		dict: snapDict{
@@ -48,6 +52,8 @@ func (s *Store) Snapshot() *Snapshot {
 			lookup: v.lookup,
 		},
 	}
+	sn.terms = &sn.dict
+	return sn
 }
 
 // Close releases the snapshot's pin on its version. Closing twice is a
@@ -68,7 +74,7 @@ func (sn *Snapshot) Generation() uint64 { return sn.v.gen }
 func (sn *Snapshot) DeltaLen() int { return sn.v.delta.size() }
 
 // TermDict returns the layered dictionary view (base + extension).
-func (sn *Snapshot) TermDict() store.TermSource { return sn.dict }
+func (sn *Snapshot) TermDict() store.TermSource { return sn.terms }
 
 // Len returns the snapshot's triple count (base + delta, disjoint).
 func (sn *Snapshot) Len() int { return sn.v.base.Len() + sn.v.delta.size() }
