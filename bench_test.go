@@ -28,6 +28,7 @@ import (
 	"sp2bench/internal/engine"
 	"sp2bench/internal/gen"
 	"sp2bench/internal/harness"
+	"sp2bench/internal/mvcc"
 	"sp2bench/internal/queries"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/snapshot"
@@ -554,28 +555,28 @@ func BenchmarkExtensionAggregates(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateStream measures the update extension: applying one
-// yearly delta to a loaded store (including the index rebuild, the cost
-// model of the sorted-array design).
+// BenchmarkUpdateStream measures the update extension on the path
+// sp2bserve -updates runs: committing each yearly delta of the
+// generator's update stream to an MVCC store over a loaded base, with
+// background merges under the default policy.
 func BenchmarkUpdateStream(b *testing.B) {
 	p := gen.Params{Seed: 1, StartYear: 1936, EndYear: 1958, TargetedCitationFraction: 0.5}
 	var base bytes.Buffer
-	type delta struct {
-		year int
-		data []byte
-	}
-	var deltas []delta
-	bufs := map[int]*bytes.Buffer{}
+	var bufs []*bytes.Buffer
 	if _, err := gen.UpdateStream(p, &base, 1955, func(year int) io.Writer {
 		buf := &bytes.Buffer{}
-		bufs[year] = buf
-		deltas = append(deltas, delta{year: year})
+		bufs = append(bufs, buf)
 		return buf
 	}); err != nil {
 		b.Fatal(err)
 	}
-	for i := range deltas {
-		deltas[i].data = bufs[deltas[i].year].Bytes()
+	deltas := make([][]rdf.Triple, len(bufs))
+	for i, buf := range bufs {
+		ts, err := rdf.NewReader(buf).ReadAll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		deltas[i] = ts
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -584,12 +585,14 @@ func BenchmarkUpdateStream(b *testing.B) {
 		if _, err := s.Load(bytes.NewReader(base.Bytes())); err != nil {
 			b.Fatal(err)
 		}
+		live := mvcc.New(s, mvcc.MergePolicy{})
 		b.StartTimer()
 		for _, d := range deltas {
-			if _, err := s.Update(bytes.NewReader(d.data)); err != nil {
-				b.Fatal(err)
-			}
+			live.Apply(d)
 		}
+		b.StopTimer()
+		live.Close()
+		b.StartTimer()
 	}
 }
 

@@ -18,8 +18,6 @@
 //	sp2bbench -mix mixed-update -rate 200 -duration 30s -report out.json
 //	                                         # open-loop (Poisson 200 QPS) incl. updates,
 //	                                         # machine-readable JSON report
-//	sp2bbench -report out.json -baseline prev.json -threshold 1.5
-//	                                         # regression gate against a prior report
 //
 // Experiments: all, table3, table4, table5, table6, table7, table8,
 // table9, fig2a, fig2b, fig2c, figures, loading, ablation, shapes.
@@ -31,16 +29,14 @@
 // arrivals, latency measured from scheduled arrival so queueing delay
 // counts). Scenario runs default to the native engine at 10k scale;
 // pass -scales explicitly for more. The mixed-update mix needs the
-// update path: in-process stores apply yearly generator deltas under a
-// write lock, remote endpoints take them via POST /update (sp2bserve
+// update path: in-process stores commit yearly generator deltas to an
+// MVCC store, remote endpoints take them via POST /update (sp2bserve
 // -updates).
 //
 // -report writes the full run as a schema-versioned JSON document
-// (per-cell runs, arithmetic and geometric means per the paper's §VI
-// rules, workload time series, environment metadata). -baseline
-// compares the run's per-query geometric means against a prior report
-// and exits non-zero when any key slows past -threshold (or newly
-// fails); -baseline-warn reports without failing.
+// (per-cell runs with their physical plans, arithmetic and geometric
+// means per the paper's §VI rules, workload time series, environment
+// metadata).
 //
 // The harness caches each generated document plus a binary .sp2b
 // snapshot in -workdir: the first run pays generation, the N-Triples
@@ -92,10 +88,7 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Second, "measured window of a -mix scenario")
 		warmup   = flag.Duration("warmup", 2*time.Second, "unrecorded warmup before a -mix scenario's measured window")
 
-		reportPath   = flag.String("report", "", "write the run as a schema-versioned JSON report to this file")
-		baselinePath = flag.String("baseline", "", "compare per-query geometric means against this prior JSON report and exit non-zero on regression")
-		threshold    = flag.Float64("threshold", 1.5, "regression ratio for -baseline (1.5 = fifty percent slower fails)")
-		baselineWarn = flag.Bool("baseline-warn", false, "report -baseline regressions without failing (exit 0)")
+		reportPath = flag.String("report", "", "write the run as a schema-versioned JSON report to this file")
 	)
 	flag.Parse()
 
@@ -142,12 +135,11 @@ func main() {
 			cfg.Clients = 0
 		}
 	}
-	gate := baselineGate{report: *reportPath, baseline: *baselinePath, threshold: *threshold, warn: *baselineWarn}
 	if *endpoint != "" {
 		if *showStats {
 			fmt.Fprintln(os.Stderr, "sp2bbench: -stats has no effect with -endpoint (no local store is loaded)")
 		}
-		runEndpoint(cfg, *endpoint, gate)
+		runEndpoint(cfg, *endpoint, *reportPath)
 		return
 	}
 	var err error
@@ -156,7 +148,7 @@ func main() {
 		fatal(err)
 	}
 	if cfg.Mix != "" {
-		runWorkload(cfg, flagWasSet("scales"), gate, *showStats)
+		runWorkload(cfg, flagWasSet("scales"), *reportPath, *showStats)
 		return
 	}
 
@@ -165,8 +157,8 @@ func main() {
 		if *showStats {
 			fmt.Fprintln(os.Stderr, "sp2bbench: -stats has no effect for generator experiments (no store is loaded)")
 		}
-		if gate.report != "" || gate.baseline != "" {
-			fmt.Fprintln(os.Stderr, "sp2bbench: -report/-baseline have no effect for generator experiments (no query measurements are taken)")
+		if *reportPath != "" {
+			fmt.Fprintln(os.Stderr, "sp2bbench: -report has no effect for generator experiments (no query measurements are taken)")
 		}
 		stats, err := harness.GeneratorExperiment(*genSize, *seed)
 		if err != nil {
@@ -241,8 +233,8 @@ func main() {
 				fmt.Printf("%s @ %s: %s\n", s.Query, s.Scale, s.Msg)
 			}
 			// A violating run is exactly the one worth archiving: write
-			// the report (and comparison) before the failing exit.
-			gate.finish(rep)
+			// the report before the failing exit.
+			writeReport(rep, *reportPath)
 			os.Exit(1)
 		}
 		fmt.Println("all paper shape expectations hold")
@@ -260,7 +252,7 @@ func main() {
 		fmt.Println()
 		rep.RenderFootprints(os.Stdout)
 	}
-	gate.finish(rep)
+	writeReport(rep, *reportPath)
 }
 
 // flagWasSet reports whether the named flag was given explicitly.
@@ -279,7 +271,7 @@ func flagWasSet(name string) bool {
 // for a wall-clock duration per (engine, scale), so the sweep default
 // of four scales times two engines would multiply a 30s scenario into
 // minutes the user did not ask for.
-func runWorkload(cfg harness.Config, scalesExplicit bool, gate baselineGate, showStats bool) {
+func runWorkload(cfg harness.Config, scalesExplicit bool, reportPath string, showStats bool) {
 	if !scalesExplicit {
 		cfg.Scales = cfg.Scales[:1]
 	}
@@ -310,14 +302,14 @@ func runWorkload(cfg harness.Config, scalesExplicit bool, gate baselineGate, sho
 		fmt.Println()
 		rep.RenderFootprints(os.Stdout)
 	}
-	gate.finish(rep)
+	writeReport(rep, reportPath)
 }
 
 // runEndpoint drives a remote SPARQL endpoint: the tables that need
 // local generator or loading data do not apply, so the per-query
 // results (or in -mix mode the scenario summary) and the concurrency
 // summary are rendered.
-func runEndpoint(cfg harness.Config, url string, gate baselineGate) {
+func runEndpoint(cfg harness.Config, url, reportPath string) {
 	cfg.Endpoint = url
 	cfg.Scales, cfg.Engines = nil, nil
 	runner, err := harness.NewRunner(cfg)
@@ -338,51 +330,19 @@ func runEndpoint(cfg harness.Config, url string, gate baselineGate) {
 		fmt.Println()
 		rep.RenderConcurrency(os.Stdout)
 	}
-	gate.finish(rep)
+	writeReport(rep, reportPath)
 }
 
-// baselineGate handles the machine-readable tail of every run: writing
-// the JSON report and comparing against a prior one.
-type baselineGate struct {
-	report    string
-	baseline  string
-	threshold float64
-	warn      bool
-}
-
-// finish writes the report and applies the regression gate, exiting
-// non-zero when a regression is found and the gate is blocking.
-func (g baselineGate) finish(rep *harness.Report) {
-	if g.report == "" && g.baseline == "" {
+// writeReport writes the run as a JSON report when -report names a
+// file.
+func writeReport(rep *harness.Report, path string) {
+	if path == "" {
 		return
 	}
-	j := rep.JSONReport()
-	if g.report != "" {
-		if err := j.WriteJSONFile(g.report); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote JSON report (%s) to %s\n", harness.ReportSchema, g.report)
-	}
-	if g.baseline == "" {
-		return
-	}
-	base, err := harness.ReadJSONReportFile(g.baseline)
-	if err != nil {
-		fatal(fmt.Errorf("reading baseline: %w", err))
-	}
-	cmp, err := harness.CompareBaseline(j, base, g.threshold)
-	if err != nil {
+	if err := rep.JSONReport().WriteJSONFile(path); err != nil {
 		fatal(err)
 	}
-	fmt.Println()
-	cmp.Render(os.Stdout)
-	if cmp.Regressed() {
-		if g.warn {
-			fmt.Fprintln(os.Stderr, "sp2bbench: regressions found (warn-only mode, not failing)")
-			return
-		}
-		os.Exit(3)
-	}
+	fmt.Fprintf(os.Stderr, "wrote JSON report (%s) to %s\n", harness.ReportSchema, path)
 }
 
 func fatal(err error) {

@@ -41,11 +41,10 @@
 // delay — with warmup phases, per-bucket throughput series and
 // p50/p95/p99 tails, in process or over HTTP (sp2bserve -updates
 // serves the insert operation). Every run can be written as a
-// schema-versioned JSON report carrying the paper's arithmetic and
-// geometric means, and sp2bbench -baseline diffs two reports' per-query
-// geometric means, failing past a configurable regression threshold —
-// the gate performance changes to this repo are measured through (see
-// docs/ARCHITECTURE.md and docs/QUERIES.md).
+// schema-versioned JSON report carrying per-cell plans and the paper's
+// arithmetic and geometric means (see docs/ARCHITECTURE.md and
+// docs/QUERIES.md). Performance changes are measured with the service
+// benchmark in bench/, which drives sp2bserve over HTTP.
 //
 // The implementation lives under internal/; cmd/ holds the sp2bgen,
 // sp2bquery, sp2bbench and sp2bserve executables; examples/ holds

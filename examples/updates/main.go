@@ -2,8 +2,9 @@
 // "Updates, for instance, could be realized by minor extensions to our
 // data generator." Because generation is incremental and consistent at
 // document boundaries, the generator can split its output into a base
-// document plus one consistent delta per simulated year; the store
-// applies each delta as an insert batch and queries keep working.
+// document plus one consistent delta per simulated year; the MVCC store
+// commits each delta as an insert batch and queries keep working on
+// snapshots.
 //
 //	go run ./examples/updates
 package main
@@ -15,9 +16,11 @@ import (
 	"io"
 	"log"
 
-	"sp2bench/internal/core"
+	"sp2bench/internal/engine"
 	"sp2bench/internal/gen"
+	"sp2bench/internal/mvcc"
 	"sp2bench/internal/queries"
+	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
@@ -49,22 +52,28 @@ func main() {
 	if _, err := st.Load(bytes.NewReader(base.Bytes())); err != nil {
 		log.Fatal(err)
 	}
-	db := core.Open(st, core.Native())
+	live := mvcc.New(st, mvcc.MergePolicy{})
+	defer live.Close()
 	ctx := context.Background()
+	journals := sparql.MustParse(`SELECT ?j WHERE { ?j rdf:type bench:Journal }`, queries.Prologue)
 
 	countJournals := func(label string) {
-		n, err := db.Count(ctx, `SELECT ?j WHERE { ?j rdf:type bench:Journal }`)
+		snap := live.Snapshot()
+		defer snap.Close()
+		n, err := engine.NewReader(snap, engine.Native()).Count(ctx, journals)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-12s %6d triples, %4d journals\n", label, db.Len(), n)
+		fmt.Printf("%-12s %6d triples, %4d journals\n", label, snap.Len(), n)
 	}
 	countJournals("base:")
 
 	for _, d := range deltas {
-		if _, err := st.Update(bytes.NewReader(d.buf.Bytes())); err != nil {
+		batch, err := rdf.NewReader(d.buf).ReadAll()
+		if err != nil {
 			log.Fatal(err)
 		}
+		live.Apply(batch)
 		countJournals(fmt.Sprintf("+ year %d:", d.year))
 	}
 
@@ -75,7 +84,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.Engine().Aggregate(ctx, q)
+	snap := live.Snapshot()
+	defer snap.Close()
+	res, err := engine.NewReader(snap, engine.Native()).Aggregate(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -301,13 +301,22 @@ func TestHashSegmentValueEquality(t *testing.T) {
 }
 
 // TestParallelWorkersJoinBeforeQueryReturns: when a query returns, its
-// parallel workers must already have terminated — callers like the
-// mixed-update workload re-freeze the store in place right after the
-// read lock drops, and a straggling worker still reading the old index
-// arrays would race with the rebuild. The update below makes the race
-// detector prove the join.
+// parallel workers must already have terminated — a straggler would keep
+// reading index ranges of a store or snapshot its caller considers
+// released. ASK and LIMIT stop consuming after the first solution, so
+// the join has to happen on the early-exit path too: the goroutine count
+// must be back at its pre-query value the moment Query returns, with no
+// grace period.
+//
+// The check runs on one P. A worker's deferred WaitGroup.Done queues the
+// joining query goroutine to run next on the worker's own P, so with a
+// single P the query resumes only after that worker goroutine has exited;
+// with several, an idle P can resume the query while the worker is still
+// being freed, and the count would race. The four workers per query are
+// still spawned and joined either way.
 func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ask, _ := queries.ByID("q12a")
 	early := []*sparql.Query{ask.Parse(), sparql.MustParse( // ASK and LIMIT: early exits
 		`SELECT ?inproc WHERE { ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?author } LIMIT 1`,
@@ -316,14 +325,16 @@ func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
 		for _, opts := range parallel4() {
 			eng := engine.New(s, opts)
 			for _, q := range early {
+				before := runtime.NumGoroutine()
 				if _, err := eng.Query(context.Background(), q); err != nil {
 					t.Fatal(err)
 				}
+				if after := runtime.NumGoroutine(); after > before {
+					t.Fatalf("%s: %d goroutines outlived the query (%d before, %d after)",
+						opts.Name, after-before, before, after)
+				}
 			}
 		}
-		s.UpdateTriples([]rdf.Triple{rdf.NewTriple(
-			rdf.IRI(fmt.Sprintf("urn:upd%d", i)), rdf.IRI("urn:p"), rdf.Integer(i),
-		)})
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -18,13 +17,12 @@ import (
 // Machine-readable reporting: the paper's Section VI prescribes
 // arithmetic and geometric means over repeated runs so engines can be
 // compared robustly; this file makes the whole report a versioned JSON
-// document, and makes any two such documents comparable — the baseline
-// regression gate every future performance change is measured through.
+// document.
 
 // ReportSchema identifies the JSON report format. Consumers must
 // reject majors they do not know; additive changes stay within a
 // major.
-const ReportSchema = "sp2bench-report/1"
+const ReportSchema = "sp2bench-report/2"
 
 // JSONReport is the schema-versioned serialization of a benchmark run.
 type JSONReport struct {
@@ -42,9 +40,6 @@ type JSONReport struct {
 	// scale): arithmetic and geometric mean with failures ranked at the
 	// penalty.
 	Means []MeansInfo `json:"means,omitempty"`
-	// QueryMeans aggregate each query across scales per engine — the
-	// per-query unit the baseline gate compares.
-	QueryMeans []QueryMeanInfo `json:"query_means,omitempty"`
 	// Cardinality aggregates optimizer estimate quality per engine over
 	// every traced cell (Config.Analyze runs).
 	Cardinality []CardinalityInfo `json:"cardinality,omitempty"`
@@ -139,19 +134,6 @@ type MeansInfo struct {
 	MemMeanBytes float64 `json:"mem_mean_bytes,omitempty"`
 	Queries      int     `json:"queries"`
 	Failures     int     `json:"failures"`
-}
-
-// QueryMeanInfo aggregates one query across all scales of one engine.
-// Failed cells enter at the configured penalty, per the paper's
-// ranking rule, so a query that starts timing out moves its mean —
-// and trips the baseline gate — instead of silently vanishing.
-type QueryMeanInfo struct {
-	Engine     string  `json:"engine"`
-	Query      string  `json:"query"`
-	Cells      int     `json:"cells"`
-	Failures   int     `json:"failures"`
-	Arithmetic float64 `json:"arithmetic_seconds"`
-	Geometric  float64 `json:"geometric_seconds"`
 }
 
 // CardinalityInfo aggregates the optimizer's est-vs-actual cardinality
@@ -288,60 +270,11 @@ func (rep *Report) JSONReport() *JSONReport {
 			MemMeanBytes: m.MemMeanBytes, Queries: m.Queries, Failures: m.Failures,
 		})
 	}
-	out.QueryMeans = rep.queryMeans()
 	for _, m := range rep.Mixes {
 		out.Concurrency = append(out.Concurrency, MixInfo{
 			Engine: m.Engine, Scale: m.Scale, Clients: m.Clients,
 			WallSeconds: m.Wall.Seconds(), Executions: m.Executions,
 			Failures: m.Failures, QPS: m.QPS, P50: m.P50, P95: m.P95,
-		})
-	}
-	return out
-}
-
-// queryMeans aggregates the sweep cells per (engine, query), failures
-// ranked at the penalty.
-func (rep *Report) queryMeans() []QueryMeanInfo {
-	type key struct{ eng, q string }
-	type acc struct {
-		secs     []float64
-		failures int
-	}
-	accs := map[key]*acc{}
-	var order []key
-	for _, run := range rep.Runs {
-		k := key{run.Engine, run.Query}
-		a, ok := accs[k]
-		if !ok {
-			a = &acc{}
-			accs[k] = a
-			order = append(order, k)
-		}
-		secs := run.Wall.Seconds()
-		if run.Outcome != Success {
-			secs = rep.Config.PenaltySeconds
-			a.failures++
-		}
-		a.secs = append(a.secs, secs)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].eng != order[j].eng {
-			return order[i].eng < order[j].eng
-		}
-		return order[i].q < order[j].q
-	})
-	out := make([]QueryMeanInfo, 0, len(order))
-	for _, k := range order {
-		a := accs[k]
-		sum := 0.0
-		for _, s := range a.secs {
-			sum += s
-		}
-		out = append(out, QueryMeanInfo{
-			Engine: k.eng, Query: k.q,
-			Cells: len(a.secs), Failures: a.failures,
-			Arithmetic: sum / float64(len(a.secs)),
-			Geometric:  workload.GeoMean(a.secs),
 		})
 	}
 	return out
@@ -365,187 +298,4 @@ func (j *JSONReport) WriteJSONFile(path string) error {
 		err = cerr
 	}
 	return err
-}
-
-// ReadJSONReport parses a report, rejecting unknown schema majors.
-func ReadJSONReport(r io.Reader) (*JSONReport, error) {
-	var j JSONReport
-	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, fmt.Errorf("harness: parsing report: %w", err)
-	}
-	if j.Schema != ReportSchema {
-		return nil, fmt.Errorf("harness: unsupported report schema %q (want %s)", j.Schema, ReportSchema)
-	}
-	return &j, nil
-}
-
-// ReadJSONReportFile reads a report from path.
-func ReadJSONReportFile(path string) (*JSONReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSONReport(f)
-}
-
-// GeoMeanIndex flattens every per-query geometric mean of the report —
-// sweep aggregates and workload per-operation stats — into one map of
-// canonical comparison keys:
-//
-//	sweep/<engine>/<query>
-//	workload/<mix>/<target>/<scale>/<op>
-//
-// The keys are what CompareBaseline matches between two reports.
-func (j *JSONReport) GeoMeanIndex() map[string]GeoMeanCell {
-	idx := map[string]GeoMeanCell{}
-	for _, m := range j.QueryMeans {
-		idx[fmt.Sprintf("sweep/%s/%s", m.Engine, m.Query)] = GeoMeanCell{
-			Geo: m.Geometric, Count: m.Cells, Failures: m.Failures,
-		}
-	}
-	for _, w := range j.Workloads {
-		for _, qs := range w.PerQuery {
-			key := fmt.Sprintf("workload/%s/%s/%s/%s", w.Mix, w.Target, w.Scale, qs.ID)
-			idx[key] = GeoMeanCell{Geo: qs.GeoMeanSeconds, Count: qs.Count, Failures: qs.Failures}
-		}
-	}
-	return idx
-}
-
-// GeoMeanCell is one comparable number: the geometric mean of a query's
-// measured seconds, with how many samples and failures stand behind it.
-type GeoMeanCell struct {
-	Geo      float64
-	Count    int
-	Failures int
-}
-
-// Delta is the comparison of one key across two reports.
-type Delta struct {
-	Key       string  `json:"key"`
-	Base      float64 `json:"base_geomean_seconds"`
-	Current   float64 `json:"current_geomean_seconds"`
-	Ratio     float64 `json:"ratio"` // current/base; 0 when not computable
-	Status    string  `json:"status"`
-	BaseFails int     `json:"base_failures,omitempty"`
-	CurFails  int     `json:"current_failures,omitempty"`
-}
-
-// Delta statuses.
-const (
-	DeltaOK           = "ok"
-	DeltaRegression   = "regression"
-	DeltaImproved     = "improved"
-	DeltaNew          = "new"           // in current only
-	DeltaMissing      = "missing"       // in baseline only
-	DeltaZeroBaseline = "zero-baseline" // baseline mean not positive; no ratio
-)
-
-// BaselineComparison is the result of comparing a run against a prior
-// report.
-type BaselineComparison struct {
-	Threshold   float64 `json:"threshold"`
-	Deltas      []Delta `json:"deltas"`
-	Regressions int     `json:"regressions"`
-	Missing     int     `json:"missing"`
-	New         int     `json:"new"`
-}
-
-// Regressed reports whether any key regressed past the threshold.
-func (c *BaselineComparison) Regressed() bool { return c.Regressions > 0 }
-
-// CompareBaseline diffs the geometric means of cur against base. A key
-// regresses when its ratio exceeds threshold (e.g. 1.5 = fifty percent
-// slower) or when it fails more often than it did in the baseline —
-// new failures are regressions no matter what the clamp-penalized
-// means say. Keys present on only one side are reported but never
-// regress: a changed query set is a configuration difference, not a
-// performance signal.
-func CompareBaseline(cur, base *JSONReport, threshold float64) (*BaselineComparison, error) {
-	if threshold <= 1 {
-		return nil, fmt.Errorf("harness: regression threshold must exceed 1, got %v", threshold)
-	}
-	curIdx, baseIdx := cur.GeoMeanIndex(), base.GeoMeanIndex()
-	keys := make([]string, 0, len(curIdx)+len(baseIdx))
-	for k := range curIdx {
-		keys = append(keys, k)
-	}
-	for k := range baseIdx {
-		if _, ok := curIdx[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-
-	cmp := &BaselineComparison{Threshold: threshold}
-	for _, k := range keys {
-		c, inCur := curIdx[k]
-		b, inBase := baseIdx[k]
-		d := Delta{Key: k, Base: b.Geo, Current: c.Geo, BaseFails: b.Failures, CurFails: c.Failures}
-		switch {
-		case !inBase:
-			d.Status = DeltaNew
-			cmp.New++
-		case !inCur:
-			d.Status = DeltaMissing
-			cmp.Missing++
-		case b.Geo <= 0 || math.IsNaN(b.Geo) || math.IsInf(b.Geo, 0):
-			// A zero or broken baseline mean admits no ratio; flagging
-			// it as a regression would make an empty cell block forever.
-			d.Status = DeltaZeroBaseline
-		default:
-			d.Ratio = c.Geo / b.Geo
-			switch {
-			case c.Failures > b.Failures:
-				d.Status = DeltaRegression
-				cmp.Regressions++
-			case d.Ratio > threshold:
-				d.Status = DeltaRegression
-				cmp.Regressions++
-			case d.Ratio < 1/threshold:
-				d.Status = DeltaImproved
-			default:
-				d.Status = DeltaOK
-			}
-		}
-		cmp.Deltas = append(cmp.Deltas, d)
-	}
-	return cmp, nil
-}
-
-// Render writes the comparison, regressions first, improvements and
-// bookkeeping after, stable keys (status ok) summarized in one line.
-func (c *BaselineComparison) Render(w io.Writer) {
-	ok := 0
-	order := []string{DeltaRegression, DeltaZeroBaseline, DeltaMissing, DeltaNew, DeltaImproved}
-	byStatus := map[string][]Delta{}
-	for _, d := range c.Deltas {
-		if d.Status == DeltaOK {
-			ok++
-			continue
-		}
-		byStatus[d.Status] = append(byStatus[d.Status], d)
-	}
-	fmt.Fprintf(w, "Baseline comparison (threshold %.2fx): %d keys, %d ok, %d regressions\n",
-		c.Threshold, len(c.Deltas), ok, c.Regressions)
-	for _, status := range order {
-		for _, d := range byStatus[status] {
-			switch status {
-			case DeltaRegression, DeltaImproved:
-				extra := ""
-				if d.CurFails > d.BaseFails {
-					extra = fmt.Sprintf(" failures %d->%d", d.BaseFails, d.CurFails)
-				}
-				fmt.Fprintf(w, "  %-12s %-45s %.6fs -> %.6fs (%.2fx)%s\n",
-					status, d.Key, d.Base, d.Current, d.Ratio, extra)
-			case DeltaMissing:
-				fmt.Fprintf(w, "  %-12s %-45s was %.6fs, absent in current run\n", status, d.Key, d.Base)
-			case DeltaNew:
-				fmt.Fprintf(w, "  %-12s %-45s %.6fs, absent in baseline\n", status, d.Key, d.Current)
-			case DeltaZeroBaseline:
-				fmt.Fprintf(w, "  %-12s %-45s baseline mean %.6fs admits no ratio\n", status, d.Key, d.Base)
-			}
-		}
-	}
 }

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"bytes"
-	"math"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -10,30 +10,21 @@ import (
 	"sp2bench/internal/workload"
 )
 
-// sweepReport builds a minimal sweep report: one engine, cells with the
-// given walls per (scale, query), optional failed cells.
-func sweepReport(walls map[string]map[string]time.Duration, failed map[string]map[string]bool, penalty float64) *Report {
-	rep := &Report{Config: Config{PenaltySeconds: penalty, Runs: 1, Timeout: time.Second}}
-	for scale, byQuery := range walls {
-		rep.Config.Scales = append(rep.Config.Scales, Scale{Name: scale})
-		for q, wall := range byQuery {
-			run := QueryRun{Query: q, Engine: "native", Scale: scale, Wall: wall}
-			if failed[scale][q] {
-				run.Outcome = Timeout
-				run.Err = "context deadline exceeded"
-			}
-			rep.Runs = append(rep.Runs, run)
-		}
-	}
-	rep.Config.Engines = []EngineSpec{{Name: "native"}}
-	return rep
-}
-
 func TestJSONReportRoundTrip(t *testing.T) {
-	rep := sweepReport(map[string]map[string]time.Duration{
-		"10k": {"q1": 10 * time.Millisecond, "q4": 200 * time.Millisecond},
-		"50k": {"q1": 20 * time.Millisecond, "q4": 900 * time.Millisecond},
-	}, nil, 3600)
+	rep := &Report{Config: Config{
+		Scales:         []Scale{{Name: "10k"}, {Name: "50k"}},
+		Engines:        []EngineSpec{{Name: "native"}},
+		PenaltySeconds: 3600, Runs: 1, Timeout: time.Second,
+	}}
+	for _, c := range []struct {
+		scale, query string
+		wall         time.Duration
+	}{
+		{"10k", "q1", 10 * time.Millisecond}, {"10k", "q4", 200 * time.Millisecond},
+		{"50k", "q1", 20 * time.Millisecond}, {"50k", "q4", 900 * time.Millisecond},
+	} {
+		rep.Runs = append(rep.Runs, QueryRun{Query: c.query, Engine: "native", Scale: c.scale, Wall: c.wall})
+	}
 	rep.Loading = []LoadStats{{Scale: "10k", Engine: "native", Wall: time.Second, Triples: 10000, Source: "snapshot"}}
 	rep.Mixes = []MixStats{{Engine: "native", Scale: "10k", Clients: 4, Wall: time.Second, Executions: 100, QPS: 100, P50: time.Millisecond}}
 	rep.Workloads = []*workload.Result{{
@@ -51,15 +42,23 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	if err := j.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONReport(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var back JSONReport
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Schema != ReportSchema || back.CreatedAt != j.CreatedAt {
 		t.Fatal("header did not survive the round trip")
 	}
-	if len(back.Runs) != len(j.Runs) || len(back.QueryMeans) != len(j.QueryMeans) {
-		t.Fatalf("runs/means lost: %d/%d vs %d/%d", len(back.Runs), len(back.QueryMeans), len(j.Runs), len(j.QueryMeans))
+	if len(back.Runs) != len(j.Runs) || len(back.Means) != len(j.Means) || len(back.Means) != 2 {
+		t.Fatalf("runs/means lost: %d/%d vs %d/%d", len(back.Runs), len(back.Means), len(j.Runs), len(j.Means))
+	}
+	for i, m := range back.Means {
+		if m != j.Means[i] {
+			t.Fatalf("means row %d: %+v vs %+v", i, m, j.Means[i])
+		}
+	}
+	if len(back.Loading) != 1 || len(back.Concurrency) != 1 {
+		t.Fatal("loading or concurrency rows lost in round trip")
 	}
 	if len(back.Workloads) != 1 || back.Workloads[0].PerQuery[0].GeoMeanSeconds != 0.002 {
 		t.Fatal("workload results lost in round trip")
@@ -67,215 +66,45 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	if back.Workloads[0].Series[0].Completions != 180 {
 		t.Fatal("time series lost in round trip")
 	}
-	ai, bi := j.GeoMeanIndex(), back.GeoMeanIndex()
-	if len(ai) != len(bi) {
-		t.Fatalf("index sizes differ: %d vs %d", len(ai), len(bi))
-	}
-	for k, a := range ai {
-		if b, ok := bi[k]; !ok || math.Abs(a.Geo-b.Geo) > 1e-12 {
-			t.Fatalf("key %s: %v vs %v", k, a, b)
-		}
-	}
 }
 
-func TestJSONReportRejectsUnknownSchema(t *testing.T) {
-	if _, err := ReadJSONReport(strings.NewReader(`{"schema":"sp2bench-report/99"}`)); err == nil {
-		t.Fatal("unknown schema major must be rejected")
-	}
-	if _, err := ReadJSONReport(strings.NewReader(`not json`)); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-}
-
-func TestQueryMeansHandComputed(t *testing.T) {
-	// q1 walls across scales: 1s, 4s, 16s.
-	// arithmetic = (1+4+16)/3 = 7; geometric = (1·4·16)^(1/3) = 4.
-	rep := sweepReport(map[string]map[string]time.Duration{
-		"10k":  {"q1": 1 * time.Second},
-		"50k":  {"q1": 4 * time.Second},
-		"250k": {"q1": 16 * time.Second},
-	}, nil, 3600)
-	means := rep.JSONReport().QueryMeans
-	if len(means) != 1 {
-		t.Fatalf("got %d query means, want 1", len(means))
-	}
-	m := means[0]
-	if m.Engine != "native" || m.Query != "q1" || m.Cells != 3 || m.Failures != 0 {
-		t.Fatalf("wrong aggregate: %+v", m)
-	}
-	if math.Abs(m.Arithmetic-7) > 1e-9 {
-		t.Errorf("arithmetic = %v, want 7", m.Arithmetic)
-	}
-	if math.Abs(m.Geometric-4) > 1e-9 {
-		t.Errorf("geometric = %v, want 4", m.Geometric)
-	}
-}
-
-func TestQueryMeansRankFailuresAtPenalty(t *testing.T) {
-	// One success at 2s, one timeout: with penalty 8 the geometric mean
-	// is sqrt(2·8) = 4.
-	rep := sweepReport(map[string]map[string]time.Duration{
-		"10k": {"q7": 2 * time.Second},
-		"50k": {"q7": 100 * time.Millisecond},
-	}, map[string]map[string]bool{"50k": {"q7": true}}, 8)
-	m := rep.JSONReport().QueryMeans[0]
-	if m.Failures != 1 {
-		t.Fatalf("failures = %d, want 1", m.Failures)
-	}
-	if math.Abs(m.Geometric-4) > 1e-9 {
-		t.Errorf("geometric = %v, want 4 (sqrt(2*penalty))", m.Geometric)
-	}
-	if math.Abs(m.Arithmetic-5) > 1e-9 {
-		t.Errorf("arithmetic = %v, want 5", m.Arithmetic)
-	}
-}
-
-func TestCompareBaselineFlagsInjectedSlowdown(t *testing.T) {
-	walls := map[string]map[string]time.Duration{
-		"10k": {"q1": 10 * time.Millisecond, "q4": 300 * time.Millisecond},
-		"50k": {"q1": 15 * time.Millisecond, "q4": 800 * time.Millisecond},
-	}
-	base := sweepReport(walls, nil, 3600).JSONReport()
-
-	// Identical run: nothing regresses.
-	same, err := CompareBaseline(sweepReport(walls, nil, 3600).JSONReport(), base, 1.5)
+// TestJSONReportRecordsPlan: a measured sweep cell carries the physical
+// plan the backend ran into the report's runs[].plan — Q5a's implicit
+// join on the native engine is the hashed disconnected block.
+func TestJSONReportRecordsPlan(t *testing.T) {
+	cfg := miniConfig(t, nativeOnly())
+	cfg.QueryIDs = []string{"q5a"}
+	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same.Regressed() {
-		t.Fatalf("identical runs must not regress: %+v", same.Deltas)
-	}
-
-	// Injected 2x slowdown on every cell: every key must regress at
-	// threshold 1.5.
-	slow := map[string]map[string]time.Duration{}
-	for scale, byQuery := range walls {
-		slow[scale] = map[string]time.Duration{}
-		for q, w := range byQuery {
-			slow[scale][q] = 2 * w
-		}
-	}
-	cmp, err := CompareBaseline(sweepReport(slow, nil, 3600).JSONReport(), base, 1.5)
+	rep, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cmp.Regressed() || cmp.Regressions != 2 {
-		t.Fatalf("2x slowdown must regress both queries: %+v", cmp)
-	}
-	for _, d := range cmp.Deltas {
-		if d.Status != DeltaRegression {
-			t.Errorf("%s: status %s, want regression", d.Key, d.Status)
-		}
-		if math.Abs(d.Ratio-2) > 1e-9 {
-			t.Errorf("%s: ratio %v, want 2", d.Key, d.Ratio)
-		}
-	}
-	var out bytes.Buffer
-	cmp.Render(&out)
-	if !strings.Contains(out.String(), "regression") || !strings.Contains(out.String(), "2.00x") {
-		t.Fatalf("render missing regression lines:\n%s", out.String())
-	}
-}
-
-func TestCompareBaselineWorkloadKeys(t *testing.T) {
-	mk := func(geo float64) *JSONReport {
-		rep := &Report{Config: Config{PenaltySeconds: 3600}}
-		rep.Workloads = []*workload.Result{{
-			Mix: "mixed-update", Target: "native", Scale: "10k",
-			PerQuery: []workload.QueryStats{{ID: "q1", Count: 50, GeoMeanSeconds: geo}},
-		}}
-		return rep.JSONReport()
-	}
-	cmp, err := CompareBaseline(mk(0.010), mk(0.004), 1.5)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := rep.JSONReport().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !cmp.Regressed() {
-		t.Fatal("2.5x workload slowdown must regress")
+	if !strings.Contains(buf.String(), `"schema": "sp2bench-report/2"`) {
+		t.Fatalf("report does not declare sp2bench-report/2:\n%.200s", buf.String())
 	}
-	if cmp.Deltas[0].Key != "workload/mixed-update/native/10k/q1" {
-		t.Fatalf("unexpected key %q", cmp.Deltas[0].Key)
+	var back struct {
+		Runs []struct {
+			Query, Engine, Scale, Outcome, Plan string
+		} `json:"runs"`
 	}
-}
-
-func TestCompareBaselineEdgeCases(t *testing.T) {
-	walls := func(qs map[string]time.Duration) map[string]map[string]time.Duration {
-		return map[string]map[string]time.Duration{"10k": qs}
-	}
-	base := sweepReport(walls(map[string]time.Duration{
-		"q1":  10 * time.Millisecond,
-		"q2":  20 * time.Millisecond, // will be missing in current
-		"q3a": 0,                     // zero-mean baseline cell
-	}), nil, 3600).JSONReport()
-	cur := sweepReport(walls(map[string]time.Duration{
-		"q1":  11 * time.Millisecond,
-		"q3a": 30 * time.Millisecond,
-		"q9":  5 * time.Millisecond, // new, not in baseline
-	}), nil, 3600).JSONReport()
-
-	cmp, err := CompareBaseline(cur, base, 1.5)
-	if err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	status := map[string]string{}
-	for _, d := range cmp.Deltas {
-		status[d.Key] = d.Status
+	if len(back.Runs) != 1 {
+		t.Fatalf("got %d runs, want 1", len(back.Runs))
 	}
-	if status["sweep/native/q1"] != DeltaOK {
-		t.Errorf("q1: %s, want ok", status["sweep/native/q1"])
+	run := back.Runs[0]
+	if run.Query != "q5a" || run.Engine != "native" || run.Scale != "10k" || run.Outcome != "Success" {
+		t.Fatalf("wrong cell: %+v", run)
 	}
-	if status["sweep/native/q2"] != DeltaMissing {
-		t.Errorf("q2: %s, want missing", status["sweep/native/q2"])
-	}
-	if status["sweep/native/q9"] != DeltaNew {
-		t.Errorf("q9: %s, want new", status["sweep/native/q9"])
-	}
-	// A zero wall clamps to 1e-9s inside the geomean, making the cell's
-	// mean positive but meaningless; a single-cell zero mean stays
-	// positive so this exercises the tiny-baseline path: the ratio is
-	// astronomical and flags as a regression, which is the honest answer
-	// for "was instant, now measurable".
-	if cmp.Regressed() != (status["sweep/native/q3a"] == DeltaRegression) {
-		t.Errorf("q3a should be the only regression candidate: %v", status)
-	}
-	if cmp.Missing != 1 || cmp.New != 1 {
-		t.Errorf("missing/new = %d/%d, want 1/1", cmp.Missing, cmp.New)
-	}
-
-	// Truly zero baseline mean (serialized as 0) admits no ratio.
-	base.QueryMeans[2].Geometric = 0 // q3a after sorted (q1,q2,q3a)
-	cmp2, err := CompareBaseline(cur, base, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range cmp2.Deltas {
-		if d.Key == "sweep/native/q3a" && d.Status != DeltaZeroBaseline {
-			t.Errorf("zeroed q3a: %s, want zero-baseline", d.Status)
-		}
-	}
-
-	if _, err := CompareBaseline(cur, base, 1.0); err == nil {
-		t.Fatal("threshold <= 1 must be rejected")
-	}
-}
-
-func TestCompareBaselineNewFailuresRegress(t *testing.T) {
-	// Penalty of 1s keeps the ratio below the threshold, so only the
-	// failure-count rule can flag it.
-	walls := map[string]map[string]time.Duration{
-		"10k": {"q6": 900 * time.Millisecond},
-		"50k": {"q6": 950 * time.Millisecond},
-	}
-	base := sweepReport(walls, nil, 1.0).JSONReport()
-	cur := sweepReport(walls, map[string]map[string]bool{"50k": {"q6": true}}, 1.0).JSONReport()
-	cmp, err := CompareBaseline(cur, base, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cmp.Regressed() {
-		t.Fatalf("a newly failing query must regress regardless of ratio: %+v", cmp.Deltas)
-	}
-	if cmp.Deltas[0].CurFails != 1 || cmp.Deltas[0].BaseFails != 0 {
-		t.Fatalf("failure counts not carried: %+v", cmp.Deltas[0])
+	if !strings.Contains(run.Plan, "hashseg[key=") {
+		t.Fatalf("q5a plan lacks the hashed block:\n%s", run.Plan)
 	}
 }

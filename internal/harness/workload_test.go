@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -60,12 +61,12 @@ func TestWorkloadModeEndToEnd(t *testing.T) {
 			t.Errorf("JSON report missing %s", want)
 		}
 	}
-	back, err := ReadJSONReport(strings.NewReader(out))
-	if err != nil {
+	var back JSONReport
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.GeoMeanIndex()) == 0 {
-		t.Fatal("report has no comparable geomean keys")
+	if len(back.Workloads) != 1 || len(back.Workloads[0].PerQuery) != len(res.PerQuery) {
+		t.Fatal("workload per-query stats lost in the JSON report")
 	}
 
 	// And the human-readable renderer shows the drive.

@@ -179,9 +179,9 @@ func TestParseDirective(t *testing.T) {
 }
 
 // TestMutatingStoreMethodsInSync derives the set of mutating methods
-// from package store's own source — any exported method (plus thaw)
-// that writes a Store or Dict field, directly or via a builder — and
-// checks the lockdiscipline table against it. A new mutating method
+// from package store's own source — any method that writes a Store or
+// Dict field, directly or via a builder — and checks the
+// lockdiscipline table against it. A new mutating method
 // added to the store without a table update fails here, not in
 // production.
 func TestMutatingStoreMethodsInSync(t *testing.T) {

@@ -347,11 +347,13 @@ func TestMergedGenerationMatchesFromScratchLoad(t *testing.T) {
 	}
 
 	fresh := store.New()
-	if _, err := fresh.Load(bytes.NewReader(doc)); err != nil {
+	if _, err := fresh.Ingest(bytes.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range batches {
-		fresh.UpdateTriples(b)
+		for _, tr := range b {
+			fresh.Add(tr)
+		}
 	}
 	fresh.Freeze()
 	if fresh.Len() != post.Len() {

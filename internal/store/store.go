@@ -243,45 +243,6 @@ func leadingDistinct(idx []EncTriple) int {
 // Frozen reports whether Freeze has been called.
 func (s *Store) Frozen() bool { return s.frozen }
 
-// Update applies a batch of new triples to a frozen store and re-freezes
-// it, rebuilding the indexes and statistics. This supports the paper's
-// proposed update extension: DBLP-style data is append-only, so updates
-// are insert batches (e.g. one simulated year from gen.UpdateStream).
-// The cost is a full index rebuild — the honest price of the sorted-array
-// design; engines with incremental index maintenance would amortize it.
-func (s *Store) Update(batch io.Reader) (int, error) {
-	s.thaw()
-	return s.Load(batch)
-}
-
-// UpdateTriples is Update for an in-memory batch.
-func (s *Store) UpdateTriples(batch []rdf.Triple) {
-	s.thaw()
-	for _, t := range batch {
-		s.Add(t)
-	}
-	s.Freeze()
-}
-
-// thaw reverts a frozen store to loadable state, dropping the derived
-// indexes and statistics (the dictionary and triples are kept).
-//
-// sp2b:mutates-store every caller re-freezes before returning (Update path)
-func (s *Store) thaw() {
-	if !s.frozen {
-		return
-	}
-	s.frozen = false
-	s.indexes[OrderPOS] = nil
-	s.indexes[OrderOSP] = nil
-	s.indexes[OrderSPO] = nil
-	s.predCount = make(map[ID]int)
-	s.predSubj = make(map[ID]map[ID]struct{})
-	s.predObj = make(map[ID]map[ID]struct{})
-	s.distinctSP, s.distinctOP = nil, nil
-	s.totalDistinctSubj, s.totalDistinctObj = 0, 0
-}
-
 // Len returns the number of (distinct, after Freeze) triples.
 func (s *Store) Len() int { return len(s.triples) }
 

@@ -17,5 +17,6 @@
 //
 // Mixes come from internal/queries; the mixed-update mix adds an update
 // stream of yearly DBLP insert batches (gen.UpdateStream), exercising
-// the store's re-freeze path under concurrent reads.
+// the MVCC store's commits and background merges under concurrent
+// reads.
 package workload

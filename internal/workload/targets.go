@@ -19,10 +19,9 @@ import (
 )
 
 // BatchQueue hands out update batches to update operations, cycling
-// when exhausted. Cycling re-inserts triples the store deduplicates on
-// freeze, so a wrapped batch still pays the index rebuild — the
-// dominant update cost — without growing the store unboundedly. Safe
-// for concurrent use.
+// when exhausted. A wrapped batch holds triples the store already has,
+// which Apply drops, so the store does not grow unboundedly. Safe for
+// concurrent use.
 type BatchQueue struct {
 	mu      sync.Mutex
 	batches [][]rdf.Triple
