@@ -100,12 +100,19 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 			sc.ShardCount(), sc.ShardCount()))
 	}
 	collectPlanVars(plan, c)
-	// The vectorized path serves plain SELECTs; ASK needs row-at-a-time
-	// early exit and aggregates consume the core pattern through their
-	// own grouping loop. Construct/Describe reuse Query's SELECT core,
-	// so they inherit the batch path transparently.
-	if e.opts.Vectorized && q.Form == sparql.FormSelect && !q.IsAggregate() {
-		c.compileVec(plan)
+	// The vectorized path serves SELECT and ASK; aggregates consume the
+	// core pattern through their own grouping loop. Construct/Describe
+	// reuse Query's SELECT core, so they inherit the batch path
+	// transparently. An ASK runs as its pattern under LIMIT 1: the first
+	// non-empty batch answers it, trimmed to the one solution it proves.
+	if e.opts.Vectorized && !q.IsAggregate() && (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) {
+		vplan := plan
+		if q.Form == sparql.FormAsk {
+			vplan = &algebra.SliceNode{Input: plan, Offset: -1, Limit: 1}
+		}
+		if err := c.compileVec(vplan); err != nil {
+			return nil, err
+		}
 	}
 	if c.vec == nil {
 		root, err := c.build(plan, nil)
@@ -134,6 +141,21 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 }
 
 func (c *compiled) emptyRow() []store.ID { return make([]store.ID, len(c.names)) }
+
+// ask reports whether the query has a solution, stopping at the first:
+// the first non-empty batch on the batch path, the first row on the
+// tuple path. close, which the caller defers, joins any partition
+// workers still running.
+func (c *compiled) ask() (bool, error) {
+	if c.vec != nil {
+		c.vec.open()
+		b, err := c.vec.next()
+		return b != nil, err
+	}
+	c.root.open(c.emptyRow())
+	_, ok, err := c.root.next()
+	return ok, err
+}
 
 func (c *compiled) slot(name string) int {
 	if s, ok := c.slots[name]; ok {

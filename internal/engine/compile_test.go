@@ -57,11 +57,12 @@ func explainCounting(t *testing.T, src store.Reader, opts engine.Options, id str
 }
 
 // planRanges counts the index ranges a batch plan holds: one per scan,
-// merge and hash stage on its "vec operators:" lines.
+// merge and hash stage on its "vec operators:" lines and on the lines
+// of its hashed blocks' build chains.
 func planRanges(plan string) int {
 	n := 0
 	for _, line := range strings.Split(plan, "\n") {
-		if strings.HasPrefix(line, "vec operators:") {
+		if strings.HasPrefix(line, "vec operators:") || strings.HasPrefix(line, "vec hashseg build:") {
 			n += strings.Count(line, " scan[") + strings.Count(line, " merge[") + strings.Count(line, " hash[")
 		}
 	}
@@ -106,13 +107,15 @@ func storeAndSnapshot(t *testing.T, triples int64) []namedReader {
 
 func TestCompilePlansOnce(t *testing.T) {
 	for _, src := range storeAndSnapshot(t, 10_000) {
-		for _, id := range []string{"q1", "q3b", "q5b", "q6"} {
+		// Q5a's disconnected block, Q10's and Q11's unit BGPs and Q12a's
+		// ASK included.
+		for _, id := range []string{"q1", "q3b", "q5a", "q5b", "q6", "q10", "q11", "q12a"} {
 			plan, cr := explainCounting(t, src.r, engine.NativeVec(), id)
 			if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
 				t.Errorf("%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
 					src.name, id, cr.ranges.Load(), want, plan)
 			}
-			if strings.Contains(plan, "bgp operators:") {
+			if strings.Contains(plan, "bgp operators:") || strings.Contains(plan, "tuple fallback") {
 				t.Errorf("%s/%s: a batch plan also planned tuple operators:\n%s", src.name, id, plan)
 			}
 		}

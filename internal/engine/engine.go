@@ -188,8 +188,7 @@ func (e *Engine) Query(ctx context.Context, q *sparql.Query) (*Result, error) {
 	}
 	defer c.close()
 	if q.Form == sparql.FormAsk {
-		c.root.open(c.emptyRow())
-		_, ok, err := c.root.next()
+		ok, err := c.ask()
 		if err != nil {
 			return nil, err
 		}
@@ -259,9 +258,15 @@ func (e *Engine) Count(ctx context.Context, q *sparql.Query) (int, error) {
 		return 0, err
 	}
 	defer c.close()
+	if q.Form == sparql.FormAsk {
+		if ok, err := c.ask(); !ok || err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
 	if c.vec != nil {
-		// Batch path (SELECT only): sum batch row counts, no
-		// materialization at all — not even per-row iterator calls.
+		// Batch path: sum batch row counts, no materialization at all —
+		// not even per-row iterator calls.
 		c.vec.open()
 		n := 0
 		for {
@@ -286,9 +291,6 @@ func (e *Engine) Count(ctx context.Context, q *sparql.Query) (int, error) {
 			return n, nil
 		}
 		n++
-		if q.Form == sparql.FormAsk {
-			return 1, nil
-		}
 	}
 }
 

@@ -101,8 +101,8 @@ func fuzzQuery(r *rand.Rand) string {
 		return fmt.Sprintf("%s = %s", varName(), iri)
 	}
 	var b strings.Builder
-	// Mostly multi-pattern BGPs (the batch path needs at least one join
-	// stage); the occasional unit BGP exercises the tuple fallback.
+	// Mostly multi-pattern BGPs, so join stages dominate; the occasional
+	// unit BGP runs as a scan-only batch chain.
 	n := 2 + r.Intn(2)
 	if r.Intn(4) == 0 {
 		n = 1

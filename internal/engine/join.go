@@ -231,15 +231,19 @@ func newIDTable[V any](capacity int) *idTable[V] {
 }
 
 // at returns the value cell for k, claiming an empty slot on first use.
-func (t *idTable[V]) at(k store.ID) *V {
+func (t *idTable[V]) at(k store.ID) *V { return &t.vals[t.slot(k)] }
+
+// slot returns the index of k's cell, claiming an empty slot on first
+// use.
+func (t *idTable[V]) slot(k store.ID) uint32 {
 	i := (uint32(k) * 2654435761) & t.mask
 	for {
 		switch t.keys[i] {
 		case k:
-			return &t.vals[i]
+			return i
 		case store.NoID:
 			t.keys[i] = k
-			return &t.vals[i]
+			return i
 		}
 		i = (i + 1) & t.mask
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -66,10 +67,11 @@ func vecParallel4() []engine.Options {
 
 // TestGoldenPlans50k pins the reorder-plus-operator choices for the
 // paper's join-heavy queries on a 50k document: Q2's nine-way merge-join
-// star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment,
-// and Q8's tiny merge anchor — on the tuple executor and, for the
-// queries it covers, the partitioned batch executor, whose EXPLAIN
-// must show only the plan that runs. The exact row counts are
+// star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment
+// (on the batch executor with the block's own build chain), and Q8's
+// tiny merge anchor — on the tuple executor and, for the queries it
+// covers, the partitioned batch executor, whose EXPLAIN must show only
+// the plan that runs. The exact row counts are
 // deterministic: the generator is seeded and the counts are structural
 // properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
@@ -111,6 +113,12 @@ func TestGoldenPlans50k(t *testing.T) {
 				" hash[?article1 build=4241] hash[?article1 build=4239]" +
 				" hash[?journal build=4239] hash[?article2 build=4241]" +
 				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
+		},
+		"q5a": {
+			"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
+			"vec operators: scan[POS rows=2407] nl" +
+				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
+			"vec hashseg build: scan[POS rows=274] merge[?inproc SPO rows=50004] nl",
 		},
 		"q6": {
 			"vec operators: scan[POS rows=9] merge[?class POS rows=7141]" +
@@ -227,13 +235,47 @@ func TestParallelPartitionedScanRace(t *testing.T) {
 	}
 }
 
+// earlyExits are queries that stop consuming after their first
+// solution: Q12a's ASK (a join with a hashed block), LIMIT 1 over a
+// join, and LIMIT 1 over a unit BGP.
+func earlyExits() []*sparql.Query {
+	ask, _ := queries.ByID("q12a")
+	return []*sparql.Query{
+		ask.Parse(),
+		sparql.MustParse(
+			`SELECT ?inproc WHERE { ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?author } LIMIT 1`,
+			rdf.Prefixes),
+		sparql.MustParse(`SELECT ?doc WHERE { ?doc dc:creator ?author } LIMIT 1`, rdf.Prefixes),
+	}
+}
+
+// earlyExitConfigs are the partitioned executors: the tuple one and
+// both batch ones, whose early-exit plans must all be partitioned.
+func earlyExitConfigs(t *testing.T, s *store.Store) []engine.Options {
+	t.Helper()
+	configs := append([]engine.Options{parallel4()[0]}, vecParallel4()...)
+	for _, opts := range configs[1:] {
+		for _, q := range earlyExits() {
+			plan, err := engine.New(s, opts).Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan, "vec operators:") || !strings.Contains(plan, "parallel=4") ||
+				strings.Contains(plan, "tuple fallback") {
+				t.Fatalf("%s: early-exit query not on partitioned batch workers:\n%s", opts.Name, plan)
+			}
+		}
+	}
+	return configs
+}
+
 // TestParallelEarlyExitStopsWorkers: ASK and LIMIT abandon the parallel
 // scan after the first rows; the workers must terminate rather than leak
 // — even under a background context, where only the stop channel can
 // reach them.
 func TestParallelEarlyExitStopsWorkers(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	for _, opts := range parallel4() {
+	for _, opts := range earlyExitConfigs(t, s) {
 		checkEarlyExitStopsWorkers(t, engine.New(s, opts))
 	}
 }
@@ -242,15 +284,10 @@ func checkEarlyExitStopsWorkers(t *testing.T, eng *engine.Engine) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		q, _ := queries.ByID("q12a") // ASK: stops at the first solution
-		if _, err := eng.Query(context.Background(), q.Parse()); err != nil {
-			t.Fatal(err)
-		}
-		lim := sparql.MustParse(
-			`SELECT ?inproc WHERE { ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?author } LIMIT 1`,
-			rdf.Prefixes)
-		if _, err := eng.Query(context.Background(), lim); err != nil {
-			t.Fatal(err)
+		for _, q := range earlyExits() {
+			if _, err := eng.Query(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// shutdown joins the workers before Query returns; the tolerant loop
@@ -283,7 +320,7 @@ func TestHashSegmentValueEquality(t *testing.T) {
 		`SELECT ?s ?t WHERE { ?s <urn:p> ?x . ?t <urn:q> ?y FILTER (?x = ?y) }`,
 		rdf.Prefixes)
 
-	// The native plan must actually take the hashed-block path.
+	// Both executors' plans must actually take the hashed-block path.
 	plan, err := engine.New(s, engine.Native()).Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -291,11 +328,50 @@ func TestHashSegmentValueEquality(t *testing.T) {
 	if !strings.Contains(plan, "hashseg[key=") {
 		t.Fatalf("expected a keyed hashseg plan, got:\n%s", plan)
 	}
+	plan, err = engine.New(s, engine.NativeVec()).Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(strings.Split(plan, "\n"), func(line string) bool {
+		return strings.HasPrefix(line, "vec operators:") && strings.Contains(line, "hashseg[key=")
+	}) {
+		t.Fatalf("expected a keyed hashseg stage in the batch plan, got:\n%s", plan)
+	}
 
 	for _, opts := range operatorAblations() {
 		rows := renderEngine(t, s, opts, q)
 		if len(rows) != 1 || !strings.Contains(rows[0], "urn:a") || !strings.Contains(rows[0], "urn:b") {
 			t.Errorf("%s: got %v, want the single value-equal pair (urn:a, urn:b)", opts.Name, rows)
+		}
+	}
+}
+
+// TestHashSegmentRepeatsUpstreamVariable: in query order (no
+// reordering) a block that starts disconnected can grow through a
+// pattern that also repeats a variable bound before it — ?x below. The
+// block is built without that binding, so merging a block row must check
+// the repeated variable against the streamed row, not overwrite it.
+func TestHashSegmentRepeatsUpstreamVariable(t *testing.T) {
+	s := store.New()
+	for i := 0; i < 6; i++ {
+		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:a%d", i)), rdf.IRI("urn:p"), rdf.Integer(i%3)))
+		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:b%d", i)), rdf.IRI("urn:q"), rdf.IRI(fmt.Sprintf("urn:y%d", i))))
+		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:b%d", i)), rdf.IRI("urn:r"), rdf.Integer(i%2)))
+	}
+	s.Freeze()
+	q := sparql.MustParse(`SELECT ?a ?b ?x ?y WHERE { ?a <urn:p> ?x . ?b <urn:q> ?y . ?b <urn:r> ?x }`, rdf.Prefixes)
+	ref := renderEngine(t, s, engine.Mem(), q)
+	for _, opts := range []engine.Options{engine.Native(), engine.NativeVec()} {
+		opts.Name, opts.ReorderPatterns = opts.Name+"-noreorder", false
+		plan, err := engine.New(s, opts).Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "hashseg[cross steps=2]") {
+			t.Fatalf("%s: expected the two-pattern block to be hashed:\n%s", opts.Name, plan)
+		}
+		if rows := renderEngine(t, s, opts, q); !slices.Equal(rows, ref) {
+			t.Errorf("%s: got %v, mem got %v", opts.Name, rows, ref)
 		}
 	}
 }
@@ -316,15 +392,12 @@ func TestHashSegmentValueEquality(t *testing.T) {
 // still spawned and joined either way.
 func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
+	configs := earlyExitConfigs(t, s)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ask, _ := queries.ByID("q12a")
-	early := []*sparql.Query{ask.Parse(), sparql.MustParse( // ASK and LIMIT: early exits
-		`SELECT ?inproc WHERE { ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?author } LIMIT 1`,
-		rdf.Prefixes)}
 	for i := 0; i < 5; i++ {
-		for _, opts := range parallel4() {
+		for _, opts := range configs {
 			eng := engine.New(s, opts)
-			for _, q := range early {
+			for _, q := range earlyExits() {
 				before := runtime.NumGoroutine()
 				if _, err := eng.Query(context.Background(), q); err != nil {
 					t.Fatal(err)

@@ -75,13 +75,14 @@ func (b *parallelBGP) open(parent []store.ID) {
 }
 
 // shutdown signals all workers of the current open to exit and joins
-// them. The join matters beyond hygiene: workers read index ranges that
-// alias the frozen store's arrays, and callers like the mixed-update
-// workload re-freeze the store in place once a query returns — no
-// worker may outlive its query. Blocked sends unblock via the stop
-// select; compute-bound workers observe stop through their cancellers
-// within 1024 iterator steps. Idempotent; safe before the first open
-// and after exhaustion.
+// them. The join matters beyond hygiene: workers read index ranges of
+// the query's source, and callers release the source once the query
+// returns — an MVCC snapshot's Close drops its pin on the version, and
+// the store's count of who still reads a retired generation is honest
+// only if nothing reads past that — so no worker may outlive its
+// query. Blocked sends unblock via the stop select; compute-bound
+// workers observe stop through their cancellers within 1024 iterator
+// steps. Idempotent; safe before the first open and after exhaustion.
 func (b *parallelBGP) shutdown() {
 	if b.stop != nil && !b.stopped {
 		close(b.stop)
@@ -334,6 +335,15 @@ func (p *vecParallel) run(part store.IndexRange, out chan<- vecMsg, stop <-chan 
 					return
 				}
 				acc = nil
+				// An empty queue after the send means the drain was
+				// waiting and took the batch directly. It is now
+				// runnable on this worker's P but runs only when the
+				// worker yields: with every P busy in a worker, an ASK or
+				// LIMIT that needs just this batch would wait for the
+				// scheduler's 10ms preemption.
+				if len(out) == 0 {
+					runtime.Gosched()
+				}
 			}
 		}
 	}

@@ -13,18 +13,22 @@ package engine
 // Coverage is per-query and decided before either executor is planned:
 // vecDecline walks the algebra tree and returns a reason string for any
 // form the batch path does not cover (explicit group joins, correlated
-// OPTIONAL right sides, unit or disconnected BGPs, ...), in which case
-// the query runs on the tuple operators and Explain records
-// "vec: tuple fallback (<reason>)". ASK and aggregates never reach it.
+// OPTIONAL right sides, empty group patterns, ...), in which case the
+// query runs on the tuple operators and Explain records
+// "vec: tuple fallback (<reason>)". SELECT and ASK reach it (ASK stops
+// at the first non-empty batch); aggregates run on the tuple path.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"sp2bench/internal/algebra"
+	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
@@ -65,27 +69,14 @@ func (c *compiled) newBatch(rows float64) *Batch {
 // range on the batch path's behalf. On success c.vec is set (and, under
 // WithAnalyze, the trace root points at the vec operator tree);
 // otherwise the reason is recorded in the notes.
-func (c *compiled) compileVec(plan algebra.Node) {
-	reason := c.vecDecline(plan)
-	if reason == "" {
-		notes, cleanups := len(c.notes), len(c.cleanups)
-		var root *tnode
-		if c.trace != nil {
-			root = c.trace.root
-		}
-		var op vecOp
-		if op, reason = c.buildVecNode(plan); op != nil {
-			c.vec = op
-			return
-		}
-		// A late decline (see buildVecBGP): discard the partial build —
-		// its notes, its never-started workers and its trace nodes.
-		c.notes, c.cleanups = c.notes[:notes], c.cleanups[:cleanups]
-		if c.trace != nil {
-			c.trace.root = root
-		}
+func (c *compiled) compileVec(plan algebra.Node) error {
+	if reason := c.vecDecline(plan); reason != "" {
+		c.notes = append(c.notes, "vec: tuple fallback ("+reason+")")
+		return nil
 	}
-	c.notes = append(c.notes, "vec: tuple fallback ("+reason+")")
+	op, err := c.buildVecNode(plan)
+	c.vec = op
+	return err
 }
 
 // vecDecline reports why the batch path cannot serve plan node n, or ""
@@ -138,45 +129,15 @@ func (c *compiled) vecDeclineBGP(patterns []sparql.TriplePattern, conjuncts []sp
 	if !c.eng.opts.UseIndexes {
 		return "no index access path"
 	}
-	if len(patterns) < 2 {
-		return "unit bgp"
+	if len(patterns) == 0 {
+		return "empty group pattern"
 	}
 	for _, conj := range conjuncts {
 		if len(sparql.ExprVars(conj)) == 0 {
 			return "constant pre-filter"
 		}
 	}
-	if !connectedBGP(patterns, c.eng.opts.ReorderPatterns) {
-		// The tuple layer materializes a disconnected block as a keyed
-		// segment (opHashSeg); the batch path doesn't yet.
-		return "disconnected block"
-	}
 	return ""
-}
-
-// connectedBGP reports whether the patterns can be evaluated without a
-// cross product: each variable-bearing pattern, in query order, shares
-// a variable with the patterns before it — or, when the reorderer may
-// choose the order, with some pattern reachable through shared
-// variables. (The reorderer only strays from a connected order onto a
-// pattern whose estimate is zero; buildVecBGP declines that case late.)
-func connectedBGP(patterns []sparql.TriplePattern, reorder bool) bool {
-	bound := map[string]bool{}
-	for pending := patterns; len(pending) > 0; {
-		var rest []sparql.TriplePattern
-		for _, p := range pending {
-			if disconnected(p, bound) {
-				rest = append(rest, p)
-			} else {
-				addVars(bound, p)
-			}
-		}
-		if len(rest) == len(pending) || (!reorder && len(rest) > 0) {
-			return false
-		}
-		pending = rest
-	}
-	return true
 }
 
 // vecDeclineHashLeftJoin is vecDecline for an OPTIONAL served by
@@ -250,85 +211,124 @@ func childTNodes(children ...vecOp) []*tnode {
 }
 
 // buildVecNode compiles one algebra node that vecDecline accepted into a
-// vec operator. A nil operator carries the reason of a late decline.
-func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
+// vec operator.
+func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
 	switch node := n.(type) {
 	case *algebra.BGPNode:
-		return c.buildVecBGP(node.Patterns, nil)
+		return c.buildVecBGP(node.Patterns, nil), nil
 	case *algebra.FilterNode:
 		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
-			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond))
+			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond)), nil
 		}
 		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
 			return c.buildVecHashLeftJoin(lj, true)
 		}
-		in, why := c.buildVecNode(node.Input)
-		if in == nil {
-			return nil, why
+		in, err := c.buildVecNode(node.Input)
+		if err != nil {
+			return nil, err
 		}
 		f := &vecFilter{c: c, input: in, conds: c.compileFilters(algebra.SplitConjuncts(node.Cond))}
-		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), ""
+		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.LeftJoinNode:
 		if probeJoinShape(node) {
 			return c.buildVecLeftJoin(node)
 		}
 		return c.buildVecHashLeftJoin(node, false)
 	case *algebra.UnionNode:
-		l, why := c.buildVecNode(node.Left)
-		if l == nil {
-			return nil, why
+		l, err := c.buildVecNode(node.Left)
+		if err != nil {
+			return nil, err
 		}
-		r, why := c.buildVecNode(node.Right)
-		if r == nil {
-			return nil, why
+		r, err := c.buildVecNode(node.Right)
+		if err != nil {
+			return nil, err
 		}
 		u := &vecUnion{left: l, right: r}
-		return c.vwrap(u, &tnode{op: "union", detail: "vectorized", children: childTNodes(l, r)}), ""
+		return c.vwrap(u, &tnode{op: "union", detail: "vectorized", children: childTNodes(l, r)}), nil
 	case *algebra.ProjectNode:
-		in, why := c.buildVecNode(node.Input)
-		if in == nil {
-			return nil, why
-		}
-		keep := make([]bool, len(c.names))
-		for _, v := range node.Columns {
-			if s, ok := c.slots[v]; ok {
-				keep[s] = true
-			}
-		}
-		p := &vecProject{input: in, keep: keep}
-		return c.vwrap(p, &tnode{op: "project", detail: "vectorized", children: childTNodes(in)}), ""
+		return c.buildVecProject(node, -1)
 	case *algebra.DistinctNode:
-		in, why := c.buildVecNode(node.Input)
-		if in == nil {
-			return nil, why
+		in, err := c.buildVecNode(node.Input)
+		if err != nil {
+			return nil, err
 		}
 		d := &vecDistinct{c: c, input: in}
-		return c.vwrap(d, &tnode{op: "distinct", detail: "vectorized", children: childTNodes(in)}), ""
+		return c.vwrap(d, &tnode{op: "distinct", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.OrderNode:
-		in, why := c.buildVecNode(node.Input)
-		if in == nil {
-			return nil, why
-		}
-		keys := make([]orderKey, len(node.Conds))
-		for i, oc := range node.Conds {
-			slot := -1
-			if s, ok := c.slots[oc.Var]; ok {
-				slot = s
-			}
-			keys[i] = orderKey{slot: slot, desc: oc.Desc}
-		}
-		o := &vecOrder{c: c, input: in, keys: keys}
-		return c.vwrap(o, &tnode{op: "order", detail: "vectorized", children: childTNodes(in)}), ""
+		return c.buildVecOrder(node, -1)
 	case *algebra.SliceNode:
-		in, why := c.buildVecNode(node.Input)
-		if in == nil {
-			return nil, why
+		// ORDER BY under a LIMIT needs only the best offset+limit rows.
+		keep := -1
+		if node.Limit >= 0 {
+			if keep = max(0, node.Offset) + node.Limit; keep < 0 {
+				keep = -1 // the sum overflows: no bound worth keeping
+			}
+		}
+		in, err := c.buildVecBounded(node.Input, keep)
+		if err != nil {
+			return nil, err
 		}
 		s := &vecSlice{input: in, offset: node.Offset, limit: node.Limit}
-		return c.vwrap(s, &tnode{op: "slice", detail: "vectorized", children: childTNodes(in)}), ""
+		return c.vwrap(s, &tnode{op: "slice", detail: "vectorized", children: childTNodes(in)}), nil
 	default:
-		return nil, c.vecDecline(n)
+		return nil, fmt.Errorf("engine: vec: unplanned node %T", n)
 	}
+}
+
+// buildVecBounded builds the input of a slice that keeps at most keep
+// rows (-1: unbounded): an ORDER BY under an optional projection keeps
+// only its best keep rows (see vecOrder). Anything else — DISTINCT
+// between the order and the slice included, since duplicates removed
+// after the sort would pull later rows into the page — is built in full.
+func (c *compiled) buildVecBounded(n algebra.Node, keep int) (vecOp, error) {
+	switch node := n.(type) {
+	case *algebra.ProjectNode:
+		if _, ok := node.Input.(*algebra.OrderNode); ok {
+			return c.buildVecProject(node, keep)
+		}
+	case *algebra.OrderNode:
+		return c.buildVecOrder(node, keep)
+	}
+	return c.buildVecNode(n)
+}
+
+// buildVecProject compiles a projection; keep bounds an ORDER BY directly
+// beneath it (see buildVecBounded).
+func (c *compiled) buildVecProject(node *algebra.ProjectNode, keep int) (vecOp, error) {
+	in, err := c.buildVecBounded(node.Input, keep)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]bool, len(c.names))
+	for _, v := range node.Columns {
+		if s, ok := c.slots[v]; ok {
+			cols[s] = true
+		}
+	}
+	p := &vecProject{input: in, keep: cols}
+	return c.vwrap(p, &tnode{op: "project", detail: "vectorized", children: childTNodes(in)}), nil
+}
+
+// buildVecOrder compiles an ORDER BY that keeps its best keep rows in a
+// bounded heap, or every row when keep is -1.
+func (c *compiled) buildVecOrder(node *algebra.OrderNode, keep int) (vecOp, error) {
+	in, err := c.buildVecNode(node.Input)
+	if err != nil {
+		return nil, err
+	}
+	var keys []orderKey
+	for _, oc := range node.Conds {
+		if s, ok := c.slots[oc.Var]; ok {
+			keys = append(keys, orderKey{slot: s, desc: oc.Desc})
+		}
+	}
+	o := &vecOrder{c: c, input: in, keys: keys, keep: keep}
+	detail := "vectorized"
+	if keep >= 0 {
+		detail = fmt.Sprintf("vectorized top-%d heap", keep)
+		c.notes = append(c.notes, "order: "+detail)
+	}
+	return c.vwrap(o, &tnode{op: "order", detail: detail, children: childTNodes(in)}), nil
 }
 
 // compBind maps one SPO component of a pattern to a variable slot.
@@ -338,71 +338,119 @@ type compBind struct {
 }
 
 // buildVecBGP compiles a BGP into a scan → join-stage pipeline using
-// the same preparation (reordering, filter placement), join-operator
-// selection (mergeStep/hashStep, with the tuple layer's thresholds) and
-// partitioning rule as planBGP. A partitioned BGP runs one pipeline per
-// part of the anchor range under vecParallel.
-func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) (vecOp, string) {
+// the same preparation (reordering, block swap, filter placement),
+// join-operator selection (mergeStep/hashStep/buildSegPlan, with the
+// tuple layer's thresholds) and partitioning rule as planBGP. A
+// partitioned BGP runs one pipeline per part of the anchor range under
+// vecParallel.
+func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) vecOp {
 	b, ordered := c.prepareBGP(patterns, conjuncts, nil)
 	if b.empty {
 		// A constant is missing from the dictionary: no rows, ever.
-		return c.vwrap(vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"}), ""
+		c.notes = append(c.notes, "vec operators: empty (a constant is not in the dictionary)")
+		return c.vwrap(vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"})
 	}
-	bound := map[string]bool{}
-	for _, p := range ordered {
-		if disconnected(p, bound) {
-			return nil, "disconnected block" // see connectedBGP
-		}
-		addVars(bound, p)
+	ch := c.planVecChain(b.steps, ordered, true)
+	n := &tnode{op: "bgp", detail: "vectorized", est: ch.est, steps: ch.tsteps}
+	var pipe vecOp
+	if parts := c.partitionAnchor(ch.scan.rng, ch.touched); len(parts) == 1 {
+		pipe = linkChain(ch.scan, ch.joins, c.cancel)
+	} else {
+		par := &vecParallel{c: c, scan: ch.scan, joins: ch.joins, parts: parts}
+		c.cleanups = append(c.cleanups, par.shutdown)
+		fmt.Fprintf(&ch.desc, " parallel=%d", len(parts))
+		n.parallel = len(parts)
+		pipe = par
 	}
-	clear(bound)
+	// A hashed block's build line was noted while the chain was planned,
+	// so it precedes the line of the BGP that probes it.
+	c.notes = append(c.notes, "vec operators:"+ch.desc.String())
+	return c.vwrap(pipe, n)
+}
 
+// vecChain is a planned scan → join chain: a BGP's pipeline, or the
+// build side of a hashed disconnected block.
+type vecChain struct {
+	scan    *vecScan
+	joins   []*vecJoin
+	est     float64         // the planner's estimate of the rows out of the chain
+	touched int             // index rows the chain's ranges span
+	desc    strings.Builder // the stages' EXPLAIN notation
+	tsteps  []*tstep        // the stages' trace steps, under WithAnalyze
+}
+
+// planVecChain plans the steps, in the order of their planner view
+// ordered, as one chain; traced asks for trace steps when the query
+// runs under WithAnalyze. A disconnected block (it shares no variable
+// with the patterns before it) becomes one hashseg stage over the
+// block's own chain when buildSegPlan takes it, and index nested loops
+// otherwise, as in planBGP.
+func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool) *vecChain {
 	opts := c.eng.opts
 	st := c.eng.src
+	ch := &vecChain{est: 1}
+	bound := map[string]bool{}
 	boundSlots := map[int]bool{}
-	leftCard := 1.0
 	sortSlot := -1
-	touched := 0
-	var scan *vecScan
-	var joins []*vecJoin
-	var tsteps []*tstep
-	var desc strings.Builder
-	desc.WriteString("vec operators:")
+	desc := &ch.desc
 
-	traceStep := func(op string, p sparql.TriplePattern, est float64) *tstep {
-		if c.trace == nil {
+	traceStep := func(op, pattern string, est float64) *tstep {
+		if c.trace == nil || !traced {
 			return nil
 		}
-		ts := &tstep{op: op, pattern: p.String(), est: est}
-		tsteps = append(tsteps, ts)
+		ts := &tstep{op: op, pattern: pattern, est: est}
+		ch.tsteps = append(ch.tsteps, ts)
 		return ts
 	}
 
-	for i, step := range b.steps {
-		p := ordered[i]
+	for i := 0; i < len(steps); i++ {
+		step, p := steps[i], ordered[i]
 		if i == 0 {
 			rng := st.Range(constWant(step).Spread())
-			scan = &vecScan{c: c, rng: rng, conds: step.filt}
-			scan.configure(step)
+			ch.scan = &vecScan{c: c, rng: rng, conds: step.filt}
+			ch.scan.configure(step)
 			sortSlot = leadVarSlot(step, rng)
-			leftCard = max(1, c.estimate(p, bound))
-			scan.ts = traceStep(opScan.String(), p, leftCard)
-			fmt.Fprintf(&desc, " scan[%s rows=%d]", rng.Ord, len(rng.Rows))
-			touched += len(rng.Rows)
+			ch.est = max(1, c.estimate(p, bound))
+			ch.scan.ts = traceStep(opScan.String(), p.String(), ch.est)
+			fmt.Fprintf(desc, " scan[%s rows=%d]", rng.Ord, len(rng.Rows))
+			ch.touched += len(rng.Rows)
 			addVars(bound, p)
 			addStepSlots(boundSlots, step)
 			continue
+		}
+		if disconnected(p, bound) && opts.HashJoins {
+			end := segmentEnd(ordered, i)
+			segCard := c.blockEstimate(ordered[i:end], nil)
+			if seg, ok := c.buildSegPlan(steps[i:end], bound, segCard); ok {
+				build := &vecSegBuild{seg: seg, chain: c.planVecChain(seg.steps, ordered[i:end], false)}
+				c.notes = append(c.notes, "vec hashseg build:"+build.chain.desc.String())
+				j := &vecJoin{c: c, kind: opHashSeg, seg: build, conds: seg.link}
+				j.configure(boundSlots)
+				ch.est *= max(1, segCard)
+				j.est = ch.est
+				j.ts = traceStep(opHashSeg.String(), segDesc(c, seg), ch.est)
+				fmt.Fprintf(desc, " hashseg[%s]", segDesc(c, seg))
+				ch.joins = append(ch.joins, j)
+				for k := i; k < end; k++ {
+					addVars(bound, ordered[k])
+				}
+				for _, s := range seg.slots {
+					boundSlots[s] = true
+				}
+				i = end - 1
+				continue
+			}
 		}
 		shared := sharedBoundVars(p, bound)
 		est := c.estimate(p, bound)
 		ps := physStep{kind: opNL, step: step}
 		if opts.MergeJoins && len(shared) == 1 {
-			if ms, ok := c.mergeStep(step, shared[0], sortSlot, leftCard); ok {
+			if ms, ok := c.mergeStep(step, shared[0], sortSlot, ch.est); ok {
 				ps = ms
 			}
 		}
 		if ps.kind == opNL && len(shared) == 1 {
-			if hs, ok := c.hashStep(step, shared[0], leftCard); ok {
+			if hs, ok := c.hashStep(step, shared[0], ch.est); ok {
 				ps = hs
 			}
 		}
@@ -415,35 +463,23 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 			j.hash = &vecHashBuild{}
 		}
 		j.configure(boundSlots)
-		leftCard *= max(1, est)
-		j.est = leftCard
-		j.ts = traceStep(ps.kind.String(), p, leftCard)
+		ch.est *= max(1, est)
+		j.est = ch.est
+		j.ts = traceStep(ps.kind.String(), p.String(), ch.est)
 		switch ps.kind {
 		case opMerge:
-			fmt.Fprintf(&desc, " merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows))
+			fmt.Fprintf(desc, " merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows))
 		case opHash:
-			fmt.Fprintf(&desc, " hash[?%s build=%d]", c.names[ps.joinSlot], len(ps.rng.Rows))
+			fmt.Fprintf(desc, " hash[?%s build=%d]", c.names[ps.joinSlot], len(ps.rng.Rows))
 		default:
 			desc.WriteString(" nl")
 		}
-		touched += len(ps.rng.Rows)
-		joins = append(joins, j)
+		ch.touched += len(ps.rng.Rows)
+		ch.joins = append(ch.joins, j)
 		addVars(bound, p)
 		addStepSlots(boundSlots, step)
 	}
-	n := &tnode{op: "bgp", detail: "vectorized", est: leftCard, steps: tsteps}
-	var pipe vecOp
-	if parts := c.partitionAnchor(scan.rng, touched); len(parts) == 1 {
-		pipe = linkChain(scan, joins, c.cancel)
-	} else {
-		par := &vecParallel{c: c, scan: scan, joins: joins, parts: parts}
-		c.cleanups = append(c.cleanups, par.shutdown)
-		fmt.Fprintf(&desc, " parallel=%d", len(parts))
-		n.parallel = len(parts)
-		pipe = par
-	}
-	c.notes = append(c.notes, desc.String())
-	return c.vwrap(pipe, n), ""
+	return ch
 }
 
 // linkChain links a planned BGP pipeline's stages scan → join → … in
@@ -451,8 +487,8 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 func linkChain(scan *vecScan, joins []*vecJoin, cancel *canceller) vecOp {
 	scan.cancel = cancel
 	var pipe vecOp = scan
-	for _, j := range joins {
-		j.child, j.cancel = pipe, cancel
+	for i, j := range joins {
+		j.child, j.cancel, j.later = pipe, cancel, joins[i+1:]
 		pipe = j
 	}
 	return pipe
@@ -686,9 +722,11 @@ func narrowSel(b *Batch, selbuf *[]int32, pred func(r int32) bool) {
 
 // vecJoin is one join stage of a BGP pipeline: for each input row it
 // locates the pattern's matching triples — by index probe (opNL),
-// galloping merge run (opMerge), or hash-table lookup (opHash) — and
-// emits the extended rows into the output batch, then runs the stage's
-// filter kernels when the batch fills.
+// galloping merge run (opMerge), or hash-table lookup (opHash) — or the
+// matching rows of a hashed disconnected block (opHashSeg), and emits
+// the extended rows into the output batch, then runs the stage's filter
+// kernels (for opHashSeg, the block's link filters) when the batch
+// fills.
 type vecJoin struct {
 	c        *compiled
 	cancel   *canceller // per partition: c.cancel is not goroutine-safe
@@ -700,9 +738,12 @@ type vecJoin struct {
 	keyPos   int           // opHash: SPO position of the join variable
 	lead     int           // opMerge: index component position of the join variable
 	hash     *vecHashBuild // opHash: the table, shared by every partition
+	seg      *vecSegBuild  // opHashSeg: the block, shared by every partition
 	est      float64       // planner estimate of the rows out of this stage
 
-	prevBound []int      // slots bound upstream, copied into each output row
+	prevBound []int // slots bound upstream, copied into each output row
+	// writes and checks index the candidate's components: SPO positions
+	// of a triple, or positions in seg.seg.slots of a block row.
 	writes    []compBind // components binding new variables
 	checks    []compBind // repeated components, equality-checked after writes
 	wantSlot  [3]int     // opNL: slot supplying the probe constraint (-1 = none)
@@ -730,17 +771,66 @@ type vecJoin struct {
 	runStart int
 	runEnd   int
 	// opHash
-	table *idTable[[]store.EncTriple]
 	cands []store.EncTriple
 	cpos  int
+	// opHashSeg: the block rows probed for the current input row, and
+	// the probe key they were looked up by
+	rowCands [][]store.ID
+	rowKey   store.ID
+	// later are the stages downstream in this partition's chain, whose
+	// unclaimed builds build may take; built caches that this stage's
+	// own build is ready.
+	later []*vecJoin
+	built bool
 }
 
 // vecHashBuild is a hash stage's build side: built once per query by
-// whichever partition probes first, then read-only.
+// whichever partition claims it first, then read-only.
 type vecHashBuild struct {
-	once  sync.Once
+	buildOnce
 	table *idTable[[]store.EncTriple]
-	err   error
+}
+
+// buildOnce runs a shared build side — a hash stage's table, a hashed
+// block — once per query across partitions. Unlike sync.Once it lets a
+// partition that finds the build taken do something useful before it
+// waits (see vecJoin.build).
+type buildOnce struct {
+	mu      sync.Mutex
+	claimed bool
+	done    chan struct{} // closed when the build has finished
+	err     error
+}
+
+// claim reports whether the caller takes the build; it must then run
+// it. False means another caller has taken it.
+func (b *buildOnce) claim() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.claimed {
+		return false
+	}
+	b.claimed, b.done = true, make(chan struct{})
+	return true
+}
+
+// errBuildAborted is what waiters see when the claimed build panicked;
+// the panicking partition's worker relays the panic itself.
+var errBuildAborted = errors.New("engine: shared build aborted")
+
+// run runs f as the claimed build. done closes however f ends, so a
+// panic leaves no partition waiting on the build forever.
+func (b *buildOnce) run(f func() error) {
+	b.err = errBuildAborted
+	defer close(b.done)
+	b.err = f()
+}
+
+// wait blocks until the claimed build has finished and returns its
+// error.
+func (b *buildOnce) wait() error {
+	<-b.done
+	return b.err
 }
 
 // configure splits the pattern's components into probe constraints,
@@ -748,6 +838,20 @@ type vecHashBuild struct {
 // upstream stages.
 func (v *vecJoin) configure(boundSlots map[int]bool) {
 	v.prevBound = sortedSlots(boundSlots)
+	if v.kind == opHashSeg {
+		// A block shares no variable with the patterns before it, but a
+		// block pattern after the first may still repeat an upstream
+		// variable when the patterns run in query order: that slot is
+		// checked, not written, exactly like bindRow's conflict check.
+		for k, s := range v.seg.seg.slots {
+			if boundSlots[s] {
+				v.checks = append(v.checks, compBind{comp: k, slot: s})
+			} else {
+				v.writes = append(v.writes, compBind{comp: k, slot: s})
+			}
+		}
+		return
+	}
 	seen := map[int]bool{}
 	keyComp := -1
 	switch v.kind {
@@ -788,6 +892,7 @@ func (v *vecJoin) open() {
 	v.in, v.ipos = nil, 0
 	v.probing, v.done = false, false
 	v.minited = false
+	v.rowCands, v.rowKey = nil, store.NoID
 }
 
 func (v *vecJoin) next() (*Batch, error) {
@@ -882,10 +987,16 @@ func (v *vecJoin) startProbe() error {
 		v.minited, v.mkey = true, k
 		v.runStart, v.runEnd, v.rpos = idx, idx, idx
 	case opHash:
-		if err := v.buildTable(); err != nil {
+		if err := v.build(); err != nil {
 			return err
 		}
-		v.cands = v.table.get(v.in.cols[v.joinSlot][v.ipos])
+		v.cands = v.hash.table.get(v.in.cols[v.joinSlot][v.ipos])
+		v.cpos = 0
+	case opHashSeg:
+		if err := v.build(); err != nil {
+			return err
+		}
+		v.probeSeg()
 		v.cpos = 0
 	default: // opNL
 		var want store.EncTriple
@@ -919,7 +1030,8 @@ func (v *vecJoin) drain(out *Batch) bool {
 			}
 			v.rpos++
 			if passFilt(row, v.rng.Filt) {
-				v.emit(out, unpermute(v.rng.Ord, row))
+				t := unpermute(v.rng.Ord, row)
+				v.emit(out, t[:])
 			}
 		}
 		v.runEnd = v.rpos
@@ -931,7 +1043,16 @@ func (v *vecJoin) drain(out *Batch) bool {
 			}
 			t := v.cands[v.cpos]
 			v.cpos++
-			v.emit(out, t)
+			v.emit(out, t[:])
+		}
+		return false
+	case opHashSeg:
+		for v.cpos < len(v.rowCands) {
+			if out.Full() {
+				return true
+			}
+			v.emit(out, v.rowCands[v.cpos])
+			v.cpos++
 		}
 		return false
 	default: // opNL
@@ -942,7 +1063,8 @@ func (v *vecJoin) drain(out *Batch) bool {
 			row := v.rows[v.rpos]
 			v.rpos++
 			if passFilt(row, v.filt) {
-				v.emit(out, unpermute(v.ord, row))
+				t := unpermute(v.ord, row)
+				v.emit(out, t[:])
 			}
 		}
 		return false
@@ -950,10 +1072,11 @@ func (v *vecJoin) drain(out *Batch) bool {
 }
 
 // emit writes one extended row: upstream bindings are copied, the
-// pattern's fresh variables are written from the candidate triple, and
-// repeated components are equality-checked (term identity — the same
-// dictionary-ID comparison the tuple backtracker's bind uses).
-func (v *vecJoin) emit(out *Batch, t store.EncTriple) {
+// stage's fresh variables are written from the candidate (a triple's
+// SPO components or a block row), and repeated components are
+// equality-checked (term identity — the same dictionary-ID comparison
+// the tuple backtracker's bind uses).
+func (v *vecJoin) emit(out *Batch, t []store.ID) {
 	n := out.n
 	for _, s := range v.prevBound {
 		out.cols[s][n] = v.in.cols[s][v.ipos]
@@ -969,47 +1092,234 @@ func (v *vecJoin) emit(out *Batch, t store.EncTriple) {
 	out.n = n + 1
 }
 
-// buildTable materializes the hash stage's build side once per query;
-// partitions arriving while another builds wait for its table.
-func (v *vecJoin) buildTable() error {
-	if v.table != nil {
+// shared returns the stage's build side, nil for a stage without one.
+func (v *vecJoin) shared() *buildOnce {
+	switch v.kind {
+	case opHash:
+		return &v.hash.buildOnce
+	case opHashSeg:
+		return &v.seg.buildOnce
+	}
+	return nil
+}
+
+// build makes the stage's build side ready. The first partition to
+// claim it runs it; a partition that finds it claimed first runs any
+// unclaimed builds of later stages of its chain, which its rows will
+// need next — so partitions build different tables at once instead of
+// queueing behind one — and then waits.
+func (v *vecJoin) build() error {
+	if v.built {
 		return nil
 	}
-	h := v.hash
-	h.once.Do(func() {
-		table := newIDTable[[]store.EncTriple](len(v.rng.Rows))
-		it := v.rng.Iterator()
-		n := 0
-		for {
-			t, ok := it.Next()
-			if !ok {
-				break
+	b := v.shared()
+	if b.claim() {
+		b.run(v.runBuild)
+	} else {
+		for _, d := range v.later {
+			if db := d.shared(); db != nil && db.claim() {
+				db.run(d.runBuild)
 			}
-			cell := table.at(t[v.keyPos])
-			*cell = append(*cell, t)
-			if n++; n&1023 == 0 {
-				if h.err = v.cancel.check(); h.err != nil {
-					return
+		}
+	}
+	if err := b.wait(); err != nil {
+		return err
+	}
+	v.built = true
+	return nil
+}
+
+// runBuild builds the stage's shared side under this partition's
+// canceller.
+func (v *vecJoin) runBuild() error {
+	if v.kind == opHashSeg {
+		return v.seg.run(v.cancel, v.ts)
+	}
+	return v.buildTable()
+}
+
+// buildTable hashes the stage's build range on the join component. One
+// pass over the range counts each key's triples, a second places them
+// into one backing array, so the build allocates a handful of arrays
+// rather than one slice per key. Keys are laid out in the order the
+// range first meets them, which keeps the candidates of a left stream
+// sorted like the range next to each other.
+func (v *vecJoin) buildTable() error {
+	rows, filt, ord := v.rng.Rows, v.rng.Filt, v.rng.Ord
+	table := newIDTable[[]store.EncTriple](len(rows))
+	counts := make([]int32, len(table.keys))
+	slots := make([]uint32, 0, len(rows)) // the cell of each matching row
+	var first []uint32                    // each key's cell, in first-row order
+	for i, row := range rows {
+		if i&1023 == 1023 {
+			if err := v.cancel.check(); err != nil {
+				return err
+			}
+		}
+		if passFilt(row, filt) {
+			s := table.slot(unpermute(ord, row)[v.keyPos])
+			if counts[s] == 0 {
+				first = append(first, s)
+			}
+			slots = append(slots, s)
+			counts[s]++
+		}
+	}
+	backing := make([]store.EncTriple, len(slots))
+	off := int32(0)
+	for _, s := range first {
+		n := counts[s]
+		table.vals[s] = backing[off : off : off+n]
+		off += n
+	}
+	j := 0
+	for _, row := range rows {
+		if passFilt(row, filt) {
+			s := slots[j]
+			table.vals[s] = append(table.vals[s], unpermute(ord, row))
+			j++
+		}
+	}
+	v.hash.table = table
+	if v.ts != nil {
+		v.ts.build.Store(int64(len(slots)))
+	}
+	return nil
+}
+
+// probeSeg looks up the block rows for the current input row: the
+// bucket of its probe key's value (segKey), or the single bucket of a
+// keyless block. Input rows arrive in the anchor scan's order, so runs
+// of rows with the same key reuse the previous bucket.
+//
+// sp2b:valuecmp probes the value-keyed buckets vecSegBuild builds
+func (v *vecJoin) probeSeg() {
+	seg := v.seg.seg
+	if seg.probeSlot < 0 {
+		v.rowCands = v.seg.bucket("")
+		return
+	}
+	k := v.in.cols[seg.probeSlot][v.ipos]
+	switch {
+	case k == store.NoID:
+		v.rowCands = nil // unbound key: `=` would be a type error
+	// sp2b:idcmp=ok identical IDs have identical value keys, so the previous bucket is exactly this row's
+	case k == v.rowKey:
+	default:
+		v.rowCands = v.seg.bucket(segKey(v.c.eng.src.TermDict().Term(k)))
+	}
+	v.rowKey = k
+}
+
+// vecSegBuild is a hashed disconnected block's build side. The block is
+// uncorrelated with the patterns before it, so its own scan → join
+// chain runs once per query — in whichever partition probes first,
+// partitions arriving meanwhile wait for it — and its rows are bucketed
+// by the value key (segKey) of the build slot, the same coarser-than-`=`
+// buckets the tuple opHashSeg uses: the retained link filter is the
+// semantic check. A keyless block is one bucket, "". Read-only once
+// built.
+type vecSegBuild struct {
+	buildOnce
+	seg   *segPlan
+	chain *vecChain
+
+	// keys maps a value key to its bucket in buckets; a bucket holds
+	// block rows (values of seg.slots) in the order the chain produced
+	// them.
+	keys    map[string]int32
+	buckets [][][]store.ID
+}
+
+// bucket returns the block rows under value key k.
+func (b *vecSegBuild) bucket(k string) [][]store.ID {
+	if i, ok := b.keys[k]; ok {
+		return b.buckets[i]
+	}
+	return nil
+}
+
+// run runs the block's chain under cancel, then buckets its rows: each
+// distinct build-slot ID's value key is computed once, and the rows are
+// placed by counting sort into one shared backing array.
+//
+// sp2b:valuecmp buckets rows for FILTER `=` via segKey
+func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
+	pipe := linkChain(b.chain.scan, b.chain.joins, cancel)
+	pipe.open()
+	width := len(b.seg.slots)
+	var flat, keyIDs []store.ID
+	for {
+		batch, err := pipe.next()
+		if err != nil {
+			return err
+		}
+		if batch == nil {
+			break
+		}
+		for r := 0; r < batch.Len(); r++ {
+			for _, s := range b.seg.slots {
+				flat = append(flat, batch.cols[s][r])
+			}
+			if b.seg.buildSlot >= 0 {
+				keyIDs = append(keyIDs, batch.cols[b.seg.buildSlot][r])
+			}
+		}
+	}
+	n := len(flat) / width // a block binds at least one variable
+	// Assign each row its bucket, resolving each distinct ID once.
+	b.keys = map[string]int32{}
+	bucketOf := make([]int32, n)
+	var counts []int32
+	if b.seg.buildSlot < 0 {
+		if n > 0 {
+			b.keys[""] = 0
+			counts = []int32{int32(n)}
+		}
+	} else {
+		dict := b.chain.scan.c.eng.src.TermDict()
+		byID := newIDTable[int32](n) // bucket+1 per key ID
+		for r, id := range keyIDs {
+			cell := byID.at(id)
+			if *cell == 0 {
+				k := segKey(dict.Term(id))
+				i, ok := b.keys[k]
+				if !ok {
+					i = int32(len(counts))
+					b.keys[k] = i
+					counts = append(counts, 0)
 				}
+				*cell = i + 1
 			}
+			bucketOf[r] = *cell - 1
+			counts[bucketOf[r]]++
 		}
-		h.table = table
-		if v.ts != nil {
-			v.ts.build.Store(int64(n))
-		}
-	})
-	v.table = h.table
-	return h.err
+	}
+	rows := make([][]store.ID, n)
+	b.buckets = make([][][]store.ID, len(counts))
+	off := 0
+	for i, c := range counts {
+		b.buckets[i] = rows[off : off : off+int(c)]
+		off += int(c)
+	}
+	for r := 0; r < n; r++ {
+		i := bucketOf[r]
+		b.buckets[i] = append(b.buckets[i], flat[r*width:(r+1)*width:(r+1)*width])
+	}
+	if ts != nil {
+		ts.build.Store(int64(n))
+	}
+	return nil
 }
 
 // buildVecLeftJoin covers the OPTIONAL shape the benchmark exercises
 // (Q2, see probeJoinShape): a single-pattern right side with no
 // condition, probed per left row; rows with no compatible extension
 // pass through unextended.
-func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode) (vecOp, string) {
-	left, why := c.buildVecNode(node.Left)
-	if left == nil {
-		return nil, why
+func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode) (vecOp, error) {
+	left, err := c.buildVecNode(node.Left)
+	if err != nil {
+		return nil, err
 	}
 	lj := &vecLeftJoin{c: c, child: left}
 	p := node.Right.(*algebra.BGPNode).Patterns[0]
@@ -1027,7 +1337,7 @@ func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode) (vecOp, string) 
 		lj.step.pos[i] = patPos{id: id}
 	}
 	n := &tnode{op: "leftjoin", detail: "vectorized", children: childTNodes(left)}
-	return c.vwrap(lj, n), ""
+	return c.vwrap(lj, n), nil
 }
 
 // vecLeftJoin implements OPTIONAL over a single right-side pattern.
@@ -1169,14 +1479,14 @@ func (v *vecLeftJoin) emit(out *Batch, t store.EncTriple, extend bool) bool {
 // segKey buckets may be coarser than `=`. With anti=true, matched left
 // rows are dropped instead of extended (closed-world negation, see
 // antiJoinShape).
-func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (vecOp, string) {
-	left, why := c.buildVecNode(node.Left)
-	if left == nil {
-		return nil, why
+func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (vecOp, error) {
+	left, err := c.buildVecNode(node.Left)
+	if err != nil {
+		return nil, err
 	}
-	right, why := c.buildVecNode(node.Right)
-	if right == nil {
-		return nil, why
+	right, err := c.buildVecNode(node.Right)
+	if err != nil {
+		return nil, err
 	}
 	lj := &vecHashLeftJoin{c: c, left: left, right: right, anti: anti}
 	lj.hashLeftSlot, lj.hashRightSlot = -1, -1
@@ -1204,7 +1514,7 @@ func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (
 	c.notes = append(c.notes, fmt.Sprintf(
 		"leftjoin: %s (hash key: %v)", detail, lj.hashLeftSlot >= 0))
 	n := &tnode{op: "leftjoin", detail: detail, children: childTNodes(left, right)}
-	return c.vwrap(lj, n), ""
+	return c.vwrap(lj, n), nil
 }
 
 // vecHashLeftJoin is OPTIONAL with an uncorrelated materialized right
@@ -1502,52 +1812,63 @@ func (d *vecDistinct) next() (*Batch, error) {
 	}
 }
 
-// vecOrder materializes and sorts its input (same comparator as the
-// tuple orderIter), then re-emits batches.
+// vecOrder materializes and sorts its input by the compiled ORDER BY
+// keys in the SPARQL order of rdf.Term.Compare (unbound first). Each
+// row's key terms are resolved to rdf.SortKeys once, as the row
+// arrives, so comparisons never go back to the dictionary (and equal
+// IDs, identical terms, compare without looking at the terms). Ties
+// break on arrival order, which makes the order total: the output is
+// exactly a stable sort of the input.
+//
+// Under a LIMIT (keep >= 0, see buildVecBounded) only the best keep rows
+// are retained. Once keep rows have arrived they become a max-heap whose
+// root is the worst of them, and a later row replaces the root only if
+// it sorts strictly before it: on equal keys the earlier arrival wins.
+// The retained rows grow as rows arrive rather than being preallocated,
+// as LIMIT may be huge. The slice above trims the offset.
 type vecOrder struct {
 	c     *compiled
 	input vecOp
 	keys  []orderKey
+	keep  int // rows to retain; -1 retains every row
 	out   *Batch
-	rows  [][]store.ID
-	pos   int
-	built bool
+
+	// Retained row i: its slots ids[i*w:(i+1)*w] (w = len(c.names)),
+	// its resolved keys sk[i*len(keys):(i+1)*len(keys)], and its arrival
+	// number seq[i].
+	ids  []store.ID
+	sk   []ordTerm
+	seq  []int
+	rows []int32 // retained rows: a heap once keep are retained, then the output order
+	cand []ordTerm
+	pos  int
+	done bool
 }
 
 func (o *vecOrder) open() {
 	o.input.open()
-	o.rows = nil
+	o.ids, o.sk, o.seq, o.rows = nil, nil, nil, nil
 	o.pos = 0
-	o.built = false
+	o.done = false
 }
 
 func (o *vecOrder) next() (*Batch, error) {
-	if !o.built {
-		for {
-			b, err := o.input.next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			for r := 0; r < b.Len(); r++ {
-				o.rows = append(o.rows, b.CopyRow(r, nil))
-			}
-			if err := o.c.cancel.check(); err != nil {
-				return nil, err
-			}
+	if !o.done {
+		if err := o.drain(); err != nil {
+			return nil, err
 		}
-		sortRows(o.c, o.rows, o.keys)
-		o.built = true
+		slices.SortFunc(o.rows, o.cmp)
+		o.done = true
 		if o.out == nil {
 			o.out = o.c.newBatch(float64(len(o.rows)))
 		}
 	}
 	out := o.out
 	out.Reset()
+	w := len(o.c.names)
 	for o.pos < len(o.rows) && !out.Full() {
-		out.Append(o.rows[o.pos])
+		i := int(o.rows[o.pos])
+		out.Append(o.ids[i*w : (i+1)*w])
 		o.pos++
 	}
 	if out.Len() == 0 {
@@ -1556,38 +1877,130 @@ func (o *vecOrder) next() (*Batch, error) {
 	return out, nil
 }
 
-// sortRows orders materialized rows by the compiled ORDER BY keys:
-// SPARQL 1.0 ordering, unbound < blank < IRI < literal, numeric-aware.
-func sortRows(c *compiled, rows [][]store.ID, keys []orderKey) {
-	dict := c.eng.src.TermDict()
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for _, k := range keys {
-			if k.slot < 0 {
-				continue
-			}
-			av, bv := a[k.slot], b[k.slot]
-			cmp := 0
-			switch {
-			case av == bv:
-				continue
-			case av == store.NoID:
-				cmp = -1
-			case bv == store.NoID:
-				cmp = 1
-			default:
-				cmp = dict.Term(av).Compare(dict.Term(bv))
-			}
-			if cmp == 0 {
-				continue
-			}
-			if k.desc {
-				return cmp > 0
-			}
-			return cmp < 0
+// drain consumes the input, retaining rows as the bound allows.
+func (o *vecOrder) drain() error {
+	dict := o.c.eng.src.TermDict()
+	nk := len(o.keys)
+	o.cand = slices.Grow(o.cand[:0], nk)[:nk]
+	arrived := 0
+	for {
+		b, err := o.input.next()
+		if err != nil {
+			return err
 		}
-		return false
-	})
+		if b == nil {
+			return nil
+		}
+		for r := 0; r < b.Len(); r++ {
+			arrived++
+			if o.keep == 0 {
+				continue
+			}
+			for k, key := range o.keys {
+				id := b.cols[key.slot][r]
+				o.cand[k] = ordTerm{id: id}
+				if id != store.NoID {
+					o.cand[k].key = dict.Term(id).SortKey()
+				}
+			}
+			if o.keep < 0 || len(o.rows) < o.keep {
+				o.retain(b, r, arrived)
+				if len(o.rows) == o.keep {
+					for i := o.keep/2 - 1; i >= 0; i-- {
+						o.siftDown(i)
+					}
+				}
+				continue
+			}
+			// Keep rows are retained: replace the worst if this row sorts
+			// before it.
+			top := int(o.rows[0])
+			if o.cmpKeys(o.cand, o.sk[top*nk:(top+1)*nk]) >= 0 {
+				continue
+			}
+			o.store(top, b, r, arrived)
+			o.siftDown(0)
+		}
+		if err := o.c.cancel.check(); err != nil {
+			return err
+		}
+	}
+}
+
+// retain appends batch row r, with the candidate keys, as a new
+// retained row.
+func (o *vecOrder) retain(b *Batch, r, arrived int) {
+	i := len(o.seq)
+	o.ids = slices.Grow(o.ids, b.Width())[:len(o.ids)+b.Width()]
+	o.sk = append(o.sk, o.cand...)
+	o.seq = append(o.seq, 0)
+	o.store(i, b, r, arrived)
+	o.rows = append(o.rows, int32(i))
+}
+
+// store overwrites retained row i with batch row r and the candidate
+// keys.
+func (o *vecOrder) store(i int, b *Batch, r, arrived int) {
+	w := b.Width()
+	for s, col := range b.cols {
+		o.ids[i*w+s] = col[r]
+	}
+	copy(o.sk[i*len(o.keys):], o.cand)
+	o.seq[i] = arrived
+}
+
+// cmpKeys compares two rows' resolved keys under the ORDER BY
+// directions.
+func (o *vecOrder) cmpKeys(a, b []ordTerm) int {
+	for k, key := range o.keys {
+		if a[k].id == b[k].id {
+			continue // the same term, or both unbound
+		}
+		if c := a[k].key.Compare(b[k].key); c != 0 {
+			if key.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// ordTerm is one resolved ORDER BY key of a row: the slot's ID (NoID
+// when unbound) and its term's sort key (the zero key, which sorts
+// first, when unbound).
+type ordTerm struct {
+	id  store.ID
+	key rdf.SortKey
+}
+
+// cmp is the total output order of two retained rows: keys, then
+// arrival.
+func (o *vecOrder) cmp(i, j int32) int {
+	nk := len(o.keys)
+	if c := o.cmpKeys(o.sk[int(i)*nk:int(i+1)*nk], o.sk[int(j)*nk:int(j+1)*nk]); c != 0 {
+		return c
+	}
+	return o.seq[i] - o.seq[j]
+}
+
+// siftDown restores the max-heap property under cmp below rows[i]: the
+// root is the retained row that sorts last.
+func (o *vecOrder) siftDown(i int) {
+	n := len(o.rows)
+	for {
+		worst := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < n && o.cmp(o.rows[child], o.rows[worst]) > 0 {
+				worst = child
+			}
+		}
+		if worst == i {
+			return
+		}
+		o.rows[i], o.rows[worst] = o.rows[worst], o.rows[i]
+		i = worst
+	}
 }
 
 // vecSlice applies OFFSET/LIMIT batch-wise: whole batches are skipped

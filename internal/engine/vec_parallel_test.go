@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sp2bench/internal/engine"
 	"sp2bench/internal/queries"
@@ -116,4 +117,49 @@ func TestVecParallelStopsWorkers(t *testing.T) {
 		}()
 		eng.Count(context.Background(), heavy)
 	}()
+}
+
+// blockProbeFault panics on the probes Q5a's hashed block makes while it
+// is built (a person's foaf:name, subject bound) and on nothing else,
+// so the fault lands inside a build other partitions wait on.
+type blockProbeFault struct {
+	store.Reader
+	name store.ID
+}
+
+func (r blockProbeFault) Range(s, p, o store.ID) store.IndexRange {
+	if s != store.NoID && p == r.name {
+		panic(errInjected)
+	}
+	return r.Reader.Range(s, p, o)
+}
+
+// TestVecParallelBuildFaultEndsQuery: a build side that panics while
+// partitions wait on it (or on a later stage's build it took) must still
+// end the query — the panic re-raised or an error returned — with every
+// worker joined, never a partition waiting forever.
+func TestVecParallelBuildFaultEndsQuery(t *testing.T) {
+	testutil.CheckNoLeaks(t)
+	s, _ := generatedStore(t, 10_000)
+	name, ok := s.TermDict().Lookup(rdf.IRI(rdf.FOAFName))
+	if !ok {
+		t.Fatal("foaf:name not in the dictionary")
+	}
+	q5a, _ := queries.ByID("q5a")
+	eng := engine.NewReader(blockProbeFault{Reader: s, name: name}, vecParallel4()[0])
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		if _, err := eng.Count(context.Background(), q5a.Parse()); err == nil {
+			t.Error("a faulted build returned no error")
+		}
+	}()
+	select {
+	case r := <-done:
+		if r != nil && r != errInjected {
+			t.Errorf("recovered %v, want the injected fault or an error", r)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the query hung on a faulted build")
+	}
 }

@@ -96,48 +96,64 @@ func (t Term) IsZero() bool { return t.Kind == KindInvalid }
 // literals, the same datatype and language tag.
 func (t Term) Equal(o Term) bool { return t == o }
 
-// Compare orders terms for ORDER BY and for index construction. The order
-// follows the SPARQL 1.0 ordering: blank nodes < IRIs < literals, with
-// lexicographic ordering inside each kind (numeric literals compare by
-// value when both sides are numeric).
-func (t Term) Compare(o Term) int {
-	if t.Kind != o.Kind {
-		return int(kindRank(t.Kind)) - int(kindRank(o.Kind))
-	}
-	if t.Kind == KindLiteral {
-		if tn, ok := t.Numeric(); ok {
-			if on, ok2 := o.Numeric(); ok2 {
-				switch {
-				case tn < on:
-					return -1
-				case tn > on:
-					return 1
-				}
-				// equal numeric value: fall through to lexical tiebreak
-			}
-		}
-		if c := strings.Compare(t.Value, o.Value); c != 0 {
-			return c
-		}
-		if c := strings.Compare(t.Datatype, o.Datatype); c != 0 {
-			return c
-		}
-		return strings.Compare(t.Lang, o.Lang)
-	}
-	return strings.Compare(t.Value, o.Value)
+// Compare orders terms for ORDER BY. The order follows the SPARQL 1.0
+// ordering: blank nodes < IRIs < literals, lexicographic inside each
+// kind, except that numeric literals compare by value and sort before
+// every other literal. SPARQL leaves the relative order of numeric and
+// non-numeric literals undefined; comparing such a pair lexically would
+// make the order cyclic ("10" < "5x" < "9" < "10"), and a sort or a
+// top-k heap over a cyclic order has no well-defined result.
+func (t Term) Compare(o Term) int { return t.SortKey().Compare(o.SortKey()) }
+
+// SortKey is a term's position in the Compare order with its numeric
+// value parsed once, for callers that compare the same term many times
+// (sorting, top-k heaps). The zero SortKey sorts before every term, as
+// an unbound value does in ORDER BY.
+type SortKey struct {
+	rank uint8 // 0 none, 1 blank, 2 IRI, 3 numeric literal, 4 other literal
+	num  float64
+	term Term
 }
 
-func kindRank(k TermKind) uint8 {
-	switch k {
+// SortKey returns the term's ordering key.
+func (t Term) SortKey() SortKey {
+	k := SortKey{term: t}
+	switch t.Kind {
 	case KindBlank:
-		return 1
+		k.rank = 1
 	case KindIRI:
-		return 2
+		k.rank = 2
 	case KindLiteral:
-		return 3
-	default:
-		return 0
+		k.rank = 4
+		if n, ok := t.Numeric(); ok {
+			k.rank, k.num = 3, n
+		}
 	}
+	return k
+}
+
+// Compare orders two keys exactly as Compare orders their terms. Equal
+// numeric values fall through to a lexical tiebreak, so only identical
+// terms compare equal.
+func (k SortKey) Compare(o SortKey) int {
+	if k.rank != o.rank {
+		return int(k.rank) - int(o.rank)
+	}
+	if k.rank == 3 {
+		switch {
+		case k.num < o.num:
+			return -1
+		case k.num > o.num:
+			return 1
+		}
+	}
+	if c := strings.Compare(k.term.Value, o.term.Value); c != 0 {
+		return c
+	}
+	if c := strings.Compare(k.term.Datatype, o.term.Datatype); c != 0 {
+		return c
+	}
+	return strings.Compare(k.term.Lang, o.term.Lang)
 }
 
 // Numeric reports the numeric value of a literal whose datatype is one of

@@ -106,6 +106,40 @@ func TestTermCompareStrings(t *testing.T) {
 	}
 }
 
+// TestTermCompareIsTotal: numeric literals sort before every other
+// literal, so a column mixing them still has one order. Compared
+// lexically across the two, "10" < "5x" < "9" < "10" would be a cycle,
+// and no sort or top-k heap could honour it.
+func TestTermCompareIsTotal(t *testing.T) {
+	terms := []Term{
+		TypedLiteral("10", XSDInteger), Literal("9"), Literal("5x"), Literal(""),
+		String("abc"), String("10"), TypedLiteral("1.5", XSDDecimal), Literal("-"),
+		TypedLiteral("01", XSDInteger), Literal("1"), LangLiteral("a", "en"),
+		IRI("urn:a"), Blank("b"),
+	}
+	for _, a := range terms {
+		for _, b := range terms {
+			if sign(a.Compare(b)) != -sign(b.Compare(a)) {
+				t.Errorf("%v vs %v: not antisymmetric", a, b)
+			}
+			if (a.Compare(b) == 0) != (a == b) {
+				t.Errorf("%v vs %v: Compare 0 must mean the same term", a, b)
+			}
+			for _, c := range terms {
+				if a.Compare(b) < 0 && b.Compare(c) < 0 && a.Compare(c) >= 0 {
+					t.Errorf("%v < %v < %v but not %v < %v", a, b, c, a, c)
+				}
+			}
+		}
+	}
+	if TypedLiteral("10", XSDInteger).Compare(Literal("5x")) >= 0 {
+		t.Error("a numeric literal must sort before a non-numeric one")
+	}
+	if a, b := Literal("9").SortKey(), Literal("10").SortKey(); a.Compare(b) >= 0 || (SortKey{}).Compare(a) >= 0 {
+		t.Error("SortKey must order like Compare, the zero key first")
+	}
+}
+
 func TestTermCompareProperties(t *testing.T) {
 	// Antisymmetry and reflexivity over arbitrary term pairs.
 	gen := func(kind uint8, v string, dt uint8) Term {

@@ -513,7 +513,15 @@ func rangeOf(idx []EncTriple, key EncTriple, prefix int) (int, int) {
 		return 0
 	}
 	lo := sort.Search(len(idx), func(i int) bool { return cmp(idx[i]) >= 0 })
-	hi := sort.Search(len(idx), func(i int) bool { return cmp(idx[i]) > 0 })
+	// Matching runs are mostly short (a join probe binds a subject or an
+	// object): gallop from lo to bracket the run's end, then search only
+	// the bracket, instead of a second search over the whole index.
+	done, probe := lo, lo // rows in [lo, done) match; idx[probe] is tested next
+	for step := 1; probe < len(idx) && cmp(idx[probe]) == 0; step *= 2 {
+		done = probe + 1
+		probe = min(done+step, len(idx))
+	}
+	hi := done + sort.Search(probe-done, func(i int) bool { return cmp(idx[done+i]) > 0 })
 	return lo, hi
 }
 
