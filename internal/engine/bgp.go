@@ -38,8 +38,10 @@ type patternStep struct {
 }
 
 // bgpIter evaluates a basic graph pattern by backtracking over the
-// pattern steps: an index-nested-loop join under the native configuration,
-// a scan-nested-loop join under the in-memory configuration.
+// pattern steps: an index-nested-loop join for correlated BGPs (re-opened
+// per parent row) and the shapes the batch chains decline (the empty
+// group, a variable-free filter), a scan-nested-loop join under the
+// in-memory configuration — the engine's oracle.
 type bgpIter struct {
 	c     *compiled
 	steps []patternStep
@@ -223,24 +225,82 @@ func (b *bgpIter) clearBound(d int) {
 
 // buildBGP compiles a BGP, optionally reordering its patterns and placing
 // the given filter conjuncts (nil when the BGP has no governing FILTER).
+// A BGP with no variables bound from outside runs as the batch
+// executor's scan → join chain (planVecBGP) behind a row adapter,
+// whether or not Options.Vectorized is set, whenever the batch path
+// covers it; the nested-loop backtracker serves the rest — engines
+// without indexes (mem, -noindex) and correlated BGPs, which are
+// re-opened per parent row and profit from plain index probes.
 func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (subplan, error) {
-	b, ordered := c.prepareBGP(patterns, conjuncts, outer)
-	// The physical-operator layer upgrades join steps (merge/hash joins,
-	// parallel partitioned scan) when the engine options enable it; the
-	// backtracker above stays the fallback.
-	if phys := c.planBGP(b, ordered, outer); phys != nil {
-		return phys, nil
+	if len(outer) == 0 && c.vecDeclineBGP(patterns, conjuncts) == "" {
+		op, n := c.planVecBGP(patterns, conjuncts)
+		return &batchRows{op: op, tn: n, traced: c.trace != nil}, nil
 	}
+	b, ordered := c.prepareBGP(patterns, conjuncts, outer)
 	if c.trace != nil {
 		b.tsteps, b.test = c.fallbackTraceSteps(ordered, outer)
 	}
 	return b, nil
 }
 
+// batchRows runs a BGP's batch pipeline under the tuple iterator
+// protocol. Each row is copied out of the pipeline's reused batches
+// into one buffer, which the following next call overwrites (subplan's
+// ownership rule). The BGP has no outer variables, so the parent row's
+// bindings pass through onto every row untouched; open(parent)
+// re-opens the pipeline, whose shared build sides stay built.
+type batchRows struct {
+	op     vecOp
+	tn     *tnode // the BGP's trace node; batches are counted when traced
+	traced bool
+
+	parent []store.ID
+	bound  []int // the slots parent binds
+	b      *Batch
+	r      int
+	done   bool
+	row    []store.ID
+}
+
+func (a *batchRows) open(parent []store.ID) {
+	a.parent = append(a.parent[:0], parent...)
+	a.bound = a.bound[:0]
+	for s, id := range parent {
+		if id != store.NoID {
+			a.bound = append(a.bound, s)
+		}
+	}
+	a.op.open()
+	a.b, a.r, a.done = nil, 0, false
+}
+
+func (a *batchRows) next() ([]store.ID, bool, error) {
+	for a.b == nil || a.r >= a.b.Len() {
+		if a.done {
+			return nil, false, nil
+		}
+		b, err := a.op.next()
+		if b == nil || err != nil {
+			a.b, a.done = nil, true
+			return nil, false, err
+		}
+		a.b, a.r = b, 0
+		if a.traced {
+			a.tn.batches.Add(1)
+		}
+	}
+	a.row = a.b.CopyRow(a.r, a.row)
+	a.r++
+	for _, s := range a.bound {
+		a.row[s] = a.parent[s]
+	}
+	return a.row, true, nil
+}
+
 // prepareBGP performs the logical half of BGP compilation — constant
 // pinning, pattern reordering, constant interning, filter conjunct
-// placement and compilation — shared by the tuple path (buildBGP) and
-// the vectorized pipeline (buildVecBGP). The returned patterns are the
+// placement and compilation — shared by the nested-loop backtracker and
+// the batch chains (planVecBGP). The returned patterns are the
 // planner's view of b.steps, in step order: a pinned variable appears as
 // its IRI, so estimates, index keys and join choices treat it as the
 // constant it is.
@@ -420,7 +480,7 @@ func unpinOrder(plan, planned, patterns []sparql.TriplePattern) []sparql.TripleP
 
 // fallbackTraceSteps builds the per-depth EXPLAIN ANALYZE counters for
 // the nested-loop backtracker, pairing each depth with the optimizer's
-// cumulative cardinality estimate (the same chain planBGP walks).
+// cumulative cardinality estimate.
 func (c *compiled) fallbackTraceSteps(ordered []sparql.TriplePattern, outer []string) ([]*tstep, float64) {
 	bound := map[string]bool{}
 	for _, v := range outer {

@@ -31,7 +31,7 @@ type compiled struct {
 	// under WithAnalyze (see trace.go).
 	trace *traceCollector
 	// cleanups release resources held by operators that outlive a single
-	// next() call — parallel BGP workers (tuple and batch) register their
+	// next() call — partitioned BGP workers (vecParallel) register their
 	// shutdown here.
 	// The evaluation entry points run them when the query ends, whether
 	// it ran to exhaustion or stopped early (ASK, LIMIT).

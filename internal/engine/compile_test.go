@@ -69,12 +69,6 @@ func planRanges(plan string) int {
 	return n
 }
 
-// TestCompilePlansOnce: compiling a query the batch path covers opens
-// each index range of its plan exactly once — no tuple tree is planned
-// beside it — and a query the batch path declines costs no more than
-// the tuple plan alone. Both hold over a plain store and over an MVCC
-// snapshot with a live delta, where every range a delta touches is a
-// freshly merged slice.
 // namedReader is one triple source a test sweeps.
 type namedReader struct {
 	name string
@@ -105,6 +99,13 @@ func storeAndSnapshot(t *testing.T, triples int64) []namedReader {
 	return []namedReader{{"store", s}, {"snapshot", snap}}
 }
 
+// TestCompilePlansOnce: compiling a query opens each index range of its
+// plan exactly once — the ranges on its batch chains' EXPLAIN lines,
+// whether the batch path covers the query (no tuple tree is planned
+// beside it) or the tuple operators run it (their outer-free BGPs are
+// the same chains). Both hold over a plain store and over an MVCC
+// snapshot with a live delta, where every range a delta touches is a
+// freshly merged slice.
 func TestCompilePlansOnce(t *testing.T) {
 	for _, src := range storeAndSnapshot(t, 10_000) {
 		// Q5a's disconnected block, Q10's and Q11's unit BGPs and Q12a's
@@ -119,15 +120,21 @@ func TestCompilePlansOnce(t *testing.T) {
 				t.Errorf("%s/%s: a batch plan also planned tuple operators:\n%s", src.name, id, plan)
 			}
 		}
-		// Q8 (an explicit join of groups) falls back to the tuple path.
-		plan, vec := explainCounting(t, src.r, engine.NativeVec(), "q8")
-		_, tuple := explainCounting(t, src.r, engine.Native(), "q8")
-		if !strings.Contains(plan, "vec: tuple fallback") {
-			t.Fatalf("%s/q8: expected a tuple fallback:\n%s", src.name, plan)
-		}
-		if vec.ranges.Load() > tuple.ranges.Load() || vec.counts.Load() > tuple.counts.Load() {
-			t.Errorf("%s/q8: fallback compile opened %d ranges and %d counts, the tuple plan alone %d and %d",
-				src.name, vec.ranges.Load(), vec.counts.Load(), tuple.ranges.Load(), tuple.counts.Load())
+		// Q7 and Q8 fall back to the tuple operators on the batch
+		// engine and run on them on the tuple engine; either way their
+		// outer-free BGPs compile to the same batch chains, each range
+		// opened once.
+		for _, opts := range []engine.Options{engine.Native(), engine.NativeVec()} {
+			for _, id := range []string{"q7", "q8"} {
+				plan, cr := explainCounting(t, src.r, opts, id)
+				if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
+					t.Errorf("%s/%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
+						src.name, opts.Name, id, cr.ranges.Load(), want, plan)
+				}
+				if strings.Contains(plan, "bgp operators:") {
+					t.Errorf("%s/%s/%s: a plan shows a tuple BGP operator line:\n%s", src.name, opts.Name, id, plan)
+				}
+			}
 		}
 	}
 }

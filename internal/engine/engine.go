@@ -1,9 +1,9 @@
-// Package engine evaluates SPARQL queries over a store.Store using a
-// Volcano-style (pull iterator) executor, which gives ASK queries and
-// LIMIT clauses early termination for free — behaviour the paper calls out
-// as missing in the engines it benchmarks (Q12a discussion).
+// Package engine evaluates SPARQL queries over a store.Store using
+// pull-based (Volcano-style) operators, which give ASK queries and LIMIT
+// clauses early termination for free — behaviour the paper calls out as
+// missing in the engines it benchmarks (Q12a discussion).
 //
-// One executor serves both engine families the paper compares:
+// It serves both engine families the paper compares:
 //
 //   - Mem (ARQ / Sesame-memory stand-in): triple patterns are matched by
 //     scanning the full triple slice, patterns evaluate in query order, and
@@ -12,6 +12,17 @@
 //     SPO/POS/OSP indexes, BGPs are reordered by estimated selectivity,
 //     filter conjuncts are pushed to the earliest step that binds their
 //     variables, and uncorrelated OPTIONAL right-hand sides are hash-joined.
+//
+// There is one BGP executor: a BGP with no variables bound from outside
+// runs as a batch scan → join chain (vec.go) whose per-step join
+// operators (join.go) and partitioned parallel scan (parallel.go) are
+// chosen from the store's statistics. Above the BGPs, a query runs on
+// the batch operators when Options.Vectorized is set and they cover it,
+// and on tuple-at-a-time iterators otherwise, which pull the same
+// chains' rows through an adapter. The nested-loop backtracker (bgp.go)
+// evaluates the remaining BGPs: correlated ones, re-opened per parent
+// row, and every BGP of an engine without indexes, where it is the
+// oracle the other configurations are checked against.
 //
 // Every optimization is an independent Options flag so the benchmark
 // harness can run ablations.
@@ -45,30 +56,32 @@ type Options struct {
 	// and, when the join condition contains var=var equalities across the
 	// two sides, probes them by hash instead of scanning.
 	HashLeftJoins bool
-	// HashJoins enables the physical-operator layer's hash joins inside
-	// BGPs: a join step whose estimated input exceeds a threshold builds a
-	// hash table on the smaller estimated side — the step's matching
-	// triples, or a disconnected trailing block linked by an equality
-	// filter (the Q5a shape) — instead of probing the index per row.
+	// HashJoins enables hash join stages in BGP chains: a join step whose
+	// estimated input exceeds a threshold builds a hash table on the
+	// smaller estimated side — the step's matching triples, or a
+	// disconnected trailing block linked by an equality filter (the Q5a
+	// shape) — instead of probing the index per row. It applies under
+	// either executor, since both run outer-free BGPs as the same chains.
 	HashJoins bool
-	// MergeJoins evaluates a join step by merging two index ranges
-	// co-sorted on the shared variable (the RDF-3X fast path over the
-	// store's SPO/POS/OSP permutations).
+	// MergeJoins evaluates a BGP chain's join step by merging two index
+	// ranges co-sorted on the shared variable (the RDF-3X fast path over
+	// the store's SPO/POS/OSP permutations), under either executor.
 	MergeJoins bool
-	// Parallel partitions the first pattern's index range of top-level
-	// BGPs across GOMAXPROCS workers, each running the full join pipeline
-	// (tuple operators, or a batch scan → join chain under Vectorized) on
-	// its slice, with an order-preserving result merge.
+	// Parallel partitions the anchor (first-pattern) index range of every
+	// outer-free BGP across GOMAXPROCS workers, each running the BGP's
+	// batch scan → join chain on its slice, with an order-preserving
+	// result merge — under either executor.
 	Parallel bool
 	// ParallelWorkers overrides the worker count used when Parallel is
 	// set; 0 means GOMAXPROCS. A forced count also partitions BGPs too
 	// small to pay for workers. Tests use it to force multi-worker plans
 	// on single-core machines and on tiny graphs.
 	ParallelWorkers int
-	// Vectorized routes covered SELECT queries through the
-	// batch-at-a-time executor (vec.go): columnar Batch slabs of
-	// dictionary IDs instead of tuple-at-a-time iterators, with
-	// per-query fallback to the tuple path for uncovered forms.
+	// Vectorized runs covered SELECT and ASK queries on the batch
+	// operators from the BGPs up (vec.go): columnar Batch slabs of
+	// dictionary IDs instead of tuple-at-a-time iterators above the BGP
+	// chains, with per-query fallback to the tuple operators for
+	// uncovered forms. BGPs run as batch chains either way.
 	Vectorized bool
 	// BatchSize overrides the vectorized executor's batch row capacity;
 	// 0 means DefaultBatchSize. Tests use tiny sizes to stress batch
@@ -95,10 +108,10 @@ func Native() Options {
 	}
 }
 
-// NativeVec returns the native configuration with the vectorized
-// batch executor on top: covered queries run batch-at-a-time (with
-// partitioned parallel scans), the rest keep the full tuple-path
-// optimizations. It is what sp2bserve and sp2bquery serve by default.
+// NativeVec returns the native configuration with the batch operators
+// above the BGPs too: covered queries run batch-at-a-time end to end,
+// the rest on the tuple operators over the same BGP chains. It is what
+// sp2bserve and sp2bquery serve by default.
 func NativeVec() Options {
 	o := Native()
 	o.Name = "native-vec"

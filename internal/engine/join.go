@@ -1,9 +1,9 @@
 package engine
 
-// The physical-operator layer: per-step join operators chosen by the
-// optimizer from the store's statistics (the Stocker et al. estimates
-// reorder() already computes). The nested-loop backtracker of bgp.go
-// remains the fallback; this file adds
+// The join planner's operator choices for one BGP: per-step join
+// operators chosen from the store's statistics (the Stocker et al.
+// estimates reorder() already computes) and run by the batch executor's
+// scan → join chains (vec.go):
 //
 //   - merge joins over two index ranges co-sorted on the shared variable
 //     (the RDF-3X fast path over the SPO/POS/OSP permutations),
@@ -11,17 +11,18 @@ package engine
 //     ordinary shared-variable steps and for disconnected trailing blocks
 //     linked only by an equality FILTER (the Q4/Q5a shape, where a
 //     nested loop is quadratic), and
-//   - a partitioned parallel scan of the first pattern (parallel.go).
+//   - index nested loops everywhere else.
 //
-// Every choice is recorded in the compiled plan's notes, surfaced by
-// Engine.Explain, sp2bquery -explain, and the harness JSON report.
+// This file also holds the helpers both BGP executors share: the
+// compiled filter conjuncts (rowFilter), the ID hash table, the
+// value-equality bucket key, and the galloping cursor. Every choice is
+// recorded in the compiled plan's notes, surfaced by Engine.Explain,
+// sp2bquery -explain, and the harness JSON report.
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 
 	"sp2bench/internal/algebra"
 	"sp2bench/internal/rdf"
@@ -38,17 +39,14 @@ const (
 	// block the planner is willing to materialize as a cached cross
 	// product instead of re-deriving it per left row.
 	crossCacheCap = 1 << 20
-	// parallelMinRows is the smallest first-pattern range worth
-	// partitioning across workers.
-	parallelMinRows = 2048
 )
 
-// opKind is the physical operator evaluating one depth of a BGP plan.
+// opKind is the operator evaluating one stage of a BGP chain.
 type opKind uint8
 
 const (
-	opScan    opKind = iota // depth 0: index range scan (possibly partitioned)
-	opNL                    // index nested-loop probe (the fallback)
+	opScan    opKind = iota // the anchor: index range scan (possibly partitioned)
+	opNL                    // index nested-loop probe
 	opMerge                 // merge join against a co-sorted index range
 	opHash                  // hash probe into the pattern's matching triples
 	opHashSeg               // hash probe into a materialized disconnected block
@@ -69,30 +67,18 @@ func (k opKind) String() string {
 	}
 }
 
-// physStep is one depth of a physical BGP plan.
+// physStep is the join operator mergeStep or hashStep chose for one
+// pattern step.
 type physStep struct {
 	kind opKind
-	step patternStep // pattern + pushed filters (unused by opHashSeg)
 
-	// opScan: the constant-prefix range (partitioned for parallel runs).
 	// opMerge: the range co-sorted on the join variable.
 	// opHash: the constant-prefix range the build scans once.
 	rng store.IndexRange
 
-	joinSlot int // opMerge/opHash: slot of the shared variable
+	joinSlot int // slot of the shared variable
 	keyPos   int // opHash: SPO position of the shared variable
 	lead     int // opMerge: component position of the join var in rng's order
-
-	seg *segPlan // opHashSeg
-}
-
-// filter is the depth's compiled conjuncts: the pattern's pushed filters,
-// or a hashed block's link filters.
-func (ps *physStep) filter() *rowFilter {
-	if ps.seg != nil {
-		return &ps.seg.link
-	}
-	return &ps.step.filt
 }
 
 // segPlan is a disconnected trailing block: evaluated once (it shares no
@@ -104,7 +90,7 @@ type segPlan struct {
 	link      rowFilter // conjuncts referencing outside vars, checked on merged rows
 	buildSlot int       // key slot within block rows (-1 = keyless)
 	probeSlot int       // key slot on the left stream (-1 = keyless)
-	slots     []int     // slots the block binds, for backtrack clearing
+	slots     []int     // slots the block binds, ascending: the layout of a block row
 }
 
 // fastCmp is a filter conjunct of the shape `?a OP ?b` compiled to slot
@@ -264,52 +250,6 @@ func (t *idTable[V]) get(k store.ID) V {
 	}
 }
 
-// bgpPlan is the physical form of one BGP: ordered depths with chosen
-// operators plus the lazily-built shared state (hash tables, materialized
-// blocks) that parallel workers reuse.
-type bgpPlan struct {
-	c     *compiled
-	steps []physStep
-	// parts partitions steps[0].rng; len(parts) > 1 means the BGP runs
-	// under the parallel executor.
-	parts  []store.IndexRange
-	shared *physShared
-	// tsteps are the per-depth EXPLAIN ANALYZE counters, aligned with
-	// steps and shared across parallel workers (nil unless the query
-	// runs under WithAnalyze); test is the cumulative cardinality
-	// estimate for the whole BGP.
-	tsteps []*tstep
-	test   float64
-}
-
-// physShared holds per-depth build products constructed once per query
-// and shared read-only across parallel workers. Builds go through
-// sync.Once so the per-row probe path pays only its atomic fast path.
-type physShared struct {
-	once []sync.Once
-	err  []error
-	hash []*idTable[[]store.EncTriple] // opHash tables
-	seg  []map[string][][]store.ID     // opHashSeg keyed tables (segKey buckets)
-	rows [][][]store.ID                // opHashSeg keyless row lists
-}
-
-func newPhysShared(n int) *physShared {
-	return &physShared{
-		once: make([]sync.Once, n),
-		err:  make([]error, n),
-		hash: make([]*idTable[[]store.EncTriple], n),
-		seg:  make([]map[string][][]store.ID, n),
-		rows: make([][][]store.ID, n),
-	}
-}
-
-// build runs f for depth d exactly once across all workers; later callers
-// observe the first call's error.
-func (sh *physShared) build(d int, f func() error) error {
-	sh.once[d].Do(func() { sh.err[d] = f() })
-	return sh.err[d]
-}
-
 // ordPos maps an index order's component position to the SPO position it
 // holds: component i of an ord-ordered row is SPO component ordPos[ord][i].
 var ordPos = [3][3]int{
@@ -318,170 +258,13 @@ var ordPos = [3][3]int{
 	store.OrderOSP: {2, 0, 1},
 }
 
-// planBGP chooses a physical operator per join step. It returns nil when
-// the BGP must stay on the nested-loop backtracker: engines without the
-// physical layer, correlated BGPs (outer variables — they are re-opened
-// per parent row and profit from plain index probes), unit and provably
-// empty BGPs, or plans where no step earns a better operator.
-func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []string) subplan {
-	opts := c.eng.opts
-	if !opts.UseIndexes || (!opts.HashJoins && !opts.MergeJoins && !opts.Parallel) {
-		return nil
-	}
-	if len(outer) > 0 || len(b.steps) == 0 || b.empty || len(ordered) != len(b.steps) {
-		return nil
-	}
-	// With no outer variables, preFilters can only hold variable-free
-	// conjuncts (FILTER(1 > 2) and friends), which bgpIter checks once at
-	// open. The physical iterators do not evaluate them — keep such
-	// degenerate BGPs on the backtracker rather than dropping the filter.
-	if len(b.preFilter.fast)+len(b.preFilter.slow) > 0 {
-		return nil
-	}
-	st := c.eng.src
-	plan := &bgpPlan{c: c}
-	bound := map[string]bool{}
-	leftCard := 1.0
-	sortSlot := -1
-	interesting := false
-
-	// traceStep records one depth's EXPLAIN ANALYZE skeleton (operator,
-	// pattern, cumulative estimate); a no-op unless tracing is on.
-	traceStep := func(op string, pattern string, est float64) {
-		if c.trace != nil {
-			plan.tsteps = append(plan.tsteps, &tstep{op: op, pattern: pattern, est: est})
-		}
-	}
-
-	i := 0
-	for i < len(b.steps) {
-		step := b.steps[i]
-		p := ordered[i]
-		if i == 0 {
-			rng := st.Range(constWant(step).Spread())
-			ps := physStep{kind: opScan, step: step, rng: rng}
-			sortSlot = leadVarSlot(step, rng)
-			plan.steps = append(plan.steps, ps)
-			leftCard = max(1, c.estimate(p, bound))
-			traceStep(opScan.String(), p.String(), leftCard)
-			addVars(bound, p)
-			i++
-			continue
-		}
-		shared := sharedBoundVars(p, bound)
-		if len(shared) == 0 && len(p.Vars()) > 0 && len(bound) > 0 {
-			// Disconnected block: find its extent, materialize + hash it.
-			j := segmentEnd(ordered, i)
-			segCard := c.blockEstimate(ordered[i:j], nil)
-			if opts.HashJoins {
-				if seg, ok := c.buildSegPlan(b.steps[i:j], bound, segCard); ok {
-					plan.steps = append(plan.steps, physStep{kind: opHashSeg, seg: seg})
-					interesting = true
-					for k := i; k < j; k++ {
-						addVars(bound, ordered[k])
-					}
-					leftCard *= max(1, segCard)
-					traceStep(opHashSeg.String(), segDesc(c, seg), leftCard)
-					i = j
-					continue
-				}
-			}
-			for k := i; k < j; k++ {
-				plan.steps = append(plan.steps, physStep{kind: opNL, step: b.steps[k]})
-				addVars(bound, ordered[k])
-				traceStep(opNL.String(), ordered[k].String(), 0)
-			}
-			leftCard *= max(1, segCard)
-			if c.trace != nil {
-				plan.tsteps[len(plan.tsteps)-1].est = leftCard
-			}
-			i = j
-			continue
-		}
-		est := c.estimate(p, bound)
-		done := false
-		if opts.MergeJoins && len(shared) == 1 {
-			if ms, ok := c.mergeStep(step, shared[0], sortSlot, leftCard); ok {
-				plan.steps = append(plan.steps, ms)
-				interesting = true
-				done = true
-			}
-		}
-		if !done && len(shared) == 1 {
-			if hs, ok := c.hashStep(step, shared[0], leftCard); ok {
-				plan.steps = append(plan.steps, hs)
-				interesting = true
-				done = true
-			}
-		}
-		if !done {
-			plan.steps = append(plan.steps, physStep{kind: opNL, step: step})
-		}
-		leftCard *= max(1, est)
-		traceStep(plan.steps[len(plan.steps)-1].kind.String(), p.String(), leftCard)
-		addVars(bound, p)
-		i++
-	}
-
-	touched := 0
-	for _, ps := range plan.steps {
-		touched += len(ps.rng.Rows)
-	}
-	plan.parts = c.partitionAnchor(plan.steps[0].rng, touched)
-	if !interesting && len(plan.parts) == 1 {
-		return nil // plain nested loop: keep the proven backtracker
-	}
-	plan.shared = newPhysShared(len(plan.steps))
-	plan.test = leftCard
-	c.notes = append(c.notes, plan.describe())
-	if len(plan.parts) > 1 {
-		pb := &parallelBGP{plan: plan}
-		c.cleanups = append(c.cleanups, pb.shutdown)
-		return pb
-	}
-	return &physIter{plan: plan, part: plan.parts[0], cancel: c.cancel}
-}
-
-// segDesc renders a disconnected block for the trace: its hash key (or
-// cross-product marker) and step count, matching describe()'s notation.
+// segDesc renders a disconnected block for EXPLAIN and the trace: its
+// hash key (or cross-product marker) and step count.
 func segDesc(c *compiled, seg *segPlan) string {
 	if seg.buildSlot >= 0 {
 		return fmt.Sprintf("key=?%s/?%s steps=%d", c.names[seg.probeSlot], c.names[seg.buildSlot], len(seg.steps))
 	}
 	return fmt.Sprintf("cross steps=%d", len(seg.steps))
-}
-
-// describe renders the operator choices for Explain.
-func (p *bgpPlan) describe() string {
-	var b strings.Builder
-	b.WriteString("bgp operators:")
-	for _, ps := range p.steps {
-		b.WriteByte(' ')
-		b.WriteString(ps.kind.String())
-		switch ps.kind {
-		case opScan:
-			fmt.Fprintf(&b, "[%s rows=%d", ps.rng.Ord, len(ps.rng.Rows))
-			if s := leadVarSlot(ps.step, ps.rng); s >= 0 {
-				fmt.Fprintf(&b, " sorted=?%s", p.c.names[s])
-			}
-			b.WriteByte(']')
-		case opMerge:
-			fmt.Fprintf(&b, "[?%s %s rows=%d]", p.c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows))
-		case opHash:
-			fmt.Fprintf(&b, "[?%s build=%d]", p.c.names[ps.joinSlot], len(ps.rng.Rows))
-		case opHashSeg:
-			if ps.seg.buildSlot >= 0 {
-				fmt.Fprintf(&b, "[key=?%s/?%s steps=%d]",
-					p.c.names[ps.seg.probeSlot], p.c.names[ps.seg.buildSlot], len(ps.seg.steps))
-			} else {
-				fmt.Fprintf(&b, "[cross steps=%d]", len(ps.seg.steps))
-			}
-		}
-	}
-	if len(p.parts) > 1 {
-		fmt.Fprintf(&b, " parallel=%d", len(p.parts))
-	}
-	return b.String()
 }
 
 // constTriple is a pattern's constant components, NoID elsewhere.
@@ -558,7 +341,7 @@ func segmentEnd(ordered []sparql.TriplePattern, i int) int {
 	return j
 }
 
-// mergeStep builds an opMerge depth when the step joins on exactly one
+// mergeStep chooses an opMerge stage when the step joins on exactly one
 // bound variable, the left stream is sorted on it, and some index serves
 // the pattern's constants as a prefix with the join variable as the first
 // component after them.
@@ -605,7 +388,7 @@ func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int, lef
 	// Only the chosen order's range is opened: over a snapshot with a
 	// live delta every range is a freshly merged slice.
 	rng := c.eng.src.RangeIn(bestOrd, want[0], want[1], want[2])
-	return physStep{kind: opMerge, step: step, rng: rng, joinSlot: vslot, lead: bestLead}, true
+	return physStep{kind: opMerge, rng: rng, joinSlot: vslot, lead: bestLead}, true
 }
 
 // hashBuilds reports whether hashStep builds on the pattern's matching
@@ -621,7 +404,7 @@ func (c *compiled) hashBuilds(want constTriple, leftCard float64) bool {
 	return buildCard > 0 && buildCard < leftCard
 }
 
-// hashStep builds an opHash depth when hashBuilds says so: the pattern's
+// hashStep chooses an opHash stage when hashBuilds says so: the pattern's
 // matching triples are hashed on the shared variable once and probed per
 // left row.
 func (c *compiled) hashStep(step patternStep, joinVar string, leftCard float64) (physStep, bool) {
@@ -644,7 +427,7 @@ func (c *compiled) hashStep(step patternStep, joinVar string, leftCard float64) 
 		return physStep{}, false
 	}
 	rng := c.eng.src.Range(want.Spread())
-	return physStep{kind: opHash, step: step, rng: rng, joinSlot: vslot, keyPos: keyPos}, true
+	return physStep{kind: opHash, rng: rng, joinSlot: vslot, keyPos: keyPos}, true
 }
 
 // buildSegPlan compiles a disconnected block into a segPlan. Filters
@@ -716,341 +499,6 @@ func segEquiKey(e sparql.Expr, bound, segVars map[string]bool) (leftVar, segVar 
 	default:
 		return "", "", false
 	}
-}
-
-// physIter evaluates a physical BGP plan over one partition of the first
-// pattern's range by backtracking, like bgpIter, but with a per-depth
-// operator. Parallel runs instantiate one physIter per partition; the
-// plan and its shared build products are read-only across workers, all
-// mutable state lives here.
-type physIter struct {
-	plan   *bgpPlan
-	part   store.IndexRange
-	cancel *canceller
-
-	cur       []store.ID
-	state     []physCursor
-	bound     [][]int
-	depth     int
-	started   bool
-	exhausted bool
-}
-
-// physCursor is the per-depth iteration state of one operator.
-type physCursor struct {
-	// opScan / opNL: an index-ordered row window with residual filter.
-	// Probes re-slice the window per left row instead of allocating a
-	// store.Iterator — the nested-loop probe path is allocation-free.
-	rows []store.EncTriple
-	filt store.EncTriple
-	ord  store.Order
-	pos  int
-	// opMerge: galloping cursor memory, persistent across left rows
-	inited   bool
-	key      store.ID
-	runStart int
-	runEnd   int
-	// opHash / opHashSeg candidates
-	cands    []store.EncTriple
-	segCands [][]store.ID
-	cpos     int
-}
-
-func (b *physIter) open(parent []store.ID) {
-	n := len(b.plan.c.names)
-	if cap(b.cur) < n {
-		b.cur = make([]store.ID, n)
-	}
-	b.cur = b.cur[:n]
-	copy(b.cur, parent)
-	for i := len(parent); i < n; i++ {
-		b.cur[i] = store.NoID
-	}
-	if len(b.state) < len(b.plan.steps) {
-		b.state = make([]physCursor, len(b.plan.steps))
-		b.bound = make([][]int, len(b.plan.steps))
-	}
-	for i := range b.state {
-		b.state[i] = physCursor{}
-		b.bound[i] = b.bound[i][:0]
-	}
-	b.started = false
-	b.exhausted = false
-	b.depth = 0
-}
-
-func (b *physIter) next() ([]store.ID, bool, error) {
-	if b.exhausted {
-		return nil, false, nil
-	}
-	d := b.depth
-	if !b.started {
-		b.started = true
-		d = 0
-		if err := b.initCursor(0); err != nil {
-			return nil, false, err
-		}
-	}
-	last := len(b.plan.steps) - 1
-	for d >= 0 {
-		if err := b.cancel.check(); err != nil {
-			return nil, false, err
-		}
-		b.clearBound(d)
-		ps := &b.plan.steps[d]
-		st := &b.state[d]
-		var bound bool
-		if ps.kind == opHashSeg {
-			row, ok := st.nextSeg()
-			if !ok {
-				d--
-				continue
-			}
-			bound = b.bindRow(d, ps, row)
-		} else {
-			t, ok := b.advanceTriple(ps, st)
-			if !ok {
-				d--
-				continue
-			}
-			bound = b.bind(d, ps, t)
-		}
-		if !bound {
-			continue
-		}
-		if !ps.filter().pass(b.plan.c, b.cur) {
-			continue
-		}
-		if ts := b.plan.tsteps; ts != nil {
-			ts[d].rows.Add(1)
-		}
-		if d == last {
-			b.depth = d
-			return b.cur, true, nil
-		}
-		d++
-		if err := b.initCursor(d); err != nil {
-			return nil, false, err
-		}
-	}
-	b.exhausted = true
-	return nil, false, nil
-}
-
-// initCursor prepares iteration at depth d for the current left row,
-// lazily building the depth's shared products on first use.
-func (b *physIter) initCursor(d int) error {
-	ps := &b.plan.steps[d]
-	st := &b.state[d]
-	switch ps.kind {
-	case opScan:
-		st.rows, st.filt, st.ord = b.part.Rows, b.part.Filt, b.part.Ord
-		st.pos = 0
-	case opNL:
-		var want store.EncTriple
-		for i := 0; i < 3; i++ {
-			want[i] = ps.step.pos[i].key(b.cur)
-		}
-		rng := b.plan.c.eng.src.Range(want[0], want[1], want[2])
-		st.rows, st.filt, st.ord = rng.Rows, rng.Filt, rng.Ord
-		st.pos = 0
-	case opMerge:
-		k := b.cur[ps.joinSlot]
-		if st.inited && k == st.key {
-			st.pos = st.runStart // same key as the previous left row: re-emit
-			return nil
-		}
-		start := 0
-		if st.inited && k > st.key {
-			start = st.runEnd // left keys are non-decreasing: gallop forward
-		}
-		idx := gallop(ps.rng.Rows, start, ps.lead, k)
-		st.inited = true
-		st.key = k
-		st.runStart = idx
-		st.runEnd = idx
-		st.pos = idx
-	case opHash:
-		if err := b.buildHash(d, ps); err != nil {
-			return err
-		}
-		st.cands = b.plan.shared.hash[d].get(b.cur[ps.joinSlot])
-		st.cpos = 0
-	case opHashSeg:
-		if err := b.buildSeg(d, ps); err != nil {
-			return err
-		}
-		if ps.seg.buildSlot >= 0 {
-			dict := b.plan.c.eng.src.TermDict()
-			st.segCands = b.plan.shared.seg[d][segKey(dict.Term(b.cur[ps.seg.probeSlot]))]
-		} else {
-			st.segCands = b.plan.shared.rows[d]
-		}
-		st.cpos = 0
-	}
-	return nil
-}
-
-// advanceTriple yields the next candidate triple (SPO order) at a
-// non-segment depth.
-func (b *physIter) advanceTriple(ps *physStep, st *physCursor) (store.EncTriple, bool) {
-	switch ps.kind {
-	case opScan, opNL:
-		for st.pos < len(st.rows) {
-			row := st.rows[st.pos]
-			st.pos++
-			if passFilt(row, st.filt) {
-				return unpermute(st.ord, row), true
-			}
-		}
-		return store.EncTriple{}, false
-	case opMerge:
-		rows := ps.rng.Rows
-		for st.pos < len(rows) {
-			row := rows[st.pos]
-			if row[ps.lead] != st.key {
-				break
-			}
-			st.pos++
-			if passFilt(row, ps.rng.Filt) {
-				return unpermute(ps.rng.Ord, row), true
-			}
-		}
-		st.runEnd = st.pos
-		return store.EncTriple{}, false
-	default: // opHash
-		for st.cpos < len(st.cands) {
-			t := st.cands[st.cpos]
-			st.cpos++
-			return t, true
-		}
-		return store.EncTriple{}, false
-	}
-}
-
-func (st *physCursor) nextSeg() ([]store.ID, bool) {
-	if st.cpos < len(st.segCands) {
-		row := st.segCands[st.cpos]
-		st.cpos++
-		return row, true
-	}
-	return nil, false
-}
-
-// bind writes t's components into the variables of depth d's pattern,
-// failing on conflicts exactly like the nested-loop backtracker.
-func (b *physIter) bind(d int, ps *physStep, t store.EncTriple) bool {
-	for i := 0; i < 3; i++ {
-		p := ps.step.pos[i]
-		if !p.isVar {
-			continue
-		}
-		if cur := b.cur[p.slot]; cur != store.NoID {
-			if cur != t[i] {
-				return false
-			}
-			continue
-		}
-		b.cur[p.slot] = t[i]
-		b.bound[d] = append(b.bound[d], p.slot)
-	}
-	return true
-}
-
-// bindRow merges a materialized block row into the current row. The
-// block's variables are disjoint from everything bound before it, so
-// conflicts cannot arise; the check is kept for defense.
-func (b *physIter) bindRow(d int, ps *physStep, row []store.ID) bool {
-	for _, slot := range ps.seg.slots {
-		v := row[slot]
-		if v == store.NoID {
-			continue
-		}
-		if cur := b.cur[slot]; cur != store.NoID {
-			if cur != v {
-				return false
-			}
-			continue
-		}
-		b.cur[slot] = v
-		b.bound[d] = append(b.bound[d], slot)
-	}
-	return true
-}
-
-func (b *physIter) clearBound(d int) {
-	for _, slot := range b.bound[d] {
-		b.cur[slot] = store.NoID
-	}
-	b.bound[d] = b.bound[d][:0]
-}
-
-// buildHash materializes an opHash depth's table: the pattern's matching
-// triples keyed by the shared variable's component.
-func (b *physIter) buildHash(d int, ps *physStep) error {
-	return b.plan.shared.build(d, func() error {
-		table := newIDTable[[]store.EncTriple](len(ps.rng.Rows))
-		it := ps.rng.Iterator()
-		n := 0
-		for {
-			t, ok := it.Next()
-			if !ok {
-				break
-			}
-			cell := table.at(t[ps.keyPos])
-			*cell = append(*cell, t)
-			if n++; n&1023 == 0 {
-				if err := b.cancel.check(); err != nil {
-					return err
-				}
-			}
-		}
-		b.plan.shared.hash[d] = table
-		if ts := b.plan.tsteps; ts != nil {
-			ts[d].build.Store(int64(n))
-		}
-		return nil
-	})
-}
-
-// buildSeg materializes an opHashSeg depth's block by running the
-// nested-loop backtracker over the block's steps (they are uncorrelated:
-// disconnected from everything bound outside), then hashing the rows on
-// the build key when one exists.
-func (b *physIter) buildSeg(d int, ps *physStep) error {
-	return b.plan.shared.build(d, func() error {
-		cc := *b.plan.c
-		cc.cancel = b.cancel
-		inner := &bgpIter{c: &cc, steps: ps.seg.steps}
-		inner.open(make([]store.ID, len(cc.names)))
-		var rows [][]store.ID
-		table := map[string][][]store.ID{}
-		dict := b.plan.c.eng.src.TermDict()
-		built := 0
-		for {
-			row, ok, err := inner.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			cp := append([]store.ID(nil), row...)
-			built++
-			if ps.seg.buildSlot >= 0 {
-				k := segKey(dict.Term(cp[ps.seg.buildSlot]))
-				table[k] = append(table[k], cp)
-			} else {
-				rows = append(rows, cp)
-			}
-		}
-		b.plan.shared.seg[d] = table
-		b.plan.shared.rows[d] = rows
-		if ts := b.plan.tsteps; ts != nil {
-			ts[d].build.Store(int64(built))
-		}
-		return nil
-	})
 }
 
 func passFilt(row, filt store.EncTriple) bool {

@@ -1,7 +1,7 @@
 package engine_test
 
-// Tests for the physical-operator layer: golden operator-choice plans on
-// a 50k generated document, result agreement across every operator
+// Tests for the BGP join operators: golden operator-choice plans on a
+// 50k generated document, result agreement across every operator
 // configuration on all 17 benchmark queries, and race/leak coverage for
 // the parallel partitioned scan.
 
@@ -68,58 +68,44 @@ func vecParallel4() []engine.Options {
 // TestGoldenPlans50k pins the reorder-plus-operator choices for the
 // paper's join-heavy queries on a 50k document: Q2's nine-way merge-join
 // star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment
-// (on the batch executor with the block's own build chain), and Q8's
-// tiny merge anchor — on the tuple executor and, for the queries it
-// covers, the partitioned batch executor, whose EXPLAIN must show only
-// the plan that runs. The exact row counts are
-// deterministic: the generator is seeded and the counts are structural
-// properties of the document.
+// with the block's own build chain, and Q8's tiny merge anchor. Both
+// executors run an outer-free BGP as the same batch chain — the tuple
+// operators behind a row adapter — so one golden set holds for both,
+// and neither EXPLAIN may show a tuple operator line. Q6's anti join is
+// batch-only. The exact row counts are deterministic: the generator is
+// seeded and the counts are structural properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k document generation in -short mode")
 	}
 	s, _ := generatedStore(t, 50_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	checkGoldenPlans(t, engine.New(s, opts), map[string][]string{
-		"q2": {
-			"bgp operators: scan[POS rows=274 sorted=?inproc]" +
-				strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
-		},
-		"q4": {
-			"bgp operators: scan[POS rows=2407 sorted=?name1] nl" +
-				" hash[?article1 build=4241] hash[?article1 build=4239]" +
-				" hash[?journal build=4239] hash[?article2 build=4241]" +
-				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
-		},
-		"q5a": {
-			"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
-			"bgp operators: scan[POS rows=2407 sorted=?name] nl" +
-				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
-		},
-		"q8": {
-			"bgp operators: scan[POS rows=1 sorted=?erdoes] merge[?erdoes POS rows=2407]",
-		},
-	})
-
+	native := engine.Native()
+	native.ParallelWorkers = 4
 	vec := vecParallel4()[0]
+	for _, opts := range []engine.Options{native, vec} {
+		checkGoldenPlans(t, engine.New(s, opts), map[string][]string{
+			"q2": {
+				"vec operators: scan[POS rows=274]" +
+					strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
+			},
+			"q4": {
+				"vec operators: scan[POS rows=2407] nl" +
+					" hash[?article1 build=4241] hash[?article1 build=4239]" +
+					" hash[?journal build=4239] hash[?article2 build=4241]" +
+					" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
+			},
+			"q5a": {
+				"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
+				"vec operators: scan[POS rows=2407] nl" +
+					" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
+				"vec hashseg build: scan[POS rows=274] merge[?inproc SPO rows=50004] nl",
+			},
+			"q8": {
+				"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407]",
+			},
+		})
+	}
 	checkGoldenPlans(t, engine.New(s, vec), map[string][]string{
-		"q2": {
-			"vec operators: scan[POS rows=274]" +
-				strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
-		},
-		"q4": {
-			"vec operators: scan[POS rows=2407] nl" +
-				" hash[?article1 build=4241] hash[?article1 build=4239]" +
-				" hash[?journal build=4239] hash[?article2 build=4241]" +
-				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
-		},
-		"q5a": {
-			"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
-			"vec operators: scan[POS rows=2407] nl" +
-				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
-			"vec hashseg build: scan[POS rows=274] merge[?inproc SPO rows=50004] nl",
-		},
 		"q6": {
 			"vec operators: scan[POS rows=9] merge[?class POS rows=7141]" +
 				" hash[?doc build=4710] hash[?doc build=6830] hash[?author build=2407] parallel=4",
@@ -131,7 +117,7 @@ func TestGoldenPlans50k(t *testing.T) {
 }
 
 // checkGoldenPlans asserts that each query's EXPLAIN contains every
-// wanted line and, on a batch plan, no tuple operator line.
+// wanted line and no tuple BGP operator line.
 func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]string) {
 	t.Helper()
 	for id, wants := range golden {
@@ -148,8 +134,8 @@ func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]stri
 				t.Errorf("%s/%s plan missing %q:\n%s", eng.Options().Name, id, want, plan)
 			}
 		}
-		if strings.Contains(plan, "vec operators:") && strings.Contains(plan, "bgp operators:") {
-			t.Errorf("%s/%s: a batch plan also shows a tuple plan:\n%s", eng.Options().Name, id, plan)
+		if strings.Contains(plan, "bgp operators:") {
+			t.Errorf("%s/%s: the plan shows a tuple BGP operator line:\n%s", eng.Options().Name, id, plan)
 		}
 	}
 }
@@ -249,12 +235,13 @@ func earlyExits() []*sparql.Query {
 	}
 }
 
-// earlyExitConfigs are the partitioned executors: the tuple one and
-// both batch ones, whose early-exit plans must all be partitioned.
+// earlyExitConfigs are the tuple engine and both batch ones with
+// forced partitions; each must run the early-exit queries on
+// partitioned batch workers.
 func earlyExitConfigs(t *testing.T, s *store.Store) []engine.Options {
 	t.Helper()
 	configs := append([]engine.Options{parallel4()[0]}, vecParallel4()...)
-	for _, opts := range configs[1:] {
+	for _, opts := range configs {
 		for _, q := range earlyExits() {
 			plan, err := engine.New(s, opts).Explain(q)
 			if err != nil {
@@ -412,9 +399,10 @@ func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
 }
 
 // TestConstantFilterNotDroppedByPhysicalPlan: a variable-free FILTER
-// conjunct lands in the backtracker's preFilters, which the physical
-// iterators do not evaluate — such BGPs must stay on the backtracker.
-// Regression test for the physical layer silently dropping FILTER(1 > 2).
+// conjunct lands in the backtracker's preFilters, which the batch
+// chains do not evaluate — such BGPs must stay on the backtracker.
+// Regression test for the join operators silently dropping
+// FILTER(1 > 2).
 func TestConstantFilterNotDroppedByPhysicalPlan(t *testing.T) {
 	s := store.New()
 	for i := 0; i < 10; i++ {

@@ -1,26 +1,30 @@
 package engine
 
-// Intra-query parallelism: the first pattern's index range is partitioned
-// into contiguous chunks, one worker per chunk runs the complete join
-// pipeline over its slice — the tuple operators of join.go (parallelBGP)
-// or a batch scan → join chain of vec.go (vecParallel) — and the
+// Intra-query parallelism: the anchor (first-pattern) index range of a
+// BGP is partitioned into contiguous chunks, one worker per chunk runs
+// the BGP's batch scan → join chain (vec.go) over its slice, and the
 // consumer drains the workers' outputs in partition order. Because the
 // range is sorted and the partitions are contiguous, the concatenation
 // is exactly the row order a sequential run would produce —
 // order-preserving parallelism. Hash tables and materialized blocks are
 // built once and shared read-only; every worker keeps its own cursors
-// and its own canceller.
+// and its own canceller. This is the only way a scan is parallelized:
+// the tuple operators reach it through the same chains (buildBGP).
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 
 	"sp2bench/internal/store"
 )
 
-// partitionAnchor splits a BGP's anchor (first-pattern) range for the
-// parallel executors: one part per worker when the plan touches at
+// parallelMinRows is the smallest number of index rows a BGP's chain
+// must touch before its anchor range is worth partitioning across
+// workers.
+const parallelMinRows = 2048
+
+// partitionAnchor splits a BGP's anchor (first-pattern) range for
+// vecParallel: one part per worker when the plan touches at
 // least parallelMinRows index rows — every range when the worker count
 // is forced by Options.ParallelWorkers — else the whole range.
 // Partition clamps to the range's row count, so a one-row scan stays
@@ -31,148 +35,6 @@ func (c *compiled) partitionAnchor(anchor store.IndexRange, touched int) []store
 		parts = workers
 	}
 	return anchor.Partition(parts)
-}
-
-// parBatchSize amortizes the per-row channel and copy cost; small enough
-// that ASK/LIMIT early exits never wait long for a first row.
-const parBatchSize = 64
-
-// parBatch is one unit of worker output. A batch carries either rows or
-// a terminal error.
-type parBatch struct {
-	rows [][]store.ID
-	err  error
-}
-
-// parallelBGP is the parallel executor for a partitioned bgpPlan. It
-// implements subplan; the compiled plan registers shutdown as a cleanup
-// so workers stop when the query ends early (ASK, LIMIT) even under a
-// background context.
-type parallelBGP struct {
-	plan *bgpPlan
-
-	parent  []store.ID
-	chans   []chan parBatch
-	stop    chan struct{}
-	stopped bool
-	started bool
-	workers sync.WaitGroup
-	cur     int // partition currently drained
-	batch   parBatch
-	bpos    int
-}
-
-func (b *parallelBGP) open(parent []store.ID) {
-	b.shutdown() // terminate workers of a previous open
-	b.parent = append(b.parent[:0], parent...)
-	b.chans = nil
-	b.stop = nil
-	b.stopped = false
-	b.started = false
-	b.cur = 0
-	b.batch = parBatch{}
-	b.bpos = 0
-}
-
-// shutdown signals all workers of the current open to exit and joins
-// them. The join matters beyond hygiene: workers read index ranges of
-// the query's source, and callers release the source once the query
-// returns — an MVCC snapshot's Close drops its pin on the version, and
-// the store's count of who still reads a retired generation is honest
-// only if nothing reads past that — so no worker may outlive its
-// query. Blocked sends unblock via the stop select; compute-bound
-// workers observe stop through their cancellers within 1024 iterator
-// steps. Idempotent; safe before the first open and after exhaustion.
-func (b *parallelBGP) shutdown() {
-	if b.stop != nil && !b.stopped {
-		close(b.stop)
-		b.stopped = true
-	}
-	b.workers.Wait()
-}
-
-func (b *parallelBGP) next() ([]store.ID, bool, error) {
-	if !b.started {
-		b.started = true
-		b.spawn()
-	}
-	for {
-		if b.bpos < len(b.batch.rows) {
-			row := b.batch.rows[b.bpos]
-			b.bpos++
-			return row, true, nil
-		}
-		if b.cur >= len(b.chans) {
-			return nil, false, nil
-		}
-		batch, ok := <-b.chans[b.cur]
-		if !ok {
-			b.cur++
-			continue
-		}
-		if batch.err != nil {
-			b.shutdown()
-			return nil, false, batch.err
-		}
-		b.batch = batch
-		b.bpos = 0
-	}
-}
-
-// spawn launches one worker per partition. Workers push copied rows in
-// batches; sends race against the stop channel so an abandoned consumer
-// never leaks a blocked goroutine.
-func (b *parallelBGP) spawn() {
-	b.stop = make(chan struct{})
-	b.stopped = false
-	b.chans = make([]chan parBatch, len(b.plan.parts))
-	for i := range b.plan.parts {
-		ch := make(chan parBatch, 4)
-		b.chans[i] = ch
-		part := b.plan.parts[i]
-		parent := slices.Clone(b.parent)
-		stop := b.stop
-		b.workers.Add(1)
-		go func() {
-			defer b.workers.Done()
-			defer close(ch)
-			it := &physIter{
-				plan:   b.plan,
-				part:   part,
-				cancel: &canceller{ctx: b.plan.c.cancel.ctx, stop: stop},
-			}
-			it.open(parent)
-			var buf [][]store.ID
-			flush := func(batch parBatch) bool {
-				select {
-				case ch <- batch:
-					return true
-				case <-stop:
-					return false
-				}
-			}
-			for {
-				row, ok, err := it.next()
-				if err != nil {
-					flush(parBatch{err: err})
-					return
-				}
-				if !ok {
-					break
-				}
-				buf = append(buf, slices.Clone(row))
-				if len(buf) >= parBatchSize {
-					if !flush(parBatch{rows: buf}) {
-						return
-					}
-					buf = nil
-				}
-			}
-			if len(buf) > 0 {
-				flush(parBatch{rows: buf})
-			}
-		}()
-	}
 }
 
 // vecQueue bounds how far a partition worker runs ahead of the drain:
@@ -220,9 +82,14 @@ func (p *vecParallel) open() {
 }
 
 // shutdown signals the workers of the current open to exit and joins
-// them; like parallelBGP.shutdown, no worker may outlive its query.
-// Blocked sends unblock via the stop select, busy workers observe stop
-// through their cancellers. Idempotent.
+// them. The join matters beyond hygiene: workers read index ranges of
+// the query's source, and callers release the source once the query
+// returns — an MVCC snapshot's Close drops its pin on the version, and
+// the store's count of who still reads a retired generation is honest
+// only if nothing reads past that — so no worker may outlive its
+// query. Blocked sends unblock via the stop select, busy workers
+// observe stop through their cancellers within 1024 steps. Idempotent;
+// safe before the first open and after exhaustion.
 func (p *vecParallel) shutdown() {
 	if p.stop != nil {
 		close(p.stop)
@@ -329,7 +196,7 @@ func (p *vecParallel) run(part store.IndexRange, out chan<- vecMsg, stop <-chan 
 			// A selective filter leaves a few rows per scanned batch;
 			// sending each would fill the queue with near-empty messages
 			// and stall the worker. Messages carry a full batch or at
-			// least minBatchSize rows, like the tuple executor's.
+			// least minBatchSize rows.
 			if acc.Full() || (r == b.Len() && acc.Len() >= minBatchSize) {
 				if !send(vecMsg{b: acc}) {
 					return

@@ -166,15 +166,8 @@ func (tc *traceCollector) wrap(sp subplan) subplan {
 		n.detail = "nested-loop"
 		n.steps = s.tsteps
 		n.est = s.test
-	case *physIter:
-		n.op = "bgp"
-		n.steps = s.plan.tsteps
-		n.est = s.plan.test
-	case *parallelBGP:
-		n.op = "bgp"
-		n.steps = s.plan.tsteps
-		n.est = s.plan.test
-		n.parallel = len(s.plan.parts)
+	case *batchRows:
+		n = s.tn // the chain's node: op, estimate, steps and fan-out
 	case *joinIter:
 		n.op = "join"
 		n.children = childNodes(s.left, s.right)

@@ -2,21 +2,24 @@ package engine
 
 // The vectorized execution path: batch-at-a-time operators passing
 // columnar Batch slabs of dictionary IDs instead of one row per next()
-// call. The pipeline mirrors the physical-operator layer of join.go —
-// index range scans, nested-loop/merge/hash join stages chosen by the
-// same planner helpers — but amortizes iterator dispatch, bounds
-// checks, and filter evaluation over whole batches: scans decode
-// store.IndexRange runs directly into columns, merge joins walk runs
-// batch-wise with the same galloping cursor, and FILTER conjuncts
-// compile to column-at-a-time kernels over the selection vector.
+// call. Its BGP pipelines — an index range scan, then one nested-loop,
+// merge, hash or hashed-block join stage per step, chosen by join.go's
+// planner helpers — are the engine's BGP join operators under either
+// executor: the tuple operators run an outer-free BGP's chain behind
+// batchRows (bgp.go). Batches amortize iterator dispatch, bounds
+// checks, and filter evaluation: scans decode store.IndexRange runs
+// directly into columns, merge joins walk runs batch-wise with a
+// galloping cursor, and FILTER conjuncts compile to column-at-a-time
+// kernels over the selection vector.
 //
-// Coverage is per-query and decided before either executor is planned:
-// vecDecline walks the algebra tree and returns a reason string for any
-// form the batch path does not cover (explicit group joins, correlated
-// OPTIONAL right sides, empty group patterns, ...), in which case the
-// query runs on the tuple operators and Explain records
-// "vec: tuple fallback (<reason>)". SELECT and ASK reach it (ASK stops
-// at the first non-empty batch); aggregates run on the tuple path.
+// Coverage of the operators above the BGPs is per-query and decided
+// before either executor is planned: vecDecline walks the algebra tree
+// and returns a reason string for any form the batch path does not
+// cover (explicit group joins, correlated OPTIONAL right sides, empty
+// group patterns, ...), in which case the query runs on the tuple
+// operators and Explain records "vec: tuple fallback (<reason>)".
+// SELECT and ASK reach it (ASK stops at the first non-empty batch);
+// aggregates run on the tuple path.
 
 import (
 	"errors"
@@ -337,18 +340,25 @@ type compBind struct {
 	slot int
 }
 
-// buildVecBGP compiles a BGP into a scan → join-stage pipeline using
-// the same preparation (reordering, block swap, filter placement),
-// join-operator selection (mergeStep/hashStep/buildSegPlan, with the
-// tuple layer's thresholds) and partitioning rule as planBGP. A
-// partitioned BGP runs one pipeline per part of the anchor range under
-// vecParallel.
+// buildVecBGP compiles a BGP into its batch pipeline for the batch
+// path, traced under WithAnalyze (see planVecBGP).
 func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) vecOp {
+	return c.vwrap(c.planVecBGP(patterns, conjuncts))
+}
+
+// planVecBGP compiles an outer-free BGP into a scan → join-stage
+// pipeline — pattern reordering, block swap and filter placement
+// (prepareBGP), one join operator per step (planVecChain) — and returns
+// it with its trace node. A partitioned BGP runs one pipeline per part
+// of the anchor range under vecParallel. Both executors run BGPs
+// through it: the batch path directly, the tuple operators behind
+// batchRows.
+func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) (vecOp, *tnode) {
 	b, ordered := c.prepareBGP(patterns, conjuncts, nil)
 	if b.empty {
 		// A constant is missing from the dictionary: no rows, ever.
 		c.notes = append(c.notes, "vec operators: empty (a constant is not in the dictionary)")
-		return c.vwrap(vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"})
+		return vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"}
 	}
 	ch := c.planVecChain(b.steps, ordered, true)
 	n := &tnode{op: "bgp", detail: "vectorized", est: ch.est, steps: ch.tsteps}
@@ -365,7 +375,7 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 	// A hashed block's build line was noted while the chain was planned,
 	// so it precedes the line of the BGP that probes it.
 	c.notes = append(c.notes, "vec operators:"+ch.desc.String())
-	return c.vwrap(pipe, n)
+	return pipe, n
 }
 
 // vecChain is a planned scan → join chain: a BGP's pipeline, or the
@@ -384,7 +394,7 @@ type vecChain struct {
 // runs under WithAnalyze. A disconnected block (it shares no variable
 // with the patterns before it) becomes one hashseg stage over the
 // block's own chain when buildSegPlan takes it, and index nested loops
-// otherwise, as in planBGP.
+// otherwise.
 func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool) *vecChain {
 	opts := c.eng.opts
 	st := c.eng.src
@@ -443,7 +453,7 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		}
 		shared := sharedBoundVars(p, bound)
 		est := c.estimate(p, bound)
-		ps := physStep{kind: opNL, step: step}
+		ps := physStep{kind: opNL}
 		if opts.MergeJoins && len(shared) == 1 {
 			if ms, ok := c.mergeStep(step, shared[0], sortSlot, ch.est); ok {
 				ps = ms

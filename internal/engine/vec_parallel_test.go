@@ -2,7 +2,7 @@ package engine_test
 
 // Tests for the partitioned batch executor (vecParallel): row order
 // against a sequential run, and worker shutdown on every way a query
-// can end early.
+// can end early, under either executor.
 
 import (
 	"context"
@@ -91,32 +91,56 @@ func TestVecParallelStopsWorkers(t *testing.T) {
 		t.Fatalf("cancelled context: err = %v, want ErrCancelled", err)
 	}
 
-	// faulty returns an engine whose 21st execution-time probe faults.
-	faulty := func(fault func()) *engine.Engine {
-		fr := &faultReader{Reader: s, after: 1 << 62, fault: fault}
-		eng := engine.NewReader(fr, opts)
-		if _, err := eng.Explain(heavy); err != nil {
-			t.Fatal(err)
-		}
-		fr.after = fr.calls.Swap(0) + 20
-		return eng
-	}
-
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := faulty(cancel).Count(ctx, heavy); !errors.Is(err, engine.ErrCancelled) {
+	if _, err := faultyEngine(t, s, opts, heavy, cancel).Count(ctx, heavy); !errors.Is(err, engine.ErrCancelled) {
 		t.Fatalf("context cancelled mid-scan: err = %v, want ErrCancelled", err)
 	}
 
-	eng := faulty(func() { panic(errInjected) })
-	func() {
-		defer func() {
-			if r := recover(); r != errInjected {
-				t.Errorf("worker fault: recovered %v, want the injected fault", r)
-			}
-		}()
-		eng.Count(context.Background(), heavy)
+	checkWorkerFault(t, s, opts, heavy)
+}
+
+// faultyEngine returns an engine over s whose 21st execution-time
+// probe, after the ranges compiling q opens, runs fault.
+func faultyEngine(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Query, fault func()) *engine.Engine {
+	t.Helper()
+	fr := &faultReader{Reader: s, after: 1 << 62, fault: fault}
+	eng := engine.NewReader(fr, opts)
+	if _, err := eng.Explain(q); err != nil {
+		t.Fatal(err)
+	}
+	fr.after = fr.calls.Swap(0) + 20
+	return eng
+}
+
+// checkWorkerFault runs q with a fault panicking inside a partition
+// worker and requires the panic to reach the caller, where it can be
+// recovered, rather than end the process.
+func checkWorkerFault(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Query) {
+	t.Helper()
+	eng := faultyEngine(t, s, opts, q, func() { panic(errInjected) })
+	defer func() {
+		if r := recover(); r != errInjected {
+			t.Errorf("%s: worker fault: recovered %v, want the injected fault", opts.Name, r)
+		}
 	}()
+	eng.Count(context.Background(), q)
+}
+
+// TestTupleOperatorsRelayWorkerFaults: the tuple operators run a
+// query's outer-free BGPs as the same partitioned batch chains, so a
+// fault in one of their workers — a remote shard failing mid-probe —
+// reaches the caller too: Q7 on the served engine (a tuple fallback
+// whose outer BGP is partitioned) and Q4 on the tuple engine.
+func TestTupleOperatorsRelayWorkerFaults(t *testing.T) {
+	testutil.CheckNoLeaks(t)
+	s, _ := generatedStore(t, 10_000)
+	q7, _ := queries.ByID("q7")
+	q4, _ := queries.ByID("q4")
+	native := engine.Native()
+	native.ParallelWorkers = 4
+	checkWorkerFault(t, s, engine.NativeVec(), q7.Parse())
+	checkWorkerFault(t, s, native, q4.Parse())
 }
 
 // blockProbeFault panics on the probes Q5a's hashed block makes while it

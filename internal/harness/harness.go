@@ -136,20 +136,15 @@ func AblationEngines() []EngineSpec {
 	}
 }
 
-// VecEngines returns the vectorized engine configurations: the full
-// native-vec engine plus its join-operator ablations. They live outside
-// AblationEngines so the paper's ablation axis keeps its fixed set.
+// VecEngines returns the vectorized engine configuration, native-vec.
+// It has no join-operator ablations of its own: native and native-vec
+// run every outer-free BGP on the same batch join operators, so
+// native-nohashjoin and native-nomergejoin ablate them. It lives
+// outside AblationEngines so the paper's ablation axis keeps its fixed
+// set.
 func VecEngines() []EngineSpec {
 	vec := engine.NativeVec()
-	vecNoHash := engine.NativeVec()
-	vecNoHash.Name, vecNoHash.HashJoins = "native-vec-nohashjoin", false
-	vecNoMerge := engine.NativeVec()
-	vecNoMerge.Name, vecNoMerge.MergeJoins = "native-vec-nomergejoin", false
-	return []EngineSpec{
-		{Name: vec.Name, Opts: vec},
-		{Name: vecNoHash.Name, Opts: vecNoHash},
-		{Name: vecNoMerge.Name, Opts: vecNoMerge},
-	}
+	return []EngineSpec{{Name: vec.Name, Opts: vec}}
 }
 
 // KnownEngines returns every named engine configuration: the two paper

@@ -9,7 +9,7 @@
 //   - goroutinecleanup: every `go` statement must have a reachable join
 //     — a WaitGroup/errgroup Wait in the spawning function, a channel
 //     the spawner receives from, or a WaitGroup-field shutdown method
-//     that is wired up elsewhere (the parallelBGP pattern). ASK/LIMIT
+//     that is wired up elsewhere (the vecParallel pattern). ASK/LIMIT
 //     early exits must never leak workers.
 //   - lockdiscipline: store-mutating calls on shared stores may only
 //     appear in functions annotated `// sp2b:locks=write`; functions

@@ -14,7 +14,7 @@ import (
 //     (the done-channel join, e.g. core.GenerateStore), or
 //  3. tracks the goroutine in a WaitGroup *field* whose Wait lives in
 //     another method of the same type that is referenced somewhere in
-//     the package — the parallelBGP spawn/shutdown split, where the
+//     the package — the vecParallel spawn/shutdown split, where the
 //     compiled plan registers shutdown as a cleanup.
 //
 // Anything else must carry `// sp2b:leaks=ok <why>` on or above the
