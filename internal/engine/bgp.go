@@ -59,6 +59,7 @@ type bgpIter struct {
 	test   float64
 
 	cur         []store.ID
+	memo        termMemo // the filters' comparison memo
 	state       []stepCursor
 	bound       [][]int // slots bound at each depth
 	depth       int
@@ -91,7 +92,7 @@ func (b *bgpIter) open(parent []store.ID) {
 	b.exhausted = false
 	b.unitEmitted = false
 	b.depth = 0
-	b.preOK = b.preFilter.pass(b.c, b.cur)
+	b.preOK = b.preFilter.pass(b.c, &b.memo, b.cur)
 }
 
 func (b *bgpIter) next() ([]store.ID, bool, error) {
@@ -103,7 +104,7 @@ func (b *bgpIter) next() ([]store.ID, bool, error) {
 			return nil, false, nil
 		}
 		b.unitEmitted = true
-		if !b.unitFilter.pass(b.c, b.cur) {
+		if !b.unitFilter.pass(b.c, &b.memo, b.cur) {
 			return nil, false, nil
 		}
 		return b.cur, true, nil
@@ -131,7 +132,7 @@ func (b *bgpIter) next() ([]store.ID, bool, error) {
 		if !b.bind(d, t) {
 			continue
 		}
-		if !b.steps[d].filt.pass(b.c, b.cur) {
+		if !b.steps[d].filt.pass(b.c, &b.memo, b.cur) {
 			continue
 		}
 		if b.tsteps != nil {

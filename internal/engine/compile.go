@@ -341,7 +341,7 @@ func (c *compiled) buildLeftJoin(node *algebra.LeftJoinNode, outer []string) (su
 					lj.hashRightSlot = c.slot(rk)
 					// No `continue`: the key conjunct STAYS in the
 					// residual. The hash buckets by canonical value
-					// key (segKey), which may be coarser than `=` —
+					// key (valueKey), which may be coarser than `=` —
 					// the retained conjunct is the semantic check, so
 					// over-inclusion costs a probe, never a wrong row.
 				}

@@ -37,7 +37,7 @@ func fuzzGraph(r *rand.Rand, n int) *store.Store {
 	}
 	pred := func() rdf.Term { return rdf.IRI(fmt.Sprintf("http://x/p%d", r.Intn(4))) }
 	obj := func() rdf.Term {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0:
 			return rdf.Integer(r.Intn(4))
 		case 1:
@@ -48,6 +48,18 @@ func fuzzGraph(r *rand.Rand, n int) *store.Store {
 			return rdf.String(fmt.Sprintf("v%d", r.Intn(4)))
 		case 3:
 			return rdf.Blank(fmt.Sprintf("b%d", r.Intn(4)))
+		case 4:
+			// Literals `=` relates across classes: -0 equals 0, plain "1"
+			// equals both 1 and "1"^^xsd:string (which do not equal each
+			// other), "1"@en is numeric too. Here the value key is coarser
+			// than `=`, and the compiled comparisons' fast paths branch.
+			return []rdf.Term{
+				rdf.TypedLiteral("-0", rdf.XSDInteger),
+				rdf.Literal("1"),
+				rdf.String("1"),
+				rdf.LangLiteral("1", "en"),
+				rdf.TypedLiteral("1.0", rdf.XSDDecimal),
+			}[r.Intn(5)]
 		default:
 			return rdf.IRI(fmt.Sprintf("http://x/s%d", r.Intn(6)))
 		}

@@ -65,20 +65,20 @@ type leftJoinIter struct {
 	hashRightSlot    int
 
 	// run state
-	parent  []store.ID
-	matRows [][]store.ID // materialized right rows (merged-width)
-	// hash buckets the right rows by the canonical value key
-	// (segKey) of the equality slot — NOT by dictionary ID, which is
-	// term identity and would drop value-equal extensions with
-	// distinct lexical forms ("1" vs "01"). Buckets may be coarser
-	// than `=`; the conjunct stays in residual as the semantic check.
-	hash     map[string][][]store.ID
-	matDone  bool
+	parent []store.ID
+	// table holds the materialized right rows (merged-width), keyed by
+	// the value key (valueKey) of the equality slot when there is one —
+	// NOT by dictionary ID, which is term identity and would drop
+	// value-equal extensions with distinct lexical forms ("1" vs "01").
+	// Buckets may be coarser than `=`; the conjunct stays in residual as
+	// the semantic check. nil until materialized.
+	table    *valueTable
+	probe    valueProbe
 	leftRow  []store.ID
 	haveLeft bool
 	matched  bool
-	candIdx  int
-	cands    [][]store.ID
+	candIdx  int        // offset of the next candidate in cands
+	cands    []store.ID // the current left row's candidates, flat
 	done     bool
 	buf      []store.ID
 }
@@ -87,9 +87,7 @@ func (lj *leftJoinIter) open(parent []store.ID) {
 	lj.left.open(parent)
 	lj.parent = append(lj.parent[:0], parent...)
 	lj.haveLeft = false
-	lj.matDone = false
-	lj.matRows = nil
-	lj.hash = nil
+	lj.table = nil
 	lj.done = false
 }
 
@@ -111,7 +109,11 @@ func (lj *leftJoinIter) next() ([]store.ID, bool, error) {
 				if err := lj.ensureMaterialized(); err != nil {
 					return nil, false, err
 				}
-				lj.cands = lj.candidates(l)
+				key := store.NoID
+				if lj.hashLeftSlot >= 0 {
+					key = l[lj.hashLeftSlot]
+				}
+				lj.cands = lj.probe.rows(lj.table, key)
 				lj.candIdx = 0
 			} else {
 				lj.right.open(l)
@@ -170,8 +172,9 @@ func (lj *leftJoinIter) nextMaterialized() ([]store.ID, bool, error) {
 		if err := lj.c.cancel.check(); err != nil {
 			return nil, false, err
 		}
-		cand := lj.cands[lj.candIdx]
-		lj.candIdx++
+		w := lj.table.width
+		cand := lj.cands[lj.candIdx : lj.candIdx+w]
+		lj.candIdx += w
 		merged, ok := mergeRows(lj.leftRow, cand, &lj.buf)
 		if !ok {
 			continue
@@ -201,55 +204,36 @@ func (lj *leftJoinIter) nextMaterialized() ([]store.ID, bool, error) {
 	return nil, false, nil
 }
 
-// candidates returns the right rows worth merging with l.
-//
-// sp2b:valuecmp probes the value-keyed hash built by ensureMaterialized
-func (lj *leftJoinIter) candidates(l []store.ID) [][]store.ID {
-	if lj.hashLeftSlot >= 0 {
-		key := l[lj.hashLeftSlot]
-		if key == store.NoID {
-			return nil // unbound key: equality would be a type error
-		}
-		return lj.hash[segKey(lj.c.eng.src.TermDict().Term(key))]
-	}
-	return lj.matRows
-}
-
-// ensureMaterialized evaluates the uncorrelated right side once,
-// hashing the rows on the extracted equality key when there is one.
-//
-// sp2b:valuecmp the hash key implements FILTER `=` bucketing
+// ensureMaterialized evaluates the uncorrelated right side once into
+// a valueTable, keyed on the extracted equality when there is one.
 func (lj *leftJoinIter) ensureMaterialized() error {
-	if lj.matDone {
+	if lj.table != nil {
 		return nil
 	}
-	lj.matDone = true
 	lj.right.open(lj.parent)
-	var dict store.TermSource
-	if lj.hashLeftSlot >= 0 {
-		lj.hash = make(map[string][][]store.ID)
-		dict = lj.c.eng.src.TermDict()
-	}
+	var flat, keyIDs []store.ID
+	width, n := 0, 0
 	for {
 		r, ok, err := lj.right.next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
-		cp := append([]store.ID(nil), r...)
 		if lj.hashLeftSlot >= 0 {
-			id := cp[lj.hashRightSlot]
+			id := r[lj.hashRightSlot]
 			if id == store.NoID {
 				continue // unbound key: `=` raises, the extension is rejected
 			}
-			k := segKey(dict.Term(id))
-			lj.hash[k] = append(lj.hash[k], cp)
-		} else {
-			lj.matRows = append(lj.matRows, cp)
+			keyIDs = append(keyIDs, id)
 		}
+		flat = append(flat, r...)
+		width = len(r)
+		n++
 	}
+	lj.table = newValueTable(lj.c.eng.src.TermDict(), flat, width, n, keyIDs)
+	return nil
 }
 
 func (lj *leftJoinIter) condHolds(merged []store.ID) (bool, error) {

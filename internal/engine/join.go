@@ -14,18 +14,18 @@ package engine
 //   - index nested loops everywhere else.
 //
 // This file also holds the helpers both BGP executors share: the
-// compiled filter conjuncts (rowFilter), the ID hash table, the
-// value-equality bucket key, and the galloping cursor. Every choice is
-// recorded in the compiled plan's notes, surfaced by Engine.Explain,
-// sp2bquery -explain, and the harness JSON report.
+// compiled filter conjuncts (rowFilter), the ID hash table, and the
+// galloping cursor; the value-equality tables are in valuekey.go.
+// Every choice is recorded in the compiled plan's notes, surfaced by
+// Engine.Explain, sp2bquery -explain, and the harness JSON report.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
-	"strconv"
+	"strings"
 
 	"sp2bench/internal/algebra"
-	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
@@ -102,15 +102,25 @@ type fastCmp struct {
 }
 
 // sp2b:valuecmp implements FILTER comparison operators over slot pairs
-func (f fastCmp) eval(c *compiled, row []store.ID) bool {
-	return f.cmpIDs(c, row[f.l], row[f.r])
+func (f fastCmp) eval(c *compiled, m *termMemo, row []store.ID) bool {
+	return f.cmpIDs(c, m, row[f.l], row[f.r])
 }
 
 // cmpIDs is the comparison core shared by the per-row eval above and
-// the column kernels of the vectorized path (vec.go).
+// the column kernels of the vectorized path (vec.go). It decides from
+// the calling operator's memo of each ID's term (termInfo) wherever
+// valueEqual and valueCompare would, and resolves terms only for the
+// remaining literal pairs (a boolean or a date against anything but
+// itself):
+//
+//   - `=`/`!=` between distinct IDs where either term is an IRI or a
+//     blank node: unequal, because a non-literal is value-equal only to
+//     itself and every TermSource interns one ID per term;
+//   - two numeric literals: compared as floats;
+//   - two string-ish literals: compared by lexical form.
 //
 // sp2b:valuecmp compares by term value, never by raw dictionary ID
-func (f fastCmp) cmpIDs(c *compiled, a, b store.ID) bool {
+func (f fastCmp) cmpIDs(c *compiled, m *termMemo, a, b store.ID) bool {
 	if a == store.NoID || b == store.NoID {
 		return false // unbound: the expression evaluator raises, FILTER rejects
 	}
@@ -121,25 +131,46 @@ func (f fastCmp) cmpIDs(c *compiled, a, b store.ID) bool {
 		if a == b {
 			return f.op == sparql.OpEq
 		}
-		eq, err := algebra.EqualTerms(dict.Term(a), dict.Term(b))
-		if err != nil {
-			return false
+		ia, ib := m.info(dict, a), m.info(dict, b)
+		var eq bool
+		switch {
+		case !ia.literal || !ib.literal:
+			// sp2b:idcmp=ok the IDs differ and one term is not a literal: one ID per term makes them distinct, hence unequal, terms
+			return f.op == sparql.OpNeq
+		case ia.numeric && ib.numeric:
+			eq = ia.num == ib.num
+		case ia.stringish && ib.stringish:
+			eq = ia.lex == ib.lex
+		default:
+			var err error
+			if eq, err = algebra.EqualTerms(dict.Term(a), dict.Term(b)); err != nil {
+				return false
+			}
 		}
 		return eq == (f.op == sparql.OpEq)
 	default:
-		cmp, err := algebra.CompareTerms(dict.Term(a), dict.Term(b))
-		if err != nil {
-			return false
+		ia, ib := m.info(dict, a), m.info(dict, b)
+		var order int
+		switch {
+		case ia.numeric && ib.numeric:
+			order = cmp.Compare(ia.num, ib.num)
+		case ia.stringish && ib.stringish:
+			order = strings.Compare(ia.lex, ib.lex)
+		default:
+			var err error
+			if order, err = algebra.CompareTerms(dict.Term(a), dict.Term(b)); err != nil {
+				return false
+			}
 		}
 		switch f.op {
 		case sparql.OpLt:
-			return cmp < 0
+			return order < 0
 		case sparql.OpGt:
-			return cmp > 0
+			return order > 0
 		case sparql.OpLeq:
-			return cmp <= 0
+			return order <= 0
 		default: // OpGeq
-			return cmp >= 0
+			return order >= 0
 		}
 	}
 }
@@ -177,10 +208,10 @@ func (c *compiled) compileFilters(filters []sparql.Expr) rowFilter {
 }
 
 // pass evaluates every conjunct on row; a type error rejects the row,
-// as it does in a FILTER.
-func (f *rowFilter) pass(c *compiled, row []store.ID) bool {
+// as it does in a FILTER. m is the calling operator's comparison memo.
+func (f *rowFilter) pass(c *compiled, m *termMemo, row []store.ID) bool {
 	for _, fc := range f.fast {
-		if !fc.eval(c, row) {
+		if !fc.eval(c, m, row) {
 			return false
 		}
 	}
@@ -217,19 +248,22 @@ func newIDTable[V any](capacity int) *idTable[V] {
 }
 
 // at returns the value cell for k, claiming an empty slot on first use.
-func (t *idTable[V]) at(k store.ID) *V { return &t.vals[t.slot(k)] }
+func (t *idTable[V]) at(k store.ID) *V {
+	i, _ := t.claim(k)
+	return &t.vals[i]
+}
 
-// slot returns the index of k's cell, claiming an empty slot on first
-// use.
-func (t *idTable[V]) slot(k store.ID) uint32 {
+// claim returns the index of k's cell and whether this call claimed its
+// empty slot.
+func (t *idTable[V]) claim(k store.ID) (uint32, bool) {
 	i := (uint32(k) * 2654435761) & t.mask
 	for {
 		switch t.keys[i] {
 		case k:
-			return i
+			return i, false
 		case store.NoID:
 			t.keys[i] = k
-			return i
+			return i, true
 		}
 		i = (i + 1) & t.mask
 	}
@@ -527,32 +561,6 @@ func gallop(rows []store.EncTriple, start, comp int, key store.ID) int {
 		hi = n
 	}
 	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i][comp] >= key })
-}
-
-// segKey buckets a term compatibly with the expression evaluator's
-// value equality (valueEqual): whenever FILTER (?a = ?b) would accept
-// two terms, they land in the same bucket — numeric literals (typed or
-// plain, including numeric-looking xsd:strings, which are value-equal
-// to the plain literal of the same form) by numeric value, other
-// string-ish literals by lexical form, everything else by term
-// identity. Buckets may be coarser than equality; the retained link
-// filter is the semantic check, so over-inclusion costs a probe, never
-// a wrong row. Hashing by dictionary ID instead would silently DROP
-// value-equal pairs with distinct lexical forms ("1" vs "01") — an
-// under-inclusion no residual filter could repair.
-func segKey(t rdf.Term) string {
-	if t.IsLiteral() {
-		if n, ok := t.Numeric(); ok {
-			return "n:" + strconv.FormatFloat(n, 'g', -1, 64)
-		}
-		if t.Datatype == "" || t.Datatype == rdf.XSDString {
-			if n, ok := rdf.Literal(t.Value).Numeric(); ok {
-				return "n:" + strconv.FormatFloat(n, 'g', -1, 64)
-			}
-			return "s:" + t.Value
-		}
-	}
-	return "i:" + strconv.Itoa(int(t.Kind)) + ":" + t.Value + "\x00" + t.Datatype + "\x00" + t.Lang
 }
 
 // unpermute maps an index-ordered row back to SPO component order.

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"sp2bench/internal/rdf"
@@ -16,7 +18,7 @@ import (
 // the extension was silently dropped — while every bind-join
 // configuration, evaluating the same FILTER through EqualTerms, kept
 // it. The hash now buckets both sides by the canonical value key
-// (segKey) and re-checks the retained conjunct, so all configurations
+// (valueKey) and re-checks the retained conjunct, so all configurations
 // must agree again (runAll enforces that).
 func TestHashLeftJoinValueEquality(t *testing.T) {
 	s := store.New()
@@ -64,5 +66,77 @@ func TestHashLeftJoinValueEquality(t *testing.T) {
 	}
 	if title.Value != "Journal 1" {
 		t.Fatalf("extended with the wrong journal: %v", render(res))
+	}
+}
+
+// TestValueKeySignedZero pins the value key's numeric class on the one
+// pair whose lexical renderings differ even after parsing: "-0" parses
+// to negative zero, which `=` calls equal to 0. A key rendered from the
+// float as text ("-0" vs "0") put the two in different buckets, and
+// every hash configuration silently dropped the extension the
+// evaluator keeps. Both value-keyed shapes are covered: the OPTIONAL
+// whose condition links the sides (the hash left join) and the
+// disconnected block linked by an equality FILTER (hashseg).
+func TestValueKeySignedZero(t *testing.T) {
+	s := store.New()
+	add := func(subj, pred string, obj rdf.Term) {
+		s.Add(rdf.NewTriple(rdf.IRI(subj), rdf.IRI(pred), obj))
+	}
+	add("http://x/a", "http://x/p", rdf.Integer(0))
+	add("http://x/b", "http://x/q", rdf.TypedLiteral("-0", rdf.XSDInteger))
+	add("http://x/b", "http://x/title", rdf.String("B"))
+	add("http://x/c", "http://x/q", rdf.Integer(1))
+	add("http://x/c", "http://x/title", rdf.String("C"))
+	s.Freeze()
+
+	res := runAll(t, s, `
+		SELECT ?s ?title WHERE {
+			?s <http://x/p> ?a .
+			OPTIONAL {
+				?t <http://x/q> ?b .
+				?t <http://x/title> ?title .
+				FILTER (?a = ?b)
+			}
+		}`)
+	if got := render(res); len(got) != 1 || got[0] != `<http://x/a>|"B"^^<`+rdf.XSDString+`>` {
+		t.Fatalf("OPTIONAL: got %v, want a extended by b (0 = -0)", got)
+	}
+
+	res = runAll(t, s, `
+		SELECT ?s ?t WHERE { ?s <http://x/p> ?a . ?t <http://x/q> ?b FILTER (?a = ?b) }`)
+	if got := render(res); len(got) != 1 || got[0] != "<http://x/a>|<http://x/b>" {
+		t.Fatalf("hashseg: got %v, want the single pair (a, b)", got)
+	}
+}
+
+// TestHashLeftJoinVariableFreeRight: a conditioned OPTIONAL whose right
+// side binds no variable still has solutions — two here, one per UNION
+// branch — and every configuration must extend a matching left row once
+// per solution. The materialized right side holds zero-width rows, which
+// must still count as rows.
+func TestHashLeftJoinVariableFreeRight(t *testing.T) {
+	s := store.New()
+	add := func(subj, pred string, obj rdf.Term) {
+		s.Add(rdf.NewTriple(rdf.IRI(subj), rdf.IRI(pred), obj))
+	}
+	add("http://x/a", "http://x/p", rdf.Integer(1))
+	add("http://x/b", "http://x/p", rdf.Integer(2))
+	add("http://x/c", "http://x/q", rdf.IRI("http://x/d"))
+	add("http://x/e", "http://x/q", rdf.IRI("http://x/f"))
+	s.Freeze()
+
+	res := runAll(t, s, `
+		SELECT ?s WHERE {
+			?s <http://x/p> ?o .
+			OPTIONAL {
+				{ <http://x/c> <http://x/q> <http://x/d> } UNION { <http://x/e> <http://x/q> <http://x/f> }
+				FILTER (?o = 1)
+			}
+		}`)
+	got := render(res)
+	sort.Strings(got)
+	want := []string{"<http://x/a>", "<http://x/a>", "<http://x/b>"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }

@@ -527,12 +527,12 @@ func sortedSlots(set map[int]bool) []int {
 // batch's live rows — the fast var-var comparisons as column kernels,
 // the rest per-row through the expression evaluator — then compacts the
 // survivors so the batch leaves the operator dense.
-func applyVecFilters(c *compiled, b *Batch, conds *rowFilter, selbuf *[]int32, rowbuf *[]store.ID) {
+func applyVecFilters(c *compiled, b *Batch, conds *rowFilter, memo *termMemo, selbuf *[]int32, rowbuf *[]store.ID) {
 	for _, f := range conds.fast {
 		if b.Live() == 0 {
 			break
 		}
-		f.kernel(c, b, selbuf)
+		f.kernel(c, b, memo, selbuf)
 	}
 	for _, f := range conds.slow {
 		if b.Live() == 0 {
@@ -547,12 +547,12 @@ func applyVecFilters(c *compiled, b *Batch, conds *rowFilter, selbuf *[]int32, r
 // live rows, narrowing the selection vector in place.
 //
 // sp2b:valuecmp column kernels delegate to cmpIDs (value comparison)
-func (f fastCmp) kernel(c *compiled, b *Batch, selbuf *[]int32) {
+func (f fastCmp) kernel(c *compiled, b *Batch, memo *termMemo, selbuf *[]int32) {
 	lc, rc := b.cols[f.l], b.cols[f.r]
 	if b.sel == nil {
 		sel := emptySel(*selbuf)
 		for r := 0; r < b.n; r++ {
-			if f.cmpIDs(c, lc[r], rc[r]) {
+			if f.cmpIDs(c, memo, lc[r], rc[r]) {
 				sel = append(sel, int32(r))
 			}
 		}
@@ -563,7 +563,7 @@ func (f fastCmp) kernel(c *compiled, b *Batch, selbuf *[]int32) {
 	// In-place narrowing: writes trail reads because sel is ascending.
 	sel := b.sel[:0]
 	for _, r := range b.sel {
-		if f.cmpIDs(c, lc[r], rc[r]) {
+		if f.cmpIDs(c, memo, lc[r], rc[r]) {
 			sel = append(sel, r)
 		}
 	}
@@ -623,6 +623,7 @@ type vecScan struct {
 	ts      *tstep
 	out     *Batch
 	scratch [3][]store.ID
+	memo    termMemo
 	selbuf  []int32
 	rowbuf  []store.ID
 	pos     int
@@ -685,7 +686,7 @@ func (v *vecScan) next() (*Batch, error) {
 			bcol, scol := out.cols[v.dupOf[i]], v.scratch[i]
 			narrowSel(out, &v.selbuf, func(r int32) bool { return bcol[r] == scol[r] })
 		}
-		applyVecFilters(v.c, out, &v.conds, &v.selbuf, &v.rowbuf)
+		applyVecFilters(v.c, out, &v.conds, &v.memo, &v.selbuf, &v.rowbuf)
 		if out.Len() > 0 {
 			if v.ts != nil {
 				v.ts.rows.Add(int64(out.Len()))
@@ -762,6 +763,7 @@ type vecJoin struct {
 	conds  rowFilter
 	ts     *tstep
 	out    *Batch
+	memo   termMemo
 	selbuf []int32
 	rowbuf []store.ID
 
@@ -783,10 +785,11 @@ type vecJoin struct {
 	// opHash
 	cands []store.EncTriple
 	cpos  int
-	// opHashSeg: the block rows probed for the current input row, and
-	// the probe key they were looked up by
-	rowCands [][]store.ID
-	rowKey   store.ID
+	// opHashSeg: the block rows probed for the current input row, flat
+	// (len(seg.seg.slots) IDs each; cpos indexes the flat slice), and
+	// this partition's probe state on the block's table
+	rowCands []store.ID
+	segProbe valueProbe
 	// later are the stages downstream in this partition's chain, whose
 	// unclaimed builds build may take; built caches that this stage's
 	// own build is ready.
@@ -902,7 +905,7 @@ func (v *vecJoin) open() {
 	v.in, v.ipos = nil, 0
 	v.probing, v.done = false, false
 	v.minited = false
-	v.rowCands, v.rowKey = nil, store.NoID
+	v.rowCands = nil
 }
 
 func (v *vecJoin) next() (*Batch, error) {
@@ -954,7 +957,7 @@ func (v *vecJoin) next() (*Batch, error) {
 // flush applies the stage filters to whatever accumulated and emits it;
 // called once at input exhaustion.
 func (v *vecJoin) flush(out *Batch) (*Batch, error) {
-	applyVecFilters(v.c, out, &v.conds, &v.selbuf, &v.rowbuf)
+	applyVecFilters(v.c, out, &v.conds, &v.memo, &v.selbuf, &v.rowbuf)
 	if out.Len() == 0 {
 		return nil, nil
 	}
@@ -965,7 +968,7 @@ func (v *vecJoin) flush(out *Batch) (*Batch, error) {
 // flushFull filters a just-filled batch; nil means everything was
 // rejected and the (now compacted) batch has room again.
 func (v *vecJoin) flushFull(out *Batch) *Batch {
-	applyVecFilters(v.c, out, &v.conds, &v.selbuf, &v.rowbuf)
+	applyVecFilters(v.c, out, &v.conds, &v.memo, &v.selbuf, &v.rowbuf)
 	if out.Len() == 0 {
 		return nil
 	}
@@ -1057,12 +1060,13 @@ func (v *vecJoin) drain(out *Batch) bool {
 		}
 		return false
 	case opHashSeg:
+		w := v.seg.table.width
 		for v.cpos < len(v.rowCands) {
 			if out.Full() {
 				return true
 			}
-			v.emit(out, v.rowCands[v.cpos])
-			v.cpos++
+			v.emit(out, v.rowCands[v.cpos:v.cpos+w])
+			v.cpos += w
 		}
 		return false
 	default: // opNL
@@ -1167,8 +1171,8 @@ func (v *vecJoin) buildTable() error {
 			}
 		}
 		if passFilt(row, filt) {
-			s := table.slot(unpermute(ord, row)[v.keyPos])
-			if counts[s] == 0 {
+			s, fresh := table.claim(unpermute(ord, row)[v.keyPos])
+			if fresh {
 				first = append(first, s)
 			}
 			slots = append(slots, s)
@@ -1197,68 +1201,41 @@ func (v *vecJoin) buildTable() error {
 	return nil
 }
 
-// probeSeg looks up the block rows for the current input row: the
-// bucket of its probe key's value (segKey), or the single bucket of a
-// keyless block. Input rows arrive in the anchor scan's order, so runs
-// of rows with the same key reuse the previous bucket.
+// probeSeg looks up the block rows for the current input row: those
+// whose build-slot value key matches the probe key's, or every row of a
+// keyless block.
 //
 // sp2b:valuecmp probes the value-keyed buckets vecSegBuild builds
 func (v *vecJoin) probeSeg() {
-	seg := v.seg.seg
-	if seg.probeSlot < 0 {
-		v.rowCands = v.seg.bucket("")
-		return
+	k := store.NoID
+	if s := v.seg.seg.probeSlot; s >= 0 {
+		k = v.in.cols[s][v.ipos]
 	}
-	k := v.in.cols[seg.probeSlot][v.ipos]
-	switch {
-	case k == store.NoID:
-		v.rowCands = nil // unbound key: `=` would be a type error
-	// sp2b:idcmp=ok identical IDs have identical value keys, so the previous bucket is exactly this row's
-	case k == v.rowKey:
-	default:
-		v.rowCands = v.seg.bucket(segKey(v.c.eng.src.TermDict().Term(k)))
-	}
-	v.rowKey = k
+	v.rowCands = v.segProbe.rows(v.seg.table, k)
 }
 
 // vecSegBuild is a hashed disconnected block's build side. The block is
 // uncorrelated with the patterns before it, so its own scan → join
 // chain runs once per query — in whichever partition probes first,
-// partitions arriving meanwhile wait for it — and its rows are bucketed
-// by the value key (segKey) of the build slot, the same coarser-than-`=`
-// buckets the tuple opHashSeg uses: the retained link filter is the
-// semantic check. A keyless block is one bucket, "". Read-only once
-// built.
+// partitions arriving meanwhile wait for it — and its rows go into a
+// valueTable keyed by the build slot's value key (one bucket for a
+// keyless block). The buckets may be coarser than `=`: the retained
+// link filter is the semantic check. Read-only once built.
 type vecSegBuild struct {
 	buildOnce
 	seg   *segPlan
 	chain *vecChain
-
-	// keys maps a value key to its bucket in buckets; a bucket holds
-	// block rows (values of seg.slots) in the order the chain produced
-	// them.
-	keys    map[string]int32
-	buckets [][][]store.ID
+	// table holds block rows (values of seg.slots) in the order the
+	// chain produced them within each bucket.
+	table *valueTable
 }
 
-// bucket returns the block rows under value key k.
-func (b *vecSegBuild) bucket(k string) [][]store.ID {
-	if i, ok := b.keys[k]; ok {
-		return b.buckets[i]
-	}
-	return nil
-}
-
-// run runs the block's chain under cancel, then buckets its rows: each
-// distinct build-slot ID's value key is computed once, and the rows are
-// placed by counting sort into one shared backing array.
-//
-// sp2b:valuecmp buckets rows for FILTER `=` via segKey
+// run runs the block's chain under cancel, then buckets its rows.
 func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
 	pipe := linkChain(b.chain.scan, b.chain.joins, cancel)
 	pipe.open()
-	width := len(b.seg.slots)
 	var flat, keyIDs []store.ID
+	n := 0
 	for {
 		batch, err := pipe.next()
 		if err != nil {
@@ -1275,47 +1252,9 @@ func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
 				keyIDs = append(keyIDs, batch.cols[b.seg.buildSlot][r])
 			}
 		}
+		n += batch.Len()
 	}
-	n := len(flat) / width // a block binds at least one variable
-	// Assign each row its bucket, resolving each distinct ID once.
-	b.keys = map[string]int32{}
-	bucketOf := make([]int32, n)
-	var counts []int32
-	if b.seg.buildSlot < 0 {
-		if n > 0 {
-			b.keys[""] = 0
-			counts = []int32{int32(n)}
-		}
-	} else {
-		dict := b.chain.scan.c.eng.src.TermDict()
-		byID := newIDTable[int32](n) // bucket+1 per key ID
-		for r, id := range keyIDs {
-			cell := byID.at(id)
-			if *cell == 0 {
-				k := segKey(dict.Term(id))
-				i, ok := b.keys[k]
-				if !ok {
-					i = int32(len(counts))
-					b.keys[k] = i
-					counts = append(counts, 0)
-				}
-				*cell = i + 1
-			}
-			bucketOf[r] = *cell - 1
-			counts[bucketOf[r]]++
-		}
-	}
-	rows := make([][]store.ID, n)
-	b.buckets = make([][][]store.ID, len(counts))
-	off := 0
-	for i, c := range counts {
-		b.buckets[i] = rows[off : off : off+int(c)]
-		off += int(c)
-	}
-	for r := 0; r < n; r++ {
-		i := bucketOf[r]
-		b.buckets[i] = append(b.buckets[i], flat[r*width:(r+1)*width:(r+1)*width])
-	}
+	b.table = newValueTable(b.chain.scan.c.eng.src.TermDict(), flat, len(b.seg.slots), n, keyIDs)
 	if ts != nil {
 		ts.build.Store(int64(n))
 	}
@@ -1486,7 +1425,7 @@ func (v *vecLeftJoin) emit(out *Batch, t store.EncTriple, extend bool) bool {
 // side must be uncorrelated, is evaluated once as its own vec
 // pipeline, and is hashed by the canonical value key of an extracted
 // `?l = ?r` conjunct; the key conjunct stays in the residual because
-// segKey buckets may be coarser than `=`. With anti=true, matched left
+// valueKey buckets may be coarser than `=`. With anti=true, matched left
 // rows are dropped instead of extended (closed-world negation, see
 // antiJoinShape).
 func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (vecOp, error) {
@@ -1528,13 +1467,13 @@ func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (
 }
 
 // vecHashLeftJoin is OPTIONAL with an uncorrelated materialized right
-// side: build the right pipeline's rows once (hashed by value key when
-// one was extracted), then probe per left row, re-checking every
-// condition conjunct on the merged row — fast slot comparisons via the
-// shared cmpIDs core, the rest through the expression evaluator, type
-// errors rejecting the candidate exactly like the tuple path. In anti
-// mode the first passing candidate drops the left row and unmatched
-// rows pass through bare.
+// side: build the right pipeline's rows once into a valueTable (keyed
+// by the value key when one was extracted), then probe per left row,
+// re-checking every condition conjunct on the merged row — fast slot
+// comparisons via the shared cmpIDs core, the rest through the
+// expression evaluator, type errors rejecting the candidate exactly
+// like the tuple path. In anti mode the first passing candidate drops
+// the left row and unmatched rows pass through bare.
 type vecHashLeftJoin struct {
 	c           *compiled
 	left, right vecOp
@@ -1545,14 +1484,15 @@ type vecHashLeftJoin struct {
 	conds                       rowFilter
 	out                         *Batch
 
-	built   bool
-	matRows [][]store.ID
-	hash    map[string][][]store.ID
+	// table holds the right rows' rightSlots values; nil until built.
+	table *valueTable
+	probe valueProbe
+	memo  termMemo
 
 	in      *Batch
 	ipos    int
-	cands   [][]store.ID
-	cpos    int
+	cands   []store.ID // the current left row's candidates, flat
+	cpos    int        // offset of the next candidate in cands
 	probing bool
 	matched bool
 	done    bool
@@ -1564,67 +1504,49 @@ func (v *vecHashLeftJoin) open() {
 	if v.out == nil {
 		v.out = v.c.newBatch(math.Inf(1)) // no estimate: full-size batches
 	}
-	v.built = false
-	v.matRows, v.hash = nil, nil
+	v.table = nil
 	v.in, v.ipos = nil, 0
 	v.probing, v.done = false, false
 }
 
-// build drains the right pipeline once, materializing full-width rows.
-// Rows with an unbound hash key are dropped: they could never satisfy
-// the retained `=` conjunct (unbound comparison is a type error).
-//
-// sp2b:valuecmp the hash key implements FILTER `=` bucketing via segKey
+// build drains the right pipeline once, keeping each row's rightSlots
+// values. Rows with an unbound hash key are dropped: they could never
+// satisfy the retained `=` conjunct (unbound comparison is a type
+// error).
 func (v *vecHashLeftJoin) build() error {
-	if v.built {
+	if v.table != nil {
 		return nil
 	}
-	v.built = true
 	v.right.open()
-	dict := v.c.eng.src.TermDict()
-	if v.hashRightSlot >= 0 {
-		v.hash = map[string][][]store.ID{}
-	}
+	var flat, keyIDs []store.ID
+	n := 0
 	for {
 		b, err := v.right.next()
 		if err != nil {
 			return err
 		}
 		if b == nil {
-			return nil
+			break
 		}
 		for r := 0; r < b.Len(); r++ {
-			row := b.CopyRow(r, nil)
 			if v.hashRightSlot >= 0 {
-				key := row[v.hashRightSlot]
+				key := b.cols[v.hashRightSlot][r]
 				if key == store.NoID {
 					continue
 				}
-				k := segKey(dict.Term(key))
-				v.hash[k] = append(v.hash[k], row)
-			} else {
-				v.matRows = append(v.matRows, row)
+				keyIDs = append(keyIDs, key)
 			}
+			for _, s := range v.rightSlots {
+				flat = append(flat, b.cols[s][r])
+			}
+			n++
 		}
 		if err := v.c.cancel.check(); err != nil {
 			return err
 		}
 	}
-}
-
-// candidates returns the materialized rows worth probing for one left
-// row.
-//
-// sp2b:valuecmp probes the value-keyed hash built by build
-func (v *vecHashLeftJoin) candidates(leftRow []store.ID) [][]store.ID {
-	if v.hashLeftSlot < 0 {
-		return v.matRows
-	}
-	key := leftRow[v.hashLeftSlot]
-	if key == store.NoID {
-		return nil // unbound key: equality would be a type error
-	}
-	return v.hash[segKey(v.c.eng.src.TermDict().Term(key))]
+	v.table = newValueTable(v.c.eng.src.TermDict(), flat, len(v.rightSlots), n, keyIDs)
+	return nil
 }
 
 func (v *vecHashLeftJoin) next() (*Batch, error) {
@@ -1636,6 +1558,7 @@ func (v *vecHashLeftJoin) next() (*Batch, error) {
 	}
 	out := v.out
 	out.Reset()
+	w := v.table.width
 	for {
 		if err := v.c.cancel.check(); err != nil {
 			return nil, err
@@ -1663,7 +1586,11 @@ func (v *vecHashLeftJoin) next() (*Batch, error) {
 			// copied row carries NoID there; each candidate only has to
 			// overwrite those slots, and the bare emit resets them.
 			v.scratch = v.in.CopyRow(v.ipos, v.scratch)
-			v.cands = v.candidates(v.scratch)
+			key := store.NoID
+			if v.hashLeftSlot >= 0 {
+				key = v.scratch[v.hashLeftSlot]
+			}
+			v.cands = v.probe.rows(v.table, key)
 			v.cpos, v.matched = 0, false
 			v.probing = true
 		}
@@ -1671,12 +1598,12 @@ func (v *vecHashLeftJoin) next() (*Batch, error) {
 			if out.Full() {
 				return out, nil // resume mid-probe: cpos holds the position
 			}
-			cand := v.cands[v.cpos]
-			v.cpos++
-			for _, s := range v.rightSlots {
-				v.scratch[s] = cand[s]
+			cand := v.cands[v.cpos : v.cpos+w]
+			v.cpos += w
+			for j, s := range v.rightSlots {
+				v.scratch[s] = cand[j]
 			}
-			if !v.conds.pass(v.c, v.scratch) {
+			if !v.conds.pass(v.c, &v.memo, v.scratch) {
 				continue
 			}
 			v.matched = true
@@ -1706,6 +1633,7 @@ type vecFilter struct {
 	c      *compiled
 	input  vecOp
 	conds  rowFilter
+	memo   termMemo
 	selbuf []int32
 	rowbuf []store.ID
 }
@@ -1718,7 +1646,7 @@ func (f *vecFilter) next() (*Batch, error) {
 		if b == nil || err != nil {
 			return nil, err
 		}
-		applyVecFilters(f.c, b, &f.conds, &f.selbuf, &f.rowbuf)
+		applyVecFilters(f.c, b, &f.conds, &f.memo, &f.selbuf, &f.rowbuf)
 		if b.Len() > 0 {
 			return b, nil
 		}

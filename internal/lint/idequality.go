@@ -12,7 +12,7 @@ import (
 // are distinct IDs but equal values). Joins over shared variables are
 // term-identity and may compare IDs; anything implementing FILTER
 // `=`/`!=` semantics must resolve terms and compare values
-// (algebra.EqualTerms) or bucket by a canonical key (engine.segKey).
+// (algebra.EqualTerms) or bucket by a canonical key (engine.valueKey).
 // PR 5's hashed-block probing bug was exactly an ID comparison on this
 // path.
 //
@@ -68,7 +68,7 @@ func runIDEquality(pass *Pass) error {
 						return true
 					}
 					pass.Reportf(x.Pos(),
-						"%s is annotated sp2b:valuecmp but builds a map keyed by store.ID: an ID-keyed table groups by term identity, not value — key by a canonical value key (engine.segKey) instead",
+						"%s is annotated sp2b:valuecmp but builds a map keyed by store.ID: an ID-keyed table groups by term identity, not value — key by a canonical value key (engine.valueKey) instead",
 						funcName(fd))
 				}
 				return true

@@ -25,7 +25,7 @@ import (
 // than SPARQL value equality ("1" and "01" are distinct terms but equal
 // values). Code on a value-semantics path (FILTER ?a = ?b, hash keys
 // for value joins) must compare resolved terms via algebra.EqualTerms
-// or bucket by a canonical key (engine.segKey), never by ID — the
+// or bucket by a canonical key (engine.valueKey), never by ID — the
 // sp2blint idequality analyzer enforces this in annotated functions.
 type ID uint32
 
