@@ -8,35 +8,23 @@
 //	sp2bbench -scales 10k,50k,250k           # restrict document sizes
 //	sp2bbench -timeout 30m -runs 3           # the paper's full protocol
 //	sp2bbench -experiment ablation           # optimizer ablations
-//	sp2bbench -clients 8 -scales 10k         # concurrent query mix
 //	sp2bbench -experiment fig2b -gen 1000000 # generator distributions
-//	sp2bbench -endpoint http://host:8080/sparql -clients 4
+//	sp2bbench -endpoint http://host:8080/sparql
 //	                                         # benchmark a remote SPARQL endpoint
 //	sp2bbench -workdir cache -stats          # cache docs + snapshots, print footprints
-//	sp2bbench -mix lookup-heavy -clients 8 -duration 30s
-//	                                         # closed-loop workload scenario
-//	sp2bbench -mix mixed-update -rate 200 -duration 30s -report out.json
-//	                                         # open-loop (Poisson 200 QPS) incl. updates,
-//	                                         # machine-readable JSON report
+//	sp2bbench -scales 10k -report out.json   # machine-readable JSON report
 //
 // Experiments: all, table3, table4, table5, table6, table7, table8,
 // table9, fig2a, fig2b, fig2c, figures, loading, ablation, shapes.
 //
-// Workload mode (-mix) replaces the paper's per-query sweep with the
-// scenario engine: a named weighted mix (uniform, lookup-heavy,
-// join-heavy, mixed-update — or an inline "q1:9,update:1" spec) drives
-// the store closed-loop (-clients N) or open-loop (-rate QPS, Poisson
-// arrivals, latency measured from scheduled arrival so queueing delay
-// counts). Scenario runs default to the native engine at 10k scale;
-// pass -scales explicitly for more. The mixed-update mix needs the
-// update path: in-process stores commit yearly generator deltas to an
-// MVCC store, remote endpoints take them via POST /update (sp2bserve
-// -updates).
+// Every query runs on its own, one at a time, as the paper's §VI
+// protocol prescribes. Served traffic — concurrent clients, updates,
+// latency percentiles through sp2bserve — is measured by the bench
+// program at the repository root (go run ./bench).
 //
 // -report writes the full run as a schema-versioned JSON document
 // (per-cell runs with their physical plans, arithmetic and geometric
-// means per the paper's §VI rules, workload time series, environment
-// metadata).
+// means per the paper's §VI rules, environment metadata).
 //
 // The harness caches each generated document plus a binary .sp2b
 // snapshot in -workdir: the first run pays generation, the N-Triples
@@ -50,7 +38,7 @@
 // With -endpoint the harness drives any SPARQL 1.1 Protocol endpoint
 // (sp2bserve or a third-party store) instead of the in-process engines;
 // the endpoint serves its own data, so -scales is ignored and the
-// per-query table plus the concurrency summary are reported.
+// per-query table is reported.
 package main
 
 import (
@@ -61,7 +49,6 @@ import (
 	"time"
 
 	"sp2bench/internal/harness"
-	"sp2bench/internal/queries"
 )
 
 func main() {
@@ -70,7 +57,6 @@ func main() {
 		scales     = flag.String("scales", "10k,50k,250k,1M", "comma-separated scales (10k,50k,250k,1M,5M,25M)")
 		timeout    = flag.Duration("timeout", 15*time.Second, "per-query timeout (paper: 30m)")
 		runs       = flag.Int("runs", 1, "measured runs per cell (paper: 3)")
-		clients    = flag.Int("clients", 1, "concurrent clients driving the query mix (1 = sequential protocol)")
 		endpoint   = flag.String("endpoint", "", "benchmark a remote SPARQL endpoint at this URL instead of the in-process engines")
 		queryIDs   = flag.String("queries", "", "comma-separated benchmark query ids to run (default: all 17)")
 		engines    = flag.String("engines", "", "comma-separated engine configurations (default: mem,native; ablations like native-nlj and the vectorized native-vec family also accepted)")
@@ -82,12 +68,6 @@ func main() {
 		showStats  = flag.Bool("stats", false, "print the per-scale store footprint (triples, terms, index bytes) after the run")
 		analyze    = flag.Bool("analyze", false, "capture an EXPLAIN ANALYZE trace per cell on one extra unmeasured run (engine backends; traces land in the JSON report's runs[].trace)")
 		figdata    = flag.String("figdata", "", "also write gnuplot-ready per-query .dat files into this directory")
-
-		mixName  = flag.String("mix", "", "workload scenario mode: drive this query mix (uniform, lookup-heavy, join-heavy, mixed-update, or inline \"q1:9,update:1\") instead of the per-query sweep")
-		rate     = flag.Float64("rate", 0, "open-loop Poisson arrival rate in ops/sec for -mix (0 = closed loop with -clients workers)")
-		duration = flag.Duration("duration", 30*time.Second, "measured window of a -mix scenario")
-		warmup   = flag.Duration("warmup", 2*time.Second, "unrecorded warmup before a -mix scenario's measured window")
-
 		reportPath = flag.String("report", "", "write the run as a schema-versioned JSON report to this file")
 	)
 	flag.Parse()
@@ -95,7 +75,6 @@ func main() {
 	cfg := harness.DefaultConfig()
 	cfg.Timeout = *timeout
 	cfg.Runs = *runs
-	cfg.Clients = *clients
 	cfg.Seed = *seed
 	cfg.MemLimitBytes = *memLimit
 	cfg.WorkDir = *workdir
@@ -109,9 +88,6 @@ func main() {
 			if id == "" {
 				continue
 			}
-			if _, ok := queries.ByID(id); !ok {
-				fatal(fmt.Errorf("unknown benchmark query %q (want q1..q12c)", id))
-			}
 			cfg.QueryIDs = append(cfg.QueryIDs, id)
 		}
 	}
@@ -121,19 +97,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.Engines = es
-	}
-	if *mixName != "" {
-		cfg.Mix = *mixName
-		cfg.Rate = *rate
-		cfg.WorkloadWarmup = *warmup
-		cfg.WorkloadDuration = *duration
-		// The -clients default of 1 means "sequential" in sweep mode; a
-		// scenario drive distinguishes "not set" (0: mode default — one
-		// closed-loop worker, or a wide open-loop dispatch pool) from an
-		// explicit -clients 1, which is honored in both modes.
-		if !flagWasSet("clients") {
-			cfg.Clients = 0
-		}
 	}
 	if *endpoint != "" {
 		if *showStats {
@@ -147,11 +110,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.Mix != "" {
-		runWorkload(cfg, flagWasSet("scales"), *reportPath, *showStats)
-		return
-	}
-
 	switch *experiment {
 	case "fig2a", "fig2b", "fig2c", "table9":
 		if *showStats {
@@ -241,13 +199,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *experiment))
 	}
-	// RenderAll already includes the concurrency summary; every other
-	// experiment gets it appended so the drive-level CPU/memory figures
-	// are always reachable in concurrent mode.
-	if *experiment != "all" && len(rep.Mixes) > 0 {
-		fmt.Println()
-		rep.RenderConcurrency(os.Stdout)
-	}
 	if *showStats {
 		fmt.Println()
 		rep.RenderFootprints(os.Stdout)
@@ -255,60 +206,9 @@ func main() {
 	writeReport(rep, *reportPath)
 }
 
-// flagWasSet reports whether the named flag was given explicitly.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// runWorkload drives the scenario engine locally. Without an explicit
-// -scales, scenarios run the native engine at 10k only — a mix runs
-// for a wall-clock duration per (engine, scale), so the sweep default
-// of four scales times two engines would multiply a 30s scenario into
-// minutes the user did not ask for.
-func runWorkload(cfg harness.Config, scalesExplicit bool, reportPath string, showStats bool) {
-	if !scalesExplicit {
-		cfg.Scales = cfg.Scales[:1]
-	}
-	// Scenarios run the native engine only: a mix costs wall-clock time
-	// per engine, and the mem family exists for the paper's sweep
-	// comparison, not load testing. Selected by name so a reordering of
-	// DefaultEngines cannot silently swap the backend.
-	native := cfg.Engines[:0:0]
-	for _, es := range cfg.Engines {
-		if es.Name == "native" {
-			native = append(native, es)
-		}
-	}
-	if len(native) == 0 {
-		fatal(fmt.Errorf("no native engine configured for workload mode"))
-	}
-	cfg.Engines = native
-	runner, err := harness.NewRunner(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := runner.Run()
-	if err != nil {
-		fatal(err)
-	}
-	rep.RenderWorkloads(os.Stdout)
-	if showStats {
-		fmt.Println()
-		rep.RenderFootprints(os.Stdout)
-	}
-	writeReport(rep, reportPath)
-}
-
 // runEndpoint drives a remote SPARQL endpoint: the tables that need
-// local generator or loading data do not apply, so the per-query
-// results (or in -mix mode the scenario summary) and the concurrency
-// summary are rendered.
+// local generator or loading data do not apply, so only the per-query
+// results are rendered.
 func runEndpoint(cfg harness.Config, url, reportPath string) {
 	cfg.Endpoint = url
 	cfg.Scales, cfg.Engines = nil, nil
@@ -320,16 +220,8 @@ func runEndpoint(cfg harness.Config, url, reportPath string) {
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.Mix != "" {
-		rep.RenderWorkloads(os.Stdout)
-	} else {
-		rep.SortRuns()
-		rep.RenderPerQuery(os.Stdout)
-	}
-	if len(rep.Mixes) > 0 {
-		fmt.Println()
-		rep.RenderConcurrency(os.Stdout)
-	}
+	rep.SortRuns()
+	rep.RenderPerQuery(os.Stdout)
 	writeReport(rep, reportPath)
 }
 

@@ -44,9 +44,9 @@
 // total}). Queries pin a snapshot of one dataset version and never block
 // on writers; a background merger compacts accumulated inserts into a
 // new frozen generation. /stats then recomputes the footprint per
-// request and reports the generation number and base/delta split. This
-// is the server half of the harness's mixed read/write workloads
-// (sp2bbench -mix mixed-update -endpoint ...).
+// request and reports the generation number and base/delta split. The
+// service benchmark's mixed-update-250k workload (go run ./bench) drives
+// this mode.
 //
 // Three cluster modes serve a sharded dataset (sp2bgen -shards):
 //

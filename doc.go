@@ -33,18 +33,14 @@
 // indexes, CRC-checked — which every tool auto-detects and reloads
 // without re-parsing, re-interning or re-sorting.
 //
-// Beyond the paper's sequential sweep, internal/workload drives named
-// weighted query mixes (internal/queries: lookup-heavy, join-heavy,
-// mixed-update including the store's insert path, or inline
-// "q1:9,update:1" specs) under two traffic models — closed-loop worker
-// pools and open-loop Poisson arrivals whose latency includes queueing
-// delay — with warmup phases, per-bucket throughput series and
-// p50/p95/p99 tails, in process or over HTTP (sp2bserve -updates
-// serves the insert operation). Every run can be written as a
+// sp2bbench runs the paper's sequential sweep, one query at a time, in
+// process or against any SPARQL endpoint; every run can be written as a
 // schema-versioned JSON report carrying per-cell plans and the paper's
 // arithmetic and geometric means (see docs/ARCHITECTURE.md and
-// docs/QUERIES.md). Performance changes are measured with the service
-// benchmark in bench/, which drives sp2bserve over HTTP.
+// docs/QUERIES.md). Served traffic — concurrent clients, an insert
+// stream against sp2bserve -updates, per-template latency — is measured
+// by the service benchmark in bench/, which drives sp2bserve over HTTP
+// and is how performance changes are judged.
 //
 // The implementation lives under internal/; cmd/ holds the sp2bgen,
 // sp2bquery, sp2bbench and sp2bserve executables; examples/ holds

@@ -7,18 +7,13 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"path"
 	"strings"
 	"time"
 
-	"sp2bench/internal/rdf"
 	"sp2bench/internal/results"
 )
 
@@ -28,9 +23,8 @@ const maxErrorBody = 2048
 
 // Client talks to one SPARQL endpoint. It is safe for concurrent use.
 type Client struct {
-	endpoint  string
-	updateURL string
-	hc        *http.Client
+	endpoint string
+	hc       *http.Client
 }
 
 // Option customizes a Client.
@@ -42,13 +36,6 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithUpdateEndpoint sets the URL update batches are posted to. The
-// default replaces the query endpoint's path with /update — where
-// sp2bserve -updates mounts its insert operation.
-func WithUpdateEndpoint(u string) Option {
-	return func(c *Client) { c.updateURL = u }
-}
-
 // New returns a client for the endpoint URL (e.g.
 // "http://localhost:8080/sparql"). The default HTTP client has no
 // overall timeout: per-query limits come from the caller's context, as
@@ -58,7 +45,7 @@ func New(endpoint string, opts ...Option) *Client {
 		endpoint: endpoint,
 		hc: &http.Client{
 			Transport: &http.Transport{
-				// The concurrent driver keeps many connections to one
+				// A shard coordinator keeps many connections to one
 				// host; the default per-host idle cap of 2 would force
 				// reconnects under exactly that load.
 				MaxIdleConnsPerHost: 64,
@@ -136,71 +123,4 @@ func (c *Client) Count(ctx context.Context, query string) (int, error) {
 func (c *Client) Ping(ctx context.Context) error {
 	_, err := c.Query(ctx, "ASK { ?s ?p ?o }")
 	return err
-}
-
-// UpdateEndpoint returns the URL update batches are posted to. The
-// default replaces the last segment of the query endpoint's path with
-// "update", keeping any mount prefix intact — http://h/sparql →
-// http://h/update, http://h/db1/sparql → http://h/db1/update — which
-// matches where sp2bserve and path-mounted third-party stores serve
-// inserts. Derived lazily so construction never fails.
-func (c *Client) UpdateEndpoint() (string, error) {
-	if c.updateURL != "" {
-		return c.updateURL, nil
-	}
-	u, err := url.Parse(c.endpoint)
-	if err != nil {
-		return "", fmt.Errorf("deriving update URL from %q: %w", c.endpoint, err)
-	}
-	p := path.Join(path.Dir(u.Path), "update")
-	if !strings.HasPrefix(p, "/") {
-		p = "/" + p // endpoint had no path at all
-	}
-	u.Path, u.RawQuery = p, ""
-	return u.String(), nil
-}
-
-// Update posts an insert batch as application/n-triples to the update
-// endpoint and returns how many statements the server parsed — the
-// write half of the mixed read/write workloads, speaking the same
-// wire format the server's bulk loader reads.
-func (c *Client) Update(ctx context.Context, batch []rdf.Triple) (int, error) {
-	target, err := c.UpdateEndpoint()
-	if err != nil {
-		return 0, err
-	}
-	var body bytes.Buffer
-	w := rdf.NewWriter(&body)
-	for _, t := range batch {
-		if err := w.WriteTriple(t); err != nil {
-			return 0, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, &body)
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/n-triples")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrorBody))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
-		return 0, &HTTPError{StatusCode: resp.StatusCode, Status: resp.Status, Body: string(b)}
-	}
-	var ack struct {
-		Inserted int `json:"inserted"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return 0, fmt.Errorf("decoding update response: %w", err)
-	}
-	return ack.Inserted, nil
 }

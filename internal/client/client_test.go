@@ -105,26 +105,3 @@ func TestPing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUpdateEndpointDerivation(t *testing.T) {
-	cases := map[string]string{
-		"http://h:8080/sparql":    "http://h:8080/update",
-		"http://h/db1/sparql":     "http://h/db1/update",
-		"http://h/db1/sparql?x=1": "http://h/db1/update",
-		"http://h":                "http://h/update",
-	}
-	for endpoint, want := range cases {
-		got, err := New(endpoint).UpdateEndpoint()
-		if err != nil {
-			t.Errorf("%s: %v", endpoint, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("UpdateEndpoint(%s) = %s, want %s", endpoint, got, want)
-		}
-	}
-	got, err := New("http://h/sparql", WithUpdateEndpoint("http://other/u")).UpdateEndpoint()
-	if err != nil || got != "http://other/u" {
-		t.Errorf("override = %s, %v", got, err)
-	}
-}

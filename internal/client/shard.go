@@ -45,7 +45,7 @@ type ShardPredStat struct {
 
 // shardURL derives the URL of one shard data-plane route from the query
 // endpoint, keeping any mount prefix intact (http://h/sparql →
-// http://h/shard/scan), mirroring UpdateEndpoint.
+// http://h/shard/scan).
 func (c *Client) shardURL(route string, query url.Values) (string, error) {
 	u, err := url.Parse(c.endpoint)
 	if err != nil {

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,30 +156,50 @@ func TestResultStabilization(t *testing.T) {
 
 // TestConcurrentQueries verifies that a frozen store safely serves many
 // engines and queries in parallel (queries are read-only; run with -race
-// to check).
+// to check), and that concurrency changes latencies, never answers:
+// every worker's count equals a sequential Count under the same engine
+// configuration. Workers rotate over the tuple, in-memory and served
+// batch configurations and start the query list at different offsets,
+// so different queries are in flight at once.
 func TestConcurrentQueries(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
 	ctx := context.Background()
 	ids := []string{"q1", "q3b", "q9", "q10", "q11", "q12c"}
-	errs := make(chan error, len(ids)*4)
-	for w := 0; w < 4; w++ {
-		go func(opts engine.Options) {
-			eng := engine.New(s, opts)
-			for _, id := range ids {
-				q, _ := queries.ByID(id)
-				if _, err := eng.Count(ctx, q.Parse()); err != nil {
-					errs <- err
-					return
-				}
+	configs := []engine.Options{engine.Mem(), engine.Native(), engine.NativeVec()}
+	want := map[string]map[string]int{}
+	for _, opts := range configs {
+		eng := engine.New(s, opts)
+		want[opts.Name] = map[string]int{}
+		for _, id := range ids {
+			q, _ := queries.ByID(id)
+			n, err := eng.Count(ctx, q.Parse())
+			if err != nil {
+				t.Fatalf("%s %s sequential: %v", opts.Name, id, err)
 			}
-			errs <- nil
-		}(map[bool]engine.Options{true: engine.Native(), false: engine.Mem()}[w%2 == 0])
-	}
-	for w := 0; w < 4; w++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+			want[opts.Name][id] = n
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2*len(configs); w++ {
+		wg.Add(1)
+		go func(w int, opts engine.Options) {
+			defer wg.Done()
+			eng := engine.New(s, opts)
+			for i := range ids {
+				id := ids[(i+w)%len(ids)]
+				q, _ := queries.ByID(id)
+				n, err := eng.Count(ctx, q.Parse())
+				if err != nil {
+					t.Errorf("worker %d (%s) %s: %v", w, opts.Name, id, err)
+					continue
+				}
+				if n != want[opts.Name][id] {
+					t.Errorf("worker %d (%s) %s: concurrent count %d != sequential %d", w, opts.Name, id, n, want[opts.Name][id])
+				}
+			}
+		}(w, configs[w%len(configs)])
+	}
+	wg.Wait()
 }
 
 // TestNativeFastOnPointQueries pins the access-path claim: on a larger

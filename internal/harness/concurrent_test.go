@@ -1,292 +1,64 @@
 package harness
 
 import (
-	"bytes"
-	"strings"
+	"context"
+	"sync"
 	"testing"
-	"time"
 
-	"sp2bench/internal/workload"
+	"sp2bench/internal/engine"
 )
 
-// fastQueries is a query subset that completes quickly on the native
-// engine, keeping the concurrent protocol tests snappy under -race.
-var fastQueries = []string{"q1", "q2", "q3a", "q10", "q11", "q12c"}
-
-func TestConcurrentClients(t *testing.T) {
+// TestConcurrentMatchesSequential pins that concurrency changes only
+// latencies, never answers: four clients sharing one engine over the
+// same document, each through its own executor and in a rotated query
+// order, get the counts of a sequential protocol run.
+func TestConcurrentMatchesSequential(t *testing.T) {
 	cfg := miniConfig(t, nativeOnly())
-	cfg.Clients = 4
 	cfg.QueryIDs = fastQueries
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
+	seqRep, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One merged cell per query, all successful.
-	if len(rep.Runs) != len(fastQueries) {
-		t.Fatalf("merged runs = %d, want %d", len(rep.Runs), len(fastQueries))
-	}
-	for _, run := range rep.Runs {
-		if run.Outcome != Success {
-			t.Errorf("%s failed: %s %s", run.Query, run.Outcome, run.Err)
-		}
-		if run.Client != -1 {
-			t.Errorf("%s merged cell has client %d, want -1", run.Query, run.Client)
-		}
-	}
-
-	// Every client must have executed the full mix.
-	if want := 4 * len(fastQueries); len(rep.PerClient) != want {
-		t.Fatalf("per-client runs = %d, want %d", len(rep.PerClient), want)
-	}
-	perClient := map[int]int{}
-	results := map[string]int{}
-	for _, run := range rep.PerClient {
-		if run.Outcome != Success {
-			t.Errorf("client %d %s failed: %s", run.Client, run.Query, run.Err)
-		}
-		perClient[run.Client]++
-		// The store is frozen and shared: every client must see the
-		// same result count per query.
-		if prev, ok := results[run.Query]; ok && prev != run.Results {
-			t.Errorf("%s: client results diverge (%d vs %d)", run.Query, prev, run.Results)
-		}
-		results[run.Query] = run.Results
-	}
-	if len(perClient) != 4 {
-		t.Fatalf("saw %d distinct clients, want 4", len(perClient))
-	}
-	for c, n := range perClient {
-		if n != len(fastQueries) {
-			t.Errorf("client %d ran %d queries, want %d", c, n, len(fastQueries))
-		}
-	}
-
-	// The drive summary must be populated and consistent.
-	if len(rep.Mixes) != 1 {
-		t.Fatalf("mixes = %+v, want one entry", rep.Mixes)
-	}
-	m := rep.Mixes[0]
-	if m.Clients != 4 || m.Executions != 4*len(fastQueries) || m.Failures != 0 {
-		t.Errorf("mix stats off: %+v", m)
-	}
-	if m.QPS <= 0 || m.Wall <= 0 {
-		t.Errorf("throughput not measured: %+v", m)
-	}
-	if m.P50 <= 0 || m.P95 < m.P50 {
-		t.Errorf("latency percentiles inconsistent: p50=%v p95=%v", m.P50, m.P95)
-	}
-	// CPU and memory are mix-level quantities: populated on the
-	// summary, never attributed to individual executions (process-wide
-	// readings cannot be split across concurrent clients). Platforms
-	// without rusage stub cpuTimes to zero; skip the assertion there.
-	if u, s := cpuTimes(); u+s > 0 && m.User+m.Sys <= 0 {
-		t.Errorf("mix CPU not measured: %+v", m)
-	}
-	if m.MemPeak == 0 {
-		t.Errorf("mix memory peak not measured: %+v", m)
-	}
-	for _, run := range rep.PerClient {
-		if run.User != 0 || run.Sys != 0 || run.MemPeak != 0 {
-			t.Fatalf("per-execution CPU/memory must not be captured concurrently: %+v", run)
-		}
-	}
-
-	// Report shape checks still hold on the merged cells, and the
-	// renderer includes the concurrency table.
-	if v := rep.CheckShapes(); len(v) != 0 {
-		t.Errorf("shape violations under concurrency: %+v", v)
-	}
-	var buf bytes.Buffer
-	rep.RenderAll(&buf)
-	if !strings.Contains(buf.String(), "Concurrent mix") {
-		t.Error("RenderAll must include the concurrency summary")
-	}
-}
-
-// TestConcurrentMatchesSequential pins that concurrency changes only
-// latencies, never answers: the merged result counts equal a sequential
-// run's counts on the same document.
-func TestConcurrentMatchesSequential(t *testing.T) {
-	seq := miniConfig(t, nativeOnly())
-	seq.QueryIDs = fastQueries
-	rs, err := NewRunner(seq)
+	sc := cfg.Scales[0]
+	lr, err := r.load(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRep, err := rs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	es := cfg.Engines[0]
+	eng := engine.New(lr.store, es.Opts)
+	qs := r.querySet()
 
-	con := miniConfig(t, nativeOnly())
-	con.QueryIDs = fastQueries
-	con.Clients = 4
-	con.Seed = seq.Seed
-	rc, err := NewRunner(con)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ex := newEngineExecutor(es.Name, eng)
+			for i := range qs {
+				q := qs[(i+c)%len(qs)]
+				n, err := ex.Execute(context.Background(), q)
+				if err != nil {
+					t.Errorf("client %d %s: %v", c, q.ID, err)
+					continue
+				}
+				s, ok := seqRep.Run(es.Name, sc.Name, q.ID)
+				if !ok {
+					t.Errorf("%s missing from the sequential report", q.ID)
+					continue
+				}
+				if s.Outcome != Success {
+					t.Errorf("%s sequential run failed: %s %s", q.ID, s.Outcome, s.Err)
+				}
+				if n != s.Results {
+					t.Errorf("client %d %s: sequential=%d concurrent=%d", c, q.ID, s.Results, n)
+				}
+			}
+		}(c)
 	}
-	conRep, err := rc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, id := range fastQueries {
-		s, ok1 := seqRep.Run("native", "10k", id)
-		c, ok2 := conRep.Run("native", "10k", id)
-		if !ok1 || !ok2 {
-			t.Fatalf("%s missing from a report", id)
-		}
-		if s.Results != c.Results {
-			t.Errorf("%s: sequential=%d concurrent=%d", id, s.Results, c.Results)
-		}
-	}
-}
-
-func TestMergeClientRuns(t *testing.T) {
-	runs := []QueryRun{
-		{Query: "q1", Outcome: Success, Wall: 2e6, Results: 5, Client: 0},
-		{Query: "q1", Outcome: Success, Wall: 4e6, Results: 5, Client: 1},
-	}
-	m := mergeClientRuns(runs)
-	if m.Outcome != Success || m.Results != 5 || m.Client != -1 {
-		t.Fatalf("merge broken: %+v", m)
-	}
-	if m.Wall != 3e6 {
-		t.Errorf("mean wall = %v, want 3ms", m.Wall)
-	}
-
-	// A failing client poisons the cell, and the stale success count
-	// from the other client must not survive on it.
-	runs[1].Outcome = Timeout
-	runs[1].Err = "deadline"
-	m = mergeClientRuns(runs)
-	if m.Outcome != Timeout || m.Err != "deadline" || m.Results != 0 {
-		t.Errorf("worst outcome must win with no result count: %+v", m)
-	}
-
-	// Result disagreement is an execution error.
-	runs[1].Outcome = Success
-	runs[1].Results = 6
-	m = mergeClientRuns(runs)
-	if m.Outcome != ExecError || m.Results != 0 {
-		t.Errorf("diverging results must flag an error: %+v", m)
-	}
-
-	// A real failure outranks a disagreement among the remaining
-	// successes.
-	mixed := []QueryRun{
-		{Query: "q1", Outcome: Timeout, Err: "deadline", Client: 0},
-		{Query: "q1", Outcome: Success, Wall: 2e6, Results: 5, Client: 1},
-		{Query: "q1", Outcome: Success, Wall: 4e6, Results: 6, Client: 2},
-	}
-	m = mergeClientRuns(mixed)
-	if m.Outcome != Timeout || m.Err != "deadline" {
-		t.Errorf("failure must outrank result disagreement: %+v", m)
-	}
-}
-
-// TestConcurrentRunsMultiplier pins the Executions semantics: with
-// Config.Runs > 1 every repetition is an individual execution, so the
-// per-client log, the execution count and the throughput denominator
-// all scale with Runs.
-func TestConcurrentRunsMultiplier(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
-	cfg.Clients = 2
-	cfg.Runs = 3
-	cfg.QueryIDs = []string{"q1", "q11"}
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * 3 * 2 // clients × runs × queries
-	if len(rep.PerClient) != want {
-		t.Fatalf("per-client executions = %d, want %d", len(rep.PerClient), want)
-	}
-	if rep.Mixes[0].Executions != want {
-		t.Fatalf("mix executions = %d, want %d", rep.Mixes[0].Executions, want)
-	}
-	if len(rep.Runs) != 2 {
-		t.Fatalf("merged cells = %d, want 2", len(rep.Runs))
-	}
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	d := func(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
-	two := []time.Duration{d(1), d(100)}
-	if got := workload.Percentile(two, 0.50); got != d(1) {
-		t.Errorf("P50 of 2 samples = %v, want the lower median %v", got, d(1))
-	}
-	if got := workload.Percentile(two, 0.95); got != d(100) {
-		t.Errorf("P95 of 2 samples = %v, want the max %v", got, d(100))
-	}
-	twenty := make([]time.Duration, 20)
-	for i := range twenty {
-		twenty[i] = d(i + 1)
-	}
-	if got := workload.Percentile(twenty, 0.95); got != d(19) {
-		t.Errorf("P95 of 20 samples = %v, want rank 19 (%v)", got, d(19))
-	}
-	if got := workload.Percentile(twenty, 0); got != d(1) {
-		t.Errorf("P0 = %v, want the minimum", got)
-	}
-	if got := workload.Percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty sample = %v, want 0", got)
-	}
-}
-
-func TestConcurrentValidation(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
-	cfg.Clients = -1
-	if _, err := NewRunner(cfg); err == nil {
-		t.Error("negative client count must fail validation")
-	}
-}
-
-// TestConcurrentMemoryAbort pins the collapsed-drive behavior: a heap
-// limit any sample exceeds cancels the mix before (or as soon as) the
-// clients start, workers stop issuing queries instead of recording
-// synthetic post-cancellation failures, never-reached queries get a
-// MemoryExhausted cell, and the throughput figures describe successful
-// executions only.
-func TestConcurrentMemoryAbort(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
-	cfg.Clients = 4
-	cfg.QueryIDs = []string{"q4", "q5a", "q6", "q7"}
-	cfg.MemLimitBytes = 1 // the synchronous first sample always exceeds this
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rep.Mixes[0]
-	succeeded := m.Executions - m.Failures
-	if succeeded != 0 {
-		t.Fatalf("no query can succeed under a 1-byte heap limit: %+v", m)
-	}
-	if m.QPS != 0 || m.P50 != 0 || m.P95 != 0 {
-		t.Errorf("collapsed drive must not report throughput: %+v", m)
-	}
-	// Every query still has a report cell, classified as memory
-	// exhaustion (in flight or never reached).
-	if len(rep.Runs) != len(cfg.QueryIDs) {
-		t.Fatalf("merged cells = %d, want %d", len(rep.Runs), len(cfg.QueryIDs))
-	}
-	for _, run := range rep.Runs {
-		if run.Outcome != MemoryExhausted {
-			t.Errorf("%s outcome = %v, want MemoryExhausted", run.Query, run.Outcome)
-		}
-	}
+	wg.Wait()
 }

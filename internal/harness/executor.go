@@ -11,7 +11,7 @@ import (
 
 // Executor is one backend capable of running benchmark queries: an
 // in-process engine configuration or a remote SPARQL endpoint. The
-// measurement pipeline (runCell/runOnce/runConcurrent) is written
+// measurement pipeline (runCell/runOnce) is written
 // against this interface only, which is what lets the harness benchmark
 // engines it does not link against — the cross-engine posture of the
 // original SP2Bench.
@@ -21,12 +21,6 @@ type Executor interface {
 	// Execute runs q to completion and returns its solution count.
 	Execute(ctx context.Context, q queries.Query) (int, error)
 }
-
-// executorFactory builds one executor per concurrent client; sequential
-// drives call it once. Factories exist because executors are not
-// required to be safe for concurrent use (the engine executor's parse
-// cache is not).
-type executorFactory func() Executor
 
 // preparer is the optional Executor refinement for backends with
 // measurable client-side setup per query. runOnce calls Prepare before
@@ -56,8 +50,9 @@ type analyzer interface {
 
 // engineExecutor evaluates queries on an in-process engine. Parsing
 // happens in Prepare (outside the measured window) and is cached, so
-// the measured runs of the protocol (paper: 3 per cell, plus every
-// client in a concurrent mix) never pay the parser.
+// the measured runs of the protocol (paper: 3 per cell) never pay the
+// parser. The cache is not safe for concurrent use; the protocol drives
+// one executor from one goroutine.
 type engineExecutor struct {
 	name   string
 	eng    *engine.Engine

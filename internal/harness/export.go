@@ -79,22 +79,11 @@ func (rep *Report) writeQuerySeries(w io.Writer, query string, engines []string)
 			any = true
 			if run.Outcome != Success {
 				p := fmt.Sprintf("%.6f", rep.Config.PenaltySeconds)
-				usr, sys := p, p
-				if run.Client == -1 {
-					usr, sys = "-", "-"
-				}
-				row = append(row, p, usr, sys, run.Outcome.String())
+				row = append(row, p, p, p, run.Outcome.String())
 				continue
 			}
-			usr, sys := fmt.Sprintf("%.6f", run.User.Seconds()), fmt.Sprintf("%.6f", run.Sys.Seconds())
-			if run.Client == -1 {
-				// Cells merged across clients carry no per-query CPU
-				// (see runCtx); "-" keeps the columns honest for
-				// downstream plots.
-				usr, sys = "-", "-"
-			}
-			row = append(row,
-				fmt.Sprintf("%.6f", run.Wall.Seconds()), usr, sys, "Success")
+			row = append(row, fmt.Sprintf("%.6f", run.Wall.Seconds()),
+				fmt.Sprintf("%.6f", run.User.Seconds()), fmt.Sprintf("%.6f", run.Sys.Seconds()), "Success")
 		}
 		if !any {
 			continue

@@ -30,7 +30,6 @@ import (
 	"sp2bench/internal/shard"
 	"sp2bench/internal/snapshot"
 	"sp2bench/internal/store"
-	"sp2bench/internal/workload"
 )
 
 // Scale is one document size of the benchmark protocol.
@@ -282,10 +281,6 @@ type QueryRun struct {
 	Results int
 	// MemPeak is the observed heap high watermark during the run.
 	MemPeak uint64
-	// Client identifies the issuing worker in concurrent mode (see
-	// Config.Clients); -1 marks a cell merged across clients, 0 a
-	// sequential-protocol run.
-	Client int
 	// Plan is the backend's physical plan description (engine backends:
 	// BGP reorderings and per-step operator choices), captured once per
 	// cell so reports explain the numbers they carry.
@@ -331,31 +326,13 @@ type Config struct {
 	// Analyze captures an EXPLAIN ANALYZE trace per cell on one extra
 	// run outside the measured window (engine backends only).
 	Analyze bool
-	// Clients is the number of concurrent workers driving the query mix
-	// against one shared frozen store per (engine, scale) — real SPARQL
-	// endpoints serve mixed parallel workloads, not one query at a time.
-	// Values <= 1 run the paper's sequential protocol.
-	Clients int
 	// Endpoint, when non-empty, benchmarks a remote SPARQL 1.1 endpoint
 	// at that URL instead of the in-process engines: no documents are
 	// generated or loaded (the endpoint serves its own data) and every
-	// query travels over HTTP. Scales and Engines are ignored; in
-	// concurrent mode the MixStats CPU/memory figures describe this
-	// process (the driving client), not the remote server.
+	// query travels over HTTP. Scales and Engines are ignored; the
+	// user/sys and memory columns describe this process (the driving
+	// client), not the remote server.
 	Endpoint string
-	// Mix, when non-empty, switches Run to the workload scenario engine:
-	// the named built-in mix (or inline "q1:9,update:1" spec) is driven
-	// for WorkloadDuration against every (engine, scale) pair — or the
-	// remote endpoint — and the results land in Report.Workloads
-	// instead of the paper's per-query sweep.
-	Mix string
-	// Rate is the open-loop Poisson arrival rate in operations/sec for
-	// scenario mode; 0 keeps the closed loop with Clients workers.
-	Rate float64
-	// WorkloadWarmup and WorkloadDuration phase a scenario drive:
-	// warmup runs unrecorded, then the measured window.
-	WorkloadWarmup   time.Duration
-	WorkloadDuration time.Duration
 	// Seed feeds the generator.
 	Seed uint64
 	// WorkDir, when set, holds the generated documents and enables the
@@ -392,14 +369,6 @@ type Report struct {
 	GenTime  map[string]time.Duration
 	Loading  []LoadStats
 	Runs     []QueryRun
-	// PerClient holds every individual (client, query) measurement taken
-	// in concurrent mode; Runs then holds one merged cell per query.
-	PerClient []QueryRun
-	// Mixes summarizes each concurrent (engine, scale) drive.
-	Mixes []MixStats
-	// Workloads holds the scenario-engine results of a Config.Mix run,
-	// one per (engine, scale) or one for the remote endpoint.
-	Workloads []*workload.Result
 	// Footprints records each loaded store's memory footprint by scale
 	// (the sp2bbench -stats report), and Sources the representation each
 	// scale's store was actually built from ("ntriples" or "snapshot").
@@ -414,7 +383,8 @@ type Runner struct {
 	manifests map[string]*docManifest // scale name -> validated cache record
 }
 
-// NewRunner validates the configuration.
+// NewRunner validates the configuration. Unknown query IDs are an
+// error: a typo must not silently drop a query from the report.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Endpoint == "" {
 		if len(cfg.Scales) == 0 {
@@ -427,19 +397,13 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Timeout <= 0 {
 		return nil, fmt.Errorf("harness: timeout must be positive")
 	}
-	if cfg.Clients < 0 {
-		return nil, fmt.Errorf("harness: clients must be non-negative")
+	for _, id := range cfg.QueryIDs {
+		if _, ok := queries.ByID(id); !ok {
+			return nil, fmt.Errorf("harness: unknown benchmark query %q", id)
+		}
 	}
 	if cfg.Runs <= 0 {
 		cfg.Runs = 1
-	}
-	if cfg.Mix != "" {
-		if _, err := queries.ParseMix(cfg.Mix); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if cfg.WorkloadDuration <= 0 {
-			cfg.WorkloadDuration = 30 * time.Second
-		}
 	}
 	return &Runner{cfg: cfg, docs: map[string]string{}, manifests: map[string]*docManifest{}}, nil
 }
@@ -611,19 +575,11 @@ func (r *Runner) Documents(rep *Report) error {
 
 // Run executes the full protocol and returns the report. With
 // Config.Endpoint set, the protocol runs against the remote endpoint
-// instead of generating documents and driving in-process engines; with
-// Config.Mix set, the workload scenario engine drives the mix instead
-// of the per-query sweep.
+// instead of generating documents and driving in-process engines.
 //
-// sp2b:locks=write the runner is the sole owner of each scenario store during
-// setup; engine construction (which freezes) finishes before query workers start
+// sp2b:locks=write the runner is the sole owner of each loaded store; it freezes
+// the store before building any engine and runs every query sequentially on this goroutine
 func (r *Runner) Run() (*Report, error) {
-	if r.cfg.Mix != "" {
-		if r.cfg.Endpoint != "" {
-			return r.runEndpointWorkload()
-		}
-		return r.runWorkload()
-	}
 	if r.cfg.Endpoint != "" {
 		return r.runEndpoint()
 	}
@@ -648,7 +604,6 @@ func (r *Runner) Run() (*Report, error) {
 		r.progressf("loaded %s from %s in %v (%s)\n",
 			sc.Name, lr.source, (lr.parse + lr.freeze).Round(time.Millisecond), st.Footprint())
 		for _, es := range r.cfg.Engines {
-			es := es
 			// Index-using engines pay what this run actually paid
 			// (snapshot reload on a cache hit); index-free engines are
 			// modeled as re-parsing the text per query, so their column
@@ -664,19 +619,17 @@ func (r *Runner) Run() (*Report, error) {
 			// ChargeLoadToMem is set, mirroring engines without a
 			// persisted index.
 			charge := r.cfg.ChargeLoadToMem && !es.Opts.UseIndexes
-			factory := func() Executor {
-				return newEngineExecutor(es.Name, engine.New(st, es.Opts))
-			}
+			var eng *engine.Engine
 			if es.Shards > 1 {
 				rd, err := r.shardReader(sc, st, es.Shards, shardReaders)
 				if err != nil {
 					return nil, err
 				}
-				factory = func() Executor {
-					return newEngineExecutor(es.Name, engine.NewReader(rd, es.Opts))
-				}
+				eng = engine.NewReader(rd, es.Opts)
+			} else {
+				eng = engine.New(st, es.Opts)
 			}
-			r.drive(rep, factory, sc, qs, lr.textParse, charge)
+			r.drive(rep, newEngineExecutor(es.Name, eng), sc, qs, lr.textParse, charge)
 		}
 	}
 	return rep, nil
@@ -719,20 +672,13 @@ func (r *Runner) runEndpoint() (*Report, error) {
 	rep := &Report{Config: r.cfg}
 	qs := r.querySet()
 	sc := Scale{Name: "remote"}
-	c := client.New(r.cfg.Endpoint)
-	factory := func() Executor { return newEndpointExecutor(c) }
-	r.drive(rep, factory, sc, qs, 0, false)
+	r.drive(rep, newEndpointExecutor(client.New(r.cfg.Endpoint)), sc, qs, 0, false)
 	return rep, nil
 }
 
-// drive runs the query set against one backend at one scale, in the
-// sequential protocol or the concurrent mix per Config.Clients.
-func (r *Runner) drive(rep *Report, factory executorFactory, sc Scale, qs []queries.Query, parseTime time.Duration, chargeLoad bool) {
-	if r.cfg.Clients > 1 {
-		r.runConcurrent(rep, factory, sc, qs, parseTime, chargeLoad)
-		return
-	}
-	ex := factory()
+// drive runs the query set sequentially against one backend at one
+// scale.
+func (r *Runner) drive(rep *Report, ex Executor, sc Scale, qs []queries.Query, parseTime time.Duration, chargeLoad bool) {
 	for _, q := range qs {
 		run := r.runCell(ex, sc, q, parseTime, chargeLoad)
 		rep.Runs = append(rep.Runs, run)
@@ -745,13 +691,9 @@ func (r *Runner) querySet() []queries.Query {
 	if len(r.cfg.QueryIDs) == 0 {
 		return queries.All()
 	}
-	var out []queries.Query
-	for _, id := range r.cfg.QueryIDs {
-		q, ok := queries.ByID(id)
-		if !ok {
-			continue
-		}
-		out = append(out, q)
+	out := make([]queries.Query, len(r.cfg.QueryIDs))
+	for i, id := range r.cfg.QueryIDs {
+		out[i], _ = queries.ByID(id) // NewRunner rejected unknown IDs
 	}
 	return out
 }
@@ -819,20 +761,6 @@ func (r *Runner) load(sc Scale) (loadResult, error) {
 	return loadResult{store: st, parse: parse, freeze: freeze, textParse: parse, source: "ntriples"}, nil
 }
 
-// runCtx bundles the cancellation and instrumentation shared by the
-// runs of one protocol drive. Sequential runs leave memHit nil and get
-// fresh per-run instrumentation (their own memory watcher and CPU
-// deltas); a concurrent mix shares one watcher across all clients and
-// skips per-run CPU capture, because process-wide rusage and heap
-// readings cannot be attributed to a single client.
-type runCtx struct {
-	parent  context.Context
-	memHit  *atomic.Bool
-	memPeak *atomic.Uint64
-}
-
-func sequentialCtx() runCtx { return runCtx{parent: context.Background()} }
-
 // runCell measures one (backend, scale, query) cell over cfg.Runs runs
 // and keeps the average of the successful protocol (the paper averages
 // three runs).
@@ -857,7 +785,7 @@ func (r *Runner) runCell(ex Executor, sc Scale, q queries.Query, parseTime time.
 	}
 	var totalWall, totalUser, totalSys time.Duration
 	for i := 0; i < r.cfg.Runs; i++ {
-		one := r.runOnce(sequentialCtx(), ex, q)
+		one := r.runOnce(ex, q)
 		if one.Outcome != Success {
 			one.Query, one.Engine, one.Scale = q.ID, ex.Name(), sc.Name
 			one.Plan = agg.Plan
@@ -884,7 +812,10 @@ func (r *Runner) runCell(ex Executor, sc Scale, q queries.Query, parseTime time.
 	return agg
 }
 
-func (r *Runner) runOnce(rc runCtx, ex Executor, q queries.Query) QueryRun {
+// runOnce measures one execution with its own timeout, memory watcher
+// and CPU deltas: process-wide readings are per-run figures because the
+// protocol runs one query at a time.
+func (r *Runner) runOnce(ex Executor, q queries.Query) QueryRun {
 	var run QueryRun
 	// Client-side setup (the engine backend's parse) happens before the
 	// clock starts: the protocol measures evaluation.
@@ -895,30 +826,17 @@ func (r *Runner) runOnce(rc runCtx, ex Executor, q queries.Query) QueryRun {
 			return run
 		}
 	}
-	ctx, cancel := context.WithTimeout(rc.parent, r.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
 	defer cancel()
+	memHit, memPeak := watchMemory(ctx, cancel, r.cfg.MemLimitBytes)
 
-	memHit, memPeak := rc.memHit, rc.memPeak
-	perRun := memHit == nil
-	if perRun {
-		memHit, memPeak = watchMemory(ctx, cancel, r.cfg.MemLimitBytes)
-	}
-
-	var startU, startS time.Duration
-	if perRun {
-		startU, startS = cpuTimes()
-	}
+	startU, startS := cpuTimes()
 	start := time.Now()
 	n, err := ex.Execute(ctx, q)
 	run.Wall = time.Since(start)
-	if perRun {
-		endU, endS := cpuTimes()
-		run.User, run.Sys = endU-startU, endS-startS
-		// Like CPU, the heap reading is process-wide: it is a per-run
-		// measurement only when this run is the only one in flight.
-		// Concurrent drives report memory on MixStats instead.
-		run.MemPeak = memPeak.Load()
-	}
+	endU, endS := cpuTimes()
+	run.User, run.Sys = endU-startU, endS-startS
+	run.MemPeak = memPeak.Load()
 
 	var remoteTimeout *client.HTTPError
 	switch {

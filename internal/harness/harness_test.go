@@ -21,6 +21,10 @@ func miniConfig(t *testing.T, engines []EngineSpec) Config {
 	return cfg
 }
 
+// fastQueries is a query subset that completes quickly on both engine
+// families.
+var fastQueries = []string{"q1", "q2", "q3a", "q10", "q11", "q12c"}
+
 func nativeOnly() []EngineSpec {
 	all := DefaultEngines()
 	return all[1:] // native
@@ -31,6 +35,7 @@ func TestRunnerValidation(t *testing.T) {
 		{},
 		{Scales: DefaultScales()},
 		{Scales: DefaultScales(), Engines: DefaultEngines()},
+		{Scales: DefaultScales(), Engines: DefaultEngines(), Timeout: time.Second, QueryIDs: []string{"q1", "q13"}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRunner(cfg); err == nil {

@@ -11,7 +11,6 @@ import (
 
 	"sp2bench/internal/engine"
 	"sp2bench/internal/store"
-	"sp2bench/internal/workload"
 )
 
 // Machine-readable reporting: the paper's Section VI prescribes
@@ -22,7 +21,7 @@ import (
 // ReportSchema identifies the JSON report format. Consumers must
 // reject majors they do not know; additive changes stay within a
 // major.
-const ReportSchema = "sp2bench-report/2"
+const ReportSchema = "sp2bench-report/3"
 
 // JSONReport is the schema-versioned serialization of a benchmark run.
 type JSONReport struct {
@@ -43,11 +42,6 @@ type JSONReport struct {
 	// Cardinality aggregates optimizer estimate quality per engine over
 	// every traced cell (Config.Analyze runs).
 	Cardinality []CardinalityInfo `json:"cardinality,omitempty"`
-	// Concurrency summarizes closed-loop concurrent sweep drives.
-	Concurrency []MixInfo `json:"concurrency,omitempty"`
-	// Workloads holds scenario-engine results (mixes, open loop, time
-	// series) verbatim from internal/workload.
-	Workloads []*workload.Result `json:"workloads,omitempty"`
 	// Footprints and Sources record per-scale store footprint and the
 	// representation the store was built from.
 	Footprints map[string]store.Footprint `json:"footprints,omitempty"`
@@ -72,14 +66,9 @@ type ConfigInfo struct {
 	Queries         []string `json:"queries,omitempty"`
 	TimeoutSeconds  float64  `json:"timeout_seconds"`
 	Runs            int      `json:"runs"`
-	Clients         int      `json:"clients,omitempty"`
 	PenaltySeconds  float64  `json:"penalty_seconds"`
 	ChargeLoadToMem bool     `json:"charge_load_to_mem"`
 	Endpoint        string   `json:"endpoint,omitempty"`
-	Mix             string   `json:"mix,omitempty"`
-	Rate            float64  `json:"rate,omitempty"`
-	WarmupSeconds   float64  `json:"warmup_seconds,omitempty"`
-	DurationSeconds float64  `json:"duration_seconds,omitempty"`
 	Seed            uint64   `json:"seed"`
 }
 
@@ -111,7 +100,6 @@ type RunInfo struct {
 	SysSeconds  float64 `json:"sys_seconds,omitempty"`
 	Results     int     `json:"results"`
 	MemPeak     uint64  `json:"mem_peak,omitempty"`
-	Client      int     `json:"client,omitempty"`
 	// Plan records the backend's physical plan (BGP reordering and the
 	// operator chosen per join step) so a report explains its numbers.
 	Plan string `json:"plan,omitempty"`
@@ -147,19 +135,6 @@ type CardinalityInfo struct {
 	GeoMean float64 `json:"geomean_ratio"`
 }
 
-// MixInfo is one concurrent-sweep summary row.
-type MixInfo struct {
-	Engine      string        `json:"engine"`
-	Scale       string        `json:"scale"`
-	Clients     int           `json:"clients"`
-	WallSeconds float64       `json:"wall_seconds"`
-	Executions  int           `json:"executions"`
-	Failures    int           `json:"failures"`
-	QPS         float64       `json:"qps"`
-	P50         time.Duration `json:"p50_ns"`
-	P95         time.Duration `json:"p95_ns"`
-}
-
 // JSONReport builds the machine-readable form of the report.
 func (rep *Report) JSONReport() *JSONReport {
 	out := &JSONReport{
@@ -172,7 +147,6 @@ func (rep *Report) JSONReport() *JSONReport {
 			NumCPU:     runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
-		Workloads:  rep.Workloads,
 		Footprints: rep.Footprints,
 		Sources:    rep.Sources,
 	}
@@ -185,14 +159,9 @@ func (rep *Report) JSONReport() *JSONReport {
 		Queries:         cfg.QueryIDs,
 		TimeoutSeconds:  cfg.Timeout.Seconds(),
 		Runs:            cfg.Runs,
-		Clients:         cfg.Clients,
 		PenaltySeconds:  cfg.PenaltySeconds,
 		ChargeLoadToMem: cfg.ChargeLoadToMem,
 		Endpoint:        cfg.Endpoint,
-		Mix:             cfg.Mix,
-		Rate:            cfg.Rate,
-		WarmupSeconds:   cfg.WorkloadWarmup.Seconds(),
-		DurationSeconds: cfg.WorkloadDuration.Seconds(),
 		Seed:            cfg.Seed,
 	}
 	for _, sc := range cfg.Scales {
@@ -231,7 +200,7 @@ func (rep *Report) JSONReport() *JSONReport {
 			Outcome:     run.Outcome.String(),
 			WallSeconds: run.Wall.Seconds(),
 			UserSeconds: run.User.Seconds(), SysSeconds: run.Sys.Seconds(),
-			Results: run.Results, MemPeak: run.MemPeak, Client: run.Client,
+			Results: run.Results, MemPeak: run.MemPeak,
 			Plan: run.Plan, Trace: run.Trace, Err: run.Err,
 		}
 		if run.Trace != nil {
@@ -268,13 +237,6 @@ func (rep *Report) JSONReport() *JSONReport {
 			Engine: m.Engine, Scale: m.Scale,
 			Arithmetic: m.Arithmetic, Geometric: m.Geometric,
 			MemMeanBytes: m.MemMeanBytes, Queries: m.Queries, Failures: m.Failures,
-		})
-	}
-	for _, m := range rep.Mixes {
-		out.Concurrency = append(out.Concurrency, MixInfo{
-			Engine: m.Engine, Scale: m.Scale, Clients: m.Clients,
-			WallSeconds: m.Wall.Seconds(), Executions: m.Executions,
-			Failures: m.Failures, QPS: m.QPS, P50: m.P50, P95: m.P95,
 		})
 	}
 	return out

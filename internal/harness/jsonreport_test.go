@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sp2bench/internal/workload"
 )
 
 func TestJSONReportRoundTrip(t *testing.T) {
@@ -26,16 +24,9 @@ func TestJSONReportRoundTrip(t *testing.T) {
 		rep.Runs = append(rep.Runs, QueryRun{Query: c.query, Engine: "native", Scale: c.scale, Wall: c.wall})
 	}
 	rep.Loading = []LoadStats{{Scale: "10k", Engine: "native", Wall: time.Second, Triples: 10000, Source: "snapshot"}}
-	rep.Mixes = []MixStats{{Engine: "native", Scale: "10k", Clients: 4, Wall: time.Second, Executions: 100, QPS: 100, P50: time.Millisecond}}
-	rep.Workloads = []*workload.Result{{
-		Mix: "lookup-heavy", Target: "native", Scale: "10k", Mode: "open-loop",
-		TargetRate: 200, Throughput: 180, Ops: 5400,
-		PerQuery: []workload.QueryStats{{ID: "q1", Count: 100, GeoMeanSeconds: 0.002, P95: 3 * time.Millisecond}},
-		Series:   []workload.Bucket{{Start: 0, Completions: 180}},
-	}}
 
 	j := rep.JSONReport()
-	if j.Schema != ReportSchema {
+	if j.Schema != "sp2bench-report/3" {
 		t.Fatalf("schema %q", j.Schema)
 	}
 	var buf bytes.Buffer
@@ -57,14 +48,8 @@ func TestJSONReportRoundTrip(t *testing.T) {
 			t.Fatalf("means row %d: %+v vs %+v", i, m, j.Means[i])
 		}
 	}
-	if len(back.Loading) != 1 || len(back.Concurrency) != 1 {
-		t.Fatal("loading or concurrency rows lost in round trip")
-	}
-	if len(back.Workloads) != 1 || back.Workloads[0].PerQuery[0].GeoMeanSeconds != 0.002 {
-		t.Fatal("workload results lost in round trip")
-	}
-	if back.Workloads[0].Series[0].Completions != 180 {
-		t.Fatal("time series lost in round trip")
+	if len(back.Loading) != 1 || back.Loading[0] != j.Loading[0] {
+		t.Fatal("loading rows lost in round trip")
 	}
 }
 
@@ -86,8 +71,8 @@ func TestJSONReportRecordsPlan(t *testing.T) {
 	if err := rep.JSONReport().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"schema": "sp2bench-report/2"`) {
-		t.Fatalf("report does not declare sp2bench-report/2:\n%.200s", buf.String())
+	if !strings.Contains(buf.String(), `"schema": "sp2bench-report/3"`) {
+		t.Fatalf("report does not declare sp2bench-report/3:\n%.200s", buf.String())
 	}
 	var back struct {
 		Runs []struct {

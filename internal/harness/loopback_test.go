@@ -5,9 +5,11 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
+	"sp2bench/internal/client"
 	"sp2bench/internal/engine"
 	"sp2bench/internal/gen"
 	"sp2bench/internal/queries"
@@ -19,8 +21,8 @@ import (
 // native engine is served over HTTP by internal/server, the harness
 // benchmarks that endpoint through internal/client, and every benchmark
 // query's result count at 10k scale matches the in-process engine —
-// first under the sequential protocol, then under the concurrent
-// driver.
+// first under the sequential protocol, then with concurrent clients
+// sharing the server.
 func TestLoopbackEndpointEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 10k document and runs the full query set twice over HTTP")
@@ -78,38 +80,34 @@ func TestLoopbackEndpointEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEndpointRuns(t, rep, inproc, 0)
+		checkEndpointRuns(t, rep, inproc)
 	})
 
+	// Three clients, each with its own connection, start the query list
+	// at different offsets so different queries are in flight at once;
+	// concurrency may change latencies, never answers.
 	t.Run("concurrent", func(t *testing.T) {
-		ccfg := cfg
-		ccfg.Clients = 3
-		runner, err := NewRunner(ccfg)
-		if err != nil {
-			t.Fatal(err)
+		qs := queries.All()
+		var wg sync.WaitGroup
+		for c := 0; c < 3; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				ex := newEndpointExecutor(client.New(ts.URL))
+				for i := range qs {
+					q := qs[(i+c)%len(qs)]
+					n, err := ex.Execute(context.Background(), q)
+					if err != nil {
+						t.Errorf("client %d %s: %v", c, q.ID, err)
+						continue
+					}
+					if n != inproc[q.ID] {
+						t.Errorf("client %d %s: endpoint count %d != in-process count %d", c, q.ID, n, inproc[q.ID])
+					}
+				}
+			}(c)
 		}
-		rep, err := runner.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkEndpointRuns(t, rep, inproc, 3)
-		if len(rep.Mixes) != 1 {
-			t.Fatalf("mixes = %d, want 1", len(rep.Mixes))
-		}
-		mix := rep.Mixes[0]
-		if mix.Clients != 3 || mix.Engine != "endpoint" {
-			t.Errorf("mix = %+v", mix)
-		}
-		wantExec := 3 * len(queries.All())
-		if mix.Executions != wantExec {
-			t.Errorf("executions = %d, want %d", mix.Executions, wantExec)
-		}
-		if mix.Failures != 0 {
-			t.Errorf("failures = %d", mix.Failures)
-		}
-		if len(rep.PerClient) != wantExec {
-			t.Errorf("per-client records = %d, want %d", len(rep.PerClient), wantExec)
-		}
+		wg.Wait()
 	})
 }
 
@@ -144,9 +142,9 @@ func TestRemoteServerTimeoutClassifiedAsTimeout(t *testing.T) {
 	}
 }
 
-// checkEndpointRuns asserts one successful merged cell per benchmark
-// query whose count matches the in-process ground truth.
-func checkEndpointRuns(t *testing.T, rep *Report, inproc map[string]int, clients int) {
+// checkEndpointRuns asserts one successful cell per benchmark query
+// whose count matches the in-process ground truth.
+func checkEndpointRuns(t *testing.T, rep *Report, inproc map[string]int) {
 	t.Helper()
 	if len(rep.Runs) != len(queries.All()) {
 		t.Fatalf("runs = %d, want %d", len(rep.Runs), len(queries.All()))

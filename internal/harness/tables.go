@@ -146,16 +146,9 @@ func (rep *Report) RenderMeans(w io.Writer, engines ...string) {
 		if len(engines) > 0 && !keep[m.Engine] {
 			continue
 		}
-		mem := fmt.Sprintf("%12.1f", m.MemMeanBytes/1e6)
-		if len(rep.Mixes) > 0 {
-			mem = fmt.Sprintf("%12s", "n/a")
-		}
-		fmt.Fprintf(w, "%-18s %-7s %12.3f %12.4f %s %6d/%2d\n",
-			m.Engine, m.Scale, m.Arithmetic, m.Geometric, mem,
+		fmt.Fprintf(w, "%-18s %-7s %12.3f %12.4f %12.1f %6d/%2d\n",
+			m.Engine, m.Scale, m.Arithmetic, m.Geometric, m.MemMeanBytes/1e6,
 			m.Failures, m.Queries)
-	}
-	if len(rep.Mixes) > 0 {
-		fmt.Fprintln(w, "(concurrent mode: memory is a process-level quantity; see the concurrent mix table)")
 	}
 }
 
@@ -171,44 +164,22 @@ func (rep *Report) RenderLoading(w io.Writer) {
 
 // RenderFootprints writes the per-scale store footprint table behind
 // sp2bbench -stats: triples, dictionary terms, and approximate index
-// and term-data bytes, plus the source each scale was loaded from. A
-// footprint from a live MVCC deployment grows generation and base/delta
-// columns; static loads show generation 0 with everything in the base.
+// and term-data bytes, plus the source each scale was loaded from.
 func (rep *Report) RenderFootprints(w io.Writer) {
 	if len(rep.Footprints) == 0 {
 		return
 	}
-	generational := false
-	for _, f := range rep.Footprints {
-		if f.Generation > 0 || f.DeltaTriples > 0 {
-			generational = true
-		}
-	}
 	fmt.Fprintln(w, "Store footprint")
-	if generational {
-		fmt.Fprintf(w, "%-7s %12s %12s %14s %14s %4s %12s %12s %13s  %s\n",
-			"scale", "triples", "terms", "index [MiB]", "terms [MiB]",
-			"gen", "base", "delta", "delta [MiB]", "source")
-	} else {
-		fmt.Fprintf(w, "%-7s %12s %12s %14s %14s  %s\n",
-			"scale", "triples", "terms", "index [MiB]", "terms [MiB]", "source")
-	}
+	fmt.Fprintf(w, "%-7s %12s %12s %14s %14s  %s\n",
+		"scale", "triples", "terms", "index [MiB]", "terms [MiB]", "source")
 	for _, sc := range reportScales(rep) {
 		f, ok := rep.Footprints[sc.Name]
 		if !ok {
 			continue
 		}
-		if generational {
-			fmt.Fprintf(w, "%-7s %12d %12d %14.1f %14.1f %4d %12d %12d %13.1f  %s\n",
-				sc.Name, f.Triples, f.Terms,
-				float64(f.IndexBytes)/(1<<20), float64(f.TermBytes)/(1<<20),
-				f.Generation, f.BaseTriples, f.DeltaTriples,
-				float64(f.DeltaBytes)/(1<<20), rep.Sources[sc.Name])
-		} else {
-			fmt.Fprintf(w, "%-7s %12d %12d %14.1f %14.1f  %s\n",
-				sc.Name, f.Triples, f.Terms,
-				float64(f.IndexBytes)/(1<<20), float64(f.TermBytes)/(1<<20), rep.Sources[sc.Name])
-		}
+		fmt.Fprintf(w, "%-7s %12d %12d %14.1f %14.1f  %s\n",
+			sc.Name, f.Triples, f.Terms,
+			float64(f.IndexBytes)/(1<<20), float64(f.TermBytes)/(1<<20), rep.Sources[sc.Name])
 	}
 }
 
@@ -237,13 +208,6 @@ func (rep *Report) RenderPerQuery(w io.Writer) {
 				}
 				if run.Outcome != Success {
 					fmt.Fprintf(w, " | %-28s", run.Outcome.String())
-					continue
-				}
-				if run.Client == -1 {
-					// Cells merged across clients carry no per-query
-					// CPU (see runCtx); drive-level CPU lives on
-					// MixStats.
-					fmt.Fprintf(w, " | %8.4f %8s %8s ", run.Wall.Seconds(), "n/a", "n/a")
 					continue
 				}
 				fmt.Fprintf(w, " | %8.4f %8.4f %8.4f ",
@@ -318,10 +282,6 @@ func (rep *Report) RenderAll(w io.Writer) {
 	rep.RenderLoading(w)
 	fmt.Fprintln(w)
 	rep.RenderPerQuery(w)
-	if len(rep.Mixes) > 0 {
-		fmt.Fprintln(w)
-		rep.RenderConcurrency(w)
-	}
 }
 
 // ExpectedShapes documents the paper's structural expectations used by

@@ -290,9 +290,8 @@ func generated(t *testing.T, triples int64) (*store.Store, []byte, *gen.Stats) {
 	return s, buf.Bytes(), stats
 }
 
-// updateBatches continues the generator timeline past the base document,
-// like workload.UpdateBatches (not imported to keep this package's test
-// dependencies on the storage layer).
+// updateBatches continues the generator timeline past the base document
+// with gen.UpdateStream: one insert batch per year after endYear.
 func updateBatches(t *testing.T, seed uint64, endYear, n int) [][]rdf.Triple {
 	t.Helper()
 	p := gen.DefaultParams(0)
