@@ -491,43 +491,6 @@ func BenchmarkQueries(b *testing.B) {
 	}
 }
 
-// --- Ablations: the optimizer design choices -------------------------------
-
-// BenchmarkAblation isolates each native-engine optimization on the
-// queries the paper's optimization discussion singles out: Q3a (filter
-// pushing / index choice), Q4 (join reordering), Q5a (implicit join),
-// Q6 (hash left join), Q8 (filter decomposition).
-func BenchmarkAblation(b *testing.B) {
-	s := loadedStore(b, 50_000)
-	for _, qid := range []string{"q3a", "q4", "q5a", "q6", "q8"} {
-		q, ok := queries.ByID(qid)
-		if !ok {
-			b.Fatalf("unknown query %s", qid)
-		}
-		pq := q.Parse()
-		for _, es := range harness.AblationEngines() {
-			es := es
-			// The scan-based ablation on the blow-up queries is the
-			// paper's timeout case; skip it at bench scale.
-			if !es.Opts.UseIndexes && qid != "q3a" {
-				continue
-			}
-			b.Run(qid+"/"+es.Name, func(b *testing.B) {
-				eng := engine.New(s, es.Opts)
-				var n int
-				for i := 0; i < b.N; i++ {
-					var err error
-					n, err = eng.Count(context.Background(), pq)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(n), "results")
-			})
-		}
-	}
-}
-
 // --- extension workloads (paper Section VII proposals) ----------------------
 
 // BenchmarkExtensionAggregates runs the aggregate query catalog (the

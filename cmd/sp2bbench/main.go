@@ -7,7 +7,6 @@
 //	sp2bbench -experiment table5             # one experiment
 //	sp2bbench -scales 10k,50k,250k           # restrict document sizes
 //	sp2bbench -timeout 30m -runs 3           # the paper's full protocol
-//	sp2bbench -experiment ablation           # optimizer ablations
 //	sp2bbench -experiment fig2b -gen 1000000 # generator distributions
 //	sp2bbench -endpoint http://host:8080/sparql
 //	                                         # benchmark a remote SPARQL endpoint
@@ -15,7 +14,7 @@
 //	sp2bbench -scales 10k -report out.json   # machine-readable JSON report
 //
 // Experiments: all, table3, table4, table5, table6, table7, table8,
-// table9, fig2a, fig2b, fig2c, figures, loading, ablation, shapes.
+// table9, fig2a, fig2b, fig2c, figures, loading, shapes.
 //
 // Every query runs on its own, one at a time, as the paper's §VI
 // protocol prescribes. Served traffic — concurrent clients, updates,
@@ -59,7 +58,7 @@ func main() {
 		runs       = flag.Int("runs", 1, "measured runs per cell (paper: 3)")
 		endpoint   = flag.String("endpoint", "", "benchmark a remote SPARQL endpoint at this URL instead of the in-process engines")
 		queryIDs   = flag.String("queries", "", "comma-separated benchmark query ids to run (default: all 17)")
-		engines    = flag.String("engines", "", "comma-separated engine configurations (default: mem,native; ablations like native-nlj and the vectorized native-vec family also accepted)")
+		engines    = flag.String("engines", "", "comma-separated engine configurations: mem, native, or shardN-<engine> (default: mem,native)")
 		seed       = flag.Uint64("seed", 1, "generator seed")
 		memLimit   = flag.Uint64("memlimit", 0, "heap limit in bytes (0 = off)")
 		workdir    = flag.String("workdir", "", "directory caching generated documents and their .sp2b snapshots")
@@ -133,12 +132,6 @@ func main() {
 			harness.RenderTableIX(os.Stdout, stats)
 		}
 		return
-	case "ablation":
-		if *engines != "" {
-			fmt.Fprintln(os.Stderr, "sp2bbench: -engines given, keeping that selection for the ablation run")
-		} else {
-			cfg.Engines = harness.AblationEngines()
-		}
 	}
 
 	runner, err := harness.NewRunner(cfg)
@@ -183,7 +176,7 @@ func main() {
 		rep.RenderTableVIII(os.Stdout)
 	case "loading":
 		rep.RenderLoading(os.Stdout)
-	case "figures", "ablation":
+	case "figures":
 		rep.RenderPerQuery(os.Stdout)
 	case "shapes":
 		if v := rep.CheckShapes(); len(v) > 0 {

@@ -7,7 +7,6 @@
 //	sp2bquery -d doc.sp2b -id q8                # same, from a binary snapshot
 //	sp2bquery -d doc.nt -q my.sparql            # run a query from a file
 //	sp2bquery -d doc.nt -id q4 -engine mem      # use the in-memory engine
-//	sp2bquery -d doc.nt -id q4 -engine native   # tuple executor (default: native-vec, the batch executor)
 //	sp2bquery -d doc.nt -id q2 -count           # print only the count
 //	sp2bquery -d doc.nt -id q1 -format json     # SPARQL JSON results
 //	sp2bquery -d doc.nt -id q2 -analyze         # EXPLAIN ANALYZE operator trace
@@ -32,7 +31,6 @@ import (
 
 	"sp2bench/internal/core"
 	"sp2bench/internal/engine"
-	"sp2bench/internal/harness"
 	"sp2bench/internal/queries"
 	"sp2bench/internal/results"
 	"sp2bench/internal/sparql"
@@ -43,7 +41,7 @@ func main() {
 		data      = flag.String("d", "", "document to load: N-Triples or .sp2b snapshot (required)")
 		queryFile = flag.String("q", "", "file containing a SPARQL query")
 		queryID   = flag.String("id", "", "benchmark query id (q1..q12c)")
-		engName   = flag.String("engine", "native-vec", "engine configuration (native-vec, native, mem, or any ablation name)")
+		engName   = flag.String("engine", engine.Native().Name, "engine configuration: native or mem")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "query timeout")
 		countOnly = flag.Bool("count", false, "print only the result count")
 		explain   = flag.Bool("explain", false, "print the physical plan")
@@ -64,16 +62,10 @@ func main() {
 		fatal(err)
 	}
 
-	// Resolve against the harness registry so every named configuration
-	// (native, mem, the ablations, native-vec and its variants) works here.
-	specs, err := harness.ParseEngines(*engName)
+	opts, err := engine.ByName(*engName)
 	if err != nil {
 		fatal(err)
 	}
-	if len(specs) != 1 {
-		fatal(fmt.Errorf("need exactly one engine, got %q", *engName))
-	}
-	opts := specs[0].Opts
 
 	text, err := queryText(*queryFile, *queryID)
 	if err != nil {

@@ -8,16 +8,14 @@
 //	sp2bserve -d doc.nt                          # serve doc.nt on :8080
 //	sp2bserve -d doc.sp2b                        # serve a binary snapshot (auto-detected)
 //	sp2bserve -gen 50000                         # generate 50k triples in memory and serve them
-//	sp2bserve -d doc.nt -engine native           # tuple-at-a-time executor instead of the batch one
 //	sp2bserve -d doc.nt -addr :9090 -engine mem  # in-memory engine family
 //	sp2bserve -d doc.nt -timeout 30s -max-concurrent 16
 //	sp2bserve -gen 50000 -debug-addr :6060       # pprof + /metrics side listener
 //
-// Queries run on the native-vec engine by default: the batch-at-a-time
+// Queries run on the native engine by default: the batch-at-a-time
 // executor with partitioned parallel scans, falling back per query to
-// the tuple operators for forms it does not cover (-engine native
-// serves everything with the tuple operators, -engine mem with the
-// paper's unindexed in-memory family).
+// the tuple operators for forms it does not cover (-engine mem serves
+// the paper's unindexed in-memory family instead).
 //
 // The -d input may be N-Triples text or an .sp2b snapshot (written by
 // sp2bgen -o doc.sp2b); the format is sniffed from the magic bytes, and
@@ -111,7 +109,7 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "side listener for /debug/pprof/, /debug/vars and /metrics (empty = off)")
 		data      = flag.String("d", "", "document to serve: N-Triples or .sp2b snapshot")
 		genSize   = flag.Int64("gen", 0, "generate a document of this many triples instead of loading one")
-		engName   = flag.String("engine", "native-vec", "engine: native-vec (batch executor), native (tuple executor) or mem")
+		engName   = flag.String("engine", engine.Native().Name, "engine: native or mem")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-query evaluation limit (0 = none)")
 		maxConc   = flag.Int("max-concurrent", 2*runtime.GOMAXPROCS(0), "max in-flight queries (0 = unlimited)")
 		seed      = flag.Uint64("seed", 1, "generator seed (with -gen)")
@@ -140,16 +138,9 @@ func main() {
 		fatal(errors.New("coordinator modes are read-only: -updates is not supported with -shards or -shard-endpoints"))
 	}
 
-	var opts engine.Options
-	switch *engName {
-	case "native-vec":
-		opts = core.NativeVec()
-	case "native":
-		opts = core.Native()
-	case "mem":
-		opts = core.Mem()
-	default:
-		fatal(fmt.Errorf("unknown engine %q (want one of native-vec, native, mem)", *engName))
+	opts, err := engine.ByName(*engName)
+	if err != nil {
+		fatal(err)
 	}
 
 	// The listener comes up before the document loads so orchestrators

@@ -68,13 +68,9 @@ type Options = engine.Options
 func Mem() engine.Options { return engine.Mem() }
 
 // Native returns the native engine configuration (indexes, reordering,
-// filter pushing, hash left joins) — the stand-in for the paper's
-// Sesame-DB/Virtuoso family.
+// filter pushing, hash left joins, the batch executor) — the stand-in
+// for the paper's Sesame-DB/Virtuoso family.
 func Native() engine.Options { return engine.Native() }
-
-// NativeVec returns the native configuration with the vectorized
-// batch-at-a-time executor enabled for covered SELECT queries.
-func NativeVec() engine.Options { return engine.NativeVec() }
 
 // DB is a loaded document plus one engine configuration over it.
 type DB struct {

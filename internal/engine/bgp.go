@@ -227,11 +227,10 @@ func (b *bgpIter) clearBound(d int) {
 // buildBGP compiles a BGP, optionally reordering its patterns and placing
 // the given filter conjuncts (nil when the BGP has no governing FILTER).
 // A BGP with no variables bound from outside runs as the batch
-// executor's scan → join chain (planVecBGP) behind a row adapter,
-// whether or not Options.Vectorized is set, whenever the batch path
-// covers it; the nested-loop backtracker serves the rest — engines
-// without indexes (mem, -noindex) and correlated BGPs, which are
-// re-opened per parent row and profit from plain index probes.
+// executor's scan → join chain (planVecBGP) behind a row adapter
+// whenever the batch path covers it; the nested-loop backtracker serves
+// the rest — the mem engine and correlated BGPs, which are re-opened
+// per parent row and profit from plain index probes.
 func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (subplan, error) {
 	if len(outer) == 0 && c.vecDeclineBGP(patterns, conjuncts) == "" {
 		op, n := c.planVecBGP(patterns, conjuncts)
@@ -316,7 +315,7 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 	// ordered keeps the variables: the steps bind every slot, pinned ones
 	// included, and filter placement follows those bindings.
 	plan, ordered := planned, patterns
-	if c.eng.opts.ReorderPatterns && len(patterns) > 1 {
+	if c.eng.opts.UseIndexes && len(patterns) > 1 {
 		plan = c.reorder(planned, outer)
 		ordered = plan
 		if len(pins) > 0 {
@@ -395,9 +394,10 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 // ?v's positions on the IRI's dictionary ID is exactly the filter. A
 // literal constant is never pinned: `=` compares literals by value
 // ("1" = "01"^^xsd:integer). Two different IRIs pinned on one variable
-// make the BGP empty. Pinning is filter pushing, so it needs PushFilters.
+// make the BGP empty. Pinning is filter pushing, which only the native
+// family does.
 func (c *compiled) pinEqualities(b *bgpIter, conjuncts []sparql.Expr, bgpVars map[string]bool, outer []string) (map[string]rdf.Term, []sparql.Expr) {
-	if !c.eng.opts.PushFilters || len(conjuncts) == 0 {
+	if !c.eng.opts.UseIndexes || len(conjuncts) == 0 {
 		return nil, conjuncts
 	}
 	outerSet := toSet(outer)
@@ -511,7 +511,7 @@ func (c *compiled) fallbackTraceSteps(ordered []sparql.TriplePattern, outer []st
 // OPTIONAL never reach this path — they become LeftJoin conditions during
 // translation.
 func (c *compiled) placement(steps []patternStep, ordered []sparql.TriplePattern, vars []string, outerOnly map[string]bool) int {
-	if !c.eng.opts.PushFilters {
+	if !c.eng.opts.UseIndexes {
 		return len(steps) - 1
 	}
 	need := map[string]bool{}

@@ -100,12 +100,12 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 			sc.ShardCount(), sc.ShardCount()))
 	}
 	collectPlanVars(plan, c)
-	// The vectorized path serves SELECT and ASK; aggregates consume the
+	// The batch path serves SELECT and ASK; aggregates consume the
 	// core pattern through their own grouping loop. Construct/Describe
 	// reuse Query's SELECT core, so they inherit the batch path
 	// transparently. An ASK runs as its pattern under LIMIT 1: the first
 	// non-empty batch answers it, trimmed to the one solution it proves.
-	if e.opts.Vectorized && !q.IsAggregate() && (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) {
+	if !q.IsAggregate() && (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) {
 		vplan := plan
 		if q.Form == sparql.FormAsk {
 			vplan = &algebra.SliceNode{Input: plan, Offset: -1, Limit: 1}
@@ -263,7 +263,7 @@ func (c *compiled) buildNode(n algebra.Node, outer []string) (subplan, error) {
 		return &unionIter{left: left, right: right}, nil
 	case *algebra.FilterNode:
 		// Filter over a BGP: the filter-pushing entry point.
-		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
+		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.UseIndexes {
 			return c.buildBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond), outer)
 		}
 		input, err := c.build(node.Input, outer)
@@ -327,7 +327,7 @@ func (c *compiled) buildLeftJoin(node *algebra.LeftJoinNode, outer []string) (su
 	lj := &leftJoinIter{c: c, left: left, right: right, cond: node.Cond}
 	lj.hashLeftSlot, lj.hashRightSlot = -1, -1
 
-	if c.eng.opts.HashLeftJoins && isUncorrelated(node.Right, node.Left.Vars(), outer) {
+	if c.eng.opts.UseIndexes && isUncorrelated(node.Right, node.Left.Vars(), outer) {
 		lj.materializeRight = true
 		// Detect hash keys: top-level cond conjuncts `?l = ?r` with one
 		// side bound only on the left and the other only on the right.

@@ -102,8 +102,8 @@ func storeAndSnapshot(t *testing.T, triples int64) []namedReader {
 // TestCompilePlansOnce: compiling a query opens each index range of its
 // plan exactly once — the ranges on its batch chains' EXPLAIN lines,
 // whether the batch path covers the query (no tuple tree is planned
-// beside it) or the tuple operators run it (their outer-free BGPs are
-// the same chains). Both hold over a plain store and over an MVCC
+// beside it) or it falls back to the tuple operators (their outer-free
+// BGPs are the same chains). Both hold over a plain store and over an MVCC
 // snapshot with a live delta, where every range a delta touches is a
 // freshly merged slice.
 func TestCompilePlansOnce(t *testing.T) {
@@ -111,7 +111,7 @@ func TestCompilePlansOnce(t *testing.T) {
 		// Q5a's disconnected block, Q10's and Q11's unit BGPs and Q12a's
 		// ASK included.
 		for _, id := range []string{"q1", "q3b", "q5a", "q5b", "q6", "q10", "q11", "q12a"} {
-			plan, cr := explainCounting(t, src.r, engine.NativeVec(), id)
+			plan, cr := explainCounting(t, src.r, engine.Native(), id)
 			if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
 				t.Errorf("%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
 					src.name, id, cr.ranges.Load(), want, plan)
@@ -120,21 +120,46 @@ func TestCompilePlansOnce(t *testing.T) {
 				t.Errorf("%s/%s: a batch plan also planned tuple operators:\n%s", src.name, id, plan)
 			}
 		}
-		// Q7 and Q8 fall back to the tuple operators on the batch
-		// engine and run on them on the tuple engine; either way their
-		// outer-free BGPs compile to the same batch chains, each range
-		// opened once.
-		for _, opts := range []engine.Options{engine.Native(), engine.NativeVec()} {
-			for _, id := range []string{"q7", "q8"} {
-				plan, cr := explainCounting(t, src.r, opts, id)
-				if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
-					t.Errorf("%s/%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
-						src.name, opts.Name, id, cr.ranges.Load(), want, plan)
-				}
-				if strings.Contains(plan, "bgp operators:") {
-					t.Errorf("%s/%s/%s: a plan shows a tuple BGP operator line:\n%s", src.name, opts.Name, id, plan)
-				}
+		// Q7 and Q8 fall back to the tuple operators, whose outer-free
+		// BGPs compile to the same batch chains, each range opened once.
+		for _, id := range []string{"q7", "q8"} {
+			plan, cr := explainCounting(t, src.r, engine.Native(), id)
+			if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
+				t.Errorf("%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
+					src.name, id, cr.ranges.Load(), want, plan)
 			}
+			if strings.Contains(plan, "bgp operators:") {
+				t.Errorf("%s/%s: a plan shows a tuple BGP operator line:\n%s", src.name, id, plan)
+			}
+		}
+	}
+}
+
+// TestTupleFallbackSet pins which paper queries the native engine runs
+// on the tuple operators: exactly Q7, Q8 and Q12b say "vec: tuple
+// fallback", and every other query runs on batch operators. Work that
+// moves a query onto the batch operators shrinks the set here on
+// purpose. Mem never plans a batch chain.
+func TestTupleFallbackSet(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	fallback := map[string]bool{"q7": true, "q8": true, "q12b": true}
+	for _, q := range queries.All() {
+		plan, err := engine.New(s, engine.Native()).Explain(q.Parse())
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if got := strings.Contains(plan, "vec: tuple fallback"); got != fallback[q.ID] {
+			t.Errorf("native/%s: tuple fallback = %v, want %v:\n%s", q.ID, got, fallback[q.ID], plan)
+		}
+		if !fallback[q.ID] && !strings.Contains(plan, "vec operators:") {
+			t.Errorf("native/%s: no batch operators:\n%s", q.ID, plan)
+		}
+		plan, err = engine.New(s, engine.Mem()).Explain(q.Parse())
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if strings.Contains(plan, "vec operators:") {
+			t.Errorf("mem/%s: plans batch operators:\n%s", q.ID, plan)
 		}
 	}
 }

@@ -1,31 +1,31 @@
-// Package engine evaluates SPARQL queries over a store.Store using
-// pull-based (Volcano-style) operators, which give ASK queries and LIMIT
-// clauses early termination for free — behaviour the paper calls out as
-// missing in the engines it benchmarks (Q12a discussion).
+// Package engine evaluates SPARQL queries over a store.Store. Its
+// operators stop early for ASK queries and LIMIT clauses — behaviour the
+// paper calls out as missing in the engines it benchmarks (Q12a
+// discussion).
 //
 // It serves both engine families the paper compares:
 //
 //   - Mem (ARQ / Sesame-memory stand-in): triple patterns are matched by
-//     scanning the full triple slice, patterns evaluate in query order, and
-//     filters run where the query wrote them.
+//     scanning the full triple slice, patterns evaluate in query order,
+//     filters run where the query wrote them, and every operator is a
+//     tuple-at-a-time (Volcano) iterator.
 //   - Native (Sesame-DB / Virtuoso stand-in): patterns use the store's
 //     SPO/POS/OSP indexes, BGPs are reordered by estimated selectivity,
 //     filter conjuncts are pushed to the earliest step that binds their
-//     variables, and uncorrelated OPTIONAL right-hand sides are hash-joined.
+//     variables, uncorrelated OPTIONAL right-hand sides are hash-joined,
+//     and queries run batch-at-a-time.
 //
 // There is one BGP executor: a BGP with no variables bound from outside
 // runs as a batch scan → join chain (vec.go) whose per-step join
 // operators (join.go) and partitioned parallel scan (parallel.go) are
-// chosen from the store's statistics. Above the BGPs, a query runs on
-// the batch operators when Options.Vectorized is set and they cover it,
-// and on tuple-at-a-time iterators otherwise, which pull the same
-// chains' rows through an adapter. The nested-loop backtracker (bgp.go)
-// evaluates the remaining BGPs: correlated ones, re-opened per parent
-// row, and every BGP of an engine without indexes, where it is the
-// oracle the other configurations are checked against.
-//
-// Every optimization is an independent Options flag so the benchmark
-// harness can run ablations.
+// chosen from the store's statistics. Above the BGPs, a native query
+// runs on the batch operators when they cover it, and on
+// tuple-at-a-time iterators otherwise, which pull the same chains' rows
+// through an adapter; Explain names the reason for each such fallback.
+// The nested-loop backtracker (bgp.go) evaluates the remaining BGPs:
+// correlated ones, re-opened per parent row, and every BGP of the mem
+// engine, where it is the oracle the native configuration is checked
+// against.
 package engine
 
 import (
@@ -38,85 +38,64 @@ import (
 	"sp2bench/internal/store"
 )
 
-// Options selects the access paths and optimizations of an engine
-// configuration.
+// Options selects an engine configuration: the family (UseIndexes) and
+// the physical knobs the agreement tests force.
 type Options struct {
 	// Name labels the configuration in reports ("mem", "native", ...).
 	Name string
-	// UseIndexes matches triple patterns with index range lookups instead
-	// of full scans.
+	// UseIndexes selects the native family: triple patterns match by
+	// index range lookups, BGPs are reordered by estimated selectivity,
+	// filter conjuncts are pushed to the earliest step that binds their
+	// variables (IRI equalities become index keys), uncorrelated
+	// OPTIONAL right sides are materialized and probed by hash, and
+	// SELECT and ASK queries run on the batch operators wherever they
+	// cover the query. Without it the engine is the in-memory family:
+	// full scans, patterns in query order, filters where the query
+	// wrote them, all on the tuple operators.
 	UseIndexes bool
-	// ReorderPatterns reorders BGP triple patterns by estimated
-	// selectivity before evaluation.
-	ReorderPatterns bool
-	// PushFilters splits filters into conjuncts and evaluates each at the
-	// earliest pattern that binds its variables.
-	PushFilters bool
-	// HashLeftJoins materializes uncorrelated OPTIONAL right sides once
-	// and, when the join condition contains var=var equalities across the
-	// two sides, probes them by hash instead of scanning.
-	HashLeftJoins bool
 	// HashJoins enables hash join stages in BGP chains: a join step whose
 	// estimated input exceeds a threshold builds a hash table on the
 	// smaller estimated side — the step's matching triples, or a
 	// disconnected trailing block linked by an equality filter (the Q5a
-	// shape) — instead of probing the index per row. It applies under
-	// either executor, since both run outer-free BGPs as the same chains.
+	// shape) — instead of probing the index per row.
 	HashJoins bool
 	// MergeJoins evaluates a BGP chain's join step by merging two index
 	// ranges co-sorted on the shared variable (the RDF-3X fast path over
-	// the store's SPO/POS/OSP permutations), under either executor.
+	// the store's SPO/POS/OSP permutations).
 	MergeJoins bool
-	// Parallel partitions the anchor (first-pattern) index range of every
-	// outer-free BGP across GOMAXPROCS workers, each running the BGP's
-	// batch scan → join chain on its slice, with an order-preserving
-	// result merge — under either executor.
-	Parallel bool
-	// ParallelWorkers overrides the worker count used when Parallel is
-	// set; 0 means GOMAXPROCS. A forced count also partitions BGPs too
-	// small to pay for workers. Tests use it to force multi-worker plans
-	// on single-core machines and on tiny graphs.
+	// ParallelWorkers is the number of workers an outer-free BGP's
+	// anchor (first-pattern) index range is partitioned across, each
+	// running the BGP's batch scan → join chain on its slice with an
+	// order-preserving result merge: 0 means GOMAXPROCS, 1 sequential.
+	// A forced count above 1 also partitions BGPs too small to pay for
+	// workers; tests use it to force multi-worker plans on single-core
+	// machines and on tiny graphs.
 	ParallelWorkers int
-	// Vectorized runs covered SELECT and ASK queries on the batch
-	// operators from the BGPs up (vec.go): columnar Batch slabs of
-	// dictionary IDs instead of tuple-at-a-time iterators above the BGP
-	// chains, with per-query fallback to the tuple operators for
-	// uncovered forms. BGPs run as batch chains either way.
-	Vectorized bool
-	// BatchSize overrides the vectorized executor's batch row capacity;
-	// 0 means DefaultBatchSize. Tests use tiny sizes to stress batch
-	// boundaries.
+	// BatchSize overrides the batch operators' row capacity; 0 means
+	// DefaultBatchSize. Tests use tiny sizes to stress batch boundaries.
 	BatchSize int
 }
 
 // Mem returns the in-memory engine configuration (the paper's
-// ARQ/Sesame-memory family): correct but unoptimized.
+// ARQ/Sesame-memory family): correct but unoptimized, and the oracle
+// the native configuration is checked against.
 func Mem() Options { return Options{Name: "mem"} }
 
 // Native returns the native engine configuration (the paper's
-// Sesame-DB/Virtuoso family): all optimizations on.
+// Sesame-DB/Virtuoso family) with every optimization on. It is what
+// sp2bserve and sp2bquery serve by default.
 func Native() Options {
-	return Options{
-		Name:            "native",
-		UseIndexes:      true,
-		ReorderPatterns: true,
-		PushFilters:     true,
-		HashLeftJoins:   true,
-		HashJoins:       true,
-		MergeJoins:      true,
-		Parallel:        true,
-	}
+	return Options{Name: "native", UseIndexes: true, HashJoins: true, MergeJoins: true}
 }
 
-// NativeVec returns the native configuration with the batch operators
-// above the BGPs too: covered queries run batch-at-a-time end to end,
-// the rest on the tuple operators over the same BGP chains. It is what
-// sp2bserve and sp2bquery serve by default.
-func NativeVec() Options {
-	o := Native()
-	o.Name = "native-vec"
-	o.Vectorized = true
-	return o
+// ByName resolves a configuration name: "mem" or "native".
+func ByName(name string) (Options, error) {
+	for _, o := range []Options{Mem(), Native()} {
+		if o.Name == name {
+			return o, nil
+		}
+	}
+	return Options{}, fmt.Errorf("engine: unknown engine %q (want mem or native)", name)
 }
 
 // Engine evaluates queries over one immutable triple source: a frozen
@@ -325,9 +304,11 @@ func (e *Engine) QueryAnalyze(ctx context.Context, q *sparql.Query) (*Result, *T
 	return res, h.Trace(), err
 }
 
-// Explain returns a description of the physical plan chosen for q,
-// including any BGP reordering — used by the ablation experiments and by
-// tests pinning optimizer behaviour.
+// Explain returns a description of the physical plan chosen for q: BGP
+// reordering and filter pinning, the batch operator chains, and the
+// reason a query falls back to the tuple operators ("vec: tuple
+// fallback (...)"). sp2bquery -explain prints it, and tests pin
+// optimizer behaviour with it.
 func (e *Engine) Explain(q *sparql.Query) (string, error) {
 	c, err := e.compile(context.Background(), q)
 	if err != nil {

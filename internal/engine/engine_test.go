@@ -14,27 +14,33 @@ import (
 	"sp2bench/internal/store"
 )
 
-// allConfigs enumerates every meaningful option combination; correctness
-// tests run each query under all of them and demand identical results.
+// allConfigs is mem, the reference, followed by every native variant;
+// correctness tests run each query under all of them and demand
+// identical results.
 func allConfigs() []engine.Options {
-	var out []engine.Options
-	for i := 0; i < 16; i++ {
-		o := engine.Options{
-			Name:            fmt.Sprintf("cfg%02d", i),
-			UseIndexes:      i&1 != 0,
-			ReorderPatterns: i&2 != 0,
-			PushFilters:     i&4 != 0,
-			HashLeftJoins:   i&8 != 0,
+	return append([]engine.Options{engine.Mem()}, operatorVariants()...)
+}
+
+// TestByName: the two configuration names resolve to exactly Mem() and
+// Native(); ablation, vectorized and sharded names do not resolve.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want engine.Options
+		ok   bool
+	}{
+		{"mem", engine.Mem(), true},
+		{"native", engine.Native(), true},
+		{engine.Native().Name + "-vec", engine.Options{}, false},
+		{"native-nlj", engine.Options{}, false},
+		{"shard4-native", engine.Options{}, false},
+		{"", engine.Options{}, false},
+	} {
+		got, err := engine.ByName(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v, ok=%v", tc.name, got, err, tc.want, tc.ok)
 		}
-		out = append(out, o)
 	}
-	// The vectorized engine must be indistinguishable too — once at the
-	// default batch size, once with a tiny batch so every operator
-	// crosses batch boundaries mid-query, and partitioned.
-	vec := engine.NativeVec()
-	tiny := engine.NativeVec()
-	tiny.Name, tiny.BatchSize = "native-vec-batch2", 2
-	return append(append(out, vec, tiny), vecParallel4()...)
 }
 
 // tinyLibrary builds a small, fully hand-checkable bibliographic graph.

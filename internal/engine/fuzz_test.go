@@ -2,8 +2,8 @@ package engine_test
 
 // Cross-engine differential fuzzing: generate random graphs and random
 // BGP+FILTER/OPTIONAL/UNION/DISTINCT/LIMIT queries, then assert that the
-// mem, native, and native-vec engines return value-equal solution
-// multisets. The generators are deterministic functions of their seeds,
+// mem engine and every native variant (allConfigs) return value-equal
+// solution multisets. The generators are deterministic functions of their seeds,
 // so every corpus entry and fuzzer crash reproduces exactly.
 //
 // TestDifferentialFuzzCorpus runs a bounded seeded corpus on every
@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"sp2bench/internal/engine"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
@@ -161,16 +160,6 @@ func fuzzQuery(r *rand.Rand) string {
 	return q
 }
 
-// fuzzEngines are the configurations every generated query must agree
-// across: the two paper families, the vectorized engine, a vectorized
-// engine with a tiny batch so operators cross batch boundaries
-// constantly, and both of those partitioned across four workers.
-func fuzzEngines() []engine.Options {
-	tiny := engine.NativeVec()
-	tiny.Name, tiny.BatchSize = "native-vec-batch2", 2
-	return append([]engine.Options{engine.Mem(), engine.Native(), engine.NativeVec(), tiny}, vecParallel4()...)
-}
-
 // checkEngineAgreement runs one (graph seed, query seed) pair through
 // every configuration and fails on any solution-multiset mismatch.
 // LIMIT queries compare row counts only: which witnesses survive a
@@ -185,7 +174,7 @@ func checkEngineAgreement(t *testing.T, gseed, qseed uint64) {
 	}
 	var ref []string
 	var refName string
-	for _, opts := range fuzzEngines() {
+	for _, opts := range allConfigs() {
 		rows := renderEngine(t, s, opts, q)
 		if ref == nil {
 			ref, refName = rows, opts.Name

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,29 +90,22 @@ func TestBenchmarkQueriesOnGeneratedData(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnGeneratedData cross-checks both engine families on a
-// small generated document (the in-memory engine is polynomial on several
-// queries, so the document stays small).
+// TestEnginesAgreeOnGeneratedData holds every native variant to the
+// mem engine's solutions for all 17 queries on a small generated
+// document (the in-memory engine is polynomial on several queries, so
+// the document stays small).
 func TestEnginesAgreeOnGeneratedData(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-engine sweep is slow")
 	}
 	s, _ := generatedStore(t, 2_000)
-	mem := engine.New(s, engine.Mem())
-	nat := engine.New(s, engine.Native())
-	ctx := context.Background()
 	for _, q := range queries.All() {
 		pq := q.Parse()
-		cn, err := nat.Count(ctx, pq)
-		if err != nil {
-			t.Fatalf("%s native: %v", q.ID, err)
-		}
-		cm, err := mem.Count(ctx, pq)
-		if err != nil {
-			t.Fatalf("%s mem: %v", q.ID, err)
-		}
-		if cn != cm {
-			t.Errorf("%s: native=%d mem=%d", q.ID, cn, cm)
+		ref := renderEngine(t, s, engine.Mem(), pq)
+		for _, opts := range operatorVariants() {
+			if rows := renderEngine(t, s, opts, pq); strings.Join(rows, "\n") != strings.Join(ref, "\n") {
+				t.Errorf("%s: %s returned %d rows, mem %d", q.ID, opts.Name, len(rows), len(ref))
+			}
 		}
 	}
 }
@@ -158,14 +152,14 @@ func TestResultStabilization(t *testing.T) {
 // engines and queries in parallel (queries are read-only; run with -race
 // to check), and that concurrency changes latencies, never answers:
 // every worker's count equals a sequential Count under the same engine
-// configuration. Workers rotate over the tuple, in-memory and served
-// batch configurations and start the query list at different offsets,
-// so different queries are in flight at once.
+// configuration. Workers rotate over the in-memory and native
+// configurations and start the query list at different offsets, so
+// different queries are in flight at once.
 func TestConcurrentQueries(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
 	ctx := context.Background()
 	ids := []string{"q1", "q3b", "q9", "q10", "q11", "q12c"}
-	configs := []engine.Options{engine.Mem(), engine.Native(), engine.NativeVec()}
+	configs := []engine.Options{engine.Mem(), engine.Native()}
 	want := map[string]map[string]int{}
 	for _, opts := range configs {
 		eng := engine.New(s, opts)

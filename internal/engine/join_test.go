@@ -19,99 +19,78 @@ import (
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
+	"sp2bench/internal/testutil"
 )
 
-// operatorAblations enumerates the nested-loop-only reference plus every
-// single-operator ablation and the full configuration. ParallelWorkers
-// is forced so the partitioned executor runs even on single-core
-// machines.
-func operatorAblations() []engine.Options {
+// operatorVariants are the native engine's forced-operator
+// configurations: nested-loop joins only on one worker (first: the
+// reference where mem is too slow), each join operator switched off in
+// turn, everything on, one worker, and a deliberately tiny batch that
+// forces every operator across batch boundaries mid-run, the states
+// most likely to hold stale cursors — plus the parallel4 variants.
+func operatorVariants() []engine.Options {
 	nlj := engine.Native()
-	nlj.Name = "native-nlj"
-	nlj.HashJoins, nlj.MergeJoins, nlj.Parallel = false, false, false
-
+	nlj.Name, nlj.HashJoins, nlj.MergeJoins, nlj.ParallelWorkers = "native-nlj", false, false, 1
 	noHash := engine.Native()
 	noHash.Name, noHash.HashJoins = "native-nohashjoin", false
 	noMerge := engine.Native()
 	noMerge.Name, noMerge.MergeJoins = "native-nomergejoin", false
-	noPar := engine.Native()
-	noPar.Name, noPar.Parallel = "native-noparallel", false
-
-	par4 := engine.Native()
-	par4.Name, par4.ParallelWorkers = "native-parallel4", 4
-
-	vec := engine.NativeVec()
-	vecNoHash := engine.NativeVec()
-	vecNoHash.Name, vecNoHash.HashJoins = "native-vec-nohashjoin", false
-	vecNoMerge := engine.NativeVec()
-	vecNoMerge.Name, vecNoMerge.MergeJoins = "native-vec-nomergejoin", false
-	// A deliberately tiny batch forces every operator across batch
-	// boundaries mid-run, the states most likely to hold stale cursors.
-	vecTiny := engine.NativeVec()
-	vecTiny.Name, vecTiny.BatchSize = "native-vec-batch3", 3
-
-	return append([]engine.Options{nlj, engine.Native(), noHash, noMerge, noPar, par4,
-		vec, vecNoHash, vecNoMerge, vecTiny}, vecParallel4()...)
+	seq := engine.Native()
+	seq.Name, seq.ParallelWorkers = "native-sequential", 1
+	tiny := engine.Native()
+	tiny.Name, tiny.BatchSize = "native-batch3", 3
+	return append([]engine.Options{nlj, engine.Native(), noHash, noMerge, seq, tiny}, parallel4()...)
 }
 
-// vecParallel4 is the batch executor with four forced partition workers,
+// parallel4 is the native engine with four forced partition workers,
 // at the default batch size and with two-row batches so partition
 // boundaries and batch boundaries fall everywhere.
-func vecParallel4() []engine.Options {
-	par4 := engine.NativeVec()
-	par4.Name, par4.ParallelWorkers = "native-vec-parallel4", 4
+func parallel4() []engine.Options {
+	par4 := engine.Native()
+	par4.Name, par4.ParallelWorkers = "native-parallel4", 4
 	tiny := par4
-	tiny.Name, tiny.BatchSize = "native-vec-parallel4-batch2", 2
+	tiny.Name, tiny.BatchSize = "native-parallel4-batch2", 2
 	return []engine.Options{par4, tiny}
 }
 
 // TestGoldenPlans50k pins the reorder-plus-operator choices for the
 // paper's join-heavy queries on a 50k document: Q2's nine-way merge-join
 // star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment
-// with the block's own build chain, and Q8's tiny merge anchor. Both
-// executors run an outer-free BGP as the same batch chain — the tuple
-// operators behind a row adapter — so one golden set holds for both,
-// and neither EXPLAIN may show a tuple operator line. Q6's anti join is
-// batch-only. The exact row counts are deterministic: the generator is
-// seeded and the counts are structural properties of the document.
+// with the block's own build chain, Q6's anti join over two hash
+// chains, and Q8's tiny merge anchor. No EXPLAIN may show a tuple
+// operator line. The exact row counts are deterministic: the generator
+// is seeded and the counts are structural properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k document generation in -short mode")
 	}
 	s, _ := generatedStore(t, 50_000)
-	native := engine.Native()
-	native.ParallelWorkers = 4
-	vec := vecParallel4()[0]
-	for _, opts := range []engine.Options{native, vec} {
-		checkGoldenPlans(t, engine.New(s, opts), map[string][]string{
-			"q2": {
-				"vec operators: scan[POS rows=274]" +
-					strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
-			},
-			"q4": {
-				"vec operators: scan[POS rows=2407] nl" +
-					" hash[?article1 build=4241] hash[?article1 build=4239]" +
-					" hash[?journal build=4239] hash[?article2 build=4241]" +
-					" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
-			},
-			"q5a": {
-				"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
-				"vec operators: scan[POS rows=2407] nl" +
-					" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
-				"vec hashseg build: scan[POS rows=274] merge[?inproc SPO rows=50004] nl",
-			},
-			"q8": {
-				"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407]",
-			},
-		})
-	}
-	checkGoldenPlans(t, engine.New(s, vec), map[string][]string{
+	checkGoldenPlans(t, engine.New(s, parallel4()[0]), map[string][]string{
+		"q2": {
+			"vec operators: scan[POS rows=274]" +
+				strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
+		},
+		"q4": {
+			"vec operators: scan[POS rows=2407] nl" +
+				" hash[?article1 build=4241] hash[?article1 build=4239]" +
+				" hash[?journal build=4239] hash[?article2 build=4241]" +
+				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
+		},
+		"q5a": {
+			"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
+			"vec operators: scan[POS rows=2407] nl" +
+				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
+			"vec hashseg build: scan[POS rows=274] merge[?inproc SPO rows=50004] nl",
+		},
 		"q6": {
 			"vec operators: scan[POS rows=9] merge[?class POS rows=7141]" +
 				" hash[?doc build=4710] hash[?doc build=6830] hash[?author build=2407] parallel=4",
 			"vec operators: scan[POS rows=9] merge[?class2 POS rows=7141]" +
 				" hash[?doc2 build=4710] hash[?doc2 build=6830] parallel=4",
 			"leftjoin: vectorized hash anti (hash key: true)",
+		},
+		"q8": {
+			"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407]",
 		},
 	})
 }
@@ -141,43 +120,38 @@ func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]stri
 }
 
 // TestOperatorChoicesAgreeOn17Queries is the physical-layer soundness
-// check the acceptance criteria require: every operator configuration —
-// nested-loop only, each operator disabled in turn, everything on, and
-// forced four-way parallelism — returns exactly the same solutions for
-// all 17 benchmark queries on a generated document.
+// check: every operator configuration — nested-loop only, each operator
+// disabled in turn, everything on, tiny batches and forced four-way
+// parallelism — returns exactly mem's solutions for all 17 benchmark
+// queries on a generated document. For the queries mem cannot answer
+// there in test time (testutil.MemTooSlow10k) the reference is
+// native-nlj, and TestEnginesAgreeOnGeneratedData holds every variant
+// to mem on a 2k document.
 func TestOperatorChoicesAgreeOn17Queries(t *testing.T) {
 	size := int64(10_000)
 	if testing.Short() {
 		size = 5_000
 	}
 	s, _ := generatedStore(t, size)
+	variants := operatorVariants()
 	for _, q := range queries.All() {
 		parsed := q.Parse()
-		var ref []string
-		var refName string
-		for _, opts := range operatorAblations() {
-			rows := renderEngine(t, s, opts, parsed)
-			if ref == nil {
-				ref, refName = rows, opts.Name
-				continue
-			}
-			if strings.Join(rows, "\n") != strings.Join(ref, "\n") {
+		refOpts, rest := engine.Mem(), variants
+		if testutil.MemTooSlow10k[q.ID] {
+			refOpts, rest = variants[0], variants[1:]
+		}
+		ref := renderEngine(t, s, refOpts, parsed)
+		for _, opts := range rest {
+			if rows := renderEngine(t, s, opts, parsed); strings.Join(rows, "\n") != strings.Join(ref, "\n") {
 				t.Errorf("%s: %s returned %d rows, %s returned %d — operator choice changed the result",
-					q.ID, opts.Name, len(rows), refName, len(ref))
+					q.ID, opts.Name, len(rows), refOpts.Name, len(ref))
 			}
 		}
 	}
 }
 
-// parallel4 are the two executors with four forced partition workers.
-func parallel4() []engine.Options {
-	par4 := engine.Native()
-	par4.ParallelWorkers = 4
-	return []engine.Options{par4, vecParallel4()[0]}
-}
-
 // TestParallelPartitionedScanRace drives the partitioned parallel
-// executors hard under the race detector: concurrent queries over one
+// executor hard under the race detector: concurrent queries over one
 // shared store, each split across four forced workers.
 func TestParallelPartitionedScanRace(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
@@ -235,12 +209,11 @@ func earlyExits() []*sparql.Query {
 	}
 }
 
-// earlyExitConfigs are the tuple engine and both batch ones with
-// forced partitions; each must run the early-exit queries on
-// partitioned batch workers.
+// earlyExitConfigs are the configurations with forced partitions; each
+// must run the early-exit queries on partitioned batch workers.
 func earlyExitConfigs(t *testing.T, s *store.Store) []engine.Options {
 	t.Helper()
-	configs := append([]engine.Options{parallel4()[0]}, vecParallel4()...)
+	configs := parallel4()
 	for _, opts := range configs {
 		for _, q := range earlyExits() {
 			plan, err := engine.New(s, opts).Explain(q)
@@ -307,15 +280,8 @@ func TestHashSegmentValueEquality(t *testing.T) {
 		`SELECT ?s ?t WHERE { ?s <urn:p> ?x . ?t <urn:q> ?y FILTER (?x = ?y) }`,
 		rdf.Prefixes)
 
-	// Both executors' plans must actually take the hashed-block path.
+	// The plan must actually take the hashed-block path.
 	plan, err := engine.New(s, engine.Native()).Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "hashseg[key=") {
-		t.Fatalf("expected a keyed hashseg plan, got:\n%s", plan)
-	}
-	plan, err = engine.New(s, engine.NativeVec()).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +291,7 @@ func TestHashSegmentValueEquality(t *testing.T) {
 		t.Fatalf("expected a keyed hashseg stage in the batch plan, got:\n%s", plan)
 	}
 
-	for _, opts := range operatorAblations() {
+	for _, opts := range append(operatorVariants(), engine.Mem()) {
 		rows := renderEngine(t, s, opts, q)
 		if len(rows) != 1 || !strings.Contains(rows[0], "urn:a") || !strings.Contains(rows[0], "urn:b") {
 			t.Errorf("%s: got %v, want the single value-equal pair (urn:a, urn:b)", opts.Name, rows)
@@ -333,29 +299,32 @@ func TestHashSegmentValueEquality(t *testing.T) {
 	}
 }
 
-// TestHashSegmentRepeatsUpstreamVariable: in query order (no
-// reordering) a block that starts disconnected can grow through a
-// pattern that also repeats a variable bound before it — ?x below. The
-// block is built without that binding, so merging a block row must check
-// the repeated variable against the streamed row, not overwrite it.
+// TestHashSegmentRepeatsUpstreamVariable: a pinned variable is a
+// constant to the planner, so two patterns sharing only ?x below are
+// disconnected blocks, yet each step still binds ?x. The trailing block
+// is built without the upstream binding, so merging a block row must
+// check the repeated variable against the streamed row, not overwrite
+// it.
 func TestHashSegmentRepeatsUpstreamVariable(t *testing.T) {
 	s := store.New()
 	for i := 0; i < 6; i++ {
-		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:a%d", i)), rdf.IRI("urn:p"), rdf.Integer(i%3)))
+		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:a%d", i)), rdf.IRI("urn:p"), rdf.IRI(fmt.Sprintf("urn:x%d", i%3))))
 		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:b%d", i)), rdf.IRI("urn:q"), rdf.IRI(fmt.Sprintf("urn:y%d", i))))
-		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:b%d", i)), rdf.IRI("urn:r"), rdf.Integer(i%2)))
+		s.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("urn:b%d", i)), rdf.IRI("urn:r"), rdf.IRI(fmt.Sprintf("urn:x%d", i%2))))
 	}
 	s.Freeze()
-	q := sparql.MustParse(`SELECT ?a ?b ?x ?y WHERE { ?a <urn:p> ?x . ?b <urn:q> ?y . ?b <urn:r> ?x }`, rdf.Prefixes)
+	q := sparql.MustParse(`SELECT ?a ?b ?x ?y WHERE { ?a <urn:p> ?x . ?b <urn:q> ?y . ?b <urn:r> ?x FILTER (?x = <urn:x0>) }`, rdf.Prefixes)
 	ref := renderEngine(t, s, engine.Mem(), q)
-	for _, opts := range []engine.Options{engine.Native(), engine.NativeVec()} {
-		opts.Name, opts.ReorderPatterns = opts.Name+"-noreorder", false
+	if len(ref) != 6 {
+		t.Fatalf("mem: %d rows, want 6 (2 ?a × 3 ?b)", len(ref))
+	}
+	for _, opts := range operatorVariants() {
 		plan, err := engine.New(s, opts).Explain(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, "hashseg[cross steps=2]") {
-			t.Fatalf("%s: expected the two-pattern block to be hashed:\n%s", opts.Name, plan)
+		if opts.HashJoins && !strings.Contains(plan, "hashseg[cross steps=1]") {
+			t.Fatalf("%s: expected the disconnected block to be hashed:\n%s", opts.Name, plan)
 		}
 		if rows := renderEngine(t, s, opts, q); !slices.Equal(rows, ref) {
 			t.Errorf("%s: got %v, mem got %v", opts.Name, rows, ref)
@@ -418,7 +387,7 @@ func TestConstantFilterNotDroppedByPhysicalPlan(t *testing.T) {
 		q := sparql.MustParse(src, rdf.Prefixes)
 		var ref []string
 		var refName string
-		for _, opts := range append(operatorAblations(), engine.Mem()) {
+		for _, opts := range append([]engine.Options{engine.Mem()}, operatorVariants()...) {
 			rows := renderEngine(t, s, opts, q)
 			if ref == nil {
 				ref, refName = rows, opts.Name

@@ -5,12 +5,40 @@ import (
 	"strings"
 	"testing"
 
+	"sp2bench/internal/engine"
 	"sp2bench/internal/rdf"
+	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
 
+// runTupleFallback is runAll for a query the batch path declines: it
+// first checks that native's EXPLAIN runs the whole query on the tuple
+// operators ("vec: tuple fallback") and that the OPTIONAL is the tuple
+// left join over a materialized right side, with wantNote naming
+// whether a hash key was extracted. The fallback forms below wrap a
+// query in an explicit join of groups whose second group repeats a
+// pattern of the first, which changes no solution.
+func runTupleFallback(t *testing.T, s *store.Store, src, wantNote string) *engine.Result {
+	t.Helper()
+	plan, err := engine.New(s, engine.Native()).Explain(sparql.MustParse(src, rdf.Prefixes))
+	if err != nil {
+		t.Fatalf("explain: %v", err)
+	}
+	for _, want := range []string{"vec: tuple fallback (explicit join of groups)", wantNote} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("native plan misses %q:\n%s", want, plan)
+		}
+	}
+	return runAll(t, s, src)
+}
+
+const (
+	materializedKeyed   = "leftjoin: materialized uncorrelated right side (hash key: true)"
+	materializedKeyless = "leftjoin: materialized uncorrelated right side (hash key: false)"
+)
+
 // TestHashLeftJoinValueEquality pins the fix for an under-inclusion bug
-// in the materialized OPTIONAL path: when HashLeftJoins extracts a
+// in the materialized OPTIONAL path: when the hash left join extracts a
 // cross-side `FILTER(?l = ?r)` key, the right rows were hashed by
 // dictionary ID and probed by the left row's ID. Dictionary IDs are
 // term identity, so value-equal terms with distinct lexical forms
@@ -19,7 +47,8 @@ import (
 // configuration, evaluating the same FILTER through EqualTerms, kept
 // it. The hash now buckets both sides by the canonical value key
 // (valueKey) and re-checks the retained conjunct, so all configurations
-// must agree again (runAll enforces that).
+// must agree again (runAll enforces that). Both hash left joins are
+// covered: the batch operator and, in the fallback form, the tuple one.
 func TestHashLeftJoinValueEquality(t *testing.T) {
 	s := store.New()
 	add := func(subj, pred string, obj rdf.Term) {
@@ -42,8 +71,7 @@ func TestHashLeftJoinValueEquality(t *testing.T) {
 	// The OPTIONAL block shares no variable with the outer pattern —
 	// the FILTER is the only link — so hash-left-join configurations
 	// materialize the right side and key it on ?year = ?jyear.
-	res := runAll(t, s, `
-		SELECT ?article ?year ?jtitle WHERE {
+	const optional = `
 			?article rdf:type bench:Article .
 			?article dcterms:issued ?year .
 			OPTIONAL {
@@ -51,8 +79,14 @@ func TestHashLeftJoinValueEquality(t *testing.T) {
 				?journal dcterms:issued ?jyear .
 				?journal dc:title ?jtitle .
 				FILTER (?year = ?jyear)
-			}
-		}`)
+			}`
+	checkValueEqualExtension(t, runAll(t, s, `SELECT ?article ?year ?jtitle WHERE {`+optional+`}`))
+	checkValueEqualExtension(t, runTupleFallback(t, s, `SELECT ?article ?year ?jtitle WHERE {
+		{`+optional+`} { ?article rdf:type bench:Article } }`, materializedKeyed))
+}
+
+func checkValueEqualExtension(t *testing.T, res *engine.Result) {
+	t.Helper()
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d rows, want 1: %v", len(res.Rows), render(res))
 	}
@@ -75,8 +109,9 @@ func TestHashLeftJoinValueEquality(t *testing.T) {
 // float as text ("-0" vs "0") put the two in different buckets, and
 // every hash configuration silently dropped the extension the
 // evaluator keeps. Both value-keyed shapes are covered: the OPTIONAL
-// whose condition links the sides (the hash left join) and the
-// disconnected block linked by an equality FILTER (hashseg).
+// whose condition links the sides (the batch and, in the fallback
+// form, the tuple hash left join) and the disconnected block linked by
+// an equality FILTER (hashseg).
 func TestValueKeySignedZero(t *testing.T) {
 	s := store.New()
 	add := func(subj, pred string, obj rdf.Term) {
@@ -89,20 +124,23 @@ func TestValueKeySignedZero(t *testing.T) {
 	add("http://x/c", "http://x/title", rdf.String("C"))
 	s.Freeze()
 
-	res := runAll(t, s, `
-		SELECT ?s ?title WHERE {
+	const optional = `
 			?s <http://x/p> ?a .
 			OPTIONAL {
 				?t <http://x/q> ?b .
 				?t <http://x/title> ?title .
 				FILTER (?a = ?b)
-			}
-		}`)
-	if got := render(res); len(got) != 1 || got[0] != `<http://x/a>|"B"^^<`+rdf.XSDString+`>` {
-		t.Fatalf("OPTIONAL: got %v, want a extended by b (0 = -0)", got)
+			}`
+	for _, res := range []*engine.Result{
+		runAll(t, s, `SELECT ?s ?title WHERE {`+optional+`}`),
+		runTupleFallback(t, s, `SELECT ?s ?title WHERE { {`+optional+`} { ?s <http://x/p> ?a } }`, materializedKeyed),
+	} {
+		if got := render(res); len(got) != 1 || got[0] != `<http://x/a>|"B"^^<`+rdf.XSDString+`>` {
+			t.Fatalf("OPTIONAL: got %v, want a extended by b (0 = -0)", got)
+		}
 	}
 
-	res = runAll(t, s, `
+	res := runAll(t, s, `
 		SELECT ?s ?t WHERE { ?s <http://x/p> ?a . ?t <http://x/q> ?b FILTER (?a = ?b) }`)
 	if got := render(res); len(got) != 1 || got[0] != "<http://x/a>|<http://x/b>" {
 		t.Fatalf("hashseg: got %v, want the single pair (a, b)", got)
@@ -113,7 +151,7 @@ func TestValueKeySignedZero(t *testing.T) {
 // side binds no variable still has solutions — two here, one per UNION
 // branch — and every configuration must extend a matching left row once
 // per solution. The materialized right side holds zero-width rows, which
-// must still count as rows.
+// must still count as rows, in the batch and the tuple left join alike.
 func TestHashLeftJoinVariableFreeRight(t *testing.T) {
 	s := store.New()
 	add := func(subj, pred string, obj rdf.Term) {
@@ -125,18 +163,21 @@ func TestHashLeftJoinVariableFreeRight(t *testing.T) {
 	add("http://x/e", "http://x/q", rdf.IRI("http://x/f"))
 	s.Freeze()
 
-	res := runAll(t, s, `
-		SELECT ?s WHERE {
+	const optional = `
 			?s <http://x/p> ?o .
 			OPTIONAL {
 				{ <http://x/c> <http://x/q> <http://x/d> } UNION { <http://x/e> <http://x/q> <http://x/f> }
 				FILTER (?o = 1)
-			}
-		}`)
-	got := render(res)
-	sort.Strings(got)
-	want := []string{"<http://x/a>", "<http://x/a>", "<http://x/b>"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("got %v, want %v", got, want)
+			}`
+	for _, res := range []*engine.Result{
+		runAll(t, s, `SELECT ?s WHERE {`+optional+`}`),
+		runTupleFallback(t, s, `SELECT ?s WHERE { {`+optional+`} { ?s <http://x/p> ?o } }`, materializedKeyless),
+	} {
+		got := render(res)
+		sort.Strings(got)
+		want := []string{"<http://x/a>", "<http://x/a>", "<http://x/b>"}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("got %v, want %v", got, want)
+		}
 	}
 }

@@ -32,9 +32,8 @@ func (c *compiled) reorder(patterns []sparql.TriplePattern, outer []string) []sp
 			}
 		}
 		// The anchor tie-break trades up to 50% of scan cost for a sort
-		// order only merge joins can exploit — engines without them must
-		// keep the plain cheapest-first order (the ablation baselines
-		// would otherwise absorb part of the merge-aware plan change).
+		// order only merge joins can exploit — engines without them keep
+		// the plain cheapest-first order.
 		if len(ordered) == 0 && len(outer) == 0 && c.eng.opts.MergeJoins {
 			bestIdx = c.preferSortedAnchor(remaining, bestIdx, bestCost)
 		}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sp2bench/internal/rdf"
@@ -124,4 +126,68 @@ func mustID(t *testing.T, s *store.Store, v string) store.ID {
 		t.Fatalf("term %s not in dictionary", v)
 	}
 	return id
+}
+
+// TestHashSegChecksUpstreamSlot drives the hashseg merge on the shape
+// it guards against, which the reordering planner does not produce: in
+// query order, the block {?b q ?y, ?b r ?x} starts disconnected from
+// ?a p ?x and then repeats its ?x. The block is built without the
+// upstream binding, so merging a block row must check ?x against the
+// streamed row, not overwrite it. (Reordered, the greedy order places
+// every pattern connected to the bound variables before any block, and
+// a block swap needs blocks with no variable in common, so a block can
+// repeat an upstream variable only through a pin, which
+// TestHashSegmentRepeatsUpstreamVariable covers.) The steps come from
+// mem, which keeps query order, and are planned as a native chain.
+func TestHashSegChecksUpstreamSlot(t *testing.T) {
+	s := store.New()
+	iri := func(v string, i int) rdf.Term { return rdf.IRI(fmt.Sprintf("http://x/%s%d", v, i)) }
+	for i := 0; i < 6; i++ {
+		s.Add(rdf.NewTriple(iri("a", i), rdf.IRI("http://x/p"), iri("x", i%3)))
+		s.Add(rdf.NewTriple(iri("b", i), rdf.IRI("http://x/q"), iri("y", i)))
+		s.Add(rdf.NewTriple(iri("b", i), rdf.IRI("http://x/r"), iri("x", i%2)))
+	}
+	s.Freeze()
+	patterns := []sparql.TriplePattern{pat("?a", "p", "?x"), pat("?b", "q", "?y"), pat("?b", "r", "?x")}
+
+	c := compiledFor(t, s)
+	c.eng = New(s, Mem())
+	b, ordered := c.prepareBGP(patterns, nil, nil)
+	c.eng = New(s, Native())
+	ch := c.planVecChain(b.steps, ordered, false)
+	if got := ch.desc.String(); !strings.Contains(got, "hashseg[cross steps=2]") {
+		t.Fatalf("expected the two-pattern block to be hashed: %s", got)
+	}
+	op := linkChain(ch.scan, ch.joins, c.cancel)
+	op.open()
+	var rows []string
+	for {
+		batch, err := op.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch == nil {
+			break
+		}
+		for r := 0; r < batch.Len(); r++ {
+			row := batch.CopyRow(r, nil)
+			rows = append(rows, fmt.Sprint(row[c.slots["a"]], row[c.slots["b"]], row[c.slots["x"]]))
+		}
+	}
+	want := map[string]bool{}
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			if i%3 == j%2 {
+				want[fmt.Sprint(mustID(t, s, fmt.Sprint("a", i)), mustID(t, s, fmt.Sprint("b", j)), mustID(t, s, fmt.Sprint("x", j%2)))] = true
+			}
+		}
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d (a_i, b_j with i%%3 = j%%2)", len(rows), len(want))
+	}
+	for _, row := range rows {
+		if !want[row] {
+			t.Fatalf("unexpected row (a b x) = %s", row)
+		}
+	}
 }

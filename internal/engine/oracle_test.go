@@ -224,12 +224,16 @@ func (o *oracle) Select(q *sparql.Query) []string {
 	return rows
 }
 
-// renderEngine runs the query on an engine and renders rows the same way.
+// renderEngine runs the query on an engine and renders rows the same
+// way; an ASK renders as its verdict.
 func renderEngine(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Query) []string {
 	t.Helper()
 	res, err := engine.New(s, opts).Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", opts.Name, err)
+	}
+	if res.Form == sparql.FormAsk {
+		return []string{fmt.Sprintf("ask=%v", res.Ask)}
 	}
 	var rows []string
 	for _, row := range res.Rows {

@@ -217,11 +217,8 @@ func (p *vecParallel) run(part store.IndexRange, out chan<- vecMsg, stop <-chan 
 }
 
 // parallelWorkers is the intra-query worker budget: 0 (the default)
-// resolves to GOMAXPROCS, and engines with Parallel off get 1.
+// resolves to GOMAXPROCS.
 func (e *Engine) parallelWorkers() int {
-	if !e.opts.Parallel {
-		return 1
-	}
 	if e.opts.ParallelWorkers > 0 {
 		return e.opts.ParallelWorkers
 	}

@@ -17,22 +17,14 @@ import (
 	"sp2bench/internal/store"
 )
 
-// nativeNoPush is the filter-pushing ablation: it must keep the
-// unpinned plan.
-func nativeNoPush() engine.Options {
-	o := engine.Native()
-	o.Name, o.PushFilters = "native-nopush", false
-	return o
-}
-
 // q3Props maps each Q3 variant to the property its FILTER selects.
 var q3Props = map[string]string{"q3a": rdf.SWRCPages, "q3b": rdf.SWRCMonth, "q3c": rdf.SWRCIsbn}
 
 // TestQ3PinnedRangesOpenOnlyMatches: with the filter pinned, Q3a–c open
 // no more index rows than the triples carrying the filtered property
 // plus the article type triples — over a plain store and over a
-// snapshot with a live delta, on the tuple, batch and partitioned batch
-// executors. Unpinned, they opened the whole SPO index.
+// snapshot with a live delta, sequential and partitioned, with mem's
+// counts. Unpinned, they opened the whole SPO index.
 func TestQ3PinnedRangesOpenOnlyMatches(t *testing.T) {
 	ctx := context.Background()
 	for _, src := range storeAndSnapshot(t, 10_000) {
@@ -47,11 +39,11 @@ func TestQ3PinnedRangesOpenOnlyMatches(t *testing.T) {
 			if pid != store.NoID {
 				bound += int64(src.r.Count(store.NoID, pid, store.NoID))
 			}
-			want, err := engine.NewReader(src.r, nativeNoPush()).Count(ctx, parsed)
+			want, err := engine.NewReader(src.r, engine.Mem()).Count(ctx, parsed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []engine.Options{engine.Native(), engine.NativeVec(), vecParallel4()[0]} {
+			for _, opts := range []engine.Options{engine.Native(), parallel4()[0]} {
 				name := src.name + "/" + opts.Name + "/" + id
 				cr := &countingReader{Reader: src.r}
 				n, err := engine.NewReader(cr, opts).Count(ctx, parsed)
@@ -59,7 +51,7 @@ func TestQ3PinnedRangesOpenOnlyMatches(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if n != want {
-					t.Errorf("%s: %d rows, native-nopush %d", name, n, want)
+					t.Errorf("%s: %d rows, mem %d", name, n, want)
 				}
 				if rows := cr.rows.Load(); rows > bound {
 					t.Errorf("%s: opened %d index rows, want at most %d (property + article type triples)", name, rows, bound)
@@ -72,20 +64,13 @@ func TestQ3PinnedRangesOpenOnlyMatches(t *testing.T) {
 					t.Errorf("%s: plan lacks %q:\n%s", name, note, plan)
 				}
 			}
-			plan, err := engine.NewReader(src.r, nativeNoPush()).Explain(parsed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.Contains(plan, "filter pinned") || !strings.Contains(plan, "merge[?article SPO") {
-				t.Errorf("%s/native-nopush/%s: want the unpinned merge plan:\n%s", src.name, id, plan)
-			}
 		}
 	}
 }
 
 // TestQ3RowCountsUnchanged pins the Q3 result sizes of the seeded
-// documents under every operator configuration and the no-push
-// ablation: pinning changes the plan, never the answer.
+// documents under every operator configuration: pinning changes the
+// plan, never the answer.
 func TestQ3RowCountsUnchanged(t *testing.T) {
 	want := map[int64]map[string]int{
 		10_000: {"q3a": 803, "q3b": 11, "q3c": 0},
@@ -96,7 +81,7 @@ func TestQ3RowCountsUnchanged(t *testing.T) {
 			continue
 		}
 		s, _ := generatedStore(t, size)
-		for _, opts := range append(operatorAblations(), nativeNoPush()) {
+		for _, opts := range operatorVariants() {
 			eng := engine.New(s, opts)
 			for id, n := range want[size] {
 				q, _ := queries.ByID(id)
@@ -132,9 +117,9 @@ func pinStore() *store.Store {
 	return s
 }
 
-// TestFilterPinningSemantics: every configuration agrees with the
-// mem-equivalent reference on each edge case (runAll), the native plan
-// pins exactly the conjuncts it may, and the no-push ablation pins none.
+// TestFilterPinningSemantics: every configuration agrees with mem on
+// each edge case (runAll), the native plan pins exactly the conjuncts
+// it may, and mem pins none.
 func TestFilterPinningSemantics(t *testing.T) {
 	s := pinStore()
 	cases := []struct {
@@ -183,8 +168,8 @@ func TestFilterPinningSemantics(t *testing.T) {
 		if tc.pinned != "" && !strings.Contains(plan, tc.pinned) {
 			t.Errorf("%s: plan lacks %q:\n%s", tc.name, tc.pinned, plan)
 		}
-		if plan, _ := engine.New(s, nativeNoPush()).Explain(q); strings.Contains(plan, "filter pin") {
-			t.Errorf("%s: native-nopush pinned:\n%s", tc.name, plan)
+		if plan, _ := engine.New(s, engine.Mem()).Explain(q); strings.Contains(plan, "filter pin") {
+			t.Errorf("%s: mem pinned:\n%s", tc.name, plan)
 		}
 	}
 

@@ -104,23 +104,16 @@ func randomQuery(r *rand.Rand) string {
 	return q
 }
 
-// TestEngineEquivalenceProperty: every option combination returns the
-// same multiset of solutions on random graphs and random queries. This is
-// the central soundness property: optimizations must be invisible.
+// TestEngineEquivalenceProperty: every configuration returns the same
+// multiset of solutions as mem on random graphs and random queries. This
+// is the central soundness property: optimizations must be invisible.
 func TestEngineEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	iterations := 300
 	if testing.Short() {
 		iterations = 60
 	}
-	configs := []engine.Options{
-		engine.Mem(),
-		engine.Native(),
-		{Name: "ix-only", UseIndexes: true},
-		{Name: "reorder-only", ReorderPatterns: true},
-		{Name: "push-only", PushFilters: true},
-		{Name: "hash-only", HashLeftJoins: true},
-	}
+	configs := allConfigs()
 	for i := 0; i < iterations; i++ {
 		s := randomGraph(r, 30+r.Intn(60))
 		src := randomQuery(r)

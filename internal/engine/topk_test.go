@@ -46,7 +46,9 @@ func topKStore() *store.Store {
 // itself on: sequential, partitioned, and partitioned with two-row
 // batches so heap replacement crosses every batch boundary.
 func topKConfigs() []engine.Options {
-	return append([]engine.Options{engine.NativeVec()}, vecParallel4()...)
+	seq := engine.Native()
+	seq.Name, seq.ParallelWorkers = "native-sequential", 1
+	return append([]engine.Options{seq}, parallel4()...)
 }
 
 func TestTopKMatchesSortedSlice(t *testing.T) {

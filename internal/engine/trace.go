@@ -59,6 +59,10 @@ type TraceNode struct {
 	// Parallel is the worker fan-out of a partitioned BGP (0 = not
 	// parallel).
 	Parallel int `json:"parallel,omitempty"`
+	// Partial marks an operator its consumer stopped pulling before it
+	// was exhausted — under an ASK or a LIMIT, or never reached at
+	// all: Rows and its steps' rows count only the prefix it produced.
+	Partial bool `json:"partial,omitempty"`
 	// Steps is the per-depth breakdown of a BGP operator.
 	Steps []TraceStep `json:"steps,omitempty"`
 	// Children are the operator's inputs.
@@ -113,6 +117,7 @@ type tnode struct {
 	rows     atomic.Int64
 	batches  atomic.Int64
 	wall     atomic.Int64
+	done     atomic.Bool // the latest open ran to exhaustion
 	steps    []*tstep
 	children []*tnode
 }
@@ -141,6 +146,7 @@ type traceIter struct {
 
 func (t *traceIter) open(parent []store.ID) {
 	start := time.Now()
+	t.n.done.Store(false)
 	t.inner.open(parent)
 	t.n.wall.Add(time.Since(start).Nanoseconds())
 }
@@ -151,6 +157,8 @@ func (t *traceIter) next() ([]store.ID, bool, error) {
 	t.n.wall.Add(time.Since(start).Nanoseconds())
 	if ok {
 		t.n.rows.Add(1)
+	} else if err == nil {
+		t.n.done.Store(true)
 	}
 	return row, ok, err
 }
@@ -211,6 +219,7 @@ type vecTraced struct {
 
 func (t *vecTraced) open() {
 	start := time.Now()
+	t.n.done.Store(false)
 	t.inner.open()
 	t.n.wall.Add(time.Since(start).Nanoseconds())
 }
@@ -222,6 +231,8 @@ func (t *vecTraced) next() (*Batch, error) {
 	if b != nil {
 		t.n.batches.Add(1)
 		t.n.rows.Add(int64(b.Len()))
+	} else if err == nil {
+		t.n.done.Store(true)
 	}
 	return b, err
 }
@@ -256,6 +267,7 @@ func snapshotNode(n *tnode) *TraceNode {
 		Batches:  n.batches.Load(),
 		WallNS:   n.wall.Load(),
 		Parallel: n.parallel,
+		Partial:  !n.done.Load(),
 	}
 	for _, s := range n.steps {
 		out.Steps = append(out.Steps, TraceStep{
@@ -282,11 +294,12 @@ func (tc *traceCollector) deliver() {
 	}
 }
 
-// CardinalityError walks every operator and step carrying both an
-// estimate and an actual row count and returns the worst and the
-// geometric-mean misestimation ratio (max(est/actual, actual/est),
-// actuals clamped to 1 so empty results stay finite). Zero values mean
-// no operator carried an estimate.
+// CardinalityError walks every exhausted operator and step carrying
+// both an estimate and an actual row count and returns the worst and
+// the geometric-mean misestimation ratio (max(est/actual, actual/est),
+// actuals clamped to 1 so empty results stay finite). Partial operators
+// and their steps are left out: a prefix of rows says nothing about
+// the estimate of the whole. Zero values mean no operator was scored.
 func (t *Trace) CardinalityError() (maxRatio, geoMean float64) {
 	var logSum float64
 	var n int
@@ -307,9 +320,11 @@ func (t *Trace) CardinalityError() (maxRatio, geoMean float64) {
 		n++
 	}
 	walk = func(nd *TraceNode) {
-		ratio(nd.EstRows, nd.Rows)
-		for _, s := range nd.Steps {
-			ratio(s.EstRows, s.Rows)
+		if !nd.Partial {
+			ratio(nd.EstRows, nd.Rows)
+			for _, s := range nd.Steps {
+				ratio(s.EstRows, s.Rows)
+			}
 		}
 		for _, c := range nd.Children {
 			walk(c)
@@ -349,6 +364,9 @@ func (t *Trace) Render(w io.Writer) {
 		fmt.Fprintf(w, " wall=%v", time.Duration(n.WallNS).Round(time.Microsecond))
 		if n.Parallel > 1 {
 			fmt.Fprintf(w, " parallel=%d", n.Parallel)
+		}
+		if n.Partial {
+			fmt.Fprint(w, " partial")
 		}
 		fmt.Fprintln(w)
 		for i, s := range n.Steps {

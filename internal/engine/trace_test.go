@@ -7,6 +7,8 @@ import (
 
 	"sp2bench/internal/engine"
 	"sp2bench/internal/queries"
+	"sp2bench/internal/rdf"
+	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
 
@@ -23,7 +25,7 @@ func TestAnalyzeTraceConsistency(t *testing.T) {
 	for _, tc := range []struct {
 		opts engine.Options
 		st   *store.Store
-	}{{engine.Native(), native}, {engine.Mem(), mem}, {engine.NativeVec(), native}} {
+	}{{engine.Native(), native}, {engine.Mem(), mem}} {
 		opts := tc.opts
 		eng := engine.New(tc.st, opts)
 		for _, q := range queries.All() {
@@ -51,7 +53,7 @@ func TestAnalyzeTraceConsistency(t *testing.T) {
 // BGPs report their fan-out.
 func TestAnalyzeTraceVectorized(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	for _, opts := range append([]engine.Options{engine.NativeVec()}, vecParallel4()[0]) {
+	for _, opts := range []engine.Options{engine.Native(), parallel4()[0]} {
 		checkTraceVectorized(t, engine.New(s, opts))
 	}
 }
@@ -166,5 +168,51 @@ func TestAnalyzeOffCollectsNothing(t *testing.T) {
 	q, _ := queries.ByID("q1")
 	if _, err := eng.Count(context.Background(), q.Parse()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCardinalityErrorSkipsEarlyExits: an operator its consumer stopped
+// pulling (here a scan under LIMIT 1, and Q12a's ASK) is marked partial
+// and left out of the q-error, while Q8's exhausted operators still
+// report their real misestimate.
+func TestCardinalityErrorSkipsEarlyExits(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	ctx := context.Background()
+	eng := engine.New(s, engine.Native())
+	limit := sparql.MustParse(`SELECT * WHERE { ?s ?p ?o } LIMIT 1`, rdf.Prefixes)
+	q12a, _ := queries.ByID("q12a")
+	for name, q := range map[string]*sparql.Query{"limit": limit, "q12a": q12a.Parse()} {
+		_, tr, err := eng.QueryAnalyze(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bgp *engine.TraceNode
+		var walk func(n *engine.TraceNode)
+		walk = func(n *engine.TraceNode) {
+			if n.Op == "bgp" {
+				bgp = n
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(tr.Root)
+		if bgp == nil || !bgp.Partial || bgp.EstRows <= 1 {
+			t.Fatalf("%s: want a partial bgp carrying an estimate, got %+v", name, bgp)
+		}
+		if maxR, geo := tr.CardinalityError(); maxR != 0 || geo != 0 {
+			t.Errorf("%s: q-error max=%v geo=%v from an early exit:\n%s", name, maxR, geo, tr)
+		}
+		if out := tr.String(); strings.Contains(out, "cardinality error") || !strings.Contains(out, " partial") {
+			t.Errorf("%s: rendering must mark the partial operator and print no q-error:\n%s", name, out)
+		}
+	}
+	q8, _ := queries.ByID("q8")
+	_, tr, err := eng.QueryAnalyze(ctx, q8.Parse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxR, _ := tr.CardinalityError(); maxR < 100 {
+		t.Errorf("q8: max q-error %.1f, want its exhausted misestimate (>= 100x) reported:\n%s", maxR, tr)
 	}
 }

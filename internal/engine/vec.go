@@ -91,7 +91,7 @@ func (c *compiled) vecDecline(n algebra.Node) string {
 	case *algebra.BGPNode:
 		return c.vecDeclineBGP(node.Patterns, nil)
 	case *algebra.FilterNode:
-		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
+		if bgp, ok := node.Input.(*algebra.BGPNode); ok {
 			return c.vecDeclineBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond))
 		}
 		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
@@ -101,9 +101,6 @@ func (c *compiled) vecDecline(n algebra.Node) string {
 	case *algebra.LeftJoinNode:
 		if !probeJoinShape(node) {
 			return c.vecDeclineHashLeftJoin(node)
-		}
-		if !c.eng.opts.UseIndexes {
-			return "no index access path"
 		}
 		return c.vecDecline(node.Left)
 	case *algebra.UnionNode:
@@ -147,9 +144,6 @@ func (c *compiled) vecDeclineBGP(patterns []sparql.TriplePattern, conjuncts []sp
 // vecHashLeftJoin: the right side is evaluated once, so it must be
 // uncorrelated with the left.
 func (c *compiled) vecDeclineHashLeftJoin(node *algebra.LeftJoinNode) string {
-	if !c.eng.opts.HashLeftJoins {
-		return "optional with condition needs hash left joins"
-	}
 	if !isUncorrelated(node.Right, node.Left.Vars(), nil) {
 		return "optional right side correlated with the left"
 	}
@@ -220,7 +214,7 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
 	case *algebra.BGPNode:
 		return c.buildVecBGP(node.Patterns, nil), nil
 	case *algebra.FilterNode:
-		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
+		if bgp, ok := node.Input.(*algebra.BGPNode); ok {
 			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond)), nil
 		}
 		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
@@ -852,10 +846,11 @@ func (b *buildOnce) wait() error {
 func (v *vecJoin) configure(boundSlots map[int]bool) {
 	v.prevBound = sortedSlots(boundSlots)
 	if v.kind == opHashSeg {
-		// A block shares no variable with the patterns before it, but a
-		// block pattern after the first may still repeat an upstream
-		// variable when the patterns run in query order: that slot is
-		// checked, not written, exactly like bindRow's conflict check.
+		// A block shares no variable with the patterns before it in the
+		// planner's view, where a pinned variable is a constant, but
+		// its steps still bind the pinned slot: a slot bound upstream
+		// is checked, not written, exactly like bindRow's conflict
+		// check.
 		for k, s := range v.seg.seg.slots {
 			if boundSlots[s] {
 				v.checks = append(v.checks, compBind{comp: k, slot: s})

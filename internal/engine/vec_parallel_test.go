@@ -2,7 +2,7 @@ package engine_test
 
 // Tests for the partitioned batch executor (vecParallel): row order
 // against a sequential run, and worker shutdown on every way a query
-// can end early, under either executor.
+// can end early, under the batch operators and the tuple fallbacks.
 
 import (
 	"context"
@@ -25,12 +25,12 @@ import (
 // run returns exactly the sequential run's rows in the same order.
 func TestVecParallelPreservesRowOrder(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	seq := engine.NativeVec()
-	seq.Name, seq.Parallel = "native-vec-sequential", false
+	seq := engine.Native()
+	seq.Name, seq.ParallelWorkers = "native-sequential", 1
 	for _, q := range queries.All() {
 		parsed := q.Parse()
 		ref := orderedRows(t, s, seq, parsed)
-		for _, opts := range vecParallel4() {
+		for _, opts := range parallel4() {
 			if got := orderedRows(t, s, opts, parsed); !slices.Equal(got, ref) {
 				t.Errorf("%s: %s returned %d rows in a different order from %s's %d",
 					q.ID, opts.Name, len(got), seq.Name, len(ref))
@@ -74,7 +74,7 @@ var errInjected = errors.New("injected scan fault")
 func TestVecParallelStopsWorkers(t *testing.T) {
 	testutil.CheckNoLeaks(t)
 	s, _ := generatedStore(t, 10_000)
-	opts := vecParallel4()[0]
+	opts := parallel4()[0]
 	q4, _ := queries.ByID("q4") // an nl probe per anchor row, then six hash stages
 	heavy := q4.Parse()
 
@@ -130,17 +130,13 @@ func checkWorkerFault(t *testing.T, s *store.Store, opts engine.Options, q *spar
 // TestTupleOperatorsRelayWorkerFaults: the tuple operators run a
 // query's outer-free BGPs as the same partitioned batch chains, so a
 // fault in one of their workers — a remote shard failing mid-probe —
-// reaches the caller too: Q7 on the served engine (a tuple fallback
-// whose outer BGP is partitioned) and Q4 on the tuple engine.
+// reaches the caller too: Q7, a tuple fallback whose outer BGP is
+// partitioned.
 func TestTupleOperatorsRelayWorkerFaults(t *testing.T) {
 	testutil.CheckNoLeaks(t)
 	s, _ := generatedStore(t, 10_000)
 	q7, _ := queries.ByID("q7")
-	q4, _ := queries.ByID("q4")
-	native := engine.Native()
-	native.ParallelWorkers = 4
-	checkWorkerFault(t, s, engine.NativeVec(), q7.Parse())
-	checkWorkerFault(t, s, native, q4.Parse())
+	checkWorkerFault(t, s, parallel4()[0], q7.Parse())
 }
 
 // blockProbeFault panics on the probes Q5a's hashed block makes while it
@@ -170,7 +166,7 @@ func TestVecParallelBuildFaultEndsQuery(t *testing.T) {
 		t.Fatal("foaf:name not in the dictionary")
 	}
 	q5a, _ := queries.ByID("q5a")
-	eng := engine.NewReader(blockProbeFault{Reader: s, name: name}, vecParallel4()[0])
+	eng := engine.NewReader(blockProbeFault{Reader: s, name: name}, parallel4()[0])
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()

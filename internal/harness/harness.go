@@ -98,102 +98,20 @@ func DefaultEngines() []EngineSpec {
 	}
 }
 
-// AblationEngines returns the native engine with each optimization
-// disabled in turn — the ablation axis for the design choices the paper's
-// optimization discussion calls out, extended with the physical-operator
-// layer: each join operator off individually, and the nested-loop-only
-// configuration the join work is measured against.
-func AblationEngines() []EngineSpec {
-	full := engine.Native()
-	noReorder := full
-	noReorder.Name, noReorder.ReorderPatterns = "native-noreorder", false
-	noPush := full
-	noPush.Name, noPush.PushFilters = "native-nopush", false
-	noHashLJ := full
-	noHashLJ.Name, noHashLJ.HashLeftJoins = "native-nohashlj", false
-	noIndex := full
-	noIndex.Name, noIndex.UseIndexes = "native-noindex", false
-	noHashJoin := full
-	noHashJoin.Name, noHashJoin.HashJoins = "native-nohashjoin", false
-	noMerge := full
-	noMerge.Name, noMerge.MergeJoins = "native-nomergejoin", false
-	noParallel := full
-	noParallel.Name, noParallel.Parallel = "native-noparallel", false
-	nlj := full
-	nlj.Name = "native-nlj"
-	nlj.HashJoins, nlj.MergeJoins, nlj.Parallel = false, false, false
-	return []EngineSpec{
-		{Name: "native", Opts: full},
-		{Name: "native-noreorder", Opts: noReorder},
-		{Name: "native-nopush", Opts: noPush},
-		{Name: "native-nohashlj", Opts: noHashLJ},
-		{Name: "native-noindex", Opts: noIndex},
-		{Name: "native-nohashjoin", Opts: noHashJoin},
-		{Name: "native-nomergejoin", Opts: noMerge},
-		{Name: "native-noparallel", Opts: noParallel},
-		{Name: "native-nlj", Opts: nlj},
-	}
-}
-
-// VecEngines returns the vectorized engine configuration, native-vec.
-// It has no join-operator ablations of its own: native and native-vec
-// run every outer-free BGP on the same batch join operators, so
-// native-nohashjoin and native-nomergejoin ablate them. It lives
-// outside AblationEngines so the paper's ablation axis keeps its fixed
-// set.
-func VecEngines() []EngineSpec {
-	vec := engine.NativeVec()
-	return []EngineSpec{{Name: vec.Name, Opts: vec}}
-}
-
-// KnownEngines returns every named engine configuration: the two paper
-// families, the ablation set, and the vectorized configurations.
-func KnownEngines() []EngineSpec {
-	out := DefaultEngines()
-	for _, es := range AblationEngines() {
-		if es.Name != "native" { // already in the default set
-			out = append(out, es)
-		}
-	}
-	out = append(out, VecEngines()...)
-	return append(out, ShardEngines()...)
-}
-
-// ShardEngines returns the canonical sharded configurations: the tuple
-// and vectorized engines over a 4-shard in-process scatter-gather
-// reader. Any shard count works via the dynamic shardN-<engine> form
-// ParseEngines accepts (e.g. shard8-native).
-func ShardEngines() []EngineSpec {
-	tuple := engine.Native()
-	vec := engine.NativeVec()
-	return []EngineSpec{
-		{Name: "shard4-native", Opts: tuple, Shards: 4},
-		{Name: "shard4-native-vec", Opts: vec, Shards: 4},
-	}
-}
-
-// ParseEngines resolves a comma-separated list of engine names ("native,
-// native-nlj,...") against the known configurations.
+// ParseEngines resolves a comma-separated list of engine names
+// ("mem,native,shard4-native"): each is a name engine.ByName knows,
+// optionally prefixed with shardN- to run it over N in-process hash
+// shards of the loaded document.
 func ParseEngines(s string) ([]EngineSpec, error) {
-	known := map[string]EngineSpec{}
-	var names []string
-	for _, es := range KnownEngines() {
-		known[es.Name] = es
-		names = append(names, es.Name)
-	}
 	var out []EngineSpec
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		es, ok := known[name]
-		if !ok {
-			es, ok = parseShardEngine(name, known)
-		}
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown engine %q (want one of %s, or shardN-<engine>, e.g. shard8-native-vec)",
-				name, strings.Join(names, ","))
+		es, err := parseEngine(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, es)
 	}
@@ -203,28 +121,22 @@ func ParseEngines(s string) ([]EngineSpec, error) {
 	return out, nil
 }
 
-// parseShardEngine resolves the dynamic shardN-<engine> form: any
-// registered engine configuration run over N in-process hash shards.
-func parseShardEngine(name string, known map[string]EngineSpec) (EngineSpec, bool) {
-	rest, found := strings.CutPrefix(name, "shard")
-	if !found {
-		return EngineSpec{}, false
+// parseEngine resolves one engine name, plain or shardN-<engine>.
+func parseEngine(name string) (EngineSpec, error) {
+	shards := 0
+	base := name
+	if rest, ok := strings.CutPrefix(name, "shard"); ok {
+		if num, b, ok := strings.Cut(rest, "-"); ok {
+			if n, err := strconv.Atoi(num); err == nil && n >= 1 {
+				shards, base = n, b
+			}
+		}
 	}
-	numStr, base, found := strings.Cut(rest, "-")
-	if !found {
-		return EngineSpec{}, false
+	opts, err := engine.ByName(base)
+	if err != nil {
+		return EngineSpec{}, fmt.Errorf("harness: unknown engine %q (want mem, native, or shardN-<engine>, e.g. shard4-native)", name)
 	}
-	n, err := strconv.Atoi(numStr)
-	if err != nil || n < 1 {
-		return EngineSpec{}, false
-	}
-	es, found := known[base]
-	if !found {
-		return EngineSpec{}, false
-	}
-	es.Name = name
-	es.Shards = n
-	return es, true
+	return EngineSpec{Name: name, Opts: opts, Shards: shards}, nil
 }
 
 // Outcome classifies a query run, matching Table IV's legend.

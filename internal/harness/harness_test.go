@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"sp2bench/internal/engine"
 )
 
 // miniConfig returns a protocol small enough for unit tests: two tiny
@@ -295,24 +298,23 @@ func TestWriteFigureData(t *testing.T) {
 	}
 }
 
-func TestAblationEngines(t *testing.T) {
-	engines := AblationEngines()
-	if len(engines) != 9 {
-		t.Fatalf("ablation set = %d engines, want 9 (4 logical + 4 physical ablations + nlj)", len(engines))
+func TestParseEngines(t *testing.T) {
+	got, err := ParseEngines("mem, native,shard4-native")
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, e := range engines {
-		if seen[e.Name] {
-			t.Errorf("duplicate ablation engine %s", e.Name)
-		}
-		seen[e.Name] = true
-		if e.Name != e.Opts.Name {
-			t.Errorf("engine %s has mismatched option name %s", e.Name, e.Opts.Name)
-		}
+	want := []EngineSpec{
+		{Name: "mem", Opts: engine.Mem()},
+		{Name: "native", Opts: engine.Native()},
+		{Name: "shard4-native", Opts: engine.Native(), Shards: 4},
 	}
-	full := engines[0].Opts
-	if !full.UseIndexes || !full.ReorderPatterns || !full.PushFilters || !full.HashLeftJoins {
-		t.Error("first ablation engine must be the full native configuration")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseEngines = %+v, want %+v", got, want)
+	}
+	for _, bad := range []string{"native-nlj", "shard4-native-nlj", "shard4-mem-x", "shard0-native", "shardx-native", "shard4-", ""} {
+		if _, err := ParseEngines(bad); err == nil {
+			t.Errorf("ParseEngines(%q) accepted", bad)
+		}
 	}
 }
 
