@@ -288,7 +288,7 @@ func (c *compiled) buildNode(n algebra.Node, outer []string) (subplan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctIter{c: c, input: input}, nil
+		return &distinctIter{c: c, input: input, set: newDistinctSet(c.distinctSlots(node.Input))}, nil
 	case *algebra.OrderNode:
 		input, err := c.build(node.Input, outer)
 		if err != nil {

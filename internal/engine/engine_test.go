@@ -453,6 +453,54 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestDistinctProjectedSlots: DISTINCT keys on the projected variables
+// only — one (packed key), two with an OPTIONAL-unbound value (unbound
+// must stay distinct from every term), two plus a variable no pattern
+// binds, and three (byte key) — and under every configuration it keeps
+// exactly the distinct rows of the same query without DISTINCT.
+func TestDistinctProjectedSlots(t *testing.T) {
+	s := tinyLibrary()
+	for _, tc := range []struct {
+		vars, where string
+		want        int
+	}{
+		{"?c", "?doc dc:creator ?c", 3},
+		{"?c ?j", "?doc dc:creator ?c OPTIONAL { ?doc swrc:journal ?j }", 4},
+		{"?c ?j ?nothing", "?doc dc:creator ?c OPTIONAL { ?doc swrc:journal ?j }", 4},
+		{"?c ?j ?type", "?doc dc:creator ?c . ?doc rdf:type ?type OPTIONAL { ?doc swrc:journal ?j }", 4},
+	} {
+		all := runAll(t, s, "SELECT "+tc.vars+" WHERE { "+tc.where+" }")
+		distinct := runAll(t, s, "SELECT DISTINCT "+tc.vars+" WHERE { "+tc.where+" }")
+		want := map[string]bool{}
+		for _, r := range render(all) {
+			want[r] = true
+		}
+		got := render(distinct)
+		if len(got) != tc.want || len(want) != tc.want {
+			t.Fatalf("SELECT DISTINCT %s: %d rows (%d distinct without DISTINCT), want %d: %v",
+				tc.vars, len(got), len(want), tc.want, got)
+		}
+		for _, r := range got {
+			if !want[r] {
+				t.Fatalf("SELECT DISTINCT %s: row %q is not a row of the query, or repeats", tc.vars, r)
+			}
+			delete(want, r)
+		}
+	}
+
+	// IDs past one byte: keys must use every bit of every ID.
+	wide := store.New()
+	for i := 0; i < 600; i++ {
+		wide.Add(rdf.NewTriple(rdf.IRI(fmt.Sprintf("http://x/s%d", i)), rdf.IRI("http://x/p"), rdf.IRI(fmt.Sprintf("http://x/o%d", i))))
+	}
+	wide.Freeze()
+	for _, vars := range []string{"?s", "?s ?o", "?s ?p ?o"} {
+		if n := runAll(t, wide, "SELECT DISTINCT "+vars+" WHERE { ?s ?p ?o }").Len(); n != 600 {
+			t.Fatalf("SELECT DISTINCT %s over 600 distinct subjects: %d rows", vars, n)
+		}
+	}
+}
+
 func TestAsk(t *testing.T) {
 	s := tinyLibrary()
 	yes := runAll(t, s, `ASK { ?a rdf:type bench:Article }`)

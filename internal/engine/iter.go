@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"sp2bench/internal/algebra"
@@ -347,17 +348,16 @@ func (p *projectIter) next() ([]store.ID, bool, error) {
 	return out, true, nil
 }
 
-// distinctIter suppresses duplicate rows using a byte-key hash set.
+// distinctIter suppresses duplicate rows.
 type distinctIter struct {
 	c     *compiled
 	input subplan
-	seen  map[string]struct{}
-	key   []byte
+	set   distinctSet
 }
 
 func (d *distinctIter) open(parent []store.ID) {
 	d.input.open(parent)
-	d.seen = make(map[string]struct{})
+	d.set.reset()
 }
 
 func (d *distinctIter) next() ([]store.ID, bool, error) {
@@ -369,18 +369,103 @@ func (d *distinctIter) next() ([]store.ID, bool, error) {
 		if err := d.c.cancel.check(); err != nil {
 			return nil, false, err
 		}
-		d.key = d.key[:0]
-		for _, v := range row {
-			d.key = append(d.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		if d.set.newRow(row) {
+			return row, true, nil
 		}
-		// The indexed string(d.key) conversions compile to allocation-free
-		// map operations; only a genuinely new row allocates its key.
-		if _, dup := d.seen[string(d.key)]; dup {
-			continue
-		}
-		d.seen[string(d.key)] = struct{}{}
-		return row, true, nil
 	}
+}
+
+// distinctSlots returns the slots a DISTINCT over in keys its rows on.
+// Over a projection (the only input Translate gives DISTINCT) every
+// other slot is NoID, so the key is the projected variables' slots,
+// minus those of variables no pattern below binds: they are NoID in
+// every row too. Over any other input the key is every slot.
+func (c *compiled) distinctSlots(in algebra.Node) []int {
+	proj, ok := in.(*algebra.ProjectNode)
+	if !ok {
+		slots := make([]int, len(c.names))
+		for s := range slots {
+			slots[s] = s
+		}
+		return slots
+	}
+	bound := map[string]bool{}
+	for _, v := range proj.Input.Vars() {
+		bound[v] = true
+	}
+	var slots []int
+	for _, v := range proj.Columns {
+		if s, ok := c.slots[v]; ok && bound[v] && !slices.Contains(slots, s) {
+			slots = append(slots, s)
+		}
+	}
+	return slots
+}
+
+// distinctSet is the set of rows a DISTINCT has emitted, keyed on the
+// rows' values in its slots (term identity: one ID per term). Up to two
+// slots pack into a uint64 key, where NoID (unbound) differs from every
+// real ID; more slots key on 4 bytes per slot.
+type distinctSet struct {
+	slots  []int
+	vals   []store.ID // the current row's key values, one per slot
+	packed map[uint64]struct{}
+	wide   map[string]struct{}
+	key    []byte
+}
+
+func newDistinctSet(slots []int) distinctSet {
+	return distinctSet{slots: slots, vals: make([]store.ID, len(slots))}
+}
+
+// reset empties the set.
+func (d *distinctSet) reset() {
+	if len(d.slots) <= 2 {
+		d.packed = make(map[uint64]struct{})
+	} else {
+		d.wide = make(map[string]struct{})
+	}
+}
+
+// newRow reports whether the tuple row is new to the set, adding it.
+func (d *distinctSet) newRow(row []store.ID) bool {
+	for i, s := range d.slots {
+		d.vals[i] = row[s]
+	}
+	return d.insert()
+}
+
+// newBatchRow is newRow for row r of a batch's slot columns.
+func (d *distinctSet) newBatchRow(cols [][]store.ID, r int) bool {
+	for i, s := range d.slots {
+		d.vals[i] = cols[s][r]
+	}
+	return d.insert()
+}
+
+func (d *distinctSet) insert() bool {
+	if d.packed != nil {
+		var k uint64
+		for i, v := range d.vals {
+			k |= uint64(v) << (32 * i)
+		}
+		if _, dup := d.packed[k]; dup {
+			return false
+		}
+		d.packed[k] = struct{}{}
+		return true
+	}
+	d.key = d.key[:0]
+	for _, v := range d.vals {
+		d.key = append(d.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	// The indexed string(d.key) conversions compile to allocation-free
+	// map operations; only a genuinely new row allocates its key.
+	if _, dup := d.wide[string(d.key)]; dup {
+		return false
+	}
+	d.wide[string(d.key)] = struct{}{}
+	return true
 }
 
 // orderKey is one compiled ORDER BY condition.

@@ -33,7 +33,9 @@ import (
 const (
 	// hashJoinThreshold is the estimated input cardinality above which a
 	// join step switches from index nested loop to hash: below it the
-	// per-probe binary search is cheaper than building a table.
+	// per-row index probe (a directory lookup plus, for a two- or
+	// three-component prefix, a search of one leading ID's run) is
+	// cheaper than building a table.
 	hashJoinThreshold = 512
 	// crossCacheCap bounds the estimated size of a keyless disconnected
 	// block the planner is willing to materialize as a cached cross

@@ -249,7 +249,7 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := &vecDistinct{c: c, input: in}
+		d := &vecDistinct{c: c, input: in, set: newDistinctSet(c.distinctSlots(node.Input))}
 		return c.vwrap(d, &tnode{op: "distinct", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.OrderNode:
 		return c.buildVecOrder(node, -1)
@@ -1698,20 +1698,19 @@ func (p *vecProject) next() (*Batch, error) {
 	return b, nil
 }
 
-// vecDistinct suppresses duplicate rows with the tuple path's byte-key
-// set, marking first occurrences in the selection vector and compacting
-// in place.
+// vecDistinct suppresses duplicate rows with the tuple path's
+// distinctSet, marking first occurrences in the selection vector and
+// compacting in place.
 type vecDistinct struct {
 	c      *compiled
 	input  vecOp
-	seen   map[string]struct{}
-	key    []byte
+	set    distinctSet
 	selbuf []int32
 }
 
 func (d *vecDistinct) open() {
 	d.input.open()
-	d.seen = make(map[string]struct{})
+	d.set.reset()
 }
 
 func (d *vecDistinct) next() (*Batch, error) {
@@ -1725,16 +1724,9 @@ func (d *vecDistinct) next() (*Batch, error) {
 		}
 		sel := emptySel(d.selbuf)
 		for r := 0; r < b.n; r++ {
-			d.key = d.key[:0]
-			for s := range b.cols {
-				v := b.cols[s][r]
-				d.key = append(d.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			if d.set.newBatchRow(b.cols, r) {
+				sel = append(sel, int32(r))
 			}
-			if _, dup := d.seen[string(d.key)]; dup {
-				continue
-			}
-			d.seen[string(d.key)] = struct{}{}
-			sel = append(sel, int32(r))
 		}
 		d.selbuf = sel
 		b.SetSel(sel)

@@ -163,23 +163,24 @@ func (rep *Report) RenderLoading(w io.Writer) {
 }
 
 // RenderFootprints writes the per-scale store footprint table behind
-// sp2bbench -stats: triples, dictionary terms, and approximate index
-// and term-data bytes, plus the source each scale was loaded from.
+// sp2bbench -stats: triples, dictionary terms, index bytes (in total and
+// per triple) and approximate term-data bytes, plus the source each
+// scale was loaded from.
 func (rep *Report) RenderFootprints(w io.Writer) {
 	if len(rep.Footprints) == 0 {
 		return
 	}
 	fmt.Fprintln(w, "Store footprint")
-	fmt.Fprintf(w, "%-7s %12s %12s %14s %14s  %s\n",
-		"scale", "triples", "terms", "index [MiB]", "terms [MiB]", "source")
+	fmt.Fprintf(w, "%-7s %12s %12s %14s %14s %14s  %s\n",
+		"scale", "triples", "terms", "index [MiB]", "index [B/t]", "terms [MiB]", "source")
 	for _, sc := range reportScales(rep) {
 		f, ok := rep.Footprints[sc.Name]
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(w, "%-7s %12d %12d %14.1f %14.1f  %s\n",
-			sc.Name, f.Triples, f.Terms,
-			float64(f.IndexBytes)/(1<<20), float64(f.TermBytes)/(1<<20), rep.Sources[sc.Name])
+		fmt.Fprintf(w, "%-7s %12d %12d %14.1f %14.1f %14.1f  %s\n",
+			sc.Name, f.Triples, f.Terms, float64(f.IndexBytes)/(1<<20),
+			f.IndexBytesPerTriple(), float64(f.TermBytes)/(1<<20), rep.Sources[sc.Name])
 	}
 }
 

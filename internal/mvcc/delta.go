@@ -9,7 +9,7 @@ import (
 // deltaIndex is the small, immutable index over the triples inserted
 // since the base generation froze. Like the frozen store it keeps the
 // three SPO/POS/OSP sorted runs, so a snapshot can answer any triple
-// pattern by merging the base's binary-searched range with the delta's
+// pattern by merging the base's directory-located range with the delta's
 // — the differential-index design of RDF-3X: an indexed immutable core
 // plus a small delta, compacted in the background.
 //
@@ -119,6 +119,8 @@ func mergeRuns(a, b []store.EncTriple) []store.EncTriple {
 // ordering, with the same prefix/residual semantics as
 // store.Store.RangeIn: rows whose first prefix components equal the
 // key, plus the residual filter for bound components past the prefix.
+// The run is small and has no directory, so the whole prefix is found
+// by the store's within-run search.
 func (d *deltaIndex) rangeIn(ord store.Order, sub, pred, obj store.ID) store.IndexRange {
 	key := ord.Permute(store.EncTriple{sub, pred, obj})
 	run := d.runs[ord]
@@ -126,7 +128,7 @@ func (d *deltaIndex) rangeIn(ord store.Order, sub, pred, obj store.ID) store.Ind
 	for prefix < 3 && key[prefix] != store.NoID {
 		prefix++
 	}
-	lo, hi := runRange(run, key, prefix)
+	lo, hi := store.SearchRun(run, key, prefix)
 	var filt store.EncTriple
 	for i := prefix; i < 3; i++ {
 		filt[i] = key[i]
@@ -149,26 +151,4 @@ func (d *deltaIndex) count(sub, pred, obj store.ID) int {
 		}
 		n++
 	}
-}
-
-// runRange binary-searches the half-open row range whose first prefix
-// components equal key's — rangeOf over a delta run.
-func runRange(run []store.EncTriple, key store.EncTriple, prefix int) (int, int) {
-	if prefix == 0 {
-		return 0, len(run)
-	}
-	cmp := func(t store.EncTriple) int {
-		for i := 0; i < prefix; i++ {
-			if t[i] != key[i] {
-				if t[i] < key[i] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	lo := sort.Search(len(run), func(i int) bool { return cmp(run[i]) >= 0 })
-	hi := sort.Search(len(run), func(i int) bool { return cmp(run[i]) > 0 })
-	return lo, hi
 }

@@ -12,7 +12,7 @@
 // nothing — no reader ever observes half of a batch. Readers acquire an
 // epoch-pinned Snapshot (an atomic load plus a refcount) and query it
 // through the same store.Reader surface the engine runs on: every
-// Match/Range merges the base's binary-searched range with the delta's,
+// Match/Range merges the base's directory-located range with the delta's,
 // and ranges the delta does not touch alias the frozen index zero-copy.
 //
 // A background merger keeps the delta small: when it crosses the merge

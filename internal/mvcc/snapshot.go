@@ -9,7 +9,7 @@ import (
 
 // Snapshot pins one dataset version and serves the store.Reader query
 // surface over it: every pattern lookup merges the frozen base
-// generation's binary-searched range with the delta's, so the engine's
+// generation's directory-located range with the delta's, so the engine's
 // operators (merge joins, partitioned parallel scans, galloping) run
 // unchanged. A Snapshot is immutable and safe for concurrent use; it
 // observes no commit made after it was taken, which is the per-query

@@ -5,7 +5,9 @@
 // This is the classic "triple table" design the paper's storage-scheme
 // discussion references: terms are interned to dense uint32 IDs, triples
 // are [3]uint32, and each index is a sorted slice answering prefix range
-// queries by binary search. The native engine uses the indexes; the
+// queries: a dense leading-ID directory locates a bound leading
+// component's run in O(1), and only a longer prefix searches within that
+// run. The native engine uses the indexes; the
 // in-memory engine scans the unindexed triple slice, mirroring the two
 // engine families benchmarked in the paper.
 package store

@@ -18,7 +18,8 @@ type EncTriple [3]ID
 type Order uint8
 
 // The three index orderings. Together they answer every bound/unbound
-// combination of a triple pattern with one binary-searched range:
+// combination of a triple pattern with one contiguous range, found
+// through the index's leading-ID directory (see Store.RangeIn):
 //
 //	S?? SP? SPO -> SPO;  ?P? ?PO -> POS;  ??O S?O -> OSP;  ??? -> scan.
 const (
@@ -74,7 +75,13 @@ type Store struct {
 	dict    *Dict
 	triples []EncTriple // SPO order after Freeze; insertion order before
 	indexes [3][]EncTriple
-	frozen  bool
+	// dirs[ord] is ord's leading-ID directory: dirs[ord][id] is the
+	// first row of indexes[ord] whose leading component is >= id, so the
+	// run of rows led by id is indexes[ord][dirs[ord][id]:dirs[ord][id+1]].
+	// It has one entry per ID up to the index's largest leading ID, plus
+	// one past it (see buildDir).
+	dirs   [3][]uint32
+	frozen bool
 
 	predCount  map[ID]int // triples per predicate (statistics)
 	predSubj   map[ID]map[ID]struct{}
@@ -188,6 +195,9 @@ func (s *Store) Freeze() {
 	}()
 	wg.Wait()
 	s.indexes[OrderSPO] = s.triples
+	for ord, idx := range s.indexes {
+		s.dirs[ord] = buildDir(idx)
+	}
 
 	// Global distinct counts come free from the sorted indexes: count the
 	// leading-component transitions.
@@ -226,6 +236,24 @@ func (s *Store) buildStats() {
 	}
 	// The per-ID sets are only needed to compute the counts.
 	s.predSubj, s.predObj = nil, nil
+}
+
+// buildDir builds a sorted index's leading-ID directory (see
+// Store.dirs) in one pass: idx[n-1][0]+2 entries, the last of which is
+// n. An empty index has no directory.
+func buildDir(idx []EncTriple) []uint32 {
+	if len(idx) == 0 {
+		return nil
+	}
+	dir := make([]uint32, int(idx[len(idx)-1][0])+2)
+	row := 0
+	for id := range dir {
+		for row < len(idx) && int(idx[row][0]) < id {
+			row++
+		}
+		dir[id] = uint32(row)
+	}
+	return dir
 }
 
 func leadingDistinct(idx []EncTriple) int {
@@ -442,10 +470,12 @@ func (s *Store) Range(sub, pred, obj ID) IndexRange {
 
 // RangeIn returns the range matching the pattern within one specific
 // index ordering. Bound components that form a prefix in ord's component
-// order narrow the range by binary search; bound components past the
-// prefix become residual constraints. Callers pick ord for its sort
-// order — e.g. a merge join asks for the index whose first post-prefix
-// component is the join variable's position.
+// order narrow the range: the leading one through the index's leading-ID
+// directory in O(1), the rest by a search of that lead's run only (see
+// SearchRun). Bound components past the prefix become residual
+// constraints. Callers pick ord for its sort order — e.g. a merge join
+// asks for the index whose first post-prefix component is the join
+// variable's position.
 func (s *Store) RangeIn(ord Order, sub, pred, obj ID) IndexRange {
 	if !s.frozen {
 		panic("store: RangeIn before Freeze")
@@ -458,7 +488,19 @@ func (s *Store) RangeIn(ord Order, sub, pred, obj ID) IndexRange {
 	for prefix < 3 && key[prefix] != NoID {
 		prefix++
 	}
-	lo, hi := rangeOf(idx, key, prefix)
+	lo, hi := 0, len(idx)
+	if prefix > 0 {
+		// An ID past the directory (larger than every leading ID, e.g. a
+		// term interned after Freeze) leads no row.
+		lo, hi = len(idx), len(idx)
+		if dir := s.dirs[ord]; int(key[0])+1 < len(dir) {
+			lo, hi = int(dir[key[0]]), int(dir[key[0]+1])
+		}
+		if prefix > 1 {
+			l, h := SearchRun(idx[lo:hi], key, prefix)
+			lo, hi = lo+l, lo+h
+		}
+	}
 	var filt EncTriple
 	for i := prefix; i < 3; i++ {
 		filt[i] = key[i] // any bound component past the prefix is residual
@@ -468,8 +510,8 @@ func (s *Store) RangeIn(ord Order, sub, pred, obj ID) IndexRange {
 
 // Iterate returns an iterator over triples matching the pattern; NoID
 // components are wildcards. It selects the index whose prefix covers the
-// bound components, so every lookup is one binary-searched range plus (for
-// the S?O case) a residual filter.
+// bound components, so every lookup is one directory-located range plus
+// (for the S?O case) a residual filter.
 func (s *Store) Iterate(sub, pred, obj ID) *Iterator {
 	if !s.frozen {
 		panic("store: Iterate before Freeze")
@@ -495,11 +537,13 @@ func ChooseOrder(sBound, pBound, oBound bool) Order {
 	}
 }
 
-// rangeOf binary-searches the half-open row range whose first `prefix`
-// components equal key's.
-func rangeOf(idx []EncTriple, key EncTriple, prefix int) (int, int) {
+// SearchRun returns the half-open range of rows whose first prefix
+// components equal key's, within rows sorted in key's component order.
+// The frozen store calls it on one leading ID's run (found through the
+// directory); the MVCC delta index calls it on its whole sorted runs.
+func SearchRun(rows []EncTriple, key EncTriple, prefix int) (lo, hi int) {
 	if prefix == 0 {
-		return 0, len(idx)
+		return 0, len(rows)
 	}
 	cmp := func(t EncTriple) int {
 		for i := 0; i < prefix; i++ {
@@ -512,43 +556,33 @@ func rangeOf(idx []EncTriple, key EncTriple, prefix int) (int, int) {
 		}
 		return 0
 	}
-	lo := sort.Search(len(idx), func(i int) bool { return cmp(idx[i]) >= 0 })
+	lo = sort.Search(len(rows), func(i int) bool { return cmp(rows[i]) >= 0 })
 	// Matching runs are mostly short (a join probe binds a subject or an
 	// object): gallop from lo to bracket the run's end, then search only
-	// the bracket, instead of a second search over the whole index.
-	done, probe := lo, lo // rows in [lo, done) match; idx[probe] is tested next
-	for step := 1; probe < len(idx) && cmp(idx[probe]) == 0; step *= 2 {
+	// the bracket, instead of a second search over all the rows.
+	done, probe := lo, lo // rows in [lo, done) match; rows[probe] is tested next
+	for step := 1; probe < len(rows) && cmp(rows[probe]) == 0; step *= 2 {
 		done = probe + 1
-		probe = min(done+step, len(idx))
+		probe = min(done+step, len(rows))
 	}
-	hi := done + sort.Search(probe-done, func(i int) bool { return cmp(idx[done+i]) > 0 })
+	hi = done + sort.Search(probe-done, func(i int) bool { return cmp(rows[done+i]) > 0 })
 	return lo, hi
 }
 
 // Count returns the number of triples matching the pattern without
-// materializing them. For prefix-covered patterns this is O(log n).
+// materializing them. For prefix-covered patterns this is the length of
+// the directory-located range; only a residual (S?O) constraint is
+// counted row by row.
 func (s *Store) Count(sub, pred, obj ID) int {
 	if !s.frozen {
 		panic("store: Count before Freeze")
 	}
-	ord := ChooseOrder(sub != NoID, pred != NoID, obj != NoID)
-	key := ord.Permute(EncTriple{sub, pred, obj})
-	prefix := 0
-	for prefix < 3 && key[prefix] != NoID {
-		prefix++
-	}
-	allPrefix := true
-	for i := prefix; i < 3; i++ {
-		if key[i] != NoID {
-			allPrefix = false
-		}
-	}
-	lo, hi := rangeOf(s.indexes[ord], key, prefix)
-	if allPrefix {
-		return hi - lo
+	rng := s.Range(sub, pred, obj)
+	if rng.Filt == (EncTriple{}) {
+		return len(rng.Rows)
 	}
 	n := 0
-	it := s.Iterate(sub, pred, obj)
+	it := rng.Iterator()
 	for {
 		if _, ok := it.Next(); !ok {
 			return n
@@ -633,7 +667,8 @@ func (s *Store) PredStats() []PredStat {
 // the indexes must be equal-length, strictly sorted in their component
 // order, and reference only dictionary IDs; the statistics must name
 // existing predicates and sum to the triple count. The global distinct
-// counts are recomputed from the indexes, which is free.
+// counts and each index's leading-ID directory are recomputed from the
+// indexes, one more O(n) pass each.
 func Rehydrate(dict *Dict, indexes [3][]EncTriple, stats []PredStat) (*Store, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("store: rehydrate without a dictionary")
@@ -645,13 +680,16 @@ func Rehydrate(dict *Dict, indexes [3][]EncTriple, stats []PredStat) (*Store, er
 	}
 	maxID := ID(dict.Len())
 	errs := make([]error, 3)
+	var dirs [3][]uint32
 	var wg sync.WaitGroup
 	for _, ord := range []Order{OrderSPO, OrderPOS, OrderOSP} {
 		ord := ord
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[ord] = checkIndex(indexes[ord], ord, maxID)
+			if errs[ord] = checkIndex(indexes[ord], ord, maxID); errs[ord] == nil {
+				dirs[ord] = buildDir(indexes[ord])
+			}
 		}()
 	}
 	wg.Wait()
@@ -665,6 +703,7 @@ func Rehydrate(dict *Dict, indexes [3][]EncTriple, stats []PredStat) (*Store, er
 		dict:       dict,
 		triples:    indexes[OrderSPO],
 		indexes:    indexes,
+		dirs:       dirs,
 		predCount:  make(map[ID]int, len(stats)),
 		distinctSP: make(map[ID]int, len(stats)),
 		distinctOP: make(map[ID]int, len(stats)),
@@ -722,9 +761,10 @@ type Footprint struct {
 	Triples int
 	// Terms is the dictionary size.
 	Terms int
-	// IndexBytes approximates the three sorted indexes' footprint
-	// (12 bytes per row per index; the SPO index aliases the triple
-	// slice, so three slices total are held).
+	// IndexBytes is the three sorted indexes' footprint (12 bytes per
+	// row per index; the SPO index aliases the triple slice, so three
+	// slices total are held) plus their leading-ID directories (4 bytes
+	// per entry, about one entry per term per index).
 	IndexBytes int64
 	// TermBytes sums the dictionary's string payloads (map and header
 	// overhead excluded, hence "approximate").
@@ -749,6 +789,9 @@ func (s *Store) Footprint() Footprint {
 		Terms:      s.dict.Len(),
 		IndexBytes: 3 * int64(len(s.triples)) * int64(len(EncTriple{})) * 4,
 	}
+	for _, dir := range s.dirs {
+		f.IndexBytes += int64(len(dir)) * 4
+	}
 	for _, t := range s.dict.Terms() {
 		f.TermBytes += int64(len(t.Value) + len(t.Datatype) + len(t.Lang))
 	}
@@ -756,13 +799,19 @@ func (s *Store) Footprint() Footprint {
 }
 
 func (f Footprint) String() string {
-	s := fmt.Sprintf("%d triples, %d terms, ~%s indexes + ~%s term data",
-		f.Triples, f.Terms, mib(f.IndexBytes), mib(f.TermBytes))
+	s := fmt.Sprintf("%d triples, %d terms, ~%s indexes (%.1f B/triple) + ~%s term data",
+		f.Triples, f.Terms, mib(f.IndexBytes), f.IndexBytesPerTriple(), mib(f.TermBytes))
 	if f.DeltaTriples > 0 || f.Generation > 0 {
 		s += fmt.Sprintf(" (gen %d: %d base + %d delta, ~%s delta runs)",
 			f.Generation, f.BaseTriples, f.DeltaTriples, mib(f.DeltaBytes))
 	}
 	return s
+}
+
+// IndexBytesPerTriple is IndexBytes per stored triple: 36 for the three
+// indexes' rows plus the directories' share.
+func (f Footprint) IndexBytesPerTriple() float64 {
+	return float64(f.IndexBytes) / float64(max(1, f.Triples))
 }
 
 func mib(n int64) string {
