@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
@@ -136,7 +137,11 @@ func (e *Engine) Source() store.Reader { return e.src }
 // Options returns the engine configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Result is the materialized outcome of a query.
+// Result is the materialized outcome of a query: every solution's terms
+// held at once. The protocol server does not build one for a plain
+// SELECT; it writes the rows of Select as they are produced. Result
+// serves ASK and aggregate answers, and callers that need the whole
+// table (CONSTRUCT/DESCRIBE post-processing, the CLI, the tests).
 type Result struct {
 	// Form distinguishes SELECT from ASK results.
 	Form sparql.Form
@@ -166,7 +171,8 @@ var ErrCancelled = errors.New("query cancelled")
 // Query runs q to completion and materializes the result. ASK queries stop
 // at the first solution. Aggregate queries are dispatched to Aggregate;
 // CONSTRUCT and DESCRIBE queries return graphs, not bindings, and must go
-// through Construct/Describe (or Eval).
+// through Construct/Describe (or Eval). A SELECT result is the rows
+// Select yields, each copied.
 func (e *Engine) Query(ctx context.Context, q *sparql.Query) (*Result, error) {
 	if q.Form == sparql.FormConstruct || q.Form == sparql.FormDescribe {
 		return nil, fmt.Errorf("engine: %v queries return graphs; use Eval", q.Form)
@@ -174,60 +180,31 @@ func (e *Engine) Query(ctx context.Context, q *sparql.Query) (*Result, error) {
 	if q.IsAggregate() {
 		return e.Aggregate(ctx, q)
 	}
-	c, err := e.compile(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer c.close()
 	if q.Form == sparql.FormAsk {
+		c, err := e.compile(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		defer c.close()
 		ok, err := c.ask()
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Form: sparql.FormAsk, Ask: ok}, nil
 	}
-	res := &Result{Form: sparql.FormSelect, Vars: c.projection}
-	if c.vec != nil {
-		// Batch path: materialize terms column-wise per batch.
-		c.vec.open()
-		for {
-			b, err := c.vec.next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				return res, nil
-			}
-			for r := 0; r < b.Len(); r++ {
-				out := make([]rdf.Term, len(c.projSlots))
-				for i, slot := range c.projSlots {
-					if slot >= 0 {
-						if id := b.Col(slot)[r]; id != store.NoID {
-							out[i] = e.src.TermDict().Term(id)
-						}
-					}
-				}
-				res.Rows = append(res.Rows, out)
-			}
-		}
+	rows, err := e.Select(ctx, q)
+	if err != nil {
+		return nil, err
 	}
-	c.root.open(c.emptyRow())
-	for {
-		row, ok, err := c.root.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return res, nil
-		}
-		out := make([]rdf.Term, len(c.projSlots))
-		for i, slot := range c.projSlots {
-			if slot >= 0 && row[slot] != store.NoID {
-				out[i] = e.src.TermDict().Term(row[slot])
-			}
-		}
-		res.Rows = append(res.Rows, out)
+	defer rows.Close()
+	res := &Result{Form: sparql.FormSelect, Vars: rows.Vars}
+	for rows.Next() {
+		res.Rows = append(res.Rows, slices.Clone(rows.Row()))
 	}
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Count runs q and returns only the number of solutions, without

@@ -7,10 +7,14 @@ import (
 
 // Every writer appends its document into one encoder buffer and hands
 // it to the destination whenever a row leaves at least flushSize bytes
-// in it, so memory stays bounded by the chunk size plus one row and the
-// first bytes leave before the last row is encoded. Buffers come from a
-// pool so a one-row answer costs no allocation in the steady state; a
-// buffer one huge row grew past maxPooledSize is left to the collector.
+// in it, so memory stays bounded by the chunk size plus one row. Over a
+// streamed result (Stream) the rows are read from the engine as they
+// are encoded, so the first bytes leave while the engine is still
+// producing rows; until the first flush nothing has left, and a failed
+// iterator drops the buffer, so its caller can still answer with an
+// error. Buffers come from a pool so a one-row answer costs no
+// allocation in the steady state; a buffer one huge row grew past
+// maxPooledSize is left to the collector.
 const (
 	flushSize     = 64 << 10
 	maxPooledSize = 1 << 20
@@ -19,11 +23,14 @@ const (
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // encoder is one response in flight: the pending bytes, the destination,
-// and the first write error, after which nothing more is written.
+// and the first write error, after which nothing more is written. slice
+// is the cursor over a held table, kept here so iterating one costs no
+// allocation.
 type encoder struct {
-	buf []byte
-	w   io.Writer
-	err error
+	buf   []byte
+	w     io.Writer
+	err   error
+	slice sliceRows
 }
 
 func newEncoder(w io.Writer) *encoder {
@@ -54,14 +61,36 @@ func (e *encoder) flush() {
 	e.buf = e.buf[:0]
 }
 
+// rowsOf returns the row iterator of a SELECT result: its stream, or
+// the encoder's cursor over its held rows.
+func (e *encoder) rowsOf(r *Result) RowIter {
+	if r.iter != nil {
+		return r.iter
+	}
+	e.slice = sliceRows{rows: r.Rows}
+	return &e.slice
+}
+
+// end finishes a document whose row loop ran out: when the iterator
+// failed, the pending bytes are dropped and its error is returned;
+// otherwise the terminator is written and the encoder closed.
+func (e *encoder) end(rows RowIter, terminator string) error {
+	if err := rows.Err(); err != nil {
+		e.err, e.buf = err, e.buf[:0]
+		return e.close()
+	}
+	e.str(terminator)
+	return e.close()
+}
+
 // close flushes what is left unless a write already failed, returns the
-// encoder to the pool and reports the first write error.
+// encoder to the pool and reports the first error.
 func (e *encoder) close() error {
 	if e.err == nil {
 		e.flush()
 	}
 	err := e.err
-	e.w, e.err, e.buf = nil, nil, e.buf[:0]
+	e.w, e.err, e.buf, e.slice = nil, nil, e.buf[:0], sliceRows{}
 	if cap(e.buf) <= maxPooledSize {
 		encoders.Put(e)
 	}

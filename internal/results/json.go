@@ -69,10 +69,12 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	}
 	e.str(`},"results":{"bindings":[`)
 	members := jsonMembers(r.Vars)
-	for n, row := range r.Rows {
+	rows := e.rowsOf(r)
+	for n := 0; rows.Next(); n++ {
 		if n > 0 {
 			e.str(",")
 		}
+		row := rows.Row()
 		e.str("{")
 		first := true
 		for i := range members {
@@ -92,8 +94,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 			return e.close()
 		}
 	}
-	e.str("]}}\n")
-	return e.close()
+	return e.end(rows, "]}}\n")
 }
 
 // jsonMember is one member of a binding object: a distinct variable

@@ -4,7 +4,10 @@
 // formats and a human-readable table (SELECT/ASK), an N-Triples writer
 // for CONSTRUCT/DESCRIBE graphs, and a parser for the JSON format so
 // results can round-trip over the wire. The SELECT/ASK writers stream
-// through one pooled append buffer (encode.go).
+// through one pooled append buffer (encode.go). A SELECT result is
+// either a held table (Select, FromEngine) or a row iterator (Stream):
+// each format has one row loop that reads both, and over an iterator
+// the first bytes leave while the engine is still producing rows.
 package results
 
 import (
@@ -28,11 +31,52 @@ type Result struct {
 	Rows [][]rdf.Term
 	// Boolean is non-nil for ASK results and holds the verdict.
 	Boolean *bool
+	// iter, set by Stream, supplies the rows in place of Rows.
+	iter RowIter
 }
+
+// RowIter yields the rows of a SELECT result one at a time: Next
+// advances and reports whether there is a row, Row returns it (aligned
+// with the result's Vars, zero terms unbound, valid until the next
+// Next), and Err reports what ended the iteration early, if anything.
+// *engine.Rows is one.
+type RowIter interface {
+	Next() bool
+	Row() []rdf.Term
+	Err() error
+}
+
+// sliceRows iterates a held binding table.
+type sliceRows struct {
+	rows [][]rdf.Term
+	i    int
+}
+
+func (s *sliceRows) Next() bool {
+	if s.i == len(s.rows) {
+		return false
+	}
+	s.i++
+	return true
+}
+
+func (s *sliceRows) Row() []rdf.Term { return s.rows[s.i-1] }
+func (s *sliceRows) Err() error      { return nil }
 
 // Select returns a SELECT result over the given binding table.
 func Select(vars []string, rows [][]rdf.Term) *Result {
 	return &Result{Vars: vars, Rows: rows}
+}
+
+// Stream returns a SELECT result whose rows are read from it while the
+// result is written, so no row is held beyond the encoder's chunk.
+// Writing consumes the iterator: a streamed result is written once. If
+// the iterator fails, the write stops without the format's terminator,
+// drops the bytes it has not yet handed to the destination, and returns
+// the iterator's error; a destination that has received nothing can
+// still answer with an error instead.
+func Stream(vars []string, it RowIter) *Result {
+	return &Result{Vars: vars, iter: it}
 }
 
 // Ask returns an ASK result with the given verdict.
@@ -51,7 +95,8 @@ func FromEngine(res *engine.Result) *Result {
 // IsAsk reports whether the result is an ASK verdict.
 func (r *Result) IsAsk() bool { return r.Boolean != nil }
 
-// Len returns the number of solutions (0 or 1 for ASK).
+// Len returns the number of solutions held (0 or 1 for ASK). A streamed
+// result holds none; its iterator counts what it yielded.
 func (r *Result) Len() int {
 	if r.IsAsk() {
 		if *r.Boolean {
@@ -170,8 +215,9 @@ func (r *Result) WriteTable(w io.Writer) error {
 		e.str(v)
 	}
 	e.str("\n")
-	for _, row := range r.Rows {
-		for j, t := range row {
+	rows := e.rowsOf(r)
+	for rows.Next() {
+		for j, t := range rows.Row() {
 			if j > 0 {
 				e.str("\t")
 			}
@@ -186,7 +232,7 @@ func (r *Result) WriteTable(w io.Writer) error {
 			return e.close()
 		}
 	}
-	return e.close()
+	return e.end(rows, "")
 }
 
 // WriteGraph serializes a CONSTRUCT/DESCRIBE graph as N-Triples.

@@ -32,7 +32,9 @@ func (r *Result) WriteCSV(w io.Writer) error {
 		e.csvField("", v)
 	}
 	e.str("\r\n")
-	for _, row := range r.Rows {
+	rows := e.rowsOf(r)
+	for rows.Next() {
+		row := rows.Row()
 		for i := range r.Vars {
 			if i > 0 {
 				e.str(",")
@@ -46,7 +48,7 @@ func (r *Result) WriteCSV(w io.Writer) error {
 			return e.close()
 		}
 	}
-	return e.close()
+	return e.end(rows, "")
 }
 
 // csvTerm writes a term the way the CSV format prescribes: bare
@@ -98,7 +100,9 @@ func (r *Result) WriteTSV(w io.Writer) error {
 		e.str(v)
 	}
 	e.str("\n")
-	for _, row := range r.Rows {
+	rows := e.rowsOf(r)
+	for rows.Next() {
+		row := rows.Row()
 		for i := range r.Vars {
 			if i > 0 {
 				e.str("\t")
@@ -112,7 +116,7 @@ func (r *Result) WriteTSV(w io.Writer) error {
 			return e.close()
 		}
 	}
-	return e.close()
+	return e.end(rows, "")
 }
 
 func (e *encoder) bool(v bool) {

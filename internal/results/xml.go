@@ -40,9 +40,10 @@ func (r *Result) WriteXML(w io.Writer) error {
 		open[i] = append(appendXMLText([]byte(`      <binding name="`), v), `">`...)
 	}
 	e.str("  <results>\n")
-	for _, row := range r.Rows {
+	rows := e.rowsOf(r)
+	for rows.Next() {
 		e.str("    <result>\n")
-		for i, t := range row {
+		for i, t := range rows.Row() {
 			if i >= len(r.Vars) || t.IsZero() {
 				continue
 			}
@@ -55,9 +56,7 @@ func (r *Result) WriteXML(w io.Writer) error {
 			return e.close()
 		}
 	}
-	e.str("  </results>\n")
-	e.str("</sparql>\n")
-	return e.close()
+	return e.end(rows, "  </results>\n</sparql>\n")
 }
 
 func (e *encoder) xmlTerm(t rdf.Term) {

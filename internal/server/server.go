@@ -53,8 +53,11 @@ type Config struct {
 	// Opts configures the per-request engines of a Live deployment;
 	// ignored when Engine is set.
 	Opts engine.Options
-	// Timeout is the per-request evaluation limit (0 = none). Requests
-	// exceeding it answer 503.
+	// Timeout is the per-request evaluation limit (0 = none). A SELECT
+	// streams its rows while they are evaluated, so the limit bounds the
+	// streamed write as well. A request exceeding it before any result
+	// bytes have been sent answers 503; one exceeding it mid-stream is
+	// aborted, and its client sees a truncated body.
 	Timeout time.Duration
 	// MaxConcurrent caps in-flight evaluations (0 = unlimited). Excess
 	// requests queue until a slot frees or their context ends.
@@ -149,6 +152,10 @@ func (s *Server) logf(format string, args ...any) {
 type reqMeta struct {
 	fingerprint string
 	generation  uint64
+	// abortStatus is the status a failure mid-stream would have answered
+	// had the response not started; non-zero means ServeHTTP aborts the
+	// response after logging it.
+	abortStatus int
 }
 
 // ServeHTTP handles one protocol query request.
@@ -164,6 +171,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if status >= 400 {
 		reqFaults.With(strconv.Itoa(status)).Inc()
 	}
+	if meta.abortStatus != 0 {
+		reqAborted.With(strconv.Itoa(meta.abortStatus)).Inc()
+	}
 	s.logf("%s %s %d %v %s", r.Method, route, status, dur.Round(time.Microsecond), detail)
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
@@ -175,6 +185,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Uint64("generation", meta.generation),
 			slog.String("detail", detail),
 		)
+	}
+	if meta.abortStatus != 0 {
+		// Part of a 200 response has left: net/http's documented abort
+		// leaves the client a truncated chunked body, never a
+		// complete-looking document missing rows.
+		panic(http.ErrAbortHandler)
 	}
 }
 
@@ -211,6 +227,29 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, meta *reqMeta) (i
 		return httpError(w, http.StatusBadRequest, err)
 	}
 
+	// Negotiate before evaluating: an unacceptable Accept header costs
+	// no evaluation. An ?analyze=1 request answers JSON whatever it
+	// accepts.
+	analyze := r.URL.Query().Get("analyze") != ""
+	accept := r.Header.Get("Accept")
+	graphForm := q.Form == sparql.FormConstruct || q.Form == sparql.FormDescribe
+	format := results.JSON
+	switch {
+	case analyze:
+	case graphForm:
+		if !graphAcceptable(accept) {
+			return httpError(w, http.StatusNotAcceptable,
+				fmt.Errorf("CONSTRUCT/DESCRIBE results are only available as %s", results.NTriplesContentType))
+		}
+	default:
+		var ok bool
+		if format, ok = negotiate(accept); !ok {
+			return httpError(w, http.StatusNotAcceptable,
+				fmt.Errorf("no supported result format in Accept %q (supported: %s)",
+					accept, strings.Join(SupportedSelectTypes(), ", ")))
+		}
+	}
+
 	ctx := r.Context()
 	if s.cfg.Timeout != 0 {
 		var cancel context.CancelFunc
@@ -232,29 +271,25 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, meta *reqMeta) (i
 		eng = engine.NewReader(sn, s.cfg.Opts)
 	}
 
+	if !analyze && q.Form == sparql.FormSelect && !q.IsAggregate() {
+		return streamSelect(ctx, w, eng, q, format, meta)
+	}
+
 	// EXPLAIN ANALYZE: ?analyze=1 runs the query under a trace collector
 	// and answers with a JSON trace block instead of the result set.
-	analyze := r.URL.Query().Get("analyze") != ""
 	var th *engine.TraceHandle
 	ectx := ctx
 	if analyze {
 		ectx, th = engine.WithAnalyze(ctx)
 	}
-	res, graph, err := evalShielded(ectx, eng, q)
-	var fault *shard.FaultError
-	switch {
-	case err == nil:
-	case errors.As(err, &fault):
-		// A remote shard failed mid-scatter: the coordinator cannot
-		// answer correctly from the surviving shards, so the query fails
-		// as a gateway fault naming the culprit.
-		return httpError(w, http.StatusBadGateway, err)
-	case errors.Is(err, engine.ErrCancelled) || ctx.Err() != nil:
-		return httpError(w, http.StatusServiceUnavailable, fmt.Errorf("query timed out: %w", err))
-	default:
-		// The protocol's QueryRequestRefused fault: the query was
-		// well-formed but evaluation failed.
-		return httpError(w, http.StatusInternalServerError, err)
+	var res *engine.Result
+	var graph []rdf.Triple
+	err = shielded(func() (err error) {
+		res, graph, err = eng.Eval(ectx, q)
+		return err
+	})
+	if err != nil {
+		return evalError(ctx, w, err)
 	}
 
 	if analyze {
@@ -265,24 +300,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, meta *reqMeta) (i
 		return writeAnalyze(w, rows, th.Trace())
 	}
 
-	accept := r.Header.Get("Accept")
-	if q.Form == sparql.FormConstruct || q.Form == sparql.FormDescribe {
-		if !graphAcceptable(accept) {
-			return httpError(w, http.StatusNotAcceptable,
-				fmt.Errorf("CONSTRUCT/DESCRIBE results are only available as %s", results.NTriplesContentType))
-		}
+	if graphForm {
 		w.Header().Set("Content-Type", results.NTriplesContentType)
 		if err := results.WriteGraph(w, graph); err != nil {
 			return http.StatusOK, "write: " + err.Error()
 		}
 		return http.StatusOK, fmt.Sprintf("%s %d triples", q.Form, len(graph))
-	}
-
-	format, ok := negotiate(accept)
-	if !ok {
-		return httpError(w, http.StatusNotAcceptable,
-			fmt.Errorf("no supported result format in Accept %q (supported: %s)",
-				accept, strings.Join(SupportedSelectTypes(), ", ")))
 	}
 	w.Header().Set("Content-Type", format.ContentType())
 	out := results.FromEngine(res)
@@ -293,12 +316,96 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, meta *reqMeta) (i
 	return http.StatusOK, fmt.Sprintf("%s %d solutions as %s", q.Form, out.Len(), format)
 }
 
-// evalShielded evaluates a query, converting a shard fault panic —
-// the scatter layer's only way to signal a failed remote call through
-// the error-less store.Reader interface — back into an error the
-// protocol layer can map to a status. Any other panic is a bug and
+// streamSelect serves a plain SELECT: the rows of the engine's cursor
+// go through the format's writer to the client as they are produced,
+// and no solution table is built. Until the writer's first flush
+// nothing has been sent, so a failure still answers its status; after
+// it, a failure sets meta.abortStatus and ServeHTTP aborts the
+// response.
+func streamSelect(ctx context.Context, w http.ResponseWriter, eng *engine.Engine, q *sparql.Query, format results.Format, meta *reqMeta) (int, string) {
+	var rows *engine.Rows
+	err := shielded(func() (err error) {
+		rows, err = eng.Select(ctx, q)
+		return err
+	})
+	if err != nil {
+		return evalError(ctx, w, err)
+	}
+	defer rows.Close()
+	// The deadline covers writing to a client that reads slowly, which
+	// the engine's context checks alone would not interrupt.
+	if deadline, ok := ctx.Deadline(); ok {
+		rc := http.NewResponseController(w)
+		if rc.SetWriteDeadline(deadline) == nil {
+			defer rc.SetWriteDeadline(time.Time{})
+		}
+	}
+	w.Header().Set("Content-Type", format.ContentType())
+	body := &bodyWriter{w: w}
+	err = shielded(func() error { return results.Stream(rows.Vars, rows).Write(body, format) })
+	switch {
+	case err == nil:
+		return http.StatusOK, fmt.Sprintf("%s %d solutions as %s", q.Form, rows.Len(), format)
+	case body.err != nil:
+		// The client went away; the headers are gone.
+		return http.StatusOK, "write: " + err.Error()
+	case body.n == 0:
+		return evalError(ctx, w, err)
+	default:
+		status, cause := failure(ctx, err)
+		meta.abortStatus = status
+		return http.StatusOK, fmt.Sprintf("aborted after %d bytes (%d): %v", body.n, status, cause)
+	}
+}
+
+// bodyWriter counts the response bytes handed to net/http and keeps the
+// first write error, telling a failed evaluation from a gone client.
+type bodyWriter struct {
+	w   io.Writer
+	n   int64
+	err error
+}
+
+func (b *bodyWriter) Write(p []byte) (int, error) {
+	n, err := b.w.Write(p)
+	b.n += int64(n)
+	if err != nil && b.err == nil {
+		b.err = err
+	}
+	return n, err
+}
+
+// evalError answers a failed evaluation with its protocol status.
+func evalError(ctx context.Context, w http.ResponseWriter, err error) (int, string) {
+	status, err := failure(ctx, err)
+	return httpError(w, status, err)
+}
+
+// failure maps an evaluation error to its protocol status.
+func failure(ctx context.Context, err error) (int, error) {
+	var fault *shard.FaultError
+	switch {
+	case errors.As(err, &fault):
+		// A remote shard failed mid-scatter: the coordinator cannot
+		// answer correctly from the surviving shards, so the query fails
+		// as a gateway fault naming the culprit.
+		return http.StatusBadGateway, err
+	case errors.Is(err, engine.ErrCancelled) || ctx.Err() != nil:
+		return http.StatusServiceUnavailable, fmt.Errorf("query timed out: %w", err)
+	default:
+		// The protocol's QueryRequestRefused fault: the query was
+		// well-formed but evaluation failed.
+		return http.StatusInternalServerError, err
+	}
+}
+
+// shielded runs f, converting a shard fault panic — the scatter
+// layer's only way to signal a failed remote call through the
+// error-less store.Reader interface — into the error f returns. A
+// cursor can raise one mid-stream, so it covers the write of a
+// streamed result as well as evaluation. Any other panic is a bug and
 // propagates.
-func evalShielded(ctx context.Context, eng *engine.Engine, q *sparql.Query) (res *engine.Result, graph []rdf.Triple, err error) {
+func shielded(f func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if fe, ok := p.(*shard.FaultError); ok {
@@ -308,7 +415,7 @@ func evalShielded(ctx context.Context, eng *engine.Engine, q *sparql.Query) (res
 			panic(p)
 		}
 	}()
-	return eng.Eval(ctx, q)
+	return f()
 }
 
 // writeAnalyze answers an ?analyze=1 request: a JSON document with the

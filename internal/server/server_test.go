@@ -31,7 +31,7 @@ func testEngine() *engine.Engine {
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
-	if cfg.Engine == nil {
+	if cfg.Engine == nil && cfg.Live == nil {
 		cfg.Engine = testEngine()
 	}
 	s, err := New(cfg)
