@@ -233,7 +233,7 @@ func (b *bgpIter) clearBound(d int) {
 // per parent row and profit from plain index probes.
 func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (subplan, error) {
 	if len(outer) == 0 && c.vecDeclineBGP(patterns, conjuncts) == "" {
-		op, n := c.planVecBGP(patterns, conjuncts)
+		op, n := c.planVecBGP(patterns, conjuncts, nil)
 		return &batchRows{op: op, tn: n, traced: c.trace != nil}, nil
 	}
 	b, ordered := c.prepareBGP(patterns, conjuncts, outer)

@@ -105,12 +105,14 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 	// reuse Query's SELECT core, so they inherit the batch path
 	// transparently. An ASK runs as its pattern under LIMIT 1: the first
 	// non-empty batch answers it, trimmed to the one solution it proves.
+	// It reads no variable of that solution.
 	if !q.IsAggregate() && (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) {
-		vplan := plan
+		vplan, live := plan, liveSlots(nil)
 		if q.Form == sparql.FormAsk {
 			vplan = &algebra.SliceNode{Input: plan, Offset: -1, Limit: 1}
+			live = c.noneLive()
 		}
-		if err := c.compileVec(vplan); err != nil {
+		if err := c.compileVec(vplan, live); err != nil {
 			return nil, err
 		}
 	}

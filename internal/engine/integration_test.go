@@ -16,7 +16,7 @@ import (
 
 // generatedStore produces a seeded benchmark document of the given size
 // and loads it.
-func generatedStore(t *testing.T, triples int64) (*store.Store, *gen.Stats) {
+func generatedStore(t testing.TB, triples int64) (*store.Store, *gen.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
 	g, err := gen.New(gen.DefaultParams(triples), &buf)

@@ -402,69 +402,107 @@ func (c *compiled) distinctSlots(in algebra.Node) []int {
 	return slots
 }
 
-// distinctSet is the set of rows a DISTINCT has emitted, keyed on the
-// rows' values in its slots (term identity: one ID per term). Up to two
-// slots pack into a uint64 key, where NoID (unbound) differs from every
-// real ID; more slots key on 4 bytes per slot.
-type distinctSet struct {
+// slotMap maps rows, keyed on their values in a fixed list of slots
+// (term identity: one ID per term), to a V. Up to two slots pack into a
+// uint64 key, where NoID (unbound) differs from every real ID; more
+// slots key on 4 bytes per slot. load sets the current row; get and put
+// then read and write its entry.
+type slotMap[V any] struct {
 	slots  []int
-	vals   []store.ID // the current row's key values, one per slot
-	packed map[uint64]struct{}
-	wide   map[string]struct{}
-	key    []byte
+	packed map[uint64]V
+	wide   map[string]V
+	pk     uint64 // the current row's packed key
+	key    []byte // the current row's wide key
+}
+
+// reset empties the map.
+func (m *slotMap[V]) reset() {
+	if len(m.slots) <= 2 {
+		m.packed = make(map[uint64]V)
+	} else {
+		m.wide = make(map[string]V)
+	}
+}
+
+// load makes row r of a batch's slot columns the current row.
+func (m *slotMap[V]) load(cols [][]store.ID, r int) {
+	if m.packed != nil {
+		m.pk = 0
+		for i, s := range m.slots {
+			m.pk |= uint64(cols[s][r]) << (32 * i)
+		}
+		return
+	}
+	m.key = m.key[:0]
+	for _, s := range m.slots {
+		v := cols[s][r]
+		m.key = append(m.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+}
+
+// loadRow is load for a tuple row.
+func (m *slotMap[V]) loadRow(row []store.ID) {
+	if m.packed != nil {
+		m.pk = 0
+		for i, s := range m.slots {
+			m.pk |= uint64(row[s]) << (32 * i)
+		}
+		return
+	}
+	m.key = m.key[:0]
+	for _, s := range m.slots {
+		v := row[s]
+		m.key = append(m.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+}
+
+// get returns the current row's entry.
+func (m *slotMap[V]) get() (V, bool) {
+	if m.packed != nil {
+		v, ok := m.packed[m.pk]
+		return v, ok
+	}
+	// The indexed string(m.key) conversion compiles to an
+	// allocation-free map lookup; only put allocates a new row's key.
+	v, ok := m.wide[string(m.key)]
+	return v, ok
+}
+
+// put sets the current row's entry.
+func (m *slotMap[V]) put(v V) {
+	if m.packed != nil {
+		m.packed[m.pk] = v
+		return
+	}
+	m.wide[string(m.key)] = v
+}
+
+// distinctSet is the set of rows a DISTINCT has emitted.
+type distinctSet struct {
+	slotMap[struct{}]
 }
 
 func newDistinctSet(slots []int) distinctSet {
-	return distinctSet{slots: slots, vals: make([]store.ID, len(slots))}
-}
-
-// reset empties the set.
-func (d *distinctSet) reset() {
-	if len(d.slots) <= 2 {
-		d.packed = make(map[uint64]struct{})
-	} else {
-		d.wide = make(map[string]struct{})
-	}
+	return distinctSet{slotMap[struct{}]{slots: slots}}
 }
 
 // newRow reports whether the tuple row is new to the set, adding it.
 func (d *distinctSet) newRow(row []store.ID) bool {
-	for i, s := range d.slots {
-		d.vals[i] = row[s]
-	}
+	d.loadRow(row)
 	return d.insert()
 }
 
 // newBatchRow is newRow for row r of a batch's slot columns.
 func (d *distinctSet) newBatchRow(cols [][]store.ID, r int) bool {
-	for i, s := range d.slots {
-		d.vals[i] = cols[s][r]
-	}
+	d.load(cols, r)
 	return d.insert()
 }
 
 func (d *distinctSet) insert() bool {
-	if d.packed != nil {
-		var k uint64
-		for i, v := range d.vals {
-			k |= uint64(v) << (32 * i)
-		}
-		if _, dup := d.packed[k]; dup {
-			return false
-		}
-		d.packed[k] = struct{}{}
-		return true
-	}
-	d.key = d.key[:0]
-	for _, v := range d.vals {
-		d.key = append(d.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	// The indexed string(d.key) conversions compile to allocation-free
-	// map operations; only a genuinely new row allocates its key.
-	if _, dup := d.wide[string(d.key)]; dup {
+	if _, dup := d.get(); dup {
 		return false
 	}
-	d.wide[string(d.key)] = struct{}{}
+	d.put(struct{}{})
 	return true
 }
 

@@ -389,7 +389,10 @@ func segmentEnd(ordered []sparql.TriplePattern, i int) int {
 // stream, but when the exact matches are few enough for hashStep to
 // build on, hashing them reads fewer rows than the residual range holds,
 // and the merge yields to the hash join.
-func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int, leftCard float64) (physStep, bool) {
+//
+// Without open, only the choice is reported: the co-sorted range is
+// not opened, and the physStep carries none.
+func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int, leftCard float64, open bool) (physStep, bool) {
 	vslot, ok := c.slots[joinVar]
 	if !ok || sortSlot < 0 || vslot != sortSlot {
 		return physStep{}, false
@@ -420,6 +423,9 @@ func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int, lef
 	}
 	if bestLead < consts && c.hashBuilds(want, leftCard) {
 		return physStep{}, false
+	}
+	if !open {
+		return physStep{kind: opMerge, joinSlot: vslot, lead: bestLead}, true
 	}
 	// Only the chosen order's range is opened: over a snapshot with a
 	// live delta every range is a freshly merged slice.

@@ -56,8 +56,9 @@ func parallel4() []engine.Options {
 // TestGoldenPlans50k pins the reorder-plus-operator choices for the
 // paper's join-heavy queries on a 50k document: Q2's nine-way merge-join
 // star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment
-// with the block's own build chain, Q6's anti join over two hash
-// chains, and Q8's tiny merge anchor. No EXPLAIN may show a tuple
+// with the block's own build chain, searched per person by a semi-join
+// stage like Q5b's article check, Q6's anti join over two hash chains,
+// and Q8's tiny merge anchor. No EXPLAIN may show a tuple
 // operator line. The exact row counts are deterministic: the generator
 // is seeded and the counts are structural properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
@@ -78,9 +79,12 @@ func TestGoldenPlans50k(t *testing.T) {
 		},
 		"q5a": {
 			"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
-			"vec operators: scan[POS rows=2407] nl" +
-				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
+			"vec operators: scan[POS rows=2407] semi[hashseg[key=?name/?name2 steps=3]" +
+				" nl hash[?article build=4241]] parallel=4",
 			"vec hashseg build: scan[POS rows=274] merge[?inproc SPO rows=50004] nl",
+		},
+		"q5b": {
+			"vec operators: scan[POS rows=274] merge[?inproc SPO rows=50004] nl semi[nl nl] parallel=4",
 		},
 		"q6": {
 			"vec operators: scan[POS rows=9] merge[?class POS rows=7141]" +

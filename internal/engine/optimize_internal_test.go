@@ -154,11 +154,11 @@ func TestHashSegChecksUpstreamSlot(t *testing.T) {
 	c.eng = New(s, Mem())
 	b, ordered := c.prepareBGP(patterns, nil, nil)
 	c.eng = New(s, Native())
-	ch := c.planVecChain(b.steps, ordered, false)
+	ch := c.planVecChain(b.steps, ordered, false, nil)
 	if got := ch.desc.String(); !strings.Contains(got, "hashseg[cross steps=2]") {
 		t.Fatalf("expected the two-pattern block to be hashed: %s", got)
 	}
-	op := linkChain(ch.scan, ch.joins, c.cancel)
+	op := linkChain(ch.scan, ch.joins, nil, c.cancel)
 	op.open()
 	var rows []string
 	for {

@@ -228,9 +228,15 @@ func (o *oracle) Select(q *sparql.Query) []string {
 // way; an ASK renders as its verdict.
 func renderEngine(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Query) []string {
 	t.Helper()
-	res, err := engine.New(s, opts).Query(context.Background(), q)
+	return renderResult(t, engine.New(s, opts), q)
+}
+
+// renderResult is renderEngine for an engine over any source.
+func renderResult(t *testing.T, eng *engine.Engine, q *sparql.Query) []string {
+	t.Helper()
+	res, err := eng.Query(context.Background(), q)
 	if err != nil {
-		t.Fatalf("%s: %v", opts.Name, err)
+		t.Fatalf("%s: %v", eng.Options().Name, err)
 	}
 	if res.Form == sparql.FormAsk {
 		return []string{fmt.Sprintf("ask=%v", res.Ask)}

@@ -61,10 +61,11 @@ type vecMsg struct {
 // before the query returns.
 type vecParallel struct {
 	c *compiled
-	// scan and joins are the planned pipeline chain instantiates once
-	// per part.
+	// scan, joins and semi are the planned pipeline chain instantiates
+	// once per part.
 	scan  *vecScan
 	joins []*vecJoin
+	semi  *vecSemi
 	parts []store.IndexRange
 
 	outs    []chan vecMsg
@@ -133,11 +134,11 @@ func (p *vecParallel) spawn() {
 }
 
 // chain instantiates the planned pipeline over one part of the anchor
-// range: fresh copies of the scan and join stages (planned but never
-// opened, so they hold no run state or buffers), each join's estimate
-// scaled to the part's share of the rows. Read-only plan state —
-// filters, slot maps, trace counters, a hash stage's shared build —
-// stays shared.
+// range: fresh copies of the scan, join and semi-join stages (planned
+// but never opened, so they hold no run state, buffers or memo), each
+// join's estimate scaled to the part's share of the rows. Read-only
+// plan state — filters, slot maps, trace counters, a hash stage's
+// shared build — stays shared.
 func (p *vecParallel) chain(part store.IndexRange, cancel *canceller) vecOp {
 	scan := *p.scan
 	scan.rng = part
@@ -148,7 +149,7 @@ func (p *vecParallel) chain(part store.IndexRange, cancel *canceller) vecOp {
 		jj.est *= share
 		joins[i] = &jj
 	}
-	return linkChain(&scan, joins, cancel)
+	return linkChain(&scan, joins, p.semi.clone(), cancel)
 }
 
 // run drives one partition's chain over a canceller watching this

@@ -73,6 +73,12 @@ type TraceNode struct {
 // chosen, the pattern it evaluates, the planner's cumulative estimate
 // of rows flowing out of this depth, the rows that actually did, and
 // the build-side size for hash operators.
+//
+// A semi-join stage (semi.go) is one step, op "semi", whose rows are
+// the input rows it kept, Probes the rows it searched and MemoHits the
+// rows its verdict memo answered. The steps it searches follow it, op
+// "semi:<operator>": they carry no estimate, Probes counts their
+// lookups and Rows the candidates that matched.
 type TraceStep struct {
 	Op        string  `json:"op"`
 	Pattern   string  `json:"pattern,omitempty"`
@@ -80,6 +86,8 @@ type TraceStep struct {
 	Rows      int64   `json:"rows"`
 	Batches   int64   `json:"batches,omitempty"`
 	BuildRows int64   `json:"build_rows,omitempty"`
+	Probes    int64   `json:"probes,omitempty"`
+	MemoHits  int64   `json:"memo_hits,omitempty"`
 }
 
 // TraceHandle is returned by WithAnalyze; after the query run under the
@@ -124,12 +132,14 @@ type tnode struct {
 
 // tstep is the mutable collector behind a TraceStep.
 type tstep struct {
-	op      string
-	pattern string
-	est     float64
-	rows    atomic.Int64
-	batches atomic.Int64
-	build   atomic.Int64
+	op       string
+	pattern  string
+	est      float64
+	rows     atomic.Int64
+	batches  atomic.Int64
+	build    atomic.Int64
+	probes   atomic.Int64
+	memoHits atomic.Int64
 }
 
 // traceCollector is the per-compile trace state.
@@ -277,6 +287,8 @@ func snapshotNode(n *tnode) *TraceNode {
 			Rows:      s.rows.Load(),
 			Batches:   s.batches.Load(),
 			BuildRows: s.build.Load(),
+			Probes:    s.probes.Load(),
+			MemoHits:  s.memoHits.Load(),
 		})
 	}
 	for _, c := range n.children {
@@ -383,6 +395,12 @@ func (t *Trace) Render(w io.Writer) {
 			}
 			if s.BuildRows > 0 {
 				fmt.Fprintf(w, " build=%d", s.BuildRows)
+			}
+			if s.Probes > 0 {
+				fmt.Fprintf(w, " probes=%d", s.Probes)
+			}
+			if s.MemoHits > 0 {
+				fmt.Fprintf(w, " memo_hits=%d", s.MemoHits)
 			}
 			fmt.Fprintln(w)
 		}

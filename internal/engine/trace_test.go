@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,5 +215,59 @@ func TestCardinalityErrorSkipsEarlyExits(t *testing.T) {
 	}
 	if maxR, _ := tr.CardinalityError(); maxR < 100 {
 		t.Errorf("q8: max q-error %.1f, want its exhausted misestimate (>= 100x) reported:\n%s", maxR, tr)
+	}
+}
+
+// TestSemiJoinTrace pins how a semi-join stage shows in EXPLAIN
+// ANALYZE: one step, op "semi", whose estimate is at most its input's,
+// whose rows are the BGP's, and whose probes and memo hits add up to
+// its input rows; then the steps it searches, which report probes and
+// no estimate. Q5a's value join thereby stops being scored as a cross
+// product: its worst q-error at 10k was 86.9× before.
+func TestSemiJoinTrace(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	eng := engine.New(s, engine.Native())
+	for _, id := range []string{"q5a", "q5b"} {
+		q, _ := queries.ByID(id)
+		_, tr, err := eng.QueryAnalyze(context.Background(), q.Parse())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bgp *engine.TraceNode
+		var walk func(n *engine.TraceNode)
+		walk = func(n *engine.TraceNode) {
+			if n.Op == "bgp" {
+				bgp = n
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(tr.Root)
+		if bgp == nil {
+			t.Fatalf("%s: no bgp operator in the trace", id)
+		}
+		at := slices.IndexFunc(bgp.Steps, func(s engine.TraceStep) bool { return s.Op == "semi" })
+		if at < 1 || at == len(bgp.Steps)-1 {
+			t.Fatalf("%s: want a semi step after the scan and before the steps it searches:\n%s", id, tr)
+		}
+		semi, in := bgp.Steps[at], bgp.Steps[at-1]
+		if semi.EstRows > in.EstRows || semi.Rows != bgp.Rows || semi.Probes+semi.MemoHits != in.Rows {
+			t.Errorf("%s: semi step %+v over input %+v, bgp rows %d", id, semi, in, bgp.Rows)
+		}
+		for _, st := range bgp.Steps[at+1:] {
+			if !strings.HasPrefix(st.Op, "semi:") || st.EstRows != 0 || st.Probes == 0 {
+				t.Errorf("%s: searched step %+v: want op semi:*, probes and no estimate", id, st)
+			}
+		}
+		if out := tr.String(); !strings.Contains(out, "probes=") {
+			t.Errorf("%s: the rendering shows no probes:\n%s", id, out)
+		}
+		if id != "q5a" {
+			continue
+		}
+		if maxR, _ := tr.CardinalityError(); maxR > 25 {
+			t.Errorf("q5a: max q-error %.1fx, want at most 25x:\n%s", maxR, tr)
+		}
 	}
 }

@@ -71,13 +71,14 @@ func (c *compiled) newBatch(rows float64) *Batch {
 // every query is planned once, and a declined query opens no index
 // range on the batch path's behalf. On success c.vec is set (and, under
 // WithAnalyze, the trace root points at the vec operator tree);
-// otherwise the reason is recorded in the notes.
-func (c *compiled) compileVec(plan algebra.Node) error {
+// otherwise the reason is recorded in the notes. live marks the slots
+// the query's consumer reads (see liveSlots).
+func (c *compiled) compileVec(plan algebra.Node, live liveSlots) error {
 	if reason := c.vecDecline(plan); reason != "" {
 		c.notes = append(c.notes, "vec: tuple fallback ("+reason+")")
 		return nil
 	}
-	op, err := c.buildVecNode(plan)
+	op, err := c.buildVecNode(plan, live)
 	c.vec = op
 	return err
 }
@@ -208,19 +209,24 @@ func childTNodes(children ...vecOp) []*tnode {
 }
 
 // buildVecNode compiles one algebra node that vecDecline accepted into a
-// vec operator.
-func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
+// vec operator. live marks the slots the operators above n read; each
+// case passes its input the slots it reads itself on top (see
+// liveSlots).
+func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 	switch node := n.(type) {
 	case *algebra.BGPNode:
-		return c.buildVecBGP(node.Patterns, nil), nil
+		return c.buildVecBGP(node.Patterns, nil, live), nil
 	case *algebra.FilterNode:
 		if bgp, ok := node.Input.(*algebra.BGPNode); ok {
-			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond)), nil
+			// The conjuncts are placed in the BGP's stages: they need no
+			// live slot.
+			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond), live), nil
 		}
+		live = c.liveWith(live, sparql.ExprVars(node.Cond))
 		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
-			return c.buildVecHashLeftJoin(lj, true)
+			return c.buildVecHashLeftJoin(lj, true, live)
 		}
-		in, err := c.buildVecNode(node.Input)
+		in, err := c.buildVecNode(node.Input, live)
 		if err != nil {
 			return nil, err
 		}
@@ -228,31 +234,37 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
 		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.LeftJoinNode:
 		if probeJoinShape(node) {
-			return c.buildVecLeftJoin(node)
+			return c.buildVecLeftJoin(node, live)
 		}
-		return c.buildVecHashLeftJoin(node, false)
+		return c.buildVecHashLeftJoin(node, false, live)
 	case *algebra.UnionNode:
-		l, err := c.buildVecNode(node.Left)
+		l, err := c.buildVecNode(node.Left, live)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.buildVecNode(node.Right)
+		r, err := c.buildVecNode(node.Right, live)
 		if err != nil {
 			return nil, err
 		}
 		u := &vecUnion{left: l, right: r}
 		return c.vwrap(u, &tnode{op: "union", detail: "vectorized", children: childTNodes(l, r)}), nil
 	case *algebra.ProjectNode:
-		return c.buildVecProject(node, -1)
+		return c.buildVecProject(node, -1, live)
 	case *algebra.DistinctNode:
-		in, err := c.buildVecNode(node.Input)
+		// Below a DISTINCT over a projection, only the projected
+		// variables are live: the operators below may drop duplicates.
+		live = nil
+		if proj, ok := node.Input.(*algebra.ProjectNode); ok {
+			live = c.liveWith(c.noneLive(), proj.Columns)
+		}
+		in, err := c.buildVecNode(node.Input, live)
 		if err != nil {
 			return nil, err
 		}
 		d := &vecDistinct{c: c, input: in, set: newDistinctSet(c.distinctSlots(node.Input))}
 		return c.vwrap(d, &tnode{op: "distinct", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.OrderNode:
-		return c.buildVecOrder(node, -1)
+		return c.buildVecOrder(node, -1, live)
 	case *algebra.SliceNode:
 		// ORDER BY under a LIMIT needs only the best offset+limit rows.
 		keep := -1
@@ -261,7 +273,13 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
 				keep = -1 // the sum overflows: no bound worth keeping
 			}
 		}
-		in, err := c.buildVecBounded(node.Input, keep)
+		// A slice counts rows, so below it every slot is live, except
+		// under a LIMIT 1 (ASK's wrapper): the first row's live values
+		// are the same with or without a semi-join stage below.
+		if node.Limit != 1 || node.Offset > 0 {
+			live = nil
+		}
+		in, err := c.buildVecBounded(node.Input, keep, live)
 		if err != nil {
 			return nil, err
 		}
@@ -277,22 +295,22 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, error) {
 // only its best keep rows (see vecOrder). Anything else — DISTINCT
 // between the order and the slice included, since duplicates removed
 // after the sort would pull later rows into the page — is built in full.
-func (c *compiled) buildVecBounded(n algebra.Node, keep int) (vecOp, error) {
+func (c *compiled) buildVecBounded(n algebra.Node, keep int, live liveSlots) (vecOp, error) {
 	switch node := n.(type) {
 	case *algebra.ProjectNode:
 		if _, ok := node.Input.(*algebra.OrderNode); ok {
-			return c.buildVecProject(node, keep)
+			return c.buildVecProject(node, keep, live)
 		}
 	case *algebra.OrderNode:
-		return c.buildVecOrder(node, keep)
+		return c.buildVecOrder(node, keep, live)
 	}
-	return c.buildVecNode(n)
+	return c.buildVecNode(n, live)
 }
 
 // buildVecProject compiles a projection; keep bounds an ORDER BY directly
 // beneath it (see buildVecBounded).
-func (c *compiled) buildVecProject(node *algebra.ProjectNode, keep int) (vecOp, error) {
-	in, err := c.buildVecBounded(node.Input, keep)
+func (c *compiled) buildVecProject(node *algebra.ProjectNode, keep int, live liveSlots) (vecOp, error) {
+	in, err := c.buildVecBounded(node.Input, keep, live)
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +326,12 @@ func (c *compiled) buildVecProject(node *algebra.ProjectNode, keep int) (vecOp, 
 
 // buildVecOrder compiles an ORDER BY that keeps its best keep rows in a
 // bounded heap, or every row when keep is -1.
-func (c *compiled) buildVecOrder(node *algebra.OrderNode, keep int) (vecOp, error) {
-	in, err := c.buildVecNode(node.Input)
+func (c *compiled) buildVecOrder(node *algebra.OrderNode, keep int, live liveSlots) (vecOp, error) {
+	vars := make([]string, len(node.Conds))
+	for i, oc := range node.Conds {
+		vars[i] = oc.Var
+	}
+	in, err := c.buildVecNode(node.Input, c.liveWith(live, vars))
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +358,8 @@ type compBind struct {
 
 // buildVecBGP compiles a BGP into its batch pipeline for the batch
 // path, traced under WithAnalyze (see planVecBGP).
-func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) vecOp {
-	return c.vwrap(c.planVecBGP(patterns, conjuncts))
+func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, live liveSlots) vecOp {
+	return c.vwrap(c.planVecBGP(patterns, conjuncts, live))
 }
 
 // planVecBGP compiles an outer-free BGP into a scan → join-stage
@@ -346,21 +368,23 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 // it with its trace node. A partitioned BGP runs one pipeline per part
 // of the anchor range under vecParallel. Both executors run BGPs
 // through it: the batch path directly, the tuple operators behind
-// batchRows.
-func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) (vecOp, *tnode) {
+// batchRows. Trailing stages that bind only slots live leaves unmarked
+// run as one semi-join stage (see cutSemi); a nil live keeps every
+// stage.
+func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, live liveSlots) (vecOp, *tnode) {
 	b, ordered := c.prepareBGP(patterns, conjuncts, nil)
 	if b.empty {
 		// A constant is missing from the dictionary: no rows, ever.
 		c.notes = append(c.notes, "vec operators: empty (a constant is not in the dictionary)")
 		return vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"}
 	}
-	ch := c.planVecChain(b.steps, ordered, true)
+	ch := c.planVecChain(b.steps, ordered, true, live)
 	n := &tnode{op: "bgp", detail: "vectorized", est: ch.est, steps: ch.tsteps}
 	var pipe vecOp
 	if parts := c.partitionAnchor(ch.scan.rng, ch.touched); len(parts) == 1 {
-		pipe = linkChain(ch.scan, ch.joins, c.cancel)
+		pipe = linkChain(ch.scan, ch.joins, ch.semi, c.cancel)
 	} else {
-		par := &vecParallel{c: c, scan: ch.scan, joins: ch.joins, parts: parts}
+		par := &vecParallel{c: c, scan: ch.scan, joins: ch.joins, semi: ch.semi, parts: parts}
 		c.cleanups = append(c.cleanups, par.shutdown)
 		fmt.Fprintf(&ch.desc, " parallel=%d", len(parts))
 		n.parallel = len(parts)
@@ -377,6 +401,7 @@ func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 type vecChain struct {
 	scan    *vecScan
 	joins   []*vecJoin
+	semi    *vecSemi        // the trailing semi-join stage, or nil
 	est     float64         // the planner's estimate of the rows out of the chain
 	touched int             // index rows the chain's ranges span
 	desc    strings.Builder // the stages' EXPLAIN notation
@@ -388,15 +413,19 @@ type vecChain struct {
 // runs under WithAnalyze. A disconnected block (it shares no variable
 // with the patterns before it) becomes one hashseg stage over the
 // block's own chain when buildSegPlan takes it, and index nested loops
-// otherwise.
-func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool) *vecChain {
+// otherwise. live marks the slots read above the chain (nil: all), for
+// cutSemi.
+func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool, live liveSlots) *vecChain {
 	opts := c.eng.opts
 	st := c.eng.src
 	ch := &vecChain{est: 1}
 	bound := map[string]bool{}
 	boundSlots := map[int]bool{}
 	sortSlot := -1
-	desc := &ch.desc
+	var stages []string // each stage's EXPLAIN notation, the scan's first
+	// Steps from cut on bind no live slot: the stages starting there,
+	// from joins[semiAt] on, form the semi-join stage.
+	cut, semiAt, semiIn := semiCut(steps, live), -1, 0.0
 
 	traceStep := func(op, pattern string, est float64) *tstep {
 		if c.trace == nil || !traced {
@@ -416,24 +445,28 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 			sortSlot = leadVarSlot(step, rng)
 			ch.est = max(1, c.estimate(p, bound))
 			ch.scan.ts = traceStep(opScan.String(), p.String(), ch.est)
-			fmt.Fprintf(desc, " scan[%s rows=%d]", rng.Ord, len(rng.Rows))
+			stages = append(stages, fmt.Sprintf("scan[%s rows=%d]", rng.Ord, len(rng.Rows)))
 			ch.touched += len(rng.Rows)
 			addVars(bound, p)
 			addStepSlots(boundSlots, step)
 			continue
 		}
+		inSemi := i >= cut
+		if inSemi && semiAt < 0 {
+			semiAt, semiIn = len(ch.joins), ch.est
+		}
 		if disconnected(p, bound) && opts.HashJoins {
 			end := segmentEnd(ordered, i)
 			segCard := c.blockEstimate(ordered[i:end], nil)
 			if seg, ok := c.buildSegPlan(steps[i:end], bound, segCard); ok {
-				build := &vecSegBuild{seg: seg, chain: c.planVecChain(seg.steps, ordered[i:end], false)}
+				build := &vecSegBuild{seg: seg, chain: c.planVecChain(seg.steps, ordered[i:end], false, nil)}
 				c.notes = append(c.notes, "vec hashseg build:"+build.chain.desc.String())
 				j := &vecJoin{c: c, kind: opHashSeg, seg: build, conds: seg.link}
 				j.configure(boundSlots)
 				ch.est *= max(1, segCard)
 				j.est = ch.est
 				j.ts = traceStep(opHashSeg.String(), segDesc(c, seg), ch.est)
-				fmt.Fprintf(desc, " hashseg[%s]", segDesc(c, seg))
+				stages = append(stages, fmt.Sprintf("hashseg[%s]", segDesc(c, seg)))
 				ch.joins = append(ch.joins, j)
 				for k := i; k < end; k++ {
 					addVars(bound, ordered[k])
@@ -448,12 +481,18 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		shared := sharedBoundVars(p, bound)
 		est := c.estimate(p, bound)
 		ps := physStep{kind: opNL}
+		merge := false
 		if opts.MergeJoins && len(shared) == 1 {
-			if ms, ok := c.mergeStep(step, shared[0], sortSlot, ch.est); ok {
-				ps = ms
+			// A merge walks a sorted input stream, which a semi-join search
+			// for one row does not have: there it probes like a nested loop.
+			if ms, ok := c.mergeStep(step, shared[0], sortSlot, ch.est, !inSemi); ok {
+				merge = true
+				if !inSemi {
+					ps = ms
+				}
 			}
 		}
-		if ps.kind == opNL && len(shared) == 1 {
+		if !merge && len(shared) == 1 {
 			if hs, ok := c.hashStep(step, shared[0], ch.est); ok {
 				ps = hs
 			}
@@ -472,28 +511,46 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		j.ts = traceStep(ps.kind.String(), p.String(), ch.est)
 		switch ps.kind {
 		case opMerge:
-			fmt.Fprintf(desc, " merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows))
+			stages = append(stages, fmt.Sprintf("merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows)))
 		case opHash:
-			fmt.Fprintf(desc, " hash[?%s build=%d]", c.names[ps.joinSlot], len(ps.rng.Rows))
+			stages = append(stages, fmt.Sprintf("hash[?%s build=%d]", c.names[ps.joinSlot], len(ps.rng.Rows)))
 		default:
-			desc.WriteString(" nl")
+			stages = append(stages, "nl")
 		}
 		ch.touched += len(ps.rng.Rows)
 		ch.joins = append(ch.joins, j)
 		addVars(bound, p)
 		addStepSlots(boundSlots, step)
 	}
+	if semiAt >= 0 {
+		stages = c.cutSemi(ch, stages, semiAt, semiIn, live)
+	}
+	for _, s := range stages {
+		ch.desc.WriteString(" " + s)
+	}
 	return ch
 }
 
-// linkChain links a planned BGP pipeline's stages scan → join → … in
-// place, checking cancellation through cancel.
-func linkChain(scan *vecScan, joins []*vecJoin, cancel *canceller) vecOp {
+// linkChain links a planned BGP pipeline's stages scan → join → … →
+// semi (when there is one) in place, checking cancellation through
+// cancel.
+func linkChain(scan *vecScan, joins []*vecJoin, semi *vecSemi, cancel *canceller) vecOp {
 	scan.cancel = cancel
 	var pipe vecOp = scan
+	later := joins
+	if semi != nil {
+		later = append(slices.Clip(joins), semi.steps...)
+	}
 	for i, j := range joins {
-		j.child, j.cancel, j.later = pipe, cancel, joins[i+1:]
+		j.child, j.cancel, j.later = pipe, cancel, later[i+1:]
 		pipe = j
+	}
+	if semi != nil {
+		semi.child, semi.cancel = pipe, cancel
+		for i, j := range semi.steps {
+			j.cancel, j.later = cancel, semi.steps[i+1:]
+		}
+		pipe = semi
 	}
 	return pipe
 }
@@ -1227,7 +1284,7 @@ type vecSegBuild struct {
 
 // run runs the block's chain under cancel, then buckets its rows.
 func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
-	pipe := linkChain(b.chain.scan, b.chain.joins, cancel)
+	pipe := linkChain(b.chain.scan, b.chain.joins, nil, cancel)
 	pipe.open()
 	var flat, keyIDs []store.ID
 	n := 0
@@ -1260,8 +1317,9 @@ func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
 // (Q2, see probeJoinShape): a single-pattern right side with no
 // condition, probed per left row; rows with no compatible extension
 // pass through unextended.
-func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode) (vecOp, error) {
-	left, err := c.buildVecNode(node.Left)
+func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode, live liveSlots) (vecOp, error) {
+	// The probe reads every right-side variable the left row binds.
+	left, err := c.buildVecNode(node.Left, c.liveWith(live, node.Right.Vars()))
 	if err != nil {
 		return nil, err
 	}
@@ -1423,12 +1481,16 @@ func (v *vecLeftJoin) emit(out *Batch, t store.EncTriple, extend bool) bool {
 // valueKey buckets may be coarser than `=`. With anti=true, matched left
 // rows are dropped instead of extended (closed-world negation, see
 // antiJoinShape).
-func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool) (vecOp, error) {
-	left, err := c.buildVecNode(node.Left)
+func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool, live liveSlots) (vecOp, error) {
+	leftLive := c.liveWith(live, node.Right.Vars())
+	if node.Cond != nil {
+		leftLive = c.liveWith(leftLive, sparql.ExprVars(node.Cond))
+	}
+	left, err := c.buildVecNode(node.Left, leftLive)
 	if err != nil {
 		return nil, err
 	}
-	right, err := c.buildVecNode(node.Right)
+	right, err := c.buildVecNode(node.Right, nil)
 	if err != nil {
 		return nil, err
 	}
