@@ -379,12 +379,35 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 		last := len(b.steps) - 1
 		b.steps[last].conjuncts = append(b.steps[last].conjuncts, residual...)
 	}
+	res := c.resourceSlots(b.steps)
 	for i := range b.steps {
-		b.steps[i].filt = c.compileFilters(b.steps[i].conjuncts)
+		b.steps[i].filt = c.compileFilters(b.steps[i].conjuncts, res)
 	}
-	b.preFilter = c.compileFilters(pre)
-	b.unitFilter = c.compileFilters(unit)
+	b.preFilter = c.compileFilters(pre, nil)
+	b.unitFilter = c.compileFilters(unit, nil)
 	return b, plan
+}
+
+// resourceSlots marks the slots the steps bind at a subject or
+// predicate position. RDF puts no literal there (the N-Triples parser
+// rejects one), so in every solution of their BGP those slots hold an
+// IRI or a blank node; a row where such a slot still holds a literal
+// when a conjunct runs fails that position's step, before or after, so
+// the conjunct's verdict on it does not matter. Like pinning, this is
+// filter pushing, which mem, the oracle, does not do.
+func (c *compiled) resourceSlots(steps []patternStep) map[int]bool {
+	if !c.eng.opts.UseIndexes {
+		return nil
+	}
+	res := map[int]bool{}
+	for _, st := range steps {
+		for _, p := range st.pos[:2] {
+			if p.isVar {
+				res[p.slot] = true
+			}
+		}
+	}
+	return res
 }
 
 // pinEqualities takes the pushed conjuncts of the form `?v = <iri>` (or
@@ -412,7 +435,7 @@ func (c *compiled) pinEqualities(b *bgpIter, conjuncts []sparql.Expr, bgpVars ma
 		if prev, dup := pins[v]; dup {
 			if prev != iri {
 				b.empty = true
-				c.notes = append(c.notes, fmt.Sprintf("filter pins ?%s to both %s and %s: bgp empty", v, prev, iri))
+				c.note(fmt.Sprintf("filter pins ?%s to both %s and %s: bgp empty", v, prev, iri))
 			}
 			continue
 		}
@@ -420,7 +443,7 @@ func (c *compiled) pinEqualities(b *bgpIter, conjuncts []sparql.Expr, bgpVars ma
 			pins = map[string]rdf.Term{}
 		}
 		pins[v] = iri
-		c.notes = append(c.notes, fmt.Sprintf("filter pinned ?%s = %s", v, iri))
+		c.note(fmt.Sprintf("filter pinned ?%s = %s", v, iri))
 	}
 	return pins, rest
 }

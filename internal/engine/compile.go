@@ -26,7 +26,10 @@ type compiled struct {
 	projection []string
 	projSlots  []int
 	cancel     *canceller
-	notes      []string // optimizer decisions, for Explain
+	notes      []planNote // optimizer decisions, for Explain
+	// joins holds the blocks of each explicit join of groups vecDecline
+	// flattened, for buildVecNode.
+	joins map[*algebra.JoinNode][]vecBlock
 	// trace is the EXPLAIN ANALYZE collector; nil unless the query runs
 	// under WithAnalyze (see trace.go).
 	trace *traceCollector
@@ -95,7 +98,7 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 	// unbound-subject index scan is an N-way gather of sorted runs,
 	// while bound-subject probes route to a single shard.
 	if sc, ok := e.src.(interface{ ShardCount() int }); ok && sc.ShardCount() > 1 {
-		c.notes = append(c.notes, fmt.Sprintf(
+		c.note(fmt.Sprintf(
 			"scatter: source is %d shards — bound-subject scans route to the owning shard, other scans gather %d sorted runs",
 			sc.ShardCount(), sc.ShardCount()))
 	}
@@ -173,11 +176,28 @@ func (c *compiled) explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine=%s slots=%d\n", c.eng.opts.Name, len(c.names))
 	for _, n := range c.notes {
-		b.WriteString(n)
+		b.WriteString(n.String())
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
+
+// planNote is one line of Explain. A reordered BGP's pattern order is
+// rendered only when Explain asks: most compiles never print it.
+type planNote struct {
+	text  string
+	order []sparql.TriplePattern
+}
+
+func (n planNote) String() string {
+	if n.order != nil {
+		return "bgp reordered: " + fmtOrder(n.order)
+	}
+	return n.text
+}
+
+// note records one line of Explain.
+func (c *compiled) note(text string) { c.notes = append(c.notes, planNote{text: text}) }
 
 // collectPlanVars assigns slots to every variable reachable from the plan,
 // in a deterministic order.
@@ -351,7 +371,7 @@ func (c *compiled) buildLeftJoin(node *algebra.LeftJoinNode, outer []string) (su
 			}
 			lj.residual = rest
 		}
-		c.notes = append(c.notes, fmt.Sprintf(
+		c.note(fmt.Sprintf(
 			"leftjoin: materialized uncorrelated right side (hash key: %v)", lj.hashLeftSlot >= 0))
 	}
 	return lj, nil

@@ -89,12 +89,29 @@ func fuzzQuery(r *rand.Rand) string {
 			return varName()
 		}
 	}
-	pattern := func() string {
+	patternOn := func(subj string) string {
 		p := fmt.Sprintf("<http://x/p%d>", r.Intn(4))
 		if r.Intn(3) == 0 {
 			p = varName()
 		}
-		return fmt.Sprintf("%s %s %s .", varName(), p, term())
+		return fmt.Sprintf("%s %s %s .", subj, p, term())
+	}
+	pattern := func() string { return patternOn(varName()) }
+	// A group of one pattern, sometimes with its own FILTER: on the
+	// pattern's subject, which the batch path flattens into the joined
+	// BGPs, or on any variable, possibly one bound only outside the
+	// group, which keeps the join on the tuple operators.
+	group := func() string {
+		subj := varName()
+		g := patternOn(subj)
+		ops := []string{"!=", "<", ">="}
+		switch r.Intn(4) {
+		case 0:
+			g += fmt.Sprintf(" FILTER (%s %s %d)", subj, ops[r.Intn(len(ops))], r.Intn(4))
+		case 1:
+			g += fmt.Sprintf(" FILTER (%s %s %d)", varName(), ops[r.Intn(len(ops))], r.Intn(4))
+		}
+		return "{ " + g + " }"
 	}
 	// An IRI equality, either way round — the conjunct filter pinning
 	// turns into an index key — sometimes on an IRI the graph never uses.
@@ -132,8 +149,12 @@ func fuzzQuery(r *rand.Rand) string {
 		}
 		b.WriteString(" }\n")
 	}
+	// Explicit joins of groups: a UNION, or a bare pair of groups.
 	if r.Intn(3) == 0 {
-		b.WriteString("{ " + pattern() + " } UNION { " + pattern() + " }\n")
+		b.WriteString(group() + " UNION " + group() + "\n")
+	}
+	if r.Intn(5) == 0 {
+		b.WriteString(group() + " " + group() + "\n")
 	}
 	if r.Intn(2) == 0 {
 		ops := []string{"=", "!=", "<", ">", "<=", ">="}

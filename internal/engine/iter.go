@@ -498,6 +498,22 @@ func (d *distinctSet) newBatchRow(cols [][]store.ID, r int) bool {
 	return d.insert()
 }
 
+// keepNew narrows dense batch b, in place, to its rows new to the set,
+// adding them.
+func (d *distinctSet) keepNew(b *Batch, selbuf *[]int32) {
+	sel := emptySel(*selbuf)
+	for r := 0; r < b.n; r++ {
+		if d.newBatchRow(b.cols, r) {
+			sel = append(sel, int32(r))
+		}
+	}
+	*selbuf = sel
+	if len(sel) < b.n {
+		b.SetSel(sel)
+		b.Compact()
+	}
+}
+
 func (d *distinctSet) insert() bool {
 	if _, dup := d.get(); dup {
 		return false

@@ -101,6 +101,9 @@ type segPlan struct {
 type fastCmp struct {
 	op   sparql.BinaryOp
 	l, r int
+	// ids marks an `=`/`!=` with a side that is never a literal (see
+	// resourceSlots): distinct IDs are then distinct, unequal terms.
+	ids bool
 }
 
 // sp2b:valuecmp implements FILTER comparison operators over slot pairs
@@ -132,6 +135,11 @@ func (f fastCmp) cmpIDs(c *compiled, m *termMemo, a, b store.ID) bool {
 		// sp2b:idcmp=ok identical IDs are value-equal; only the not-equal branch falls through to EqualTerms
 		if a == b {
 			return f.op == sparql.OpEq
+		}
+		if f.ids {
+			// The IDs differ and one term is an IRI or a blank node: the
+			// same verdict as the non-literal case below, without the memo.
+			return f.op == sparql.OpNeq
 		}
 		ia, ib := m.info(dict, a), m.info(dict, b)
 		var eq bool
@@ -188,8 +196,9 @@ type rowFilter struct {
 }
 
 // compileFilters splits filter conjuncts into fast slot comparisons and
-// the general remainder.
-func (c *compiled) compileFilters(filters []sparql.Expr) rowFilter {
+// the general remainder. res marks the slots that hold no literal in
+// any solution of the BGP the conjuncts run in (nil: none known).
+func (c *compiled) compileFilters(filters []sparql.Expr, res map[int]bool) rowFilter {
 	var f rowFilter
 	for _, e := range filters {
 		bin, ok := e.(*sparql.Binary)
@@ -199,7 +208,9 @@ func (c *compiled) compileFilters(filters []sparql.Expr) rowFilter {
 				lv, ok1 := bin.Left.(*sparql.VarExpr)
 				rv, ok2 := bin.Right.(*sparql.VarExpr)
 				if ok1 && ok2 {
-					f.fast = append(f.fast, fastCmp{op: bin.Op, l: c.slot(lv.Name), r: c.slot(rv.Name)})
+					fc := fastCmp{op: bin.Op, l: c.slot(lv.Name), r: c.slot(rv.Name)}
+					fc.ids = (fc.op == sparql.OpEq || fc.op == sparql.OpNeq) && (res[fc.l] || res[fc.r])
+					f.fast = append(f.fast, fc)
 					continue
 				}
 			}
@@ -349,8 +360,10 @@ func sharedBoundVars(p sparql.TriplePattern, bound map[string]bool) []string {
 }
 
 func addVars(bound map[string]bool, p sparql.TriplePattern) {
-	for _, v := range p.Vars() {
-		bound[v] = true
+	for _, t := range [...]*sparql.PatternTerm{&p.S, &p.P, &p.O} {
+		if t.IsVar {
+			bound[t.Var] = true
+		}
 	}
 }
 
@@ -489,6 +502,7 @@ func (c *compiled) buildSegPlan(steps []patternStep, bound map[string]bool, segC
 		segVars[c.names[s]] = true
 	}
 	seg := &segPlan{buildSlot: -1, probeSlot: -1}
+	res := c.resourceSlots(steps)
 	var links []sparql.Expr
 	for _, sp := range steps {
 		internal := sp
@@ -510,13 +524,13 @@ func (c *compiled) buildSegPlan(steps []patternStep, bound map[string]bool, segC
 		}
 		// sp.filt compiled the link filters too, and those reference
 		// variables the block never binds: recompile what stays inside.
-		internal.filt = c.compileFilters(internal.conjuncts)
+		internal.filt = c.compileFilters(internal.conjuncts, res)
 		seg.steps = append(seg.steps, internal)
 	}
 	if seg.buildSlot < 0 && segCard > crossCacheCap {
 		return nil, false // keyless and huge: don't materialize
 	}
-	seg.link = c.compileFilters(links)
+	seg.link = c.compileFilters(links, res)
 	seg.slots = sortedSlots(segSlots)
 	return seg, true
 }

@@ -58,7 +58,9 @@ func parallel4() []engine.Options {
 // star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment
 // with the block's own build chain, searched per person by a semi-join
 // stage like Q5b's article check, Q6's anti join over two hash chains,
-// and Q8's tiny merge anchor. No EXPLAIN may show a tuple
+// and Q8's join of groups flattened into two chains on a tiny merge
+// anchor. Q4 and Q8's first branch deduplicate in front of the stage
+// that fans out after a slot dies. No EXPLAIN may show a tuple
 // operator line. The exact row counts are deterministic: the generator
 // is seeded and the counts are structural properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
@@ -74,7 +76,7 @@ func TestGoldenPlans50k(t *testing.T) {
 		"q4": {
 			"vec operators: scan[POS rows=2407] nl" +
 				" hash[?article1 build=4241] hash[?article1 build=4239]" +
-				" hash[?journal build=4239] hash[?article2 build=4241]" +
+				" dedup[?name1 ?journal] hash[?journal build=4239] hash[?article2 build=4241]" +
 				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
 		},
 		"q5a": {
@@ -94,7 +96,10 @@ func TestGoldenPlans50k(t *testing.T) {
 			"leftjoin: vectorized hash anti (hash key: true)",
 		},
 		"q8": {
-			"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407]",
+			"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407] merge[?erdoes POS rows=6830]" +
+				" nl nl dedup[?author ?doc2] nl nl",
+			"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407] merge[?erdoes POS rows=6830] nl nl\n",
+			"join of groups: flattened into 2 BGPs",
 		},
 	})
 }

@@ -19,7 +19,7 @@ func (c *compiled) reorder(patterns []sparql.TriplePattern, outer []string) []sp
 	for _, v := range outer {
 		bound[v] = true
 	}
-	var ordered []sparql.TriplePattern
+	ordered := make([]sparql.TriplePattern, 0, len(patterns))
 	for len(remaining) > 0 {
 		bestIdx, bestCost := -1, 0.0
 		for i, p := range remaining {
@@ -40,13 +40,11 @@ func (c *compiled) reorder(patterns []sparql.TriplePattern, outer []string) []sp
 		chosen := remaining[bestIdx]
 		ordered = append(ordered, chosen)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		for _, v := range chosen.Vars() {
-			bound[v] = true
-		}
+		addVars(bound, chosen)
 	}
 	ordered = c.swapDisconnectedBlocks(ordered, outer)
 	if !slices.Equal(patterns, ordered) {
-		c.notes = append(c.notes, "bgp reordered: "+fmtOrder(ordered))
+		c.notes = append(c.notes, planNote{order: ordered})
 	}
 	return ordered
 }
@@ -146,7 +144,7 @@ func (c *compiled) swapDisconnectedBlocks(ordered []sparql.TriplePattern, outer 
 	if disconnectedCut(swapped, outer) != len(ordered)-cut {
 		return ordered
 	}
-	c.notes = append(c.notes, fmt.Sprintf(
+	c.note(fmt.Sprintf(
 		"bgp blocks swapped: probe est %.3g streams, build est %.3g trails", tailEst, headEst))
 	return swapped
 }
@@ -160,12 +158,10 @@ func disconnectedCut(ordered []sparql.TriplePattern, outer []string) int {
 		bound[v] = true
 	}
 	for i, p := range ordered {
-		if i > 0 && len(p.Vars()) > 0 && disconnected(p, bound) {
+		if i > 0 && disconnected(p, bound) {
 			return i
 		}
-		for _, v := range p.Vars() {
-			bound[v] = true
-		}
+		addVars(bound, p)
 	}
 	return -1
 }
@@ -202,16 +198,19 @@ func fmtOrder(ps []sparql.TriplePattern) string {
 // one binding-free match (the most selective pattern possible), so the
 // cross-product penalty must not push it to the back of the order.
 func disconnected(p sparql.TriplePattern, bound map[string]bool) bool {
-	vars := p.Vars()
-	if len(bound) == 0 || len(vars) == 0 {
+	if len(bound) == 0 {
 		return false
 	}
-	for _, v := range vars {
-		if bound[v] {
-			return false
+	hasVar := false
+	for _, t := range [...]*sparql.PatternTerm{&p.S, &p.P, &p.O} {
+		if t.IsVar {
+			if bound[t.Var] {
+				return false
+			}
+			hasVar = true
 		}
 	}
-	return true
+	return hasVar
 }
 
 // estimate predicts the number of bindings the pattern produces given the

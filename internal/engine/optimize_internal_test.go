@@ -158,7 +158,7 @@ func TestHashSegChecksUpstreamSlot(t *testing.T) {
 	if got := ch.desc.String(); !strings.Contains(got, "hashseg[cross steps=2]") {
 		t.Fatalf("expected the two-pattern block to be hashed: %s", got)
 	}
-	op := linkChain(ch.scan, ch.joins, nil, c.cancel)
+	op := ch.link(c.cancel)
 	op.open()
 	var rows []string
 	for {
@@ -188,6 +188,44 @@ func TestHashSegChecksUpstreamSlot(t *testing.T) {
 	for _, row := range rows {
 		if !want[row] {
 			t.Fatalf("unexpected row (a b x) = %s", row)
+		}
+	}
+}
+
+// TestIdentityComparisons: an `=`/`!=` conjunct over a variable some
+// pattern binds at its subject or predicate position compares IDs alone
+// (fastCmp.ids), while one between two object-only variables, which may
+// hold value-equal literals, and an ordering comparison keep the value
+// comparison. mem, the oracle, never takes the shortcut.
+func TestIdentityComparisons(t *testing.T) {
+	s := optStore(t)
+	patterns := []sparql.TriplePattern{pat("?a", "link", "?x"), pat("?b", "link", "?y")}
+	conj := func(op sparql.BinaryOp, l, r string) sparql.Expr {
+		return &sparql.Binary{Op: op, Left: &sparql.VarExpr{Name: l}, Right: &sparql.VarExpr{Name: r}}
+	}
+	conjuncts := []sparql.Expr{
+		conj(sparql.OpNeq, "a", "b"),
+		conj(sparql.OpEq, "x", "a"),
+		conj(sparql.OpEq, "x", "y"),
+		conj(sparql.OpLt, "a", "b"),
+	}
+	want := map[string]bool{"a != b": true, "x = a": true, "x = y": false, "a < b": false}
+	for _, opts := range []Options{Native(), Mem()} {
+		c := compiledFor(t, s)
+		c.eng = New(s, opts)
+		b, _ := c.prepareBGP(patterns, conjuncts, nil)
+		n := 0
+		for _, st := range b.steps {
+			for _, f := range st.filt.fast {
+				n++
+				key := fmt.Sprintf("%s %s %s", c.names[f.l], f.op, c.names[f.r])
+				if wantIDs := want[key] && opts.UseIndexes; f.ids != wantIDs {
+					t.Errorf("%s: %s: ids = %v, want %v", opts.Name, key, f.ids, wantIDs)
+				}
+			}
+		}
+		if n != len(conjuncts) {
+			t.Errorf("%s: %d fast comparisons, want %d", opts.Name, n, len(conjuncts))
 		}
 	}
 }

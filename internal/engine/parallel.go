@@ -61,11 +61,8 @@ type vecMsg struct {
 // before the query returns.
 type vecParallel struct {
 	c *compiled
-	// scan, joins and semi are the planned pipeline chain instantiates
-	// once per part.
-	scan  *vecScan
-	joins []*vecJoin
-	semi  *vecSemi
+	// ch is the planned pipeline chain instantiates once per part.
+	ch    *vecChain
 	parts []store.IndexRange
 
 	outs    []chan vecMsg
@@ -134,22 +131,27 @@ func (p *vecParallel) spawn() {
 }
 
 // chain instantiates the planned pipeline over one part of the anchor
-// range: fresh copies of the scan, join and semi-join stages (planned
-// but never opened, so they hold no run state, buffers or memo), each
-// join's estimate scaled to the part's share of the rows. Read-only
-// plan state — filters, slot maps, trace counters, a hash stage's
-// shared build — stays shared.
+// range: fresh copies of the scan, join, dedup and semi-join stages
+// (planned but never opened, so they hold no run state, buffers, memo
+// or set), each join's estimate scaled to the part's share of the rows.
+// Read-only plan state — filters, slot maps, trace counters, a hash
+// stage's shared build — stays shared.
 func (p *vecParallel) chain(part store.IndexRange, cancel *canceller) vecOp {
-	scan := *p.scan
+	scan := *p.ch.scan
 	scan.rng = part
-	share := float64(len(part.Rows)) / float64(max(1, len(p.scan.rng.Rows)))
-	joins := make([]*vecJoin, len(p.joins))
-	for i, j := range p.joins {
+	share := float64(len(part.Rows)) / float64(max(1, len(p.ch.scan.rng.Rows)))
+	joins := make([]*vecJoin, len(p.ch.joins))
+	for i, j := range p.ch.joins {
 		jj := *j
 		jj.est *= share
+		if j.dedup != nil {
+			d := *j.dedup
+			jj.dedup = &d
+		}
 		joins[i] = &jj
 	}
-	return linkChain(&scan, joins, p.semi.clone(), cancel)
+	cp := &vecChain{scan: &scan, joins: joins, semi: p.ch.semi.clone()}
+	return cp.link(cancel)
 }
 
 // run drives one partition's chain over a canceller watching this

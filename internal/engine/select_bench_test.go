@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkEngineSelect is the engine layer's evidence for executor
-// changes: Q4, Q5a, Q5b and Q12a at 10k under the served configuration,
-// each evaluated in full per iteration — a SELECT through Select with
-// every row drained, Q12a's ASK through Query. It reports ns/op and
+// changes: Q4, Q5a, Q5b, Q8, Q12a and Q12b at 10k under the served
+// configuration, each evaluated in full per iteration — a SELECT through
+// Select with every row drained, an ASK through Query. It reports ns/op and
 // allocs/op; the "rows" metric pins that both sides of a comparison
 // computed the same answer.
 //
@@ -21,7 +21,7 @@ func BenchmarkEngineSelect(b *testing.B) {
 	s, _ := generatedStore(b, 10_000)
 	eng := engine.New(s, engine.Native())
 	ctx := context.Background()
-	for _, id := range []string{"q4", "q5a", "q5b", "q12a"} {
+	for _, id := range []string{"q4", "q5a", "q5b", "q8", "q12a", "q12b"} {
 		q, _ := queries.ByID(id)
 		parsed := q.Parse()
 		b.Run(id, func(b *testing.B) {

@@ -209,7 +209,7 @@ func (c *compiled) stageReads(j *vecJoin) []int {
 				reads = append(reads, s)
 			}
 		}
-	case opHash:
+	case opMerge, opHash:
 		reads = append(reads, j.joinSlot)
 	case opHashSeg:
 		if s := j.seg.seg.probeSlot; s >= 0 {

@@ -79,10 +79,15 @@ type TraceNode struct {
 // rows its verdict memo answered. The steps it searches follow it, op
 // "semi:<operator>": they carry no estimate, Probes counts their
 // lookups and Rows the candidates that matched.
+//
+// A dedup stage (dedup.go) is one step, op "dedup", whose pattern lists
+// its key variables: RowsIn counts the rows it read, Rows those it
+// kept. It carries no estimate.
 type TraceStep struct {
 	Op        string  `json:"op"`
 	Pattern   string  `json:"pattern,omitempty"`
 	EstRows   float64 `json:"est_rows,omitempty"`
+	RowsIn    int64   `json:"rows_in,omitempty"`
 	Rows      int64   `json:"rows"`
 	Batches   int64   `json:"batches,omitempty"`
 	BuildRows int64   `json:"build_rows,omitempty"`
@@ -135,6 +140,7 @@ type tstep struct {
 	op       string
 	pattern  string
 	est      float64
+	in       atomic.Int64
 	rows     atomic.Int64
 	batches  atomic.Int64
 	build    atomic.Int64
@@ -284,6 +290,7 @@ func snapshotNode(n *tnode) *TraceNode {
 			Op:        s.op,
 			Pattern:   s.pattern,
 			EstRows:   s.est,
+			RowsIn:    s.in.Load(),
 			Rows:      s.rows.Load(),
 			Batches:   s.batches.Load(),
 			BuildRows: s.build.Load(),
@@ -386,7 +393,11 @@ func (t *Trace) Render(w io.Writer) {
 			if s.Pattern != "" {
 				fmt.Fprintf(w, " %s", s.Pattern)
 			}
-			fmt.Fprintf(w, "  rows=%d", s.Rows)
+			if s.RowsIn > 0 {
+				fmt.Fprintf(w, "  in=%d rows=%d", s.RowsIn, s.Rows)
+			} else {
+				fmt.Fprintf(w, "  rows=%d", s.Rows)
+			}
 			if s.EstRows > 0 {
 				fmt.Fprintf(w, " est=%.0f", s.EstRows)
 			}

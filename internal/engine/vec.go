@@ -15,11 +15,13 @@ package engine
 // Coverage of the operators above the BGPs is per-query and decided
 // before either executor is planned: vecDecline walks the algebra tree
 // and returns a reason string for any form the batch path does not
-// cover (explicit group joins, correlated OPTIONAL right sides, empty
-// group patterns, ...), in which case the query runs on the tuple
-// operators and Explain records "vec: tuple fallback (<reason>)".
-// SELECT and ASK reach it (ASK stops at the first non-empty batch);
-// aggregates run on the tuple path.
+// cover (correlated OPTIONAL right sides, empty group patterns, joins
+// of groups that do not flatten into BGPs, ...), in which case the
+// query runs on the tuple operators and Explain records "vec: tuple
+// fallback (<reason>)". An explicit join of groups that does flatten
+// runs as a UNION of BGP chains (see joinBlocks). SELECT and ASK reach
+// it (ASK stops at the first non-empty batch); aggregates run on the
+// tuple path.
 
 import (
 	"errors"
@@ -75,7 +77,7 @@ func (c *compiled) newBatch(rows float64) *Batch {
 // the query's consumer reads (see liveSlots).
 func (c *compiled) compileVec(plan algebra.Node, live liveSlots) error {
 	if reason := c.vecDecline(plan); reason != "" {
-		c.notes = append(c.notes, "vec: tuple fallback ("+reason+")")
+		c.note("vec: tuple fallback (" + reason + ")")
 		return nil
 	}
 	op, err := c.buildVecNode(plan, live)
@@ -118,10 +120,103 @@ func (c *compiled) vecDecline(n algebra.Node) string {
 	case *algebra.SliceNode:
 		return c.vecDecline(node.Input)
 	case *algebra.JoinNode:
-		return "explicit join of groups"
+		blocks, why := joinBlocks(node)
+		for _, b := range blocks {
+			if why := c.vecDeclineBGP(b.patterns, b.conjuncts); why != "" {
+				return why
+			}
+		}
+		if why == "" {
+			if c.joins == nil {
+				c.joins = map[*algebra.JoinNode][]vecBlock{}
+			}
+			c.joins[node] = blocks
+		}
+		return why
 	default:
 		return fmt.Sprintf("unsupported node %T", n)
 	}
+}
+
+// maxJoinBlocks bounds the BGPs one explicit join of groups flattens
+// into: every UNION joined in multiplies them.
+const maxJoinBlocks = 64
+
+// vecBlock is one BGP with its filter conjuncts.
+type vecBlock struct {
+	patterns  []sparql.TriplePattern
+	conjuncts []sparql.Expr
+}
+
+// joinBlocks flattens a join of groups into the blocks whose UNION, in
+// order, it equals, or says why it cannot. A BGP, a FILTER over blocks,
+// a UNION of blocks and a join of blocks flatten; a join distributes
+// over the UNIONs below it, left-major, each (left, right) pair of
+// blocks becoming one BGP with both blocks' patterns and conjuncts.
+// Every conjunct must read only variables of its own block's patterns,
+// which bind them in every solution: it then sees the same values in
+// the joined BGP as in its group, and the tuple path's substitution of
+// left bindings into the right group changes nothing either, so mem
+// stays the oracle. An OPTIONAL, an empty group, a conjunct reading
+// another group's variables, or more than maxJoinBlocks BGPs decline.
+func joinBlocks(n algebra.Node) ([]vecBlock, string) {
+	const why = "explicit join of groups"
+	switch node := n.(type) {
+	case *algebra.BGPNode:
+		if len(node.Patterns) > 0 {
+			return []vecBlock{{patterns: node.Patterns}}, ""
+		}
+	case *algebra.FilterNode:
+		in, reason := joinBlocks(node.Input)
+		if reason != "" {
+			return nil, reason
+		}
+		conjs := algebra.SplitConjuncts(node.Cond)
+		out := make([]vecBlock, len(in))
+		for i, b := range in {
+			vars := map[string]bool{}
+			for _, p := range b.patterns {
+				addVars(vars, p)
+			}
+			for _, conj := range conjs {
+				if !allIn(sparql.ExprVars(conj), vars) {
+					return nil, why
+				}
+			}
+			out[i] = vecBlock{b.patterns, append(slices.Clip(b.conjuncts), conjs...)}
+		}
+		return out, ""
+	case *algebra.UnionNode:
+		l, reason := joinBlocks(node.Left)
+		if reason != "" {
+			return nil, reason
+		}
+		r, reason := joinBlocks(node.Right)
+		if reason != "" || len(l)+len(r) > maxJoinBlocks {
+			return nil, why
+		}
+		return append(l, r...), ""
+	case *algebra.JoinNode:
+		l, reason := joinBlocks(node.Left)
+		if reason != "" {
+			return nil, reason
+		}
+		r, reason := joinBlocks(node.Right)
+		if reason != "" || len(l)*len(r) > maxJoinBlocks {
+			return nil, why
+		}
+		var out []vecBlock
+		for _, lb := range l {
+			for _, rb := range r {
+				out = append(out, vecBlock{
+					patterns:  append(slices.Clip(lb.patterns), rb.patterns...),
+					conjuncts: append(slices.Clip(lb.conjuncts), rb.conjuncts...),
+				})
+			}
+		}
+		return out, ""
+	}
+	return nil, why
 }
 
 // vecDeclineBGP is vecDecline for a BGP with its pushed filter
@@ -230,7 +325,7 @@ func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := &vecFilter{c: c, input: in, conds: c.compileFilters(algebra.SplitConjuncts(node.Cond))}
+		f := &vecFilter{c: c, input: in, conds: c.compileFilters(algebra.SplitConjuncts(node.Cond), nil)}
 		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.LeftJoinNode:
 		if probeJoinShape(node) {
@@ -246,8 +341,24 @@ func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		u := &vecUnion{left: l, right: r}
-		return c.vwrap(u, &tnode{op: "union", detail: "vectorized", children: childTNodes(l, r)}), nil
+		return c.unionVec(l, r), nil
+	case *algebra.JoinNode:
+		// Flattened: the UNION, in order, of one BGP per block pair.
+		blocks := c.joins[node]
+		if len(blocks) == 0 {
+			return nil, errors.New("engine: vec: join of groups not flattened by vecDecline")
+		}
+		var op vecOp
+		for _, b := range blocks {
+			bgp := c.buildVecBGP(b.patterns, b.conjuncts, live)
+			if op == nil {
+				op = bgp
+			} else {
+				op = c.unionVec(op, bgp)
+			}
+		}
+		c.note(fmt.Sprintf("join of groups: flattened into %d BGPs", len(blocks)))
+		return op, nil
 	case *algebra.ProjectNode:
 		return c.buildVecProject(node, -1, live)
 	case *algebra.DistinctNode:
@@ -288,6 +399,12 @@ func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 	default:
 		return nil, fmt.Errorf("engine: vec: unplanned node %T", n)
 	}
+}
+
+// unionVec drains l, then r.
+func (c *compiled) unionVec(l, r vecOp) vecOp {
+	u := &vecUnion{left: l, right: r}
+	return c.vwrap(u, &tnode{op: "union", detail: "vectorized", children: childTNodes(l, r)})
 }
 
 // buildVecBounded builds the input of a slice that keeps at most keep
@@ -345,7 +462,7 @@ func (c *compiled) buildVecOrder(node *algebra.OrderNode, keep int, live liveSlo
 	detail := "vectorized"
 	if keep >= 0 {
 		detail = fmt.Sprintf("vectorized top-%d heap", keep)
-		c.notes = append(c.notes, "order: "+detail)
+		c.note("order: " + detail)
 	}
 	return c.vwrap(o, &tnode{op: "order", detail: detail, children: childTNodes(in)}), nil
 }
@@ -375,16 +492,16 @@ func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 	b, ordered := c.prepareBGP(patterns, conjuncts, nil)
 	if b.empty {
 		// A constant is missing from the dictionary: no rows, ever.
-		c.notes = append(c.notes, "vec operators: empty (a constant is not in the dictionary)")
+		c.note("vec operators: empty (a constant is not in the dictionary)")
 		return vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"}
 	}
 	ch := c.planVecChain(b.steps, ordered, true, live)
 	n := &tnode{op: "bgp", detail: "vectorized", est: ch.est, steps: ch.tsteps}
 	var pipe vecOp
 	if parts := c.partitionAnchor(ch.scan.rng, ch.touched); len(parts) == 1 {
-		pipe = linkChain(ch.scan, ch.joins, ch.semi, c.cancel)
+		pipe = ch.link(c.cancel)
 	} else {
-		par := &vecParallel{c: c, scan: ch.scan, joins: ch.joins, semi: ch.semi, parts: parts}
+		par := &vecParallel{c: c, ch: ch, parts: parts}
 		c.cleanups = append(c.cleanups, par.shutdown)
 		fmt.Fprintf(&ch.desc, " parallel=%d", len(parts))
 		n.parallel = len(parts)
@@ -392,7 +509,7 @@ func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 	}
 	// A hashed block's build line was noted while the chain was planned,
 	// so it precedes the line of the BGP that probes it.
-	c.notes = append(c.notes, "vec operators:"+ch.desc.String())
+	c.note("vec operators:" + ch.desc.String())
 	return pipe, n
 }
 
@@ -414,7 +531,7 @@ type vecChain struct {
 // with the patterns before it) becomes one hashseg stage over the
 // block's own chain when buildSegPlan takes it, and index nested loops
 // otherwise. live marks the slots read above the chain (nil: all), for
-// cutSemi.
+// cutSemi and placeDedups.
 func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool, live liveSlots) *vecChain {
 	opts := c.eng.opts
 	st := c.eng.src
@@ -426,11 +543,11 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 	// Steps from cut on bind no live slot: the stages starting there,
 	// from joins[semiAt] on, form the semi-join stage.
 	cut, semiAt, semiIn := semiCut(steps, live), -1, 0.0
+	var fan []float64 // each join stage's estimated rows per input row
 
+	// Patterns are rendered only under WithAnalyze.
+	traced = traced && c.trace != nil
 	traceStep := func(op, pattern string, est float64) *tstep {
-		if c.trace == nil || !traced {
-			return nil
-		}
 		ts := &tstep{op: op, pattern: pattern, est: est}
 		ch.tsteps = append(ch.tsteps, ts)
 		return ts
@@ -444,7 +561,9 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 			ch.scan.configure(step)
 			sortSlot = leadVarSlot(step, rng)
 			ch.est = max(1, c.estimate(p, bound))
-			ch.scan.ts = traceStep(opScan.String(), p.String(), ch.est)
+			if traced {
+				ch.scan.ts = traceStep(opScan.String(), p.String(), ch.est)
+			}
 			stages = append(stages, fmt.Sprintf("scan[%s rows=%d]", rng.Ord, len(rng.Rows)))
 			ch.touched += len(rng.Rows)
 			addVars(bound, p)
@@ -460,12 +579,15 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 			segCard := c.blockEstimate(ordered[i:end], nil)
 			if seg, ok := c.buildSegPlan(steps[i:end], bound, segCard); ok {
 				build := &vecSegBuild{seg: seg, chain: c.planVecChain(seg.steps, ordered[i:end], false, nil)}
-				c.notes = append(c.notes, "vec hashseg build:"+build.chain.desc.String())
+				c.note("vec hashseg build:" + build.chain.desc.String())
 				j := &vecJoin{c: c, kind: opHashSeg, seg: build, conds: seg.link}
 				j.configure(boundSlots)
 				ch.est *= max(1, segCard)
 				j.est = ch.est
-				j.ts = traceStep(opHashSeg.String(), segDesc(c, seg), ch.est)
+				fan = append(fan, segCard)
+				if traced {
+					j.ts = traceStep(opHashSeg.String(), segDesc(c, seg), ch.est)
+				}
 				stages = append(stages, fmt.Sprintf("hashseg[%s]", segDesc(c, seg)))
 				ch.joins = append(ch.joins, j)
 				for k := i; k < end; k++ {
@@ -508,7 +630,10 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		j.configure(boundSlots)
 		ch.est *= max(1, est)
 		j.est = ch.est
-		j.ts = traceStep(ps.kind.String(), p.String(), ch.est)
+		fan = append(fan, est)
+		if traced {
+			j.ts = traceStep(ps.kind.String(), p.String(), ch.est)
+		}
 		switch ps.kind {
 		case opMerge:
 			stages = append(stages, fmt.Sprintf("merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows)))
@@ -525,16 +650,18 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 	if semiAt >= 0 {
 		stages = c.cutSemi(ch, stages, semiAt, semiIn, live)
 	}
+	stages = c.placeDedups(ch, stages, fan, live)
 	for _, s := range stages {
 		ch.desc.WriteString(" " + s)
 	}
 	return ch
 }
 
-// linkChain links a planned BGP pipeline's stages scan → join → … →
-// semi (when there is one) in place, checking cancellation through
-// cancel.
-func linkChain(scan *vecScan, joins []*vecJoin, semi *vecSemi, cancel *canceller) vecOp {
+// link links a planned BGP pipeline's stages scan → join → … → semi
+// (when there is one) in place, each join's dedup stage in front of it,
+// checking cancellation through cancel.
+func (ch *vecChain) link(cancel *canceller) vecOp {
+	scan, joins, semi := ch.scan, ch.joins, ch.semi
 	scan.cancel = cancel
 	var pipe vecOp = scan
 	later := joins
@@ -542,6 +669,10 @@ func linkChain(scan *vecScan, joins []*vecJoin, semi *vecSemi, cancel *canceller
 		later = append(slices.Clip(joins), semi.steps...)
 	}
 	for i, j := range joins {
+		if j.dedup != nil {
+			j.dedup.child = pipe
+			pipe = j.dedup
+		}
 		j.child, j.cancel, j.later = pipe, cancel, later[i+1:]
 		pipe = j
 	}
@@ -801,6 +932,7 @@ type vecJoin struct {
 	lead     int           // opMerge: index component position of the join variable
 	hash     *vecHashBuild // opHash: the table, shared by every partition
 	seg      *vecSegBuild  // opHashSeg: the block, shared by every partition
+	dedup    *vecDedup     // drops repeats from this stage's input, or nil
 	est      float64       // planner estimate of the rows out of this stage
 
 	prevBound []int // slots bound upstream, copied into each output row
@@ -1284,7 +1416,7 @@ type vecSegBuild struct {
 
 // run runs the block's chain under cancel, then buckets its rows.
 func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
-	pipe := linkChain(b.chain.scan, b.chain.joins, nil, cancel)
+	pipe := b.chain.link(cancel)
 	pipe.open()
 	var flat, keyIDs []store.ID
 	n := 0
@@ -1511,13 +1643,13 @@ func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool, l
 				// the semantic check (see buildLeftJoin).
 			}
 		}
-		lj.conds = c.compileFilters(conjs)
+		lj.conds = c.compileFilters(conjs, nil)
 	}
 	detail := "vectorized hash"
 	if anti {
 		detail = "vectorized hash anti"
 	}
-	c.notes = append(c.notes, fmt.Sprintf(
+	c.note(fmt.Sprintf(
 		"leftjoin: %s (hash key: %v)", detail, lj.hashLeftSlot >= 0))
 	n := &tnode{op: "leftjoin", detail: detail, children: childTNodes(left, right)}
 	return c.vwrap(lj, n), nil
@@ -1710,7 +1842,9 @@ func (f *vecFilter) next() (*Batch, error) {
 	}
 }
 
-// vecUnion drains the left input, then the right.
+// vecUnion drains the left input, then the right. The right input is
+// opened only once the left is exhausted: under an ASK or a LIMIT the
+// left often answers alone.
 type vecUnion struct {
 	left, right vecOp
 	onRight     bool
@@ -1718,7 +1852,6 @@ type vecUnion struct {
 
 func (u *vecUnion) open() {
 	u.left.open()
-	u.right.open()
 	u.onRight = false
 }
 
@@ -1729,6 +1862,7 @@ func (u *vecUnion) next() (*Batch, error) {
 			return b, err
 		}
 		u.onRight = true
+		u.right.open()
 	}
 	return u.right.next()
 }
@@ -1784,15 +1918,7 @@ func (d *vecDistinct) next() (*Batch, error) {
 		if err := d.c.cancel.check(); err != nil {
 			return nil, err
 		}
-		sel := emptySel(d.selbuf)
-		for r := 0; r < b.n; r++ {
-			if d.set.newBatchRow(b.cols, r) {
-				sel = append(sel, int32(r))
-			}
-		}
-		d.selbuf = sel
-		b.SetSel(sel)
-		b.Compact()
+		d.set.keepNew(b, &d.selbuf)
 		if b.Len() > 0 {
 			return b, nil
 		}

@@ -13,6 +13,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sp2bench/internal/rdf"
@@ -90,13 +91,15 @@ func (tp TriplePattern) String() string {
 }
 
 // Vars returns the variable names used in the pattern, in S,P,O order,
-// without duplicates.
+// without duplicates. The planner calls it for every candidate pattern
+// at every step, so it allocates one small slice and nothing else.
 func (tp TriplePattern) Vars() []string {
 	var out []string
-	seen := map[string]bool{}
-	for _, pt := range []PatternTerm{tp.S, tp.P, tp.O} {
-		if pt.IsVar && !seen[pt.Var] {
-			seen[pt.Var] = true
+	for _, pt := range [...]*PatternTerm{&tp.S, &tp.P, &tp.O} {
+		if pt.IsVar && !slices.Contains(out, pt.Var) {
+			if out == nil {
+				out = make([]string, 0, 3)
+			}
 			out = append(out, pt.Var)
 		}
 	}
