@@ -23,7 +23,7 @@ type countingReader struct {
 
 func (r *countingReader) opened(rng store.IndexRange) store.IndexRange {
 	r.ranges.Add(1)
-	r.rows.Add(int64(len(rng.Rows)))
+	r.rows.Add(int64(rng.Len()))
 	return rng
 }
 
@@ -104,8 +104,8 @@ func storeAndSnapshot(t *testing.T, triples int64) []namedReader {
 // whether the batch path covers the query (no tuple tree is planned
 // beside it) or it falls back to the tuple operators (their outer-free
 // BGPs are the same chains). Both hold over a plain store and over an MVCC
-// snapshot with a live delta, where every range a delta touches is a
-// freshly merged slice.
+// snapshot with a live delta, where every range is located twice, in
+// the base and in the delta.
 func TestCompilePlansOnce(t *testing.T) {
 	for _, src := range storeAndSnapshot(t, 10_000) {
 		// Q5a's disconnected block, Q8's flattened join of groups, Q10's

@@ -60,7 +60,7 @@ func (c *compiled) placeDedups(ch *vecChain, stages []string, fan []float64, liv
 		}
 	}
 	fixed := map[int]bool{}
-	if len(ch.scan.rng.Rows) == 1 {
+	if ch.scan.rng.Len() == 1 {
 		for _, s := range ch.scan.slotOf {
 			fixed[s] = true
 		}

@@ -16,18 +16,19 @@ import (
 	"strings"
 	"testing"
 
+	"sp2bench/internal/engine"
+	"sp2bench/internal/mvcc"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
 
-// fuzzGraph builds a deterministic graph over a closed vocabulary. The
+// fuzzTriples draws a deterministic graph over a closed vocabulary. The
 // object pool deliberately contains distinct terms with equal values
 // ("1"^^xsd:integer vs "01"^^xsd:integer): join binding is by term
 // identity while FILTER `=` compares by value, and conflating the two
 // is exactly the class of bug a differential fuzzer should surface.
-func fuzzGraph(r *rand.Rand, n int) *store.Store {
-	s := store.New()
+func fuzzTriples(r *rand.Rand, n int) []rdf.Triple {
 	subj := func() rdf.Term {
 		if r.Intn(5) == 0 {
 			return rdf.Blank(fmt.Sprintf("b%d", r.Intn(4)))
@@ -63,11 +64,35 @@ func fuzzGraph(r *rand.Rand, n int) *store.Store {
 			return rdf.IRI(fmt.Sprintf("http://x/s%d", r.Intn(6)))
 		}
 	}
-	for i := 0; i < n; i++ {
-		s.Add(rdf.NewTriple(subj(), pred(), obj()))
+	out := make([]rdf.Triple, n)
+	for i := range out {
+		out[i] = rdf.NewTriple(subj(), pred(), obj())
+	}
+	return out
+}
+
+// fuzzGraph serves triples from a frozen store or, when live is set,
+// from an MVCC snapshot holding the first half in its base generation
+// and the rest in its delta, so that ranges are two runs.
+func fuzzGraph(t *testing.T, triples []rdf.Triple, live bool) store.Reader {
+	cut := len(triples)
+	if live {
+		cut /= 2
+	}
+	s := store.New()
+	for _, tr := range triples[:cut] {
+		s.Add(tr)
 	}
 	s.Freeze()
-	return s
+	if !live {
+		return s
+	}
+	m := mvcc.New(s, mvcc.MergePolicy{Disabled: true})
+	t.Cleanup(m.Close)
+	m.Apply(triples[cut:])
+	sn := m.Snapshot()
+	t.Cleanup(sn.Close)
+	return sn
 }
 
 // fuzzQuery assembles a random SELECT from the constructs the batch
@@ -186,10 +211,12 @@ func fuzzQuery(r *rand.Rand) string {
 // checkEngineAgreement runs one (graph seed, query seed) pair through
 // every configuration and fails on any solution-multiset mismatch.
 // LIMIT queries compare row counts only: which witnesses survive a
-// limit is implementation-defined.
+// limit is implementation-defined. One pair in four runs over an MVCC
+// snapshot with a live delta.
 func checkEngineAgreement(t *testing.T, gseed, qseed uint64) {
 	t.Helper()
-	s := fuzzGraph(rand.New(rand.NewSource(int64(gseed))), 20+int(gseed%60))
+	triples := fuzzTriples(rand.New(rand.NewSource(int64(gseed))), 20+int(gseed%60))
+	s := fuzzGraph(t, triples, (gseed+qseed)%4 == 0)
 	src := fuzzQuery(rand.New(rand.NewSource(int64(qseed))))
 	q, err := sparql.Parse(src, rdf.Prefixes)
 	if err != nil {
@@ -198,7 +225,7 @@ func checkEngineAgreement(t *testing.T, gseed, qseed uint64) {
 	var ref []string
 	var refName string
 	for _, opts := range allConfigs() {
-		rows := renderEngine(t, s, opts, q)
+		rows := renderResult(t, engine.NewReader(s, opts), q)
 		if ref == nil {
 			ref, refName = rows, opts.Name
 			continue

@@ -440,8 +440,8 @@ func (c *compiled) mergeStep(step patternStep, joinVar string, sortSlot int, lef
 	if !open {
 		return physStep{kind: opMerge, joinSlot: vslot, lead: bestLead}, true
 	}
-	// Only the chosen order's range is opened: over a snapshot with a
-	// live delta every range is a freshly merged slice.
+	// Only the chosen order's range is opened: every RangeIn locates
+	// its rows afresh, in the base and in a snapshot's delta.
 	rng := c.eng.src.RangeIn(bestOrd, want[0], want[1], want[2])
 	return physStep{kind: opMerge, rng: rng, joinSlot: vslot, lead: bestLead}, true
 }
@@ -561,28 +561,6 @@ func passFilt(row, filt store.EncTriple) bool {
 	return (filt[0] == store.NoID || row[0] == filt[0]) &&
 		(filt[1] == store.NoID || row[1] == filt[1]) &&
 		(filt[2] == store.NoID || row[2] == filt[2])
-}
-
-// gallop returns the first index >= start whose row has component
-// comp >= key, by exponential then binary search — the merge cursor's
-// forward advance.
-func gallop(rows []store.EncTriple, start, comp int, key store.ID) int {
-	n := len(rows)
-	if start >= n || rows[start][comp] >= key {
-		return start
-	}
-	step := 1
-	lo := start
-	hi := start + step
-	for hi < n && rows[hi][comp] < key {
-		lo = hi
-		step *= 2
-		hi = start + step
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i][comp] >= key })
 }
 
 // unpermute maps an index-ordered row back to SPO component order.

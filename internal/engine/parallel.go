@@ -139,7 +139,7 @@ func (p *vecParallel) spawn() {
 func (p *vecParallel) chain(part store.IndexRange, cancel *canceller) vecOp {
 	scan := *p.ch.scan
 	scan.rng = part
-	share := float64(len(part.Rows)) / float64(max(1, len(p.ch.scan.rng.Rows)))
+	share := float64(part.Len()) / float64(max(1, p.ch.scan.rng.Len()))
 	joins := make([]*vecJoin, len(p.ch.joins))
 	for i, j := range p.ch.joins {
 		jj := *j

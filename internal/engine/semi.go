@@ -378,14 +378,18 @@ func (s *vecSemi) search(d, end int) (bool, error) {
 			}
 		}
 		rng := s.c.eng.src.Range(want[0], want[1], want[2])
-		for _, row := range rng.Rows {
-			if !passFilt(row, rng.Filt) {
-				continue
+		cur := rng.Cursor()
+		for run := cur.Run(); len(run) > 0; run = cur.Run() {
+			for _, row := range run {
+				if !passFilt(row, rng.Filt) {
+					continue
+				}
+				t := unpermute(rng.Ord, row)
+				if ok, err := s.extend(d, end, t[:]); ok || err != nil {
+					return ok, err
+				}
 			}
-			t := unpermute(rng.Ord, row)
-			if ok, err := s.extend(d, end, t[:]); ok || err != nil {
-				return ok, err
-			}
+			cur.Advance(len(run))
 		}
 	}
 	return false, nil

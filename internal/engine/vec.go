@@ -564,8 +564,8 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 			if traced {
 				ch.scan.ts = traceStep(opScan.String(), p.String(), ch.est)
 			}
-			stages = append(stages, fmt.Sprintf("scan[%s rows=%d]", rng.Ord, len(rng.Rows)))
-			ch.touched += len(rng.Rows)
+			stages = append(stages, fmt.Sprintf("scan[%s rows=%d]", rng.Ord, rng.Len()))
+			ch.touched += rng.Len()
 			addVars(bound, p)
 			addStepSlots(boundSlots, step)
 			continue
@@ -636,13 +636,13 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		}
 		switch ps.kind {
 		case opMerge:
-			stages = append(stages, fmt.Sprintf("merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, len(ps.rng.Rows)))
+			stages = append(stages, fmt.Sprintf("merge[?%s %s rows=%d]", c.names[ps.joinSlot], ps.rng.Ord, ps.rng.Len()))
 		case opHash:
-			stages = append(stages, fmt.Sprintf("hash[?%s build=%d]", c.names[ps.joinSlot], len(ps.rng.Rows)))
+			stages = append(stages, fmt.Sprintf("hash[?%s build=%d]", c.names[ps.joinSlot], ps.rng.Len()))
 		default:
 			stages = append(stages, "nl")
 		}
-		ch.touched += len(ps.rng.Rows)
+		ch.touched += ps.rng.Len()
 		ch.joins = append(ch.joins, j)
 		addVars(bound, p)
 		addStepSlots(boundSlots, step)
@@ -789,7 +789,7 @@ func (vecEmpty) next() (*Batch, error) { return nil, nil }
 
 // vecScan is the pipeline anchor: it decodes the first pattern's index
 // range run-at-a-time into the output batch's columns via
-// store.IndexRange.CopyColumns, checks repeated-variable positions, and
+// store.Cursor.CopyColumns, checks repeated-variable positions, and
 // runs the pushed filter kernels.
 type vecScan struct {
 	c      *compiled
@@ -808,7 +808,7 @@ type vecScan struct {
 	memo    termMemo
 	selbuf  []int32
 	rowbuf  []store.ID
-	pos     int
+	cur     store.Cursor
 }
 
 // configure derives the component → column plan from the pattern step.
@@ -831,14 +831,14 @@ func (v *vecScan) configure(step patternStep) {
 
 func (v *vecScan) open() {
 	if v.out == nil {
-		v.out = v.c.newBatch(float64(len(v.rng.Rows)))
+		v.out = v.c.newBatch(float64(v.rng.Len()))
 	}
-	v.pos = 0
+	v.cur = v.rng.Cursor()
 }
 
 func (v *vecScan) next() (*Batch, error) {
 	out := v.out
-	for v.pos < len(v.rng.Rows) {
+	for v.cur.Len() > 0 {
 		if err := v.cancel.check(); err != nil {
 			return nil, err
 		}
@@ -855,9 +855,7 @@ func (v *vecScan) next() (*Batch, error) {
 				cols[i] = v.scratch[i]
 			}
 		}
-		written, consumed := v.rng.CopyColumns(v.pos, out.Cap(), cols[0], cols[1], cols[2])
-		v.pos += consumed
-		out.n = written
+		out.n, _ = v.cur.CopyColumns(out.Cap(), cols[0], cols[1], cols[2])
 		// Repeated-variable positions must agree row-wise. Binding is by
 		// term identity, so comparing dictionary IDs is exact here (this
 		// is join semantics, not FILTER `=`).
@@ -955,16 +953,14 @@ type vecJoin struct {
 	ipos    int
 	probing bool
 	done    bool
-	// opNL probe window
-	rows []store.EncTriple
-	filt store.EncTriple
-	ord  store.Order
-	rpos int
+	// the unread candidates of an opNL probe or an opMerge key
+	cur  store.Cursor
+	filt store.EncTriple // opNL
+	ord  store.Order     // opNL
 	// opMerge galloping cursor, persistent across input rows
 	minited  bool
 	mkey     store.ID
-	runStart int
-	runEnd   int
+	runStart store.Cursor // at the current key's first row
 	// opHash
 	cands []store.EncTriple
 	cpos  int
@@ -1173,16 +1169,17 @@ func (v *vecJoin) startProbe() error {
 	case opMerge:
 		k := v.in.cols[v.joinSlot][v.ipos]
 		if v.minited && k == v.mkey {
-			v.rpos = v.runStart // same key as the previous row: re-emit the run
+			v.cur = v.runStart // same key as the previous row: re-emit the run
 			return nil
 		}
-		start := 0
-		if v.minited && k > v.mkey {
-			start = v.runEnd // left keys are non-decreasing: gallop forward
+		if !v.minited || k < v.mkey {
+			v.cur = v.rng.Cursor()
 		}
-		idx := gallop(v.rng.Rows, start, v.lead, k)
+		// Left keys are non-decreasing, and the last drain left cur past
+		// the previous key's rows: gallop forward from there.
+		v.cur.Seek(k)
 		v.minited, v.mkey = true, k
-		v.runStart, v.runEnd, v.rpos = idx, idx, idx
+		v.runStart = v.cur
 	case opHash:
 		if err := v.build(); err != nil {
 			return err
@@ -1205,8 +1202,7 @@ func (v *vecJoin) startProbe() error {
 			}
 		}
 		rng := v.c.eng.src.Range(want[0], want[1], want[2])
-		v.rows, v.filt, v.ord = rng.Rows, rng.Filt, rng.Ord
-		v.rpos = 0
+		v.cur, v.filt, v.ord = rng.Cursor(), rng.Filt, rng.Ord
 	}
 	return nil
 }
@@ -1216,23 +1212,28 @@ func (v *vecJoin) startProbe() error {
 func (v *vecJoin) drain(out *Batch) bool {
 	switch v.kind {
 	case opMerge:
-		rows := v.rng.Rows
-		for v.rpos < len(rows) {
-			row := rows[v.rpos]
-			if row[v.lead] != v.mkey {
-				break
+		for {
+			run := v.cur.Run()
+			i := 0
+			for ; i < len(run); i++ {
+				row := run[i]
+				if row[v.lead] != v.mkey {
+					break
+				}
+				if out.Full() {
+					v.cur.Advance(i)
+					return true
+				}
+				if passFilt(row, v.rng.Filt) {
+					t := unpermute(v.rng.Ord, row)
+					v.emit(out, t[:])
+				}
 			}
-			if out.Full() {
-				return true
-			}
-			v.rpos++
-			if passFilt(row, v.rng.Filt) {
-				t := unpermute(v.rng.Ord, row)
-				v.emit(out, t[:])
+			v.cur.Advance(i)
+			if i < len(run) || len(run) == 0 {
+				return false // past the key, or at the end
 			}
 		}
-		v.runEnd = v.rpos
-		return false
 	case opHash:
 		for v.cpos < len(v.cands) {
 			if out.Full() {
@@ -1254,16 +1255,18 @@ func (v *vecJoin) drain(out *Batch) bool {
 		}
 		return false
 	default: // opNL
-		for v.rpos < len(v.rows) {
-			if out.Full() {
-				return true
+		for run := v.cur.Run(); len(run) > 0; run = v.cur.Run() {
+			for i, row := range run {
+				if out.Full() {
+					v.cur.Advance(i)
+					return true
+				}
+				if passFilt(row, v.filt) {
+					t := unpermute(v.ord, row)
+					v.emit(out, t[:])
+				}
 			}
-			row := v.rows[v.rpos]
-			v.rpos++
-			if passFilt(row, v.filt) {
-				t := unpermute(v.ord, row)
-				v.emit(out, t[:])
-			}
+			v.cur.Advance(len(run))
 		}
 		return false
 	}
@@ -1343,25 +1346,28 @@ func (v *vecJoin) runBuild() error {
 // range first meets them, which keeps the candidates of a left stream
 // sorted like the range next to each other.
 func (v *vecJoin) buildTable() error {
-	rows, filt, ord := v.rng.Rows, v.rng.Filt, v.rng.Ord
-	table := newIDTable[[]store.EncTriple](len(rows))
+	filt, ord := v.rng.Filt, v.rng.Ord
+	table := newIDTable[[]store.EncTriple](v.rng.Len())
 	counts := make([]int32, len(table.keys))
-	slots := make([]uint32, 0, len(rows)) // the cell of each matching row
-	var first []uint32                    // each key's cell, in first-row order
-	for i, row := range rows {
-		if i&1023 == 1023 {
-			if err := v.cancel.check(); err != nil {
-				return err
+	slots := make([]uint32, 0, v.rng.Len()) // the cell of each matching row
+	var first []uint32                      // each key's cell, in first-row order
+	cur := v.rng.Cursor()
+	for run := cur.Run(); len(run) > 0; run = cur.Run() {
+		run = run[:min(len(run), 1024)] // a cancellation check per 1024 rows
+		if err := v.cancel.check(); err != nil {
+			return err
+		}
+		for _, row := range run {
+			if passFilt(row, filt) {
+				s, fresh := table.claim(unpermute(ord, row)[v.keyPos])
+				if fresh {
+					first = append(first, s)
+				}
+				slots = append(slots, s)
+				counts[s]++
 			}
 		}
-		if passFilt(row, filt) {
-			s, fresh := table.claim(unpermute(ord, row)[v.keyPos])
-			if fresh {
-				first = append(first, s)
-			}
-			slots = append(slots, s)
-			counts[s]++
-		}
+		cur.Advance(len(run))
 	}
 	backing := make([]store.EncTriple, len(slots))
 	off := int32(0)
@@ -1371,12 +1377,16 @@ func (v *vecJoin) buildTable() error {
 		off += n
 	}
 	j := 0
-	for _, row := range rows {
-		if passFilt(row, filt) {
-			s := slots[j]
-			table.vals[s] = append(table.vals[s], unpermute(ord, row))
-			j++
+	cur = v.rng.Cursor()
+	for run := cur.Run(); len(run) > 0; run = cur.Run() {
+		for _, row := range run {
+			if passFilt(row, filt) {
+				s := slots[j]
+				table.vals[s] = append(table.vals[s], unpermute(ord, row))
+				j++
+			}
 		}
+		cur.Advance(len(run))
 	}
 	v.hash.table = table
 	if v.ts != nil {
@@ -1492,10 +1502,9 @@ type vecLeftJoin struct {
 	probing bool
 	matched bool
 	done    bool
-	rows    []store.EncTriple
+	cur     store.Cursor // the current probe's unread candidates
 	filt    store.EncTriple
 	ord     store.Order
-	rpos    int
 }
 
 func (v *vecLeftJoin) open() {
@@ -1542,19 +1551,21 @@ func (v *vecLeftJoin) next() (*Batch, error) {
 			v.probing = true
 			v.matched = false
 		}
-		for v.rpos < len(v.rows) {
-			if out.Full() {
-				return out, nil
+		for run := v.cur.Run(); len(run) > 0; run = v.cur.Run() {
+			for i, row := range run {
+				if out.Full() {
+					v.cur.Advance(i)
+					return out, nil
+				}
+				if passFilt(row, v.filt) && v.emit(out, unpermute(v.ord, row), true) {
+					v.matched = true
+				}
 			}
-			row := v.rows[v.rpos]
-			v.rpos++
-			if passFilt(row, v.filt) && v.emit(out, unpermute(v.ord, row), true) {
-				v.matched = true
-			}
+			v.cur.Advance(len(run))
 		}
 		if !v.matched {
 			if out.Full() {
-				return out, nil // resume here: probing stays true, rpos is spent
+				return out, nil // resume here: probing stays true, the cursor is spent
 			}
 			v.emit(out, store.EncTriple{}, false)
 		}
@@ -1565,7 +1576,7 @@ func (v *vecLeftJoin) next() (*Batch, error) {
 
 func (v *vecLeftJoin) startProbe() {
 	if v.empty {
-		v.rows, v.rpos = nil, 0
+		v.cur = store.Cursor{}
 		return
 	}
 	var want store.EncTriple
@@ -1578,8 +1589,7 @@ func (v *vecLeftJoin) startProbe() {
 		}
 	}
 	rng := v.c.eng.src.Range(want[0], want[1], want[2])
-	v.rows, v.filt, v.ord = rng.Rows, rng.Filt, rng.Ord
-	v.rpos = 0
+	v.cur, v.filt, v.ord = rng.Cursor(), rng.Filt, rng.Ord
 }
 
 // emit copies the whole left row (all slots, so union inputs with

@@ -17,7 +17,7 @@
 //   - frozenmutation: fields of store.Store and store.Dict may only be
 //     written by Freeze/Rehydrate/Ingest or functions annotated
 //     `// sp2b:mutates-store`; aliased frozen arrays (Triples, Index,
-//     Terms, IndexRange.Rows) must never be written through.
+//     Terms, IndexRange.Rows/Delta) must never be written through.
 //   - idequality: functions annotated `// sp2b:valuecmp` (SPARQL value
 //     semantics: FILTER =, value-keyed hash joins) must not compare or
 //     hash dictionary IDs — ID equality is term identity, which is

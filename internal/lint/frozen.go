@@ -20,8 +20,8 @@ import (
 //
 // Everywhere, writing through the aliasing accessors is flagged:
 // `st.Triples()[i] = ...`, `st.Index(o)[i] = ...`, `d.Terms()[i] = ...`
-// and `rng.Rows[i] = ...` mutate the frozen arrays every concurrent
-// reader shares. (Aliasing through an intermediate variable is not
+// and `rng.Rows[i] = ...` (or `rng.Delta[i]`) mutate the frozen arrays
+// every concurrent reader shares. (Aliasing through an intermediate variable is not
 // tracked; the accessors' doc comments still forbid it.)
 //
 // The storePkg parameter exists so golden tests can point the analyzer
@@ -78,7 +78,7 @@ func runFrozenMutation(pass *Pass, storePkg string) error {
 func checkFrozenWrite(pass *Pass, fd *ast.FuncDecl, storePkg string, lhs ast.Expr, allowed bool, locals map[types.Object]bool) {
 	info := pass.Pkg.Info
 
-	// Everywhere: writes through aliasing accessor calls or IndexRange.Rows.
+	// Everywhere: writes through aliasing accessor calls or an IndexRange's runs.
 	if base, name, ok := aliasedWriteTarget(info, storePkg, lhs); ok {
 		pass.Reportf(lhs.Pos(),
 			"write through %s.%s mutates the frozen store's shared arrays (callers must not mutate the returned slice)",
@@ -139,8 +139,8 @@ func storeFieldTarget(info *types.Info, storePkg string, lhs ast.Expr) (*ast.Sel
 	}
 }
 
-// aliasedWriteTarget recognizes `accessor()[i] = ...` and
-// `rng.Rows[i] = ...` write targets.
+// aliasedWriteTarget recognizes `accessor()[i] = ...`,
+// `rng.Rows[i] = ...` and `rng.Delta[i] = ...` write targets.
 func aliasedWriteTarget(info *types.Info, storePkg string, lhs ast.Expr) (base, name string, ok bool) {
 	idx, isIdx := lhs.(*ast.IndexExpr)
 	if !isIdx {
@@ -165,12 +165,12 @@ func aliasedWriteTarget(info *types.Info, storePkg string, lhs ast.Expr) (base, 
 		}
 	case *ast.SelectorExpr:
 		s, okSel := info.Selections[x]
-		if !okSel || s.Kind() != types.FieldVal || s.Obj().Name() != "Rows" {
+		if !okSel || s.Kind() != types.FieldVal || s.Obj().Name() != "Rows" && s.Obj().Name() != "Delta" {
 			return "", "", false
 		}
 		if recv, okN := namedType(s.Recv()); okN && recv.Obj().Name() == "IndexRange" &&
 			recv.Obj().Pkg() != nil && recv.Obj().Pkg().Path() == storePkg {
-			return "IndexRange", "Rows", true
+			return "IndexRange", s.Obj().Name(), true
 		}
 	}
 	return "", "", false

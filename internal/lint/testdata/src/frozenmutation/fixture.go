@@ -17,7 +17,8 @@ type Dict struct {
 }
 
 type IndexRange struct {
-	Rows []int
+	Rows  []int
+	Delta []int
 }
 
 func (s *Store) Triples() []int { return s.triples }
@@ -89,6 +90,11 @@ func aliasedDictWrite(d *Dict) {
 // rowsWrite mutates the store arrays through an IndexRange view.
 func rowsWrite(r IndexRange) {
 	r.Rows[0] = 3 // want `write through IndexRange.Rows`
+}
+
+// deltaWrite mutates a snapshot delta through an IndexRange view.
+func deltaWrite(r IndexRange) {
+	r.Delta[0] = 3 // want `write through IndexRange.Delta`
 }
 
 // readOnly never writes; nothing to report.

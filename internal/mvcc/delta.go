@@ -9,8 +9,8 @@ import (
 // deltaIndex is the small, immutable index over the triples inserted
 // since the base generation froze. Like the frozen store it keeps the
 // three SPO/POS/OSP sorted runs, so a snapshot can answer any triple
-// pattern by merging the base's directory-located range with the delta's
-// — the differential-index design of RDF-3X: an indexed immutable core
+// pattern with the base's directory-located range and the delta's as
+// the two runs of one range — the differential-index design of RDF-3X: an indexed immutable core
 // plus a small delta, compacted in the background.
 //
 // A deltaIndex value is never mutated after it is published in a
@@ -93,6 +93,9 @@ func rebuildDelta(batches [][]store.EncTriple) *deltaIndex {
 
 // mergeRuns merges two runs sorted by the store comparison into a fresh
 // sorted slice. The inputs are disjoint sets, so no dedup is needed.
+// Only where a copy is the product does this run: a commit's next delta
+// runs (extend) and the mem engine's full scan (Snapshot.Triples);
+// ranges keep their two runs apart.
 func mergeRuns(a, b []store.EncTriple) []store.EncTriple {
 	if len(a) == 0 {
 		return b
@@ -141,7 +144,7 @@ func (d *deltaIndex) count(sub, pred, obj store.ID) int {
 	ord := store.ChooseOrder(sub != store.NoID, pred != store.NoID, obj != store.NoID)
 	rng := d.rangeIn(ord, sub, pred, obj)
 	if rng.Filt == (store.EncTriple{}) {
-		return len(rng.Rows)
+		return rng.Len()
 	}
 	n := 0
 	it := rng.Iterator()

@@ -11,9 +11,9 @@
 // publish it with one atomic pointer swap; a commit is therefore all or
 // nothing — no reader ever observes half of a batch. Readers acquire an
 // epoch-pinned Snapshot (an atomic load plus a refcount) and query it
-// through the same store.Reader surface the engine runs on: every
-// Match/Range merges the base's directory-located range with the delta's,
-// and ranges the delta does not touch alias the frozen index zero-copy.
+// through the same store.Reader surface the engine runs on: every range
+// is the base's directory-located rows plus the delta's, two runs the
+// engine reads in merged order without copying either.
 //
 // A background merger keeps the delta small: when it crosses the merge
 // policy's threshold, the merger compacts base+delta into a new frozen
@@ -51,12 +51,41 @@ type version struct {
 	// generation share the slice's backing array (the single writer
 	// appends; readers only index below their captured length).
 	terms []rdf.Term
-	// lookup resolves extension terms to IDs. Never mutated once the
-	// version is published; commits that intern new terms build a copy.
-	lookup map[rdf.Term]store.ID
+	// lookup resolves extension terms to IDs. Every version of one
+	// generation shares it, and it may hold terms later versions added;
+	// readers accept only IDs within their own vocabulary (snapDict).
+	lookup *termLookup
 	// refs counts snapshots currently pinning this version — the epoch
 	// refcount that makes snapshot draining observable.
 	refs atomic.Int64
+}
+
+// termLookup resolves one generation's extension terms to IDs. All the
+// generation's versions share it, so a commit adds its new terms in
+// place instead of copying the map: the writer adds under the lock, and
+// a reader, which looks up only a query's constants, takes the read
+// lock. IDs are issued in order, so a reader tells the terms of later
+// commits by an ID past its own vocabulary length.
+type termLookup struct {
+	mu  sync.RWMutex
+	ids map[rdf.Term]store.ID
+}
+
+func newTermLookup(n int) *termLookup {
+	return &termLookup{ids: make(map[rdf.Term]store.ID, n)}
+}
+
+func (l *termLookup) get(t rdf.Term) (store.ID, bool) {
+	l.mu.RLock()
+	id, ok := l.ids[t]
+	l.mu.RUnlock()
+	return id, ok
+}
+
+func (l *termLookup) add(t rdf.Term, id store.ID) {
+	l.mu.Lock()
+	l.ids[t] = id
+	l.mu.Unlock()
 }
 
 // MergePolicy controls when the background merger folds the delta into
@@ -110,9 +139,10 @@ func New(base *store.Store, policy MergePolicy) *Store {
 	base.Freeze()
 	s := &Store{policy: policy}
 	v := &version{
-		gen:   1,
-		base:  base,
-		delta: &deltaIndex{predCount: map[store.ID]int{}},
+		gen:    1,
+		base:   base,
+		delta:  &deltaIndex{predCount: map[store.ID]int{}},
+		lookup: newTermLookup(0),
 	}
 	s.cur.Store(v)
 	publishGauges(v)
@@ -163,27 +193,20 @@ func (s *Store) ApplyWithVocab(batch []rdf.Triple, vocab []rdf.Term) int {
 	terms, lookup := v.terms, v.lookup
 	baseDict := v.base.Dict()
 	baseTerms := store.ID(baseDict.Len())
-	copied := false
+	interned := false
 	intern := func(t rdf.Term) store.ID {
 		if id, ok := baseDict.Lookup(t); ok {
 			return id
 		}
-		if id, ok := lookup[t]; ok {
+		if id, ok := lookup.get(t); ok {
 			return id
 		}
-		if !copied {
-			// First new term of this commit: the published lookup map
-			// must stay immutable, so extend a copy.
-			nl := make(map[rdf.Term]store.ID, len(lookup)+8)
-			for k, idv := range lookup {
-				nl[k] = idv
-			}
-			lookup = nl
-			copied = true
-		}
+		// A new term. Snapshots of earlier versions may see it in the
+		// shared lookup, but its ID is past their vocabulary.
 		terms = append(terms, t)
 		id := baseTerms + store.ID(len(terms))
-		lookup[t] = id
+		lookup.add(t, id)
+		interned = true
 		return id
 	}
 
@@ -208,7 +231,7 @@ func (s *Store) ApplyWithVocab(batch []rdf.Triple, vocab []rdf.Term) int {
 		}
 		kept = append(kept, t)
 	}
-	if len(kept) == 0 && !copied {
+	if len(kept) == 0 && !interned {
 		// Nothing inserted and no new vocabulary: the current version
 		// already describes this state.
 		s.mu.Unlock()
@@ -315,9 +338,9 @@ func (s *Store) merge() {
 		delta: rebuildDelta(cur.delta.batches[len(v.delta.batches):]),
 		terms: cur.terms[len(v.terms):],
 	}
-	next.lookup = make(map[rdf.Term]store.ID, len(next.terms))
+	next.lookup = newTermLookup(len(next.terms))
 	for i, t := range next.terms {
-		next.lookup[t] = store.ID(dict.Len() + i + 1)
+		next.lookup.add(t, store.ID(dict.Len()+i+1))
 	}
 	s.cur.Store(next)
 	s.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"sp2bench/internal/queries"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/store"
+	"sp2bench/internal/store/readertest"
 	"sp2bench/internal/testutil"
 )
 
@@ -134,13 +135,18 @@ func TestSnapshotRangesMergeBaseAndDelta(t *testing.T) {
 	if !ok {
 		t.Fatal("p not in dictionary")
 	}
-	// ?P? spans base (2) and delta (2) rows, merged in POS order.
+	// ?P? spans base (2) and delta (2) rows: two runs, read merged in
+	// POS order.
 	rng := sn.Range(store.NoID, p, store.NoID)
-	if len(rng.Rows) != 4 {
-		t.Fatalf("range rows = %d, want 4", len(rng.Rows))
+	if rng.Len() != 4 || len(rng.Rows) != 2 || len(rng.Delta) != 2 {
+		t.Fatalf("range Len = %d (runs %d + %d), want 4 (2 + 2)", rng.Len(), len(rng.Rows), len(rng.Delta))
 	}
-	for i := 1; i < len(rng.Rows); i++ {
-		if store.CompareEnc(rng.Rows[i-1], rng.Rows[i]) >= 0 {
+	rows := readertest.Rows(rng)
+	if len(rows) != 4 {
+		t.Fatalf("cursor read %d rows, want 4", len(rows))
+	}
+	for i := 1; i < len(rows); i++ {
+		if store.CompareEnc(rows[i-1], rows[i]) >= 0 {
 			t.Fatalf("merged range not strictly sorted at %d", i)
 		}
 	}
@@ -160,6 +166,100 @@ func TestSnapshotRangesMergeBaseAndDelta(t *testing.T) {
 	}
 	if n != len(sn.Triples()) || n != 4 {
 		t.Errorf("Iterate saw %d, Triples has %d, want 4", n, len(sn.Triples()))
+	}
+}
+
+// TestSnapshotRangeDoesNotAllocate: a range both the base and the delta
+// touch is their two runs, not a merged copy, and a cursor reads it in
+// merged order without allocating either.
+func TestSnapshotRangeDoesNotAllocate(t *testing.T) {
+	live := tinyLive(t)
+	live.Apply([]rdf.Triple{spo("a", "p", "z"), spo("m", "p", "n")})
+	sn := live.Snapshot()
+	defer sn.Close()
+	p, _ := sn.TermDict().Lookup(iri("p"))
+	var col [4]store.ID
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		rng := sn.RangeIn(store.OrderPOS, store.NoID, p, store.NoID)
+		c := rng.Cursor()
+		n, _ = c.CopyColumns(len(col), col[:], nil, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("RangeIn + CopyColumns over base and delta allocates %.1f times, want 0", allocs)
+	}
+	if n != 4 {
+		t.Errorf("copied %d rows, want 4", n)
+	}
+}
+
+// TestSnapshotLookupIgnoresLaterTerms: snapshots share their
+// generation's extension lookup with every later commit, so a snapshot
+// must reject the terms committed after it while a writer adds them
+// concurrently (run with -race).
+func TestSnapshotLookupIgnoresLaterTerms(t *testing.T) {
+	live := tinyLive(t)
+	live.Apply([]rdf.Triple{spo("c", "p", "old")})
+	before := live.Snapshot()
+	defer before.Close()
+	old, ok := before.TermDict().Lookup(iri("old"))
+	if !ok {
+		t.Fatal("snapshot cannot resolve a term committed before it")
+	}
+
+	const commits = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < commits; i++ {
+			live.Apply([]rdf.Triple{spo("c", "p", fmt.Sprintf("new%d", i))})
+		}
+	}()
+	for i := 0; i < commits; i++ {
+		if id, ok := before.TermDict().Lookup(iri(fmt.Sprintf("new%d", i))); ok {
+			t.Fatalf("pre-commit snapshot resolves new%d to %d", i, id)
+		}
+		if id, ok := before.TermDict().Lookup(iri("old")); !ok || id != old {
+			t.Fatalf("Lookup(old) = %d, %v, want %d", id, ok, old)
+		}
+	}
+	wg.Wait()
+	after := live.Snapshot()
+	defer after.Close()
+	for i := 0; i < commits; i++ {
+		if _, ok := before.TermDict().Lookup(iri(fmt.Sprintf("new%d", i))); ok {
+			t.Fatalf("pre-commit snapshot resolves new%d", i)
+		}
+		id, ok := after.TermDict().Lookup(iri(fmt.Sprintf("new%d", i)))
+		if !ok || after.TermDict().Term(id) != iri(fmt.Sprintf("new%d", i)) {
+			t.Fatalf("post-commit snapshot resolves new%d to %d, %v", i, id, ok)
+		}
+	}
+}
+
+// TestCommitAllocsIndependentOfExtension: a commit that interns a new
+// term extends its generation's shared lookup in place, so its
+// allocations do not grow with the terms earlier commits added.
+func TestCommitAllocsIndependentOfExtension(t *testing.T) {
+	allocsAfter := func(commits int) float64 {
+		live := tinyLive(t)
+		for c := 0; c < commits; c++ {
+			batch := make([]rdf.Triple, 0, 500)
+			for i := 0; i < 500; i++ {
+				batch = append(batch, spo("s", "p", fmt.Sprintf("o%d-%d", c, i)))
+			}
+			live.Apply(batch)
+		}
+		i := 0
+		return testing.AllocsPerRun(50, func() {
+			i++
+			live.Apply([]rdf.Triple{spo("s", "q", fmt.Sprintf("fresh%d", i))})
+		})
+	}
+	one, twenty := allocsAfter(1), allocsAfter(20)
+	if twenty > 1.5*one {
+		t.Errorf("a term-adding commit allocates %.1f times after 20 term-adding commits, %.1f after 1", twenty, one)
 	}
 }
 

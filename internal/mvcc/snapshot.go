@@ -8,12 +8,15 @@ import (
 )
 
 // Snapshot pins one dataset version and serves the store.Reader query
-// surface over it: every pattern lookup merges the frozen base
-// generation's directory-located range with the delta's, so the engine's
-// operators (merge joins, partitioned parallel scans, galloping) run
-// unchanged. A Snapshot is immutable and safe for concurrent use; it
-// observes no commit made after it was taken, which is the per-query
-// consistency guarantee — a query never sees half of a batch.
+// surface over it: every pattern lookup pairs the frozen base
+// generation's directory-located range with the delta's as the two runs
+// of one store.IndexRange, which the engine's operators (merge joins,
+// partitioned parallel scans, galloping) read in merged order through a
+// store.Cursor without a copy. Only Triples, the mem engine's full
+// scan, merges the two into a slice. A Snapshot is immutable and safe
+// for concurrent use; it observes no commit made after it was taken,
+// which is the per-query consistency guarantee — a query never sees
+// half of a batch.
 //
 // Snapshots are cheap (an atomic load plus a refcount) and meant to be
 // per-request: take one, build an engine with engine.NewReader, run the
@@ -94,24 +97,22 @@ func (sn *Snapshot) Triples() []store.EncTriple {
 }
 
 // RangeIn returns the range matching the pattern within one index
-// ordering, with the store's prefix/residual semantics. When the delta
-// contributes no rows the base range is returned as-is — a zero-copy
-// alias of the frozen index, which keeps the read-only fast path
-// allocation-free; otherwise the two sorted, disjoint ranges are merged
-// into a fresh slice.
+// ordering, with the store's prefix/residual semantics. It copies
+// nothing: the base's directory-located rows are the range's Rows and
+// the delta's matching rows its Delta, two disjoint runs the engine
+// reads in merged order through a store.Cursor. A range the delta does
+// not touch is the base range alone, and one only the delta touches is
+// the delta's rows as Rows.
 func (sn *Snapshot) RangeIn(ord store.Order, sub, pred, obj store.ID) store.IndexRange {
 	br := sn.v.base.RangeIn(ord, sub, pred, obj)
 	if sn.v.delta.size() == 0 {
 		return br
 	}
 	dr := sn.v.delta.rangeIn(ord, sub, pred, obj)
-	if len(dr.Rows) == 0 {
-		return br
-	}
 	if len(br.Rows) == 0 {
 		return dr
 	}
-	br.Rows = mergeRuns(br.Rows, dr.Rows)
+	br.Delta = dr.Rows
 	return br
 }
 
@@ -193,7 +194,7 @@ var _ store.Reader = (*Snapshot)(nil)
 type snapDict struct {
 	base   *store.Dict
 	terms  []rdf.Term
-	lookup map[rdf.Term]store.ID
+	lookup *termLookup
 }
 
 // Term resolves an ID to its term.
@@ -204,13 +205,17 @@ func (d snapDict) Term(id store.ID) rdf.Term {
 	return d.terms[int(id)-d.base.Len()-1]
 }
 
-// Lookup returns the ID for t without interning.
+// Lookup returns the ID for t without interning. The extension lookup
+// is shared with later versions of the generation, so an ID past this
+// version's vocabulary is a term committed after the snapshot: absent.
 func (d snapDict) Lookup(t rdf.Term) (store.ID, bool) {
 	if id, ok := d.base.Lookup(t); ok {
 		return id, true
 	}
-	id, ok := d.lookup[t]
-	return id, ok
+	if id, ok := d.lookup.get(t); ok && int(id) <= d.Len() {
+		return id, true
+	}
+	return store.NoID, false
 }
 
 // Len is the vocabulary size: IDs 1..Len are resolvable.

@@ -77,6 +77,9 @@ func (r *Reader) Len() int {
 // Triples returns the full dataset in SPO component order, gathered
 // (and cached) from all shards.
 func (r *Reader) Triples() []store.EncTriple {
+	if len(r.srcs) == 1 {
+		return r.srcs[0].Triples() // its range may be two runs
+	}
 	return r.RangeIn(store.OrderSPO, store.NoID, store.NoID, store.NoID).Rows
 }
 
@@ -125,7 +128,7 @@ func (r *Reader) RangeIn(ord store.Order, sub, pred, obj store.ID) store.IndexRa
 	// returned as-is — zero copy, residuals intact, nothing to merge.
 	owner := -1
 	for i := range ranges {
-		if len(ranges[i].Rows) == 0 {
+		if ranges[i].Len() == 0 {
 			continue
 		}
 		if owner >= 0 {
@@ -189,9 +192,10 @@ func (r *Reader) scatter(ord store.Order, sub, pred, obj store.ID) []store.Index
 
 // mergeRuns merges the per-shard runs — each sorted in the same index
 // component order — into one sorted run, dropping rows that fail their
-// shard's residual constraints. Shards partition the dataset, so the
-// merge needs no deduplication. The head count is the shard count
-// (small), so a linear min-scan beats a heap.
+// shard's residual constraints. A shard that is an MVCC snapshot
+// contributes both runs of its range. Shards partition the dataset, so
+// the merge needs no deduplication. The head count is at most twice the
+// shard count (small), so a linear min-scan beats a heap.
 func mergeRuns(ranges []store.IndexRange) []store.EncTriple {
 	type run struct {
 		rows []store.EncTriple
@@ -201,11 +205,12 @@ func mergeRuns(ranges []store.IndexRange) []store.EncTriple {
 	runs := make([]run, 0, len(ranges))
 	total := 0
 	for _, rg := range ranges {
-		if len(rg.Rows) == 0 {
-			continue
+		for _, rows := range [][]store.EncTriple{rg.Rows, rg.Delta} {
+			if len(rows) > 0 {
+				runs = append(runs, run{rows: rows, filt: rg.Filt})
+				total += len(rows)
+			}
 		}
-		runs = append(runs, run{rows: rg.Rows, filt: rg.Filt})
-		total += len(rg.Rows)
 	}
 	skip := func(ru *run) {
 		f := ru.filt

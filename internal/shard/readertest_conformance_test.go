@@ -55,3 +55,18 @@ func splitFixture(t *testing.T, triples []rdf.Triple, n int) *shard.Set {
 	}
 	return set
 }
+
+// A one-shard set passes its snapshot's ranges, two runs each, through
+// to the engine unmerged; Triples must still hold both runs.
+func TestSingleShardSnapshotReaderConformance(t *testing.T) {
+	readertest.Run(t, func(t *testing.T, triples []rdf.Triple) store.Reader {
+		cut := len(triples) / 2
+		set := splitFixture(t, triples[:cut], 1)
+		set.EnableUpdates(mvcc.MergePolicy{Disabled: true})
+		t.Cleanup(set.Close)
+		set.Apply(triples[cut:])
+		r, release := set.Snapshot()
+		t.Cleanup(release)
+		return r
+	})
+}

@@ -12,6 +12,7 @@ import (
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/snapshot"
 	"sp2bench/internal/store"
+	"sp2bench/internal/store/readertest"
 )
 
 var orders = []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP}
@@ -108,9 +109,9 @@ func checkRanges(t *testing.T, st store.Reader, want []store.EncTriple, keys [][
 					}
 				}
 				rng := st.RangeIn(ord, spo[0], spo[1], spo[2])
-				if rng.Lead != prefix || !slices.Equal(rng.Rows, run) {
-					t.Fatalf("%s RangeIn%v: lead %d rows %v, want lead %d rows %v",
-						ord, spo, rng.Lead, rng.Rows, prefix, run)
+				if rows := readertest.Rows(rng); rng.Lead != prefix || rng.Len() != len(run) || !slices.Equal(rows, run) {
+					t.Fatalf("%s RangeIn%v: lead %d len %d rows %v, want lead %d rows %v",
+						ord, spo, rng.Lead, rng.Len(), rows, prefix, run)
 				}
 				var got []store.EncTriple
 				for it := rng.Iterator(); ; {
@@ -232,7 +233,7 @@ func BenchmarkRangeProbe(b *testing.B) {
 				rows := 0
 				for i := 0; i < b.N; i++ {
 					for _, k := range keys {
-						rows += len(st.RangeIn(ord, k[0], k[1], k[2]).Rows)
+						rows += st.RangeIn(ord, k[0], k[1], k[2]).Len()
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/probe")

@@ -12,6 +12,7 @@ package readertest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sp2bench/internal/rdf"
@@ -72,6 +73,7 @@ func Run(t *testing.T, open Open) {
 	t.Run("RangeOrder", func(t *testing.T) { checkRanges(t, r, enc, pats) })
 	t.Run("Narrowing", func(t *testing.T) { checkNarrowing(t, r, enc, pats) })
 	t.Run("CopyColumns", func(t *testing.T) { checkCopyColumns(t, r, pats) })
+	t.Run("Runs", func(t *testing.T) { checkRuns(t, r, pats) })
 	t.Run("Count", func(t *testing.T) { checkCounts(t, r, enc, pats) })
 	t.Run("Stats", func(t *testing.T) { checkStats(t, r, enc) })
 }
@@ -178,8 +180,9 @@ func checkRanges(t *testing.T, r store.Reader, enc []store.EncTriple, pats [][3]
 			if rng.Lead < prefix {
 				t.Errorf("RangeIn(%v, %v): Lead = %d < bound prefix %d", ord, p, rng.Lead, prefix)
 			}
+			rows := copiedMerge(t, rng)
 			for i := 0; i < prefix; i++ {
-				for _, row := range rng.Rows {
+				for _, row := range rows {
 					if row[i] != key[i] {
 						t.Fatalf("RangeIn(%v, %v): row %v violates lead component %d = %d", ord, p, row, i, key[i])
 					}
@@ -196,7 +199,7 @@ func checkRanges(t *testing.T, r store.Reader, enc []store.EncTriple, pats [][3]
 				}
 				got = append(got, row)
 			}
-			for _, row := range rng.Rows {
+			for _, row := range Rows(rng) {
 				if !first && store.CompareEnc(prev, row) >= 0 {
 					t.Fatalf("RangeIn(%v, %v): rows not strictly ascending: %v then %v", ord, p, prev, row)
 				}
@@ -255,44 +258,171 @@ func checkNarrowing(t *testing.T, r store.Reader, enc []store.EncTriple, pats []
 	}
 }
 
-// checkCopyColumns verifies the bulk path agrees with the iterator for
-// every pattern and ordering, resuming across deliberately odd-sized
-// chunks exactly as the vectorized scan does.
+// checkCopyColumns verifies the bulk path for every pattern and
+// ordering: resumed across chunks of 1, 3, 7 (deliberately odd) and
+// 1024 rows, both as IndexRange.CopyColumns from a merged position and
+// through one Cursor, it must yield the iterator's rows, and those must
+// be the copied merge of the range's runs, filtered.
 func checkCopyColumns(t *testing.T, r store.Reader, pats [][3]store.ID) {
-	const chunk = 7
 	for _, p := range pats {
 		for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
 			rng := r.RangeIn(ord, p[0], p[1], p[2])
-			var want []store.EncTriple
+			var want, iterated []store.EncTriple
+			for _, row := range copiedMerge(t, rng) {
+				if passes(row, rng.Filt) {
+					want = append(want, ord.Unpermute(row))
+				}
+			}
 			it := rng.Iterator()
 			for {
 				row, ok := it.Next()
 				if !ok {
 					break
 				}
-				want = append(want, row)
+				iterated = append(iterated, row)
 			}
-			var got []store.EncTriple
-			s := make([]store.ID, chunk)
-			pp := make([]store.ID, chunk)
-			o := make([]store.ID, chunk)
-			for start := 0; start < len(rng.Rows); {
-				written, consumed := rng.CopyColumns(start, chunk, s, pp, o)
-				if consumed == 0 {
-					break
-				}
-				for i := 0; i < written; i++ {
-					got = append(got, store.EncTriple{s[i], pp[i], o[i]})
-				}
-				start += consumed
+			if !slices.Equal(iterated, want) {
+				t.Fatalf("RangeIn(%v, %v): iterator yields %v, want %v", ord, p, iterated, want)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("CopyColumns(%v, %v): %d rows, want %d", ord, p, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("CopyColumns(%v, %v): row %d = %v, want %v", ord, p, i, got[i], want[i])
+			for _, chunk := range []int{1, 3, 7, 1024} {
+				for _, cursor := range []bool{false, true} {
+					if got := copyAll(rng, chunk, cursor); !slices.Equal(got, want) {
+						t.Fatalf("CopyColumns(%v, %v) by %d (cursor %v): %v, want %v", ord, p, chunk, cursor, got, want)
+					}
 				}
+			}
+		}
+	}
+}
+
+// Rows returns a range's rows in merged order, read through a Cursor
+// one stretch at a time.
+func Rows(rng store.IndexRange) []store.EncTriple { return walk(rng.Cursor()) }
+
+// walk returns a cursor's unread rows.
+func walk(c store.Cursor) []store.EncTriple {
+	var out []store.EncTriple
+	for run := c.Run(); len(run) > 0; run = c.Run() {
+		out = append(out, run...)
+		c.Advance(len(run))
+	}
+	return out
+}
+
+// copiedMerge is the reference the cursor must reproduce: both runs of
+// the range copied into one slice and sorted. It fails the test unless
+// each run is strictly ascending and the two are disjoint.
+func copiedMerge(t *testing.T, rng store.IndexRange) []store.EncTriple {
+	t.Helper()
+	for _, run := range [][]store.EncTriple{rng.Rows, rng.Delta} {
+		for i := 1; i < len(run); i++ {
+			if store.CompareEnc(run[i-1], run[i]) >= 0 {
+				t.Fatalf("%v range: a run is not strictly ascending: %v then %v", rng.Ord, run[i-1], run[i])
+			}
+		}
+	}
+	out := append(slices.Clone(rng.Rows), rng.Delta...)
+	store.SortEncTriples(out)
+	for i := 1; i < len(out); i++ {
+		if out[i-1] == out[i] {
+			t.Fatalf("%v range: row %v is in both runs", rng.Ord, out[i])
+		}
+	}
+	return out
+}
+
+// checkRuns holds the other ways of reading a range — Len, a cursor
+// walk, Partition and cursor seeks — to the copied merge of its runs,
+// for every pattern and ordering (CopyColumns is checkCopyColumns').
+func checkRuns(t *testing.T, r store.Reader, pats [][3]store.ID) {
+	for _, p := range pats {
+		for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
+			rng := r.RangeIn(ord, p[0], p[1], p[2])
+			want := copiedMerge(t, rng)
+			if rng.Len() != len(want) {
+				t.Fatalf("RangeIn(%v, %v): Len() = %d, the runs hold %d rows", ord, p, rng.Len(), len(want))
+			}
+			if got := Rows(rng); !slices.Equal(got, want) {
+				t.Fatalf("RangeIn(%v, %v): cursor walk %v, want %v", ord, p, got, want)
+			}
+			for parts := 1; parts <= 5; parts++ {
+				var got []store.EncTriple
+				for _, part := range rng.Partition(parts) {
+					got = append(got, Rows(part)...)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("RangeIn(%v, %v).Partition(%d): parts concatenate to %v, want %v", ord, p, parts, got, want)
+				}
+			}
+			if rng.Lead < 3 {
+				checkSeeks(t, rng, want)
+			}
+		}
+	}
+}
+
+func passes(row, filt store.EncTriple) bool {
+	return (filt[0] == store.NoID || row[0] == filt[0]) &&
+		(filt[1] == store.NoID || row[1] == filt[1]) &&
+		(filt[2] == store.NoID || row[2] == filt[2])
+}
+
+// copyAll decodes the whole range chunk rows at a time, resuming either
+// IndexRange.CopyColumns at a merged position or one Cursor.
+func copyAll(rng store.IndexRange, chunk int, cursor bool) []store.EncTriple {
+	s, p, o := make([]store.ID, chunk), make([]store.ID, chunk), make([]store.ID, chunk)
+	var got []store.EncTriple
+	c := rng.Cursor()
+	for start := 0; start < rng.Len(); {
+		var written, consumed int
+		if cursor {
+			written, consumed = c.CopyColumns(chunk, s, p, o)
+		} else {
+			written, consumed = rng.CopyColumns(start, chunk, s, p, o)
+		}
+		if consumed == 0 {
+			break
+		}
+		for i := 0; i < written; i++ {
+			got = append(got, store.EncTriple{s[i], p[i], o[i]})
+		}
+		start += consumed
+	}
+	return got
+}
+
+// checkSeeks seeks to every key at the range's Lead component, one
+// fresh cursor per key and one cursor galloping through the keys in
+// ascending order as a merge join does: each seek must leave exactly
+// the rows of the copied merge from the first with that component at
+// least the key.
+func checkSeeks(t *testing.T, rng store.IndexRange, want []store.EncTriple) {
+	t.Helper()
+	var keys []store.ID
+	for _, row := range want {
+		k := row[rng.Lead]
+		if len(keys) == 0 || keys[len(keys)-1] != k {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) > 0 {
+		keys = append(keys, keys[len(keys)-1]+1) // past every row
+	}
+	walker := rng.Cursor()
+	for _, k := range keys {
+		from := len(want)
+		for i, row := range want {
+			if row[rng.Lead] >= k {
+				from = i
+				break
+			}
+		}
+		fresh := rng.Cursor()
+		fresh.Seek(k)
+		walker.Seek(k)
+		for _, c := range []store.Cursor{fresh, walker} {
+			if got := walk(c); !slices.Equal(got, want[from:]) {
+				t.Fatalf("%v range: Seek(%d) leaves %v, want %v", rng.Ord, k, got, want[from:])
 			}
 		}
 	}

@@ -340,128 +340,6 @@ func (s *Store) Match(sub, pred, obj ID) []EncTriple {
 	}
 }
 
-// Iterator yields encoded triples one at a time in index order.
-type Iterator struct {
-	rows  []EncTriple // index-ordered rows
-	order Order
-	// residual filters for components not covered by the index prefix
-	filt EncTriple // in index component order; NoID = no constraint
-	pos  int
-}
-
-// Next returns the next matching triple in SPO component order.
-func (it *Iterator) Next() (EncTriple, bool) {
-	for it.pos < len(it.rows) {
-		row := it.rows[it.pos]
-		it.pos++
-		if (it.filt[0] == NoID || row[0] == it.filt[0]) &&
-			(it.filt[1] == NoID || row[1] == it.filt[1]) &&
-			(it.filt[2] == NoID || row[2] == it.filt[2]) {
-			return it.order.Unpermute(row), true
-		}
-	}
-	return EncTriple{}, false
-}
-
-// IndexRange is the sorted slice of one index matching a pattern's bound
-// components: Rows are in Ord's component order, the first Lead components
-// equal the pattern's constants, and Filt carries any bound component past
-// the lead as a residual constraint (NoID = unconstrained). The slice
-// aliases the store's index — callers must not mutate it.
-//
-// An IndexRange is the unit the physical-operator layer of the query
-// engine works with: it can be iterated, partitioned into contiguous
-// sub-ranges for parallel scans, or merged against another range that is
-// sorted on the same component.
-type IndexRange struct {
-	Ord  Order
-	Rows []EncTriple
-	Lead int
-	Filt EncTriple
-}
-
-// Iterator returns a fresh iterator over the range.
-func (r IndexRange) Iterator() *Iterator {
-	return &Iterator{rows: r.Rows, order: r.Ord, filt: r.Filt}
-}
-
-// CopyColumns decodes a run of the range directly into component
-// columns: starting at physical row offset start, it visits up to max
-// rows that pass the residual filter, unpermutes each into SPO
-// component order, and writes the components into s, p and o (nil =
-// component not wanted). It returns the number of matching rows
-// written and the number of physical rows consumed, so a caller can
-// resume at start+consumed. This is the vectorized scan's bulk path:
-// one call fills a whole column batch without per-row iterator
-// dispatch.
-func (r IndexRange) CopyColumns(start, max int, s, p, o []ID) (written, consumed int) {
-	dst := [3][]ID{s, p, o}
-	// Map destination columns into index component order once, so the
-	// row loop indexes them directly.
-	var cdst [3][]ID
-	for i := 0; i < 3; i++ {
-		cdst[i] = dst[ordPos(r.Ord, i)]
-	}
-	rows := r.Rows[start:]
-	noFilt := r.Filt[0] == NoID && r.Filt[1] == NoID && r.Filt[2] == NoID
-	for consumed < len(rows) && written < max {
-		row := rows[consumed]
-		consumed++
-		if !noFilt &&
-			((r.Filt[0] != NoID && row[0] != r.Filt[0]) ||
-				(r.Filt[1] != NoID && row[1] != r.Filt[1]) ||
-				(r.Filt[2] != NoID && row[2] != r.Filt[2])) {
-			continue
-		}
-		if cdst[0] != nil {
-			cdst[0][written] = row[0]
-		}
-		if cdst[1] != nil {
-			cdst[1][written] = row[1]
-		}
-		if cdst[2] != nil {
-			cdst[2][written] = row[2]
-		}
-		written++
-	}
-	return written, consumed
-}
-
-// ordPos returns the SPO position held by component i of an
-// ord-ordered row.
-func ordPos(ord Order, i int) int {
-	switch ord {
-	case OrderSPO:
-		return i
-	case OrderPOS:
-		return [3]int{1, 2, 0}[i]
-	default: // OrderOSP
-		return [3]int{2, 0, 1}[i]
-	}
-}
-
-// Partition splits the range into at most parts contiguous sub-ranges of
-// near-equal row counts, preserving order: concatenating the partitions'
-// rows yields exactly the original range. Fewer than parts ranges are
-// returned when the range has fewer rows than parts.
-func (r IndexRange) Partition(parts int) []IndexRange {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(r.Rows) {
-		parts = max(1, len(r.Rows))
-	}
-	out := make([]IndexRange, 0, parts)
-	for i := 0; i < parts; i++ {
-		lo := i * len(r.Rows) / parts
-		hi := (i + 1) * len(r.Rows) / parts
-		p := r
-		p.Rows = r.Rows[lo:hi]
-		out = append(out, p)
-	}
-	return out
-}
-
 // Range returns the index range matching the pattern under the index
 // ChooseOrder selects; NoID components are wildcards.
 func (s *Store) Range(sub, pred, obj ID) IndexRange {
@@ -579,7 +457,7 @@ func (s *Store) Count(sub, pred, obj ID) int {
 	}
 	rng := s.Range(sub, pred, obj)
 	if rng.Filt == (EncTriple{}) {
-		return len(rng.Rows)
+		return rng.Len()
 	}
 	n := 0
 	it := rng.Iterator()
