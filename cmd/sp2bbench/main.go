@@ -58,7 +58,7 @@ func main() {
 		runs       = flag.Int("runs", 1, "measured runs per cell (paper: 3)")
 		endpoint   = flag.String("endpoint", "", "benchmark a remote SPARQL endpoint at this URL instead of the in-process engines")
 		queryIDs   = flag.String("queries", "", "comma-separated benchmark query ids to run (default: all 17)")
-		engines    = flag.String("engines", "", "comma-separated engine configurations: mem, native, or shardN-<engine> (default: mem,native)")
+		engines    = flag.String("engines", "", "comma-separated engine configurations: mem or native (default: mem,native)")
 		seed       = flag.Uint64("seed", 1, "generator seed")
 		memLimit   = flag.Uint64("memlimit", 0, "heap limit in bytes (0 = off)")
 		workdir    = flag.String("workdir", "", "directory caching generated documents and their .sp2b snapshots")

@@ -8,7 +8,6 @@
 //	sp2bgen -t 1000000 -o sp2b-1m.nt        # 1M triples, N-Triples text
 //	sp2bgen -t 1000000 -o sp2b-1m.sp2b      # same data as a binary snapshot
 //	sp2bgen -t 1000000 -o doc -format snapshot  # snapshot regardless of extension
-//	sp2bgen -t 1000000 -shards 4 -o cluster/    # 4 per-shard snapshots + manifest
 //	sp2bgen -y 1975 -o sp2b-1975.nt         # everything up to 1975
 //	sp2bgen -t 50000 -stats                 # print document statistics
 //
@@ -29,7 +28,6 @@ import (
 	"sp2bench/internal/core"
 	"sp2bench/internal/dist"
 	"sp2bench/internal/gen"
-	"sp2bench/internal/shard"
 	"sp2bench/internal/snapshot"
 )
 
@@ -41,7 +39,6 @@ func main() {
 		format  = flag.String("format", "", "output format: nt or snapshot (default: snapshot when -o ends in "+snapshot.Ext+", else nt)")
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		stats   = flag.Bool("stats", false, "print document statistics to stderr")
-		shards  = flag.Int("shards", 0, "partition the document into this many shards; -o names the output directory (per-shard "+snapshot.Ext+" files + a manifest)")
 	)
 	flag.Parse()
 
@@ -49,12 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sp2bgen: need -t <triples> or -y <year>")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *shards < 0 || *shards == 1 {
-		fatal(fmt.Errorf("-shards wants 2 or more shards, got %d", *shards))
-	}
-	if *shards > 1 && *out == "" {
-		fatal(fmt.Errorf("-shards needs -o <directory>"))
 	}
 	var asSnapshot bool
 	switch *format {
@@ -73,13 +64,6 @@ func main() {
 		EndYear:                  *endYear,
 		StartYear:                1936,
 		TargetedCitationFraction: 0.5,
-	}
-
-	if *shards > 1 {
-		if err := generateShards(p, *shards, *out, *stats); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	var w io.Writer = os.Stdout
@@ -115,37 +99,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%-17s %d\n", c.String()+":", st.ClassCounts[c])
 		}
 	}
-}
-
-// generateShards generates the document, partitions it by subject hash
-// and writes one snapshot per shard plus the manifest into dir — the
-// dataset side of a scatter-gather deployment (sp2bserve -shards /
-// -shard-endpoints). Every shard file embeds the full global
-// dictionary, so any one shard can seed a coordinator's vocabulary.
-func generateShards(p gen.Params, n int, dir string, printStats bool) error {
-	st, gs, err := core.GenerateStore(p)
-	if err != nil {
-		return err
-	}
-	set, rs, err := shard.Split(st, n)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := set.WriteDir(dir); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sp2bgen: %d triples across %d shards in %s (max skew %.2fx)\n",
-		gs.Triples, n, dir, rs.MaxSkew())
-	for i, sh := range rs.Shards {
-		fmt.Fprintf(os.Stderr, "  %s: %d triples, %d subjects\n", shard.ShardFileName(i, n), sh.Triples, sh.Subjects)
-	}
-	if printStats {
-		fmt.Fprintf(os.Stderr, "predicates spanning >1 shard: %d of %d\n", rs.SpreadPredicates(), len(rs.PredicateSpread))
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -45,20 +45,6 @@
 // request and reports the generation number and base/delta split. The
 // service benchmark's mixed-update-250k workload (go run ./bench) drives
 // this mode.
-//
-// Three cluster modes serve a sharded dataset (sp2bgen -shards):
-//
-//	sp2bserve -shards cluster/                   # in-process scatter-gather over a shard directory
-//	sp2bserve -d cluster/shard-00-of-04.sp2b     # shard server: identity sniffed from the file name,
-//	                                             # mounts the /shard/* scan protocol next to /sparql
-//	sp2bserve -shard-endpoints http://a/sparql,http://b/sparql,...
-//	                                             # remote coordinator over shard servers, in shard order
-//
-// Coordinator admission verifies shard identity, order, partitioner
-// version and the global dictionary hash before serving; a shard
-// failing mid-query answers 502 naming the culprit. -shard-timeout
-// bounds each per-shard call independently of the query deadline.
-// Coordinator modes are read-only (-updates is rejected).
 package main
 
 import (
@@ -73,9 +59,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -86,7 +70,6 @@ import (
 	"sp2bench/internal/mvcc"
 	"sp2bench/internal/obs"
 	"sp2bench/internal/server"
-	"sp2bench/internal/shard"
 	"sp2bench/internal/snapshot"
 	"sp2bench/internal/store"
 )
@@ -114,28 +97,15 @@ func main() {
 		maxConc   = flag.Int("max-concurrent", 2*runtime.GOMAXPROCS(0), "max in-flight queries (0 = unlimited)")
 		seed      = flag.Uint64("seed", 1, "generator seed (with -gen)")
 		updates   = flag.Bool("updates", false, "serve the insert operation on POST /update (store becomes mutable)")
-		shardDir  = flag.String("shards", "", "serve a shard directory (sp2bgen -shards) as an in-process scatter-gather coordinator")
-		shardEps  = flag.String("shard-endpoints", "", "comma-separated shard server URLs, in shard order: serve as a remote scatter-gather coordinator")
-		shardTO   = flag.Duration("shard-timeout", 15*time.Second, "per-call timeout against remote shards (with -shard-endpoints; 0 = none)")
 		logJSON   = flag.Bool("log-json", false, "log requests as JSON lines (log/slog) instead of text")
 		quiet     = flag.Bool("quiet", false, "suppress per-request logging")
 	)
 	flag.Parse()
 
-	modes := 0
-	for _, set := range []bool{*data != "", *genSize != 0, *shardDir != "", *shardEps != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "sp2bserve: need exactly one of -d <doc.nt>, -gen <triples>, -shards <dir> or -shard-endpoints <url,...>")
+	if (*data != "") == (*genSize != 0) {
+		fmt.Fprintln(os.Stderr, "sp2bserve: need exactly one of -d <doc.nt> or -gen <triples>")
 		flag.Usage()
 		os.Exit(2)
-	}
-	coordinator := *shardDir != "" || *shardEps != ""
-	if coordinator && *updates {
-		fatal(errors.New("coordinator modes are read-only: -updates is not supported with -shards or -shard-endpoints"))
 	}
 
 	opts, err := engine.ByName(*engName)
@@ -172,31 +142,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sp2bserve: debug listener (pprof, /metrics) on %s\n", *debugAddr)
 	}
 
-	var (
-		st *store.Store
-		rd store.Reader // coordinator modes: a scatter-gather shard.Reader
-	)
-	if coordinator {
-		r, err := openShards(*shardDir, *shardEps, *shardTO)
-		if err != nil {
-			fatal(err)
-		}
-		rd = r
-	} else {
-		s, err := loadStore(*data, *genSize, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		st = s
+	st, err := loadStore(*data, *genSize, *seed)
+	if err != nil {
+		fatal(err)
 	}
-	if st != nil {
-		fp := st.Footprint()
-		gTriples.Set(int64(fp.Triples))
-		gTerms.Set(int64(fp.Terms))
-	} else {
-		gTriples.Set(int64(rd.Len()))
-		gTerms.Set(int64(rd.TermDict().Len()))
-	}
+	fp := st.Footprint()
+	gTriples.Set(int64(fp.Triples))
+	gTerms.Set(int64(fp.Terms))
 
 	cfg := server.Config{Timeout: *timeout, MaxConcurrent: *maxConc}
 	if !*quiet {
@@ -209,16 +161,13 @@ func main() {
 		}
 	}
 	var live *mvcc.Store
-	switch {
-	case coordinator:
-		cfg.Engine = engine.NewReader(rd, opts)
-	case *updates:
+	if *updates {
 		live = mvcc.New(st, mvcc.MergePolicy{})
 		live.Logf = cfg.Logf
 		defer live.Close()
 		cfg.Live = live
 		cfg.Opts = opts
-	default:
+	} else {
 		cfg.Engine = engine.New(st, opts)
 	}
 	h, err := server.New(cfg)
@@ -230,33 +179,17 @@ func main() {
 	mux.Handle("/", h)
 	mux.Handle("/sparql", h)
 	mux.Handle("/metrics", obs.Handler())
-	switch {
-	case coordinator:
-		mux.Handle("/stats", coordinatorStats(rd))
-	case *updates:
+	if *updates {
 		mux.Handle("/update", server.UpdateHandler(live, cfg.Logf))
 		mux.Handle("/stats", server.LiveStatsHandler(live))
-	default:
+	} else {
 		mux.Handle("/stats", server.StatsHandler(st))
-		// Immutable single-store deployments double as shard servers:
-		// the data plane a coordinator scatters over. Identity (shard
-		// index and count) is sniffed from the served file's name.
-		idx, cnt := -1, 0
-		if i, n, ok := shard.ParseShardFileName(filepath.Base(*data)); ok {
-			idx, cnt = i, n
-			fmt.Fprintf(os.Stderr, "sp2bserve: serving shard %d of %d\n", idx, cnt)
-		}
-		mux.Handle("/shard/", server.ShardHandler(st, idx, cnt))
 	}
 	app.Store(mux) // ready: /healthz flips to 200
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if st != nil {
-		fmt.Fprintf(os.Stderr, "sp2bserve: store footprint: %s\n", st.Footprint())
-	} else if sr, ok := rd.(*shard.Reader); ok {
-		fmt.Fprintf(os.Stderr, "sp2bserve: coordinating %d shards, %d triples, %d terms\n", sr.ShardCount(), rd.Len(), rd.TermDict().Len())
-	}
+	fmt.Fprintf(os.Stderr, "sp2bserve: store footprint: %s\n", fp)
 	fmt.Fprintf(os.Stderr, "sp2bserve: %s engine, listening on %s\n", *engName, *addr)
 
 	select {
@@ -327,60 +260,6 @@ func loadStore(path string, genSize int64, seed uint64) (*store.Store, error) {
 	}
 	fmt.Fprintf(os.Stderr, "sp2bserve: generated %d triples in %v\n", st.Len(), time.Since(start).Round(time.Millisecond))
 	return st, nil
-}
-
-// openShards builds the coordinator's scatter-gather reader: an
-// in-process one over a shard directory, or a remote one over shard
-// server endpoints (admission verifies shard order and the global
-// dictionary contract — see shard.OpenRemote).
-func openShards(dir, endpoints string, timeout time.Duration) (*shard.Reader, error) {
-	start := time.Now()
-	if dir != "" {
-		set, err := shard.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "sp2bserve: opened %d shards from %s in %v\n",
-			set.Shards(), dir, time.Since(start).Round(time.Millisecond))
-		return set.Reader(), nil
-	}
-	eps := strings.Split(endpoints, ",")
-	for i := range eps {
-		eps[i] = strings.TrimSpace(eps[i])
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rd, err := shard.OpenRemote(ctx, eps, timeout)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "sp2bserve: admitted %d remote shards in %v\n",
-		rd.ShardCount(), time.Since(start).Round(time.Millisecond))
-	return rd, nil
-}
-
-// coordinatorStats serves the /stats document of a coordinator: the
-// gathered dataset size plus the fan-out width (the per-shard metrics
-// live on /metrics).
-func coordinatorStats(rd store.Reader) http.Handler {
-	shards := 1
-	if sr, ok := rd.(*shard.Reader); ok {
-		shards = sr.ShardCount()
-	}
-	doc := struct {
-		Triples int `json:"triples"`
-		Terms   int `json:"terms"`
-		Shards  int `json:"shards"`
-	}{rd.Len(), rd.TermDict().Len(), shards}
-	body, err := json.Marshal(doc)
-	if err != nil { // static struct of integers; cannot happen
-		panic(err)
-	}
-	body = append(body, '\n')
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
 }
 
 func fatal(err error) {

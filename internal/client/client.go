@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"sp2bench/internal/results"
 )
@@ -24,43 +23,16 @@ const maxErrorBody = 2048
 // Client talks to one SPARQL endpoint. It is safe for concurrent use.
 type Client struct {
 	endpoint string
-	hc       *http.Client
-}
-
-// Option customizes a Client.
-type Option func(*Client)
-
-// WithHTTPClient substitutes the underlying HTTP client (custom
-// transports, test doubles).
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.hc = hc }
 }
 
 // New returns a client for the endpoint URL (e.g.
-// "http://localhost:8080/sparql"). The default HTTP client has no
-// overall timeout: per-query limits come from the caller's context, as
-// the harness's per-query budget does.
-func New(endpoint string, opts ...Option) *Client {
-	c := &Client{
-		endpoint: endpoint,
-		hc: &http.Client{
-			Transport: &http.Transport{
-				// A shard coordinator keeps many connections to one
-				// host; the default per-host idle cap of 2 would force
-				// reconnects under exactly that load.
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// "http://localhost:8080/sparql"). Requests go through
+// http.DefaultClient, which has no overall timeout: per-query limits
+// come from the caller's context, as the harness's per-query budget
+// does.
+func New(endpoint string) *Client {
+	return &Client{endpoint: endpoint}
 }
-
-// Endpoint returns the endpoint URL the client targets.
-func (c *Client) Endpoint() string { return c.endpoint }
 
 // HTTPError is a non-success protocol response.
 type HTTPError struct {
@@ -92,7 +64,7 @@ func (c *Client) Query(ctx context.Context, query string) (*results.Result, erro
 	}
 	req.Header.Set("Content-Type", "application/sparql-query")
 	req.Header.Set("Accept", "application/sparql-results+json")
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -94,14 +94,6 @@ func (e *Engine) compile(ctx context.Context, q *sparql.Query) (*compiled, error
 	if h := traceHandleFrom(ctx); h != nil {
 		c.trace = &traceCollector{handle: h}
 	}
-	// Scatter-aware costing note: behind a sharded source, every
-	// unbound-subject index scan is an N-way gather of sorted runs,
-	// while bound-subject probes route to a single shard.
-	if sc, ok := e.src.(interface{ ShardCount() int }); ok && sc.ShardCount() > 1 {
-		c.note(fmt.Sprintf(
-			"scatter: source is %d shards — bound-subject scans route to the owning shard, other scans gather %d sorted runs",
-			sc.ShardCount(), sc.ShardCount()))
-	}
 	collectPlanVars(plan, c)
 	// The batch path serves SELECT and ASK; aggregates consume the
 	// core pattern through their own grouping loop. Construct/Describe

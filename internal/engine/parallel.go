@@ -156,10 +156,10 @@ func (p *vecParallel) chain(part store.IndexRange, cancel *canceller) vecOp {
 
 // run drives one partition's chain over a canceller watching this
 // open's stop channel, copying the chain's rows out of its reused
-// batches for the drain. A panic (a remote shard failing mid-probe)
-// travels to the drain as a message and is re-raised there, where the
-// caller's evaluation can recover it; raised here it would end the
-// process.
+// batches for the drain. A panic in a worker is a bug; it travels to
+// the drain as a message and is re-raised there, on the caller's
+// goroutine, where the caller's own panic handling applies. Raised
+// here it would kill the process.
 func (p *vecParallel) run(part store.IndexRange, out chan<- vecMsg, stop <-chan struct{}) {
 	defer p.workers.Done()
 	defer close(out)

@@ -32,9 +32,10 @@ type Rows struct {
 // Select compiles a SELECT query and returns a cursor over its
 // solutions. Compilation errors are returned here. Evaluation runs
 // inside Next: an error, such as a cancelled context, ends the cursor
-// and Err reports it, and a remote shard's fault panics out of Next as
-// it does out of Query. ASK, aggregate, CONSTRUCT and DESCRIBE queries
-// go through Query or Eval.
+// and Err reports it. A panic in a parallel scan's worker (a bug) is
+// re-raised out of Next on the caller's goroutine rather than killing
+// the process. ASK, aggregate, CONSTRUCT and DESCRIBE queries go
+// through Query or Eval.
 func (e *Engine) Select(ctx context.Context, q *sparql.Query) (*Rows, error) {
 	if q.Form != sparql.FormSelect || q.IsAggregate() {
 		return nil, fmt.Errorf("engine: Select serves plain SELECT queries; use Eval for ASK, aggregates, CONSTRUCT and DESCRIBE")
@@ -64,6 +65,11 @@ func (r *Rows) Next() bool {
 	}
 	if r.c.vec != nil {
 		for r.b == nil || r.i >= r.b.Len() {
+			// Checked per batch: the operators' own checks come round
+			// every 1024th batch, which a short result never reaches.
+			if err := ctxErr(r.c.cancel.ctx); err != nil {
+				return r.stop(err)
+			}
 			b, err := r.c.vec.next()
 			if err != nil || b == nil {
 				return r.stop(err)

@@ -129,8 +129,7 @@ func checkWorkerFault(t *testing.T, s *store.Store, opts engine.Options, q *spar
 
 // TestTupleOperatorsRelayWorkerFaults: the tuple operators run a
 // query's outer-free BGPs as the same partitioned batch chains, so a
-// fault in one of their workers — a remote shard failing mid-probe —
-// reaches the caller too: Q7, a tuple fallback whose outer BGP is
+// panic in one of their workers reaches the caller too: Q7, a tuple fallback whose outer BGP is
 // partitioned.
 func TestTupleOperatorsRelayWorkerFaults(t *testing.T) {
 	testutil.CheckNoLeaks(t)

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"sp2bench/internal/engine"
 	"sp2bench/internal/gen"
 	"sp2bench/internal/queries"
-	"sp2bench/internal/shard"
 	"sp2bench/internal/snapshot"
 	"sp2bench/internal/store"
 )
@@ -84,10 +82,6 @@ func ParseScales(s string) ([]Scale, error) {
 type EngineSpec struct {
 	Name string
 	Opts engine.Options
-	// Shards > 1 runs the engine over an in-process scatter-gather
-	// reader across that many hash shards of the loaded document,
-	// instead of directly over the single store.
-	Shards int
 }
 
 // DefaultEngines returns the two engine families the paper compares.
@@ -99,9 +93,7 @@ func DefaultEngines() []EngineSpec {
 }
 
 // ParseEngines resolves a comma-separated list of engine names
-// ("mem,native,shard4-native"): each is a name engine.ByName knows,
-// optionally prefixed with shardN- to run it over N in-process hash
-// shards of the loaded document.
+// ("mem,native"), each a name engine.ByName knows.
 func ParseEngines(s string) ([]EngineSpec, error) {
 	var out []EngineSpec
 	for _, name := range strings.Split(s, ",") {
@@ -109,34 +101,16 @@ func ParseEngines(s string) ([]EngineSpec, error) {
 		if name == "" {
 			continue
 		}
-		es, err := parseEngine(name)
+		opts, err := engine.ByName(name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: unknown engine %q (want mem or native)", name)
 		}
-		out = append(out, es)
+		out = append(out, EngineSpec{Name: name, Opts: opts})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("harness: no engines given")
 	}
 	return out, nil
-}
-
-// parseEngine resolves one engine name, plain or shardN-<engine>.
-func parseEngine(name string) (EngineSpec, error) {
-	shards := 0
-	base := name
-	if rest, ok := strings.CutPrefix(name, "shard"); ok {
-		if num, b, ok := strings.Cut(rest, "-"); ok {
-			if n, err := strconv.Atoi(num); err == nil && n >= 1 {
-				shards, base = n, b
-			}
-		}
-	}
-	opts, err := engine.ByName(base)
-	if err != nil {
-		return EngineSpec{}, fmt.Errorf("harness: unknown engine %q (want mem, native, or shardN-<engine>, e.g. shard4-native)", name)
-	}
-	return EngineSpec{Name: name, Opts: opts, Shards: shards}, nil
 }
 
 // Outcome classifies a query run, matching Table IV's legend.
@@ -508,9 +482,6 @@ func (r *Runner) Run() (*Report, error) {
 			return nil, err
 		}
 		st := lr.store
-		// One split per shard count per scale: sharded specs at the same
-		// width share the scatter-gather reader (and its gather cache).
-		shardReaders := map[int]*shard.Reader{}
 		rep.Footprints[sc.Name] = st.Footprint()
 		rep.Sources[sc.Name] = lr.source
 		r.progressf("loaded %s from %s in %v (%s)\n",
@@ -531,39 +502,10 @@ func (r *Runner) Run() (*Report, error) {
 			// ChargeLoadToMem is set, mirroring engines without a
 			// persisted index.
 			charge := r.cfg.ChargeLoadToMem && !es.Opts.UseIndexes
-			var eng *engine.Engine
-			if es.Shards > 1 {
-				rd, err := r.shardReader(sc, st, es.Shards, shardReaders)
-				if err != nil {
-					return nil, err
-				}
-				eng = engine.NewReader(rd, es.Opts)
-			} else {
-				eng = engine.New(st, es.Opts)
-			}
-			r.drive(rep, newEngineExecutor(es.Name, eng), sc, qs, lr.textParse, charge)
+			r.drive(rep, newEngineExecutor(es.Name, engine.New(st, es.Opts)), sc, qs, lr.textParse, charge)
 		}
 	}
 	return rep, nil
-}
-
-// shardReader splits the loaded store into n in-process hash shards
-// (once per scale and shard count) and returns the scatter-gather
-// reader the sharded engine specs run over.
-func (r *Runner) shardReader(sc Scale, st *store.Store, n int, cache map[int]*shard.Reader) (*shard.Reader, error) {
-	if rd, ok := cache[n]; ok {
-		return rd, nil
-	}
-	start := time.Now()
-	set, stats, err := shard.Split(st, n)
-	if err != nil {
-		return nil, fmt.Errorf("harness: sharding %s: %w", sc.Name, err)
-	}
-	rd := set.Reader()
-	cache[n] = rd
-	r.progressf("split %s into %d shards in %v (max skew %.2f)\n",
-		sc.Name, n, time.Since(start).Round(time.Millisecond), stats.MaxSkew())
-	return rd, nil
 }
 
 // source labels one engine's LoadStats row: index-free engines are

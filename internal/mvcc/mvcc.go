@@ -173,27 +173,12 @@ func (s *Store) Len() int {
 //
 // sp2b:mutates-store publishes the next version under s.mu
 func (s *Store) Apply(batch []rdf.Triple) int {
-	return s.ApplyWithVocab(batch, nil)
-}
-
-// ApplyWithVocab is Apply with a vocabulary preamble: every term in
-// vocab is interned, in order, before the batch is encoded. A sharded
-// set calls it with the *full* batch's vocabulary on *every* shard, so
-// all shards' delta dictionaries extend by the identical term sequence
-// and keep issuing the same IDs — the update-path half of the global
-// dictionary contract. A version is therefore published even when the
-// routed sub-batch inserts nothing, as long as new terms were interned;
-// skipping that publication would let shard vocabularies diverge.
-//
-// sp2b:mutates-store publishes the next version under s.mu
-func (s *Store) ApplyWithVocab(batch []rdf.Triple, vocab []rdf.Term) int {
 	s.mu.Lock()
 	v := s.cur.Load()
 
 	terms, lookup := v.terms, v.lookup
 	baseDict := v.base.Dict()
 	baseTerms := store.ID(baseDict.Len())
-	interned := false
 	intern := func(t rdf.Term) store.ID {
 		if id, ok := baseDict.Lookup(t); ok {
 			return id
@@ -206,12 +191,7 @@ func (s *Store) ApplyWithVocab(batch []rdf.Triple, vocab []rdf.Term) int {
 		terms = append(terms, t)
 		id := baseTerms + store.ID(len(terms))
 		lookup.add(t, id)
-		interned = true
 		return id
-	}
-
-	for _, t := range vocab {
-		intern(t)
 	}
 
 	enc := make([]store.EncTriple, 0, len(batch))
@@ -231,21 +211,17 @@ func (s *Store) ApplyWithVocab(batch []rdf.Triple, vocab []rdf.Term) int {
 		}
 		kept = append(kept, t)
 	}
-	if len(kept) == 0 && !interned {
-		// Nothing inserted and no new vocabulary: the current version
-		// already describes this state.
+	if len(kept) == 0 {
+		// Nothing inserted (a triple with a new term is always new):
+		// the current version already describes this state.
 		s.mu.Unlock()
 		return 0
 	}
 
-	nd := v.delta
-	if len(kept) > 0 {
-		nd = v.delta.extend(kept)
-	}
 	next := &version{
 		gen:    v.gen,
 		base:   v.base,
-		delta:  nd,
+		delta:  v.delta.extend(kept),
 		terms:  terms,
 		lookup: lookup,
 	}

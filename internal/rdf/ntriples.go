@@ -121,7 +121,7 @@ func (r *Reader) parseLine(line string) (Triple, error) {
 // ParseTriple parses one N-Triples statement (a single line, without the
 // trailing newline; leading and trailing whitespace must already be
 // trimmed). lineNo is reported in parse errors. It is the line-level
-// entry point the parallel loader in internal/store shards work over.
+// entry point the parallel loader in internal/store splits work over.
 func ParseTriple(line string, lineNo int) (Triple, error) {
 	p := &lineParser{s: line, line: lineNo}
 	s, err := p.term()

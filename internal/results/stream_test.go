@@ -64,7 +64,7 @@ func TestStreamMatchesHeld(t *testing.T) {
 	}
 }
 
-var errIter = errors.New("shard went away")
+var errIter = errors.New("source went away")
 
 // TestStreamIteratorFailure fails the iterator after n rows, below and
 // above one flush: every format returns the iterator's error, hands the

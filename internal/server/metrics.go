@@ -22,7 +22,7 @@ var (
 	reqFaults = obs.Default.CounterVec("sp2b_http_faults_total",
 		"Protocol faults, by status code class (400 malformed, 500 refused, 503 busy/timeout).", "code")
 	reqAborted = obs.Default.CounterVec("sp2b_http_aborted_total",
-		"Responses aborted after their first bytes, by the status the failure would have answered (502 shard fault, 503 timeout, 500 refused).", "code")
+		"Responses aborted after their first bytes, by the status the failure would have answered (503 timeout, 500 refused).", "code")
 )
 
 // fingerprint derives the short stable identifier request logs carry

@@ -26,7 +26,6 @@ import (
 	"sp2bench/internal/mvcc"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/results"
-	"sp2bench/internal/shard"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
@@ -282,12 +281,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, meta *reqMeta) (i
 	if analyze {
 		ectx, th = engine.WithAnalyze(ctx)
 	}
-	var res *engine.Result
-	var graph []rdf.Triple
-	err = shielded(func() (err error) {
-		res, graph, err = eng.Eval(ectx, q)
-		return err
-	})
+	res, graph, err := eng.Eval(ectx, q)
 	if err != nil {
 		return evalError(ctx, w, err)
 	}
@@ -323,11 +317,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, meta *reqMeta) (i
 // it, a failure sets meta.abortStatus and ServeHTTP aborts the
 // response.
 func streamSelect(ctx context.Context, w http.ResponseWriter, eng *engine.Engine, q *sparql.Query, format results.Format, meta *reqMeta) (int, string) {
-	var rows *engine.Rows
-	err := shielded(func() (err error) {
-		rows, err = eng.Select(ctx, q)
-		return err
-	})
+	rows, err := eng.Select(ctx, q)
 	if err != nil {
 		return evalError(ctx, w, err)
 	}
@@ -342,7 +332,7 @@ func streamSelect(ctx context.Context, w http.ResponseWriter, eng *engine.Engine
 	}
 	w.Header().Set("Content-Type", format.ContentType())
 	body := &bodyWriter{w: w}
-	err = shielded(func() error { return results.Stream(rows.Vars, rows).Write(body, format) })
+	err = results.Stream(rows.Vars, rows).Write(body, format)
 	switch {
 	case err == nil:
 		return http.StatusOK, fmt.Sprintf("%s %d solutions as %s", q.Form, rows.Len(), format)
@@ -383,13 +373,7 @@ func evalError(ctx context.Context, w http.ResponseWriter, err error) (int, stri
 
 // failure maps an evaluation error to its protocol status.
 func failure(ctx context.Context, err error) (int, error) {
-	var fault *shard.FaultError
 	switch {
-	case errors.As(err, &fault):
-		// A remote shard failed mid-scatter: the coordinator cannot
-		// answer correctly from the surviving shards, so the query fails
-		// as a gateway fault naming the culprit.
-		return http.StatusBadGateway, err
 	case errors.Is(err, engine.ErrCancelled) || ctx.Err() != nil:
 		return http.StatusServiceUnavailable, fmt.Errorf("query timed out: %w", err)
 	default:
@@ -397,25 +381,6 @@ func failure(ctx context.Context, err error) (int, error) {
 		// well-formed but evaluation failed.
 		return http.StatusInternalServerError, err
 	}
-}
-
-// shielded runs f, converting a shard fault panic — the scatter
-// layer's only way to signal a failed remote call through the
-// error-less store.Reader interface — into the error f returns. A
-// cursor can raise one mid-stream, so it covers the write of a
-// streamed result as well as evaluation. Any other panic is a bug and
-// propagates.
-func shielded(f func() error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if fe, ok := p.(*shard.FaultError); ok {
-				err = fe
-				return
-			}
-			panic(p)
-		}
-	}()
-	return f()
 }
 
 // writeAnalyze answers an ?analyze=1 request: a JSON document with the

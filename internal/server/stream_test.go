@@ -23,7 +23,6 @@ import (
 	"sp2bench/internal/queries"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/results"
-	"sp2bench/internal/shard"
 	"sp2bench/internal/store"
 )
 
@@ -159,25 +158,51 @@ func TestStreamedEqualsMaterialized(t *testing.T) {
 	}
 }
 
-// faultReader raises a remote-shard fault from every term resolution
-// once armed, the way a scatter-gather reader signals a failed shard
-// mid-query.
-type faultReader struct {
+// cancelReader cancels the request it serves from every index range it
+// opens and every term it resolves once armed, as a deadline expiring
+// mid-query would: the cursor's next context check ends it with
+// engine.ErrCancelled. Requests must run one at a time through serve.
+type cancelReader struct {
 	store.Reader
-	armed atomic.Bool
+	armed  atomic.Bool
+	cancel atomic.Pointer[context.CancelFunc]
 }
 
-func (r *faultReader) TermDict() store.TermSource { return faultDict{r.Reader.TermDict(), &r.armed} }
-
-type faultDict struct {
-	store.TermSource
-	armed *atomic.Bool
+// serve runs each request of h under a context the reader cancels.
+func (r *cancelReader) serve(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		ctx, cancel := context.WithCancel(req.Context())
+		defer cancel()
+		r.cancel.Store(&cancel)
+		h.ServeHTTP(w, req.WithContext(ctx))
+	})
 }
 
-func (d faultDict) Term(id store.ID) rdf.Term {
-	if d.armed.Load() {
-		panic(&shard.FaultError{Shard: 1, Endpoint: "injected", Err: errors.New("connection reset")})
+func (r *cancelReader) hit() {
+	if r.armed.Load() {
+		(*r.cancel.Load())()
 	}
+}
+
+func (r *cancelReader) Range(s, p, o store.ID) store.IndexRange {
+	r.hit()
+	return r.Reader.Range(s, p, o)
+}
+
+func (r *cancelReader) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
+	r.hit()
+	return r.Reader.RangeIn(ord, s, p, o)
+}
+
+func (r *cancelReader) TermDict() store.TermSource { return cancelDict{r.Reader.TermDict(), r} }
+
+type cancelDict struct {
+	store.TermSource
+	r *cancelReader
+}
+
+func (d cancelDict) Term(id store.ID) rdf.Term {
+	d.r.hit()
 	return d.TermSource.Term(id)
 }
 
@@ -242,37 +267,41 @@ func q4Text(t *testing.T) string {
 	return q.Text
 }
 
-// TestStreamFaultBeforeFirstByte: a fault raised before the writer's
-// first flush still answers its status, with nothing of the document
-// sent.
+// TestStreamFaultBeforeFirstByte: a failure before the writer's first
+// flush still answers its status, with nothing of the document sent.
 func TestStreamFaultBeforeFirstByte(t *testing.T) {
-	src := &faultReader{Reader: loadStore(t, document10k(t))}
+	src := &cancelReader{Reader: loadStore(t, document10k(t))}
 	src.armed.Store(true)
-	ts := newTestServer(t, Config{Engine: engine.NewReader(src, engine.Native())})
+	s, err := New(Config{Engine: engine.NewReader(src, engine.Native())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(src.serve(s))
+	t.Cleanup(ts.Close)
 	resp := get(t, http.DefaultClient, ts.URL, q4Text(t), "application/sparql-results+json")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("status = %d, want 502", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), "injected") || strings.Contains(string(body), "bindings") {
-		t.Fatalf("body = %.200q, want the fault and no document", body)
+	if !strings.Contains(string(body), "cancelled") || strings.Contains(string(body), "bindings") {
+		t.Fatalf("body = %.200q, want the cancellation and no document", body)
 	}
 }
 
 // TestStreamFaultAfterFirstByte: once part of a 200 response has left,
-// a fault aborts it: the client's body read ends in
+// a failure aborts it: the client's body read ends in
 // io.ErrUnexpectedEOF, never in a complete-looking document, and the
 // request is logged and counted as aborted.
 func TestStreamFaultAfterFirstByte(t *testing.T) {
-	src := &faultReader{Reader: loadStore(t, document10k(t))}
+	src := &cancelReader{Reader: loadStore(t, document10k(t))}
 	var log logLines
 	s, err := New(Config{Engine: engine.NewReader(src, engine.Native()), Logf: log.logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, client := throttledServer(t, s)
-	aborted := reqAborted.With("502").Value()
+	ts, client := throttledServer(t, src.serve(s))
+	aborted := reqAborted.With("503").Value()
 
 	for _, f := range []results.Format{results.JSON, results.XML, results.TSV, results.CSV} {
 		src.armed.Store(false)
@@ -293,12 +322,12 @@ func TestStreamFaultAfterFirstByte(t *testing.T) {
 	}
 	lines := log.wait(t, 4)
 	for _, l := range lines {
-		if !strings.Contains(l, " 200 ") || !strings.Contains(l, "aborted after") || !strings.Contains(l, "injected") {
+		if !strings.Contains(l, " 200 ") || !strings.Contains(l, "aborted after") || !strings.Contains(l, "cancelled") {
 			t.Errorf("log line %q does not record the abort and its cause", l)
 		}
 	}
-	if got := reqAborted.With("502").Value() - aborted; got != 4 {
-		t.Errorf("aborted-502 counter moved by %d, want 4", got)
+	if got := reqAborted.With("503").Value() - aborted; got != 4 {
+		t.Errorf("aborted-503 counter moved by %d, want 4", got)
 	}
 }
 
@@ -417,7 +446,6 @@ func TestFailureStatus(t *testing.T) {
 		err  error
 		want int
 	}{
-		{live, &shard.FaultError{Err: errors.New("reset")}, http.StatusBadGateway},
 		{live, fmt.Errorf("%w: deadline", engine.ErrCancelled), http.StatusServiceUnavailable},
 		{expired, errors.New("anything, after the deadline"), http.StatusServiceUnavailable},
 		{live, errors.New("refused"), http.StatusInternalServerError},

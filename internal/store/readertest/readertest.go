@@ -1,8 +1,7 @@
 // Package readertest is the reusable conformance suite for
 // store.Reader implementations. Every layer that offers the engine a
-// triple source — the frozen store itself, an MVCC snapshot layering a
-// delta over a base generation, a scatter-gather shard reader — must
-// present ranges with identical ordering, narrowing, and bulk-copy
+// triple source — the frozen store itself, or an MVCC snapshot layering
+// a delta over a base generation — must present ranges with identical ordering, narrowing, and bulk-copy
 // semantics, or merge joins and the vectorized scan silently produce
 // wrong answers. The suite pins those semantics once so each
 // implementation's tests are one call:
@@ -447,10 +446,10 @@ func checkStats(t *testing.T, r store.Reader, enc []store.EncTriple) {
 		predCount[tr[1]]++
 	}
 	// Per-predicate cardinalities are exact in every implementation
-	// (base and delta counts add; shard counts partition). Distinct
-	// counts are estimates — implementations may under- or over-count
-	// (an MVCC snapshot approximates from its base generation, a shard
-	// gather sums per-shard counts) — so they only need sane bounds:
+	// (base and delta counts add). Distinct counts are estimates —
+	// implementations may under- or over-count (an MVCC snapshot
+	// approximates from its base generation) — so they only need sane
+	// bounds:
 	// positive when the predicate exists, never above the matching
 	// triple count.
 	for p, want := range predCount {
