@@ -60,11 +60,19 @@ type canceller struct {
 	n    uint32
 }
 
+// check is the per-row check: it looks only on every 1024th call.
 func (c *canceller) check() error {
 	c.n++
 	if c.n&1023 != 0 {
 		return nil
 	}
+	return c.now()
+}
+
+// now looks at once. Loops that step a batch at a time call it: at
+// check's stride they would see a cancellation only after about 1M
+// rows.
+func (c *canceller) now() error {
 	if c.stop != nil {
 		select {
 		case <-c.stop:

@@ -239,6 +239,9 @@ func (e *Engine) Count(ctx context.Context, q *sparql.Query) (int, error) {
 		c.vec.open()
 		n := 0
 		for {
+			if err := c.cancel.now(); err != nil {
+				return n, err
+			}
 			b, err := c.vec.next()
 			if err != nil {
 				return n, err

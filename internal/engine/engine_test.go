@@ -592,6 +592,41 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// cancelOnTerm cancels the query's context on the first term the
+// engine resolves, as a deadline expiring mid-query would.
+type cancelOnTerm struct {
+	store.Reader
+	cancel context.CancelFunc
+}
+
+func (r cancelOnTerm) TermDict() store.TermSource { return cancelDict{r.Reader.TermDict(), r.cancel} }
+
+type cancelDict struct {
+	store.TermSource
+	cancel context.CancelFunc
+}
+
+func (d cancelDict) Term(id store.ID) rdf.Term {
+	d.cancel()
+	return d.TermSource.Term(id)
+}
+
+// TestCountCancelledMidRun: a Count whose context is cancelled while
+// its batches run stops at the next batch with ErrCancelled, instead of
+// counting on to the end (the operators' own checks come round only
+// every 1024th batch).
+func TestCountCancelledMidRun(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	// A full scan (about ten batches) whose filter resolves every object.
+	q, _ := sparql.Parse(`SELECT ?s WHERE { ?s ?p ?o FILTER (?o != "none") }`, rdf.Prefixes)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n, err := engine.NewReader(cancelOnTerm{s, cancel}, engine.Native()).Count(ctx, q)
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("Count = %d, %v; want ErrCancelled", n, err)
+	}
+}
+
 func TestExplainMentionsReordering(t *testing.T) {
 	s := tinyLibrary()
 	q, _ := sparql.Parse(`

@@ -67,7 +67,7 @@ func (r *Rows) Next() bool {
 		for r.b == nil || r.i >= r.b.Len() {
 			// Checked per batch: the operators' own checks come round
 			// every 1024th batch, which a short result never reaches.
-			if err := ctxErr(r.c.cancel.ctx); err != nil {
+			if err := r.c.cancel.now(); err != nil {
 				return r.stop(err)
 			}
 			b, err := r.c.vec.next()

@@ -1354,7 +1354,7 @@ func (v *vecJoin) buildTable() error {
 	cur := v.rng.Cursor()
 	for run := cur.Run(); len(run) > 0; run = cur.Run() {
 		run = run[:min(len(run), 1024)] // a cancellation check per 1024 rows
-		if err := v.cancel.check(); err != nil {
+		if err := v.cancel.now(); err != nil {
 			return err
 		}
 		for _, row := range run {
@@ -1431,6 +1431,9 @@ func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
 	var flat, keyIDs []store.ID
 	n := 0
 	for {
+		if err := cancel.now(); err != nil {
+			return err
+		}
 		batch, err := pipe.next()
 		if err != nil {
 			return err
@@ -1740,7 +1743,7 @@ func (v *vecHashLeftJoin) build() error {
 			}
 			n++
 		}
-		if err := v.c.cancel.check(); err != nil {
+		if err := v.c.cancel.now(); err != nil {
 			return err
 		}
 	}

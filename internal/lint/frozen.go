@@ -15,7 +15,7 @@ import (
 // Rehydrate, or Ingest (the three functions the snapshot contract names
 // as representation builders) or in a function annotated
 // `// sp2b:mutates-store`, which marks the reviewed loading-phase
-// helpers (AddEncoded, buildStats, Intern, ...). Writes through
+// helpers (AddEncoded, Intern, ...). Writes through
 // locally-constructed values are exempt: constructors own their value.
 //
 // Everywhere, writing through the aliasing accessors is flagged:

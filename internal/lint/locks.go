@@ -39,7 +39,7 @@ var mutatingStoreMethods = map[string]map[string]bool{
 	"Store": {
 		"Add": true, "AddEncoded": true, "AddEncodedAll": true,
 		"Load": true, "Ingest": true,
-		"Freeze": true, "buildStats": true,
+		"Freeze": true,
 	},
 	"Dict": {
 		"Intern": true,

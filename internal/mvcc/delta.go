@@ -74,7 +74,7 @@ func (d *deltaIndex) extend(batch []store.EncTriple) *deltaIndex {
 			}
 			store.SortEncTriples(add)
 		}
-		next.runs[ord] = mergeRuns(d.runs[ord], add)
+		next.runs[ord] = store.MergeRuns(d.runs[ord], add)
 	}
 	return next
 }
@@ -89,33 +89,6 @@ func rebuildDelta(batches [][]store.EncTriple) *deltaIndex {
 		d = d.extend(b)
 	}
 	return d
-}
-
-// mergeRuns merges two runs sorted by the store comparison into a fresh
-// sorted slice. The inputs are disjoint sets, so no dedup is needed.
-// Only where a copy is the product does this run: a commit's next delta
-// runs (extend) and the mem engine's full scan (Snapshot.Triples);
-// ranges keep their two runs apart.
-func mergeRuns(a, b []store.EncTriple) []store.EncTriple {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]store.EncTriple, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if store.CompareEnc(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // rangeIn returns the delta rows matching a pattern within one index

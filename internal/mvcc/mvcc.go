@@ -6,7 +6,7 @@
 // version is one immutable value: a frozen base generation (a plain
 // *store.Store), a small delta index holding every triple inserted since
 // the base froze (three sorted runs in the same SPO/POS/OSP component
-// orders), and a dictionary extension for terms first seen by the delta.
+// orders), and a dictionary extension for terms the loaded store lacks.
 // Writers build the next version under the store's writer mutex and
 // publish it with one atomic pointer swap; a commit is therefore all or
 // nothing — no reader ever observes half of a batch. Readers acquire an
@@ -16,17 +16,20 @@
 // engine reads in merged order without copying either.
 //
 // A background merger keeps the delta small: when it crosses the merge
-// policy's threshold, the merger compacts base+delta into a new frozen
-// generation off the write path (reusing the store's parallel Freeze)
-// and atomically swaps it in; batches committed during the merge simply
-// remain in the next version's delta. Old snapshots keep their pinned
+// policy's threshold, the merger folds the delta into a new frozen
+// generation off the write path (store.Merge: one linear merge per
+// index, statistics folded in O(delta)) and atomically swaps it in;
+// batches committed during the merge simply remain in the next
+// version's delta. Generations share one dictionary: the loaded one
+// never changes, and the extension carries over whole, so a merge
+// copies no term. Old snapshots keep their pinned
 // version until released — epoch refcounts make the drain observable in
 // /stats, and the garbage collector reclaims retired generations once
 // the last snapshot closes.
 package mvcc
 
 import (
-	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,26 +49,27 @@ type version struct {
 	base *store.Store
 	// delta indexes the triples inserted since base froze.
 	delta *deltaIndex
-	// terms extends the base dictionary: terms[i] has ID baseTerms+i+1,
-	// where baseTerms is base.Dict().Len(). Successive versions of one
-	// generation share the slice's backing array (the single writer
-	// appends; readers only index below their captured length).
+	// terms extends the loaded dictionary, which every generation's
+	// base shares: terms[i] has ID baseTerms+i+1, where baseTerms is
+	// base.Dict().Len(). Successive versions, across generations too,
+	// share the slice's backing array (the single writer appends;
+	// readers only index below their captured length).
 	terms []rdf.Term
-	// lookup resolves extension terms to IDs. Every version of one
-	// generation shares it, and it may hold terms later versions added;
-	// readers accept only IDs within their own vocabulary (snapDict).
+	// lookup resolves extension terms to IDs. Every version shares it,
+	// and it may hold terms later versions added; readers accept only
+	// IDs within their own vocabulary (snapDict).
 	lookup *termLookup
 	// refs counts snapshots currently pinning this version — the epoch
 	// refcount that makes snapshot draining observable.
 	refs atomic.Int64
 }
 
-// termLookup resolves one generation's extension terms to IDs. All the
-// generation's versions share it, so a commit adds its new terms in
-// place instead of copying the map: the writer adds under the lock, and
-// a reader, which looks up only a query's constants, takes the read
-// lock. IDs are issued in order, so a reader tells the terms of later
-// commits by an ID past its own vocabulary length.
+// termLookup resolves the extension's terms to IDs. All versions share
+// it, so neither a commit nor a merge copies the map. A commit adds its
+// new terms in place under the lock, and a reader, which looks up only
+// a query's constants, takes the read lock. IDs are issued in order,
+// so a reader tells the terms of later commits by an ID past its own
+// vocabulary length.
 type termLookup struct {
 	mu  sync.RWMutex
 	ids map[rdf.Term]store.ID
@@ -122,6 +126,10 @@ type Store struct {
 
 	active atomic.Int64  // currently-open snapshots across all versions
 	merges atomic.Uint64 // completed background+manual merges
+
+	// datatypes holds one copy of each datatype IRI the extension's
+	// literals carry, so that they share it (guarded by mu).
+	datatypes map[string]string
 
 	// Logf, when set before first use, receives one line per completed
 	// merge.
@@ -186,8 +194,12 @@ func (s *Store) Apply(batch []rdf.Triple) int {
 		if id, ok := lookup.get(t); ok {
 			return id
 		}
-		// A new term. Snapshots of earlier versions may see it in the
-		// shared lookup, but its ID is past their vocabulary.
+		// A new term. Its strings may be substrings of the request line
+		// it was parsed from: copied, they stop pinning that line for
+		// the store's life.
+		t = rdf.Term{Kind: t.Kind, Value: strings.Clone(t.Value), Datatype: s.datatype(t.Datatype), Lang: strings.Clone(t.Lang)}
+		// Snapshots of earlier versions may see it in the shared
+		// lookup, but its ID is past their vocabulary.
 		terms = append(terms, t)
 		id := baseTerms + store.ID(len(terms))
 		lookup.add(t, id)
@@ -233,6 +245,23 @@ func (s *Store) Apply(batch []rdf.Triple) int {
 
 	s.maybeMerge(next)
 	return len(kept)
+}
+
+// datatype returns the store's copy of a datatype IRI. Called under
+// s.mu.
+func (s *Store) datatype(dt string) string {
+	if dt == "" {
+		return ""
+	}
+	if c, ok := s.datatypes[dt]; ok {
+		return c
+	}
+	if s.datatypes == nil {
+		s.datatypes = make(map[string]string)
+	}
+	c := strings.Clone(dt)
+	s.datatypes[c] = c
+	return c
 }
 
 // maybeMerge starts the background merger when the delta crossed the
@@ -286,37 +315,20 @@ func (s *Store) merge() {
 		return
 	}
 	start := time.Now()
-
-	// Flatten the layered dictionary: base vocabulary + the extension
-	// as of the captured version. IDs are global and never renumbered,
-	// so index rows carry over verbatim.
-	flat := make([]rdf.Term, 0, v.base.Dict().Len()+len(v.terms))
-	flat = append(flat, v.base.Dict().Terms()...)
-	flat = append(flat, v.terms[:len(v.terms):len(v.terms)]...)
-	dict, err := store.NewDictFromTerms(flat)
-	if err != nil {
-		// Both inputs are dictionaries of distinct terms over disjoint
-		// ID ranges; a duplicate means memory corruption, not input.
-		panic(fmt.Sprintf("mvcc: merging dictionaries: %v", err))
-	}
-	merged := store.NewWithDict(dict)
-	merged.AddEncodedAll(v.base.Triples())
-	merged.AddEncodedAll(v.delta.runs[store.OrderSPO])
-	merged.Freeze() // parallel index build; input is two sorted runs
+	merged := store.Merge(v.base, v.delta.runs)
 
 	s.mu.Lock()
 	cur := s.cur.Load()
 	// Everything up to the captured version is in the new base; the
-	// batches and terms committed since remain as the new delta.
+	// batches committed since remain as the new delta. The dictionary
+	// extension carries over whole: the merged base shares the loaded
+	// dictionary, so the extension's IDs are unchanged.
 	next := &version{
-		gen:   v.gen + 1,
-		base:  merged,
-		delta: rebuildDelta(cur.delta.batches[len(v.delta.batches):]),
-		terms: cur.terms[len(v.terms):],
-	}
-	next.lookup = newTermLookup(len(next.terms))
-	for i, t := range next.terms {
-		next.lookup.add(t, store.ID(dict.Len()+i+1))
+		gen:    v.gen + 1,
+		base:   merged,
+		delta:  rebuildDelta(cur.delta.batches[len(v.delta.batches):]),
+		terms:  cur.terms,
+		lookup: cur.lookup,
 	}
 	s.cur.Store(next)
 	s.mu.Unlock()

@@ -91,7 +91,7 @@ func (sn *Snapshot) Triples() []store.EncTriple {
 			sn.triples = sn.v.base.Triples()
 			return
 		}
-		sn.triples = mergeRuns(sn.v.base.Triples(), sn.v.delta.runs[store.OrderSPO])
+		sn.triples = store.MergeRuns(sn.v.base.Triples(), sn.v.delta.runs[store.OrderSPO])
 	})
 	return sn.triples
 }

@@ -90,9 +90,8 @@ func (d *Dict) Terms() []rdf.Term { return d.terms }
 // snapshot loader to rehydrate a dictionary without re-interning.
 // Duplicate terms indicate a corrupt input and return an error. The
 // dictionary takes ownership of the slice. The map is sized for exactly
-// these terms: the loaded and merged dictionaries it builds are mostly
-// read, and the map grows if one is extended. Sized for twice as many,
-// it took a 250k-triple store's heap from 41 to 60 MB.
+// these terms: a loaded dictionary is only read. Sized for twice as
+// many, it took a 250k-triple store's heap from 41 to 60 MB.
 func NewDictFromTerms(terms []rdf.Term) (*Dict, error) {
 	d := &Dict{ids: make(map[rdf.Term]ID, len(terms)), terms: terms}
 	for i, t := range terms {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -83,9 +84,9 @@ type Store struct {
 	dirs   [3][]uint32
 	frozen bool
 
-	predCount  map[ID]int // triples per predicate (statistics)
-	predSubj   map[ID]map[ID]struct{}
-	predObj    map[ID]map[ID]struct{}
+	// Per-predicate statistics, all read off the sorted indexes (see
+	// Freeze).
+	predCount  map[ID]int // triples per predicate
 	distinctSP map[ID]int // distinct subjects per predicate
 	distinctOP map[ID]int // distinct objects per predicate
 
@@ -95,23 +96,7 @@ type Store struct {
 
 // New returns an empty store with a fresh dictionary.
 func New() *Store {
-	return &Store{
-		dict:      NewDict(),
-		predCount: make(map[ID]int),
-		predSubj:  make(map[ID]map[ID]struct{}),
-		predObj:   make(map[ID]map[ID]struct{}),
-	}
-}
-
-// NewWithDict returns an empty store that adopts an existing
-// dictionary: triples added with AddEncoded may reference any ID the
-// dictionary has issued. The MVCC merger uses it to build the next
-// frozen generation from a flattened base+delta vocabulary without
-// re-interning a single term.
-func NewWithDict(d *Dict) *Store {
-	s := New()
-	s.dict = d
-	return s
+	return &Store{dict: NewDict()}
 }
 
 // Dict exposes the store's dictionary.
@@ -163,16 +148,22 @@ func (s *Store) Load(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// Freeze deduplicates the graph, builds the three sorted indexes and the
-// per-predicate statistics, and makes the store queryable. The two
-// permuted indexes and the statistics are built concurrently. Calling
-// Freeze twice is a no-op.
+// Freeze deduplicates the graph, builds the three sorted indexes, their
+// directories and the statistics, and makes the store queryable. The
+// two permuted indexes are sorted concurrently. Calling Freeze twice is
+// a no-op.
+//
+// Every statistic is read off the sorted indexes: a predicate's triple
+// count is its run in the POS directory, its distinct subjects are the
+// (s,p) prefixes of SPO and its distinct objects the (p,o) prefixes of
+// POS, and the global distinct counts are SPO's and OSP's leading IDs.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
 	sortTriples(s.triples)
 	s.triples = dedup(s.triples)
+	s.indexes[OrderSPO] = s.triples
 
 	var wg sync.WaitGroup
 	for _, ord := range []Order{OrderPOS, OrderOSP} {
@@ -186,56 +177,114 @@ func (s *Store) Freeze() {
 			}
 			sortTriples(idx)
 			s.indexes[ord] = idx
+			s.dirs[ord] = buildDir(idx)
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.buildStats()
-	}()
+	s.dirs[OrderSPO] = buildDir(s.triples)
+	s.distinctSP = make(map[ID]int)
+	countPairs(s.distinctSP, s.triples, 1, nil)
+	s.totalDistinctSubj = countLeads(s.triples, nil)
 	wg.Wait()
-	s.indexes[OrderSPO] = s.triples
-	for ord, idx := range s.indexes {
-		s.dirs[ord] = buildDir(idx)
-	}
 
-	// Global distinct counts come free from the sorted indexes: count the
-	// leading-component transitions.
-	s.totalDistinctSubj = leadingDistinct(s.indexes[OrderSPO])
-	s.totalDistinctObj = leadingDistinct(s.indexes[OrderOSP])
+	s.predCount = make(map[ID]int)
+	dir := s.dirs[OrderPOS]
+	for p := 1; p+1 < len(dir); p++ {
+		if n := int(dir[p+1] - dir[p]); n > 0 {
+			s.predCount[ID(p)] = n
+		}
+	}
+	s.distinctOP = make(map[ID]int)
+	countPairs(s.distinctOP, s.indexes[OrderPOS], 0, nil)
+	s.totalDistinctObj = countLeads(s.indexes[OrderOSP], nil)
 	s.frozen = true
 }
 
-// buildStats derives the per-predicate statistics from the deduplicated
-// SPO-ordered triple slice.
+// Merge builds the frozen store holding base's triples plus a delta's,
+// given as runs: runs[ord] holds the delta in ord's component order,
+// sorted by CompareEnc, deduplicated, and disjoint from base. Nothing is
+// sorted: per order, one linear pass merges base's index with the run
+// and the same goroutine builds that order's directory. The statistics
+// fold in the delta's in O(delta): its triples add to the predicate
+// counts, and an (s,p) pair, a (p,o) pair or a leading subject or
+// object counts as new only where base has no row with that prefix.
+// The result equals Freeze over the union, byte for byte.
 //
-// sp2b:mutates-store derived statistics, built only from inside Freeze
-func (s *Store) buildStats() {
-	for _, t := range s.triples {
-		s.predCount[t[1]]++
-		subjSet := s.predSubj[t[1]]
-		if subjSet == nil {
-			subjSet = make(map[ID]struct{})
-			s.predSubj[t[1]] = subjSet
+// The result shares base's dictionary, which is not extended: the
+// delta's rows may carry IDs past Dict().Len(). Those belong to the
+// MVCC store's dictionary extension (package mvcc), and only a
+// snapshot's layered dictionary resolves them; a merged store is read
+// through an MVCC snapshot, never on its own.
+func Merge(base *Store, runs [3][]EncTriple) *Store {
+	if !base.frozen {
+		panic("store: Merge into an unfrozen store")
+	}
+	var indexes [3][]EncTriple
+	var dirs [3][]uint32
+	var wg sync.WaitGroup
+	for ord := range indexes {
+		ord := ord
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			indexes[ord] = MergeRuns(base.indexes[ord], runs[ord])
+			dirs[ord] = buildDir(indexes[ord])
+		}()
+	}
+	predCount := maps.Clone(base.predCount)
+	for _, t := range runs[OrderPOS] {
+		predCount[t[0]]++
+	}
+	distinctSP := maps.Clone(base.distinctSP)
+	countPairs(distinctSP, runs[OrderSPO], 1, func(s, p ID) bool { return base.Count(s, p, NoID) > 0 })
+	distinctOP := maps.Clone(base.distinctOP)
+	countPairs(distinctOP, runs[OrderPOS], 0, func(p, o ID) bool { return base.Count(NoID, p, o) > 0 })
+	subj := countLeads(runs[OrderSPO], func(s ID) bool { return base.Count(s, NoID, NoID) > 0 })
+	obj := countLeads(runs[OrderOSP], func(o ID) bool { return base.Count(NoID, NoID, o) > 0 })
+	wg.Wait()
+	return &Store{
+		dict:              base.dict,
+		triples:           indexes[OrderSPO],
+		indexes:           indexes,
+		dirs:              dirs,
+		frozen:            true,
+		predCount:         predCount,
+		distinctSP:        distinctSP,
+		distinctOP:        distinctOP,
+		totalDistinctSubj: base.totalDistinctSubj + subj,
+		totalDistinctObj:  base.totalDistinctObj + obj,
+	}
+}
+
+// countPairs adds, per predicate, the distinct two-component prefixes
+// of rows, a sorted index or run: (s,p) prefixes in SPO order are a
+// predicate's distinct subjects, (p,o) prefixes in POS order its
+// distinct objects. pred is the predicate's position in the prefix. A
+// prefix for which seen reports true is already counted; a nil seen
+// counts every prefix.
+func countPairs(into map[ID]int, rows []EncTriple, pred int, seen func(a, b ID) bool) {
+	for i, t := range rows {
+		if i > 0 && t[0] == rows[i-1][0] && t[1] == rows[i-1][1] {
+			continue
 		}
-		subjSet[t[0]] = struct{}{}
-		objSet := s.predObj[t[1]]
-		if objSet == nil {
-			objSet = make(map[ID]struct{})
-			s.predObj[t[1]] = objSet
+		if seen == nil || !seen(t[0], t[1]) {
+			into[t[pred]]++
 		}
-		objSet[t[2]] = struct{}{}
 	}
-	s.distinctSP = make(map[ID]int, len(s.predSubj))
-	for p, set := range s.predSubj {
-		s.distinctSP[p] = len(set)
+}
+
+// countLeads counts the distinct leading IDs of a sorted index or run,
+// skipping those for which seen reports true (nil: none).
+func countLeads(rows []EncTriple, seen func(ID) bool) int {
+	n := 0
+	for i, t := range rows {
+		if i > 0 && t[0] == rows[i-1][0] {
+			continue
+		}
+		if seen == nil || !seen(t[0]) {
+			n++
+		}
 	}
-	s.distinctOP = make(map[ID]int, len(s.predObj))
-	for p, set := range s.predObj {
-		s.distinctOP[p] = len(set)
-	}
-	// The per-ID sets are only needed to compute the counts.
-	s.predSubj, s.predObj = nil, nil
+	return n
 }
 
 // buildDir builds a sorted index's leading-ID directory (see
@@ -256,18 +305,6 @@ func buildDir(idx []EncTriple) []uint32 {
 	return dir
 }
 
-func leadingDistinct(idx []EncTriple) int {
-	n := 0
-	var prev ID
-	for i, t := range idx {
-		if i == 0 || t[0] != prev {
-			n++
-			prev = t[0]
-		}
-	}
-	return n
-}
-
 // Frozen reports whether Freeze has been called.
 func (s *Store) Frozen() bool { return s.frozen }
 
@@ -286,6 +323,31 @@ func sortTriples(ts []EncTriple) {
 // valid for rows of any one component order. Exported for the MVCC
 // delta index, whose sorted runs use the store's comparison.
 func SortEncTriples(ts []EncTriple) { sortTriples(ts) }
+
+// MergeRuns merges two disjoint runs sorted by CompareEnc into one
+// sorted slice in one linear pass. When either run is empty it returns
+// the other one, not a copy.
+func MergeRuns(a, b []EncTriple) []EncTriple {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]EncTriple, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if cmpTriple(a[i], b[j]) <= 0 {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
 
 // CompareEnc is the lexicographic component comparison the indexes are
 // sorted by, exported for code merging index-ordered runs.
@@ -606,8 +668,8 @@ func Rehydrate(dict *Dict, indexes [3][]EncTriple, stats []PredStat) (*Store, er
 	if total != n {
 		return nil, fmt.Errorf("store: statistics cover %d triples, index has %d", total, n)
 	}
-	s.totalDistinctSubj = leadingDistinct(indexes[OrderSPO])
-	s.totalDistinctObj = leadingDistinct(indexes[OrderOSP])
+	s.totalDistinctSubj = countLeads(indexes[OrderSPO], nil)
+	s.totalDistinctObj = countLeads(indexes[OrderOSP], nil)
 	s.frozen = true
 	return s, nil
 }
