@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sp2bench/internal/engine"
@@ -593,21 +594,29 @@ func TestCancellation(t *testing.T) {
 }
 
 // cancelOnTerm cancels the query's context on the first term the
-// engine resolves, as a deadline expiring mid-query would.
+// engine resolves, as a deadline expiring mid-query would. When
+// resolved is set, it counts every term resolved.
 type cancelOnTerm struct {
 	store.Reader
-	cancel context.CancelFunc
+	cancel   context.CancelFunc
+	resolved *atomic.Int64
 }
 
-func (r cancelOnTerm) TermDict() store.TermSource { return cancelDict{r.Reader.TermDict(), r.cancel} }
+func (r cancelOnTerm) TermDict() store.TermSource {
+	return cancelDict{r.Reader.TermDict(), r.cancel, r.resolved}
+}
 
 type cancelDict struct {
 	store.TermSource
-	cancel context.CancelFunc
+	cancel   context.CancelFunc
+	resolved *atomic.Int64
 }
 
 func (d cancelDict) Term(id store.ID) rdf.Term {
 	d.cancel()
+	if d.resolved != nil {
+		d.resolved.Add(1)
+	}
 	return d.TermSource.Term(id)
 }
 
@@ -621,9 +630,45 @@ func TestCountCancelledMidRun(t *testing.T) {
 	q, _ := sparql.Parse(`SELECT ?s WHERE { ?s ?p ?o FILTER (?o != "none") }`, rdf.Prefixes)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	n, err := engine.NewReader(cancelOnTerm{s, cancel}, engine.Native()).Count(ctx, q)
+	n, err := engine.NewReader(cancelOnTerm{Reader: s, cancel: cancel}, engine.Native()).Count(ctx, q)
 	if !errors.Is(err, engine.ErrCancelled) {
 		t.Fatalf("Count = %d, %v; want ErrCancelled", n, err)
+	}
+}
+
+// TestOrderByCancelledMidRun: an ORDER BY drains its whole input before
+// it yields a row, resolving each row's sort key as it goes. Cancelled
+// while it drains, it must stop at the end of the batch in hand, not
+// sort on to the end of its input.
+func TestOrderByCancelledMidRun(t *testing.T) {
+	s, _ := generatedStore(t, 50_000)
+	for _, text := range []string{
+		`SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o`,
+		`SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 10`,
+	} {
+		q, err := sparql.Parse(text, rdf.Prefixes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var resolved atomic.Int64
+		rows, err := engine.NewReader(cancelOnTerm{Reader: s, cancel: cancel, resolved: &resolved}, engine.Native()).Select(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		err = rows.Err()
+		rows.Close()
+		cancel()
+		if !errors.Is(err, engine.ErrCancelled) {
+			t.Fatalf("%s: Err = %v, want ErrCancelled", text, err)
+		}
+		// One sort key per row, and the first one cancels: at most the
+		// batch in hand.
+		if n := resolved.Load(); n > engine.DefaultBatchSize {
+			t.Errorf("%s: %d terms resolved, want at most %d (one batch)", text, n, engine.DefaultBatchSize)
+		}
 	}
 }
 

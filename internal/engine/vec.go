@@ -2047,7 +2047,9 @@ func (o *vecOrder) drain() error {
 			o.store(top, b, r, arrived)
 			o.siftDown(0)
 		}
-		if err := o.c.cancel.check(); err != nil {
+		// Per batch: drain yields nothing until its input ends, so a
+		// cancellation must stop it here, not at check's stride.
+		if err := o.c.cancel.now(); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"sp2bench/internal/engine"
+	"sp2bench/internal/snapshot"
 )
 
 // miniConfig returns a protocol small enough for unit tests: two tiny
@@ -434,5 +436,46 @@ func TestSnapshotCacheAcrossRuns(t *testing.T) {
 	third := run()
 	if got := third.Sources["10k"]; got != "ntriples" {
 		t.Errorf("probe-invalidated run source = %q, want ntriples (regeneration)", got)
+	}
+}
+
+// TestRefusedSnapshotCacheReparses: a cached snapshot the reader
+// refuses — here one stamped with the previous format version — costs
+// one run its fast path, not the run: it re-parses the document, and
+// the snapshot it rewrites is read by the next run.
+func TestRefusedSnapshotCacheReparses(t *testing.T) {
+	cfg := miniConfig(t, nativeOnly())
+	cfg.QueryIDs = []string{"q1"}
+	source := func() string {
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Sources["10k"]
+	}
+	if got := source(); got != "ntriples" {
+		t.Fatalf("first run source = %q, want ntriples", got)
+	}
+	snaps, err := filepath.Glob(filepath.Join(cfg.WorkDir, "*"+snapshot.Ext))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot glob: %v %v", snaps, err)
+	}
+	b, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[8:12], 1) // the version follows the 8 magic bytes
+	if err := os.WriteFile(snaps[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := source(); got != "ntriples" {
+		t.Errorf("run over a refused cache: source = %q, want ntriples", got)
+	}
+	if got := source(); got != "snapshot" {
+		t.Errorf("run after the cache was rewritten: source = %q, want snapshot", got)
 	}
 }

@@ -15,7 +15,7 @@
 //     appear in functions annotated `// sp2b:locks=write`; functions
 //     annotated `// sp2b:locks=read` must not mutate or write-lock.
 //   - frozenmutation: fields of store.Store and store.Dict may only be
-//     written by Freeze/Rehydrate/Ingest or functions annotated
+//     written by Freeze/Ingest/seal or functions annotated
 //     `// sp2b:mutates-store`; aliased frozen arrays (Triples, Index,
 //     Terms, IndexRange.Rows/Delta) must never be written through.
 //   - idequality: functions annotated `// sp2b:valuecmp` (SPARQL value

@@ -12,11 +12,13 @@ import (
 // Inside package store (storePkg), any write to a field of Store or
 // Dict reached through a receiver, parameter, or field — assignments,
 // map stores, appends, ++/--, range-clears — must sit in Freeze,
-// Rehydrate, or Ingest (the three functions the snapshot contract names
-// as representation builders) or in a function annotated
+// Ingest, or seal (the methods that build a store's frozen
+// representation: seal derives the directories and statistics that
+// Freeze, Merge and Rehydrate all end in) or in a function annotated
 // `// sp2b:mutates-store`, which marks the reviewed loading-phase
 // helpers (AddEncoded, Intern, ...). Writes through
-// locally-constructed values are exempt: constructors own their value.
+// locally-constructed values are exempt: constructors own their value,
+// which is how Merge and Rehydrate build a new store.
 //
 // Everywhere, writing through the aliasing accessors is flagged:
 // `st.Triples()[i] = ...`, `st.Index(o)[i] = ...`, `d.Terms()[i] = ...`
@@ -29,16 +31,15 @@ import (
 func NewFrozenMutation(storePkg string) *Analyzer {
 	a := &Analyzer{
 		Name: "frozenmutation",
-		Doc:  "frozen store state may only be written by Freeze/Rehydrate/Ingest or sp2b:mutates-store functions",
+		Doc:  "frozen store state may only be written by Freeze/Ingest/seal or sp2b:mutates-store functions",
 	}
 	a.Run = func(pass *Pass) error { return runFrozenMutation(pass, storePkg) }
 	return a
 }
 
 // frozenBuilders are allowed to write store fields by name: the three
-// functions the snapshot subsystem documents as the only paths that
-// (re)build a store's frozen representation.
-var frozenBuilders = map[string]bool{"Freeze": true, "Rehydrate": true, "Ingest": true}
+// methods that build a store's frozen representation in place.
+var frozenBuilders = map[string]bool{"Freeze": true, "Ingest": true, "seal": true}
 
 // aliasedAccessors return slices aliasing the frozen representation;
 // writing through them corrupts every concurrent reader.
@@ -98,7 +99,7 @@ func checkFrozenWrite(pass *Pass, fd *ast.FuncDecl, storePkg string, lhs ast.Exp
 		return // locally-constructed value: the constructor owns it
 	}
 	pass.Reportf(lhs.Pos(),
-		"%s writes %s field %s outside Freeze/Rehydrate/Ingest; annotate the function with `// sp2b:mutates-store <why>` if this is a reviewed loading-phase write",
+		"%s writes %s field %s outside Freeze/Ingest/seal; annotate the function with `// sp2b:mutates-store <why>` if this is a reviewed loading-phase write",
 		funcName(fd), field.recvName, field.fieldName)
 }
 

@@ -31,15 +31,16 @@ var LockDiscipline = &Analyzer{
 	Run:  runLockDiscipline,
 }
 
-// mutatingStoreMethods are the store entry points that write the
-// Store's or its Dict's state. The table is kept in sync with the
-// frozenmutation analyzer by TestMutatingStoreMethodsInSync, which
-// derives the set from package store's source.
+// mutatingStoreMethods are the Store and Dict methods that write the
+// Store's or its Dict's state, unexported ones (seal) included. The
+// table is kept in sync with the frozenmutation analyzer by
+// TestMutatingStoreMethodsInSync, which derives the set from package
+// store's source.
 var mutatingStoreMethods = map[string]map[string]bool{
 	"Store": {
 		"Add": true, "AddEncoded": true, "AddEncodedAll": true,
 		"Load": true, "Ingest": true,
-		"Freeze": true,
+		"Freeze": true, "seal": true,
 	},
 	"Dict": {
 		"Intern": true,

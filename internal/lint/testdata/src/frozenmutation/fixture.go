@@ -29,7 +29,7 @@ func (d *Dict) Terms() []string { return d.terms }
 
 // badAdd writes receiver fields outside the builder functions.
 func (s *Store) badAdd(v int) {
-	s.triples = append(s.triples, v) // want `\(\*Store\).badAdd writes Store field triples outside Freeze/Rehydrate/Ingest`
+	s.triples = append(s.triples, v) // want `\(\*Store\).badAdd writes Store field triples outside Freeze/Ingest/seal`
 }
 
 // badIndexWrite writes through an indexed field.

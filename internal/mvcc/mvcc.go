@@ -18,9 +18,9 @@
 // A background merger keeps the delta small: when it crosses the merge
 // policy's threshold, the merger folds the delta into a new frozen
 // generation off the write path (store.Merge: one linear merge per
-// index, statistics folded in O(delta)) and atomically swaps it in;
-// batches committed during the merge simply remain in the next
-// version's delta. Generations share one dictionary: the loaded one
+// index, then the statistics read off the merged indexes) and
+// atomically swaps it in; batches committed during the merge simply
+// remain in the next version's delta. Generations share one dictionary: the loaded one
 // never changes, and the extension carries over whole, so a merge
 // copies no term. Old snapshots keep their pinned
 // version until released — epoch refcounts make the drain observable in

@@ -6,7 +6,7 @@
 // — the same reason HDT-style RDF corpora ship as binary dictionaries
 // plus ID-triples.
 //
-// # Format (version 1)
+// # Format (version 2)
 //
 // All multi-byte integers are unsigned LEB128 varints except where
 // noted. The layout is:
@@ -15,11 +15,11 @@
 //	version  uint32 (little-endian)
 //	terms    uvarint  dictionary size
 //	triples  uvarint  distinct triple count
-//	5 sections, each:  id byte, uvarint payload length, payload
+//	4 sections, each:  id byte, uvarint payload length, payload
 //	end      byte 0xFF
 //	crc      uint32 (little-endian) CRC-32C of every preceding byte
 //
-// The five sections appear in fixed order:
+// The four sections appear in fixed order:
 //
 //	0x01 dictionary — a table of distinct datatype IRIs (uvarint count,
 //	     then length-prefixed strings), followed by one record per term
@@ -35,10 +35,13 @@
 //	     delta-encoded too, the rest absolute. Because rows are strictly
 //	     increasing, the encoding doubles as a sortedness proof: the
 //	     reader rejects any payload that would decode out of order.
-//	0x05 statistics — per-predicate rows (delta-encoded predicate ID,
-//	     triple count, distinct subject and object counts) sorted by
-//	     predicate; global distinct counts are recomputed on load from
-//	     the indexes, where they are one linear scan.
+//
+// The file stores no statistics. Every statistic the planner reads is
+// derived from the sorted indexes on load, by the same step that seals
+// a store after Freeze or an MVCC merge (see store.Rehydrate), so a
+// snapshot cannot disagree with its own indexes. Version 1 files, which
+// carried a statistics section, are refused as an unsupported version;
+// the harness then re-parses the document and rewrites its cache.
 //
 // # Reading
 //
@@ -49,8 +52,9 @@
 // are decoded concurrently as they come off the stream, and the store
 // is rebuilt through store.Rehydrate, which re-verifies index
 // sortedness and ID bounds in cheap linear passes — never by
-// re-sorting. A corrupted file is detected by the CRC-32C footer even
-// when the damage happens to decode cleanly.
+// re-sorting — and derives the directories and statistics. A corrupted
+// file is detected by the CRC-32C footer even when the damage happens
+// to decode cleanly.
 //
 // # Workflow
 //

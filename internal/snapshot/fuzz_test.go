@@ -39,7 +39,7 @@ func FuzzRead(f *testing.F) {
 	huge[13] = 0xFF                           // first section length byte
 	f.Add(huge)
 	wrongVer := append([]byte(nil), valid...)
-	wrongVer[8] = 2
+	wrongVer[8] = 1 // the previous format, with a statistics section
 	f.Add(wrongVer)
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0xFF

@@ -55,10 +55,8 @@ func Read(r io.Reader) (*store.Store, error) {
 		dictErr error
 		indexes [3][]store.EncTriple
 		idxErr  [3]error
-		stats   []store.PredStat
-		statErr error
 	)
-	for _, want := range []byte{secDict, secSPO, secPOS, secOSP, secStats} {
+	for _, want := range []byte{secDict, secSPO, secPOS, secOSP} {
 		want := want
 		payload, err := readSection(cr, want)
 		if err != nil {
@@ -74,8 +72,6 @@ func Read(r io.Reader) (*store.Store, error) {
 				if dictErr == nil {
 					dict, dictErr = store.NewDictFromTerms(terms)
 				}
-			case secStats:
-				stats, statErr = decodeStats(payload, termCount, tripleCount)
 			default:
 				ord := store.Order(want - secSPO) // OrderSPO, OrderPOS, OrderOSP
 				indexes[ord], idxErr[ord] = decodeIndex(payload, tripleCount, termCount, ord)
@@ -102,12 +98,12 @@ func Read(r io.Reader) (*store.Store, error) {
 	if want := binary.LittleEndian.Uint32(crcBuf[:]); want != sum {
 		return nil, fmt.Errorf("snapshot: checksum mismatch: file says %08x, content is %08x", want, sum)
 	}
-	for _, err := range []error{dictErr, idxErr[0], idxErr[1], idxErr[2], statErr} {
+	for _, err := range []error{dictErr, idxErr[0], idxErr[1], idxErr[2]} {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return store.Rehydrate(dict, indexes, stats)
+	return store.Rehydrate(dict, indexes)
 }
 
 // ReadFile loads a snapshot from path.
@@ -408,54 +404,4 @@ func decodeIndex(payload []byte, tripleCount, termCount uint64, ord store.Order)
 		return nil, err
 	}
 	return rows, nil
-}
-
-// decodeStats rebuilds the per-predicate statistics table.
-func decodeStats(payload []byte, termCount, tripleCount uint64) ([]store.PredStat, error) {
-	c := &byteCursor{b: payload}
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	stats := make([]store.PredStat, 0, min(n, uint64(len(payload))/4+1))
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if d == 0 {
-			return nil, fmt.Errorf("snapshot: statistics row %d repeats a predicate", i)
-		}
-		pred := prev + d
-		if pred > termCount {
-			return nil, fmt.Errorf("snapshot: statistics row %d references ID %d (dictionary size %d)", i, pred, termCount)
-		}
-		count, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ds, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		do, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 || count > tripleCount || ds == 0 || ds > count || do == 0 || do > count {
-			return nil, fmt.Errorf("snapshot: implausible statistics row %d (count=%d distinct=%d/%d)", i, count, ds, do)
-		}
-		stats = append(stats, store.PredStat{
-			Pred:             store.ID(pred),
-			Count:            int(count),
-			DistinctSubjects: int(ds),
-			DistinctObjects:  int(do),
-		})
-		prev = pred
-	}
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	return stats, nil
 }

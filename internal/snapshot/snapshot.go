@@ -18,7 +18,7 @@ import (
 // Version is the current format version. Load rejects every other
 // version: the format is a cache, not an archival interchange, so
 // there is no cross-version migration.
-const Version = 1
+const Version = 2
 
 // Ext is the conventional file extension for snapshot files.
 const Ext = ".sp2b"
@@ -29,12 +29,11 @@ var magic = [8]byte{'S', 'P', '2', 'B', 'S', 'N', 'A', 'P'}
 
 // Section identifiers, in their required stream order.
 const (
-	secDict  = 0x01
-	secSPO   = 0x02
-	secPOS   = 0x03
-	secOSP   = 0x04
-	secStats = 0x05
-	secEnd   = 0xFF
+	secDict = 0x01
+	secSPO  = 0x02
+	secPOS  = 0x03
+	secOSP  = 0x04
+	secEnd  = 0xFF
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -48,7 +47,7 @@ func IsSnapshot(b []byte) bool {
 // Magic returns the 8 magic bytes opening every snapshot stream.
 func Magic() []byte { return append([]byte(nil), magic[:]...) }
 
-// Write serializes a frozen store to w in snapshot format. The five
+// Write serializes a frozen store to w in snapshot format. The four
 // section payloads are encoded concurrently, then streamed out in
 // order under a running CRC.
 func Write(w io.Writer, s *store.Store) error {
@@ -58,14 +57,14 @@ func Write(w io.Writer, s *store.Store) error {
 	terms := s.Dict().Terms()
 
 	var (
-		payloads [5][]byte
-		encErr   [5]error
+		payloads [4][]byte
+		encErr   error
 		wg       sync.WaitGroup
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		payloads[0], encErr[0] = encodeDict(terms)
+		payloads[0], encErr = encodeDict(terms)
 	}()
 	for i, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
 		i, ord := i, ord
@@ -75,16 +74,9 @@ func Write(w io.Writer, s *store.Store) error {
 			payloads[1+i] = encodeIndex(s.Index(ord))
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		payloads[4] = encodeStats(s.PredStats())
-	}()
 	wg.Wait()
-	for _, err := range encErr {
-		if err != nil {
-			return err
-		}
+	if encErr != nil {
+		return encErr
 	}
 
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -96,7 +88,7 @@ func Write(w io.Writer, s *store.Store) error {
 	if _, err := cw.Write(header); err != nil {
 		return err
 	}
-	for i, id := range []byte{secDict, secSPO, secPOS, secOSP, secStats} {
+	for i, id := range []byte{secDict, secSPO, secPOS, secOSP} {
 		head := binary.AppendUvarint([]byte{id}, uint64(len(payloads[i])))
 		if _, err := cw.Write(head); err != nil {
 			return err
@@ -252,21 +244,6 @@ func encodeIndex(rows []store.EncTriple) []byte {
 			}
 		}
 		prev = t
-	}
-	return b
-}
-
-// encodeStats serializes the per-predicate statistics table (already
-// sorted by predicate ID).
-func encodeStats(stats []store.PredStat) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(stats)))
-	prev := store.ID(0)
-	for _, ps := range stats {
-		b = binary.AppendUvarint(b, uint64(ps.Pred-prev))
-		b = binary.AppendUvarint(b, uint64(ps.Count))
-		b = binary.AppendUvarint(b, uint64(ps.DistinctSubjects))
-		b = binary.AppendUvarint(b, uint64(ps.DistinctObjects))
-		prev = ps.Pred
 	}
 	return b
 }

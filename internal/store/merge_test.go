@@ -1,12 +1,14 @@
 package store_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"sp2bench/internal/rdf"
+	"sp2bench/internal/snapshot"
 	"sp2bench/internal/store"
 )
 
@@ -47,8 +49,14 @@ func sameLayout(t *testing.T, got, want *store.Store) {
 			t.Errorf("%s directory differs:\n got %v\nwant %v", ord, store.DirOf(got, ord), store.DirOf(want, ord))
 		}
 	}
-	if g, w := got.PredStats(), want.PredStats(); !slices.Equal(g, w) {
-		t.Errorf("PredStats differ:\n got %+v\nwant %+v", g, w)
+	// Every ID up to past either store's largest predicate.
+	preds := max(len(store.DirOf(got, store.OrderPOS)), len(store.DirOf(want, store.OrderPOS)))
+	for p := store.ID(1); int(p) <= preds; p++ {
+		g := [3]int{got.PredCardinality(p), got.DistinctSubjects(p), got.DistinctObjects(p)}
+		w := [3]int{want.PredCardinality(p), want.DistinctSubjects(p), want.DistinctObjects(p)}
+		if g != w {
+			t.Errorf("predicate %d: count, distinct subjects, distinct objects = %v, want %v", p, g, w)
+		}
 	}
 	if g, w := got.TotalDistinctSubjects(), want.TotalDistinctSubjects(); g != w {
 		t.Errorf("TotalDistinctSubjects = %d, want %d", g, w)
@@ -62,8 +70,9 @@ func sameLayout(t *testing.T, got, want *store.Store) {
 }
 
 // TestMergeMatchesFreeze holds the canonical layout: store.Merge of a
-// base and a delta, Freeze over their union, and Rehydrate of that
-// union's frozen representation are byte-identical. Base terms are IDs
+// base and a delta, Freeze over their union, Rehydrate of that union's
+// indexes, and a snapshot Write/Read round trip of it are
+// byte-identical, statistics included. Base terms are IDs
 // 1..baseTerms; the delta also uses IDs up to allTerms, past the base
 // dictionary and past every base directory, as a merged MVCC base does.
 func TestMergeMatchesFreeze(t *testing.T) {
@@ -124,11 +133,21 @@ func TestMergeMatchesFreeze(t *testing.T) {
 			for _, ord := range orders {
 				indexes[ord] = want.Index(ord)
 			}
-			re, err := store.Rehydrate(want.Dict(), indexes, want.PredStats())
+			re, err := store.Rehydrate(want.Dict(), indexes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameLayout(t, re, want)
+
+			var buf bytes.Buffer
+			if err := snapshot.Write(&buf, want); err != nil {
+				t.Fatal(err)
+			}
+			read, err := snapshot.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameLayout(t, read, want)
 		})
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"maps"
 	"math/bits"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"sp2bench/internal/rdf"
@@ -269,18 +272,40 @@ func (in *interner) intern(t rdf.Term) ID {
 // provisional→final ID mapping. Must be called exactly once, after all
 // intern calls have completed.
 //
+// A new term's strings are substrings of the line it was parsed from:
+// finalize stores copies, so that no term pins its line for the store's
+// life, and literals of one datatype share one copy of it. The lookup
+// map is rebuilt sized for exactly the base's and the new terms, as a
+// snapshot load sizes it: a map grown by doubling can hold up to twice
+// the buckets it needs for the store's life.
+//
 // sp2b:mutates-store merges worker stripes into the base dictionary at the end of Ingest
 func (in *interner) finalize() func(ID) ID {
+	n := len(in.base.terms)
+	for i := range in.stripes {
+		n += len(in.stripes[i].terms)
+	}
+	ids := make(map[rdf.Term]ID, n)
+	maps.Copy(ids, in.base.ids)
+	terms := slices.Grow(in.base.terms, n-len(in.base.terms))
+	datatypes := map[string]string{}
 	in.offsets = make([]ID, len(in.stripes))
 	next := in.baseLen
 	for i := range in.stripes {
 		in.offsets[i] = next
 		for _, t := range in.stripes[i].terms {
-			in.base.terms = append(in.base.terms, t)
+			dt, ok := datatypes[t.Datatype]
+			if !ok {
+				dt = strings.Clone(t.Datatype)
+				datatypes[dt] = dt
+			}
+			t = rdf.Term{Kind: t.Kind, Value: strings.Clone(t.Value), Datatype: dt, Lang: strings.Clone(t.Lang)}
+			terms = append(terms, t)
 			next++
-			in.base.ids[t] = next
+			ids[t] = next
 		}
 	}
+	in.base.ids, in.base.terms = ids, terms
 	mask := uint32(len(in.stripes)) - 1
 	baseLen, shift, offsets := in.baseLen, in.shift, in.offsets
 	return func(p ID) ID {

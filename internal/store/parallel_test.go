@@ -7,8 +7,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sp2bench/internal/rdf"
+	"sp2bench/internal/testutil"
 )
 
 // syntheticDoc builds an N-Triples document with n statements (some
@@ -214,6 +216,55 @@ func (d iotest) Read(p []byte) (int, error) {
 		p = p[:d.max]
 	}
 	return d.r.Read(p)
+}
+
+// TestIngestCopiesNewTerms: the N-Triples parser returns substrings of
+// the line it parses, and Ingest's workers intern them as they are. A
+// term the dictionary stores must not point into that line, or every
+// term would pin its whole line for the store's life. Literals of one
+// datatype share one copy of it.
+func TestIngestCopiesNewTerms(t *testing.T) {
+	long := strings.Repeat("x", 4096)
+	lines := []string{
+		fmt.Sprintf(`<urn:s%s> <urn:p%s> "%s"@en .`, long, long, long),
+		fmt.Sprintf(`<urn:s> <urn:q> "1%s"^^<%s> .`, strings.Repeat("0", 4096), rdf.XSDInteger),
+		fmt.Sprintf(`<urn:s> <urn:r> "2"^^<%s> .`, rdf.XSDInteger),
+	}
+	d := NewDict()
+	in := newInterner(d, 4)
+	var batch []rdf.Triple
+	for i, line := range lines {
+		tr, err := rdf.ParseTriple(line, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, tr)
+		in.intern(tr.S)
+		in.intern(tr.P)
+		in.intern(tr.O)
+	}
+	in.finalize()
+	stored := func(term rdf.Term) rdf.Term {
+		id, ok := d.Lookup(term)
+		if !ok {
+			t.Fatalf("%s not interned", term)
+		}
+		return d.Term(id)
+	}
+	for i, tr := range batch {
+		for _, term := range []rdf.Term{tr.S, tr.P, tr.O} {
+			st := stored(term)
+			for _, s := range []string{st.Value, st.Datatype, st.Lang} {
+				if testutil.Within(s, lines[i]) {
+					t.Errorf("line %d: stored term %.40s… points into its input line", i+1, st)
+				}
+			}
+		}
+	}
+	a, b := stored(batch[1].O), stored(batch[2].O)
+	if unsafe.StringData(a.Datatype) != unsafe.StringData(b.Datatype) {
+		t.Error("two literals of one datatype hold separate copies of it")
+	}
 }
 
 func BenchmarkParallelIngest(b *testing.B) {

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -85,7 +84,7 @@ type Store struct {
 	frozen bool
 
 	// Per-predicate statistics, all read off the sorted indexes (see
-	// Freeze).
+	// seal).
 	predCount  map[ID]int // triples per predicate
 	distinctSP map[ID]int // distinct subjects per predicate
 	distinctOP map[ID]int // distinct objects per predicate
@@ -148,66 +147,35 @@ func (s *Store) Load(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// Freeze deduplicates the graph, builds the three sorted indexes, their
-// directories and the statistics, and makes the store queryable. The
-// two permuted indexes are sorted concurrently. Calling Freeze twice is
-// a no-op.
-//
-// Every statistic is read off the sorted indexes: a predicate's triple
-// count is its run in the POS directory, its distinct subjects are the
-// (s,p) prefixes of SPO and its distinct objects the (p,o) prefixes of
-// POS, and the global distinct counts are SPO's and OSP's leading IDs.
+// Freeze deduplicates the graph, sorts the two permuted indexes
+// (concurrently), and seals the store (see seal). Calling Freeze twice
+// is a no-op.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
 	sortTriples(s.triples)
-	s.triples = dedup(s.triples)
-	s.indexes[OrderSPO] = s.triples
-
-	var wg sync.WaitGroup
-	for _, ord := range []Order{OrderPOS, OrderOSP} {
-		ord := ord
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idx := make([]EncTriple, len(s.triples))
-			for i, t := range s.triples {
+	spo := dedup(s.triples)
+	eachOrder(func(ord Order) {
+		idx := spo
+		if ord != OrderSPO {
+			idx = make([]EncTriple, len(spo))
+			for i, t := range spo {
 				idx[i] = ord.Permute(t)
 			}
 			sortTriples(idx)
-			s.indexes[ord] = idx
-			s.dirs[ord] = buildDir(idx)
-		}()
-	}
-	s.dirs[OrderSPO] = buildDir(s.triples)
-	s.distinctSP = make(map[ID]int)
-	countPairs(s.distinctSP, s.triples, 1, nil)
-	s.totalDistinctSubj = countLeads(s.triples, nil)
-	wg.Wait()
-
-	s.predCount = make(map[ID]int)
-	dir := s.dirs[OrderPOS]
-	for p := 1; p+1 < len(dir); p++ {
-		if n := int(dir[p+1] - dir[p]); n > 0 {
-			s.predCount[ID(p)] = n
 		}
-	}
-	s.distinctOP = make(map[ID]int)
-	countPairs(s.distinctOP, s.indexes[OrderPOS], 0, nil)
-	s.totalDistinctObj = countLeads(s.indexes[OrderOSP], nil)
-	s.frozen = true
+		s.indexes[ord] = idx
+	})
+	s.seal()
 }
 
 // Merge builds the frozen store holding base's triples plus a delta's,
 // given as runs: runs[ord] holds the delta in ord's component order,
 // sorted by CompareEnc, deduplicated, and disjoint from base. Nothing is
-// sorted: per order, one linear pass merges base's index with the run
-// and the same goroutine builds that order's directory. The statistics
-// fold in the delta's in O(delta): its triples add to the predicate
-// counts, and an (s,p) pair, a (p,o) pair or a leading subject or
-// object counts as new only where base has no row with that prefix.
-// The result equals Freeze over the union, byte for byte.
+// sorted: per order, one linear pass merges base's index with the run,
+// and the merged store is sealed like a frozen one (see seal). The
+// result equals Freeze over the union, byte for byte.
 //
 // The result shares base's dictionary, which is not extended: the
 // delta's rows may carry IDs past Dict().Len(). Those belong to the
@@ -218,69 +186,85 @@ func Merge(base *Store, runs [3][]EncTriple) *Store {
 	if !base.frozen {
 		panic("store: Merge into an unfrozen store")
 	}
-	var indexes [3][]EncTriple
-	var dirs [3][]uint32
+	s := &Store{dict: base.dict}
+	eachOrder(func(ord Order) {
+		s.indexes[ord] = MergeRuns(base.indexes[ord], runs[ord])
+	})
+	s.seal()
+	return s
+}
+
+// seal derives everything a frozen store keeps beside its three sorted
+// indexes, and marks it frozen. Freeze, Merge and Rehydrate all end
+// here, so the three builders agree by construction. Per order, in its
+// own goroutine, seal builds the order's leading-ID directory and reads
+// that order's statistics off the index:
+//
+//   - SPO: its (s,p) prefixes are each predicate's distinct subjects,
+//     its leading IDs the distinct subjects;
+//   - POS: its directory's runs are the predicate counts, its (p,o)
+//     prefixes each predicate's distinct objects;
+//   - OSP: its leading IDs are the distinct objects.
+func (s *Store) seal() {
+	eachOrder(func(ord Order) {
+		idx := s.indexes[ord]
+		dir := buildDir(idx)
+		s.dirs[ord] = dir
+		switch ord {
+		case OrderSPO:
+			s.distinctSP = countPairs(idx, 1)
+			s.totalDistinctSubj = countLeads(dir)
+		case OrderPOS:
+			s.predCount = make(map[ID]int)
+			for p := 1; p+1 < len(dir); p++ {
+				if n := int(dir[p+1] - dir[p]); n > 0 {
+					s.predCount[ID(p)] = n
+				}
+			}
+			s.distinctOP = countPairs(idx, 0)
+		case OrderOSP:
+			s.totalDistinctObj = countLeads(dir)
+		}
+	})
+	s.triples = s.indexes[OrderSPO]
+	s.frozen = true
+}
+
+// eachOrder runs f for the three orders, each in its own goroutine, and
+// waits for all three.
+func eachOrder(f func(Order)) {
 	var wg sync.WaitGroup
-	for ord := range indexes {
+	for _, ord := range []Order{OrderSPO, OrderPOS, OrderOSP} {
 		ord := ord
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			indexes[ord] = MergeRuns(base.indexes[ord], runs[ord])
-			dirs[ord] = buildDir(indexes[ord])
+			f(ord)
 		}()
 	}
-	predCount := maps.Clone(base.predCount)
-	for _, t := range runs[OrderPOS] {
-		predCount[t[0]]++
-	}
-	distinctSP := maps.Clone(base.distinctSP)
-	countPairs(distinctSP, runs[OrderSPO], 1, func(s, p ID) bool { return base.Count(s, p, NoID) > 0 })
-	distinctOP := maps.Clone(base.distinctOP)
-	countPairs(distinctOP, runs[OrderPOS], 0, func(p, o ID) bool { return base.Count(NoID, p, o) > 0 })
-	subj := countLeads(runs[OrderSPO], func(s ID) bool { return base.Count(s, NoID, NoID) > 0 })
-	obj := countLeads(runs[OrderOSP], func(o ID) bool { return base.Count(NoID, NoID, o) > 0 })
 	wg.Wait()
-	return &Store{
-		dict:              base.dict,
-		triples:           indexes[OrderSPO],
-		indexes:           indexes,
-		dirs:              dirs,
-		frozen:            true,
-		predCount:         predCount,
-		distinctSP:        distinctSP,
-		distinctOP:        distinctOP,
-		totalDistinctSubj: base.totalDistinctSubj + subj,
-		totalDistinctObj:  base.totalDistinctObj + obj,
-	}
 }
 
-// countPairs adds, per predicate, the distinct two-component prefixes
-// of rows, a sorted index or run: (s,p) prefixes in SPO order are a
-// predicate's distinct subjects, (p,o) prefixes in POS order its
-// distinct objects. pred is the predicate's position in the prefix. A
-// prefix for which seen reports true is already counted; a nil seen
-// counts every prefix.
-func countPairs(into map[ID]int, rows []EncTriple, pred int, seen func(a, b ID) bool) {
+// countPairs counts, per predicate, the distinct two-component prefixes
+// of a sorted index: (s,p) prefixes in SPO order are a predicate's
+// distinct subjects, (p,o) prefixes in POS order its distinct objects.
+// pred is the predicate's position in the prefix.
+func countPairs(rows []EncTriple, pred int) map[ID]int {
+	out := make(map[ID]int)
 	for i, t := range rows {
-		if i > 0 && t[0] == rows[i-1][0] && t[1] == rows[i-1][1] {
-			continue
-		}
-		if seen == nil || !seen(t[0], t[1]) {
-			into[t[pred]]++
+		if i == 0 || t[0] != rows[i-1][0] || t[1] != rows[i-1][1] {
+			out[t[pred]]++
 		}
 	}
+	return out
 }
 
-// countLeads counts the distinct leading IDs of a sorted index or run,
-// skipping those for which seen reports true (nil: none).
-func countLeads(rows []EncTriple, seen func(ID) bool) int {
+// countLeads counts the IDs that lead at least one row of an index,
+// from its leading-ID directory.
+func countLeads(dir []uint32) int {
 	n := 0
-	for i, t := range rows {
-		if i > 0 && t[0] == rows[i-1][0] {
-			continue
-		}
-		if seen == nil || !seen(t[0]) {
+	for id := 0; id+1 < len(dir); id++ {
+		if dir[id+1] > dir[id] {
 			n++
 		}
 	}
@@ -562,54 +546,17 @@ func (s *Store) Index(o Order) []EncTriple {
 	return s.indexes[o]
 }
 
-// PredStat is one row of the per-predicate statistics table.
-type PredStat struct {
-	Pred             ID
-	Count            int
-	DistinctSubjects int
-	DistinctObjects  int
-}
-
-// PredStats returns the per-predicate statistics sorted by predicate ID.
-// The store must be frozen.
-func (s *Store) PredStats() []PredStat {
-	if !s.frozen {
-		panic("store: PredStats before Freeze")
-	}
-	out := make([]PredStat, 0, len(s.predCount))
-	for p, n := range s.predCount {
-		out = append(out, PredStat{
-			Pred:             p,
-			Count:            n,
-			DistinctSubjects: s.distinctSP[p],
-			DistinctObjects:  s.distinctOP[p],
-		})
-	}
-	slices.SortFunc(out, func(a, b PredStat) int {
-		switch {
-		case a.Pred < b.Pred:
-			return -1
-		case a.Pred > b.Pred:
-			return 1
-		}
-		return 0
-	})
-	return out
-}
-
 // Rehydrate constructs a frozen store directly from its frozen
-// representation — the dictionary, the three sorted indexes (each in its
-// own component order) and the per-predicate statistics — without
-// re-sorting, re-deduplicating, or re-deriving the statistics. It is the
-// fast path behind snapshot loading.
+// representation — the dictionary and the three sorted indexes, each in
+// its own component order — without re-sorting or re-deduplicating. It
+// is the fast path behind snapshot loading.
 //
-// The inputs are validated structurally (cheap O(n) passes, no sorting):
-// the indexes must be equal-length, strictly sorted in their component
-// order, and reference only dictionary IDs; the statistics must name
-// existing predicates and sum to the triple count. The global distinct
-// counts and each index's leading-ID directory are recomputed from the
-// indexes, one more O(n) pass each.
-func Rehydrate(dict *Dict, indexes [3][]EncTriple, stats []PredStat) (*Store, error) {
+// The indexes are validated structurally in cheap O(n) passes, one
+// goroutine per order: they must be equal-length, strictly sorted in
+// their component order, and reference only dictionary IDs. The store
+// is then sealed like a frozen one (see seal), which derives the
+// directories and every statistic from the indexes.
+func Rehydrate(dict *Dict, indexes [3][]EncTriple) (*Store, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("store: rehydrate without a dictionary")
 	}
@@ -619,58 +566,17 @@ func Rehydrate(dict *Dict, indexes [3][]EncTriple, stats []PredStat) (*Store, er
 			n, len(indexes[OrderPOS]), len(indexes[OrderOSP]))
 	}
 	maxID := ID(dict.Len())
-	errs := make([]error, 3)
-	var dirs [3][]uint32
-	var wg sync.WaitGroup
-	for _, ord := range []Order{OrderSPO, OrderPOS, OrderOSP} {
-		ord := ord
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if errs[ord] = checkIndex(indexes[ord], ord, maxID); errs[ord] == nil {
-				dirs[ord] = buildDir(indexes[ord])
-			}
-		}()
-	}
-	wg.Wait()
+	var errs [3]error
+	eachOrder(func(ord Order) {
+		errs[ord] = checkIndex(indexes[ord], ord, maxID)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	s := &Store{
-		dict:       dict,
-		triples:    indexes[OrderSPO],
-		indexes:    indexes,
-		dirs:       dirs,
-		predCount:  make(map[ID]int, len(stats)),
-		distinctSP: make(map[ID]int, len(stats)),
-		distinctOP: make(map[ID]int, len(stats)),
-	}
-	total := 0
-	for _, ps := range stats {
-		if ps.Pred == NoID || ps.Pred > maxID {
-			return nil, fmt.Errorf("store: statistics reference unknown predicate %d", ps.Pred)
-		}
-		if _, dup := s.predCount[ps.Pred]; dup {
-			return nil, fmt.Errorf("store: duplicate statistics row for predicate %d", ps.Pred)
-		}
-		if ps.Count <= 0 || ps.DistinctSubjects <= 0 || ps.DistinctObjects <= 0 ||
-			ps.DistinctSubjects > ps.Count || ps.DistinctObjects > ps.Count {
-			return nil, fmt.Errorf("store: implausible statistics row %+v", ps)
-		}
-		s.predCount[ps.Pred] = ps.Count
-		s.distinctSP[ps.Pred] = ps.DistinctSubjects
-		s.distinctOP[ps.Pred] = ps.DistinctObjects
-		total += ps.Count
-	}
-	if total != n {
-		return nil, fmt.Errorf("store: statistics cover %d triples, index has %d", total, n)
-	}
-	s.totalDistinctSubj = countLeads(indexes[OrderSPO], nil)
-	s.totalDistinctObj = countLeads(indexes[OrderOSP], nil)
-	s.frozen = true
+	s := &Store{dict: dict, indexes: indexes}
+	s.seal()
 	return s, nil
 }
 
