@@ -567,7 +567,7 @@ func BenchmarkStorePatternLookup(b *testing.B) {
 	articleID, _ := s.Dict().Lookup(rdf.IRI(rdf.BenchArticle))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := s.Iterate(store.NoID, typeID, articleID)
+		it := store.Range(s, store.NoID, typeID, articleID).Iterator()
 		for {
 			if _, ok := it.Next(); !ok {
 				break

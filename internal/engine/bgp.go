@@ -73,8 +73,7 @@ type bgpIter struct {
 // iterator or a raw scan with residual component constraints.
 type stepCursor struct {
 	it      *store.Iterator
-	scan    []store.EncTriple
-	pos     int
+	scan    store.Cursor // the full SPO range, when the engine uses no index
 	useScan bool
 	want    store.EncTriple
 }
@@ -164,11 +163,10 @@ func (b *bgpIter) initCursor(d int) {
 	st.want = want
 	if b.c.eng.opts.UseIndexes {
 		st.useScan = false
-		st.it = b.c.eng.src.Iterate(want[0], want[1], want[2])
+		st.it = store.Range(b.c.eng.src, want[0], want[1], want[2]).Iterator()
 	} else {
 		st.useScan = true
-		st.scan = b.c.eng.src.Triples()
-		st.pos = 0
+		st.scan = b.c.eng.src.RangeIn(store.OrderSPO, store.NoID, store.NoID, store.NoID).Cursor()
 	}
 }
 
@@ -179,17 +177,20 @@ func (b *bgpIter) advance(d int) (store.EncTriple, bool, error) {
 		t, ok := st.it.Next()
 		return t, ok, nil
 	}
-	for st.pos < len(st.scan) {
-		if err := b.c.cancel.check(); err != nil {
-			return store.EncTriple{}, false, err
+	// The scan reads the SPO rows in merged order, one run at a time.
+	for run := st.scan.Run(); len(run) > 0; run = st.scan.Run() {
+		for i, t := range run {
+			if err := b.c.cancel.check(); err != nil {
+				return store.EncTriple{}, false, err
+			}
+			if (st.want[0] == store.NoID || t[0] == st.want[0]) &&
+				(st.want[1] == store.NoID || t[1] == st.want[1]) &&
+				(st.want[2] == store.NoID || t[2] == st.want[2]) {
+				st.scan.Advance(i + 1)
+				return t, true, nil
+			}
 		}
-		t := st.scan[st.pos]
-		st.pos++
-		if (st.want[0] == store.NoID || t[0] == st.want[0]) &&
-			(st.want[1] == store.NoID || t[1] == st.want[1]) &&
-			(st.want[2] == store.NoID || t[2] == st.want[2]) {
-			return t, true, nil
-		}
+		st.scan.Advance(len(run))
 	}
 	return store.EncTriple{}, false, nil
 }

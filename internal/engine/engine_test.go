@@ -300,7 +300,7 @@ func TestDoubleNegationPositive(t *testing.T) {
 	s := store.New()
 	// Rebuild tinyLibrary unfrozen, plus inproc2 -> article1 citation.
 	base := tinyLibrary()
-	for _, tr := range base.Triples() {
+	for _, tr := range base.Index(store.OrderSPO) {
 		d := base.Dict()
 		s.Add(rdf.NewTriple(d.Term(tr[0]), d.Term(tr[1]), d.Term(tr[2])))
 	}

@@ -111,7 +111,7 @@ func (e *Engine) Describe(ctx context.Context, q *sparql.Query) ([]rdf.Triple, e
 		if !ok {
 			continue
 		}
-		it := e.src.Iterate(id, store.NoID, store.NoID)
+		it := store.Range(e.src, id, store.NoID, store.NoID).Iterator()
 		for {
 			enc, more := it.Next()
 			if !more {

@@ -317,8 +317,6 @@ func segDesc(c *compiled, seg *segPlan) string {
 // constTriple is a pattern's constant components, NoID elsewhere.
 type constTriple [3]store.ID
 
-func (t constTriple) Spread() (store.ID, store.ID, store.ID) { return t[0], t[1], t[2] }
-
 // constWant is the pattern's index key with nothing bound: its constants
 // and pins, NoID at free variables (and at a constant missing from the
 // dictionary, which makes the whole BGP empty anyway).
@@ -455,7 +453,7 @@ func (c *compiled) hashBuilds(want constTriple, leftCard float64) bool {
 	if !c.eng.opts.HashJoins || leftCard < hashJoinThreshold {
 		return false
 	}
-	buildCard := float64(c.eng.src.Count(want.Spread()))
+	buildCard := float64(store.Count(c.eng.src, want[0], want[1], want[2]))
 	return buildCard > 0 && buildCard < leftCard
 }
 
@@ -481,7 +479,7 @@ func (c *compiled) hashStep(step patternStep, joinVar string, leftCard float64) 
 	if !c.hashBuilds(want, leftCard) {
 		return physStep{}, false
 	}
-	rng := c.eng.src.Range(want.Spread())
+	rng := store.Range(c.eng.src, want[0], want[1], want[2])
 	return physStep{kind: opHash, rng: rng, joinSlot: vslot, keyPos: keyPos}, true
 }
 

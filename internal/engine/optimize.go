@@ -253,7 +253,7 @@ func (c *compiled) estimate(p sparql.TriplePattern, bound map[string]bool) float
 	if oConst {
 		key[2] = oid
 	}
-	base := float64(st.Count(key[0], key[1], key[2]))
+	base := float64(store.Count(st, key[0], key[1], key[2]))
 	if base == 0 {
 		return 0
 	}
@@ -281,22 +281,23 @@ func (c *compiled) estimate(p sparql.TriplePattern, bound map[string]bool) float
 		}
 		divs = append(divs, varDiv{name, d})
 	}
+	stats := st.Stats()
 	if sBound && !sConst {
-		if pConst && st.DistinctSubjects(pid) > 0 {
-			applyDiv(p.S.Var, float64(st.DistinctSubjects(pid)))
-		} else if st.TotalDistinctSubjects() > 0 {
-			applyDiv(p.S.Var, float64(st.TotalDistinctSubjects()))
+		if pConst && stats.DistinctSubjects(pid) > 0 {
+			applyDiv(p.S.Var, float64(stats.DistinctSubjects(pid)))
+		} else if stats.TotalDistinctSubjects() > 0 {
+			applyDiv(p.S.Var, float64(stats.TotalDistinctSubjects()))
 		}
 	}
 	if oBound && !oConst {
-		if pConst && st.DistinctObjects(pid) > 0 {
-			applyDiv(p.O.Var, float64(st.DistinctObjects(pid)))
-		} else if st.TotalDistinctObjects() > 0 {
-			applyDiv(p.O.Var, float64(st.TotalDistinctObjects()))
+		if pConst && stats.DistinctObjects(pid) > 0 {
+			applyDiv(p.O.Var, float64(stats.DistinctObjects(pid)))
+		} else if stats.TotalDistinctObjects() > 0 {
+			applyDiv(p.O.Var, float64(stats.TotalDistinctObjects()))
 		}
 	}
 	if pBound && !pConst {
-		applyDiv(p.P.Var, float64(max(1, st.DistinctPredicates())))
+		applyDiv(p.P.Var, float64(max(1, stats.DistinctPredicates())))
 	}
 	div := 1.0
 	for _, vd := range divs {

@@ -97,9 +97,11 @@ func TestEstimateSameVariableDividesOnce(t *testing.T) {
 	s := optStore(t)
 	c := compiledFor(t, s)
 
-	base := float64(s.PredCardinality(mustID(t, s, "link")))
-	ds := float64(s.DistinctSubjects(mustID(t, s, "link")))
-	do := float64(s.DistinctObjects(mustID(t, s, "link")))
+	link := mustID(t, s, "link")
+	st := s.Stats()
+	base := float64(st.PredCardinality(link))
+	ds := float64(st.DistinctSubjects(link))
+	do := float64(st.DistinctObjects(link))
 	if base != 12 || ds != 3 || do != 4 {
 		t.Fatalf("unexpected link statistics: base=%v ds=%v do=%v", base, ds, do)
 	}

@@ -63,7 +63,7 @@ type oracle struct {
 func newOracle(s *store.Store) *oracle {
 	d := s.Dict()
 	var ts []rdf.Triple
-	for _, tr := range s.Triples() {
+	for _, tr := range s.Index(store.OrderSPO) {
 		ts = append(ts, rdf.NewTriple(d.Term(tr[0]), d.Term(tr[1]), d.Term(tr[2])))
 	}
 	return &oracle{triples: ts}

@@ -35,9 +35,9 @@ func TestQ3PinnedRangesOpenOnlyMatches(t *testing.T) {
 			q, _ := queries.ByID(id)
 			parsed := q.Parse()
 			pid, _ := dict.Lookup(rdf.IRI(prop)) // NoID when absent: Count is then 0
-			bound := int64(src.r.Count(store.NoID, typ, article))
+			bound := int64(store.Count(src.r, store.NoID, typ, article))
 			if pid != store.NoID {
-				bound += int64(src.r.Count(store.NoID, pid, store.NoID))
+				bound += int64(store.Count(src.r, store.NoID, pid, store.NoID))
 			}
 			want, err := engine.NewReader(src.r, engine.Mem()).Count(ctx, parsed)
 			if err != nil {

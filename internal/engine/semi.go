@@ -377,7 +377,7 @@ func (s *vecSemi) search(d, end int) (bool, error) {
 				want[i] = j.wantConst[i]
 			}
 		}
-		rng := s.c.eng.src.Range(want[0], want[1], want[2])
+		rng := store.Range(s.c.eng.src, want[0], want[1], want[2])
 		cur := rng.Cursor()
 		for run := cur.Run(); len(run) > 0; run = cur.Run() {
 			for _, row := range run {

@@ -110,7 +110,7 @@ func TestSemiJoinOverLiveDelta(t *testing.T) {
 
 	dict := full.Dict()
 	base := store.New()
-	for _, tr := range full.Triples() {
+	for _, tr := range full.Index(store.OrderSPO) {
 		if !slices.Contains(links, tr) {
 			base.Add(rdf.NewTriple(dict.Term(tr[0]), dict.Term(tr[1]), dict.Term(tr[2])))
 		}
@@ -180,12 +180,12 @@ func articleLinks(t *testing.T, s *store.Store, q5b *sparql.Query) ([]store.EncT
 		t.Fatalf("unknown person %s", res.Rows[0][0])
 	}
 	var links []store.EncTriple
-	for it := s.Iterate(store.NoID, creator, person); ; {
+	for it := store.Range(s, store.NoID, creator, person).Iterator(); ; {
 		tr, ok := it.Next()
 		if !ok {
 			break
 		}
-		if s.Count(tr[0], typ, article) > 0 {
+		if store.Count(s, tr[0], typ, article) > 0 {
 			links = append(links, tr)
 		}
 	}

@@ -556,7 +556,8 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 	for i := 0; i < len(steps); i++ {
 		step, p := steps[i], ordered[i]
 		if i == 0 {
-			rng := st.Range(constWant(step).Spread())
+			want := constWant(step)
+			rng := store.Range(st, want[0], want[1], want[2])
 			ch.scan = &vecScan{c: c, rng: rng, conds: step.filt}
 			ch.scan.configure(step)
 			sortSlot = leadVarSlot(step, rng)
@@ -1201,7 +1202,7 @@ func (v *vecJoin) startProbe() error {
 				want[i] = v.wantConst[i]
 			}
 		}
-		rng := v.c.eng.src.Range(want[0], want[1], want[2])
+		rng := store.Range(v.c.eng.src, want[0], want[1], want[2])
 		v.cur, v.filt, v.ord = rng.Cursor(), rng.Filt, rng.Ord
 	}
 	return nil
@@ -1591,7 +1592,7 @@ func (v *vecLeftJoin) startProbe() {
 			want[i] = p.id
 		}
 	}
-	rng := v.c.eng.src.Range(want[0], want[1], want[2])
+	rng := store.Range(v.c.eng.src, want[0], want[1], want[2])
 	v.cur, v.filt, v.ord = rng.Cursor(), rng.Filt, rng.Ord
 }
 

@@ -48,8 +48,8 @@ func orderedRows(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Qu
 	return render(res)
 }
 
-// faultReader passes the first `after` Range calls through and runs
-// fault before every later one; calls arrive from partition workers
+// faultReader passes the first `after` ranges through and runs fault
+// before every later one; calls arrive from partition workers
 // concurrently.
 type faultReader struct {
 	store.Reader
@@ -58,11 +58,11 @@ type faultReader struct {
 	fault func()
 }
 
-func (r *faultReader) Range(s, p, o store.ID) store.IndexRange {
+func (r *faultReader) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
 	if r.calls.Add(1) > r.after {
 		r.fault()
 	}
-	return r.Reader.Range(s, p, o)
+	return r.Reader.RangeIn(ord, s, p, o)
 }
 
 var errInjected = errors.New("injected scan fault")
@@ -146,11 +146,11 @@ type blockProbeFault struct {
 	name store.ID
 }
 
-func (r blockProbeFault) Range(s, p, o store.ID) store.IndexRange {
+func (r blockProbeFault) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
 	if s != store.NoID && p == r.name {
 		panic(errInjected)
 	}
-	return r.Reader.Range(s, p, o)
+	return r.Reader.RangeIn(ord, s, p, o)
 }
 
 // TestVecParallelBuildFaultEndsQuery: a build side that panics while

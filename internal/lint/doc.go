@@ -16,8 +16,8 @@
 //     annotated `// sp2b:locks=read` must not mutate or write-lock.
 //   - frozenmutation: fields of store.Store and store.Dict may only be
 //     written by Freeze/Ingest/seal or functions annotated
-//     `// sp2b:mutates-store`; aliased frozen arrays (Triples, Index,
-//     Terms, IndexRange.Rows/Delta) must never be written through.
+//     `// sp2b:mutates-store`; aliased frozen arrays (Index, Terms,
+//     IndexRange.Rows/Delta) must never be written through.
 //   - idequality: functions annotated `// sp2b:valuecmp` (SPARQL value
 //     semantics: FILTER =, value-keyed hash joins) must not compare or
 //     hash dictionary IDs — ID equality is term identity, which is

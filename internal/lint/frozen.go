@@ -21,7 +21,7 @@ import (
 // which is how Merge and Rehydrate build a new store.
 //
 // Everywhere, writing through the aliasing accessors is flagged:
-// `st.Triples()[i] = ...`, `st.Index(o)[i] = ...`, `d.Terms()[i] = ...`
+// `st.Index(o)[i] = ...`, `d.Terms()[i] = ...`
 // and `rng.Rows[i] = ...` (or `rng.Delta[i]`) mutate the frozen arrays
 // every concurrent reader shares. (Aliasing through an intermediate variable is not
 // tracked; the accessors' doc comments still forbid it.)
@@ -44,7 +44,7 @@ var frozenBuilders = map[string]bool{"Freeze": true, "Ingest": true, "seal": tru
 // aliasedAccessors return slices aliasing the frozen representation;
 // writing through them corrupts every concurrent reader.
 var aliasedAccessors = map[string]map[string]bool{
-	"Store": {"Triples": true, "Index": true},
+	"Store": {"Index": true},
 	"Dict":  {"Terms": true},
 }
 
@@ -109,8 +109,9 @@ type storeField struct {
 }
 
 // storeFieldTarget unwraps a write target down to a selector on a
-// Store/Dict value from storePkg, looking through indexing and stars:
-// s.triples, s.indexes[ord], s.predCount[k], in.base.terms.
+// Store/Dict value from storePkg, looking through indexing, stars and
+// the fields of other storePkg values: s.triples, s.indexes[ord],
+// s.stats.triples[k], in.base.terms.
 func storeFieldTarget(info *types.Info, storePkg string, lhs ast.Expr) (*ast.SelectorExpr, storeField) {
 	for {
 		switch x := lhs.(type) {
@@ -131,7 +132,8 @@ func storeFieldTarget(info *types.Info, storePkg string, lhs ast.Expr) (*ast.Sel
 			}
 			name := recv.Obj().Name()
 			if name != "Store" && name != "Dict" {
-				return nil, storeField{}
+				lhs = x.X // a field of a value the store may hold, as s.stats.triples
+				continue
 			}
 			return x, storeField{recvName: name, fieldName: s.Obj().Name()}
 		default:

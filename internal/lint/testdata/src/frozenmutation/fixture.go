@@ -9,7 +9,13 @@ type Store struct {
 	triples []int
 	indexes [3][]int
 	counts  map[int]int
+	stats   Stats
 	frozen  bool
+}
+
+// Stats stands in for a store value type nested in Store.
+type Stats struct {
+	triples map[int]int
 }
 
 type Dict struct {
@@ -20,8 +26,6 @@ type IndexRange struct {
 	Rows  []int
 	Delta []int
 }
-
-func (s *Store) Triples() []int { return s.triples }
 
 func (s *Store) Index(o int) []int { return s.indexes[o] }
 
@@ -40,6 +44,18 @@ func (s *Store) badIndexWrite(o, i, v int) {
 // badCount writes a map-valued field.
 func (s *Store) badCount(k int) {
 	s.counts[k]++ // want `writes Store field counts outside`
+}
+
+// badStats writes a field of a value nested in the store.
+func (s *Store) badStats(k int) {
+	s.stats.triples[k]++ // want `writes Store field stats outside`
+}
+
+// withDelta writes only the Stats value it constructs.
+func (st *Stats) withDelta(k int) *Stats {
+	out := &Stats{triples: map[int]int{}}
+	out.triples[k] = st.triples[k] + 1
+	return out
 }
 
 // badIntern mutates the dictionary outside a sanctioned path.
@@ -72,14 +88,10 @@ func newStore(vs []int) *Store {
 	return s
 }
 
-// aliasedStoreWrite mutates through the accessor every reader shares.
-func aliasedStoreWrite(s *Store) {
-	s.Triples()[0] = 1 // want `write through Store.Triples\(\) mutates the frozen store's shared arrays`
-}
-
-// aliasedIndexWrite mutates an index slice through its accessor.
+// aliasedIndexWrite mutates an index slice through the accessor every
+// reader shares.
 func aliasedIndexWrite(s *Store) {
-	s.Index(1)[0] = 2 // want `write through Store.Index\(\)`
+	s.Index(1)[0] = 2 // want `write through Store.Index\(\) mutates the frozen store's shared arrays`
 }
 
 // aliasedDictWrite mutates the term table through its accessor.
@@ -99,5 +111,5 @@ func deltaWrite(r IndexRange) {
 
 // readOnly never writes; nothing to report.
 func readOnly(s *Store) int {
-	return len(s.Triples()) + len(s.Index(0))
+	return len(s.Index(0)) + len(s.Index(1))
 }

@@ -30,7 +30,7 @@ func (s *shared) mutate(t store.EncTriple) {
 // corrupt: frozenmutation must fire (write through the aliasing
 // accessor of the real store).
 func corrupt(st *store.Store) {
-	st.Triples()[0] = store.EncTriple{}
+	st.Index(store.OrderSPO)[0] = store.EncTriple{}
 }
 
 // sp2b:valuecmp injected violation

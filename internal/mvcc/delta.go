@@ -29,9 +29,6 @@ type deltaIndex struct {
 	// generation; it shares backing arrays with the runs' inputs but is
 	// itself append-only.
 	batches [][]store.EncTriple
-	// predCount is the delta's per-predicate triple count — the delta
-	// half of the snapshot's optimizer statistics.
-	predCount map[store.ID]int
 }
 
 // size returns the number of delta triples.
@@ -56,14 +53,7 @@ func (d *deltaIndex) contains(t store.EncTriple) bool {
 // receiver is not modified.
 func (d *deltaIndex) extend(batch []store.EncTriple) *deltaIndex {
 	next := &deltaIndex{
-		batches:   append(d.batches[:len(d.batches):len(d.batches)], batch),
-		predCount: make(map[store.ID]int, len(d.predCount)+1),
-	}
-	for p, n := range d.predCount {
-		next.predCount[p] = n
-	}
-	for _, t := range batch {
-		next.predCount[t[1]]++
+		batches: append(d.batches[:len(d.batches):len(d.batches)], batch),
 	}
 	for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
 		add := batch
@@ -84,7 +74,7 @@ func (d *deltaIndex) extend(batch []store.EncTriple) *deltaIndex {
 // reconstitutes the leftover delta after compacting a prefix of the
 // batches into a new base generation.
 func rebuildDelta(batches [][]store.EncTriple) *deltaIndex {
-	d := &deltaIndex{predCount: map[store.ID]int{}}
+	d := &deltaIndex{}
 	for _, b := range batches {
 		d = d.extend(b)
 	}
@@ -110,21 +100,4 @@ func (d *deltaIndex) rangeIn(ord store.Order, sub, pred, obj store.ID) store.Ind
 		filt[i] = key[i]
 	}
 	return store.IndexRange{Ord: ord, Rows: run[lo:hi], Lead: prefix, Filt: filt}
-}
-
-// count returns the number of delta triples matching the pattern.
-func (d *deltaIndex) count(sub, pred, obj store.ID) int {
-	ord := store.ChooseOrder(sub != store.NoID, pred != store.NoID, obj != store.NoID)
-	rng := d.rangeIn(ord, sub, pred, obj)
-	if rng.Filt == (store.EncTriple{}) {
-		return rng.Len()
-	}
-	n := 0
-	it := rng.Iterator()
-	for {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
-		n++
-	}
 }

@@ -46,8 +46,9 @@ func TestMergedStatsMatchFromScratchLoad(t *testing.T) {
 			sn.Generation(), sn.DeltaLen(), sn.Len(), len(batches)+1, fresh.Len())
 	}
 
+	gs, ws := sn.Stats(), fresh.Stats()
 	for p := store.ID(1); int(p) <= fresh.Dict().Len(); p++ {
-		if fresh.PredCardinality(p) == 0 {
+		if ws.PredCardinality(p) == 0 {
 			continue // not a predicate
 		}
 		term := fresh.Dict().Term(p)
@@ -56,8 +57,8 @@ func TestMergedStatsMatchFromScratchLoad(t *testing.T) {
 			t.Errorf("predicate %s missing from the merged store", term)
 			continue
 		}
-		got := [3]int{sn.PredCardinality(mp), sn.DistinctSubjects(mp), sn.DistinctObjects(mp)}
-		want := [3]int{fresh.PredCardinality(p), fresh.DistinctSubjects(p), fresh.DistinctObjects(p)}
+		got := [3]int{gs.PredCardinality(mp), gs.DistinctSubjects(mp), gs.DistinctObjects(mp)}
+		want := [3]int{ws.PredCardinality(p), ws.DistinctSubjects(p), ws.DistinctObjects(p)}
 		if got != want {
 			t.Errorf("%s: count, distinct subjects, distinct objects merged %v, from scratch %v", term, got, want)
 		}
@@ -66,9 +67,9 @@ func TestMergedStatsMatchFromScratchLoad(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"DistinctPredicates", sn.DistinctPredicates(), fresh.DistinctPredicates()},
-		{"TotalDistinctSubjects", sn.TotalDistinctSubjects(), fresh.TotalDistinctSubjects()},
-		{"TotalDistinctObjects", sn.TotalDistinctObjects(), fresh.TotalDistinctObjects()},
+		{"DistinctPredicates", gs.DistinctPredicates(), ws.DistinctPredicates()},
+		{"TotalDistinctSubjects", gs.TotalDistinctSubjects(), ws.TotalDistinctSubjects()},
+		{"TotalDistinctObjects", gs.TotalDistinctObjects(), ws.TotalDistinctObjects()},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: merged %d, from scratch %d", c.name, c.got, c.want)

@@ -13,7 +13,9 @@
 // epoch-pinned Snapshot (an atomic load plus a refcount) and query it
 // through the same store.Reader surface the engine runs on: every range
 // is the base's directory-located rows plus the delta's, two runs the
-// engine reads in merged order without copying either.
+// engine reads in merged order without copying either, and the
+// optimizer statistics are the version's, computed once when it is
+// built.
 //
 // A background merger keeps the delta small: when it crosses the merge
 // policy's threshold, the merger folds the delta into a new frozen
@@ -49,6 +51,9 @@ type version struct {
 	base *store.Store
 	// delta indexes the triples inserted since base froze.
 	delta *deltaIndex
+	// stats are the version's optimizer statistics, computed once by
+	// newVersion and shared by all its snapshots.
+	stats *store.Stats
 	// terms extends the loaded dictionary, which every generation's
 	// base shares: terms[i] has ID baseTerms+i+1, where baseTerms is
 	// base.Dict().Len(). Successive versions, across generations too,
@@ -62,6 +67,21 @@ type version struct {
 	// refs counts snapshots currently pinning this version — the epoch
 	// refcount that makes snapshot draining observable.
 	refs atomic.Int64
+}
+
+// newVersion builds a version of base plus delta. Every version is
+// built here, by New, Apply and a merge's install, so its statistics
+// are computed once, one way: the base's with the delta's predicate
+// counts added (store.Stats.WithDelta).
+func newVersion(gen uint64, base *store.Store, delta *deltaIndex, terms []rdf.Term, lookup *termLookup) *version {
+	return &version{
+		gen:    gen,
+		base:   base,
+		delta:  delta,
+		stats:  base.Stats().WithDelta(delta.runs[store.OrderPOS]),
+		terms:  terms,
+		lookup: lookup,
+	}
 }
 
 // termLookup resolves the extension's terms to IDs. All versions share
@@ -146,12 +166,7 @@ type Store struct {
 func New(base *store.Store, policy MergePolicy) *Store {
 	base.Freeze()
 	s := &Store{policy: policy}
-	v := &version{
-		gen:    1,
-		base:   base,
-		delta:  &deltaIndex{predCount: map[store.ID]int{}},
-		lookup: newTermLookup(0),
-	}
+	v := newVersion(1, base, &deltaIndex{}, nil, newTermLookup(0))
 	s.cur.Store(v)
 	publishGauges(v)
 	return s
@@ -218,7 +233,7 @@ func (s *Store) Apply(batch []rdf.Triple) int {
 			continue // duplicate within the batch
 		}
 		prev = t
-		if v.base.Count(t[0], t[1], t[2]) > 0 || v.delta.contains(t) {
+		if store.Count(v.base, t[0], t[1], t[2]) > 0 || v.delta.contains(t) {
 			continue // already in the dataset
 		}
 		kept = append(kept, t)
@@ -230,13 +245,7 @@ func (s *Store) Apply(batch []rdf.Triple) int {
 		return 0
 	}
 
-	next := &version{
-		gen:    v.gen,
-		base:   v.base,
-		delta:  v.delta.extend(kept),
-		terms:  terms,
-		lookup: lookup,
-	}
+	next := newVersion(v.gen, v.base, v.delta.extend(kept), terms, lookup)
 	s.cur.Store(next)
 	s.mu.Unlock()
 	publishGauges(next)
@@ -323,13 +332,7 @@ func (s *Store) merge() {
 	// batches committed since remain as the new delta. The dictionary
 	// extension carries over whole: the merged base shares the loaded
 	// dictionary, so the extension's IDs are unchanged.
-	next := &version{
-		gen:    v.gen + 1,
-		base:   merged,
-		delta:  rebuildDelta(cur.delta.batches[len(v.delta.batches):]),
-		terms:  cur.terms,
-		lookup: cur.lookup,
-	}
+	next := newVersion(v.gen+1, merged, rebuildDelta(cur.delta.batches[len(v.delta.batches):]), cur.terms, cur.lookup)
 	s.cur.Store(next)
 	s.mu.Unlock()
 	s.merges.Add(1)

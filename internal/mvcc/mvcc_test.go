@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := after.TermDict().Term(q); got != iri("q") {
 		t.Errorf("Term(Lookup(q)) = %v, want q", got)
 	}
-	if got := after.Count(store.NoID, q, store.NoID); got != 1 {
+	if got := store.Count(after, store.NoID, q, store.NoID); got != 1 {
 		t.Errorf("Count(?, q, ?) = %d, want 1", got)
 	}
 }
@@ -137,7 +138,7 @@ func TestSnapshotRangesMergeBaseAndDelta(t *testing.T) {
 	}
 	// ?P? spans base (2) and delta (2) rows: two runs, read merged in
 	// POS order.
-	rng := sn.Range(store.NoID, p, store.NoID)
+	rng := store.Range(sn, store.NoID, p, store.NoID)
 	if rng.Len() != 4 || len(rng.Rows) != 2 || len(rng.Delta) != 2 {
 		t.Fatalf("range Len = %d (runs %d + %d), want 4 (2 + 2)", rng.Len(), len(rng.Rows), len(rng.Delta))
 	}
@@ -152,20 +153,12 @@ func TestSnapshotRangesMergeBaseAndDelta(t *testing.T) {
 	}
 	// A subject only the delta knows still answers S?? lookups.
 	m, _ := sn.TermDict().Lookup(iri("m"))
-	if got := sn.Count(m, store.NoID, store.NoID); got != 1 {
+	if got := store.Count(sn, m, store.NoID, store.NoID); got != 1 {
 		t.Errorf("Count(m,?,?) = %d, want 1", got)
 	}
-	// Iterate agrees with the full scan surface.
-	it := sn.Iterate(store.NoID, store.NoID, store.NoID)
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != len(sn.Triples()) || n != 4 {
-		t.Errorf("Iterate saw %d, Triples has %d, want 4", n, len(sn.Triples()))
+	// The full scan reads both runs.
+	if n := len(readertest.Triples(sn)); n != 4 {
+		t.Errorf("full scan saw %d triples, want 4", n)
 	}
 }
 
@@ -263,22 +256,91 @@ func TestCommitAllocsIndependentOfExtension(t *testing.T) {
 	}
 }
 
+// TestPredCardinalityIncludesDelta pins how a snapshot's statistics
+// overlay the delta on the base: predicate cardinalities add, a
+// predicate only the delta holds takes its delta count as both distinct
+// counts, the totals stay the base's, and the predicate count includes
+// the delta-only predicate.
 func TestPredCardinalityIncludesDelta(t *testing.T) {
 	live := tinyLive(t)
-	live.Apply([]rdf.Triple{spo("u", "p", "v"), spo("u", "q", "v")})
+	live.Apply([]rdf.Triple{spo("u", "p", "v"), spo("u", "q", "v"), spo("u", "q", "w")})
 	sn := live.Snapshot()
 	defer sn.Close()
 
 	p, _ := sn.TermDict().Lookup(iri("p"))
 	q, _ := sn.TermDict().Lookup(iri("q"))
-	if got := sn.PredCardinality(p); got != 3 {
-		t.Errorf("PredCardinality(p) = %d, want 3", got)
+	st := sn.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"PredCardinality(p)", st.PredCardinality(p), 3},
+		{"PredCardinality(q)", st.PredCardinality(q), 2},
+		// p is in the base: its distinct counts are the base's.
+		{"DistinctSubjects(p)", st.DistinctSubjects(p), 2},
+		{"DistinctObjects(p)", st.DistinctObjects(p), 2},
+		// q is delta-only: its delta count, though u is its one subject.
+		{"DistinctSubjects(q)", st.DistinctSubjects(q), 2},
+		{"DistinctObjects(q)", st.DistinctObjects(q), 2},
+		// The base's a and b; the delta's u, v and w are not counted.
+		{"TotalDistinctSubjects", st.TotalDistinctSubjects(), 2},
+		{"TotalDistinctObjects", st.TotalDistinctObjects(), 2},
+		{"DistinctPredicates", st.DistinctPredicates(), 2},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
-	if got := sn.PredCardinality(q); got != 1 {
-		t.Errorf("PredCardinality(q) = %d, want 1", got)
+}
+
+// TestSnapshotStatsOutliveCommits: a snapshot's statistics are its
+// version's. A snapshot taken before a commit, and one taken before a
+// merge, read the same values after the commit or merge lands, while
+// a fresh snapshot reads the new ones.
+func TestSnapshotStatsOutliveCommits(t *testing.T) {
+	live := tinyLive(t)
+	live.Apply([]rdf.Triple{spo("u", "q", "v")})
+	preds := func() []store.ID {
+		sn := live.Snapshot()
+		defer sn.Close()
+		var ids []store.ID
+		for _, name := range []string{"p", "q", "r"} {
+			id, _ := sn.TermDict().Lookup(iri(name))
+			ids = append(ids, id) // NoID, whose statistics read 0, until r commits
+		}
+		return ids
 	}
-	if got := sn.DistinctPredicates(); got != 2 {
-		t.Errorf("DistinctPredicates = %d, want 2", got)
+	values := func(sn *mvcc.Snapshot, ids []store.ID) []int {
+		st := sn.Stats()
+		out := []int{st.TotalDistinctSubjects(), st.TotalDistinctObjects(), st.DistinctPredicates()}
+		for _, p := range ids {
+			out = append(out, st.PredCardinality(p), st.DistinctSubjects(p), st.DistinctObjects(p))
+		}
+		return out
+	}
+
+	beforeApply := live.Snapshot()
+	defer beforeApply.Close()
+	wantApply := values(beforeApply, preds())
+	live.Apply([]rdf.Triple{spo("u", "q", "w"), spo("x", "r", "y")})
+
+	beforeMerge := live.Snapshot()
+	defer beforeMerge.Close()
+	ids := preds()
+	wantMerge := values(beforeMerge, ids)
+	live.MergeNow()
+	live.Apply([]rdf.Triple{spo("z", "r", "y")})
+
+	if got := values(beforeApply, ids); !slices.Equal(got, wantApply) {
+		t.Errorf("snapshot before the commit: %v, want %v", got, wantApply)
+	}
+	if got := values(beforeMerge, ids); !slices.Equal(got, wantMerge) {
+		t.Errorf("snapshot before the merge: %v, want %v", got, wantMerge)
+	}
+	now := live.Snapshot()
+	defer now.Close()
+	if got := values(now, ids); slices.Equal(got, wantMerge) {
+		t.Errorf("snapshot after the merge and a commit still reads %v", got)
 	}
 }
 
@@ -311,7 +373,7 @@ func TestMergeCompactsAndPreservesIDs(t *testing.T) {
 		t.Fatalf("ID of d changed across merge: %d -> %d (ok=%v)", d, d2, ok)
 	}
 	// The retired generation's snapshot still answers queries.
-	if got := pre.Count(store.NoID, store.NoID, d); got != 1 {
+	if got := store.Count(pre, store.NoID, store.NoID, d); got != 1 {
 		t.Errorf("retired snapshot Count(?,?,d) = %d, want 1", got)
 	}
 
@@ -339,7 +401,7 @@ func TestCommitDuringMergeCarriesOver(t *testing.T) {
 		t.Fatalf("gen=%d delta=%d len=%d, want 2/1/4", sn.Generation(), sn.DeltaLen(), sn.Len())
 	}
 	e, _ := sn.TermDict().Lookup(iri("e"))
-	if got := sn.Count(e, store.NoID, store.NoID); got != 1 {
+	if got := store.Count(sn, e, store.NoID, store.NoID); got != 1 {
 		t.Errorf("Count(e,?,?) = %d, want 1", got)
 	}
 	live.MergeNow()

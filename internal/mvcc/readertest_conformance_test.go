@@ -15,16 +15,43 @@ import (
 // every range merges the two.
 func TestSnapshotReaderConformance(t *testing.T) {
 	readertest.Run(t, func(t *testing.T, triples []rdf.Triple) store.Reader {
-		base := store.New()
-		for _, tr := range triples[:len(triples)/2] {
-			base.Add(tr)
-		}
-		base.Freeze()
-		live := mvcc.New(base, mvcc.MergePolicy{Disabled: true})
-		t.Cleanup(live.Close)
+		live := liveOver(t, triples[:len(triples)/2])
 		live.Apply(triples[len(triples)/2:])
 		sn := live.Snapshot()
 		t.Cleanup(sn.Close)
 		return sn
 	})
+}
+
+// A generation-2 snapshot: half the fixture frozen, a quarter merged in
+// by MergeNow, and the last quarter in the delta over the merged base,
+// so the ranges pair a merged generation with a delta and the
+// statistics overlay a delta on the merged base's.
+func TestMergedSnapshotReaderConformance(t *testing.T) {
+	readertest.Run(t, func(t *testing.T, triples []rdf.Triple) store.Reader {
+		half, quarter := len(triples)/2, len(triples)*3/4
+		live := liveOver(t, triples[:half])
+		live.Apply(triples[half:quarter])
+		live.MergeNow()
+		live.Apply(triples[quarter:])
+		sn := live.Snapshot()
+		t.Cleanup(sn.Close)
+		if sn.Generation() != 2 || sn.DeltaLen() == 0 {
+			t.Fatalf("generation %d with %d delta triples, want 2 with a delta", sn.Generation(), sn.DeltaLen())
+		}
+		return sn
+	})
+}
+
+// liveOver returns an MVCC store whose first generation freezes triples,
+// with merges left to the test.
+func liveOver(t *testing.T, triples []rdf.Triple) *mvcc.Store {
+	base := store.New()
+	for _, tr := range triples {
+		base.Add(tr)
+	}
+	base.Freeze()
+	live := mvcc.New(base, mvcc.MergePolicy{Disabled: true})
+	t.Cleanup(live.Close)
+	return live
 }

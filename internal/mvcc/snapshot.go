@@ -12,11 +12,12 @@ import (
 // generation's directory-located range with the delta's as the two runs
 // of one store.IndexRange, which the engine's operators (merge joins,
 // partitioned parallel scans, galloping) read in merged order through a
-// store.Cursor without a copy. Only Triples, the mem engine's full
-// scan, merges the two into a slice. A Snapshot is immutable and safe
-// for concurrent use; it observes no commit made after it was taken,
-// which is the per-query consistency guarantee — a query never sees
-// half of a batch.
+// store.Cursor without a copy; the mem engine's full scan is the
+// unbound SPO range, read the same way. Its optimizer statistics are
+// its version's, computed once when the version was published. A
+// Snapshot is immutable and safe for concurrent use; it observes no
+// commit made after it was taken, which is the per-query consistency
+// guarantee — a query never sees half of a batch.
 //
 // Snapshots are cheap (an atomic load plus a refcount) and meant to be
 // per-request: take one, build an engine with engine.NewReader, run the
@@ -30,11 +31,6 @@ type Snapshot struct {
 	// the struct on every TermDict call would allocate per call, and the
 	// engine calls it per compared or materialized cell.
 	terms store.TermSource
-
-	// triples lazily materializes the merged SPO dataset for full-scan
-	// consumers (the mem engine); index-based engines never pay for it.
-	triplesOnce sync.Once
-	triples     []store.EncTriple
 
 	closeOnce sync.Once
 }
@@ -82,20 +78,6 @@ func (sn *Snapshot) TermDict() store.TermSource { return sn.terms }
 // Len returns the snapshot's triple count (base + delta, disjoint).
 func (sn *Snapshot) Len() int { return sn.v.base.Len() + sn.v.delta.size() }
 
-// Triples returns the full dataset in SPO component order, merging base
-// and delta on first use and caching the result for the snapshot's
-// lifetime. Callers must not mutate the slice.
-func (sn *Snapshot) Triples() []store.EncTriple {
-	sn.triplesOnce.Do(func() {
-		if sn.v.delta.size() == 0 {
-			sn.triples = sn.v.base.Triples()
-			return
-		}
-		sn.triples = store.MergeRuns(sn.v.base.Triples(), sn.v.delta.runs[store.OrderSPO])
-	})
-	return sn.triples
-}
-
 // RangeIn returns the range matching the pattern within one index
 // ordering, with the store's prefix/residual semantics. It copies
 // nothing: the base's directory-located rows are the range's Rows and
@@ -116,74 +98,10 @@ func (sn *Snapshot) RangeIn(ord store.Order, sub, pred, obj store.ID) store.Inde
 	return br
 }
 
-// Range returns the index range matching the pattern under the ordering
-// ChooseOrder selects.
-func (sn *Snapshot) Range(sub, pred, obj store.ID) store.IndexRange {
-	return sn.RangeIn(store.ChooseOrder(sub != store.NoID, pred != store.NoID, obj != store.NoID), sub, pred, obj)
-}
-
-// Iterate streams the triples matching the pattern across base and
-// delta in index order.
-func (sn *Snapshot) Iterate(sub, pred, obj store.ID) *store.Iterator {
-	return sn.Range(sub, pred, obj).Iterator()
-}
-
-// Count returns the number of matching triples; base and delta are
-// disjoint, so their counts add exactly.
-func (sn *Snapshot) Count(sub, pred, obj store.ID) int {
-	n := sn.v.base.Count(sub, pred, obj)
-	if sn.v.delta.size() > 0 {
-		n += sn.v.delta.count(sub, pred, obj)
-	}
-	return n
-}
-
-// Optimizer statistics. Predicate cardinalities are exact (base plus
-// the delta's per-predicate counts); distinct-count statistics come
-// from the frozen base — deltas are bounded by the merge policy, so the
-// drift the estimator sees is small, and the merge refreshes them.
-
-// PredCardinality returns the number of triples with predicate p.
-func (sn *Snapshot) PredCardinality(p store.ID) int {
-	return sn.v.base.PredCardinality(p) + sn.v.delta.predCount[p]
-}
-
-// DistinctSubjects estimates the distinct subjects under predicate p.
-func (sn *Snapshot) DistinctSubjects(p store.ID) int {
-	n := sn.v.base.DistinctSubjects(p)
-	if n == 0 && sn.v.delta.predCount[p] > 0 {
-		// Predicate only the delta has seen: assume subjects are
-		// distinct, the conservative high-selectivity guess.
-		n = sn.v.delta.predCount[p]
-	}
-	return n
-}
-
-// DistinctObjects estimates the distinct objects under predicate p.
-func (sn *Snapshot) DistinctObjects(p store.ID) int {
-	n := sn.v.base.DistinctObjects(p)
-	if n == 0 && sn.v.delta.predCount[p] > 0 {
-		n = sn.v.delta.predCount[p]
-	}
-	return n
-}
-
-// TotalDistinctSubjects estimates the distinct subjects overall.
-func (sn *Snapshot) TotalDistinctSubjects() int { return sn.v.base.TotalDistinctSubjects() }
-
-// TotalDistinctObjects estimates the distinct objects overall.
-func (sn *Snapshot) TotalDistinctObjects() int { return sn.v.base.TotalDistinctObjects() }
-
-// DistinctPredicates returns the number of distinct predicates.
-func (sn *Snapshot) DistinctPredicates() int {
-	n := sn.v.base.DistinctPredicates()
-	for p := range sn.v.delta.predCount {
-		if sn.v.base.PredCardinality(p) == 0 {
-			n++
-		}
-	}
-	return n
-}
+// Stats returns the optimizer statistics of the snapshot's version:
+// the base generation's with the delta's predicate counts added (see
+// store.Stats.WithDelta).
+func (sn *Snapshot) Stats() *store.Stats { return sn.v.stats }
 
 var _ store.Reader = (*Snapshot)(nil)
 

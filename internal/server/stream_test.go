@@ -184,11 +184,6 @@ func (r *cancelReader) hit() {
 	}
 }
 
-func (r *cancelReader) Range(s, p, o store.ID) store.IndexRange {
-	r.hit()
-	return r.Reader.Range(s, p, o)
-}
-
 func (r *cancelReader) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
 	r.hit()
 	return r.Reader.RangeIn(ord, s, p, o)
@@ -335,11 +330,6 @@ func TestStreamFaultAfterFirstByte(t *testing.T) {
 type rangeCounter struct {
 	store.Reader
 	n atomic.Int64
-}
-
-func (r *rangeCounter) Range(s, p, o store.ID) store.IndexRange {
-	r.n.Add(1)
-	return r.Reader.Range(s, p, o)
 }
 
 func (r *rangeCounter) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {

@@ -59,7 +59,7 @@ func FuzzRead(f *testing.F) {
 				n, len(st.Index(store.OrderPOS)), len(st.Index(store.OrderOSP)))
 		}
 		// Every stored ID must resolve (Term panics on bad IDs).
-		for _, tr := range st.Triples() {
+		for _, tr := range st.Index(store.OrderSPO) {
 			for _, id := range tr {
 				_ = st.Dict().Term(id)
 			}

@@ -74,16 +74,17 @@ func TestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("predicate lost")
 	}
-	if got.PredCardinality(name) != 3 || got.DistinctSubjects(name) != 2 || got.DistinctObjects(name) != 3 {
+	gs, og := got.Stats(), orig.Stats()
+	if gs.PredCardinality(name) != 3 || gs.DistinctSubjects(name) != 2 || gs.DistinctObjects(name) != 3 {
 		t.Fatalf("statistics diverge: card=%d ds=%d do=%d",
-			got.PredCardinality(name), got.DistinctSubjects(name), got.DistinctObjects(name))
+			gs.PredCardinality(name), gs.DistinctSubjects(name), gs.DistinctObjects(name))
 	}
-	if got.TotalDistinctSubjects() != orig.TotalDistinctSubjects() ||
-		got.TotalDistinctObjects() != orig.TotalDistinctObjects() {
+	if gs.TotalDistinctSubjects() != og.TotalDistinctSubjects() ||
+		gs.TotalDistinctObjects() != og.TotalDistinctObjects() {
 		t.Fatal("global distinct counts diverge")
 	}
 	// Queries answer identically.
-	if got.Count(store.NoID, name, store.NoID) != 3 {
+	if store.Count(got, store.NoID, name, store.NoID) != 3 {
 		t.Fatal("index lookup diverges after reload")
 	}
 }

@@ -63,7 +63,7 @@ func probeKeys(st store.Reader, rng *rand.Rand) [][3]store.ID {
 		ids = append(ids, id)
 	}
 	var keys [][3]store.ID
-	for _, t := range st.Triples() {
+	for _, t := range readertest.Triples(st) {
 		keys = append(keys, [3]store.ID(t))
 	}
 	for i := 0; i < 300; i++ {
@@ -125,7 +125,7 @@ func checkRanges(t *testing.T, st store.Reader, want []store.EncTriple, keys [][
 					t.Fatalf("%s RangeIn%v yields %v, want %v", ord, spo, got, match)
 				}
 				if store.ChooseOrder(spo[0] != store.NoID, spo[1] != store.NoID, spo[2] != store.NoID) == ord {
-					if n := st.Count(spo[0], spo[1], spo[2]); n != len(match) {
+					if n := store.Count(st, spo[0], spo[1], spo[2]); n != len(match) {
 						t.Fatalf("Count%v = %d, want %d", spo, n, len(match))
 					}
 				}
@@ -145,7 +145,7 @@ func TestRangeDirectory(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := directoryStore(rng)
 			keys := probeKeys(st, rng)
-			checkRanges(t, st, st.Triples(), keys)
+			checkRanges(t, st, readertest.Triples(st), keys)
 			dirBytes := 0
 			for _, ord := range orders {
 				idx, dir := st.Index(ord), store.DirOf(st, ord)
@@ -176,7 +176,7 @@ func TestRangeDirectory(t *testing.T) {
 			// directories; the snapshot must still find their rows.
 			m := mvcc.New(st, mvcc.MergePolicy{MaxDeltaTriples: 1 << 30})
 			defer m.Close()
-			hub := st.Dict().Term(st.Triples()[0][0])
+			hub := st.Dict().Term(readertest.Triples(st)[0][0])
 			var batch []rdf.Triple
 			for i := 0; i < 20; i++ {
 				fresh := rdf.IRI(fmt.Sprintf("urn:delta%d", i))
@@ -194,7 +194,7 @@ func TestRangeDirectory(t *testing.T) {
 				if merged != (sn.DeltaLen() == 0) {
 					t.Fatalf("merged=%v but the snapshot holds %d delta triples", merged, sn.DeltaLen())
 				}
-				checkRanges(t, sn, sn.Triples(), probeKeys(sn, rng))
+				checkRanges(t, sn, readertest.Triples(sn), probeKeys(sn, rng))
 				sn.Close()
 			}
 		})

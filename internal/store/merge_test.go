@@ -51,20 +51,21 @@ func sameLayout(t *testing.T, got, want *store.Store) {
 	}
 	// Every ID up to past either store's largest predicate.
 	preds := max(len(store.DirOf(got, store.OrderPOS)), len(store.DirOf(want, store.OrderPOS)))
+	gs, ws := got.Stats(), want.Stats()
 	for p := store.ID(1); int(p) <= preds; p++ {
-		g := [3]int{got.PredCardinality(p), got.DistinctSubjects(p), got.DistinctObjects(p)}
-		w := [3]int{want.PredCardinality(p), want.DistinctSubjects(p), want.DistinctObjects(p)}
+		g := [3]int{gs.PredCardinality(p), gs.DistinctSubjects(p), gs.DistinctObjects(p)}
+		w := [3]int{ws.PredCardinality(p), ws.DistinctSubjects(p), ws.DistinctObjects(p)}
 		if g != w {
 			t.Errorf("predicate %d: count, distinct subjects, distinct objects = %v, want %v", p, g, w)
 		}
 	}
-	if g, w := got.TotalDistinctSubjects(), want.TotalDistinctSubjects(); g != w {
+	if g, w := gs.TotalDistinctSubjects(), ws.TotalDistinctSubjects(); g != w {
 		t.Errorf("TotalDistinctSubjects = %d, want %d", g, w)
 	}
-	if g, w := got.TotalDistinctObjects(), want.TotalDistinctObjects(); g != w {
+	if g, w := gs.TotalDistinctObjects(), ws.TotalDistinctObjects(); g != w {
 		t.Errorf("TotalDistinctObjects = %d, want %d", g, w)
 	}
-	if g, w := got.DistinctPredicates(), want.DistinctPredicates(); g != w {
+	if g, w := gs.DistinctPredicates(), ws.DistinctPredicates(); g != w {
 		t.Errorf("DistinctPredicates = %d, want %d", g, w)
 	}
 }

@@ -36,7 +36,7 @@ func tripleSet(t *testing.T, s *Store) map[string]bool {
 	t.Helper()
 	d := s.Dict()
 	set := make(map[string]bool, s.Len())
-	for _, tr := range s.Triples() {
+	for _, tr := range s.Index(OrderSPO) {
 		key := rdf.NewTriple(d.Term(tr[0]), d.Term(tr[1]), d.Term(tr[2])).String()
 		if set[key] {
 			t.Fatalf("duplicate triple after Freeze: %s", key)
@@ -93,11 +93,12 @@ func TestParallelLoadMatchesSequentialSemantics(t *testing.T) {
 	}
 
 	// Statistics agree predicate by predicate (compared term-wise).
-	if par.DistinctPredicates() != seq.DistinctPredicates() {
-		t.Fatalf("DistinctPredicates: parallel %d sequential %d", par.DistinctPredicates(), seq.DistinctPredicates())
+	ps, ss := par.Stats(), seq.Stats()
+	if ps.DistinctPredicates() != ss.DistinctPredicates() {
+		t.Fatalf("DistinctPredicates: parallel %d sequential %d", ps.DistinctPredicates(), ss.DistinctPredicates())
 	}
-	if par.TotalDistinctSubjects() != seq.TotalDistinctSubjects() ||
-		par.TotalDistinctObjects() != seq.TotalDistinctObjects() {
+	if ps.TotalDistinctSubjects() != ss.TotalDistinctSubjects() ||
+		ps.TotalDistinctObjects() != ss.TotalDistinctObjects() {
 		t.Fatalf("global distinct counts diverge")
 	}
 	for i := 0; i < 7; i++ {
@@ -107,13 +108,13 @@ func TestParallelLoadMatchesSequentialSemantics(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatalf("predicate %s missing from a dictionary", term)
 		}
-		if par.PredCardinality(pp) != seq.PredCardinality(sp) ||
-			par.DistinctSubjects(pp) != seq.DistinctSubjects(sp) ||
-			par.DistinctObjects(pp) != seq.DistinctObjects(sp) {
+		if ps.PredCardinality(pp) != ss.PredCardinality(sp) ||
+			ps.DistinctSubjects(pp) != ss.DistinctSubjects(sp) ||
+			ps.DistinctObjects(pp) != ss.DistinctObjects(sp) {
 			t.Errorf("per-predicate statistics diverge for %s", term)
 		}
 		// Index answers agree too.
-		if par.Count(NoID, pp, NoID) != seq.Count(NoID, sp, NoID) {
+		if Count(par, NoID, pp, NoID) != Count(seq, NoID, sp, NoID) {
 			t.Errorf("Count(?,%s,?) diverges", term)
 		}
 	}
@@ -181,7 +182,7 @@ func TestIngestThenFreezeAfterAdd(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 	a, _ := s.Dict().Lookup(rdf.IRI("http://x/a"))
-	if got := s.Count(a, NoID, NoID); got != 2 {
+	if got := Count(s, a, NoID, NoID); got != 2 {
 		t.Errorf("Count(a,?,?) = %d, want 2", got)
 	}
 }

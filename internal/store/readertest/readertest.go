@@ -141,16 +141,24 @@ func bruteMatch(enc []store.EncTriple, p [3]store.ID) []store.EncTriple {
 	return out
 }
 
+// checkTriples holds the full scan — the unbound SPO range in merged
+// order — to the whole dataset, sorted SPO.
 func checkTriples(t *testing.T, r store.Reader, enc []store.EncTriple) {
-	got := r.Triples()
+	got := Triples(r)
 	if len(got) != len(enc) {
-		t.Fatalf("Triples() returned %d rows, want %d", len(got), len(enc))
+		t.Fatalf("the full scan returned %d rows, want %d", len(got), len(enc))
 	}
 	for i := range got {
 		if got[i] != enc[i] {
-			t.Fatalf("Triples()[%d] = %v, want %v (must be sorted SPO)", i, got[i], enc[i])
+			t.Fatalf("full scan row %d = %v, want %v (must be sorted SPO)", i, got[i], enc[i])
 		}
 	}
+}
+
+// Triples returns a reader's whole dataset in SPO order: its unbound
+// SPO range, read in merged order.
+func Triples(r store.Reader) []store.EncTriple {
+	return Rows(r.RangeIn(store.OrderSPO, store.NoID, store.NoID, store.NoID))
 }
 
 // checkRanges verifies, for every pattern under every index ordering:
@@ -240,10 +248,11 @@ func checkNarrowing(t *testing.T, r store.Reader, enc []store.EncTriple, pats []
 				}
 			}
 		}
-		// Iterate (reader-chosen order) must agree with brute force too.
+		// store.Range (the order ChooseOrder picks) must agree with
+		// brute force too.
 		want := bruteMatch(enc, p)
 		n := 0
-		it := r.Iterate(p[0], p[1], p[2])
+		it := store.Range(r, p[0], p[1], p[2]).Iterator()
 		for {
 			_, ok := it.Next()
 			if !ok {
@@ -252,7 +261,7 @@ func checkNarrowing(t *testing.T, r store.Reader, enc []store.EncTriple, pats []
 			n++
 		}
 		if n != len(want) {
-			t.Fatalf("Iterate(%v): %d rows, want %d", p, n, len(want))
+			t.Fatalf("Range(%v): %d rows, want %d", p, n, len(want))
 		}
 	}
 }
@@ -429,18 +438,19 @@ func checkSeeks(t *testing.T, rng store.IndexRange, want []store.EncTriple) {
 
 func checkCounts(t *testing.T, r store.Reader, enc []store.EncTriple, pats [][3]store.ID) {
 	for _, p := range pats {
-		if got, want := r.Count(p[0], p[1], p[2]), len(bruteMatch(enc, p)); got != want {
+		if got, want := store.Count(r, p[0], p[1], p[2]), len(bruteMatch(enc, p)); got != want {
 			t.Errorf("Count(%v) = %d, want %d", p, got, want)
 		}
 	}
 }
 
 // checkStats checks the optimizer statistics against exact values
-// computed from the dataset. The Reader contract says estimates, not
+// computed from the dataset. store.Stats documents estimates, not
 // contracts, so distinct counts only need to land within sane bounds;
 // per-predicate cardinalities must be exact (every implementation
 // derives them from real counts).
 func checkStats(t *testing.T, r store.Reader, enc []store.EncTriple) {
+	st := r.Stats()
 	predCount := map[store.ID]int{}
 	for _, tr := range enc {
 		predCount[tr[1]]++
@@ -453,23 +463,23 @@ func checkStats(t *testing.T, r store.Reader, enc []store.EncTriple) {
 	// positive when the predicate exists, never above the matching
 	// triple count.
 	for p, want := range predCount {
-		if got := r.PredCardinality(p); got != want {
+		if got := st.PredCardinality(p); got != want {
 			t.Errorf("PredCardinality(%d) = %d, want %d", p, got, want)
 		}
-		if got := r.DistinctSubjects(p); got < 1 || got > want {
+		if got := st.DistinctSubjects(p); got < 1 || got > want {
 			t.Errorf("DistinctSubjects(%d) = %d, want within [1, %d]", p, got, want)
 		}
-		if got := r.DistinctObjects(p); got < 1 || got > want {
+		if got := st.DistinctObjects(p); got < 1 || got > want {
 			t.Errorf("DistinctObjects(%d) = %d, want within [1, %d]", p, got, want)
 		}
 	}
-	if got := r.TotalDistinctSubjects(); got < 1 || got > len(enc) {
+	if got := st.TotalDistinctSubjects(); got < 1 || got > len(enc) {
 		t.Errorf("TotalDistinctSubjects() = %d, want within [1, %d]", got, len(enc))
 	}
-	if got := r.TotalDistinctObjects(); got < 1 || got > len(enc) {
+	if got := st.TotalDistinctObjects(); got < 1 || got > len(enc) {
 		t.Errorf("TotalDistinctObjects() = %d, want within [1, %d]", got, len(enc))
 	}
-	if got := r.DistinctPredicates(); got < 1 || got > len(predCount) {
+	if got := st.DistinctPredicates(); got < 1 || got > len(predCount) {
 		t.Errorf("DistinctPredicates() = %d, want within [1, %d]", got, len(predCount))
 	}
 }

@@ -68,9 +68,7 @@ func (o Order) Unpermute(t EncTriple) EncTriple {
 // Store is an immutable-after-Freeze, dictionary-encoded triple store.
 //
 // Usage: Add/AddTriple while loading, then Freeze once to build the sorted
-// indexes, then query. Freeze deduplicates (RDF graphs are sets). The
-// unindexed triple slice remains available for engines that model
-// index-free scanning.
+// indexes, then query. Freeze deduplicates (RDF graphs are sets).
 type Store struct {
 	dict    *Dict
 	triples []EncTriple // SPO order after Freeze; insertion order before
@@ -83,14 +81,8 @@ type Store struct {
 	dirs   [3][]uint32
 	frozen bool
 
-	// Per-predicate statistics, all read off the sorted indexes (see
-	// seal).
-	predCount  map[ID]int // triples per predicate
-	distinctSP map[ID]int // distinct subjects per predicate
-	distinctOP map[ID]int // distinct objects per predicate
-
-	totalDistinctSubj int
-	totalDistinctObj  int
+	// stats are read off the sorted indexes (see seal).
+	stats Stats
 }
 
 // New returns an empty store with a fresh dictionary.
@@ -212,18 +204,18 @@ func (s *Store) seal() {
 		s.dirs[ord] = dir
 		switch ord {
 		case OrderSPO:
-			s.distinctSP = countPairs(idx, 1)
-			s.totalDistinctSubj = countLeads(dir)
+			s.stats.subjects = countPairs(idx, 1)
+			s.stats.totalSubjects = countLeads(dir)
 		case OrderPOS:
-			s.predCount = make(map[ID]int)
+			s.stats.triples = make(map[ID]int)
 			for p := 1; p+1 < len(dir); p++ {
 				if n := int(dir[p+1] - dir[p]); n > 0 {
-					s.predCount[ID(p)] = n
+					s.stats.triples[ID(p)] = n
 				}
 			}
-			s.distinctOP = countPairs(idx, 0)
+			s.stats.objects = countPairs(idx, 0)
 		case OrderOSP:
-			s.totalDistinctObj = countLeads(dir)
+			s.stats.totalObjects = countLeads(dir)
 		}
 	})
 	s.triples = s.indexes[OrderSPO]
@@ -294,10 +286,6 @@ func (s *Store) Frozen() bool { return s.frozen }
 
 // Len returns the number of (distinct, after Freeze) triples.
 func (s *Store) Len() int { return len(s.triples) }
-
-// Triples exposes the raw SPO-ordered triple slice. Callers must not
-// mutate it. The in-memory engine iterates it directly.
-func (s *Store) Triples() []EncTriple { return s.triples }
 
 func sortTriples(ts []EncTriple) {
 	slices.SortFunc(ts, cmpTriple)
@@ -370,28 +358,6 @@ func dedup(ts []EncTriple) []EncTriple {
 	return out
 }
 
-// Match returns the triples (in SPO component order) matching the pattern,
-// where NoID components are wildcards. The store must be frozen. The
-// returned slice is always freshly built and owned by the caller; use
-// Iterate to stream matches without materializing them.
-func (s *Store) Match(sub, pred, obj ID) []EncTriple {
-	it := s.Iterate(sub, pred, obj)
-	var out []EncTriple
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
-	}
-}
-
-// Range returns the index range matching the pattern under the index
-// ChooseOrder selects; NoID components are wildcards.
-func (s *Store) Range(sub, pred, obj ID) IndexRange {
-	return s.RangeIn(ChooseOrder(sub != NoID, pred != NoID, obj != NoID), sub, pred, obj)
-}
-
 // RangeIn returns the range matching the pattern within one specific
 // index ordering. Bound components that form a prefix in ord's component
 // order narrow the range: the leading one through the index's leading-ID
@@ -430,17 +396,6 @@ func (s *Store) RangeIn(ord Order, sub, pred, obj ID) IndexRange {
 		filt[i] = key[i] // any bound component past the prefix is residual
 	}
 	return IndexRange{Ord: ord, Rows: idx[lo:hi], Lead: prefix, Filt: filt}
-}
-
-// Iterate returns an iterator over triples matching the pattern; NoID
-// components are wildcards. It selects the index whose prefix covers the
-// bound components, so every lookup is one directory-located range plus
-// (for the S?O case) a residual filter.
-func (s *Store) Iterate(sub, pred, obj ID) *Iterator {
-	if !s.frozen {
-		panic("store: Iterate before Freeze")
-	}
-	return s.Range(sub, pred, obj).Iterator()
 }
 
 // ChooseOrder picks the index ordering whose prefix covers the given bound
@@ -492,48 +447,6 @@ func SearchRun(rows []EncTriple, key EncTriple, prefix int) (lo, hi int) {
 	hi = done + sort.Search(probe-done, func(i int) bool { return cmp(rows[done+i]) > 0 })
 	return lo, hi
 }
-
-// Count returns the number of triples matching the pattern without
-// materializing them. For prefix-covered patterns this is the length of
-// the directory-located range; only a residual (S?O) constraint is
-// counted row by row.
-func (s *Store) Count(sub, pred, obj ID) int {
-	if !s.frozen {
-		panic("store: Count before Freeze")
-	}
-	rng := s.Range(sub, pred, obj)
-	if rng.Filt == (EncTriple{}) {
-		return rng.Len()
-	}
-	n := 0
-	it := rng.Iterator()
-	for {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
-		n++
-	}
-}
-
-// Statistics used by the native engine's selectivity estimator.
-
-// PredCardinality returns the number of triples with predicate p.
-func (s *Store) PredCardinality(p ID) int { return s.predCount[p] }
-
-// DistinctSubjects returns the number of distinct subjects under p.
-func (s *Store) DistinctSubjects(p ID) int { return s.distinctSP[p] }
-
-// DistinctObjects returns the number of distinct objects under p.
-func (s *Store) DistinctObjects(p ID) int { return s.distinctOP[p] }
-
-// TotalDistinctSubjects returns the number of distinct subjects.
-func (s *Store) TotalDistinctSubjects() int { return s.totalDistinctSubj }
-
-// TotalDistinctObjects returns the number of distinct objects.
-func (s *Store) TotalDistinctObjects() int { return s.totalDistinctObj }
-
-// DistinctPredicates returns the number of distinct predicates.
-func (s *Store) DistinctPredicates() int { return len(s.predCount) }
 
 // Frozen-store structure access for the snapshot subsystem.
 

@@ -93,6 +93,19 @@ func buildStore(triples ...[3]string) *Store {
 	return s
 }
 
+// match returns the triples (in SPO component order) matching the
+// pattern, where NoID components are wildcards.
+func match(r Reader, sub, pred, obj ID) []EncTriple {
+	var out []EncTriple
+	for it := Range(r, sub, pred, obj).Iterator(); ; {
+		t, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+	}
+}
+
 func TestStoreDeduplicates(t *testing.T) {
 	s := buildStore(
 		[3]string{"a", "p", "b"},
@@ -155,11 +168,11 @@ func TestMatchAllPatternShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := s.Match(tc.s, tc.p, tc.o)
+			got := match(s, tc.s, tc.p, tc.o)
 			if len(got) != tc.want {
 				t.Errorf("Match = %d rows, want %d", len(got), tc.want)
 			}
-			if n := s.Count(tc.s, tc.p, tc.o); n != tc.want {
+			if n := Count(s, tc.s, tc.p, tc.o); n != tc.want {
 				t.Errorf("Count = %d, want %d", n, tc.want)
 			}
 			// every returned triple must satisfy the pattern
@@ -196,16 +209,16 @@ func TestMatchEqualsNaiveScanProperty(t *testing.T) {
 				}
 			}
 		}
-		got := s.Match(q[0], q[1], q[2])
+		got := match(s, q[0], q[1], q[2])
 		naive := 0
-		for _, tr := range s.Triples() {
+		for _, tr := range s.Index(OrderSPO) {
 			if (q[0] == NoID || tr[0] == q[0]) &&
 				(q[1] == NoID || tr[1] == q[1]) &&
 				(q[2] == NoID || tr[2] == q[2]) {
 				naive++
 			}
 		}
-		return len(got) == naive && s.Count(q[0], q[1], q[2]) == naive
+		return len(got) == naive && Count(s, q[0], q[1], q[2]) == naive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -251,25 +264,26 @@ func TestStatistics(t *testing.T) {
 	)
 	p1, _ := s.Dict().Lookup(rdf.IRI("p1"))
 	p2, _ := s.Dict().Lookup(rdf.IRI("p2"))
-	if got := s.PredCardinality(p1); got != 3 {
+	st := s.Stats()
+	if got := st.PredCardinality(p1); got != 3 {
 		t.Errorf("PredCardinality(p1) = %d, want 3", got)
 	}
-	if got := s.DistinctSubjects(p1); got != 2 {
+	if got := st.DistinctSubjects(p1); got != 2 {
 		t.Errorf("DistinctSubjects(p1) = %d, want 2", got)
 	}
-	if got := s.DistinctObjects(p1); got != 2 {
+	if got := st.DistinctObjects(p1); got != 2 {
 		t.Errorf("DistinctObjects(p1) = %d, want 2", got)
 	}
-	if got := s.PredCardinality(p2); got != 1 {
+	if got := st.PredCardinality(p2); got != 1 {
 		t.Errorf("PredCardinality(p2) = %d, want 1", got)
 	}
-	if got := s.DistinctPredicates(); got != 2 {
+	if got := st.DistinctPredicates(); got != 2 {
 		t.Errorf("DistinctPredicates = %d, want 2", got)
 	}
-	if got := s.TotalDistinctSubjects(); got != 2 {
+	if got := st.TotalDistinctSubjects(); got != 2 {
 		t.Errorf("TotalDistinctSubjects = %d, want 2", got)
 	}
-	if got := s.TotalDistinctObjects(); got != 3 {
+	if got := st.TotalDistinctObjects(); got != 3 {
 		t.Errorf("TotalDistinctObjects = %d, want 3", got)
 	}
 }
@@ -307,10 +321,10 @@ func TestIterateBeforeFreezePanics(t *testing.T) {
 	s.Add(rdf.NewTriple(rdf.IRI("a"), rdf.IRI("b"), rdf.IRI("c")))
 	defer func() {
 		if recover() == nil {
-			t.Error("Iterate before Freeze should panic")
+			t.Error("a range before Freeze should panic")
 		}
 	}()
-	s.Iterate(NoID, NoID, NoID)
+	Range(s, NoID, NoID, NoID)
 }
 
 func TestEmptyStore(t *testing.T) {
@@ -319,10 +333,10 @@ func TestEmptyStore(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("empty store should have no triples")
 	}
-	if got := s.Match(NoID, NoID, NoID); len(got) != 0 {
+	if got := match(s, NoID, NoID, NoID); len(got) != 0 {
 		t.Fatal("empty store should match nothing")
 	}
-	if s.TotalDistinctSubjects() != 0 || s.TotalDistinctObjects() != 0 {
+	if s.Stats().TotalDistinctSubjects() != 0 || s.Stats().TotalDistinctObjects() != 0 {
 		t.Fatal("empty store statistics should be zero")
 	}
 }
@@ -338,7 +352,7 @@ func TestRangePartitionPreservesOrder(t *testing.T) {
 	}
 	s.Freeze()
 	pid, _ := s.Dict().Lookup(rdf.IRI("p"))
-	full := s.Range(NoID, pid, NoID)
+	full := Range(s, NoID, pid, NoID)
 	if len(full.Rows) != 97 {
 		t.Fatalf("range has %d rows, want 97", len(full.Rows))
 	}
@@ -374,7 +388,7 @@ func TestRangePartitionPreservesOrder(t *testing.T) {
 
 // TestRangeInMatchesIterate: for every explicit order choice, iterating a
 // RangeIn range (residual filters applied) yields exactly the triples
-// Iterate reports, independent of which index serves them.
+// of the range Range chooses, independent of which index serves them.
 func TestRangeInMatchesIterate(t *testing.T) {
 	s := buildStore(
 		[3]string{"s1", "p1", "o1"},
@@ -419,7 +433,7 @@ func TestRangeInMatchesIterate(t *testing.T) {
 		{id("s1"), id("p1"), id("o1")},
 	}
 	for _, pat := range patterns {
-		want := asSet(collect(s.Iterate(pat[0], pat[1], pat[2])))
+		want := asSet(collect(Range(s, pat[0], pat[1], pat[2]).Iterator()))
 		for _, ord := range []Order{OrderSPO, OrderPOS, OrderOSP} {
 			r := s.RangeIn(ord, pat[0], pat[1], pat[2])
 			got := asSet(collect(r.Iterator()))
