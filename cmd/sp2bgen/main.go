@@ -25,7 +25,6 @@ import (
 	"os"
 	"strings"
 
-	"sp2bench/internal/core"
 	"sp2bench/internal/dist"
 	"sp2bench/internal/gen"
 	"sp2bench/internal/snapshot"
@@ -76,15 +75,7 @@ func main() {
 		w = f
 	}
 
-	var (
-		st  *gen.Stats
-		err error
-	)
-	if asSnapshot {
-		st, err = core.GenerateSnapshot(w, p)
-	} else {
-		st, err = core.Generate(w, p)
-	}
+	st, err := emit(w, p, asSnapshot)
 	if err != nil {
 		fatal(err)
 	}
@@ -99,6 +90,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%-17s %d\n", c.String()+":", st.ClassCounts[c])
 		}
 	}
+}
+
+// emit writes the document p describes to w: as a snapshot, built in
+// memory by snapshot.GenerateStore, or as N-Triples text streamed
+// straight from the generator.
+func emit(w io.Writer, p gen.Params, asSnapshot bool) (*gen.Stats, error) {
+	if asSnapshot {
+		st, stats, err := snapshot.GenerateStore(p)
+		if err != nil {
+			return nil, err
+		}
+		return stats, snapshot.Write(w, st)
+	}
+	g, err := gen.New(p, w)
+	if err != nil {
+		return nil, err
+	}
+	return g.Generate()
 }
 
 func fatal(err error) {

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
 	"testing"
 
-	"sp2bench/internal/core"
 	"sp2bench/internal/dist"
+	"sp2bench/internal/engine"
 	"sp2bench/internal/gen"
+	"sp2bench/internal/queries"
+	"sp2bench/internal/snapshot"
 )
 
 // goldenSHA256 pins the byte-exact output of `sp2bgen -y 1945 -seed 1`.
@@ -22,7 +25,7 @@ const goldenSHA256 = "b48092c7145ff61883b2df741e15bdb1abf951bd67d44d5ada331d8773
 func generate(t *testing.T, p gen.Params) ([]byte, *gen.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
-	stats, err := core.Generate(&buf, p)
+	stats, err := emit(&buf, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,5 +91,49 @@ func TestCountsMatchGrowthFunctions(t *testing.T) {
 		if yc.Journals != wantJournals {
 			t.Errorf("%d journals = %d, want %d", yc.Year, yc.Journals, wantJournals)
 		}
+	}
+}
+
+// TestSnapshotFormatMatchesNTriples: the -format snapshot output of a
+// run reloads, through the same sniffing loader sp2bquery uses, to the
+// store its N-Triples output loads to: the same triple count and the
+// same Q1 answer.
+func TestSnapshotFormatMatchesNTriples(t *testing.T) {
+	p := gen.DefaultParams(5_000)
+	var nt, snap bytes.Buffer
+	ntStats, err := emit(&nt, p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapStats, err := emit(&snap, p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ntStats.Triples != snapStats.Triples {
+		t.Fatalf("generator stats differ: %d triples as N-Triples, %d as snapshot", ntStats.Triples, snapStats.Triples)
+	}
+	q1, _ := queries.ByID("q1")
+	load := func(doc *bytes.Buffer, wantSnap bool) (int, string) {
+		t.Helper()
+		st, isSnap, _, err := snapshot.OpenStore(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isSnap != wantSnap {
+			t.Fatalf("OpenStore detected snapshot=%v, want %v", isSnap, wantSnap)
+		}
+		res, err := engine.New(st, engine.Native()).Query(context.Background(), q1.Parse())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 {
+			t.Fatalf("q1 = %d rows, want 1", res.Len())
+		}
+		return st.Len(), res.Rows[0][0].Value
+	}
+	ntLen, ntYear := load(&nt, false)
+	snapLen, snapYear := load(&snap, true)
+	if ntLen != snapLen || ntYear != snapYear {
+		t.Errorf("snapshot reloads to %d triples, q1 = %s; N-Triples to %d, q1 = %s", snapLen, snapYear, ntLen, ntYear)
 	}
 }

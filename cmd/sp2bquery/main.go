@@ -29,10 +29,10 @@ import (
 	"strings"
 	"time"
 
-	"sp2bench/internal/core"
 	"sp2bench/internal/engine"
 	"sp2bench/internal/queries"
 	"sp2bench/internal/results"
+	"sp2bench/internal/snapshot"
 	"sp2bench/internal/sparql"
 )
 
@@ -73,11 +73,12 @@ func main() {
 	}
 
 	loadStart := time.Now()
-	db, err := core.OpenFile(*data, opts)
+	st, _, _, err := snapshot.OpenStoreFile(*data)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "loaded %d triples in %v\n", db.Len(), time.Since(loadStart).Round(time.Millisecond))
+	eng := engine.New(st, opts)
+	fmt.Fprintf(os.Stderr, "loaded %d triples in %v\n", st.Len(), time.Since(loadStart).Round(time.Millisecond))
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -89,7 +90,7 @@ func main() {
 	if *explain {
 		// The physical plan: BGP reorderings and the operator chosen per
 		// join step (scan/nl/merge/hash/hashseg, parallel partitions).
-		plan, err := db.Engine().Explain(parsed)
+		plan, err := eng.Explain(parsed)
 		if err != nil {
 			fatal(err)
 		}
@@ -106,14 +107,14 @@ func main() {
 	}
 	start := time.Now()
 	if *countOnly {
-		n, err := db.Engine().Count(ctx, parsed)
+		n, err := eng.Count(ctx, parsed)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%d results in %v\n", n, time.Since(start).Round(time.Microsecond))
 		return
 	}
-	res, graph, err := db.Engine().Eval(ctx, parsed)
+	res, graph, err := eng.Eval(ctx, parsed)
 	if err != nil {
 		fatal(err)
 	}

@@ -64,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"sp2bench/internal/core"
 	"sp2bench/internal/engine"
 	"sp2bench/internal/gen"
 	"sp2bench/internal/mvcc"
@@ -254,7 +253,7 @@ func loadStore(path string, genSize int64, seed uint64) (*store.Store, error) {
 	}
 	p := gen.DefaultParams(genSize)
 	p.Seed = seed
-	st, _, err := core.GenerateStore(p)
+	st, _, err := snapshot.GenerateStore(p)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,8 @@
 // and is how performance changes are judged.
 //
 // The implementation lives under internal/; cmd/ holds the sp2bgen,
-// sp2bquery, sp2bbench and sp2bserve executables; examples/ holds
-// runnable walk-throughs; bench_test.go regenerates every table and
+// sp2bquery, sp2bbench and sp2bserve executables; the Example functions
+// of internal/engine and internal/mvcc are walk-throughs whose output
+// go test checks; bench_test.go regenerates every table and
 // figure of the paper's evaluation section as Go benchmarks.
 package sp2bench

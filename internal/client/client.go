@@ -49,11 +49,6 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("sparql endpoint: %s: %s", e.Status, body)
 }
 
-// IsMalformed reports whether the endpoint classified the query itself
-// as invalid (the protocol's MalformedQuery fault) rather than failing
-// to evaluate it.
-func (e *HTTPError) IsMalformed() bool { return e.StatusCode == http.StatusBadRequest }
-
 // Query submits a SPARQL query via POST with an
 // application/sparql-query body and decodes the JSON results. The
 // context bounds the whole round trip.
@@ -88,11 +83,4 @@ func (c *Client) Count(ctx context.Context, query string) (int, error) {
 		return 0, err
 	}
 	return res.Len(), nil
-}
-
-// Ping checks the endpoint is reachable and speaks the protocol by
-// running a trivial ASK.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.Query(ctx, "ASK { ?s ?p ?o }")
-	return err
 }

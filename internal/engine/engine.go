@@ -274,16 +274,6 @@ func (e *Engine) CountAnalyze(ctx context.Context, q *sparql.Query) (int, *Trace
 	return n, h.Trace(), err
 }
 
-// QueryAnalyze runs Query with EXPLAIN ANALYZE tracing enabled and
-// returns the result together with the execution trace. For forms that
-// evaluate a core SELECT internally (aggregates) the trace covers the
-// core pattern evaluation.
-func (e *Engine) QueryAnalyze(ctx context.Context, q *sparql.Query) (*Result, *Trace, error) {
-	ctx, h := WithAnalyze(ctx)
-	res, err := e.Query(ctx, q)
-	return res, h.Trace(), err
-}
-
 // Explain returns a description of the physical plan chosen for q: BGP
 // reordering and filter pinning, the batch operator chains, and the
 // reason a query falls back to the tuple operators ("vec: tuple
@@ -295,15 +285,6 @@ func (e *Engine) Explain(q *sparql.Query) (string, error) {
 		return "", err
 	}
 	return c.explain(), nil
-}
-
-// ParseAndQuery parses src with the standard SP2Bench prefixes and runs it.
-func (e *Engine) ParseAndQuery(ctx context.Context, src string) (*Result, error) {
-	q, err := sparql.Parse(src, rdf.Prefixes)
-	if err != nil {
-		return nil, err
-	}
-	return e.Query(ctx, q)
 }
 
 func ctxErr(ctx context.Context) error {

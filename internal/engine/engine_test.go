@@ -693,21 +693,6 @@ func TestExplainMentionsReordering(t *testing.T) {
 	}
 }
 
-func TestParseAndQuery(t *testing.T) {
-	s := tinyLibrary()
-	eng := engine.New(s, engine.Native())
-	res, err := eng.ParseAndQuery(context.Background(), `SELECT ?x WHERE { ?x rdf:type bench:Journal }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1 {
-		t.Fatalf("got %d journals, want 1", res.Len())
-	}
-	if _, err := eng.ParseAndQuery(context.Background(), `garbage`); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
 func TestEmptyStoreQueries(t *testing.T) {
 	s := store.New()
 	s.Freeze()

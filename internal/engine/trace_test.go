@@ -13,6 +13,14 @@ import (
 	"sp2bench/internal/store"
 )
 
+// queryAnalyze runs Query under EXPLAIN ANALYZE and returns the result
+// with its trace, the way CountAnalyze does for Count.
+func queryAnalyze(ctx context.Context, eng *engine.Engine, q *sparql.Query) (*engine.Result, *engine.Trace, error) {
+	ctx, h := engine.WithAnalyze(ctx)
+	res, err := eng.Query(ctx, q)
+	return res, h.Trace(), err
+}
+
 // TestAnalyzeTraceConsistency runs the full 17-query sweep under
 // EXPLAIN ANALYZE on both engine families and asserts the invariant
 // the trace hangs on: the root operator's actual row count equals the
@@ -111,7 +119,7 @@ func TestAnalyzeTraceDetail(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
 	eng := engine.New(s, engine.Native())
 	q, _ := queries.ByID("q2")
-	res, tr, err := eng.QueryAnalyze(context.Background(), q.Parse())
+	res, tr, err := queryAnalyze(context.Background(), eng, q.Parse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func TestCardinalityErrorSkipsEarlyExits(t *testing.T) {
 	limit := sparql.MustParse(`SELECT * WHERE { ?s ?p ?o } LIMIT 1`, rdf.Prefixes)
 	q12a, _ := queries.ByID("q12a")
 	for name, q := range map[string]*sparql.Query{"limit": limit, "q12a": q12a.Parse()} {
-		_, tr, err := eng.QueryAnalyze(ctx, q)
+		_, tr, err := queryAnalyze(ctx, eng, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +217,7 @@ func TestCardinalityErrorSkipsEarlyExits(t *testing.T) {
 		}
 	}
 	q8, _ := queries.ByID("q8")
-	_, tr, err := eng.QueryAnalyze(ctx, q8.Parse())
+	_, tr, err := queryAnalyze(ctx, eng, q8.Parse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +237,7 @@ func TestSemiJoinTrace(t *testing.T) {
 	eng := engine.New(s, engine.Native())
 	for _, id := range []string{"q5a", "q5b"} {
 		q, _ := queries.ByID(id)
-		_, tr, err := eng.QueryAnalyze(context.Background(), q.Parse())
+		_, tr, err := queryAnalyze(context.Background(), eng, q.Parse())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,6 +81,41 @@ func TestFullProtocolSmall(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigQuerySubset runs DefaultConfig cut to its first
+// scale and the native engine with a query subset: one run per listed
+// query, and the paper's shapes hold.
+func TestDefaultConfigQuerySubset(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scales = cfg.Scales[:1] // 10k only
+	cfg.Engines = nativeOnly()
+	cfg.QueryIDs = []string{"q1", "q9", "q11"}
+	cfg.WorkDir = t.TempDir()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != 3 {
+		t.Fatalf("runs = %d, want 3", len(rep.Runs))
+	}
+	if v := rep.CheckShapes(); len(v) != 0 {
+		t.Errorf("shape violations: %+v", v)
+	}
+}
+
+// TestDefaultConfigWithoutScales: DefaultConfig is valid only with its
+// scales; dropping them fails validation.
+func TestDefaultConfigWithoutScales(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scales = nil
+	if _, err := NewRunner(cfg); err == nil {
+		t.Fatal("expected validation error")
+	}
+}
+
 func TestTimeoutClassification(t *testing.T) {
 	cfg := miniConfig(t, []EngineSpec{{Name: "mem", Opts: DefaultEngines()[0].Opts}})
 	cfg.Timeout = 50 * time.Millisecond // q4 on mem cannot finish in this

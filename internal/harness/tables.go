@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"sp2bench/internal/queries"
 )
@@ -323,15 +322,6 @@ func (rep *Report) CheckShapes() []ShapeViolation {
 		}
 	}
 	return out
-}
-
-// TotalWall sums measured wall time, a convenience for progress summaries.
-func (rep *Report) TotalWall() time.Duration {
-	var total time.Duration
-	for _, run := range rep.Runs {
-		total += run.Wall
-	}
-	return total
 }
 
 func init() {

@@ -11,7 +11,7 @@ import (
 //
 //  1. calls Wait on a sync.WaitGroup (or errgroup.Group) itself,
 //  2. receives from a channel the spawned goroutine sends on or closes
-//     (the done-channel join, e.g. core.GenerateStore), or
+//     (the done-channel join, e.g. snapshot.GenerateStore), or
 //  3. tracks the goroutine in a WaitGroup *field* whose Wait lives in
 //     another method of the same type that is referenced somewhere in
 //     the package — the vecParallel spawn/shutdown split, where the

@@ -31,7 +31,7 @@ func joinedByWaitGroup() {
 }
 
 // joinedByClose is the done-channel pattern: the goroutine closes a
-// channel the spawner receives from (core.GenerateStore's shape).
+// channel the spawner receives from (snapshot.GenerateStore's shape).
 func joinedByClose() {
 	done := make(chan struct{})
 	go func() {

@@ -314,27 +314,14 @@ func (s *Store) MergeNow() {
 // merge compacts the version current at entry into a new frozen
 // generation and installs it. It runs off the write path: the captured
 // version is immutable, so building the new generation needs no lock;
-// only the install does. Batches committed while the merge ran are
-// carried over into the new version's delta.
-//
-// sp2b:mutates-store installs the merged generation under s.mu
+// only the install does.
 func (s *Store) merge() {
 	v := s.cur.Load()
 	if v.delta.size() == 0 {
 		return
 	}
 	start := time.Now()
-	merged := store.Merge(v.base, v.delta.runs)
-
-	s.mu.Lock()
-	cur := s.cur.Load()
-	// Everything up to the captured version is in the new base; the
-	// batches committed since remain as the new delta. The dictionary
-	// extension carries over whole: the merged base shares the loaded
-	// dictionary, so the extension's IDs are unchanged.
-	next := newVersion(v.gen+1, merged, rebuildDelta(cur.delta.batches[len(v.delta.batches):]), cur.terms, cur.lookup)
-	s.cur.Store(next)
-	s.mu.Unlock()
+	next := s.install(v, store.Merge(v.base, v.delta.runs))
 	s.merges.Add(1)
 	publishGauges(next)
 	mMerges.Inc()
@@ -342,11 +329,27 @@ func (s *Store) merge() {
 
 	if s.Logf != nil {
 		s.Logf("mvcc: merged generation %d: %d triples (+%d carried in delta)",
-			next.gen, merged.Len(), next.delta.size())
+			next.gen, next.base.Len(), next.delta.size())
 	}
 	// The carried-over delta may itself already exceed the threshold
 	// (a fast writer); re-arm rather than wait for the next Apply.
 	s.maybeMerge(s.cur.Load())
+}
+
+// install publishes merged, the generation built from the captured
+// version v, as the next version and returns it. Everything up to v is
+// in merged; the batches committed since v remain as the new delta. The
+// dictionary extension carries over whole: the merged base shares the
+// loaded dictionary, so the extension's IDs are unchanged.
+//
+// sp2b:mutates-store installs the merged generation under s.mu
+func (s *Store) install(v *version, merged *store.Store) *version {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.cur.Load()
+	next := newVersion(v.gen+1, merged, rebuildDelta(cur.delta.batches[len(v.delta.batches):]), cur.terms, cur.lookup)
+	s.cur.Store(next)
+	return next
 }
 
 // Stats describes the store's current multi-version state.

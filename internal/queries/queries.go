@@ -75,19 +75,6 @@ func IDs() []string {
 	return ids
 }
 
-// SelectIDs returns the identifiers of the 14 SELECT queries, the set the
-// paper's result-size table (Table V) covers.
-func SelectIDs() []string {
-	var ids []string
-	for _, q := range catalog {
-		if q.Parse().Form == sparql.FormSelect {
-			ids = append(ids, q.ID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // PrologueText renders Prologue as a PREFIX block in sorted order — what
 // backends that cannot take a prefix map (remote endpoints) prepend to
 // the query texts. Computed once: callers sit on per-operation hot

@@ -62,9 +62,6 @@ func TestQueryForms(t *testing.T) {
 			t.Errorf("%s must be SELECT", q.ID)
 		}
 	}
-	if got := SelectIDs(); len(got) != 14 {
-		t.Errorf("SelectIDs returned %d ids, want 14", len(got))
-	}
 }
 
 // TestTableIIOperators verifies the Table II metadata against the actual

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 
+	"sp2bench/internal/gen"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/store"
 )
@@ -155,6 +156,32 @@ func OpenStoreFile(path string) (*store.Store, bool, int, error) {
 		return st, isSnap, n, fmt.Errorf("%s: %w", path, err)
 	}
 	return st, isSnap, n, nil
+}
+
+// GenerateStore streams a generator run straight into a frozen store,
+// with no intermediate document, and returns the store alongside the
+// generation statistics. sp2bgen builds its snapshots with it, and
+// sp2bserve -gen its served store.
+func GenerateStore(p gen.Params) (*store.Store, *gen.Stats, error) {
+	st := store.New()
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	var stats *gen.Stats
+	go func() {
+		defer close(done)
+		g, err := gen.New(p, pw)
+		if err == nil {
+			stats, err = g.Generate()
+		}
+		pw.CloseWithError(err)
+	}()
+	if _, err := st.Load(pr); err != nil {
+		pr.CloseWithError(err) // unblock the generator if the load side failed
+		<-done
+		return nil, nil, err
+	}
+	<-done
+	return st, stats, nil
 }
 
 // crcReader tees reads into a running CRC-32C. It implements

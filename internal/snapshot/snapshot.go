@@ -39,13 +39,10 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // IsSnapshot reports whether b begins with the snapshot magic. Callers
-// sniffing a stream peek at least len(Magic()) bytes.
+// sniffing a stream peek at least the magic's 8 bytes.
 func IsSnapshot(b []byte) bool {
 	return len(b) >= len(magic) && bytes.Equal(b[:len(magic)], magic[:])
 }
-
-// Magic returns the 8 magic bytes opening every snapshot stream.
-func Magic() []byte { return append([]byte(nil), magic[:]...) }
 
 // Write serializes a frozen store to w in snapshot format. The four
 // section payloads are encoded concurrently, then streamed out in

@@ -21,8 +21,12 @@ import (
 // maps, terms routed by hash, so workers rarely contend on the same
 // lock); a final pass merges the stripes into the store's dictionary
 // and rewrites the provisional IDs. Triple order before Freeze and
-// dictionary ID assignment are scheduling-dependent — both are
-// unobservable: Freeze sorts and deduplicates, and IDs are opaque.
+// dictionary ID assignment are scheduling-dependent. The triple order
+// is unobservable, because Freeze sorts and deduplicates. The IDs are
+// observable: they are the bytes of a .sp2b snapshot, so two loads of
+// one document write different files, and they set the row order of
+// any query without ORDER BY. Sorting the dictionary before Freeze
+// (ROADMAP 17a, canonical IDs) would make both deterministic.
 
 const (
 	// loadChunkBytes is the target chunk handed to one parse worker.
