@@ -22,6 +22,13 @@ import (
 // the hash only as a conscious, documented decision.
 const goldenSHA256 = "b48092c7145ff61883b2df741e15bdb1abf951bd67d44d5ada331d87734e2ee3"
 
+// goldenSnapshotSHA256 pins the byte-exact output of `sp2bgen -t 10000
+// -o doc.sp2b`. Freeze numbers the dictionary in Compare order, so the
+// snapshot follows from the document alone, not from how its load was
+// scheduled. The hash moves with the generator's output (goldenSHA256)
+// and with the snapshot format.
+const goldenSnapshotSHA256 = "53846ea5288e897db5a3b28f726db10b3b073616e7f0dba000c01b8e0082872b"
+
 func generate(t *testing.T, p gen.Params) ([]byte, *gen.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -46,6 +53,17 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	if stats.EndYear != 1945 || stats.Triples == 0 {
 		t.Fatalf("unexpected stats: %+v", stats)
+	}
+}
+
+func TestGoldenSnapshot(t *testing.T) {
+	var snap bytes.Buffer
+	if _, err := emit(&snap, gen.DefaultParams(10_000), true); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(snap.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotSHA256 {
+		t.Errorf("10k snapshot hash drifted: got %s (%d bytes), want %s", got, snap.Len(), goldenSnapshotSHA256)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 	"sp2bench/internal/sparql"
 )
 
-// The examples print only what a document fixes: counts, ORDER BY'd
-// rows, and aggregates sorted with a tie-break. The row order of a
-// query without ORDER BY follows the store's dictionary IDs, which a
-// parallel load assigns in scheduling order.
+// The examples print counts, ORDER BY'd rows, and aggregates sorted
+// with a tie-break. The row order of a query without ORDER BY follows
+// the store's dictionary IDs; Freeze numbers them in Compare order, so
+// it is fixed by the document too, but it is not a contract of the
+// engine, and the examples do not show it.
 
 // exampleEngine generates the paper's document up to the given triple
 // count (the fixed default seed) and returns the native engine over it.

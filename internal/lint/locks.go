@@ -43,7 +43,7 @@ var mutatingStoreMethods = map[string]map[string]bool{
 		"Freeze": true, "seal": true,
 	},
 	"Dict": {
-		"Intern": true,
+		"Intern": true, "absorb": true, "canonicalize": true,
 	},
 }
 

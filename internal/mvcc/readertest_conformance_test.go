@@ -15,11 +15,11 @@ import (
 // every range merges the two.
 func TestSnapshotReaderConformance(t *testing.T) {
 	readertest.Run(t, func(t *testing.T, triples []rdf.Triple) store.Reader {
-		live := liveOver(t, triples[:len(triples)/2])
+		live, baseTerms := liveOver(t, triples[:len(triples)/2])
 		live.Apply(triples[len(triples)/2:])
 		sn := live.Snapshot()
 		t.Cleanup(sn.Close)
-		return sn
+		return layered{sn, baseTerms}
 	})
 }
 
@@ -30,7 +30,7 @@ func TestSnapshotReaderConformance(t *testing.T) {
 func TestMergedSnapshotReaderConformance(t *testing.T) {
 	readertest.Run(t, func(t *testing.T, triples []rdf.Triple) store.Reader {
 		half, quarter := len(triples)/2, len(triples)*3/4
-		live := liveOver(t, triples[:half])
+		live, baseTerms := liveOver(t, triples[:half])
 		live.Apply(triples[half:quarter])
 		live.MergeNow()
 		live.Apply(triples[quarter:])
@@ -39,13 +39,15 @@ func TestMergedSnapshotReaderConformance(t *testing.T) {
 		if sn.Generation() != 2 || sn.DeltaLen() == 0 {
 			t.Fatalf("generation %d with %d delta triples, want 2 with a delta", sn.Generation(), sn.DeltaLen())
 		}
-		return sn
+		return layered{sn, baseTerms}
 	})
 }
 
 // liveOver returns an MVCC store whose first generation freezes triples,
-// with merges left to the test.
-func liveOver(t *testing.T, triples []rdf.Triple) *mvcc.Store {
+// with merges left to the test, and the size of that generation's
+// dictionary: every generation shares it, and terms past it are the
+// extension's.
+func liveOver(t *testing.T, triples []rdf.Triple) (*mvcc.Store, int) {
 	base := store.New()
 	for _, tr := range triples {
 		base.Add(tr)
@@ -53,5 +55,14 @@ func liveOver(t *testing.T, triples []rdf.Triple) *mvcc.Store {
 	base.Freeze()
 	live := mvcc.New(base, mvcc.MergePolicy{Disabled: true})
 	t.Cleanup(live.Close)
-	return live
+	return live, base.Dict().Len()
 }
+
+// layered tells the conformance suite where a snapshot's base
+// dictionary ends (see readertest.Open).
+type layered struct {
+	*mvcc.Snapshot
+	base int
+}
+
+func (l layered) BaseTerms() int { return l.base }

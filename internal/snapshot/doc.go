@@ -23,7 +23,9 @@
 //
 //	0x01 dictionary — a table of distinct datatype IRIs (uvarint count,
 //	     then length-prefixed strings), followed by one record per term
-//	     in ID order: a tag byte (low 2 bits: 1 IRI, 2 blank node,
+//	     in ID order, which is rdf.Term.Compare order (Freeze numbers a
+//	     dictionary so; the reader refuses records out of that order as
+//	     corrupt, see store.NewDictFromTerms): a tag byte (low 2 bits: 1 IRI, 2 blank node,
 //	     3 literal; 0x4 datatype present, 0x8 language tag present),
 //	     then the term's lexical value front-coded against the previous
 //	     record (uvarint shared-prefix length, uvarint suffix length,

@@ -2,16 +2,25 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
+	"sp2bench/internal/gen"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/store"
 )
 
 // testStore builds a small store covering every term shape the format
 // serializes: IRIs with shared prefixes, blank nodes, plain, typed and
-// language-tagged literals, and multiple predicates.
+// language-tagged literals, and multiple predicates. The p/value
+// objects tie in value ("1", "01", "1"^^xsd:integer, "1.0"^^xsd:decimal;
+// "-0" and "0"), differ only in datatype or language tag, or share
+// prefixes: Freeze's numbering and the reader's order check must agree
+// on them for the round trip to keep every ID.
 func testStore(t *testing.T) *store.Store {
 	t.Helper()
 	doc := `<http://example.org/alpha/1> <http://example.org/p/type> <http://example.org/alpha/2> .
@@ -22,6 +31,16 @@ _:b2 <http://example.org/p/name> "Journal"@en .
 _:b2 <http://example.org/p/year> "1940"^^<` + rdf.XSDInteger + `> .
 <http://example.org/alpha/1> <http://example.org/p/year> "" .
 `
+	for _, o := range []string{
+		`"1"`, `"01"`, `"1"^^<` + rdf.XSDInteger + `>`, `"01"^^<` + rdf.XSDInteger + `>`,
+		`"1.0"^^<` + rdf.XSDDecimal + `>`, `"1"^^<` + rdf.XSDDouble + `>`, `"-0"`, `"0"`,
+		`"-0"^^<` + rdf.XSDInteger + `>`, `"1"@en`, `"1"@en-GB`, `"1"^^<` + rdf.XSDString + `>`,
+		`"plain"^^<` + rdf.XSDString + `>`, `"plain"@en`, `"x"^^<` + rdf.XSDInteger + `>`, `""^^<` + rdf.XSDString + `>`,
+		`<http://example.org/alpha>`, `<http://example.org/alpha/10>`, `<http://example.org/alpha:>`,
+		`_:b`, `_:b10`, `_:b2`,
+	} {
+		doc += "_:b10 <http://example.org/p/value> " + o + " .\n"
+	}
 	s := store.New()
 	if _, err := s.Load(strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
@@ -161,6 +180,61 @@ func TestEveryByteCorruptionErrors(t *testing.T) {
 			t.Fatalf("corrupting byte %d of %d loaded without error", i, len(data))
 		}
 	}
+}
+
+// TestOutOfOrderDictionaryRefused: a snapshot whose dictionary records
+// are not in Compare order is corrupt, even under a valid checksum. Two
+// adjacent records of a 10k snapshot are swapped and the CRC
+// recomputed; the read must fail, naming the record out of order.
+func TestOutOfOrderDictionaryRefused(t *testing.T) {
+	st, _, err := GenerateStore(gen.DefaultParams(10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := snapshotBytes(t, st)
+	same, err := encodeDict(st.Dict().Terms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(replaceDict(t, data, same))); err != nil {
+		t.Fatalf("the snapshot rebuilt around its own dictionary: %v", err)
+	}
+	terms := slices.Clone(st.Dict().Terms())
+	j := len(terms) / 2
+	terms[j], terms[j+1] = terms[j+1], terms[j]
+	swapped, err := encodeDict(terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(replaceDict(t, data, swapped)))
+	if err == nil {
+		t.Fatal("a snapshot with two dictionary records swapped loaded")
+	}
+	if got != nil {
+		t.Error("Read returned a store beside its error")
+	}
+	if want := fmt.Sprintf("dictionary term %d ", j+2); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the record out of order (%q)", err, want)
+	}
+}
+
+// replaceDict returns a snapshot with its dictionary section's payload
+// replaced and its checksum recomputed.
+func replaceDict(t *testing.T, data, payload []byte) []byte {
+	t.Helper()
+	off := len(magic) + 4
+	for i := 0; i < 2; i++ { // the term and triple counts
+		_, n := binary.Uvarint(data[off:])
+		off += n
+	}
+	if data[off] != secDict {
+		t.Fatalf("section 0x%02x where the dictionary should start", data[off])
+	}
+	size, n := binary.Uvarint(data[off+1:])
+	rest := data[off+1+n+int(size) : len(data)-4] // the index sections and the end marker
+	out := append(slices.Clone(data[:off+1]), binary.AppendUvarint(nil, uint64(len(payload)))...)
+	out = append(append(out, payload...), rest...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
 }
 
 func TestBadVersion(t *testing.T) {

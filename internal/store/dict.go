@@ -14,6 +14,9 @@ package store
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"sp2bench/internal/rdf"
 )
@@ -87,18 +90,85 @@ func (d *Dict) Terms() []rdf.Term { return d.terms }
 
 // NewDictFromTerms rebuilds a dictionary from a Terms()-shaped slice,
 // assigning term i the ID i+1 — the inverse of Terms, used by the
-// snapshot loader to rehydrate a dictionary without re-interning.
-// Duplicate terms indicate a corrupt input and return an error. The
-// dictionary takes ownership of the slice. The map is sized for exactly
-// these terms: a loaded dictionary is only read. Sized for twice as
-// many, it took a 250k-triple store's heap from 41 to 60 MB.
+// snapshot loader to rehydrate a frozen store's dictionary without
+// re-interning. The terms must be strictly increasing under
+// rdf.Term.Compare, the order Freeze numbers a dictionary in; strictly
+// increasing terms are also distinct. Any other slice indicates a
+// corrupt input and returns an error naming the first term out of
+// order. The dictionary takes ownership of the slice. The map is sized
+// for exactly these terms: a loaded dictionary is only read. Sized for
+// twice as many, it took a 250k-triple store's heap from 41 to 60 MB.
 func NewDictFromTerms(terms []rdf.Term) (*Dict, error) {
 	d := &Dict{ids: make(map[rdf.Term]ID, len(terms)), terms: terms}
+	var prev rdf.SortKey
 	for i, t := range terms {
-		if _, dup := d.ids[t]; dup {
-			return nil, fmt.Errorf("store: duplicate dictionary term %s", t)
+		key := t.SortKey()
+		if i > 0 && prev.Compare(key) >= 0 {
+			return nil, fmt.Errorf("store: dictionary term %d %s does not follow term %d %s in Compare order", i+1, t, i, terms[i-1])
 		}
+		prev = key
 		d.ids[t] = ID(i + 1)
 	}
 	return d, nil
+}
+
+// canonicalize renumbers the dictionary in rdf.Term.Compare order, so
+// that id(a) < id(b) exactly when a.Compare(b) < 0, and returns the
+// renumbering: renum[old] is the term's new ID. The lookup map is
+// rebuilt sized for exactly the dictionary's terms.
+//
+// sp2b:mutates-store Freeze numbers the dictionary before it sorts the indexes
+func (d *Dict) canonicalize() (renum []ID) {
+	keys := make([]keyedID, len(d.terms))
+	for i, t := range d.terms {
+		keys[i] = keyedID{t.SortKey(), ID(i + 1)}
+	}
+	sortKeyed(keys, make([]keyedID, len(keys)), runtime.GOMAXPROCS(0))
+	terms := make([]rdf.Term, len(d.terms))
+	ids := make(map[rdf.Term]ID, len(d.terms))
+	renum = make([]ID, len(d.terms)+1)
+	for i, k := range keys {
+		t := d.terms[k.id-1]
+		terms[i] = t
+		ids[t] = ID(i + 1)
+		renum[k.id] = ID(i + 1)
+	}
+	d.terms, d.ids = terms, ids
+	return renum
+}
+
+// keyedID is a term's sort key beside the term's ID.
+type keyedID struct {
+	key rdf.SortKey
+	id  ID
+}
+
+// sortKeyed sorts keys by their sort keys, on up to procs goroutines:
+// the halves concurrently, merged through buf (as long as keys). On one
+// core of a 2-vCPU x86-64 host, sorting the 119k terms of a 250k-triple
+// document takes about 100 ms, which a load would otherwise add whole.
+func sortKeyed(keys, buf []keyedID, procs int) {
+	cmp := func(a, b keyedID) int { return a.key.Compare(b.key) }
+	if procs < 2 || len(keys) < 4096 {
+		slices.SortFunc(keys, cmp)
+		return
+	}
+	a, b := keys[:len(keys)/2], keys[len(keys)/2:]
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sortKeyed(a, buf[:len(a)], procs/2)
+	}()
+	sortKeyed(b, buf[len(a):], procs-procs/2)
+	wg.Wait()
+	out := buf[:0]
+	for len(a) > 0 && len(b) > 0 {
+		if cmp(a[0], b[0]) <= 0 {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	copy(keys, append(append(out, a...), b...))
 }

@@ -25,8 +25,9 @@ func directoryStore(rng *rand.Rand) *store.Store {
 	st := store.New()
 	d := st.Dict()
 	terms := 40 + rng.Intn(60)
+	// Zero-padded, so that Freeze's Compare-order numbering keeps these IDs.
 	for i := 0; i < terms; i++ {
-		d.Intern(rdf.IRI(fmt.Sprintf("urn:t%d", i)))
+		d.Intern(rdf.IRI(fmt.Sprintf("urn:t%03d", i)))
 	}
 	// Every third ID is a gap: it is in the dictionary but leads nothing.
 	var used []store.ID
@@ -48,7 +49,7 @@ func directoryStore(rng *rand.Rand) *store.Store {
 		st.AddEncoded(store.EncTriple{pick(), pick(), pick()})
 	}
 	// Interned after the triples' IDs: past every index's last lead.
-	d.Intern(rdf.IRI("urn:late"))
+	d.Intern(rdf.IRI("urn:u-late"))
 	st.Freeze()
 	return st
 }

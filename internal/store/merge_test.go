@@ -12,12 +12,13 @@ import (
 	"sp2bench/internal/store"
 )
 
-// encodedStore freezes triples over a dictionary of terms urn:t1 ..
-// urn:t<terms>, interned in that order so that term i has ID i.
+// encodedStore freezes triples over a dictionary of terms urn:t0001 ..
+// urn:t<terms>, zero-padded so that their Compare order, in which
+// Freeze numbers them, gives term i the ID i.
 func encodedStore(terms int, triples []store.EncTriple) *store.Store {
 	st := store.New()
 	for i := 1; i <= terms; i++ {
-		st.Dict().Intern(rdf.IRI(fmt.Sprintf("urn:t%d", i)))
+		st.Dict().Intern(rdf.IRI(fmt.Sprintf("urn:t%04d", i)))
 	}
 	st.AddEncodedAll(slices.Clone(triples))
 	st.Freeze()

@@ -231,8 +231,7 @@ func TestIngestCopiesNewTerms(t *testing.T) {
 		fmt.Sprintf(`<urn:s> <urn:q> "1%s"^^<%s> .`, strings.Repeat("0", 4096), rdf.XSDInteger),
 		fmt.Sprintf(`<urn:s> <urn:r> "2"^^<%s> .`, rdf.XSDInteger),
 	}
-	d := NewDict()
-	in := newInterner(d, 4)
+	d, worker := NewDict(), NewDict()
 	var batch []rdf.Triple
 	for i, line := range lines {
 		tr, err := rdf.ParseTriple(line, i+1)
@@ -240,11 +239,11 @@ func TestIngestCopiesNewTerms(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch = append(batch, tr)
-		in.intern(tr.S)
-		in.intern(tr.P)
-		in.intern(tr.O)
+		worker.Intern(tr.S)
+		worker.Intern(tr.P)
+		worker.Intern(tr.O)
 	}
-	in.finalize()
+	d.absorb([]*Dict{worker})
 	stored := func(term rdf.Term) rdf.Term {
 		id, ok := d.Lookup(term)
 		if !ok {

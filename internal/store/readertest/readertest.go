@@ -55,7 +55,10 @@ func Fixture() []rdf.Triple {
 
 // Open builds the Reader under test from the fixture triples. The
 // implementation may intern terms in any order; the suite resolves IDs
-// through the Reader's own dictionary.
+// through the Reader's own dictionary. A Reader whose dictionary
+// appends an extension above a frozen base, as an MVCC snapshot's
+// does, is wrapped by its test in a BaseTerms() int method that says
+// where the base ends.
 type Open func(t *testing.T, triples []rdf.Triple) store.Reader
 
 // Run exercises one store.Reader implementation against the full suite.
@@ -75,6 +78,32 @@ func Run(t *testing.T, open Open) {
 	t.Run("Runs", func(t *testing.T) { checkRuns(t, r, pats) })
 	t.Run("Count", func(t *testing.T) { checkCounts(t, r, enc, pats) })
 	t.Run("Stats", func(t *testing.T) { checkStats(t, r, enc) })
+	t.Run("CanonicalIDs", func(t *testing.T) { checkCanonicalIDs(t, r) })
+}
+
+// checkCanonicalIDs holds the dictionary to the numbering Freeze gives
+// it: base IDs 1..n in strictly increasing rdf.Term.Compare order. Over
+// a layered dictionary, every extension term resolves to its own ID
+// above the base.
+func checkCanonicalIDs(t *testing.T, r store.Reader) {
+	dict := r.TermDict()
+	base := dict.Len()
+	if l, ok := r.(interface{ BaseTerms() int }); ok {
+		base = l.BaseTerms()
+		if base < 1 || base >= dict.Len() {
+			t.Fatalf("base holds %d of %d terms, want a base and an extension", base, dict.Len())
+		}
+	}
+	for id := store.ID(2); int(id) <= base; id++ {
+		if a, b := dict.Term(id-1), dict.Term(id); a.Compare(b) >= 0 {
+			t.Fatalf("base ID %d %s does not follow ID %d %s in Compare order", id, b, id-1, a)
+		}
+	}
+	for id := store.ID(base + 1); int(id) <= dict.Len(); id++ {
+		if got, ok := dict.Lookup(dict.Term(id)); !ok || got != id {
+			t.Fatalf("extension term %s (ID %d) looks up to ID %d, %v", dict.Term(id), id, got, ok)
+		}
+	}
 }
 
 // encodeFixture resolves the fixture through the reader's dictionary

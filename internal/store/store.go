@@ -127,9 +127,9 @@ func (s *Store) AddEncodedAll(ts []EncTriple) {
 // Load reads every triple from an N-Triples reader into the store and
 // freezes it. It returns the number of parsed statements, which can
 // exceed Len() when the input contains duplicates. Parsing and interning
-// are sharded across GOMAXPROCS workers (see parallel.go); dictionary ID
-// assignment is therefore scheduling-dependent, but IDs are opaque, so
-// every observable query behavior is unaffected.
+// are sharded across GOMAXPROCS workers (see parallel.go); Freeze then
+// numbers the terms in Compare order, so one document loads to the same
+// IDs, indexes and snapshot bytes however its parse was scheduled.
 func (s *Store) Load(r io.Reader) (int, error) {
 	n, err := s.Ingest(r)
 	if err != nil {
@@ -139,25 +139,26 @@ func (s *Store) Load(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// Freeze deduplicates the graph, sorts the two permuted indexes
-// (concurrently), and seals the store (see seal). Calling Freeze twice
-// is a no-op.
+// Freeze numbers the dictionary canonically (base IDs in rdf.Term.Compare
+// order, see Dict.canonicalize), renumbers the triples into the three
+// index orders, sorts and deduplicates the three indexes concurrently,
+// and seals the store (see seal). Calling Freeze twice is a no-op.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
-	sortTriples(s.triples)
-	spo := dedup(s.triples)
-	eachOrder(func(ord Order) {
-		idx := spo
-		if ord != OrderSPO {
-			idx = make([]EncTriple, len(spo))
-			for i, t := range spo {
-				idx[i] = ord.Permute(t)
-			}
-			sortTriples(idx)
+	renum := s.dict.canonicalize()
+	n := len(s.triples)
+	idx := [3][]EncTriple{s.triples, make([]EncTriple, n), make([]EncTriple, n)}
+	for i, t := range s.triples {
+		t = EncTriple{renum[t[0]], renum[t[1]], renum[t[2]]}
+		for ord := range idx {
+			idx[ord][i] = Order(ord).Permute(t)
 		}
-		s.indexes[ord] = idx
+	}
+	eachOrder(func(ord Order) {
+		sortTriples(idx[ord])
+		s.indexes[ord] = dedup(idx[ord])
 	})
 	s.seal()
 }
@@ -166,12 +167,14 @@ func (s *Store) Freeze() {
 // given as runs: runs[ord] holds the delta in ord's component order,
 // sorted by CompareEnc, deduplicated, and disjoint from base. Nothing is
 // sorted: per order, one linear pass merges base's index with the run,
-// and the merged store is sealed like a frozen one (see seal). The
-// result equals Freeze over the union, byte for byte.
+// and the merged store is sealed like a frozen one (see seal). No ID
+// changes: the result equals Freeze over the union, byte for byte, when
+// the union's terms are already numbered in Compare order.
 //
 // The result shares base's dictionary, which is not extended: the
 // delta's rows may carry IDs past Dict().Len(). Those belong to the
-// MVCC store's dictionary extension (package mvcc), and only a
+// MVCC store's dictionary extension (package mvcc), which appends above
+// the canonically numbered base and is never renumbered. Only a
 // snapshot's layered dictionary resolves them; a merged store is read
 // through an MVCC snapshot, never on its own.
 func Merge(base *Store, runs [3][]EncTriple) *Store {
