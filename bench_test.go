@@ -8,10 +8,6 @@
 // up, what stays constant — are the reproduction target and are recorded
 // in EXPERIMENTS.md. Custom b.ReportMetric outputs carry the
 // paper-comparable quantities (result counts, fit errors, end years).
-//
-// The in-memory engine benchmarks use a smaller document for the queries
-// the paper itself reports as timeouts on that engine family (Q4-Q7);
-// they are quadratic-and-worse by design and would run for minutes.
 package sp2bench_test
 
 import (
@@ -369,8 +365,8 @@ func BenchmarkTableV_ResultSizes(b *testing.B) {
 // --- Table IV: success rates ----------------------------------------------
 
 // BenchmarkTableIV_SuccessRates executes the harness protocol on a small
-// document with a tight timeout and reports the success/timeout split for
-// both engine families — the Table IV cell counts.
+// document with a tight timeout and reports the success/timeout split —
+// the Table IV cell counts.
 func BenchmarkTableIV_SuccessRates(b *testing.B) {
 	var succ, timeout float64
 	for i := 0; i < b.N; i++ {
@@ -403,9 +399,9 @@ func BenchmarkTableIV_SuccessRates(b *testing.B) {
 // --- Tables VI and VII: global performance means ---------------------------
 
 // BenchmarkTablesVIVII_GlobalMeans runs the harness protocol and reports
-// the arithmetic and geometric mean execution times for both families.
+// the arithmetic and geometric mean execution times.
 func BenchmarkTablesVIVII_GlobalMeans(b *testing.B) {
-	var memA, memG, natA, natG float64
+	var natA, natG float64
 	for i := 0; i < b.N; i++ {
 		cfg := harness.DefaultConfig()
 		cfg.Scales = []harness.Scale{{Name: "10k", Triples: 10_000}}
@@ -421,16 +417,11 @@ func BenchmarkTablesVIVII_GlobalMeans(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range rep.GlobalMeans() {
-			switch m.Engine {
-			case "mem":
-				memA, memG = m.Arithmetic, m.Geometric
-			case "native":
+			if m.Engine == "native" {
 				natA, natG = m.Arithmetic, m.Geometric
 			}
 		}
 	}
-	b.ReportMetric(memA, "mem-Ta-s")
-	b.ReportMetric(memG, "mem-Tg-s")
 	b.ReportMetric(natA, "native-Ta-s")
 	b.ReportMetric(natG, "native-Tg-s")
 }
@@ -438,14 +429,8 @@ func BenchmarkTablesVIVII_GlobalMeans(b *testing.B) {
 // --- Figures 5-8: per-query performance ------------------------------------
 
 // BenchmarkQueries is the per-query series behind Figures 5-8: every
-// query on both engine families across scales. The in-memory engine runs
-// the polynomial-blowup queries (Q4-Q7, the paper's timeout cases) on a
-// reduced document, mirroring the paper's failure rows without minutes of
-// bench time.
+// query across scales.
 func BenchmarkQueries(b *testing.B) {
-	memHeavy := map[string]bool{
-		"q4": true, "q5a": true, "q5b": true, "q6": true, "q7": true, "q8": true, "q12b": true,
-	}
 	scales := []struct {
 		name    string
 		triples int64
@@ -471,23 +456,6 @@ func BenchmarkQueries(b *testing.B) {
 				b.ReportMetric(float64(n), "results")
 			})
 		}
-		memTriples := int64(10_000)
-		memLabel := "10k"
-		if memHeavy[q.ID] {
-			memTriples, memLabel = 2_000, "2k"
-		}
-		b.Run(fmt.Sprintf("%s/mem/%s", q.ID, memLabel), func(b *testing.B) {
-			eng := engine.New(loadedStore(b, memTriples), engine.Mem())
-			var n int
-			for i := 0; i < b.N; i++ {
-				var err error
-				n, err = eng.Count(context.Background(), pq)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n), "results")
-		})
 	}
 }
 
@@ -567,11 +535,9 @@ func BenchmarkStorePatternLookup(b *testing.B) {
 	articleID, _ := s.Dict().Lookup(rdf.IRI(rdf.BenchArticle))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := store.Range(s, store.NoID, typeID, articleID).Iterator()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
+		cur := store.Range(s, store.NoID, typeID, articleID).Cursor()
+		for run := cur.Run(); len(run) > 0; run = cur.Run() {
+			cur.Advance(len(run))
 		}
 	}
 }

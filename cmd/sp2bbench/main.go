@@ -17,7 +17,8 @@
 // table9, fig2a, fig2b, fig2c, figures, loading, shapes.
 //
 // Every query runs on its own, one at a time, as the paper's §VI
-// protocol prescribes. Served traffic — concurrent clients, updates,
+// protocol prescribes, on the native engine (the configuration
+// sp2bserve serves). Served traffic — concurrent clients, updates,
 // latency percentiles through sp2bserve — is measured by the bench
 // program at the repository root (go run ./bench).
 //
@@ -35,7 +36,7 @@
 // which path each scale took.
 //
 // With -endpoint the harness drives any SPARQL 1.1 Protocol endpoint
-// (sp2bserve or a third-party store) instead of the in-process engines;
+// (sp2bserve or a third-party store) instead of the in-process engine;
 // the endpoint serves its own data, so -scales is ignored and the
 // per-query table is reported.
 package main
@@ -56,9 +57,8 @@ func main() {
 		scales     = flag.String("scales", "10k,50k,250k,1M", "comma-separated scales (10k,50k,250k,1M,5M,25M)")
 		timeout    = flag.Duration("timeout", 15*time.Second, "per-query timeout (paper: 30m)")
 		runs       = flag.Int("runs", 1, "measured runs per cell (paper: 3)")
-		endpoint   = flag.String("endpoint", "", "benchmark a remote SPARQL endpoint at this URL instead of the in-process engines")
+		endpoint   = flag.String("endpoint", "", "benchmark a remote SPARQL endpoint at this URL instead of the in-process engine")
 		queryIDs   = flag.String("queries", "", "comma-separated benchmark query ids to run (default: all 17)")
-		engines    = flag.String("engines", "", "comma-separated engine configurations: mem or native (default: mem,native)")
 		seed       = flag.Uint64("seed", 1, "generator seed")
 		memLimit   = flag.Uint64("memlimit", 0, "heap limit in bytes (0 = off)")
 		workdir    = flag.String("workdir", "", "directory caching generated documents and their .sp2b snapshots")
@@ -89,13 +89,6 @@ func main() {
 			}
 			cfg.QueryIDs = append(cfg.QueryIDs, id)
 		}
-	}
-	if *engines != "" {
-		es, err := harness.ParseEngines(*engines)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Engines = es
 	}
 	if *endpoint != "" {
 		if *showStats {
@@ -168,10 +161,8 @@ func main() {
 		rep.RenderTableIV(os.Stdout)
 	case "table5":
 		rep.RenderTableV(os.Stdout)
-	case "table6":
-		rep.RenderMeans(os.Stdout, "mem")
-	case "table7":
-		rep.RenderMeans(os.Stdout, "native")
+	case "table6", "table7":
+		rep.RenderMeans(os.Stdout)
 	case "table8":
 		rep.RenderTableVIII(os.Stdout)
 	case "loading":
@@ -204,7 +195,7 @@ func main() {
 // results are rendered.
 func runEndpoint(cfg harness.Config, url, reportPath string) {
 	cfg.Endpoint = url
-	cfg.Scales, cfg.Engines = nil, nil
+	cfg.Scales = nil
 	runner, err := harness.NewRunner(cfg)
 	if err != nil {
 		fatal(err)

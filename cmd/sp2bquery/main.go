@@ -6,7 +6,6 @@
 //	sp2bquery -d doc.nt -id q8                  # run benchmark query Q8
 //	sp2bquery -d doc.sp2b -id q8                # same, from a binary snapshot
 //	sp2bquery -d doc.nt -q my.sparql            # run a query from a file
-//	sp2bquery -d doc.nt -id q4 -engine mem      # use the in-memory engine
 //	sp2bquery -d doc.nt -id q2 -count           # print only the count
 //	sp2bquery -d doc.nt -id q1 -format json     # SPARQL JSON results
 //	sp2bquery -d doc.nt -id q2 -analyze         # EXPLAIN ANALYZE operator trace
@@ -16,7 +15,8 @@
 // snapshots load without re-parsing or re-sorting — worth it whenever
 // the same document is queried more than once.
 //
-// SELECT/ASK results are emitted in any of the standard result formats
+// Queries run on the native engine, the configuration sp2bserve
+// serves. SELECT/ASK results are emitted in any of the standard result formats
 // (-format json|xml|csv|tsv) or as a human-readable table (the
 // default); CONSTRUCT/DESCRIBE graphs are emitted as N-Triples.
 package main
@@ -41,7 +41,6 @@ func main() {
 		data      = flag.String("d", "", "document to load: N-Triples or .sp2b snapshot (required)")
 		queryFile = flag.String("q", "", "file containing a SPARQL query")
 		queryID   = flag.String("id", "", "benchmark query id (q1..q12c)")
-		engName   = flag.String("engine", engine.Native().Name, "engine configuration: native or mem")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "query timeout")
 		countOnly = flag.Bool("count", false, "print only the result count")
 		explain   = flag.Bool("explain", false, "print the physical plan")
@@ -62,11 +61,6 @@ func main() {
 		fatal(err)
 	}
 
-	opts, err := engine.ByName(*engName)
-	if err != nil {
-		fatal(err)
-	}
-
 	text, err := queryText(*queryFile, *queryID)
 	if err != nil {
 		fatal(err)
@@ -77,7 +71,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := engine.New(st, opts)
+	eng := engine.New(st, engine.Native())
 	fmt.Fprintf(os.Stderr, "loaded %d triples in %v\n", st.Len(), time.Since(loadStart).Round(time.Millisecond))
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -1,5 +1,5 @@
 // Command sp2bserve serves an SP2Bench document as a SPARQL 1.1
-// Protocol endpoint, turning the benchmark's in-process engines into a
+// Protocol endpoint, turning the benchmark's in-process engine into a
 // networked triple store that any protocol-speaking client — curl,
 // sp2bbench -endpoint, or a third-party driver — can query.
 //
@@ -8,14 +8,13 @@
 //	sp2bserve -d doc.nt                          # serve doc.nt on :8080
 //	sp2bserve -d doc.sp2b                        # serve a binary snapshot (auto-detected)
 //	sp2bserve -gen 50000                         # generate 50k triples in memory and serve them
-//	sp2bserve -d doc.nt -addr :9090 -engine mem  # in-memory engine family
+//	sp2bserve -d doc.nt -addr :9090              # serve on another port
 //	sp2bserve -d doc.nt -timeout 30s -max-concurrent 16
 //	sp2bserve -gen 50000 -debug-addr :6060       # pprof + /metrics side listener
 //
-// Queries run on the native engine by default: the batch-at-a-time
-// executor with partitioned parallel scans, falling back per query to
-// the tuple operators for forms it does not cover (-engine mem serves
-// the paper's unindexed in-memory family instead).
+// Queries run on the native engine: the batch-at-a-time executor with
+// partitioned parallel scans, falling back per query to the tuple
+// operators for forms it does not cover.
 //
 // The -d input may be N-Triples text or an .sp2b snapshot (written by
 // sp2bgen -o doc.sp2b); the format is sniffed from the magic bytes, and
@@ -91,7 +90,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "side listener for /debug/pprof/, /debug/vars and /metrics (empty = off)")
 		data      = flag.String("d", "", "document to serve: N-Triples or .sp2b snapshot")
 		genSize   = flag.Int64("gen", 0, "generate a document of this many triples instead of loading one")
-		engName   = flag.String("engine", engine.Native().Name, "engine: native or mem")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-query evaluation limit (0 = none)")
 		maxConc   = flag.Int("max-concurrent", 2*runtime.GOMAXPROCS(0), "max in-flight queries (0 = unlimited)")
 		seed      = flag.Uint64("seed", 1, "generator seed (with -gen)")
@@ -107,10 +105,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts, err := engine.ByName(*engName)
-	if err != nil {
-		fatal(err)
-	}
+	opts := engine.Native()
 
 	// The listener comes up before the document loads so orchestrators
 	// can probe readiness: /healthz answers 503 until app holds the real
@@ -189,7 +184,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(os.Stderr, "sp2bserve: store footprint: %s\n", fp)
-	fmt.Fprintf(os.Stderr, "sp2bserve: %s engine, listening on %s\n", *engName, *addr)
+	fmt.Fprintf(os.Stderr, "sp2bserve: %s engine, listening on %s\n", opts.Name, *addr)
 
 	select {
 	case err := <-errc:

@@ -3,8 +3,8 @@
 // ICDE 2009): the DBLP-like RDF data generator, the 17 benchmark queries,
 // the measurement protocol, and the substrates they need — an RDF data
 // model and N-Triples codec, an indexed triple store, a SPARQL 1.0 parser
-// and algebra, and two query engine configurations standing in for the
-// paper's in-memory and native engine families.
+// and algebra, and a query engine standing in for the paper's native
+// engine family.
 //
 // Beyond the in-process reproduction, the repo speaks the SPARQL 1.1
 // Protocol in both directions, restoring the benchmark's cross-engine

@@ -40,8 +40,7 @@ type patternStep struct {
 // bgpIter evaluates a basic graph pattern by backtracking over the
 // pattern steps: an index-nested-loop join for correlated BGPs (re-opened
 // per parent row) and the shapes the batch chains decline (the empty
-// group, a variable-free filter), a scan-nested-loop join under the
-// in-memory configuration — the engine's oracle.
+// group, a variable-free filter).
 type bgpIter struct {
 	c     *compiled
 	steps []patternStep
@@ -69,13 +68,12 @@ type bgpIter struct {
 	preOK       bool
 }
 
-// stepCursor is the per-depth iteration state: either a store index
-// iterator or a raw scan with residual component constraints.
+// stepCursor is the per-depth iteration state: the step's index range,
+// read in merged order one run at a time.
 type stepCursor struct {
-	it      *store.Iterator
-	scan    store.Cursor // the full SPO range, when the engine uses no index
-	useScan bool
-	want    store.EncTriple
+	rng store.IndexRange
+	cur store.Cursor
+	run []store.EncTriple // the unread rows of the current run
 }
 
 func (b *bgpIter) open(parent []store.ID) {
@@ -120,10 +118,7 @@ func (b *bgpIter) next() ([]store.ID, bool, error) {
 			return nil, false, err
 		}
 		b.clearBound(d)
-		t, ok, err := b.advance(d)
-		if err != nil {
-			return nil, false, err
-		}
+		t, ok := b.advance(d)
 		if !ok {
 			d--
 			continue
@@ -159,40 +154,30 @@ func (b *bgpIter) initCursor(d int) {
 	for i := 0; i < 3; i++ {
 		want[i] = step.pos[i].key(b.cur)
 	}
-	st := &b.state[d]
-	st.want = want
-	if b.c.eng.opts.UseIndexes {
-		st.useScan = false
-		st.it = store.Range(b.c.eng.src, want[0], want[1], want[2]).Iterator()
-	} else {
-		st.useScan = true
-		st.scan = b.c.eng.src.RangeIn(store.OrderSPO, store.NoID, store.NoID, store.NoID).Cursor()
-	}
+	rng := store.Range(b.c.eng.src, want[0], want[1], want[2])
+	b.state[d] = stepCursor{rng: rng, cur: rng.Cursor()}
 }
 
-// advance yields the next triple matching the cursor's constraints.
-func (b *bgpIter) advance(d int) (store.EncTriple, bool, error) {
+// advance yields the next triple of step d's range that passes the
+// range's residual constraint, in SPO component order.
+func (b *bgpIter) advance(d int) (store.EncTriple, bool) {
 	st := &b.state[d]
-	if !st.useScan {
-		t, ok := st.it.Next()
-		return t, ok, nil
-	}
-	// The scan reads the SPO rows in merged order, one run at a time.
-	for run := st.scan.Run(); len(run) > 0; run = st.scan.Run() {
-		for i, t := range run {
-			if err := b.c.cancel.check(); err != nil {
-				return store.EncTriple{}, false, err
-			}
-			if (st.want[0] == store.NoID || t[0] == st.want[0]) &&
-				(st.want[1] == store.NoID || t[1] == st.want[1]) &&
-				(st.want[2] == store.NoID || t[2] == st.want[2]) {
-				st.scan.Advance(i + 1)
-				return t, true, nil
+	filt := &st.rng.Filt
+	for {
+		for len(st.run) > 0 {
+			row := st.run[0]
+			st.run = st.run[1:]
+			if (filt[0] == store.NoID || row[0] == filt[0]) &&
+				(filt[1] == store.NoID || row[1] == filt[1]) &&
+				(filt[2] == store.NoID || row[2] == filt[2]) {
+				return st.rng.Ord.Unpermute(row), true
 			}
 		}
-		st.scan.Advance(len(run))
+		if st.run = st.cur.Run(); len(st.run) == 0 {
+			return store.EncTriple{}, false
+		}
+		st.cur.Advance(len(st.run))
 	}
-	return store.EncTriple{}, false, nil
 }
 
 // bind writes t's components into the variables of step d. It fails when
@@ -230,8 +215,8 @@ func (b *bgpIter) clearBound(d int) {
 // A BGP with no variables bound from outside runs as the batch
 // executor's scan → join chain (planVecBGP) behind a row adapter
 // whenever the batch path covers it; the nested-loop backtracker serves
-// the rest — the mem engine and correlated BGPs, which are re-opened
-// per parent row and profit from plain index probes.
+// the rest — correlated BGPs, which are re-opened per parent row and
+// profit from plain index probes, and the shapes the chains decline.
 func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (subplan, error) {
 	if len(outer) == 0 && c.vecDeclineBGP(patterns, conjuncts) == "" {
 		op, n := c.planVecBGP(patterns, conjuncts, nil)
@@ -316,7 +301,7 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 	// ordered keeps the variables: the steps bind every slot, pinned ones
 	// included, and filter placement follows those bindings.
 	plan, ordered := planned, patterns
-	if c.eng.opts.UseIndexes && len(patterns) > 1 {
+	if len(patterns) > 1 {
 		plan = c.reorder(planned, outer)
 		ordered = plan
 		if len(pins) > 0 {
@@ -367,7 +352,7 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 			pre = append(pre, conj)
 			continue
 		}
-		at := c.placement(b.steps, ordered, vars, outerOnly)
+		at := c.placement(ordered, vars, outerOnly)
 		if at < 0 {
 			residual = append(residual, conj)
 			continue
@@ -394,12 +379,8 @@ func (c *compiled) prepareBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 // rejects one), so in every solution of their BGP those slots hold an
 // IRI or a blank node; a row where such a slot still holds a literal
 // when a conjunct runs fails that position's step, before or after, so
-// the conjunct's verdict on it does not matter. Like pinning, this is
-// filter pushing, which mem, the oracle, does not do.
+// the conjunct's verdict on it does not matter.
 func (c *compiled) resourceSlots(steps []patternStep) map[int]bool {
-	if !c.eng.opts.UseIndexes {
-		return nil
-	}
 	res := map[int]bool{}
 	for _, st := range steps {
 		for _, p := range st.pos[:2] {
@@ -418,10 +399,9 @@ func (c *compiled) resourceSlots(steps []patternStep) map[int]bool {
 // ?v's positions on the IRI's dictionary ID is exactly the filter. A
 // literal constant is never pinned: `=` compares literals by value
 // ("1" = "01"^^xsd:integer). Two different IRIs pinned on one variable
-// make the BGP empty. Pinning is filter pushing, which only the native
-// family does.
+// make the BGP empty.
 func (c *compiled) pinEqualities(b *bgpIter, conjuncts []sparql.Expr, bgpVars map[string]bool, outer []string) (map[string]rdf.Term, []sparql.Expr) {
-	if !c.eng.opts.UseIndexes || len(conjuncts) == 0 {
+	if len(conjuncts) == 0 {
 		return nil, conjuncts
 	}
 	outerSet := toSet(outer)
@@ -534,10 +514,7 @@ func (c *compiled) fallbackTraceSteps(ordered []sparql.TriplePattern, outer []st
 // it would at the end of the group. Filters whose scope interacts with
 // OPTIONAL never reach this path — they become LeftJoin conditions during
 // translation.
-func (c *compiled) placement(steps []patternStep, ordered []sparql.TriplePattern, vars []string, outerOnly map[string]bool) int {
-	if !c.eng.opts.UseIndexes {
-		return len(steps) - 1
-	}
+func (c *compiled) placement(ordered []sparql.TriplePattern, vars []string, outerOnly map[string]bool) int {
 	need := map[string]bool{}
 	for _, v := range vars {
 		if !outerOnly[v] {

@@ -285,7 +285,7 @@ func (c *compiled) buildNode(n algebra.Node, outer []string) (subplan, error) {
 		return &unionIter{left: left, right: right}, nil
 	case *algebra.FilterNode:
 		// Filter over a BGP: the filter-pushing entry point.
-		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.UseIndexes {
+		if bgp, ok := node.Input.(*algebra.BGPNode); ok {
 			return c.buildBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond), outer)
 		}
 		input, err := c.build(node.Input, outer)
@@ -349,7 +349,7 @@ func (c *compiled) buildLeftJoin(node *algebra.LeftJoinNode, outer []string) (su
 	lj := &leftJoinIter{c: c, left: left, right: right, cond: node.Cond}
 	lj.hashLeftSlot, lj.hashRightSlot = -1, -1
 
-	if c.eng.opts.UseIndexes && isUncorrelated(node.Right, node.Left.Vars(), outer) {
+	if isUncorrelated(node.Right, node.Left.Vars(), outer) {
 		lj.materializeRight = true
 		// Detect hash keys: top-level cond conjuncts `?l = ?r` with one
 		// side bound only on the left and the other only on the right.

@@ -140,7 +140,7 @@ func TestCompilePlansOnce(t *testing.T) {
 // on the tuple operators: exactly Q7 says "vec: tuple fallback", and
 // every other query runs on batch operators. Work that
 // moves a query onto the batch operators shrinks the set here on
-// purpose. Mem never plans a batch chain.
+// purpose.
 func TestTupleFallbackSet(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
 	fallback := map[string]bool{"q7": true}
@@ -154,13 +154,6 @@ func TestTupleFallbackSet(t *testing.T) {
 		}
 		if !fallback[q.ID] && !strings.Contains(plan, "vec operators:") {
 			t.Errorf("native/%s: no batch operators:\n%s", q.ID, plan)
-		}
-		plan, err = engine.New(s, engine.Mem()).Explain(q.Parse())
-		if err != nil {
-			t.Fatalf("%s: %v", q.ID, err)
-		}
-		if strings.Contains(plan, "vec operators:") {
-			t.Errorf("mem/%s: plans batch operators:\n%s", q.ID, plan)
 		}
 	}
 }

@@ -35,15 +35,15 @@ var dedupCases = []struct {
 // TestEarlyDedup holds the dedup placement rule to its table on a 10k
 // and a 5k document under the semi-join configurations (served,
 // seven-row batches so that repeats straddle batch boundaries, four
-// partitions, each with its own set), and every case to mem's solutions
-// at 5k — except Q4, which mem cannot answer in test time there. The
-// in-order cases, Q4 among them, are also held row for row to the
-// first occurrences of their rows without DISTINCT, where no dedup
-// stage is placed: dropping repeats inside the chain must not change
-// which row of a DISTINCT comes first.
+// partitions, each with its own set), and every case to the oracle's
+// solutions at 5k. The in-order cases, Q4 among them, are also held row
+// for row to the first occurrences of their rows without DISTINCT,
+// where no dedup stage is placed: dropping repeats inside the chain
+// must not change which row of a DISTINCT comes first.
 func TestEarlyDedup(t *testing.T) {
 	large, _ := generatedStore(t, 10_000)
 	small, _ := generatedStore(t, 5_000)
+	o := oracleOf(small)
 	for _, tc := range dedupCases {
 		q, err := sparql.Parse(tc.query, rdf.Prefixes)
 		if err != nil {
@@ -60,14 +60,7 @@ func TestEarlyDedup(t *testing.T) {
 				}
 			}
 		}
-		if tc.name != "q4" {
-			want := renderEngine(t, small, engine.Mem(), q)
-			for _, opts := range semiConfigs() {
-				if got := renderEngine(t, small, opts, q); !slices.Equal(got, want) {
-					t.Errorf("%s/%s: %d solutions, mem has %d", opts.Name, tc.name, len(got), len(want))
-				}
-			}
-		}
+		agree(t, o.answer(q), small, q, tc.name, semiConfigs()...)
 		if !tc.inOrder {
 			continue
 		}

@@ -3,29 +3,24 @@
 // paper calls out as missing in the engines it benchmarks (Q12a
 // discussion).
 //
-// It serves both engine families the paper compares:
-//
-//   - Mem (ARQ / Sesame-memory stand-in): triple patterns are matched by
-//     scanning the full triple slice, patterns evaluate in query order,
-//     filters run where the query wrote them, and every operator is a
-//     tuple-at-a-time (Volcano) iterator.
-//   - Native (Sesame-DB / Virtuoso stand-in): patterns use the store's
-//     SPO/POS/OSP indexes, BGPs are reordered by estimated selectivity,
-//     filter conjuncts are pushed to the earliest step that binds their
-//     variables, uncorrelated OPTIONAL right-hand sides are hash-joined,
-//     and queries run batch-at-a-time.
+// It is one engine family, the paper's native one (Sesame-DB / Virtuoso
+// stand-in): patterns use the store's SPO/POS/OSP indexes, BGPs are
+// reordered by estimated selectivity, filter conjuncts are pushed to the
+// earliest step that binds their variables, uncorrelated OPTIONAL
+// right-hand sides are hash-joined, and queries run batch-at-a-time.
+// Options only switch physical operators on and off; every
+// configuration is held to an independent reference evaluator in the
+// package's tests.
 //
 // There is one BGP executor: a BGP with no variables bound from outside
 // runs as a batch scan → join chain (vec.go) whose per-step join
 // operators (join.go) and partitioned parallel scan (parallel.go) are
-// chosen from the store's statistics. Above the BGPs, a native query
-// runs on the batch operators when they cover it, and on
-// tuple-at-a-time iterators otherwise, which pull the same chains' rows
-// through an adapter; Explain names the reason for each such fallback.
-// The nested-loop backtracker (bgp.go) evaluates the remaining BGPs:
-// correlated ones, re-opened per parent row, and every BGP of the mem
-// engine, where it is the oracle the native configuration is checked
-// against.
+// chosen from the store's statistics. Above the BGPs, a query runs on
+// the batch operators when they cover it, and on tuple-at-a-time
+// iterators otherwise, which pull the same chains' rows through an
+// adapter; Explain names the reason for each such fallback. The
+// nested-loop backtracker (bgp.go) evaluates the remaining BGPs:
+// correlated ones, re-opened per parent row, by index probes.
 package engine
 
 import (
@@ -39,21 +34,11 @@ import (
 	"sp2bench/internal/store"
 )
 
-// Options selects an engine configuration: the family (UseIndexes) and
-// the physical knobs the agreement tests force.
+// Options selects an engine configuration: the physical knobs the
+// agreement tests force.
 type Options struct {
-	// Name labels the configuration in reports ("mem", "native", ...).
+	// Name labels the configuration in reports ("native", ...).
 	Name string
-	// UseIndexes selects the native family: triple patterns match by
-	// index range lookups, BGPs are reordered by estimated selectivity,
-	// filter conjuncts are pushed to the earliest step that binds their
-	// variables (IRI equalities become index keys), uncorrelated
-	// OPTIONAL right sides are materialized and probed by hash, and
-	// SELECT and ASK queries run on the batch operators wherever they
-	// cover the query. Without it the engine is the in-memory family:
-	// full scans, patterns in query order, filters where the query
-	// wrote them, all on the tuple operators.
-	UseIndexes bool
 	// HashJoins enables hash join stages in BGP chains: a join step whose
 	// estimated input exceeds a threshold builds a hash table on the
 	// smaller estimated side — the step's matching triples, or a
@@ -77,26 +62,11 @@ type Options struct {
 	BatchSize int
 }
 
-// Mem returns the in-memory engine configuration (the paper's
-// ARQ/Sesame-memory family): correct but unoptimized, and the oracle
-// the native configuration is checked against.
-func Mem() Options { return Options{Name: "mem"} }
-
 // Native returns the native engine configuration (the paper's
 // Sesame-DB/Virtuoso family) with every optimization on. It is what
-// sp2bserve and sp2bquery serve by default.
+// sp2bserve and sp2bquery serve.
 func Native() Options {
-	return Options{Name: "native", UseIndexes: true, HashJoins: true, MergeJoins: true}
-}
-
-// ByName resolves a configuration name: "mem" or "native".
-func ByName(name string) (Options, error) {
-	for _, o := range []Options{Mem(), Native()} {
-		if o.Name == name {
-			return o, nil
-		}
-	}
-	return Options{}, fmt.Errorf("engine: unknown engine %q (want mem or native)", name)
+	return Options{Name: "native", HashJoins: true, MergeJoins: true}
 }
 
 // Engine evaluates queries over one immutable triple source: a frozen
@@ -109,7 +79,7 @@ type Engine struct {
 }
 
 // New returns an engine over st. The store must be frozen before queries
-// run when UseIndexes is set; New freezes it defensively.
+// run; New freezes it defensively.
 //
 // sp2b:locks=write the defensive Freeze writes the store: callers passing a
 // shared store must hold its write lock or own it outright (MVCC

@@ -15,35 +15,6 @@ import (
 	"sp2bench/internal/store"
 )
 
-// allConfigs is mem, the reference, followed by every native variant;
-// correctness tests run each query under all of them and demand
-// identical results.
-func allConfigs() []engine.Options {
-	return append([]engine.Options{engine.Mem()}, operatorVariants()...)
-}
-
-// TestByName: the two configuration names resolve to exactly Mem() and
-// Native(); ablation, vectorized and sharded names do not resolve.
-func TestByName(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want engine.Options
-		ok   bool
-	}{
-		{"mem", engine.Mem(), true},
-		{"native", engine.Native(), true},
-		{engine.Native().Name + "-vec", engine.Options{}, false},
-		{"native-nlj", engine.Options{}, false},
-		{"shard4-native", engine.Options{}, false},
-		{"", engine.Options{}, false},
-	} {
-		got, err := engine.ByName(tc.name)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ByName(%q) = %+v, %v; want %+v, ok=%v", tc.name, got, err, tc.want, tc.ok)
-		}
-	}
-}
-
 // tinyLibrary builds a small, fully hand-checkable bibliographic graph.
 //
 //	article1: creator alice, bob; issued 1950; journal j1
@@ -107,55 +78,28 @@ func tinyLibrary() *store.Store {
 	return s
 }
 
-// runAll runs src under every engine configuration and checks they agree,
-// returning the rows of the last run.
+// runAll holds src's result under every operator configuration to the
+// oracle's answer and returns the served configuration's result.
 func runAll(t *testing.T, s *store.Store, src string) *engine.Result {
 	t.Helper()
 	q, err := sparql.Parse(src, rdf.Prefixes)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	var ref *engine.Result
-	for _, opts := range allConfigs() {
-		res, err := engine.New(s, opts).Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", opts.Name, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !sameResults(ref, res) {
-			t.Fatalf("config %s disagrees:\nref: %v\ngot: %v",
-				opts.Name, render(ref), render(res))
-		}
+	agree(t, oracleOf(s).answer(q), s, q, src, operatorVariants()...)
+	res, err := engine.New(s, engine.Native()).Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ref
+	return res
 }
 
-func sameResults(a, b *engine.Result) bool {
-	if a.Form != b.Form || a.Ask != b.Ask || len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	ra, rb := render(a), render(b)
-	sort.Strings(ra)
-	sort.Strings(rb)
-	for i := range ra {
-		if ra[i] != rb[i] {
-			return false
-		}
-	}
-	return true
-}
-
+// render renders a result's rows in the order the engine returned them,
+// as the oracle renders its own (renderTerms).
 func render(r *engine.Result) []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, t := range row {
-			parts[i] = t.String()
-		}
-		out = append(out, strings.Join(parts, "|"))
+	out := make([]string, len(r.Rows))
+	for i, row := range r.Rows {
+		out[i] = renderTerms(row)
 	}
 	return out
 }
@@ -587,7 +531,7 @@ func TestCancellation(t *testing.T) {
 		rdf.Prefixes)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := engine.New(s, engine.Mem()).Count(ctx, q)
+	_, err := engine.New(s, engine.Native()).Count(ctx, q)
 	if !errors.Is(err, engine.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -37,12 +36,12 @@ var flattenCases = []struct {
 // TestJoinOfGroupsFlattens holds the batch path's flattening of explicit
 // joins of groups to its table on a 10k document — the number of BGP
 // chains, or the "explicit join of groups" fallback — and every case's
-// answer to mem's on a 5k document under the semi-join configurations
-// (served, seven-row batches, four partitions). Q8 and Q12b are held to
-// mem here, not to another batch configuration.
+// answer to the oracle's on a 5k document under the semi-join
+// configurations (served, seven-row batches, four partitions).
 func TestJoinOfGroupsFlattens(t *testing.T) {
 	large, _ := generatedStore(t, 10_000)
 	small, _ := generatedStore(t, 5_000)
+	o := oracleOf(small)
 	for _, tc := range flattenCases {
 		q, err := sparql.Parse(tc.query, rdf.Prefixes)
 		if err != nil {
@@ -61,14 +60,10 @@ func TestJoinOfGroupsFlattens(t *testing.T) {
 				t.Errorf("%s/%s: %d BGP chains, want %d:\n%s", opts.Name, tc.name, got, tc.bgps, plan)
 			}
 		}
-		want := renderEngine(t, small, engine.Mem(), q)
-		if tc.name == "q8" && len(want) == 0 {
+		want := o.answer(q)
+		if tc.name == "q8" && len(want.rows()) == 0 {
 			t.Fatal("q8 has no answer at 5k: the check would be vacuous")
 		}
-		for _, opts := range semiConfigs() {
-			if got := renderEngine(t, small, opts, q); !slices.Equal(got, want) {
-				t.Errorf("%s/%s: %d solutions, mem has %d", opts.Name, tc.name, len(got), len(want))
-			}
-		}
+		agree(t, want, small, q, tc.name, semiConfigs()...)
 	}
 }

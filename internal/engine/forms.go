@@ -111,13 +111,13 @@ func (e *Engine) Describe(ctx context.Context, q *sparql.Query) ([]rdf.Triple, e
 		if !ok {
 			continue
 		}
-		it := store.Range(e.src, id, store.NoID, store.NoID).Iterator()
-		for {
-			enc, more := it.Next()
-			if !more {
-				break
+		// The subject's SPO range: rows in SPO order, no residual.
+		cur := e.src.RangeIn(store.OrderSPO, id, store.NoID, store.NoID).Cursor()
+		for run := cur.Run(); len(run) > 0; run = cur.Run() {
+			for _, enc := range run {
+				out = append(out, rdf.NewTriple(dict.Term(enc[0]), dict.Term(enc[1]), dict.Term(enc[2])))
 			}
-			out = append(out, rdf.NewTriple(dict.Term(enc[0]), dict.Term(enc[1]), dict.Term(enc[2])))
+			cur.Advance(len(run))
 		}
 		if err := ctxErr(ctx); err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 
 	"sp2bench/internal/engine"
@@ -394,25 +393,13 @@ func TestAggregateMatchesManualGroupBy(t *testing.T) {
 	}
 }
 
-// TestAggregateEnginesAgree: both engine families produce identical
-// aggregation results (sorted compare).
+// TestAggregateEnginesAgree: every operator configuration's grouped
+// aggregates are the oracle's.
 func TestAggregateEnginesAgree(t *testing.T) {
 	s, _ := generatedStore(t, 2_000)
 	q := parseQ(t, `
 		SELECT ?class (COUNT(?d) AS ?n) (MIN(?yr) AS ?first) (MAX(?yr) AS ?last)
 		WHERE { ?d rdf:type ?class . ?d dcterms:issued ?yr }
 		GROUP BY ?class ORDER BY ?class`)
-	var outs [][]string
-	for _, opts := range []engine.Options{engine.Mem(), engine.Native()} {
-		res, err := engine.New(s, opts).Aggregate(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := render(res)
-		sort.Strings(rows)
-		outs = append(outs, rows)
-	}
-	if fmt.Sprint(outs[0]) != fmt.Sprint(outs[1]) {
-		t.Fatalf("engines disagree:\nmem:    %v\nnative: %v", outs[0], outs[1])
-	}
+	agree(t, oracleOf(s).answer(q), s, q, "aggregate", operatorVariants()...)
 }

@@ -19,15 +19,14 @@ import (
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
-	"sp2bench/internal/testutil"
 )
 
-// operatorVariants are the native engine's forced-operator
-// configurations: nested-loop joins only on one worker (first: the
-// reference where mem is too slow), each join operator switched off in
-// turn, everything on, one worker, and a deliberately tiny batch that
-// forces every operator across batch boundaries mid-run, the states
-// most likely to hold stale cursors — plus the parallel4 variants.
+// operatorVariants are the engine's forced-operator configurations,
+// each held to the oracle: nested-loop joins only on one worker, each
+// join operator switched off in turn, everything on, one worker, and a
+// deliberately tiny batch that forces every operator across batch
+// boundaries mid-run, the states most likely to hold stale cursors —
+// plus the parallel4 variants.
 func operatorVariants() []engine.Options {
 	nlj := engine.Native()
 	nlj.Name, nlj.HashJoins, nlj.MergeJoins, nlj.ParallelWorkers = "native-nlj", false, false, 1
@@ -131,31 +130,23 @@ func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]stri
 // TestOperatorChoicesAgreeOn17Queries is the physical-layer soundness
 // check: every operator configuration — nested-loop only, each operator
 // disabled in turn, everything on, tiny batches and forced four-way
-// parallelism — returns exactly mem's solutions for all 17 benchmark
-// queries on a generated document. For the queries mem cannot answer
-// there in test time (testutil.MemTooSlow10k) the reference is
-// native-nlj, and TestEnginesAgreeOnGeneratedData holds every variant
-// to mem on a 2k document.
+// parallelism — returns an answer the oracle allows for all 17
+// benchmark queries and the aggregate catalog (qx1–qx5) on a generated
+// document.
 func TestOperatorChoicesAgreeOn17Queries(t *testing.T) {
 	size := int64(10_000)
 	if testing.Short() {
 		size = 5_000
 	}
 	s, _ := generatedStore(t, size)
-	variants := operatorVariants()
+	o := oracleOf(s)
 	for _, q := range queries.All() {
 		parsed := q.Parse()
-		refOpts, rest := engine.Mem(), variants
-		if testutil.MemTooSlow10k[q.ID] {
-			refOpts, rest = variants[0], variants[1:]
-		}
-		ref := renderEngine(t, s, refOpts, parsed)
-		for _, opts := range rest {
-			if rows := renderEngine(t, s, opts, parsed); strings.Join(rows, "\n") != strings.Join(ref, "\n") {
-				t.Errorf("%s: %s returned %d rows, %s returned %d — operator choice changed the result",
-					q.ID, opts.Name, len(rows), refOpts.Name, len(ref))
-			}
-		}
+		agree(t, o.answer(parsed), s, parsed, q.ID, operatorVariants()...)
+	}
+	for _, x := range queries.Extensions() {
+		parsed := sparql.MustParse(x.Text, queries.Prologue)
+		agree(t, o.answer(parsed), s, parsed, x.ID, operatorVariants()...)
 	}
 }
 
@@ -300,12 +291,11 @@ func TestHashSegmentValueEquality(t *testing.T) {
 		t.Fatalf("expected a keyed hashseg stage in the batch plan, got:\n%s", plan)
 	}
 
-	for _, opts := range append(operatorVariants(), engine.Mem()) {
-		rows := renderEngine(t, s, opts, q)
-		if len(rows) != 1 || !strings.Contains(rows[0], "urn:a") || !strings.Contains(rows[0], "urn:b") {
-			t.Errorf("%s: got %v, want the single value-equal pair (urn:a, urn:b)", opts.Name, rows)
-		}
+	want := oracleOf(s).answer(q)
+	if rows := want.rows(); len(rows) != 1 || !strings.Contains(rows[0], "urn:a") || !strings.Contains(rows[0], "urn:b") {
+		t.Errorf("the oracle has %v, want the single value-equal pair (urn:a, urn:b)", rows)
 	}
+	agree(t, want, s, q, "value-equal", operatorVariants()...)
 }
 
 // TestHashSegmentRepeatsUpstreamVariable: a pinned variable is a
@@ -323,10 +313,11 @@ func TestHashSegmentRepeatsUpstreamVariable(t *testing.T) {
 	}
 	s.Freeze()
 	q := sparql.MustParse(`SELECT ?a ?b ?x ?y WHERE { ?a <urn:p> ?x . ?b <urn:q> ?y . ?b <urn:r> ?x FILTER (?x = <urn:x0>) }`, rdf.Prefixes)
-	ref := renderEngine(t, s, engine.Mem(), q)
-	if len(ref) != 6 {
-		t.Fatalf("mem: %d rows, want 6 (2 ?a × 3 ?b)", len(ref))
+	want := oracleOf(s).answer(q)
+	if n := len(want.rows()); n != 6 {
+		t.Fatalf("the oracle has %d rows, want 6 (2 ?a × 3 ?b)", n)
 	}
+	agree(t, want, s, q, "repeated ?x", operatorVariants()...)
 	for _, opts := range operatorVariants() {
 		plan, err := engine.New(s, opts).Explain(q)
 		if err != nil {
@@ -334,9 +325,6 @@ func TestHashSegmentRepeatsUpstreamVariable(t *testing.T) {
 		}
 		if opts.HashJoins && !strings.Contains(plan, "hashseg[cross steps=1]") {
 			t.Fatalf("%s: expected the disconnected block to be hashed:\n%s", opts.Name, plan)
-		}
-		if rows := renderEngine(t, s, opts, q); !slices.Equal(rows, ref) {
-			t.Errorf("%s: got %v, mem got %v", opts.Name, rows, ref)
 		}
 	}
 }
@@ -394,18 +382,6 @@ func TestConstantFilterNotDroppedByPhysicalPlan(t *testing.T) {
 		`SELECT ?o WHERE { <urn:s> <urn:p> ?o . ?o <urn:q> ?z FILTER (2 > 1) }`,
 	} {
 		q := sparql.MustParse(src, rdf.Prefixes)
-		var ref []string
-		var refName string
-		for _, opts := range append([]engine.Options{engine.Mem()}, operatorVariants()...) {
-			rows := renderEngine(t, s, opts, q)
-			if ref == nil {
-				ref, refName = rows, opts.Name
-				continue
-			}
-			if strings.Join(rows, "\n") != strings.Join(ref, "\n") {
-				t.Errorf("%q: %s returned %d rows, %s returned %d",
-					src, opts.Name, len(rows), refName, len(ref))
-			}
-		}
+		agree(t, oracleOf(s).answer(q), s, q, src, operatorVariants()...)
 	}
 }

@@ -139,8 +139,9 @@ func mustID(t *testing.T, s *store.Store, v string) store.ID {
 // every pattern connected to the bound variables before any block, and
 // a block swap needs blocks with no variable in common, so a block can
 // repeat an upstream variable only through a pin, which
-// TestHashSegmentRepeatsUpstreamVariable covers.) The steps come from
-// mem, which keeps query order, and are planned as a native chain.
+// TestHashSegmentRepeatsUpstreamVariable covers.) The steps are
+// prepared one pattern at a time, which keeps query order, and are
+// planned as one chain.
 func TestHashSegChecksUpstreamSlot(t *testing.T) {
 	s := store.New()
 	iri := func(v string, i int) rdf.Term { return rdf.IRI(fmt.Sprintf("http://x/%s%d", v, i)) }
@@ -153,10 +154,12 @@ func TestHashSegChecksUpstreamSlot(t *testing.T) {
 	patterns := []sparql.TriplePattern{pat("?a", "p", "?x"), pat("?b", "q", "?y"), pat("?b", "r", "?x")}
 
 	c := compiledFor(t, s)
-	c.eng = New(s, Mem())
-	b, ordered := c.prepareBGP(patterns, nil, nil)
-	c.eng = New(s, Native())
-	ch := c.planVecChain(b.steps, ordered, false, nil)
+	var steps []patternStep
+	for i := range patterns {
+		b, _ := c.prepareBGP(patterns[i:i+1], nil, nil)
+		steps = append(steps, b.steps...)
+	}
+	ch := c.planVecChain(steps, patterns, false, nil)
 	if got := ch.desc.String(); !strings.Contains(got, "hashseg[cross steps=2]") {
 		t.Fatalf("expected the two-pattern block to be hashed: %s", got)
 	}
@@ -198,7 +201,7 @@ func TestHashSegChecksUpstreamSlot(t *testing.T) {
 // pattern binds at its subject or predicate position compares IDs alone
 // (fastCmp.ids), while one between two object-only variables, which may
 // hold value-equal literals, and an ordering comparison keep the value
-// comparison. mem, the oracle, never takes the shortcut.
+// comparison.
 func TestIdentityComparisons(t *testing.T) {
 	s := optStore(t)
 	patterns := []sparql.TriplePattern{pat("?a", "link", "?x"), pat("?b", "link", "?y")}
@@ -212,22 +215,19 @@ func TestIdentityComparisons(t *testing.T) {
 		conj(sparql.OpLt, "a", "b"),
 	}
 	want := map[string]bool{"a != b": true, "x = a": true, "x = y": false, "a < b": false}
-	for _, opts := range []Options{Native(), Mem()} {
-		c := compiledFor(t, s)
-		c.eng = New(s, opts)
-		b, _ := c.prepareBGP(patterns, conjuncts, nil)
-		n := 0
-		for _, st := range b.steps {
-			for _, f := range st.filt.fast {
-				n++
-				key := fmt.Sprintf("%s %s %s", c.names[f.l], f.op, c.names[f.r])
-				if wantIDs := want[key] && opts.UseIndexes; f.ids != wantIDs {
-					t.Errorf("%s: %s: ids = %v, want %v", opts.Name, key, f.ids, wantIDs)
-				}
+	c := compiledFor(t, s)
+	b, _ := c.prepareBGP(patterns, conjuncts, nil)
+	n := 0
+	for _, st := range b.steps {
+		for _, f := range st.filt.fast {
+			n++
+			key := fmt.Sprintf("%s %s %s", c.names[f.l], f.op, c.names[f.r])
+			if f.ids != want[key] {
+				t.Errorf("%s: ids = %v, want %v", key, f.ids, want[key])
 			}
 		}
-		if n != len(conjuncts) {
-			t.Errorf("%s: %d fast comparisons, want %d", opts.Name, n, len(conjuncts))
-		}
+	}
+	if n != len(conjuncts) {
+		t.Errorf("%d fast comparisons, want %d", n, len(conjuncts))
 	}
 }

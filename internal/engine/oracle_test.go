@@ -1,326 +1,603 @@
 package engine_test
 
-// An independent reference evaluator ("oracle") implementing the SPARQL
-// algebra definitions literally: solution mappings as Go maps, joins as
-// compatibility checks over full cross products, LeftJoin by the spec's
-// extend-or-keep rule. It shares only the parser and the expression
-// evaluator with the engines under test — the evaluation strategy is
-// entirely different (no iterators, no slots, no substitution), so
-// agreement on random inputs is strong evidence both are right.
+// The reference evaluator ("oracle") that every agreement test holds
+// the engine to. It shares no code with the engine beyond the parser
+// and the RDF term type: it takes plain triples, walks the parsed group
+// graph pattern itself (no algebra.Translate), and evaluates FILTERs,
+// ORDER BY and aggregates with its own code (oracle_expr_test.go),
+// never with algebra's evaluator or rdf.Term's Compare and Numeric. A
+// defect in the engine's translation, operators, filter code or term
+// order therefore shows as a disagreement instead of being shared by
+// the reference. TestOracleImports holds these files to that.
+//
+// Semantics. A solution maps variables to terms. A group's elements are
+// joined left to right, each evaluated under the solution it extends: a
+// BGP yields its matches compatible with that solution, a UNION its two
+// branches' solutions, a nested group its own, and an OPTIONAL extends
+// the solution with each match of its pattern that satisfies the
+// OPTIONAL's FILTERs, or keeps the solution alone when none does (the
+// LeftJoin rule). A group's FILTERs then apply to its solutions. For
+// well-designed patterns, the benchmark's among them, this is the
+// bottom-up algebra of Pérez et al.; a FILTER that reads a variable its
+// own group does not bind sees the binding made to the group's left,
+// which is the scoping the engine implements. ORDER BY, projection,
+// DISTINCT and OFFSET/LIMIT follow in that order (SPARQL 1.0 §12.2.1).
+//
+// Evaluation is plain backtracking over per-term posting lists, the
+// pattern with the fewest candidate triples first, and the solutions of
+// a nested group, a UNION or an OPTIONAL are memoized per binding of
+// the variables they mention, so the oracle answers every paper query
+// on a 10k document in test time.
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
+	"slices"
 	"sort"
 	"strings"
-	"testing"
 
-	"sp2bench/internal/algebra"
-	"sp2bench/internal/engine"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
-	"sp2bench/internal/store"
 )
 
-type mapping map[string]rdf.Term
-
-func (m mapping) Value(name string) (rdf.Term, bool) {
-	t, ok := m[name]
-	return t, ok
+// oracle holds a graph: its distinct triples over the oracle's own term
+// numbering, and one posting list per (position, term).
+type oracle struct {
+	terms   []termInfo // by ID; ID 0 is no term (an unbound variable)
+	ids     map[rdf.Term]int32
+	triples [][3]int32
+	by      [3]map[int32][]int32 // position → term ID → triple indexes
 }
 
-func (m mapping) clone() mapping {
-	out := make(mapping, len(m))
-	for k, v := range m {
-		out[k] = v
+// newOracle builds the oracle over a triple list. A graph is a set, so
+// repeated triples count once.
+func newOracle(triples []rdf.Triple) *oracle {
+	o := &oracle{terms: []termInfo{{}}, ids: map[rdf.Term]int32{}}
+	for i := range o.by {
+		o.by[i] = map[int32][]int32{}
 	}
-	return out
+	seen := map[[3]int32]bool{}
+	for _, t := range triples {
+		k := [3]int32{o.intern(t.S), o.intern(t.P), o.intern(t.O)}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		for pos, id := range k {
+			o.by[pos][id] = append(o.by[pos][id], int32(len(o.triples)))
+		}
+		o.triples = append(o.triples, k)
+	}
+	return o
 }
 
-func compatible(a, b mapping) bool {
-	for k, v := range a {
-		if w, ok := b[k]; ok && w != v {
+// intern returns the term's ID, numbering it on first sight.
+func (o *oracle) intern(t rdf.Term) int32 {
+	if id, ok := o.ids[t]; ok {
+		return id
+	}
+	id := int32(len(o.terms))
+	o.ids[t] = id
+	o.terms = append(o.terms, infoOf(t))
+	return id
+}
+
+// solution binds variable slot i to term ID s[i]; 0 is unbound.
+// Solutions are never written after they are made.
+type solution []int32
+
+// sink receives solutions; it returns false to stop the evaluation (an
+// ASK has its answer).
+type sink func(solution) bool
+
+// eval is one query's evaluation state.
+type eval struct {
+	o     *oracle
+	slot  map[string]int
+	names []string
+	pats  map[*sparql.BGP][]opat
+	vars  map[any][]int                 // slots an element mentions
+	memo  map[any]map[string][]solution // element → key → solutions
+}
+
+func (o *oracle) newEval(q *sparql.Query) *eval {
+	e := &eval{o: o, slot: map[string]int{}, pats: map[*sparql.BGP][]opat{},
+		vars: map[any][]int{}, memo: map[any]map[string][]solution{}}
+	add := func(v string) {
+		if _, ok := e.slot[v]; !ok {
+			e.slot[v] = len(e.names)
+			e.names = append(e.names, v)
+		}
+	}
+	var group func(g *sparql.GroupGraphPattern)
+	group = func(g *sparql.GroupGraphPattern) {
+		for _, el := range g.Elements {
+			switch el := el.(type) {
+			case *sparql.BGP:
+				for _, p := range el.Patterns {
+					for _, v := range p.Vars() {
+						add(v)
+					}
+				}
+			case *sparql.Group:
+				group(el.Pattern)
+			case *sparql.Optional:
+				group(el.Pattern)
+			case *sparql.Union:
+				group(el.Left)
+				group(el.Right)
+			}
+		}
+		for _, f := range g.Filters {
+			for _, v := range sparql.ExprVars(f) {
+				add(v)
+			}
+		}
+	}
+	if q.Where != nil {
+		group(q.Where)
+	}
+	for _, v := range q.Vars {
+		add(v)
+	}
+	for _, v := range q.GroupBy {
+		add(v)
+	}
+	for _, a := range q.Aggregates {
+		if a.Var != "" {
+			add(a.Var)
+		}
+	}
+	for _, oc := range q.OrderBy {
+		add(oc.Var)
+	}
+	return e
+}
+
+// opat is a triple pattern over slots: slot[i] is the variable at
+// position i, or -1 for the constant id[i] (0 when the graph lacks it,
+// so the pattern matches nothing).
+type opat struct {
+	slot [3]int
+	id   [3]int32
+}
+
+func (e *eval) patterns(b *sparql.BGP) []opat {
+	if ps, ok := e.pats[b]; ok {
+		return ps
+	}
+	ps := make([]opat, len(b.Patterns))
+	for i, p := range b.Patterns {
+		for pos, pt := range []sparql.PatternTerm{p.S, p.P, p.O} {
+			ps[i].slot[pos] = -1
+			if pt.IsVar {
+				ps[i].slot[pos] = e.slot[pt.Var]
+			} else {
+				ps[i].id[pos] = e.o.ids[pt.Term]
+			}
+		}
+	}
+	e.pats[b] = ps
+	return ps
+}
+
+// candidates returns the triples p can match under mu: the shortest
+// posting list of a bound position, or all triples (nil, true) when no
+// position is bound.
+func (e *eval) candidates(p opat, mu solution) ([]int32, bool) {
+	var best []int32
+	bound := false
+	for pos := 0; pos < 3; pos++ {
+		id := p.id[pos]
+		if p.slot[pos] >= 0 {
+			if id = mu[p.slot[pos]]; id == 0 {
+				continue
+			}
+		} else if id == 0 {
+			return nil, false
+		}
+		if list := e.o.by[pos][id]; !bound || len(list) < len(best) {
+			best, bound = list, true
+		}
+	}
+	return best, !bound
+}
+
+// match extends mu by triple t under p, or reports that t does not
+// match: a constant must equal, and a variable must be unbound or bound
+// to the same term (also when it repeats within the pattern).
+func (e *eval) match(p opat, t [3]int32, mu solution) (solution, bool) {
+	nu, copied := mu, false
+	for pos := 0; pos < 3; pos++ {
+		s := p.slot[pos]
+		if s < 0 {
+			if p.id[pos] != t[pos] {
+				return nil, false
+			}
+			continue
+		}
+		switch nu[s] {
+		case t[pos]:
+		case 0:
+			if !copied {
+				nu, copied = slices.Clone(mu), true
+			}
+			nu[s] = t[pos]
+		default:
+			return nil, false
+		}
+	}
+	return nu, true
+}
+
+// bgp emits the matches of the patterns not yet in done under mu,
+// taking next the pattern with the fewest candidate triples.
+func (e *eval) bgp(ps []opat, done uint64, mu solution, emit sink) bool {
+	next, fewest := -1, 0
+	var cands []int32
+	var scan bool
+	for i, p := range ps {
+		if done&(1<<i) != 0 {
+			continue
+		}
+		c, all := e.candidates(p, mu)
+		n := len(c)
+		if all {
+			n = len(e.o.triples)
+		}
+		if next < 0 || n < fewest {
+			next, fewest, cands, scan = i, n, c, all
+		}
+	}
+	if next < 0 {
+		return emit(mu)
+	}
+	try := func(t int32) bool {
+		if nu, ok := e.match(ps[next], e.o.triples[t], mu); ok {
+			return e.bgp(ps, done|1<<next, nu, emit)
+		}
+		return true
+	}
+	if scan {
+		for t := range e.o.triples {
+			if !try(int32(t)) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, t := range cands {
+		if !try(t) {
 			return false
 		}
 	}
 	return true
 }
 
-func merge(a, b mapping) mapping {
-	out := a.clone()
-	for k, v := range b {
-		out[k] = v
+// group emits the solutions of g under mu that pass g's FILTERs.
+func (e *eval) group(g *sparql.GroupGraphPattern, mu solution, emit sink) bool {
+	return e.elements(g.Elements, mu, func(nu solution) bool {
+		return !e.filters(g.Filters, nu) || emit(nu)
+	})
+}
+
+// elements joins a group's elements left to right under mu.
+func (e *eval) elements(els []sparql.Element, mu solution, emit sink) bool {
+	if len(els) == 0 {
+		return emit(mu)
 	}
-	return out
-}
-
-// oracle evaluates a parsed SELECT/ASK query over a triple list.
-type oracle struct {
-	triples []rdf.Triple
-}
-
-func newOracle(s *store.Store) *oracle {
-	d := s.Dict()
-	var ts []rdf.Triple
-	for _, tr := range s.Index(store.OrderSPO) {
-		ts = append(ts, rdf.NewTriple(d.Term(tr[0]), d.Term(tr[1]), d.Term(tr[2])))
+	rest := func(nu solution) bool { return e.elements(els[1:], nu, emit) }
+	switch el := els[0].(type) {
+	case *sparql.BGP:
+		if len(el.Patterns) > 64 {
+			panic("oracle: a BGP of more than 64 patterns")
+		}
+		return e.bgp(e.patterns(el), 0, mu, rest)
+	case *sparql.Group:
+		return e.extend(el, mu, func(nu solution, emit sink) bool {
+			return e.group(el.Pattern, nu, emit)
+		}, rest)
+	case *sparql.Union:
+		return e.extend(el, mu, func(nu solution, emit sink) bool {
+			return e.group(el.Left, nu, emit) && e.group(el.Right, nu, emit)
+		}, rest)
+	case *sparql.Optional:
+		exts := e.sub(el, mu, func(nu solution, emit sink) bool {
+			return e.elements(el.Pattern.Elements, nu, emit)
+		})
+		scratch := make(solution, len(mu))
+		extended := false
+		for _, x := range exts {
+			overlay(scratch, mu, x, e.mentions(el))
+			if e.filters(el.Pattern.Filters, scratch) {
+				extended = true
+				if !rest(slices.Clone(scratch)) {
+					return false
+				}
+			}
+		}
+		return extended || rest(mu)
+	default:
+		panic(fmt.Sprintf("oracle: unknown element %T", el))
 	}
-	return &oracle{triples: ts}
 }
 
-func (o *oracle) matchPattern(p sparql.TriplePattern, base mapping) []mapping {
-	var out []mapping
-	for _, tr := range o.triples {
-		m := base.clone()
-		if o.bindTerm(p.S, tr.S, m) && o.bindTerm(p.P, tr.P, m) && o.bindTerm(p.O, tr.O, m) {
-			out = append(out, m)
+// extend emits mu extended by each solution of the memoized element.
+func (e *eval) extend(el any, mu solution, run func(solution, sink) bool, emit sink) bool {
+	vars := e.mentions(el)
+	for _, x := range e.sub(el, mu, run) {
+		nu := make(solution, len(mu))
+		overlay(nu, mu, x, vars)
+		if !emit(nu) {
+			return false
 		}
 	}
-	return out
-}
-
-func (o *oracle) bindTerm(pt sparql.PatternTerm, val rdf.Term, m mapping) bool {
-	if !pt.IsVar {
-		return pt.Term == val
-	}
-	if cur, ok := m[pt.Var]; ok {
-		return cur == val
-	}
-	m[pt.Var] = val
 	return true
 }
 
-func (o *oracle) evalBGP(patterns []sparql.TriplePattern) []mapping {
-	results := []mapping{{}}
-	for _, p := range patterns {
-		var next []mapping
-		for _, m := range results {
-			next = append(next, o.matchPattern(p, m)...)
-		}
-		results = next
+// overlay writes mu, then x's bindings of vars, into dst.
+func overlay(dst, mu, x solution, vars []int) {
+	copy(dst, mu)
+	for _, s := range vars {
+		dst[s] = x[s]
 	}
-	return results
 }
 
-func (o *oracle) join(a, b []mapping) []mapping {
-	var out []mapping
-	for _, m1 := range a {
-		for _, m2 := range b {
-			if compatible(m1, m2) {
-				out = append(out, merge(m1, m2))
+// sub returns the solutions run finds for an element under mu. They
+// depend only on mu's bindings of the variables the element mentions,
+// so run sees mu restricted to those, and its solutions are memoized
+// per such binding.
+func (e *eval) sub(el any, mu solution, run func(solution, sink) bool) []solution {
+	vars := e.mentions(el)
+	var key strings.Builder
+	restricted := make(solution, len(mu))
+	for _, s := range vars {
+		restricted[s] = mu[s]
+		fmt.Fprintf(&key, "%d,", mu[s])
+	}
+	memo := e.memo[el]
+	if memo == nil {
+		memo = map[string][]solution{}
+		e.memo[el] = memo
+	}
+	k := key.String()
+	if sols, ok := memo[k]; ok {
+		return sols
+	}
+	var sols []solution
+	run(restricted, func(nu solution) bool {
+		sols = append(sols, nu)
+		return true
+	})
+	memo[k] = sols
+	return sols
+}
+
+// mentions returns the slots of the variables an element's patterns
+// and FILTERs mention; an OPTIONAL's own FILTERs, which read the
+// extended solution, are not the pattern's.
+func (e *eval) mentions(el any) []int {
+	if vs, ok := e.vars[el]; ok {
+		return vs
+	}
+	set := map[int]bool{}
+	var group func(g *sparql.GroupGraphPattern, filters bool)
+	group = func(g *sparql.GroupGraphPattern, filters bool) {
+		for _, el := range g.Elements {
+			switch el := el.(type) {
+			case *sparql.BGP:
+				for _, p := range el.Patterns {
+					for _, v := range p.Vars() {
+						set[e.slot[v]] = true
+					}
+				}
+			case *sparql.Group:
+				group(el.Pattern, true)
+			case *sparql.Optional:
+				group(el.Pattern, true)
+			case *sparql.Union:
+				group(el.Left, true)
+				group(el.Right, true)
+			}
+		}
+		if filters {
+			for _, f := range g.Filters {
+				for _, v := range sparql.ExprVars(f) {
+					set[e.slot[v]] = true
+				}
 			}
 		}
 	}
-	return out
+	switch el := el.(type) {
+	case *sparql.Group:
+		group(el.Pattern, true)
+	case *sparql.Union:
+		group(el.Left, true)
+		group(el.Right, true)
+	case *sparql.Optional:
+		group(el.Pattern, false)
+	}
+	vs := make([]int, 0, len(set))
+	for s := range set {
+		vs = append(vs, s)
+	}
+	sort.Ints(vs)
+	e.vars[el] = vs
+	return vs
 }
 
-// leftJoin implements the spec rule: µ1 extends with every compatible µ2
-// satisfying cond; if no such µ2 exists, µ1 survives alone.
-func (o *oracle) leftJoin(a, b []mapping, cond sparql.Expr) []mapping {
-	var out []mapping
-	for _, m1 := range a {
-		extended := false
-		for _, m2 := range b {
-			if !compatible(m1, m2) {
+// answer is what the oracle allows an engine to return: for ASK the
+// verdict; for SELECT the rendered rows in solution order, cut where
+// the ORDER BY keys change (one group without ORDER BY), under the
+// query's OFFSET and LIMIT. Rows render as their terms' N-Triples forms
+// joined by "|", an unbound column as the empty string.
+type answer struct {
+	ask           bool
+	isAsk         bool
+	groups        [][]string
+	offset, limit int
+}
+
+// answer evaluates a SELECT (plain or aggregate) or ASK query.
+func (o *oracle) answer(q *sparql.Query) *answer {
+	e := o.newEval(q)
+	empty := make(solution, len(e.names))
+	if q.Form == sparql.FormAsk {
+		a := &answer{isAsk: true}
+		e.group(q.Where, empty, func(solution) bool {
+			a.ask = true
+			return false
+		})
+		return a
+	}
+	var sols []solution
+	e.group(q.Where, empty, func(s solution) bool {
+		sols = append(sols, s)
+		return true
+	})
+	// Each row is the output terms followed by the ORDER BY key terms,
+	// in ORDER BY order.
+	var rows [][]rdf.Term
+	if q.IsAggregate() {
+		rows = e.aggregate(q, sols)
+	} else {
+		rows = e.project(q, sols)
+	}
+	a := &answer{offset: max(q.Offset, 0), limit: q.Limit}
+	seen := map[string]bool{}
+	var prev []rdf.Term
+	for _, row := range rows {
+		cut := len(row) - len(q.OrderBy)
+		r, keys := renderTerms(row[:cut]), row[cut:]
+		if q.Distinct {
+			if seen[r] {
 				continue
 			}
-			m := merge(m1, m2)
-			if cond != nil {
-				v, err := algebra.EvalBool(cond, m)
-				if err != nil || !v {
-					continue
-				}
-			}
-			extended = true
-			out = append(out, m)
+			seen[r] = true
 		}
-		if !extended {
-			out = append(out, m1)
+		if len(a.groups) == 0 || orderTerms(q.OrderBy, prev, keys) != 0 {
+			a.groups = append(a.groups, nil)
 		}
+		a.groups[len(a.groups)-1] = append(a.groups[len(a.groups)-1], r)
+		prev = keys
 	}
-	return out
+	return a
 }
 
-func (o *oracle) evalGroup(g *sparql.GroupGraphPattern) []mapping {
-	results := []mapping{{}}
-	for _, el := range g.Elements {
-		switch e := el.(type) {
-		case *sparql.BGP:
-			results = o.join(results, o.evalBGP(e.Patterns))
-		case *sparql.Group:
-			results = o.join(results, o.evalGroup(e.Pattern))
-		case *sparql.Union:
-			u := append(o.evalGroup(e.Left), o.evalGroup(e.Right)...)
-			results = o.join(results, u)
-		case *sparql.Optional:
-			inner := &sparql.GroupGraphPattern{Elements: e.Pattern.Elements}
-			var cond sparql.Expr
-			for _, f := range e.Pattern.Filters {
-				if cond == nil {
-					cond = f
-				} else {
-					cond = &sparql.Binary{Op: sparql.OpAnd, Left: cond, Right: f}
-				}
-			}
-			results = o.leftJoin(results, o.evalGroup(inner), cond)
-		}
-	}
-	for _, f := range g.Filters {
-		var kept []mapping
-		for _, m := range results {
-			v, err := algebra.EvalBool(f, m)
-			if err == nil && v {
-				kept = append(kept, m)
-			}
-		}
-		results = kept
-	}
-	return results
-}
-
-// Select evaluates the query and renders each solution as a projected,
-// "|"-joined string (unbound = empty cell), sorted for comparison.
-func (o *oracle) Select(q *sparql.Query) []string {
-	sols := o.evalGroup(q.Where)
+// project returns the solutions in ORDER BY order as rows of the
+// projected terms, each followed by its ORDER BY key terms.
+func (e *eval) project(q *sparql.Query, sols []solution) [][]rdf.Term {
 	cols := q.Vars
-	if len(cols) == 0 {
+	if len(cols) == 0 { // SELECT *: the pattern's variables, sorted
 		set := map[string]bool{}
-		for _, m := range sols {
-			for v := range m {
-				set[v] = true
+		var walk func(g *sparql.GroupGraphPattern)
+		walk = func(g *sparql.GroupGraphPattern) {
+			for _, el := range g.Elements {
+				switch el := el.(type) {
+				case *sparql.BGP:
+					for _, p := range el.Patterns {
+						for _, v := range p.Vars() {
+							set[v] = true
+						}
+					}
+				case *sparql.Group:
+					walk(el.Pattern)
+				case *sparql.Optional:
+					walk(el.Pattern)
+				case *sparql.Union:
+					walk(el.Left)
+					walk(el.Right)
+				}
 			}
 		}
+		walk(q.Where)
 		for v := range set {
 			cols = append(cols, v)
 		}
 		sort.Strings(cols)
 	}
-	var rows []string
-	for _, m := range sols {
-		parts := make([]string, len(cols))
-		for i, c := range cols {
-			if t, ok := m[c]; ok {
-				parts[i] = t.String()
-			}
+	rows := make([][]rdf.Term, len(sols))
+	for i, s := range sols {
+		row := make([]rdf.Term, 0, len(cols)+len(q.OrderBy))
+		for _, c := range cols {
+			row = append(row, e.o.terms[s[e.slot[c]]].term)
 		}
-		rows = append(rows, strings.Join(parts, "|"))
-	}
-	if q.Distinct {
-		seen := map[string]bool{}
-		var dedup []string
-		for _, r := range rows {
-			if !seen[r] {
-				seen[r] = true
-				dedup = append(dedup, r)
-			}
+		for _, oc := range q.OrderBy {
+			row = append(row, e.o.terms[s[e.slot[oc.Var]]].term)
 		}
-		rows = dedup
+		rows[i] = row
 	}
-	sort.Strings(rows)
-	// OFFSET/LIMIT are order-dependent; the comparison tests only use
-	// them together with a total ORDER BY, where count comparison
-	// suffices (handled by the caller).
+	n := len(cols)
+	sort.SliceStable(rows, func(i, j int) bool {
+		return orderTerms(q.OrderBy, rows[i][n:], rows[j][n:]) < 0
+	})
 	return rows
 }
 
-// renderEngine runs the query on an engine and renders rows the same
-// way; an ASK renders as its verdict.
-func renderEngine(t *testing.T, s *store.Store, opts engine.Options, q *sparql.Query) []string {
-	t.Helper()
-	return renderResult(t, engine.New(s, opts), q)
+// renderTerms renders a row as the answer's rows are rendered.
+func renderTerms(row []rdf.Term) string {
+	parts := make([]string, len(row))
+	for i, t := range row {
+		if t.Kind != rdf.KindInvalid {
+			parts[i] = t.String()
+		}
+	}
+	return strings.Join(parts, "|")
 }
 
-// renderResult is renderEngine for an engine over any source.
-func renderResult(t *testing.T, eng *engine.Engine, q *sparql.Query) []string {
-	t.Helper()
-	res, err := eng.Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("%s: %v", eng.Options().Name, err)
+// rows returns every row of the answer, ignoring OFFSET and LIMIT.
+func (a *answer) rows() []string {
+	var out []string
+	for _, g := range a.groups {
+		out = append(out, g...)
 	}
-	if res.Form == sparql.FormAsk {
-		return []string{fmt.Sprintf("ask=%v", res.Ask)}
-	}
-	var rows []string
-	for _, row := range res.Rows {
-		parts := make([]string, len(row))
-		for i, term := range row {
-			if !term.IsZero() {
-				parts[i] = term.String()
-			}
-		}
-		rows = append(rows, strings.Join(parts, "|"))
-	}
-	sort.Strings(rows)
-	return rows
+	return out
 }
 
-// TestEnginesMatchOracleProperty is the strongest soundness check in the
-// suite: on random graphs and random queries, both engine families must
-// agree exactly with the literal-semantics reference evaluator.
-func TestEnginesMatchOracleProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	iterations := 150
-	if testing.Short() {
-		iterations = 30
+// check reports whether got, an engine's SELECT rows in the order it
+// returned them, is an answer the oracle allows: the rows of the
+// oracle's sequence from OFFSET on, at most LIMIT of them, where rows
+// within a group of equal ORDER BY keys may come in any order and a
+// group cut by the window may be filled by any of its rows.
+func (a *answer) check(got []string) error {
+	total := 0
+	for _, g := range a.groups {
+		total += len(g)
 	}
-	for i := 0; i < iterations; i++ {
-		s := randomGraph(r, 25+r.Intn(30))
-		src := randomQuery(r)
-		q, err := sparql.Parse(src, rdf.Prefixes)
-		if err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
+	lo, hi := min(a.offset, total), total
+	if a.limit >= 0 {
+		hi = min(hi, lo+a.limit)
+	}
+	if len(got) != hi-lo {
+		return fmt.Errorf("%d rows, the oracle has %d", len(got), hi-lo)
+	}
+	pos, i := 0, 0
+	for _, g := range a.groups {
+		s, t := max(pos, lo), min(pos+len(g), hi)
+		pos += len(g)
+		if s >= t {
+			continue
 		}
-		if q.Limit >= 0 || q.Offset >= 0 {
-			continue // slicing is witness-dependent; covered elsewhere
-		}
-		want := newOracle(s).Select(q)
-		for _, opts := range []engine.Options{engine.Mem(), engine.Native()} {
-			got := renderEngine(t, s, opts, q)
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Fatalf("iteration %d: %s disagrees with oracle\nquery:\n%s\noracle (%d): %v\nengine (%d): %v",
-					i, opts.Name, src, len(want), want, len(got), got)
-			}
+		chunk := got[i : i+t-s]
+		i += t - s
+		if extra := notIn(chunk, g); extra != "" {
+			return fmt.Errorf("row %q is not among the oracle's rows %d..%d %q", extra, s, t-1, g)
 		}
 	}
+	return nil
 }
 
-// TestOracleOnPaperShapes sanity-checks the oracle itself against the
-// hand-verified tiny library, so the property test above can't be
-// vacuously passing with a broken oracle.
-func TestOracleOnPaperShapes(t *testing.T) {
-	s := tinyLibrary()
-	o := newOracle(s)
-	q, err := sparql.Parse(`
-		SELECT ?yr ?name ?doc WHERE {
-			?class rdfs:subClassOf foaf:Document .
-			?doc rdf:type ?class .
-			?doc dcterms:issued ?yr .
-			?doc dc:creator ?author .
-			?author foaf:name ?name
-			OPTIONAL {
-				?class2 rdfs:subClassOf foaf:Document .
-				?doc2 rdf:type ?class2 .
-				?doc2 dcterms:issued ?yr2 .
-				?doc2 dc:creator ?author2
-				FILTER (?author = ?author2 && ?yr2 < ?yr)
-			}
-			FILTER (!bound(?author2))
-		}`, rdf.Prefixes)
-	if err != nil {
-		t.Fatal(err)
+// notIn returns a row of chunk that the multiset pool cannot supply, or
+// "" when pool holds every row of chunk.
+func notIn(chunk, pool []string) string {
+	left := map[string]int{}
+	for _, r := range pool {
+		left[r]++
 	}
-	rows := o.Select(q)
-	if len(rows) != 3 {
-		t.Fatalf("oracle Q6 = %d rows, want 3 (alice, bob, carol debuts): %v", len(rows), rows)
-	}
-	for _, row := range rows {
-		if !strings.Contains(row, "1950") {
-			t.Fatalf("oracle Q6 contains non-debut row: %v", rows)
+	for _, r := range chunk {
+		if left[r] == 0 {
+			return r
 		}
+		left[r]--
 	}
-	engRows := renderEngine(t, s, engine.Native(), q)
-	if fmt.Sprint(rows) != fmt.Sprint(engRows) {
-		t.Fatalf("oracle and engine disagree on Q6:\noracle: %v\nengine: %v", rows, engRows)
-	}
+	return ""
 }

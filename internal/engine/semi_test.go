@@ -12,12 +12,13 @@ import (
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
+	"sp2bench/internal/store/readertest"
 )
 
 // semiConfigs are the batch configurations a semi-join stage must agree
-// with mem under: the served one, batches of seven rows so that memo
-// hits and misses straddle batch boundaries, and four forced partitions,
-// each with its own memo.
+// with the oracle under: the served one, batches of seven rows so that
+// memo hits and misses straddle batch boundaries, and four forced
+// partitions, each with its own memo.
 func semiConfigs() []engine.Options {
 	batch7 := engine.Native()
 	batch7.Name, batch7.BatchSize = "native-batch7", 7
@@ -58,16 +59,13 @@ func paperQuery(id string) string {
 }
 
 // TestSemiJoinEligibility holds the semi-join rule to its table on a
-// 10k document, and every case to mem's solutions on a 5k document,
-// where Q5a and Q5b have answers and mem computes them in test time
-// (at 10k it cannot: testutil.MemTooSlow10k). Where the rule applies is
+// 10k and a 5k document, and every case to the oracle's solutions on
+// the 5k one, where Q5a and Q5b have answers. Where the rule applies is
 // a property of the query alone, so both documents must agree on it.
-// Q4, which mem takes over a minute to answer even at 5k, is held to
-// native-nlj instead, as TestOperatorChoicesAgreeOn17Queries does; its
-// plan has no semi stage.
 func TestSemiJoinEligibility(t *testing.T) {
 	large, _ := generatedStore(t, 10_000)
 	small, _ := generatedStore(t, 5_000)
+	o := oracleOf(small)
 	for _, tc := range semiCases {
 		q, err := sparql.Parse(tc.query, rdf.Prefixes)
 		if err != nil {
@@ -84,16 +82,7 @@ func TestSemiJoinEligibility(t *testing.T) {
 				}
 			}
 		}
-		ref := engine.Mem()
-		if tc.name == "q4" {
-			ref = operatorVariants()[0]
-		}
-		want := renderEngine(t, small, ref, q)
-		for _, opts := range semiConfigs() {
-			if got := renderEngine(t, small, opts, q); !slices.Equal(got, want) {
-				t.Errorf("%s/%s: %d solutions, %s has %d", opts.Name, tc.name, len(got), ref.Name, len(want))
-			}
-		}
+		agree(t, o.answer(q), small, q, tc.name, semiConfigs()...)
 	}
 }
 
@@ -102,7 +91,8 @@ func TestSemiJoinEligibility(t *testing.T) {
 // document minus the article links of one of Q5b's authors, under a
 // delta holding an unrelated person. Q5b must lack the author there,
 // and must list the author again once a commit inserts one link, the
-// author's only one; each answer equals mem's over the same snapshot.
+// author's only one; each answer is the oracle's over the same
+// snapshot.
 func TestSemiJoinOverLiveDelta(t *testing.T) {
 	full, _ := generatedStore(t, 5_000)
 	q := sparql.MustParse(paperQuery("q5b"), rdf.Prefixes)
@@ -134,9 +124,9 @@ func TestSemiJoinOverLiveDelta(t *testing.T) {
 		if snap.DeltaLen() == 0 {
 			t.Fatalf("%s: the snapshot has no delta", step.name)
 		}
-		want := renderResult(t, engine.NewReader(snap, engine.Mem()), q)
-		if got := slices.ContainsFunc(want, func(row string) bool { return strings.HasPrefix(row, author+"|") }); got != step.listed {
-			t.Errorf("%s: mem lists %s: %v, want %v", step.name, author, got, step.listed)
+		want := oracleOf(snap).answer(q)
+		if got := slices.ContainsFunc(want.rows(), func(row string) bool { return strings.HasPrefix(row, author+"|") }); got != step.listed {
+			t.Errorf("%s: the oracle lists %s: %v, want %v", step.name, author, got, step.listed)
 		}
 		for _, opts := range semiConfigs() {
 			eng := engine.NewReader(snap, opts)
@@ -147,10 +137,8 @@ func TestSemiJoinOverLiveDelta(t *testing.T) {
 			if !strings.Contains(plan, "semi[") {
 				t.Errorf("%s/%s: no semi stage over the snapshot:\n%s", step.name, opts.Name, plan)
 			}
-			if got := renderResult(t, eng, q); !slices.Equal(got, want) {
-				t.Errorf("%s/%s: %d solutions, mem has %d", step.name, opts.Name, len(got), len(want))
-			}
 		}
+		agree(t, want, snap, q, step.name, semiConfigs()...)
 		snap.Close()
 	}
 }
@@ -180,11 +168,7 @@ func articleLinks(t *testing.T, s *store.Store, q5b *sparql.Query) ([]store.EncT
 		t.Fatalf("unknown person %s", res.Rows[0][0])
 	}
 	var links []store.EncTriple
-	for it := store.Range(s, store.NoID, creator, person).Iterator(); ; {
-		tr, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, tr := range readertest.Matching(store.Range(s, store.NoID, creator, person)) {
 		if store.Count(s, tr[0], typ, article) > 0 {
 			links = append(links, tr)
 		}

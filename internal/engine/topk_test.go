@@ -6,7 +6,6 @@ package engine_test
 // sliced — in order, ties included.
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -75,6 +74,7 @@ func TestTopKMatchesSortedSlice(t *testing.T) {
 		{"distinct between", "SELECT DISTINCT ?yr ?n WHERE { ?s <urn:yr> ?yr . ?s <urn:name> ?n }",
 			"ORDER BY ?n", 4, 6, false},
 	}
+	o := oracleOf(s)
 	for _, tc := range cases {
 		full := sparql.MustParse(tc.where+" "+tc.order, rdf.Prefixes)
 		page := sparql.MustParse(fmt.Sprintf("%s %s LIMIT %d OFFSET %d",
@@ -96,35 +96,26 @@ func TestTopKMatchesSortedSlice(t *testing.T) {
 				t.Errorf("%s/%s: LIMIT %d OFFSET %d returned\n%v\nthe sorted result's slice is\n%v",
 					tc.name, opts.Name, tc.limit, tc.offset, got, want)
 			}
-			// The solutions themselves are the reference evaluator's.
-			if got, ref := renderEngine(t, s, opts, full), renderEngine(t, s, engine.Mem(), full); !slices.Equal(got, ref) {
-				t.Errorf("%s/%s: solution multiset differs from mem's", tc.name, opts.Name)
-			}
 		}
+		// The solutions themselves, and the page, are the oracle's.
+		agree(t, o.answer(full), s, full, tc.name, topKConfigs()...)
+		agree(t, o.answer(page), s, page, tc.name+" page", topKConfigs()...)
 	}
 }
 
-// TestTopKKeySequenceMatchesMem: a page's order keys are determined by
-// the ORDER BY alone (ties only decide which of equal-key rows fill
-// it), so every configuration's page carries the same key sequence as
-// the in-memory engine's.
-func TestTopKKeySequenceMatchesMem(t *testing.T) {
+// TestTopKKeySequenceMatchesOracle: a page's order keys are determined
+// by the ORDER BY alone (ties only decide which of equal-key rows fill
+// it), so every configuration's page carries the oracle's key sequence.
+// The projected columns are the keys, so each row is its keys.
+func TestTopKKeySequenceMatchesOracle(t *testing.T) {
 	s := topKStore()
+	o := oracleOf(s)
 	for _, src := range []string{
 		"SELECT ?m WHERE { ?s <urn:mixed> ?m } ORDER BY ?m LIMIT 50 OFFSET 25",
 		"SELECT ?yr ?n WHERE { ?s <urn:yr> ?yr . ?s <urn:name> ?n } ORDER BY DESC(?yr) ?n LIMIT 30 OFFSET 100",
 		"SELECT ?o WHERE { ?s <urn:yr> ?yr OPTIONAL { ?s <urn:opt> ?o } } ORDER BY ?o LIMIT 40 OFFSET 250",
 	} {
 		q := sparql.MustParse(src, rdf.Prefixes)
-		res, err := engine.New(s, engine.Mem()).Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := render(res)
-		for _, opts := range topKConfigs() {
-			if got := orderedRows(t, s, opts, q); !slices.Equal(got, ref) {
-				t.Errorf("%s: %q returned\n%v\nmem returned\n%v", opts.Name, src, got, ref)
-			}
-		}
+		agree(t, o.answer(q), s, q, src, topKConfigs()...)
 	}
 }

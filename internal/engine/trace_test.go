@@ -10,7 +10,6 @@ import (
 	"sp2bench/internal/queries"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
-	"sp2bench/internal/store"
 )
 
 // queryAnalyze runs Query under EXPLAIN ANALYZE and returns the result
@@ -22,21 +21,15 @@ func queryAnalyze(ctx context.Context, eng *engine.Engine, q *sparql.Query) (*en
 }
 
 // TestAnalyzeTraceConsistency runs the full 17-query sweep under
-// EXPLAIN ANALYZE on both engine families and asserts the invariant
-// the trace hangs on: the root operator's actual row count equals the
-// query's result count, for every query, every time.
+// EXPLAIN ANALYZE on the served configuration and on nested-loop joins
+// only, and asserts the invariant the trace hangs on: the root
+// operator's actual row count equals the query's result count, for
+// every query, every time.
 func TestAnalyzeTraceConsistency(t *testing.T) {
-	// The in-memory engine is polynomial on several queries, so it
-	// sweeps a smaller document (mirroring TestEnginesAgree).
-	native, _ := generatedStore(t, 10_000)
-	mem, _ := generatedStore(t, 2_000)
+	s, _ := generatedStore(t, 10_000)
 	ctx := context.Background()
-	for _, tc := range []struct {
-		opts engine.Options
-		st   *store.Store
-	}{{engine.Native(), native}, {engine.Mem(), mem}} {
-		opts := tc.opts
-		eng := engine.New(tc.st, opts)
+	for _, opts := range []engine.Options{engine.Native(), operatorVariants()[0]} {
+		eng := engine.New(s, opts)
 		for _, q := range queries.All() {
 			n, tr, err := eng.CountAnalyze(ctx, q.Parse())
 			if err != nil {

@@ -20,8 +20,9 @@ package engine
 // query runs on the tuple operators and Explain records "vec: tuple
 // fallback (<reason>)". An explicit join of groups that does flatten
 // runs as a UNION of BGP chains (see joinBlocks). SELECT and ASK reach
-// it (ASK stops at the first non-empty batch); aggregates run on the
-// tuple path.
+// it (ASK stops at the first non-empty batch), and so does the core
+// SELECT of an aggregate query, whose rows Engine.Aggregate then groups
+// (forms.go).
 
 import (
 	"errors"
@@ -156,9 +157,9 @@ type vecBlock struct {
 // Every conjunct must read only variables of its own block's patterns,
 // which bind them in every solution: it then sees the same values in
 // the joined BGP as in its group, and the tuple path's substitution of
-// left bindings into the right group changes nothing either, so mem
-// stays the oracle. An OPTIONAL, an empty group, a conjunct reading
-// another group's variables, or more than maxJoinBlocks BGPs decline.
+// left bindings into the right group changes nothing either. An
+// OPTIONAL, an empty group, a conjunct reading another group's
+// variables, or more than maxJoinBlocks BGPs decline.
 func joinBlocks(n algebra.Node) ([]vecBlock, string) {
 	const why = "explicit join of groups"
 	switch node := n.(type) {
@@ -222,9 +223,6 @@ func joinBlocks(n algebra.Node) ([]vecBlock, string) {
 // vecDeclineBGP is vecDecline for a BGP with its pushed filter
 // conjuncts.
 func (c *compiled) vecDeclineBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) string {
-	if !c.eng.opts.UseIndexes {
-		return "no index access path"
-	}
 	if len(patterns) == 0 {
 		return "empty group pattern"
 	}

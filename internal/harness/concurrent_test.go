@@ -13,7 +13,7 @@ import (
 // same document, each through its own executor and in a rotated query
 // order, get the counts of a sequential protocol run.
 func TestConcurrentMatchesSequential(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
+	cfg := miniConfig(t)
 	cfg.QueryIDs = fastQueries
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -29,8 +29,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := cfg.Engines[0]
-	eng := engine.New(lr.store, es.Opts)
+	eng := engine.New(lr.store, engine.Native())
 	qs := r.querySet()
 
 	var wg sync.WaitGroup
@@ -38,7 +37,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			ex := newEngineExecutor(es.Name, eng)
+			ex := newEngineExecutor(eng)
 			for i := range qs {
 				q := qs[(i+c)%len(qs)]
 				n, err := ex.Execute(context.Background(), q)
@@ -46,7 +45,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 					t.Errorf("client %d %s: %v", c, q.ID, err)
 					continue
 				}
-				s, ok := seqRep.Run(es.Name, sc.Name, q.ID)
+				s, ok := seqRep.Run(ex.Name(), sc.Name, q.ID)
 				if !ok {
 					t.Errorf("%s missing from the sequential report", q.ID)
 					continue

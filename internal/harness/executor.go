@@ -9,14 +9,14 @@ import (
 	"sp2bench/internal/sparql"
 )
 
-// Executor is one backend capable of running benchmark queries: an
-// in-process engine configuration or a remote SPARQL endpoint. The
+// Executor is one backend capable of running benchmark queries: the
+// in-process engine or a remote SPARQL endpoint. The
 // measurement pipeline (runCell/runOnce) is written
 // against this interface only, which is what lets the harness benchmark
 // engines it does not link against — the cross-engine posture of the
 // original SP2Bench.
 type Executor interface {
-	// Name labels the backend in reports ("mem", "native", "endpoint").
+	// Name labels the backend in reports ("native", "endpoint").
 	Name() string
 	// Execute runs q to completion and returns its solution count.
 	Execute(ctx context.Context, q queries.Query) (int, error)
@@ -54,16 +54,15 @@ type analyzer interface {
 // parser. The cache is not safe for concurrent use; the protocol drives
 // one executor from one goroutine.
 type engineExecutor struct {
-	name   string
 	eng    *engine.Engine
 	parsed map[string]*sparql.Query
 }
 
-func newEngineExecutor(name string, eng *engine.Engine) *engineExecutor {
-	return &engineExecutor{name: name, eng: eng, parsed: map[string]*sparql.Query{}}
+func newEngineExecutor(eng *engine.Engine) *engineExecutor {
+	return &engineExecutor{eng: eng, parsed: map[string]*sparql.Query{}}
 }
 
-func (e *engineExecutor) Name() string { return e.name }
+func (e *engineExecutor) Name() string { return e.eng.Options().Name }
 
 func (e *engineExecutor) Prepare(q queries.Query) error {
 	if _, ok := e.parsed[q.ID]; ok {

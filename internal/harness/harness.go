@@ -1,9 +1,10 @@
 // Package harness implements the SP2Bench benchmark protocol of Section
-// VI: documents of increasing size, two engine families, per-query
-// timeouts, and the five metrics the paper proposes (success rate, loading
-// time, per-query performance, global performance as arithmetic/geometric
-// means, memory consumption). Its renderers reproduce every table and
-// figure of the paper's evaluation section.
+// VI: documents of increasing size, driven through the in-process engine
+// or a remote endpoint, per-query timeouts, and the five metrics the
+// paper proposes (success rate, loading time, per-query performance,
+// global performance as arithmetic/geometric means, memory
+// consumption). Its renderers reproduce every table and figure of the
+// paper's evaluation section.
 package harness
 
 import (
@@ -13,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -78,41 +80,6 @@ func ParseScales(s string) ([]Scale, error) {
 	return out, nil
 }
 
-// EngineSpec names one engine configuration under test.
-type EngineSpec struct {
-	Name string
-	Opts engine.Options
-}
-
-// DefaultEngines returns the two engine families the paper compares.
-func DefaultEngines() []EngineSpec {
-	return []EngineSpec{
-		{Name: "mem", Opts: engine.Mem()},
-		{Name: "native", Opts: engine.Native()},
-	}
-}
-
-// ParseEngines resolves a comma-separated list of engine names
-// ("mem,native"), each a name engine.ByName knows.
-func ParseEngines(s string) ([]EngineSpec, error) {
-	var out []EngineSpec
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		opts, err := engine.ByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("harness: unknown engine %q (want mem or native)", name)
-		}
-		out = append(out, EngineSpec{Name: name, Opts: opts})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("harness: no engines given")
-	}
-	return out, nil
-}
-
 // Outcome classifies a query run, matching Table IV's legend.
 type Outcome int
 
@@ -157,9 +124,7 @@ type QueryRun struct {
 	Engine  string
 	Scale   string
 	Outcome Outcome
-	// Wall is elapsed time (the paper's tme); for in-memory engines it
-	// includes document loading when Config.ChargeLoadToMem is set, as
-	// the paper's in-memory engines parse the document per run.
+	// Wall is elapsed time (the paper's tme).
 	Wall time.Duration
 	// User and Sys are process CPU time deltas (usr/sys).
 	User, Sys time.Duration
@@ -184,16 +149,15 @@ type LoadStats struct {
 	Wall    time.Duration
 	Triples int
 	// Source names the loaded representation: "ntriples" for a text
-	// parse (plus index construction for index-using engines) or
-	// "snapshot" when a cached binary snapshot was reloaded — the
-	// cold-start fast path this column makes visible.
+	// parse plus index construction, or "snapshot" when a cached binary
+	// snapshot was reloaded — the cold-start fast path this column
+	// makes visible.
 	Source string
 }
 
 // Config tunes the benchmark protocol.
 type Config struct {
-	Scales  []Scale
-	Engines []EngineSpec
+	Scales []Scale
 	// QueryIDs restricts the query set (nil = all 17).
 	QueryIDs []string
 	// Timeout is the per-query limit (the paper uses 30 minutes; the
@@ -206,18 +170,15 @@ type Config struct {
 	// PenaltySeconds ranks failed queries in the global-performance
 	// means (paper: 3600).
 	PenaltySeconds float64
-	// ChargeLoadToMem adds document parse time to every in-memory-engine
-	// query, mirroring engines that load the file per query.
-	ChargeLoadToMem bool
 	// Analyze captures an EXPLAIN ANALYZE trace per cell on one extra
 	// run outside the measured window (engine backends only).
 	Analyze bool
 	// Endpoint, when non-empty, benchmarks a remote SPARQL 1.1 endpoint
-	// at that URL instead of the in-process engines: no documents are
+	// at that URL instead of the in-process engine: no documents are
 	// generated or loaded (the endpoint serves its own data) and every
-	// query travels over HTTP. Scales and Engines are ignored; the
-	// user/sys and memory columns describe this process (the driving
-	// client), not the remote server.
+	// query travels over HTTP. Scales are ignored; the user/sys and
+	// memory columns describe this process (the driving client), not
+	// the remote server.
 	Endpoint string
 	// Seed feeds the generator.
 	Seed uint64
@@ -237,13 +198,11 @@ type Config struct {
 // laptop while preserving the paper's shapes.
 func DefaultConfig() Config {
 	return Config{
-		Scales:          DefaultScales(),
-		Engines:         DefaultEngines(),
-		Timeout:         15 * time.Second,
-		Runs:            1,
-		PenaltySeconds:  3600,
-		ChargeLoadToMem: true,
-		Seed:            1,
+		Scales:         DefaultScales(),
+		Timeout:        15 * time.Second,
+		Runs:           1,
+		PenaltySeconds: 3600,
+		Seed:           1,
 	}
 }
 
@@ -276,9 +235,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if len(cfg.Scales) == 0 {
 			return nil, fmt.Errorf("harness: no scales configured")
 		}
-		if len(cfg.Engines) == 0 {
-			return nil, fmt.Errorf("harness: no engines configured")
-		}
 	}
 	if cfg.Timeout <= 0 {
 		return nil, fmt.Errorf("harness: timeout must be positive")
@@ -303,10 +259,8 @@ func (r *Runner) progressf(format string, args ...any) {
 // docManifest is the per-document cache record written next to each
 // generated document (atomically, see writeFileAtomic). It is what
 // lets later runs skip generation, parsing and sorting while staying
-// honest: Probe fingerprints the generator's current behavior, Stats
-// and GenNS preserve what the renderers need, and ParseNS preserves
-// the measured text parse so the ChargeLoadToMem surcharge does not
-// depend on cache state.
+// honest: Probe fingerprints the generator's current behavior, and
+// Stats and GenNS preserve what the renderers need.
 type docManifest struct {
 	// Probe is the SHA-256 of a small (probeTriples) document generated
 	// with this run's seed. Generation is incremental — a smaller
@@ -320,10 +274,7 @@ type docManifest struct {
 	// check that the cached document was generated for the same limit.
 	TripleLimit int64         `json:"triple_limit"`
 	GenNS       time.Duration `json:"gen_ns"`
-	// ParseNS is the measured N-Triples parse time; 0 until load() has
-	// parsed the text once.
-	ParseNS time.Duration `json:"parse_ns,omitempty"`
-	Stats   *gen.Stats    `json:"stats"`
+	Stats       *gen.Stats    `json:"stats"`
 }
 
 // probeTriples sizes the generator fingerprint document; ~milliseconds
@@ -451,6 +402,11 @@ func (r *Runner) Documents(rep *Report) error {
 		}
 		rep.GenStats[sc.Name] = stats
 		rep.GenTime[sc.Name] = elapsed
+		// A snapshot cached from an earlier document would not hold
+		// this one's graph.
+		if err := os.Remove(r.snapshotPath(sc)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("harness: removing stale snapshot: %w", err)
+		}
 		m := &docManifest{Probe: probe, DocBytes: stats.Bytes, TripleLimit: sc.Triples, GenNS: elapsed, Stats: stats}
 		r.manifests[sc.Name] = m
 		r.writeManifest(sc, m)
@@ -461,7 +417,7 @@ func (r *Runner) Documents(rep *Report) error {
 
 // Run executes the full protocol and returns the report. With
 // Config.Endpoint set, the protocol runs against the remote endpoint
-// instead of generating documents and driving in-process engines.
+// instead of generating documents and driving the in-process engine.
 //
 // sp2b:locks=write the runner is the sole owner of each loaded store; it freezes
 // the store before building any engine and runs every query sequentially on this goroutine
@@ -486,36 +442,12 @@ func (r *Runner) Run() (*Report, error) {
 		rep.Sources[sc.Name] = lr.source
 		r.progressf("loaded %s from %s in %v (%s)\n",
 			sc.Name, lr.source, (lr.parse + lr.freeze).Round(time.Millisecond), st.Footprint())
-		for _, es := range r.cfg.Engines {
-			// Index-using engines pay what this run actually paid
-			// (snapshot reload on a cache hit); index-free engines are
-			// modeled as re-parsing the text per query, so their column
-			// always shows the text parse time regardless of cache state.
-			loadWall := lr.textParse
-			if es.Opts.UseIndexes {
-				loadWall = lr.parse + lr.freeze
-			}
-			rep.Loading = append(rep.Loading, LoadStats{
-				Scale: sc.Name, Engine: es.Name, Wall: loadWall, Triples: st.Len(), Source: source(es, lr),
-			})
-			// In-memory engines re-parse the document per query when
-			// ChargeLoadToMem is set, mirroring engines without a
-			// persisted index.
-			charge := r.cfg.ChargeLoadToMem && !es.Opts.UseIndexes
-			r.drive(rep, newEngineExecutor(es.Name, engine.New(st, es.Opts)), sc, qs, lr.textParse, charge)
-		}
+		rep.Loading = append(rep.Loading, LoadStats{
+			Scale: sc.Name, Engine: engine.Native().Name, Wall: lr.parse + lr.freeze, Triples: st.Len(), Source: lr.source,
+		})
+		r.drive(rep, newEngineExecutor(engine.New(st, engine.Native())), sc, qs)
 	}
 	return rep, nil
-}
-
-// source labels one engine's LoadStats row: index-free engines are
-// modeled on the text representation even when this run took the
-// snapshot fast path.
-func source(es EngineSpec, lr loadResult) string {
-	if es.Opts.UseIndexes {
-		return lr.source
-	}
-	return "ntriples"
 }
 
 // runEndpoint executes the protocol against Config.Endpoint. The single
@@ -526,15 +458,15 @@ func (r *Runner) runEndpoint() (*Report, error) {
 	rep := &Report{Config: r.cfg}
 	qs := r.querySet()
 	sc := Scale{Name: "remote"}
-	r.drive(rep, newEndpointExecutor(client.New(r.cfg.Endpoint)), sc, qs, 0, false)
+	r.drive(rep, newEndpointExecutor(client.New(r.cfg.Endpoint)), sc, qs)
 	return rep, nil
 }
 
 // drive runs the query set sequentially against one backend at one
 // scale.
-func (r *Runner) drive(rep *Report, ex Executor, sc Scale, qs []queries.Query, parseTime time.Duration, chargeLoad bool) {
+func (r *Runner) drive(rep *Report, ex Executor, sc Scale, qs []queries.Query) {
 	for _, q := range qs {
-		run := r.runCell(ex, sc, q, parseTime, chargeLoad)
+		run := r.runCell(ex, sc, q)
 		rep.Runs = append(rep.Runs, run)
 		r.progressf("%-7s %-16s %-5s %-8s %12v results=%d\n",
 			sc.Name, ex.Name(), q.ID, run.Outcome, run.Wall.Round(time.Microsecond), run.Results)
@@ -555,37 +487,32 @@ func (r *Runner) querySet() []queries.Query {
 // loadResult is what building one scale's store yielded. parse and
 // freeze are the phases this run actually paid (for a snapshot hit:
 // the reload as parse, zero freeze — the format stores the sorted
-// indexes, so no index-construction phase is left). textParse is the
-// measured N-Triples parse time, recorded alongside the snapshot cache
-// so that the ChargeLoadToMem surcharge and the in-memory engines'
-// loading rows stay the same whether or not this particular run hit
-// the cache — benchmark tables must not depend on cache state.
+// indexes, so no index-construction phase is left).
 type loadResult struct {
-	store     *store.Store
-	parse     time.Duration
-	freeze    time.Duration
-	textParse time.Duration
-	source    string
+	store  *store.Store
+	parse  time.Duration
+	freeze time.Duration
+	source string
 }
 
 // load builds the store for one scale. A binary snapshot cached next
 // to the document is preferred — but only when Documents validated the
-// scale's manifest this run (generator probe and document size match)
-// and the manifest carries a measured parse time, so a hit is known to
-// hold the same graph a re-parse would produce and the surcharge
-// semantics never depend on cache state. On any miss the text is
-// parsed, and the snapshot plus the parse measurement are recorded for
-// the next run.
+// scale's manifest this run (generator probe and document size match),
+// so a hit is known to hold the same graph a re-parse would produce;
+// Documents removes the snapshot of every document it regenerates. On
+// any miss the text is parsed, and the snapshot is written for the
+// next run.
 func (r *Runner) load(sc Scale) (loadResult, error) {
-	snapPath := strings.TrimSuffix(r.docs[sc.Name], ".nt") + snapshot.Ext
-	m := r.manifests[sc.Name]
-	if r.cacheEnabled() && m != nil && m.ParseNS > 0 {
+	snapPath := r.snapshotPath(sc)
+	if r.cacheEnabled() && r.manifests[sc.Name] != nil {
 		start := time.Now()
 		st, err := snapshot.ReadFile(snapPath)
-		if err == nil {
-			return loadResult{store: st, parse: time.Since(start), textParse: m.ParseNS, source: "snapshot"}, nil
+		switch {
+		case err == nil:
+			return loadResult{store: st, parse: time.Since(start), source: "snapshot"}, nil
+		case !errors.Is(err, fs.ErrNotExist): // none yet is the first run's case
+			r.progressf("snapshot cache %s unreadable (%v); re-parsing\n", snapPath, err)
 		}
-		r.progressf("snapshot cache %s unreadable (%v); re-parsing\n", snapPath, err)
 	}
 
 	f, err := os.Open(r.docs[sc.Name])
@@ -602,23 +529,26 @@ func (r *Runner) load(sc Scale) (loadResult, error) {
 	start = time.Now()
 	st.Freeze()
 	freeze := time.Since(start)
-	// Cache the frozen store and the parse measurement for the next
-	// run; a failure here only costs the next run its fast path.
+	// Cache the frozen store for the next run; a failure here only
+	// costs the next run its fast path.
 	if r.cacheEnabled() {
 		if err := snapshot.WriteFile(snapPath, st); err != nil {
 			r.progressf("could not cache snapshot %s: %v\n", snapPath, err)
-		} else if m != nil {
-			m.ParseNS = parse
-			r.writeManifest(sc, m)
 		}
 	}
-	return loadResult{store: st, parse: parse, freeze: freeze, textParse: parse, source: "ntriples"}, nil
+	return loadResult{store: st, parse: parse, freeze: freeze, source: "ntriples"}, nil
+}
+
+// snapshotPath is where the frozen store of a scale's document is
+// cached.
+func (r *Runner) snapshotPath(sc Scale) string {
+	return strings.TrimSuffix(r.docs[sc.Name], ".nt") + snapshot.Ext
 }
 
 // runCell measures one (backend, scale, query) cell over cfg.Runs runs
 // and keeps the average of the successful protocol (the paper averages
 // three runs).
-func (r *Runner) runCell(ex Executor, sc Scale, q queries.Query, parseTime time.Duration, chargeLoad bool) QueryRun {
+func (r *Runner) runCell(ex Executor, sc Scale, q queries.Query) QueryRun {
 	var agg QueryRun
 	agg.Query, agg.Engine, agg.Scale = q.ID, ex.Name(), sc.Name
 	if exp, ok := ex.(explainer); ok {
@@ -643,9 +573,6 @@ func (r *Runner) runCell(ex Executor, sc Scale, q queries.Query, parseTime time.
 		if one.Outcome != Success {
 			one.Query, one.Engine, one.Scale = q.ID, ex.Name(), sc.Name
 			one.Plan = agg.Plan
-			if chargeLoad {
-				one.Wall += parseTime
-			}
 			return one
 		}
 		totalWall += one.Wall
@@ -660,9 +587,6 @@ func (r *Runner) runCell(ex Executor, sc Scale, q queries.Query, parseTime time.
 	agg.Wall = totalWall / time.Duration(r.cfg.Runs)
 	agg.User = totalUser / time.Duration(r.cfg.Runs)
 	agg.Sys = totalSys / time.Duration(r.cfg.Runs)
-	if chargeLoad {
-		agg.Wall += parseTime
-	}
 	return agg
 }
 

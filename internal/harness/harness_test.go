@@ -5,42 +5,32 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"sp2bench/internal/engine"
 	"sp2bench/internal/snapshot"
 )
 
-// miniConfig returns a protocol small enough for unit tests: two tiny
-// scales, short timeout, native engine only unless asked.
-func miniConfig(t *testing.T, engines []EngineSpec) Config {
+// miniConfig returns a protocol small enough for unit tests: the 10k
+// scale and a short timeout.
+func miniConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Scales = []Scale{{"10k", 10_000}}
-	cfg.Engines = engines
 	cfg.Timeout = 30 * time.Second
 	cfg.WorkDir = t.TempDir()
 	return cfg
 }
 
-// fastQueries is a query subset that completes quickly on both engine
-// families.
+// fastQueries is a query subset that completes quickly.
 var fastQueries = []string{"q1", "q2", "q3a", "q10", "q11", "q12c"}
-
-func nativeOnly() []EngineSpec {
-	all := DefaultEngines()
-	return all[1:] // native
-}
 
 func TestRunnerValidation(t *testing.T) {
 	bad := []Config{
 		{},
 		{Scales: DefaultScales()},
-		{Scales: DefaultScales(), Engines: DefaultEngines()},
-		{Scales: DefaultScales(), Engines: DefaultEngines(), Timeout: time.Second, QueryIDs: []string{"q1", "q13"}},
+		{Scales: DefaultScales(), Timeout: time.Second, QueryIDs: []string{"q1", "q13"}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRunner(cfg); err == nil {
@@ -50,7 +40,7 @@ func TestRunnerValidation(t *testing.T) {
 }
 
 func TestFullProtocolSmall(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
+	cfg := miniConfig(t)
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +72,11 @@ func TestFullProtocolSmall(t *testing.T) {
 }
 
 // TestDefaultConfigQuerySubset runs DefaultConfig cut to its first
-// scale and the native engine with a query subset: one run per listed
-// query, and the paper's shapes hold.
+// scale with a query subset: one run per listed query, and the paper's
+// shapes hold.
 func TestDefaultConfigQuerySubset(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scales = cfg.Scales[:1] // 10k only
-	cfg.Engines = nativeOnly()
 	cfg.QueryIDs = []string{"q1", "q9", "q11"}
 	cfg.WorkDir = t.TempDir()
 	r, err := NewRunner(cfg)
@@ -116,9 +105,11 @@ func TestDefaultConfigWithoutScales(t *testing.T) {
 	}
 }
 
+// TestTimeoutClassification: a query whose budget has run out before it
+// finishes is a Timeout, not an error.
 func TestTimeoutClassification(t *testing.T) {
-	cfg := miniConfig(t, []EngineSpec{{Name: "mem", Opts: DefaultEngines()[0].Opts}})
-	cfg.Timeout = 50 * time.Millisecond // q4 on mem cannot finish in this
+	cfg := miniConfig(t)
+	cfg.Timeout = time.Nanosecond // expired when the engine first checks it
 	cfg.QueryIDs = []string{"q4"}
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -152,7 +143,7 @@ func TestParseScales(t *testing.T) {
 }
 
 func TestMemoryExhaustionClassification(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
+	cfg := miniConfig(t)
 	cfg.QueryIDs = []string{"q4"} // materializes a large DISTINCT set
 	cfg.MemLimitBytes = 1         // any sampled heap exceeds this
 	cfg.Timeout = 30 * time.Second
@@ -217,7 +208,7 @@ func TestOutcomeLetters(t *testing.T) {
 }
 
 func TestRenderersProduceTables(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
+	cfg := miniConfig(t)
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +288,13 @@ func TestGeneratorExperimentAndFigures(t *testing.T) {
 func TestWriteFigureData(t *testing.T) {
 	rep := &Report{Config: Config{
 		Scales:         []Scale{{"10k", 10_000}, {"50k", 50_000}},
-		Engines:        DefaultEngines(),
 		PenaltySeconds: 3600,
 	}}
 	rep.Runs = []QueryRun{
 		{Query: "q1", Engine: "native", Scale: "10k", Outcome: Success, Wall: 2 * time.Millisecond},
-		{Query: "q1", Engine: "mem", Scale: "10k", Outcome: Success, Wall: 5 * time.Millisecond},
+		{Query: "q1", Engine: "endpoint", Scale: "10k", Outcome: Success, Wall: 5 * time.Millisecond},
 		{Query: "q1", Engine: "native", Scale: "50k", Outcome: Success, Wall: 3 * time.Millisecond},
-		{Query: "q4", Engine: "mem", Scale: "10k", Outcome: Timeout},
+		{Query: "q4", Engine: "endpoint", Scale: "10k", Outcome: Timeout},
 	}
 	rep.Loading = []LoadStats{
 		{Scale: "10k", Engine: "native", Wall: 20 * time.Millisecond, Triples: 10000},
@@ -335,25 +325,6 @@ func TestWriteFigureData(t *testing.T) {
 	}
 }
 
-func TestParseEngines(t *testing.T) {
-	got, err := ParseEngines("mem, native")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []EngineSpec{
-		{Name: "mem", Opts: engine.Mem()},
-		{Name: "native", Opts: engine.Native()},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseEngines = %+v, want %+v", got, want)
-	}
-	for _, bad := range []string{"native-nlj", "shard4-native", ""} {
-		if _, err := ParseEngines(bad); err == nil {
-			t.Errorf("ParseEngines(%q) accepted", bad)
-		}
-	}
-}
-
 func TestPaperScales(t *testing.T) {
 	scales := PaperScales()
 	if len(scales) != 6 || scales[5].Name != "25M" || scales[5].Triples != 25_000_000 {
@@ -361,41 +332,15 @@ func TestPaperScales(t *testing.T) {
 	}
 }
 
-func TestChargeLoadToMem(t *testing.T) {
-	cfg := miniConfig(t, DefaultEngines())
-	cfg.QueryIDs = []string{"q1"}
-	cfg.ChargeLoadToMem = true
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	memRun, ok1 := rep.Run("mem", "10k", "q1")
-	natRun, ok2 := rep.Run("native", "10k", "q1")
-	if !ok1 || !ok2 {
-		t.Fatal("runs missing")
-	}
-	// The in-memory engine pays document parsing on every query, so even
-	// trivial Q1 must be slower there than on the native engine.
-	if memRun.Wall <= natRun.Wall {
-		t.Errorf("mem q1 (%v) should include load time and exceed native q1 (%v)",
-			memRun.Wall, natRun.Wall)
-	}
-}
-
 // TestSnapshotCacheAcrossRuns pins the work-directory cache contract:
 // the second run of an identical configuration reuses the generated
 // document (validated by the generator probe), reloads the binary
-// snapshot, reports the same generation stats and the same mem-engine
-// surcharge base (textParse survives via the manifest), and returns
-// identical per-query counts.
+// snapshot, reports the same generation stats, and returns identical
+// per-query counts; a regenerated document is parsed again, never
+// served from the snapshot of the one it replaced.
 func TestSnapshotCacheAcrossRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scales = []Scale{{"10k", 10_000}}
-	cfg.Engines = DefaultEngines()
 	cfg.Timeout = 30 * time.Second
 	cfg.QueryIDs = fastQueries
 	cfg.WorkDir = t.TempDir()
@@ -425,28 +370,6 @@ func TestSnapshotCacheAcrossRuns(t *testing.T) {
 		first.GenStats["10k"].EndYear != second.GenStats["10k"].EndYear {
 		t.Errorf("cached generation stats diverge: %+v vs %+v",
 			first.GenStats["10k"], second.GenStats["10k"])
-	}
-	// The mem engine's loading row must not depend on cache state: it
-	// models per-query text re-parsing, so both runs report the
-	// recorded text parse, labeled ntriples.
-	for _, rep := range []*Report{first, second} {
-		for _, l := range rep.Loading {
-			if l.Engine == "mem" && l.Source != "ntriples" {
-				t.Errorf("mem loading row labeled %q, want ntriples", l.Source)
-			}
-		}
-	}
-	memWall := func(rep *Report) time.Duration {
-		for _, l := range rep.Loading {
-			if l.Engine == "mem" {
-				return l.Wall
-			}
-		}
-		t.Fatal("no mem loading row")
-		return 0
-	}
-	if memWall(first) != memWall(second) {
-		t.Errorf("mem surcharge base changed across runs: %v vs %v", memWall(first), memWall(second))
 	}
 	for i := range first.Runs {
 		a, b := first.Runs[i], second.Runs[i]
@@ -479,7 +402,7 @@ func TestSnapshotCacheAcrossRuns(t *testing.T) {
 // one run its fast path, not the run: it re-parses the document, and
 // the snapshot it rewrites is read by the next run.
 func TestRefusedSnapshotCacheReparses(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
+	cfg := miniConfig(t)
 	cfg.QueryIDs = []string{"q1"}
 	source := func() string {
 		r, err := NewRunner(cfg)

@@ -21,7 +21,7 @@ import (
 // ReportSchema identifies the JSON report format. Consumers must
 // reject majors they do not know; additive changes stay within a
 // major.
-const ReportSchema = "sp2bench-report/3"
+const ReportSchema = "sp2bench-report/4"
 
 // JSONReport is the schema-versioned serialization of a benchmark run.
 type JSONReport struct {
@@ -61,15 +61,13 @@ type Environment struct {
 
 // ConfigInfo summarizes the protocol configuration of the run.
 type ConfigInfo struct {
-	Scales          []string `json:"scales,omitempty"`
-	Engines         []string `json:"engines,omitempty"`
-	Queries         []string `json:"queries,omitempty"`
-	TimeoutSeconds  float64  `json:"timeout_seconds"`
-	Runs            int      `json:"runs"`
-	PenaltySeconds  float64  `json:"penalty_seconds"`
-	ChargeLoadToMem bool     `json:"charge_load_to_mem"`
-	Endpoint        string   `json:"endpoint,omitempty"`
-	Seed            uint64   `json:"seed"`
+	Scales         []string `json:"scales,omitempty"`
+	Queries        []string `json:"queries,omitempty"`
+	TimeoutSeconds float64  `json:"timeout_seconds"`
+	Runs           int      `json:"runs"`
+	PenaltySeconds float64  `json:"penalty_seconds"`
+	Endpoint       string   `json:"endpoint,omitempty"`
+	Seed           uint64   `json:"seed"`
 }
 
 // GenInfo summarizes one scale's document generation.
@@ -156,19 +154,15 @@ func (rep *Report) JSONReport() *JSONReport {
 
 	cfg := rep.Config
 	out.Config = ConfigInfo{
-		Queries:         cfg.QueryIDs,
-		TimeoutSeconds:  cfg.Timeout.Seconds(),
-		Runs:            cfg.Runs,
-		PenaltySeconds:  cfg.PenaltySeconds,
-		ChargeLoadToMem: cfg.ChargeLoadToMem,
-		Endpoint:        cfg.Endpoint,
-		Seed:            cfg.Seed,
+		Queries:        cfg.QueryIDs,
+		TimeoutSeconds: cfg.Timeout.Seconds(),
+		Runs:           cfg.Runs,
+		PenaltySeconds: cfg.PenaltySeconds,
+		Endpoint:       cfg.Endpoint,
+		Seed:           cfg.Seed,
 	}
 	for _, sc := range cfg.Scales {
 		out.Config.Scales = append(out.Config.Scales, sc.Name)
-	}
-	for _, es := range cfg.Engines {
-		out.Config.Engines = append(out.Config.Engines, es.Name)
 	}
 
 	if len(rep.GenStats) > 0 {

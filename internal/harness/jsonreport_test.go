@@ -11,7 +11,6 @@ import (
 func TestJSONReportRoundTrip(t *testing.T) {
 	rep := &Report{Config: Config{
 		Scales:         []Scale{{Name: "10k"}, {Name: "50k"}},
-		Engines:        []EngineSpec{{Name: "native"}},
 		PenaltySeconds: 3600, Runs: 1, Timeout: time.Second,
 	}}
 	for _, c := range []struct {
@@ -26,7 +25,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	rep.Loading = []LoadStats{{Scale: "10k", Engine: "native", Wall: time.Second, Triples: 10000, Source: "snapshot"}}
 
 	j := rep.JSONReport()
-	if j.Schema != "sp2bench-report/3" {
+	if j.Schema != "sp2bench-report/4" {
 		t.Fatalf("schema %q", j.Schema)
 	}
 	var buf bytes.Buffer
@@ -57,7 +56,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 // plan the backend ran into the report's runs[].plan — Q5a's implicit
 // join on the native engine is the hashed disconnected block.
 func TestJSONReportRecordsPlan(t *testing.T) {
-	cfg := miniConfig(t, nativeOnly())
+	cfg := miniConfig(t)
 	cfg.QueryIDs = []string{"q5a"}
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -71,8 +70,8 @@ func TestJSONReportRecordsPlan(t *testing.T) {
 	if err := rep.JSONReport().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"schema": "sp2bench-report/3"`) {
-		t.Fatalf("report does not declare sp2bench-report/3:\n%.200s", buf.String())
+	if !strings.Contains(buf.String(), `"schema": "sp2bench-report/4"`) {
+		t.Fatalf("report does not declare sp2bench-report/4:\n%.200s", buf.String())
 	}
 	var back struct {
 		Runs []struct {

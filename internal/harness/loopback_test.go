@@ -56,7 +56,7 @@ func TestLoopbackEndpointEquivalence(t *testing.T) {
 	// Ground truth: in-process counts through the same executor the
 	// harness's local backends use.
 	inproc := map[string]int{}
-	ex := newEngineExecutor("native", eng)
+	ex := newEngineExecutor(eng)
 	for _, q := range queries.All() {
 		n, err := ex.Execute(context.Background(), q)
 		if err != nil {
@@ -69,7 +69,6 @@ func TestLoopbackEndpointEquivalence(t *testing.T) {
 	cfg.Endpoint = ts.URL
 	cfg.Timeout = time.Minute
 	cfg.Scales = nil // ignored in endpoint mode
-	cfg.Engines = nil
 
 	t.Run("sequential", func(t *testing.T) {
 		runner, err := NewRunner(cfg)

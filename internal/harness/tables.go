@@ -133,18 +133,11 @@ func (rep *Report) RenderTableV(w io.Writer) {
 // RenderMeans writes the global performance metric (Tables VI and VII):
 // arithmetic/geometric mean execution times and mean memory per
 // (engine, scale), with failures penalized at Config.PenaltySeconds.
-func (rep *Report) RenderMeans(w io.Writer, engines ...string) {
+func (rep *Report) RenderMeans(w io.Writer) {
 	fmt.Fprintln(w, "Tables VI/VII: arithmetic/geometric mean execution time and mean memory")
-	keep := map[string]bool{}
-	for _, e := range engines {
-		keep[e] = true
-	}
 	fmt.Fprintf(w, "%-18s %-7s %12s %12s %12s %9s\n",
 		"engine", "scale", "Ta [s]", "Tg [s]", "Ma [MB]", "failures")
 	for _, m := range rep.GlobalMeans() {
-		if len(engines) > 0 && !keep[m.Engine] {
-			continue
-		}
 		fmt.Fprintf(w, "%-18s %-7s %12.3f %12.4f %12.1f %6d/%2d\n",
 			m.Engine, m.Scale, m.Arithmetic, m.Geometric, m.MemMeanBytes/1e6,
 			m.Failures, m.Queries)
@@ -231,14 +224,6 @@ func (rep *Report) hasQuery(q string) bool {
 func sortedEngineNames(rep *Report) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, es := range rep.Config.Engines {
-		if !seen[es.Name] {
-			seen[es.Name] = true
-			out = append(out, es.Name)
-		}
-	}
-	// An endpoint-mode report configures no engines; the backends that
-	// actually ran are in the run records.
 	for _, run := range rep.Runs {
 		if !seen[run.Engine] {
 			seen[run.Engine] = true

@@ -12,8 +12,7 @@ import (
 // generation's directory-located range with the delta's as the two runs
 // of one store.IndexRange, which the engine's operators (merge joins,
 // partitioned parallel scans, galloping) read in merged order through a
-// store.Cursor without a copy; the mem engine's full scan is the
-// unbound SPO range, read the same way. Its optimizer statistics are
+// store.Cursor without a copy. Its optimizer statistics are
 // its version's, computed once when the version was published. A
 // Snapshot is immutable and safe for concurrent use; it observes no
 // commit made after it was taken, which is the per-query consistency

@@ -7,9 +7,7 @@
 // are [3]uint32, and each index is a sorted slice answering prefix range
 // queries: a dense leading-ID directory locates a bound leading
 // component's run in O(1), and only a longer prefix searches within that
-// run. The native engine uses the indexes' ranges; the in-memory engine
-// scans the whole SPO index and filters it, mirroring the two engine
-// families benchmarked in the paper.
+// run. The engine reads every triple pattern as one index's range.
 package store
 
 import (

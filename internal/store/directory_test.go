@@ -114,15 +114,7 @@ func checkRanges(t *testing.T, st store.Reader, want []store.EncTriple, keys [][
 					t.Fatalf("%s RangeIn%v: lead %d len %d rows %v, want lead %d rows %v",
 						ord, spo, rng.Lead, rng.Len(), rows, prefix, run)
 				}
-				var got []store.EncTriple
-				for it := rng.Iterator(); ; {
-					tr, ok := it.Next()
-					if !ok {
-						break
-					}
-					got = append(got, tr)
-				}
-				if !slices.Equal(got, match) {
+				if got := readertest.Matching(rng); !slices.Equal(got, match) {
 					t.Fatalf("%s RangeIn%v yields %v, want %v", ord, spo, got, match)
 				}
 				if store.ChooseOrder(spo[0] != store.NoID, spo[1] != store.NoID, spo[2] != store.NoID) == ord {

@@ -38,11 +38,6 @@ func (r IndexRange) Cursor() Cursor {
 	return Cursor{a: r.Rows, b: r.Delta, ord: r.Ord, lead: r.Lead, filt: r.Filt}
 }
 
-// Iterator returns a fresh iterator over the range.
-func (r IndexRange) Iterator() *Iterator {
-	return &Iterator{cur: r.Cursor()}
-}
-
 // CopyColumns is Cursor.CopyColumns from position start of the merged
 // order: a caller resumes at start+consumed. Over two runs each call
 // finds start by a binary search; a scan that keeps a Cursor does not.
@@ -263,30 +258,4 @@ func gallop(rows []EncTriple, comp int, key ID) int {
 	}
 	hi = min(hi, len(rows))
 	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i][comp] >= key })
-}
-
-// Iterator yields encoded triples one at a time in merged index order,
-// applying the range's residual filter.
-type Iterator struct {
-	cur Cursor
-	run []EncTriple // the unread rows of the current stretch
-}
-
-// Next returns the next matching triple in SPO component order.
-func (it *Iterator) Next() (EncTriple, bool) {
-	for {
-		for len(it.run) > 0 {
-			row, filt := it.run[0], &it.cur.filt
-			it.run = it.run[1:]
-			if (filt[0] == NoID || row[0] == filt[0]) &&
-				(filt[1] == NoID || row[1] == filt[1]) &&
-				(filt[2] == NoID || row[2] == filt[2]) {
-				return it.cur.ord.Unpermute(row), true
-			}
-		}
-		if it.run = it.cur.Run(); len(it.run) == 0 {
-			return EncTriple{}, false
-		}
-		it.cur.Advance(len(it.run))
-	}
 }

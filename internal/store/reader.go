@@ -60,19 +60,17 @@ func Range(r Reader, sub, pred, obj ID) IndexRange {
 }
 
 // Count returns the number of triples matching the pattern without
-// materializing them: the length of its range, read row by row only
-// when a residual (S?O) constraint remains.
+// materializing them: the length of its range, read through a Cursor
+// (counting the rows that pass, into no column) only when a residual
+// (S?O) constraint remains.
 func Count(r Reader, sub, pred, obj ID) int {
 	rng := Range(r, sub, pred, obj)
 	if rng.Filt == (EncTriple{}) {
 		return rng.Len()
 	}
-	n := 0
-	for it := rng.Iterator(); ; n++ {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
-	}
+	cur := rng.Cursor()
+	n, _ := cur.CopyColumns(rng.Len(), nil, nil, nil)
+	return n
 }
 
 // Stats holds the statistics the optimizer's selectivity estimator

@@ -226,15 +226,7 @@ func checkRanges(t *testing.T, r store.Reader, enc []store.EncTriple, pats [][3]
 			}
 			prev := store.EncTriple{}
 			first := true
-			got := make([]store.EncTriple, 0, len(want))
-			it := rng.Iterator()
-			for {
-				row, ok := it.Next()
-				if !ok {
-					break
-				}
-				got = append(got, row)
-			}
+			got := Matching(rng)
 			for _, row := range Rows(rng) {
 				if !first && store.CompareEnc(prev, row) >= 0 {
 					t.Fatalf("RangeIn(%v, %v): rows not strictly ascending: %v then %v", ord, p, prev, row)
@@ -259,38 +251,21 @@ func checkRanges(t *testing.T, r store.Reader, enc []store.EncTriple, pats [][3]
 
 // checkNarrowing pins the residual-filter contract: bound components
 // past the index prefix appear in Filt (or are already folded into a
-// dense range), and iterating the range yields only matching rows.
+// dense range), and reading the range through its residual yields only
+// matching rows.
 func checkNarrowing(t *testing.T, r store.Reader, enc []store.EncTriple, pats [][3]store.ID) {
 	for _, p := range pats {
 		for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
-			rng := r.RangeIn(ord, p[0], p[1], p[2])
-			it := rng.Iterator()
-			for {
-				row, ok := it.Next()
-				if !ok {
-					break
-				}
-				if (p[0] != store.NoID && row[0] != p[0]) ||
-					(p[1] != store.NoID && row[1] != p[1]) ||
-					(p[2] != store.NoID && row[2] != p[2]) {
-					t.Fatalf("RangeIn(%v, %v): iterator yielded non-matching row %v", ord, p, row)
+			for _, row := range Matching(r.RangeIn(ord, p[0], p[1], p[2])) {
+				if !passes(row, store.EncTriple(p)) {
+					t.Fatalf("RangeIn(%v, %v): yielded non-matching row %v", ord, p, row)
 				}
 			}
 		}
 		// store.Range (the order ChooseOrder picks) must agree with
 		// brute force too.
-		want := bruteMatch(enc, p)
-		n := 0
-		it := store.Range(r, p[0], p[1], p[2]).Iterator()
-		for {
-			_, ok := it.Next()
-			if !ok {
-				break
-			}
-			n++
-		}
-		if n != len(want) {
-			t.Fatalf("Range(%v): %d rows, want %d", p, n, len(want))
+		if n, want := len(Matching(store.Range(r, p[0], p[1], p[2]))), len(bruteMatch(enc, p)); n != want {
+			t.Fatalf("Range(%v): %d rows, want %d", p, n, want)
 		}
 	}
 }
@@ -298,28 +273,25 @@ func checkNarrowing(t *testing.T, r store.Reader, enc []store.EncTriple, pats []
 // checkCopyColumns verifies the bulk path for every pattern and
 // ordering: resumed across chunks of 1, 3, 7 (deliberately odd) and
 // 1024 rows, both as IndexRange.CopyColumns from a merged position and
-// through one Cursor, it must yield the iterator's rows, and those must
-// be the copied merge of the range's runs, filtered.
+// through one Cursor, it must yield the copied merge of the range's
+// runs, filtered, whose rows must be those a brute-force filter of the
+// unbound SPO range finds.
 func checkCopyColumns(t *testing.T, r store.Reader, pats [][3]store.ID) {
+	all := Triples(r)
 	for _, p := range pats {
+		brute := bruteMatch(all, p)
 		for _, ord := range []store.Order{store.OrderSPO, store.OrderPOS, store.OrderOSP} {
 			rng := r.RangeIn(ord, p[0], p[1], p[2])
-			var want, iterated []store.EncTriple
+			var want []store.EncTriple
 			for _, row := range copiedMerge(t, rng) {
 				if passes(row, rng.Filt) {
 					want = append(want, ord.Unpermute(row))
 				}
 			}
-			it := rng.Iterator()
-			for {
-				row, ok := it.Next()
-				if !ok {
-					break
-				}
-				iterated = append(iterated, row)
-			}
-			if !slices.Equal(iterated, want) {
-				t.Fatalf("RangeIn(%v, %v): iterator yields %v, want %v", ord, p, iterated, want)
+			sorted := slices.Clone(want)
+			store.SortEncTriples(sorted)
+			if !slices.Equal(sorted, brute) {
+				t.Fatalf("RangeIn(%v, %v): filtered rows %v, brute force finds %v", ord, p, sorted, brute)
 			}
 			for _, chunk := range []int{1, 3, 7, 1024} {
 				for _, cursor := range []bool{false, true} {
@@ -335,6 +307,19 @@ func checkCopyColumns(t *testing.T, r store.Reader, pats [][3]store.ID) {
 // Rows returns a range's rows in merged order, read through a Cursor
 // one stretch at a time.
 func Rows(rng store.IndexRange) []store.EncTriple { return walk(rng.Cursor()) }
+
+// Matching returns the rows of a range that pass its residual
+// constraint, in merged order and unpermuted into SPO component order:
+// what a row-at-a-time reader of the range sees.
+func Matching(rng store.IndexRange) []store.EncTriple {
+	var out []store.EncTriple
+	for _, row := range Rows(rng) {
+		if passes(row, rng.Filt) {
+			out = append(out, rng.Ord.Unpermute(row))
+		}
+	}
+	return out
+}
 
 // walk returns a cursor's unread rows.
 func walk(c store.Cursor) []store.EncTriple {

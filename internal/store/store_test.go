@@ -95,15 +95,20 @@ func buildStore(triples ...[3]string) *Store {
 
 // match returns the triples (in SPO component order) matching the
 // pattern, where NoID components are wildcards.
-func match(r Reader, sub, pred, obj ID) []EncTriple {
-	var out []EncTriple
-	for it := Range(r, sub, pred, obj).Iterator(); ; {
-		t, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
+func match(r Reader, sub, pred, obj ID) []EncTriple { return rangeRows(Range(r, sub, pred, obj)) }
+
+// rangeRows decodes a range's rows that pass its residual constraint,
+// in SPO component order, through one CopyColumns call.
+func rangeRows(rng IndexRange) []EncTriple {
+	n := rng.Len()
+	s, p, o := make([]ID, n), make([]ID, n), make([]ID, n)
+	cur := rng.Cursor()
+	w, _ := cur.CopyColumns(n, s, p, o)
+	out := make([]EncTriple, w)
+	for i := range out {
+		out[i] = EncTriple{s[i], p[i], o[i]}
 	}
+	return out
 }
 
 func TestStoreDeduplicates(t *testing.T) {
@@ -405,16 +410,6 @@ func TestRangeInMatchesIterate(t *testing.T) {
 		}
 		return i
 	}
-	collect := func(it *Iterator) []EncTriple {
-		var out []EncTriple
-		for {
-			tr, ok := it.Next()
-			if !ok {
-				return out
-			}
-			out = append(out, tr)
-		}
-	}
 	asSet := func(ts []EncTriple) map[EncTriple]bool {
 		m := map[EncTriple]bool{}
 		for _, tr := range ts {
@@ -433,10 +428,9 @@ func TestRangeInMatchesIterate(t *testing.T) {
 		{id("s1"), id("p1"), id("o1")},
 	}
 	for _, pat := range patterns {
-		want := asSet(collect(Range(s, pat[0], pat[1], pat[2]).Iterator()))
+		want := asSet(match(s, pat[0], pat[1], pat[2]))
 		for _, ord := range []Order{OrderSPO, OrderPOS, OrderOSP} {
-			r := s.RangeIn(ord, pat[0], pat[1], pat[2])
-			got := asSet(collect(r.Iterator()))
+			got := asSet(rangeRows(s.RangeIn(ord, pat[0], pat[1], pat[2])))
 			if len(got) != len(want) {
 				t.Fatalf("pattern %v order %v: %d triples, want %d", pat, ord, len(got), len(want))
 			}
