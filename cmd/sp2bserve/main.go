@@ -13,8 +13,7 @@
 //	sp2bserve -gen 50000 -debug-addr :6060       # pprof + /metrics side listener
 //
 // Queries run on the native engine: the batch-at-a-time executor with
-// partitioned parallel scans, falling back per query to the tuple
-// operators for forms it does not cover.
+// partitioned parallel scans, which serves every query form.
 //
 // The -d input may be N-Triples text or an .sp2b snapshot (written by
 // sp2bgen -o doc.sp2b); the format is sniffed from the magic bytes, and

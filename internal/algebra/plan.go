@@ -225,13 +225,10 @@ func translateGroup(g *sparql.GroupGraphPattern) Node {
 		case *sparql.Optional:
 			inner, cond := translateOptional(el.Pattern)
 			if node == nil {
-				// OPTIONAL with empty left side: LeftJoin against the unit
-				// solution, i.e. the inner pattern itself, filtered.
-				node = inner
-				if cond != nil {
-					node = &FilterNode{Input: node, Cond: cond}
-				}
-				continue
+				// OPTIONAL with empty left side: a LeftJoin against the
+				// unit solution, which survives alone when no match of
+				// the inner pattern passes the condition.
+				node = &BGPNode{}
 			}
 			node = &LeftJoinNode{Left: node, Right: inner, Cond: cond}
 		}

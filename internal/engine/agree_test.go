@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sp2bench/internal/engine"
+	"sp2bench/internal/queries"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
@@ -155,5 +156,75 @@ func TestComparisonsAgreeWithOracle(t *testing.T) {
 		src := fmt.Sprintf(`SELECT ?a ?b WHERE { ?a <urn:v> ?x . ?b <urn:v> ?y FILTER (?x %s ?y) }`, op)
 		q := sparql.MustParse(src, rdf.Prefixes)
 		agree(t, o.answer(q), s, q, src, operatorVariants()...)
+	}
+}
+
+// planOnBatchOperators fails t unless plan shows batch chains and no
+// fallback of any kind.
+func planOnBatchOperators(t *testing.T, label, plan string) {
+	t.Helper()
+	if !strings.Contains(plan, "vec operators:") || strings.Contains(plan, "fallback") {
+		t.Errorf("%s: not on the batch operators:\n%s", label, plan)
+	}
+}
+
+// TestEveryShapeOnBatchOperators holds the algebra shapes that once
+// fell back to another executor — empty groups, constant conjuncts,
+// correlated OPTIONALs, joins that do not flatten, Q7's double
+// negation — under every operator configuration to the oracle on the
+// tiny library, and requires each plan to run on the batch operators,
+// as it requires of the 17 paper queries and the aggregate extensions.
+func TestEveryShapeOnBatchOperators(t *testing.T) {
+	s := tinyLibrary()
+	o := oracleOf(s)
+	q7, _ := queries.ByID("q7")
+	shapes := []struct{ name, src string }{
+		{"optional-empty-group", `SELECT ?doc ?a WHERE { ?doc dc:creator ?a OPTIONAL {} }`},
+		{"leading-optional", `SELECT ?n WHERE { OPTIONAL { ?p foaf:name ?n FILTER (?n = "nobody") } }`},
+		{"empty-group-joined", `SELECT ?doc ?a WHERE { {} { ?doc dc:creator ?a } }`},
+		{"empty-group-union", `SELECT ?doc ?a WHERE { {} UNION { ?doc dc:creator ?a } }`},
+		{"constant-true", `SELECT ?doc WHERE { ?doc dc:creator ?a FILTER (1 = 1) }`},
+		{"constant-false", `SELECT ?doc WHERE { ?doc dc:creator ?a FILTER (1 = 2) }`},
+		{"optional-filter-reads-left", `SELECT ?doc ?yr ?j WHERE {
+			?doc dcterms:issued ?yr OPTIONAL { ?doc swrc:journal ?j FILTER (?yr > 1950) } }`},
+		{"join-reads-maybe-unbound", `SELECT ?doc ?j ?t WHERE {
+			{ ?doc dc:creator ?a OPTIONAL { ?doc swrc:journal ?j } } { ?j dc:title ?t } }`},
+		{"filter-reads-maybe-unbound", `SELECT ?doc ?j ?t WHERE {
+			{ ?doc dc:creator ?a OPTIONAL { ?doc swrc:journal ?j } } { ?d dc:title ?t FILTER (!bound(?j)) } }`},
+		{"anti-over-maybe-unbound", `SELECT ?doc ?j WHERE {
+			?doc dc:creator ?a OPTIONAL { ?doc swrc:journal ?j }
+			OPTIONAL { ?j dc:title ?t } FILTER (!bound(?t)) }`},
+		{"nested-correlated-optional", `SELECT ?doc ?a ?n WHERE {
+			?doc dcterms:issued ?yr
+			OPTIONAL { ?doc dc:creator ?a OPTIONAL { ?a foaf:name ?n FILTER (?yr > 1950) } } }`},
+		{"q7-idiom", q7.Text},
+	}
+	for _, sh := range shapes {
+		q := sparql.MustParse(sh.src, rdf.Prefixes)
+		want := o.answer(q)
+		agree(t, want, s, q, sh.name, operatorVariants()...)
+		for _, opts := range operatorVariants() {
+			plan, err := engine.New(s, opts).Explain(q)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sh.name, opts.Name, err)
+			}
+			planOnBatchOperators(t, sh.name+"/"+opts.Name, plan)
+		}
+	}
+	g, _ := generatedStore(t, 10_000)
+	eng := engine.New(g, engine.Native())
+	for _, pq := range queries.All() {
+		plan, err := eng.Explain(pq.Parse())
+		if err != nil {
+			t.Fatalf("%s: %v", pq.ID, err)
+		}
+		planOnBatchOperators(t, pq.ID, plan)
+	}
+	for _, ext := range queries.Extensions() {
+		plan, err := eng.Explain(sparql.MustParse(ext.Text, queries.Prologue))
+		if err != nil {
+			t.Fatalf("%s: %v", ext.ID, err)
+		}
+		planOnBatchOperators(t, ext.ID, plan)
 	}
 }

@@ -4,7 +4,7 @@ package engine
 // fixed-capacity columnar slab of dictionary IDs. It holds one column
 // per variable slot of the compiled query, so any operator can read any
 // bound variable by slot without schema negotiation — unbound slots are
-// store.NoID, exactly like the tuple path's rows.
+// store.NoID.
 //
 // A selection vector lets filter kernels mark surviving rows without
 // moving data: evaluation narrows sel, then one Compact call rewrites

@@ -103,57 +103,22 @@ func storeAndSnapshot(t *testing.T, triples int64) []namedReader {
 }
 
 // TestCompilePlansOnce: compiling a query opens each index range of its
-// plan exactly once — the ranges on its batch chains' EXPLAIN lines,
-// whether the batch path covers the query (no tuple tree is planned
-// beside it) or it falls back to the tuple operators (their outer-free
-// BGPs are the same chains). Both hold over a plain store and over an MVCC
-// snapshot with a live delta, where every range is located twice, in
-// the base and in the delta.
+// plan exactly once — the ranges on its batch chains' EXPLAIN lines; a
+// correlated chain, planned against an anchor row, opens none at
+// compile. It holds over a plain store and over an MVCC snapshot with a
+// live delta, where every range is located twice, in the base and in
+// the delta.
 func TestCompilePlansOnce(t *testing.T) {
 	for _, src := range storeAndSnapshot(t, 10_000) {
-		// Q5a's disconnected block, Q8's flattened join of groups, Q10's
-		// and Q11's unit BGPs and Q12a's ASK included.
-		for _, id := range []string{"q1", "q3b", "q5a", "q5b", "q6", "q8", "q10", "q11", "q12a"} {
+		// Q5a's disconnected block, Q7's correlated anti join, Q8's
+		// flattened join of groups, Q10's and Q11's unit BGPs and Q12a's
+		// ASK included.
+		for _, id := range []string{"q1", "q3b", "q5a", "q5b", "q6", "q7", "q8", "q10", "q11", "q12a"} {
 			plan, cr := explainCounting(t, src.r, engine.Native(), id)
 			if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
 				t.Errorf("%s/%s: compile opened %d ranges for a plan holding %d:\n%s",
 					src.name, id, cr.ranges.Load(), want, plan)
 			}
-			if strings.Contains(plan, "bgp operators:") || strings.Contains(plan, "tuple fallback") {
-				t.Errorf("%s/%s: a batch plan also planned tuple operators:\n%s", src.name, id, plan)
-			}
-		}
-		// Q7 falls back to the tuple operators, whose outer-free BGPs
-		// compile to the same batch chains, each range opened once.
-		plan, cr := explainCounting(t, src.r, engine.Native(), "q7")
-		if want := planRanges(plan); want == 0 || cr.ranges.Load() != int64(want) {
-			t.Errorf("%s/q7: compile opened %d ranges for a plan holding %d:\n%s",
-				src.name, cr.ranges.Load(), want, plan)
-		}
-		if strings.Contains(plan, "bgp operators:") {
-			t.Errorf("%s/q7: a plan shows a tuple BGP operator line:\n%s", src.name, plan)
-		}
-	}
-}
-
-// TestTupleFallbackSet pins which paper queries the native engine runs
-// on the tuple operators: exactly Q7 says "vec: tuple fallback", and
-// every other query runs on batch operators. Work that
-// moves a query onto the batch operators shrinks the set here on
-// purpose.
-func TestTupleFallbackSet(t *testing.T) {
-	s, _ := generatedStore(t, 10_000)
-	fallback := map[string]bool{"q7": true}
-	for _, q := range queries.All() {
-		plan, err := engine.New(s, engine.Native()).Explain(q.Parse())
-		if err != nil {
-			t.Fatalf("%s: %v", q.ID, err)
-		}
-		if got := strings.Contains(plan, "vec: tuple fallback"); got != fallback[q.ID] {
-			t.Errorf("native/%s: tuple fallback = %v, want %v:\n%s", q.ID, got, fallback[q.ID], plan)
-		}
-		if !fallback[q.ID] && !strings.Contains(plan, "vec operators:") {
-			t.Errorf("native/%s: no batch operators:\n%s", q.ID, plan)
 		}
 	}
 }

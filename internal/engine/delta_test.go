@@ -25,7 +25,7 @@ import (
 // every probe shape reads two runs). Sequential, tiny-batch and
 // partitioned configurations each read every range shape: scans,
 // merge, hash and nested-loop joins, semi-joins, OPTIONAL probes, dedup
-// stages and the tuple iterator.
+// stages and Q7's correlated anti search.
 func TestEnginesAgreeOverLiveDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generator-backed; skipped in -short")

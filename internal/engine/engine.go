@@ -12,15 +12,14 @@
 // configuration is held to an independent reference evaluator in the
 // package's tests.
 //
-// There is one BGP executor: a BGP with no variables bound from outside
-// runs as a batch scan → join chain (vec.go) whose per-step join
-// operators (join.go) and partitioned parallel scan (parallel.go) are
-// chosen from the store's statistics. Above the BGPs, a query runs on
-// the batch operators when they cover it, and on tuple-at-a-time
-// iterators otherwise, which pull the same chains' rows through an
-// adapter; Explain names the reason for each such fallback. The
-// nested-loop backtracker (bgp.go) evaluates the remaining BGPs:
-// correlated ones, re-opened per parent row, by index probes.
+// There is one executor, batch-at-a-time (vec.go), for every query
+// form. A BGP runs as a scan → join chain whose per-step join operators
+// (join.go) and partitioned parallel scan (parallel.go) are chosen from
+// the store's statistics. Above the BGPs every algebra operator has a
+// batch operator; a join or OPTIONAL whose right side is correlated
+// with its left re-opens the right side per left row, its BGPs then
+// chains anchored on that row (bind.go), and the closed-world negation
+// over such a side is an existence search per key (semi.go).
 package engine
 
 import (
@@ -203,36 +202,22 @@ func (e *Engine) Count(ctx context.Context, q *sparql.Query) (int, error) {
 		}
 		return 1, nil
 	}
-	if c.vec != nil {
-		// Batch path: sum batch row counts, no materialization at all —
-		// not even per-row iterator calls.
-		c.vec.open()
-		n := 0
-		for {
-			if err := c.cancel.now(); err != nil {
-				return n, err
-			}
-			b, err := c.vec.next()
-			if err != nil {
-				return n, err
-			}
-			if b == nil {
-				return n, nil
-			}
-			n += b.Len()
-		}
-	}
-	c.root.open(c.emptyRow())
+	// Sum batch row counts: no materialization at all, not even
+	// per-row calls.
+	c.vec.open()
 	n := 0
 	for {
-		_, ok, err := c.root.next()
+		if err := c.cancel.now(); err != nil {
+			return n, err
+		}
+		b, err := c.vec.next()
 		if err != nil {
 			return n, err
 		}
-		if !ok {
+		if b == nil {
 			return n, nil
 		}
-		n++
+		n += b.Len()
 	}
 }
 
@@ -245,11 +230,14 @@ func (e *Engine) CountAnalyze(ctx context.Context, q *sparql.Query) (int, *Trace
 }
 
 // Explain returns a description of the physical plan chosen for q: BGP
-// reordering and filter pinning, the batch operator chains, and the
-// reason a query falls back to the tuple operators ("vec: tuple
-// fallback (...)"). sp2bquery -explain prints it, and tests pin
-// optimizer behaviour with it.
+// reordering and filter pinning, and the batch operator chains. For an
+// aggregate query it is the plan of the core SELECT that Aggregate
+// groups. sp2bquery -explain prints it, and tests pin optimizer
+// behaviour with it.
 func (e *Engine) Explain(q *sparql.Query) (string, error) {
+	if q.IsAggregate() {
+		q = aggregateCore(q)
+	}
 	c, err := e.compile(context.Background(), q)
 	if err != nil {
 		return "", err

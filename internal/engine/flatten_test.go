@@ -10,8 +10,8 @@ import (
 )
 
 // flattenCases is the join-of-groups table: how many BGPs the batch path
-// flattens a query's explicit join of groups into, 0 where it declines
-// and the query runs on the tuple operators.
+// flattens a query's explicit join of groups into, 0 where it does not
+// flatten and the join runs as a bind join.
 var flattenCases = []struct {
 	name, query string
 	bgps        int
@@ -30,12 +30,12 @@ var flattenCases = []struct {
 	{"conjunct-reads-the-other-side", `SELECT ?person ?doc WHERE {
 		?person foaf:name ?name
 		{ ?doc dc:creator ?person FILTER (?name != "Paul Erdoes"^^xsd:string) } }`, 0},
-	{"empty-group", `SELECT ?person WHERE { ?person foaf:name ?name {} }`, 0},
+	{"empty-group", `SELECT ?person WHERE { ?person foaf:name ?name {} }`, 1},
 }
 
 // TestJoinOfGroupsFlattens holds the batch path's flattening of explicit
 // joins of groups to its table on a 10k document — the number of BGP
-// chains, or the "explicit join of groups" fallback — and every case's
+// chains, or a bind join — and every case's
 // answer to the oracle's on a 5k document under the semi-join
 // configurations (served, seven-row batches, four partitions).
 func TestJoinOfGroupsFlattens(t *testing.T) {
@@ -52,9 +52,9 @@ func TestJoinOfGroupsFlattens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", opts.Name, tc.name, err)
 			}
-			declined := strings.Contains(plan, "vec: tuple fallback (explicit join of groups)")
-			if declined != (tc.bgps == 0) {
-				t.Errorf("%s/%s: declined = %v, want %v:\n%s", opts.Name, tc.name, declined, tc.bgps == 0, plan)
+			bind := strings.Contains(plan, "join: vectorized bind")
+			if bind != (tc.bgps == 0) || bind == strings.Contains(plan, "join of groups: flattened") {
+				t.Errorf("%s/%s: bind join = %v, want %v:\n%s", opts.Name, tc.name, bind, tc.bgps == 0, plan)
 			}
 			if got := strings.Count(plan, "vec operators:"); tc.bgps > 0 && got != tc.bgps {
 				t.Errorf("%s/%s: %d BGP chains, want %d:\n%s", opts.Name, tc.name, got, tc.bgps, plan)

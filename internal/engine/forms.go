@@ -17,7 +17,7 @@ import (
 // core evaluation of SELECT, i.e. transform its result in a
 // post-processing step." The aggregation extension (Section VII's
 // proposed language extension) follows the same pattern: the core pattern
-// is evaluated by the iterator pipeline, grouping and folding happen over
+// is evaluated by the batch operators, grouping and folding happen over
 // the materialized mappings.
 
 // Construct evaluates a CONSTRUCT query and returns the constructed graph
@@ -133,16 +133,7 @@ func (e *Engine) Aggregate(ctx context.Context, q *sparql.Query) (*Result, error
 	if !q.IsAggregate() {
 		return nil, fmt.Errorf("engine: Aggregate called with a non-aggregate query")
 	}
-	// Core evaluation without modifiers: grouping happens before
-	// ordering and slicing.
-	core := *q
-	core.Vars = nil
-	core.Aggregates = nil
-	core.GroupBy = nil
-	core.OrderBy = nil
-	core.Limit, core.Offset = -1, -1
-	core.Distinct = false
-	res, err := e.Query(ctx, &core)
+	res, err := e.Query(ctx, aggregateCore(q))
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +214,20 @@ func (e *Engine) Aggregate(ctx context.Context, q *sparql.Query) (*Result, error
 	sortAggregated(out, q)
 	applySlice(out, q)
 	return out, nil
+}
+
+// aggregateCore returns the SELECT * an aggregate query groups: its
+// pattern without modifiers, since grouping happens before ordering and
+// slicing.
+func aggregateCore(q *sparql.Query) *sparql.Query {
+	core := *q
+	core.Vars = nil
+	core.Aggregates = nil
+	core.GroupBy = nil
+	core.OrderBy = nil
+	core.Limit, core.Offset = -1, -1
+	core.Distinct = false
+	return &core
 }
 
 // sortAggregated applies ORDER BY over the aggregated rows; conditions

@@ -98,9 +98,10 @@ func fuzzGraph(t *testing.T, triples []rdf.Triple, live bool) store.Reader {
 	return sn
 }
 
-// fuzzQuery assembles a random SELECT from the constructs the batch
-// path covers plus the ones it must fall back on, so both executors and
-// the fallback decision itself are exercised.
+// fuzzQuery assembles a random SELECT from the algebra shapes the batch
+// operators serve: BGPs, flattened and correlated joins of groups,
+// OPTIONALs probed, hashed or re-opened per row, the closed-world
+// negation idiom (Q6's and, nested, Q7's), UNIONs and FILTERs.
 func fuzzQuery(r *rand.Rand) string {
 	varName := func() string { return fmt.Sprintf("?v%d", r.Intn(5)) }
 	term := func() string {
@@ -128,7 +129,7 @@ func fuzzQuery(r *rand.Rand) string {
 	// A group of one pattern, sometimes with its own FILTER: on the
 	// pattern's subject, which the batch path flattens into the joined
 	// BGPs, or on any variable, possibly one bound only outside the
-	// group, which keeps the join on the tuple operators.
+	// group, which makes the join a bind join.
 	group := func() string {
 		subj := varName()
 		g := patternOn(subj)
@@ -177,12 +178,26 @@ func fuzzQuery(r *rand.Rand) string {
 		}
 		b.WriteString(" }\n")
 	}
-	// Explicit joins of groups: a UNION, or a bare pair of groups.
+	// The closed-world negation idiom: an OPTIONAL binding ?w0, which
+	// nothing else binds, and FILTER (!bound(?w0)); nested, as Q7 nests
+	// it, the OPTIONAL drops its own matches that ?w0 extends to ?w1.
+	if r.Intn(4) == 0 {
+		neg := fmt.Sprintf("%s <http://x/p%d> ?w0 .", varName(), r.Intn(4))
+		if r.Intn(2) == 0 {
+			neg += fmt.Sprintf(" OPTIONAL { ?w0 <http://x/p%d> ?w1 } FILTER (!bound(?w1))", r.Intn(4))
+		}
+		b.WriteString("OPTIONAL { " + neg + " } FILTER (!bound(?w0))\n")
+	}
+	// Explicit joins of groups: a UNION, a bare pair of groups, or a
+	// group holding an OPTIONAL.
 	if r.Intn(3) == 0 {
 		b.WriteString(group() + " UNION " + group() + "\n")
 	}
 	if r.Intn(5) == 0 {
 		b.WriteString(group() + " " + group() + "\n")
+	}
+	if r.Intn(5) == 0 {
+		b.WriteString("{ " + pattern() + " OPTIONAL { " + pattern() + " } }\n")
 	}
 	if r.Intn(2) == 0 {
 		ops := []string{"=", "!=", "<", ">", "<=", ">="}
@@ -241,8 +256,8 @@ func checkEngineAgreement(t *testing.T, gseed, qseed uint64) {
 // TestDifferentialFuzzCorpus is the bounded corpus that runs on every
 // plain `go test`: a deterministic sweep over seed pairs, small enough
 // for CI but wide enough to cover scans, all three join operators,
-// filters on both executors, OPTIONAL fallbacks, and batch-boundary
-// states via the tiny-batch configuration.
+// filters, probed, hashed and correlated OPTIONALs, bind joins, and
+// batch-boundary states via the tiny-batch configuration.
 func TestDifferentialFuzzCorpus(t *testing.T) {
 	pairs := 120
 	if testing.Short() {

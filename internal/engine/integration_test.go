@@ -146,7 +146,7 @@ func TestResultStabilization(t *testing.T) {
 // engines and queries in parallel (queries are read-only; run with -race
 // to check), and that concurrency changes latencies, never answers:
 // every worker's count equals a sequential Count under the same engine
-// configuration. Workers rotate over the served and the nested-loop
+// configuration. Workers rotate over the served and the nested-loop-only
 // configurations and start the query list at different offsets, so
 // different queries are in flight at once.
 func TestConcurrentQueries(t *testing.T) {

@@ -188,8 +188,9 @@ func (f fastCmp) cmpIDs(c *compiled, m *termMemo, a, b store.ID) bool {
 // rowFilter is a list of filter conjuncts compiled once at plan time:
 // fast holds the slot-resolved `?a OP ?b` comparisons, slow everything
 // else, which goes through the expression evaluator. Every executor
-// evaluates pushed filters through it — per row (pass) on the tuple
-// operators, per batch (applyVecFilters) on the vectorized ones.
+// evaluates pushed filters through it — per batch (applyVecFilters) in
+// the chains, per row (pass) where an operator checks one row at a
+// time.
 type rowFilter struct {
 	fast []fastCmp
 	slow []sparql.Expr

@@ -57,11 +57,12 @@ func parallel4() []engine.Options {
 // star, Q4's hash-join chain, Q5a's block swap plus keyed hash segment
 // with the block's own build chain, searched per person by a semi-join
 // stage like Q5b's article check, Q6's anti join over two hash chains,
-// and Q8's join of groups flattened into two chains on a tiny merge
-// anchor. Q4 and Q8's first branch deduplicate in front of the stage
-// that fans out after a slot dies. No EXPLAIN may show a tuple
-// operator line. The exact row counts are deterministic: the generator
-// is seeded and the counts are structural properties of the document.
+// Q7's double negation searched per cited document over its correlated
+// right side, and Q8's join of groups flattened into two chains on a
+// tiny merge anchor. Q4 and Q8's first branch deduplicate in front of
+// the stage that fans out after a slot dies. The exact row counts are
+// deterministic: the generator is seeded and the counts are structural
+// properties of the document.
 func TestGoldenPlans50k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k document generation in -short mode")
@@ -94,6 +95,11 @@ func TestGoldenPlans50k(t *testing.T) {
 				" hash[?doc2 build=4710] hash[?doc2 build=6830] parallel=4",
 			"leftjoin: vectorized hash anti (hash key: true)",
 		},
+		"q7": {
+			"vec operators: scan[POS rows=9] merge[?class POS rows=7141] hash[?doc build=4710]" +
+				" semi[nl hash[?bag2 build=24]] parallel=4",
+			"leftjoin: vectorized correlated anti anti[nl nl nl nl anti[nl nl nl nl]]",
+		},
 		"q8": {
 			"vec operators: scan[POS rows=1] merge[?erdoes POS rows=2407] merge[?erdoes POS rows=6830]" +
 				" nl nl dedup[?author ?doc2] nl nl",
@@ -104,7 +110,7 @@ func TestGoldenPlans50k(t *testing.T) {
 }
 
 // checkGoldenPlans asserts that each query's EXPLAIN contains every
-// wanted line and no tuple BGP operator line.
+// wanted line.
 func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]string) {
 	t.Helper()
 	for id, wants := range golden {
@@ -120,9 +126,6 @@ func checkGoldenPlans(t *testing.T, eng *engine.Engine, golden map[string][]stri
 			if !strings.Contains(plan, want) {
 				t.Errorf("%s/%s plan missing %q:\n%s", eng.Options().Name, id, want, plan)
 			}
-		}
-		if strings.Contains(plan, "bgp operators:") {
-			t.Errorf("%s/%s: the plan shows a tuple BGP operator line:\n%s", eng.Options().Name, id, plan)
 		}
 	}
 }
@@ -220,8 +223,7 @@ func earlyExitConfigs(t *testing.T, s *store.Store) []engine.Options {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(plan, "vec operators:") || !strings.Contains(plan, "parallel=4") ||
-				strings.Contains(plan, "tuple fallback") {
+			if !strings.Contains(plan, "vec operators:") || !strings.Contains(plan, "parallel=4") {
 				t.Fatalf("%s: early-exit query not on partitioned batch workers:\n%s", opts.Name, plan)
 			}
 		}
@@ -365,9 +367,8 @@ func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
 }
 
 // TestConstantFilterNotDroppedByPhysicalPlan: a variable-free FILTER
-// conjunct lands in the backtracker's preFilters, which the batch
-// chains do not evaluate — such BGPs must stay on the backtracker.
-// Regression test for the join operators silently dropping
+// conjunct is placed on no stage of the chain; it runs in a filter
+// above it. Regression test for the join operators silently dropping
 // FILTER(1 > 2).
 func TestConstantFilterNotDroppedByPhysicalPlan(t *testing.T) {
 	s := store.New()

@@ -11,20 +11,20 @@ import (
 	"sp2bench/internal/store"
 )
 
-// runTupleFallback is runAll for a query the batch path declines: it
-// first checks that native's EXPLAIN runs the whole query on the tuple
-// operators ("vec: tuple fallback") and that the OPTIONAL is the tuple
-// left join over a materialized right side, with wantNote naming
-// whether a hash key was extracted. The fallback forms below wrap a
-// query in an explicit join of groups whose second group repeats a
-// pattern of the first, which changes no solution.
-func runTupleFallback(t *testing.T, s *store.Store, src, wantNote string) *engine.Result {
+// runBindJoin is runAll for a query whose OPTIONAL sits in the right
+// group of an explicit join that does not flatten: it first checks
+// that native's EXPLAIN runs the join as a bind join, whose right side
+// is re-opened per left row, and that the OPTIONAL inside it is the
+// hash left join, with wantNote naming whether a hash key was
+// extracted. The bind forms below put a pattern of the OPTIONAL's left
+// side in a group of its own in front, which changes no solution.
+func runBindJoin(t *testing.T, s *store.Store, src, wantNote string) *engine.Result {
 	t.Helper()
 	plan, err := engine.New(s, engine.Native()).Explain(sparql.MustParse(src, rdf.Prefixes))
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
-	for _, want := range []string{"vec: tuple fallback (explicit join of groups)", wantNote} {
+	for _, want := range []string{"join: vectorized bind", wantNote} {
 		if !strings.Contains(plan, want) {
 			t.Fatalf("native plan misses %q:\n%s", want, plan)
 		}
@@ -33,8 +33,8 @@ func runTupleFallback(t *testing.T, s *store.Store, src, wantNote string) *engin
 }
 
 const (
-	materializedKeyed   = "leftjoin: materialized uncorrelated right side (hash key: true)"
-	materializedKeyless = "leftjoin: materialized uncorrelated right side (hash key: false)"
+	hashKeyed   = "leftjoin: vectorized hash (hash key: true)"
+	hashKeyless = "leftjoin: vectorized hash (hash key: false)"
 )
 
 // TestHashLeftJoinValueEquality pins the fix for an under-inclusion bug
@@ -47,8 +47,9 @@ const (
 // configuration, evaluating the same FILTER through EqualTerms, kept
 // it. The hash now buckets both sides by the canonical value key
 // (valueKey) and re-checks the retained conjunct, so all configurations
-// must agree again (runAll enforces that). Both hash left joins are
-// covered: the batch operator and, in the fallback form, the tuple one.
+// must agree again (runAll enforces that). The hash left join is
+// covered at the top of the plan and, in the bind form, re-built per
+// row inside a bind join's right side.
 func TestHashLeftJoinValueEquality(t *testing.T) {
 	s := store.New()
 	add := func(subj, pred string, obj rdf.Term) {
@@ -81,8 +82,8 @@ func TestHashLeftJoinValueEquality(t *testing.T) {
 				FILTER (?year = ?jyear)
 			}`
 	checkValueEqualExtension(t, runAll(t, s, `SELECT ?article ?year ?jtitle WHERE {`+optional+`}`))
-	checkValueEqualExtension(t, runTupleFallback(t, s, `SELECT ?article ?year ?jtitle WHERE {
-		{`+optional+`} { ?article rdf:type bench:Article } }`, materializedKeyed))
+	checkValueEqualExtension(t, runBindJoin(t, s, `SELECT ?article ?year ?jtitle WHERE {
+		{ ?article rdf:type bench:Article } {`+optional+`} }`, hashKeyed))
 }
 
 func checkValueEqualExtension(t *testing.T, res *engine.Result) {
@@ -109,9 +110,9 @@ func checkValueEqualExtension(t *testing.T, res *engine.Result) {
 // float as text ("-0" vs "0") put the two in different buckets, and
 // every hash configuration silently dropped the extension the
 // evaluator keeps. Both value-keyed shapes are covered: the OPTIONAL
-// whose condition links the sides (the batch and, in the fallback
-// form, the tuple hash left join) and the disconnected block linked by
-// an equality FILTER (hashseg).
+// whose condition links the sides (the hash left join, also inside a
+// bind join's right side) and the disconnected block linked by an
+// equality FILTER (hashseg).
 func TestValueKeySignedZero(t *testing.T) {
 	s := store.New()
 	add := func(subj, pred string, obj rdf.Term) {
@@ -133,7 +134,7 @@ func TestValueKeySignedZero(t *testing.T) {
 			}`
 	for _, res := range []*engine.Result{
 		runAll(t, s, `SELECT ?s ?title WHERE {`+optional+`}`),
-		runTupleFallback(t, s, `SELECT ?s ?title WHERE { {`+optional+`} { ?s <http://x/p> ?a } }`, materializedKeyed),
+		runBindJoin(t, s, `SELECT ?s ?title WHERE { { ?s <http://x/p> ?a } {`+optional+`} }`, hashKeyed),
 	} {
 		if got := render(res); len(got) != 1 || got[0] != `<http://x/a>|"B"^^<`+rdf.XSDString+`>` {
 			t.Fatalf("OPTIONAL: got %v, want a extended by b (0 = -0)", got)
@@ -151,7 +152,7 @@ func TestValueKeySignedZero(t *testing.T) {
 // side binds no variable still has solutions — two here, one per UNION
 // branch — and every configuration must extend a matching left row once
 // per solution. The materialized right side holds zero-width rows, which
-// must still count as rows, in the batch and the tuple left join alike.
+// must still count as rows, also inside a bind join's right side.
 func TestHashLeftJoinVariableFreeRight(t *testing.T) {
 	s := store.New()
 	add := func(subj, pred string, obj rdf.Term) {
@@ -171,7 +172,7 @@ func TestHashLeftJoinVariableFreeRight(t *testing.T) {
 			}`
 	for _, res := range []*engine.Result{
 		runAll(t, s, `SELECT ?s WHERE {`+optional+`}`),
-		runTupleFallback(t, s, `SELECT ?s WHERE { {`+optional+`} { ?s <http://x/p> ?o } }`, materializedKeyless),
+		runBindJoin(t, s, `SELECT ?s WHERE { { ?s <http://x/p> ?o } {`+optional+`} }`, hashKeyless),
 	} {
 		got := render(res)
 		sort.Strings(got)

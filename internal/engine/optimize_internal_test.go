@@ -159,7 +159,7 @@ func TestHashSegChecksUpstreamSlot(t *testing.T) {
 		b, _ := c.prepareBGP(patterns[i:i+1], nil, nil)
 		steps = append(steps, b.steps...)
 	}
-	ch := c.planVecChain(steps, patterns, false, nil)
+	ch := c.planVecChain(steps, patterns, false, nil, nil)
 	if got := ch.desc.String(); !strings.Contains(got, "hashseg[cross steps=2]") {
 		t.Fatalf("expected the two-pattern block to be hashed: %s", got)
 	}

@@ -8,8 +8,8 @@ package engine
 // is exactly the row order a sequential run would produce —
 // order-preserving parallelism. Hash tables and materialized blocks are
 // built once and shared read-only; every worker keeps its own cursors
-// and its own canceller. This is the only way a scan is parallelized:
-// the tuple operators reach it through the same chains (buildBGP).
+// and its own canceller. This is the only way a scan is parallelized;
+// a chain anchored on a bind join's left row is never partitioned.
 
 import (
 	"runtime"

@@ -24,9 +24,9 @@ import (
 // split), under the served configuration and under four partitions
 // with seven-row batches; without -short (and without -race, where it
 // does not fit CI's race job) also on a 250k document. At 50k every
-// configuration also answers Q7 as the oracle does: Q7, the one query
-// on the tuple operators, has no solution at 10k, where the agreement
-// sweeps run.
+// configuration also answers Q7 as the oracle does: Q7, the paper's
+// double negation, has no solution at 10k, where the agreement sweeps
+// run.
 func TestPaperRelations(t *testing.T) {
 	sizes := []int64{50_000}
 	if !testing.Short() && !raceEnabled {

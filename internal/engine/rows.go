@@ -11,8 +11,7 @@ import (
 
 // Rows is a cursor over the solutions of a SELECT query, yielded in the
 // order Query materializes them. Solutions are produced on demand: the
-// batch pipeline (or the tuple iterator tree) runs only as far as Next
-// has asked, so a consumer that writes each row as it arrives holds one
+// batch pipeline runs only as far as Next has asked, so a consumer that writes each row as it arrives holds one
 // batch of IDs, not the whole answer. A Rows must be closed.
 type Rows struct {
 	// Vars is the projection, in SELECT order.
@@ -22,8 +21,8 @@ type Rows struct {
 	dict   store.TermSource
 	row    []rdf.Term
 	opened bool
-	b      *Batch // batch path: the batch being read
-	i      int    // batch path: the next row of b
+	b      *Batch // the batch being read
+	i      int    // the next row of b
 	n      int
 	err    error
 	done   bool
@@ -57,46 +56,28 @@ func (r *Rows) Next() bool {
 		// Opened by the first Next, so that evaluation, and any fault it
 		// raises, happens inside the cursor its caller closes.
 		r.opened = true
-		if r.c.vec != nil {
-			r.c.vec.open()
-		} else {
-			r.c.root.open(r.c.emptyRow())
-		}
+		r.c.vec.open()
 	}
-	if r.c.vec != nil {
-		for r.b == nil || r.i >= r.b.Len() {
-			// Checked per batch: the operators' own checks come round
-			// every 1024th batch, which a short result never reaches.
-			if err := r.c.cancel.now(); err != nil {
-				return r.stop(err)
-			}
-			b, err := r.c.vec.next()
-			if err != nil || b == nil {
-				return r.stop(err)
-			}
-			r.b, r.i = b, 0
-		}
-		for j, slot := range r.c.projSlots {
-			var id store.ID
-			if slot >= 0 {
-				id = r.b.cols[slot][r.i]
-			}
-			r.row[j] = r.term(id)
-		}
-		r.i++
-	} else {
-		ids, ok, err := r.c.root.next()
-		if err != nil || !ok {
+	for r.b == nil || r.i >= r.b.Len() {
+		// Checked per batch: the operators' own checks come round
+		// every 1024th batch, which a short result never reaches.
+		if err := r.c.cancel.now(); err != nil {
 			return r.stop(err)
 		}
-		for j, slot := range r.c.projSlots {
-			var id store.ID
-			if slot >= 0 {
-				id = ids[slot]
-			}
-			r.row[j] = r.term(id)
+		b, err := r.c.vec.next()
+		if err != nil || b == nil {
+			return r.stop(err)
 		}
+		r.b, r.i = b, 0
 	}
+	for j, slot := range r.c.projSlots {
+		var id store.ID
+		if slot >= 0 {
+			id = r.b.cols[slot][r.i]
+		}
+		r.row[j] = r.term(id)
+	}
+	r.i++
 	r.n++
 	return true
 }

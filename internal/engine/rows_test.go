@@ -13,8 +13,9 @@ import (
 )
 
 // TestSelectYieldsQueryRows: the cursor yields exactly Query's rows in
-// Query's order, on the batch path and the tuple fallbacks (Q7, Q8),
-// sequential and partitioned, through one reused row slice.
+// Query's order, sequential and partitioned — Q7's correlated anti
+// search and Q8's flattened join of groups among them — through one
+// reused row slice.
 func TestSelectYieldsQueryRows(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
 	for _, opts := range append([]engine.Options{engine.Native()}, parallel4()...) {

@@ -15,8 +15,9 @@ import (
 )
 
 // BenchmarkEngineSelect is the engine layer's evidence for executor
-// changes: Q4, Q5a, Q5b, Q8, Q12a and Q12b at 10k under the served
-// configuration, each evaluated in full per iteration — a SELECT through
+// changes: Q2, Q4, Q5a, Q5b, Q6, Q7, Q8, Q12a and Q12b at 10k under the
+// served configuration — Q2, Q6 and Q7 are the three OPTIONAL shapes:
+// a probe per left row, a hash anti join, and a correlated anti search — each evaluated in full per iteration — a SELECT through
 // Select with every row drained, an ASK through Query. The store side
 // runs over a frozen store; the snapshot side over an MVCC snapshot
 // whose 10k base carries a live delta of 3k triples, the reads of the
@@ -33,7 +34,7 @@ func BenchmarkEngineSelect(b *testing.B) {
 		r    store.Reader
 	}{{"store", s}, {"snapshot", sn}} {
 		eng := engine.NewReader(src.r, engine.Native())
-		for _, id := range []string{"q4", "q5a", "q5b", "q8", "q12a", "q12b"} {
+		for _, id := range []string{"q2", "q4", "q5a", "q5b", "q6", "q7", "q8", "q12a", "q12b"} {
 			q, _ := queries.ByID(id)
 			parsed := q.Parse()
 			b.Run(src.name+"/"+id, func(b *testing.B) {

@@ -19,9 +19,11 @@ package engine
 // the same answer, row for row.
 
 import (
+	"maps"
 	"slices"
 	"strings"
 
+	"sp2bench/internal/algebra"
 	"sp2bench/internal/sparql"
 	"sp2bench/internal/store"
 )
@@ -102,7 +104,6 @@ func (c *compiled) cutSemi(ch *vecChain, stages []string, at int, in float64, li
 		s.ts = &tstep{op: "semi", pattern: "[" + strings.Join(inner, " ") + "]", est: ch.est}
 		tsteps := append(ch.tsteps[:1+at:1+at], s.ts)
 		for _, j := range s.steps {
-			j.ts.op, j.ts.est = "semi:"+j.kind.String(), 0
 			tsteps = append(tsteps, j.ts)
 		}
 		ch.tsteps = tsteps
@@ -111,43 +112,57 @@ func (c *compiled) cutSemi(ch *vecChain, stages []string, at int, in float64, li
 }
 
 // vecSemi is the semi-join stage: a filter over its input that keeps a
-// row when each group of the suffix's stages has a match extending it.
-// Stages form one group when one reads a slot another binds; groups
-// share nothing but the input row, so each is searched on its own, and
-// one failing group settles the row. Each stage keeps the access method
-// the planner chose: an index probe (nl), the shared hash table (hash),
-// or the hashed block's value-keyed bucket (hashseg), with the stage's
-// filter conjuncts checked on each candidate. The verdict is memoized
-// per distinct value of the slots the suffix reads from the row, one
-// memo per partition.
+// row when each of its groups holds for it (see semiGroup). Each stage
+// keeps the access method the planner chose: an index probe (nl), the
+// shared hash table (hash), or the hashed block's value-keyed bucket
+// (hashseg), its filter conjuncts checked on each candidate. The
+// verdict is memoized per distinct value of the slots the groups read
+// from the row, one memo per partition. cutSemi groups a chain's
+// trailing stages: stages form one group when one reads a slot another
+// binds, and one failing group settles the row. buildVecAnti plans the
+// closed-world negation over a correlated right side as one anti group
+// over any input, which may nest anti groups (Q7's: a cited document is
+// dropped when some citing document is itself cited by none).
 type vecSemi struct {
 	c      *compiled
 	cancel *canceller // per partition: c.cancel is not goroutine-safe
 	child  vecOp
-	// steps are the suffix's stages in search order: group g is
-	// steps[ends[g-1]:ends[g]], each group in planner order.
-	steps []*vecJoin
-	ends  []int
-	keys  []int   // the input slots the suffix reads
-	est   float64 // the planner's estimate of the rows kept
-	ts    *tstep
+	groups []*semiGroup
+	steps  []*vecJoin // every group's stages, in search order
+	keys   []int      // the input slots the groups read
+	est    float64    // the planner's estimate of the rows kept
+	ts     *tstep
 
-	memo slotMap[bool] // each key's verdict
-	row  []store.ID    // the search's bindings: the keys, then each stage's writes
-	out  *Batch
-	in   *Batch // the input batch being searched, from row ipos on
-	ipos int
-	done bool
+	memo slotMap[bool] // each key's verdict, while it pays (see memoTrial)
+	// lookups and memoHits count this open's memo consultations.
+	lookups, memoHits int
+	fmemo             termMemo   // the groups' pre conjuncts' comparison memo
+	row               []store.ID // the search's bindings: the keys, then each stage's writes
+	out               *Batch
+	in                *Batch // the input batch being searched, from row ipos on
+	ipos              int
+	done              bool
 }
 
-// plan groups the suffix stages into s.steps and s.ends, sets the key,
+// semiGroup is one search of a semi-join stage for a match extending
+// the row: its join stages in search order, the conjuncts on the slots
+// bound before it (checked first), and the groups that must hold for a
+// full extension to count. It holds when a match counts, or, for an
+// anti group, when none does.
+type semiGroup struct {
+	steps []*vecJoin
+	pre   rowFilter
+	empty bool // a constant is missing from the dictionary: nothing matches
+	anti  bool // the group holds when no extension counts
+	inner []*semiGroup
+}
+
+// plan groups the suffix stages, installs the groups (finish), keyed on
 // the slots bound in front of the suffix that some stage reads, and
 // returns the search order as indexes into suffix.
 func (s *vecSemi) plan(suffix []*vecJoin) []int {
-	pre := suffix[0].prevBound
 	group := make([]int, len(suffix))
 	writer := map[int]int{} // slot → the suffix stage binding it
-	key := map[int]bool{}
 	for i, j := range suffix {
 		group[i] = i
 		for _, sl := range s.c.stageReads(j) {
@@ -159,8 +174,6 @@ func (s *vecSemi) plan(suffix []*vecJoin) []int {
 						}
 					}
 				}
-			} else if slices.Contains(pre, sl) {
-				key[sl] = true
 			}
 		}
 		for _, w := range j.writes {
@@ -186,15 +199,130 @@ func (s *vecSemi) plan(suffix []*vecJoin) []int {
 	// the cheaper check, and one failing group settles the row.
 	slices.SortStableFunc(groups, func(a, b []int) int { return len(a) - len(b) })
 	var order []int
+	var planned []*semiGroup
 	for _, g := range groups {
+		sg := &semiGroup{}
 		for _, x := range g {
 			order = append(order, x)
-			s.steps = append(s.steps, suffix[x])
+			sg.steps = append(sg.steps, suffix[x])
 		}
-		s.ends = append(s.ends, len(s.steps))
+		planned = append(planned, sg)
+	}
+	pre := map[int]bool{}
+	for _, sl := range suffix[0].prevBound {
+		pre[sl] = true
+	}
+	s.finish(planned, pre)
+	return order
+}
+
+// planSearch plans the search for the solutions of n that pass conds,
+// extending rows that bind bound: a BGP, a FILTER, or a left join whose
+// right side certainly binds the `!bound` variables among conds (an
+// anti group on each match of its left side). It reports false for any
+// other shape, and for a conjunct reading a variable it may leave
+// unbound.
+func (s *vecSemi) planSearch(n algebra.Node, conds []sparql.Expr, bound map[string]bool) (*semiGroup, bool) {
+	c := s.c
+	switch node := n.(type) {
+	case *algebra.FilterNode:
+		return s.planSearch(node.Input, append(slices.Clip(conds), algebra.SplitConjuncts(node.Cond)...), bound)
+	case *algebra.BGPNode:
+		vars := toSet(node.Vars())
+		for _, conj := range conds {
+			for _, v := range sparql.ExprVars(conj) {
+				if !vars[v] && !bound[v] {
+					return nil, false
+				}
+			}
+		}
+		outer := sortedVars(bound)
+		b, ordered := c.prepareBGP(node.Patterns, conds, outer)
+		g := &semiGroup{empty: b.empty, pre: c.compileFilters(b.pre, nil)}
+		if !b.empty && len(b.steps) > 0 {
+			g.steps = c.planVecChain(b.steps, ordered, true, nil, &vecAnchor{certain: outer}).joins
+		}
+		return g, true
+	case *algebra.LeftJoinNode:
+		right, leftVars := certainVars(node.Right), toSet(node.Left.Vars())
+		var neg, rest []sparql.Expr
+		for _, conj := range conds {
+			if v, ok := notBound(conj); ok && right[v] && !leftVars[v] && !bound[v] {
+				neg = append(neg, conj)
+			} else {
+				rest = append(rest, conj)
+			}
+		}
+		if len(neg) == 0 {
+			return nil, false
+		}
+		g, ok := s.planSearch(node.Left, rest, bound)
+		if !ok {
+			return nil, false
+		}
+		// The inner search extends the left side's matches, which bind
+		// its certain variables and leave the rest unbound.
+		inner := maps.Clone(bound)
+		for v := range certainVars(node.Left) {
+			inner[v] = true
+		}
+		if slices.ContainsFunc(mentioned(node.Right), func(v string) bool { return leftVars[v] && !inner[v] }) {
+			return nil, false
+		}
+		var rconds []sparql.Expr
+		if node.Cond != nil {
+			rconds = algebra.SplitConjuncts(node.Cond)
+		}
+		in, ok := s.planSearch(node.Right, rconds, inner)
+		if !ok {
+			return nil, false
+		}
+		in.anti = true
+		g.inner = append(g.inner, in)
+		return g, true
+	}
+	return nil, false
+}
+
+// finish installs planned groups: it collects their stages in search
+// order, keys the memo on the slots of pre they read, and returns the
+// groups' notation, semi[…] or anti[…] with inner groups nested.
+func (s *vecSemi) finish(groups []*semiGroup, pre map[int]bool) string {
+	s.groups = groups
+	key := map[int]bool{}
+	var desc func(g *semiGroup) string
+	desc = func(g *semiGroup) string {
+		var parts []string
+		reads := s.c.filterReads(g.pre)
+		name := "semi"
+		if g.anti {
+			name = "anti"
+		}
+		for _, j := range g.steps {
+			s.steps = append(s.steps, j)
+			j.cancel = s.cancel
+			reads = append(reads, s.c.stageReads(j)...)
+			parts = append(parts, j.kind.String())
+			if j.ts != nil {
+				j.ts.op, j.ts.est = name+":"+j.kind.String(), 0
+			}
+		}
+		for _, sl := range reads {
+			if pre[sl] {
+				key[sl] = true
+			}
+		}
+		for _, in := range g.inner {
+			parts = append(parts, desc(in))
+		}
+		return name + "[" + strings.Join(parts, " ") + "]"
+	}
+	var out []string
+	for _, g := range groups {
+		out = append(out, desc(g))
 	}
 	s.keys = sortedSlots(key)
-	return order
+	return strings.Join(out, " ")
 }
 
 // stageReads lists the slots a join stage reads from the rows it
@@ -219,32 +347,46 @@ func (c *compiled) stageReads(j *vecJoin) []int {
 	for _, ck := range j.checks {
 		reads = append(reads, ck.slot)
 	}
-	for _, f := range j.conds.fast {
-		reads = append(reads, f.l, f.r)
+	reads = append(reads, c.filterReads(j.conds)...)
+	return slices.DeleteFunc(reads, func(s int) bool {
+		return slices.ContainsFunc(j.writes, func(w compBind) bool { return w.slot == s })
+	})
+}
+
+// filterReads lists the slots compiled conjuncts read.
+func (c *compiled) filterReads(f rowFilter) []int {
+	var reads []int
+	for _, fc := range f.fast {
+		reads = append(reads, fc.l, fc.r)
 	}
-	for _, e := range j.conds.slow {
+	for _, e := range f.slow {
 		for _, v := range sparql.ExprVars(e) {
 			if s, ok := c.slots[v]; ok {
 				reads = append(reads, s)
 			}
 		}
 	}
-	return slices.DeleteFunc(reads, func(s int) bool {
-		return slices.ContainsFunc(j.writes, func(w compBind) bool { return w.slot == s })
-	})
+	return reads
 }
 
 // clone returns a copy of a planned, never opened stage for one
 // partition: its own stages' cursors and memos, the same shared builds.
+// Its groups are those cutSemi plans, which nest none.
 func (s *vecSemi) clone() *vecSemi {
 	if s == nil {
 		return nil
 	}
 	cp := *s
-	cp.steps = make([]*vecJoin, len(s.steps))
-	for i, j := range s.steps {
-		jj := *j
-		cp.steps[i] = &jj
+	cp.steps, cp.groups = nil, nil
+	for _, g := range s.groups {
+		cg := *g
+		cg.steps = nil
+		for _, j := range g.steps {
+			jj := *j
+			cg.steps = append(cg.steps, &jj)
+			cp.steps = append(cp.steps, &jj)
+		}
+		cp.groups = append(cp.groups, &cg)
 	}
 	return &cp
 }
@@ -257,10 +399,17 @@ func (s *vecSemi) open() {
 	s.in, s.ipos, s.done = nil, 0, false
 	s.memo.slots = s.keys
 	s.memo.reset()
+	s.lookups, s.memoHits = 0, 0
 	if s.row == nil {
 		s.row = make([]store.ID, len(s.c.names))
 	}
 }
+
+// memoTrial is how many rows a semi-join stage consults its memo for
+// before it judges it: a memo answering fewer than one in eight is
+// dropped for the rest of the open. Keys that never repeat (Q5a's
+// persons, Q7's outer documents) would pay a map insert per search.
+const memoTrial = 1024
 
 // next emits the kept input rows, in input order, a full batch at a
 // time; an input batch it stops in is searched on from there on the
@@ -286,17 +435,25 @@ func (s *vecSemi) next() (*Batch, error) {
 		}
 		b, r := s.in, s.ipos
 		s.ipos++
-		s.memo.load(b.cols, r)
-		ok, known := s.memo.get()
-		if known {
-			hits++
-		} else {
+		var ok, known bool
+		memo := s.lookups < memoTrial || 8*s.memoHits >= s.lookups
+		if memo {
+			s.lookups++
+			s.memo.load(b.cols, r)
+			if ok, known = s.memo.get(); known {
+				s.memoHits++
+				hits++
+			}
+		}
+		if !known {
 			searched++
 			var err error
 			if ok, err = s.holds(b, r); err != nil {
 				return nil, err
 			}
-			s.memo.put(ok)
+			if memo {
+				s.memo.put(ok)
+			}
 		}
 		if ok {
 			for c, col := range out.cols {
@@ -319,27 +476,48 @@ func (s *vecSemi) next() (*Batch, error) {
 	return out, nil
 }
 
-// holds searches every group for a match extending input row r.
+// holds checks every group on input row r. It looks for a
+// cancellation first: a search may end the query without yielding a
+// batch, so the per-batch checks above may never see one.
 func (s *vecSemi) holds(b *Batch, r int) (bool, error) {
+	if err := s.cancel.now(); err != nil {
+		return false, err
+	}
 	for _, sl := range s.keys {
 		s.row[sl] = b.cols[sl][r]
 	}
-	start := 0
-	for _, end := range s.ends {
-		if ok, err := s.search(start, end); !ok || err != nil {
+	for _, g := range s.groups {
+		if ok, err := s.check(g); !ok || err != nil {
 			return false, err
 		}
-		start = end
 	}
 	return true, nil
 }
 
-// search reports whether steps[d:end] have a match extending s.row.
-func (s *vecSemi) search(d, end int) (bool, error) {
-	if d == end {
+// check reports whether group g holds for s.row.
+func (s *vecSemi) check(g *semiGroup) (bool, error) {
+	found := false
+	if !g.empty && g.pre.pass(s.c, &s.fmemo, s.row) {
+		var err error
+		if found, err = s.search(g, 0); err != nil {
+			return false, err
+		}
+	}
+	return found != g.anti, nil
+}
+
+// search reports whether g's stages from d on have a match extending
+// s.row that every inner group holds for.
+func (s *vecSemi) search(g *semiGroup, d int) (bool, error) {
+	if d == len(g.steps) {
+		for _, in := range g.inner {
+			if ok, err := s.check(in); !ok || err != nil {
+				return false, err
+			}
+		}
 		return true, nil
 	}
-	j := s.steps[d]
+	j := g.steps[d]
 	if j.ts != nil {
 		j.ts.probes.Add(1)
 	}
@@ -350,7 +528,7 @@ func (s *vecSemi) search(d, end int) (bool, error) {
 		}
 		cands := j.hash.table.get(s.row[j.joinSlot])
 		for i := range cands {
-			if ok, err := s.extend(d, end, cands[i][:]); ok || err != nil {
+			if ok, err := s.extend(g, d, cands[i][:]); ok || err != nil {
 				return ok, err
 			}
 		}
@@ -364,17 +542,15 @@ func (s *vecSemi) search(d, end int) (bool, error) {
 		}
 		cands, w := j.segProbe.rows(j.seg.table, k), j.seg.table.width
 		for i := 0; i < len(cands); i += w {
-			if ok, err := s.extend(d, end, cands[i:i+w]); ok || err != nil {
+			if ok, err := s.extend(g, d, cands[i:i+w]); ok || err != nil {
 				return ok, err
 			}
 		}
 	default: // opNL
-		var want store.EncTriple
+		want := j.wantConst
 		for i := 0; i < 3; i++ {
 			if ws := j.wantSlot[i]; ws >= 0 {
 				want[i] = s.row[ws]
-			} else {
-				want[i] = j.wantConst[i]
 			}
 		}
 		rng := store.Range(s.c.eng.src, want[0], want[1], want[2])
@@ -385,7 +561,7 @@ func (s *vecSemi) search(d, end int) (bool, error) {
 					continue
 				}
 				t := unpermute(rng.Ord, row)
-				if ok, err := s.extend(d, end, t[:]); ok || err != nil {
+				if ok, err := s.extend(g, d, t[:]); ok || err != nil {
 					return ok, err
 				}
 			}
@@ -396,12 +572,13 @@ func (s *vecSemi) search(d, end int) (bool, error) {
 }
 
 // extend binds candidate t (a triple's SPO components, or a block row)
-// at step d, as vecJoin.emit would, and searches the steps after it.
-func (s *vecSemi) extend(d, end int, t []store.ID) (bool, error) {
+// at stage d of g, as vecJoin.emit would, and searches the stages after
+// it.
+func (s *vecSemi) extend(g *semiGroup, d int, t []store.ID) (bool, error) {
 	if err := s.cancel.check(); err != nil {
 		return false, err
 	}
-	j := s.steps[d]
+	j := g.steps[d]
 	for _, w := range j.writes {
 		s.row[w.slot] = t[w.comp]
 	}
@@ -416,5 +593,5 @@ func (s *vecSemi) extend(d, end int, t []store.ID) (bool, error) {
 	if j.ts != nil {
 		j.ts.rows.Add(1)
 	}
-	return s.search(d+1, end)
+	return s.search(g, d+1)
 }

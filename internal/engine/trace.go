@@ -1,10 +1,10 @@
 package engine
 
-// EXPLAIN ANALYZE: an opt-in trace collector wrapped around the Volcano
-// iterator protocol. When a query runs under WithAnalyze, every logical
-// operator is wrapped in a traceIter recording actual rows out and
-// inclusive wall time, and BGP plans carry per-step counters (actual
-// rows per join depth, hash/segment build sizes) next to the planner's
+// EXPLAIN ANALYZE: an opt-in trace collector wrapped around the batch
+// operators. When a query runs under WithAnalyze, every operator is
+// wrapped in a vecTraced recording batches and rows out and inclusive
+// wall time, and BGP chains carry per-step counters (actual rows per
+// join depth, hash/segment build sizes) next to the planner's
 // cumulative cardinality estimates — so est-vs-actual misestimation
 // ratios fall straight out of one execution.
 //
@@ -21,8 +21,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"sp2bench/internal/store"
 )
 
 // Trace is the materialized execution trace of one query: an operator
@@ -51,8 +49,7 @@ type TraceNode struct {
 	EstRows float64 `json:"est_rows,omitempty"`
 	// Rows is the number of rows the operator actually produced.
 	Rows int64 `json:"rows"`
-	// Batches is the number of batches a vectorized operator emitted
-	// (0 = tuple-at-a-time operator).
+	// Batches is the number of batches the operator emitted.
 	Batches int64 `json:"batches,omitempty"`
 	// WallNS is inclusive wall time (children included).
 	WallNS int64 `json:"wall_ns"`
@@ -154,78 +151,6 @@ type traceCollector struct {
 	root   *tnode
 }
 
-// traceIter wraps a subplan, counting rows out and inclusive wall time.
-type traceIter struct {
-	inner subplan
-	n     *tnode
-}
-
-func (t *traceIter) open(parent []store.ID) {
-	start := time.Now()
-	t.n.done.Store(false)
-	t.inner.open(parent)
-	t.n.wall.Add(time.Since(start).Nanoseconds())
-}
-
-func (t *traceIter) next() ([]store.ID, bool, error) {
-	start := time.Now()
-	row, ok, err := t.inner.next()
-	t.n.wall.Add(time.Since(start).Nanoseconds())
-	if ok {
-		t.n.rows.Add(1)
-	} else if err == nil {
-		t.n.done.Store(true)
-	}
-	return row, ok, err
-}
-
-// wrap builds the trace node for a freshly built subplan and returns
-// the wrapped iterator. Children were wrapped during recursion, so
-// their nodes are recovered from the subplan's inputs.
-func (tc *traceCollector) wrap(sp subplan) subplan {
-	n := &tnode{}
-	switch s := sp.(type) {
-	case *bgpIter:
-		n.op = "bgp"
-		n.detail = "nested-loop"
-		n.steps = s.tsteps
-		n.est = s.test
-	case *batchRows:
-		n = s.tn // the chain's node: op, estimate, steps and fan-out
-	case *joinIter:
-		n.op = "join"
-		n.children = childNodes(s.left, s.right)
-	case *leftJoinIter:
-		n.op = "leftjoin"
-		if s.materializeRight {
-			n.detail = fmt.Sprintf("materialized right (hash key: %v)", s.hashLeftSlot >= 0)
-		}
-		n.children = childNodes(s.left, s.right)
-	case *unionIter:
-		n.op = "union"
-		n.children = childNodes(s.left, s.right)
-	case *filterIter:
-		n.op = "filter"
-		n.children = childNodes(s.input)
-	case *projectIter:
-		n.op = "project"
-		n.children = childNodes(s.input)
-	case *distinctIter:
-		n.op = "distinct"
-		n.children = childNodes(s.input)
-	case *orderIter:
-		n.op = "order"
-		n.children = childNodes(s.input)
-	case *sliceIter:
-		n.op = "slice"
-		n.children = childNodes(s.input)
-	default:
-		n.op = fmt.Sprintf("%T", sp)
-	}
-	tc.root = n // build is depth-first; the last wrap is the root
-	return &traceIter{inner: sp, n: n}
-}
-
 // vecTraced wraps a vec operator, counting batches, rows, and
 // inclusive wall time onto its trace node.
 type vecTraced struct {
@@ -251,18 +176,6 @@ func (t *vecTraced) next() (*Batch, error) {
 		t.n.done.Store(true)
 	}
 	return b, err
-}
-
-// childNodes recovers the trace nodes of already-wrapped child
-// subplans.
-func childNodes(children ...subplan) []*tnode {
-	var out []*tnode
-	for _, c := range children {
-		if t, ok := c.(*traceIter); ok {
-			out = append(out, t.n)
-		}
-	}
-	return out
 }
 
 // snapshot converts the collector tree into the immutable Trace.

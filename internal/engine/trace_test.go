@@ -21,8 +21,8 @@ func queryAnalyze(ctx context.Context, eng *engine.Engine, q *sparql.Query) (*en
 }
 
 // TestAnalyzeTraceConsistency runs the full 17-query sweep under
-// EXPLAIN ANALYZE on the served configuration and on nested-loop joins
-// only, and asserts the invariant the trace hangs on: the root
+// EXPLAIN ANALYZE on the served configuration and on index nested-loop
+// joins only, and asserts the invariant the trace hangs on: the root
 // operator's actual row count equals the query's result count, for
 // every query, every time.
 func TestAnalyzeTraceConsistency(t *testing.T) {

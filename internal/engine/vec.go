@@ -1,32 +1,27 @@
 package engine
 
-// The vectorized execution path: batch-at-a-time operators passing
-// columnar Batch slabs of dictionary IDs instead of one row per next()
-// call. Its BGP pipelines — an index range scan, then one nested-loop,
-// merge, hash or hashed-block join stage per step, chosen by join.go's
-// planner helpers — are the engine's BGP join operators under either
-// executor: the tuple operators run an outer-free BGP's chain behind
-// batchRows (bgp.go). Batches amortize iterator dispatch, bounds
-// checks, and filter evaluation: scans decode store.IndexRange runs
-// directly into columns, merge joins walk runs batch-wise with a
-// galloping cursor, and FILTER conjuncts compile to column-at-a-time
-// kernels over the selection vector.
+// The engine's one executor: batch-at-a-time operators passing
+// columnar Batch slabs of dictionary IDs. A BGP runs as a pipeline — an
+// index range scan, then one nested-loop, merge, hash or hashed-block
+// join stage per step, chosen by join.go's planner helpers. Scans
+// decode store.IndexRange runs directly into columns, merge joins walk
+// runs batch-wise with a galloping cursor, and FILTER conjuncts compile
+// to column-at-a-time kernels over the selection vector.
 //
-// Coverage of the operators above the BGPs is per-query and decided
-// before either executor is planned: vecDecline walks the algebra tree
-// and returns a reason string for any form the batch path does not
-// cover (correlated OPTIONAL right sides, empty group patterns, joins
-// of groups that do not flatten into BGPs, ...), in which case the
-// query runs on the tuple operators and Explain records "vec: tuple
-// fallback (<reason>)". An explicit join of groups that does flatten
-// runs as a UNION of BGP chains (see joinBlocks). SELECT and ASK reach
-// it (ASK stops at the first non-empty batch), and so does the core
-// SELECT of an aggregate query, whose rows Engine.Aggregate then groups
-// (forms.go).
+// Every algebra shape has a batch operator. A join of groups that
+// flattens runs as a UNION of BGP chains (joinBlocks); a single-pattern
+// OPTIONAL probes per left row (Q2), an uncorrelated one hashes its
+// right side; the closed-world negation (Q6, Q7) drops the left rows a
+// right side extends, by hash or, over a correlated right side, by an
+// existence search per key (vecSemi). Every other join or OPTIONAL is a
+// bind join (vecBind, bind.go), and an empty group the one-row unit
+// (vecUnit). SELECT, ASK (to the first non-empty batch) and the core
+// SELECT of an aggregate (forms.go) all run on these operators.
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -69,76 +64,6 @@ func (c *compiled) newBatch(rows float64) *Batch {
 	return NewBatch(len(c.names), capacity)
 }
 
-// compileVec builds the batch pipeline when the vectorized path covers
-// the plan, so compile builds the tuple tree only when it does not:
-// every query is planned once, and a declined query opens no index
-// range on the batch path's behalf. On success c.vec is set (and, under
-// WithAnalyze, the trace root points at the vec operator tree);
-// otherwise the reason is recorded in the notes. live marks the slots
-// the query's consumer reads (see liveSlots).
-func (c *compiled) compileVec(plan algebra.Node, live liveSlots) error {
-	if reason := c.vecDecline(plan); reason != "" {
-		c.note("vec: tuple fallback (" + reason + ")")
-		return nil
-	}
-	op, err := c.buildVecNode(plan, live)
-	c.vec = op
-	return err
-}
-
-// vecDecline reports why the batch path cannot serve plan node n, or ""
-// when it can. It reads only the plan's shape and the engine options —
-// no statistics and no index ranges — so the choice of executor costs
-// nothing when the answer is the tuple path.
-func (c *compiled) vecDecline(n algebra.Node) string {
-	switch node := n.(type) {
-	case *algebra.BGPNode:
-		return c.vecDeclineBGP(node.Patterns, nil)
-	case *algebra.FilterNode:
-		if bgp, ok := node.Input.(*algebra.BGPNode); ok {
-			return c.vecDeclineBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond))
-		}
-		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
-			return ""
-		}
-		return c.vecDecline(node.Input)
-	case *algebra.LeftJoinNode:
-		if !probeJoinShape(node) {
-			return c.vecDeclineHashLeftJoin(node)
-		}
-		return c.vecDecline(node.Left)
-	case *algebra.UnionNode:
-		if why := c.vecDecline(node.Left); why != "" {
-			return why
-		}
-		return c.vecDecline(node.Right)
-	case *algebra.ProjectNode:
-		return c.vecDecline(node.Input)
-	case *algebra.DistinctNode:
-		return c.vecDecline(node.Input)
-	case *algebra.OrderNode:
-		return c.vecDecline(node.Input)
-	case *algebra.SliceNode:
-		return c.vecDecline(node.Input)
-	case *algebra.JoinNode:
-		blocks, why := joinBlocks(node)
-		for _, b := range blocks {
-			if why := c.vecDeclineBGP(b.patterns, b.conjuncts); why != "" {
-				return why
-			}
-		}
-		if why == "" {
-			if c.joins == nil {
-				c.joins = map[*algebra.JoinNode][]vecBlock{}
-			}
-			c.joins[node] = blocks
-		}
-		return why
-	default:
-		return fmt.Sprintf("unsupported node %T", n)
-	}
-}
-
 // maxJoinBlocks bounds the BGPs one explicit join of groups flattens
 // into: every UNION joined in multiplies them.
 const maxJoinBlocks = 64
@@ -150,27 +75,25 @@ type vecBlock struct {
 }
 
 // joinBlocks flattens a join of groups into the blocks whose UNION, in
-// order, it equals, or says why it cannot. A BGP, a FILTER over blocks,
-// a UNION of blocks and a join of blocks flatten; a join distributes
-// over the UNIONs below it, left-major, each (left, right) pair of
-// blocks becoming one BGP with both blocks' patterns and conjuncts.
-// Every conjunct must read only variables of its own block's patterns,
-// which bind them in every solution: it then sees the same values in
-// the joined BGP as in its group, and the tuple path's substitution of
-// left bindings into the right group changes nothing either. An
-// OPTIONAL, an empty group, a conjunct reading another group's
-// variables, or more than maxJoinBlocks BGPs decline.
-func joinBlocks(n algebra.Node) ([]vecBlock, string) {
-	const why = "explicit join of groups"
+// order, it equals, or reports that it cannot. A BGP (the empty group
+// included), a FILTER over blocks, a UNION of blocks and a join of
+// blocks flatten; a join distributes over the UNIONs below it,
+// left-major, each (left, right) pair of blocks becoming one BGP with
+// both blocks' patterns and conjuncts. Every conjunct must read only
+// variables of its own block's patterns, which bind them in every
+// solution: it then sees the same values in the joined BGP as in its
+// group, and substituting left bindings into the right group changes
+// nothing either. An OPTIONAL, a conjunct reading another group's
+// variables, or more than maxJoinBlocks BGPs do not flatten; such a
+// join runs as a bind join (vecBind).
+func joinBlocks(n algebra.Node) ([]vecBlock, bool) {
 	switch node := n.(type) {
 	case *algebra.BGPNode:
-		if len(node.Patterns) > 0 {
-			return []vecBlock{{patterns: node.Patterns}}, ""
-		}
+		return []vecBlock{{patterns: node.Patterns}}, true
 	case *algebra.FilterNode:
-		in, reason := joinBlocks(node.Input)
-		if reason != "" {
-			return nil, reason
+		in, ok := joinBlocks(node.Input)
+		if !ok {
+			return nil, false
 		}
 		conjs := algebra.SplitConjuncts(node.Cond)
 		out := make([]vecBlock, len(in))
@@ -181,30 +104,30 @@ func joinBlocks(n algebra.Node) ([]vecBlock, string) {
 			}
 			for _, conj := range conjs {
 				if !allIn(sparql.ExprVars(conj), vars) {
-					return nil, why
+					return nil, false
 				}
 			}
 			out[i] = vecBlock{b.patterns, append(slices.Clip(b.conjuncts), conjs...)}
 		}
-		return out, ""
+		return out, true
 	case *algebra.UnionNode:
-		l, reason := joinBlocks(node.Left)
-		if reason != "" {
-			return nil, reason
+		l, ok := joinBlocks(node.Left)
+		if !ok {
+			return nil, false
 		}
-		r, reason := joinBlocks(node.Right)
-		if reason != "" || len(l)+len(r) > maxJoinBlocks {
-			return nil, why
+		r, ok := joinBlocks(node.Right)
+		if !ok || len(l)+len(r) > maxJoinBlocks {
+			return nil, false
 		}
-		return append(l, r...), ""
+		return append(l, r...), true
 	case *algebra.JoinNode:
-		l, reason := joinBlocks(node.Left)
-		if reason != "" {
-			return nil, reason
+		l, ok := joinBlocks(node.Left)
+		if !ok {
+			return nil, false
 		}
-		r, reason := joinBlocks(node.Right)
-		if reason != "" || len(l)*len(r) > maxJoinBlocks {
-			return nil, why
+		r, ok := joinBlocks(node.Right)
+		if !ok || len(l)*len(r) > maxJoinBlocks {
+			return nil, false
 		}
 		var out []vecBlock
 		for _, lb := range l {
@@ -215,41 +138,14 @@ func joinBlocks(n algebra.Node) ([]vecBlock, string) {
 				})
 			}
 		}
-		return out, ""
+		return out, true
 	}
-	return nil, why
-}
-
-// vecDeclineBGP is vecDecline for a BGP with its pushed filter
-// conjuncts.
-func (c *compiled) vecDeclineBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) string {
-	if len(patterns) == 0 {
-		return "empty group pattern"
-	}
-	for _, conj := range conjuncts {
-		if len(sparql.ExprVars(conj)) == 0 {
-			return "constant pre-filter"
-		}
-	}
-	return ""
-}
-
-// vecDeclineHashLeftJoin is vecDecline for an OPTIONAL served by
-// vecHashLeftJoin: the right side is evaluated once, so it must be
-// uncorrelated with the left.
-func (c *compiled) vecDeclineHashLeftJoin(node *algebra.LeftJoinNode) string {
-	if !isUncorrelated(node.Right, node.Left.Vars(), nil) {
-		return "optional right side correlated with the left"
-	}
-	if why := c.vecDecline(node.Left); why != "" {
-		return why
-	}
-	return c.vecDecline(node.Right)
+	return nil, false
 }
 
 // probeJoinShape reports whether an OPTIONAL is the shape vecLeftJoin
 // probes per left row (Q2's): a single-pattern right side and no
-// condition. Every other OPTIONAL goes to vecHashLeftJoin.
+// condition.
 func probeJoinShape(node *algebra.LeftJoinNode) bool {
 	rbgp, ok := node.Right.(*algebra.BGPNode)
 	return ok && node.Cond == nil && len(rbgp.Patterns) == 1
@@ -257,27 +153,98 @@ func probeJoinShape(node *algebra.LeftJoinNode) bool {
 
 // antiJoinShape recognizes the closed-world-negation idiom (Q6/Q7): a
 // FILTER whose conjuncts are all `!bound(?v)` directly over a left join
-// whose BGP right side certainly binds every such ?v. A matched left
-// row is then guaranteed to fail the filter, so the join can drop it
-// internally — the first passing candidate short-circuits the probe and
-// the matched extensions are never emitted at all.
-func antiJoinShape(f *algebra.FilterNode, lj *algebra.LeftJoinNode) bool {
-	rbgp, ok := lj.Right.(*algebra.BGPNode)
-	if !ok {
-		return false // only a BGP certainly binds its variables
-	}
-	certain := toSet(rbgp.Vars())
+// whose right side certainly binds every such ?v, which neither the
+// left side nor an anchor row can bind. A matched left row then fails
+// the filter, so the join drops it at its first passing candidate.
+func (c *compiled) antiJoinShape(f *algebra.FilterNode, lj *algebra.LeftJoinNode) bool {
+	certain := certainVars(lj.Right)
+	left := toSet(lj.Left.Vars())
 	for _, conj := range algebra.SplitConjuncts(f.Cond) {
-		not, ok := conj.(*sparql.Not)
-		if !ok {
-			return false
-		}
-		b, ok := not.Inner.(*sparql.Bound)
-		if !ok || !certain[b.Var] {
+		v, ok := notBound(conj)
+		if !ok || !certain[v] || left[v] || c.anchorMayBind(v) {
 			return false
 		}
 	}
 	return true
+}
+
+// notBound returns ?v of a `!bound(?v)` conjunct.
+func notBound(e sparql.Expr) (string, bool) {
+	not, ok := e.(*sparql.Not)
+	if !ok {
+		return "", false
+	}
+	b, ok := not.Inner.(*sparql.Bound)
+	if !ok {
+		return "", false
+	}
+	return b.Var, true
+}
+
+// certainVars returns the variables plan node n binds in every one of
+// its solutions.
+func certainVars(n algebra.Node) map[string]bool {
+	switch node := n.(type) {
+	case *algebra.BGPNode:
+		return toSet(node.Vars())
+	case *algebra.JoinNode:
+		out := certainVars(node.Left)
+		for v := range certainVars(node.Right) {
+			out[v] = true
+		}
+		return out
+	case *algebra.LeftJoinNode:
+		return certainVars(node.Left)
+	case *algebra.UnionNode:
+		l, r := certainVars(node.Left), certainVars(node.Right)
+		for v := range l {
+			if !r[v] {
+				delete(l, v)
+			}
+		}
+		return l
+	case *algebra.FilterNode:
+		return certainVars(node.Input)
+	}
+	return map[string]bool{} // the modifiers never occur below a join
+}
+
+// mentioned returns the variables of plan node n's patterns and
+// conditions: a right side mentioning a variable of its left side is
+// correlated with it, through a pattern or a FILTER.
+func mentioned(n algebra.Node) []string {
+	set := map[string]bool{}
+	var walk func(n algebra.Node)
+	cond := func(e sparql.Expr) {
+		if e != nil {
+			for _, v := range sparql.ExprVars(e) {
+				set[v] = true
+			}
+		}
+	}
+	walk = func(n algebra.Node) {
+		switch node := n.(type) {
+		case *algebra.BGPNode:
+			for _, p := range node.Patterns {
+				addVars(set, p)
+			}
+		case *algebra.JoinNode:
+			walk(node.Left)
+			walk(node.Right)
+		case *algebra.LeftJoinNode:
+			walk(node.Left)
+			walk(node.Right)
+			cond(node.Cond)
+		case *algebra.UnionNode:
+			walk(node.Left)
+			walk(node.Right)
+		case *algebra.FilterNode:
+			walk(node.Input)
+			cond(node.Cond)
+		}
+	}
+	walk(n)
+	return sortedVars(set)
 }
 
 // vwrap installs the trace node for a freshly built vec operator; a
@@ -301,10 +268,9 @@ func childTNodes(children ...vecOp) []*tnode {
 	return out
 }
 
-// buildVecNode compiles one algebra node that vecDecline accepted into a
-// vec operator. live marks the slots the operators above n read; each
-// case passes its input the slots it reads itself on top (see
-// liveSlots).
+// buildVecNode compiles one algebra node into a vec operator. live
+// marks the slots the operators above n read; each case passes its
+// input the slots it reads itself on top (see liveSlots).
 func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 	switch node := n.(type) {
 	case *algebra.BGPNode:
@@ -316,8 +282,13 @@ func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond), live), nil
 		}
 		live = c.liveWith(live, sparql.ExprVars(node.Cond))
-		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && antiJoinShape(node, lj) && c.vecDeclineHashLeftJoin(lj) == "" {
-			return c.buildVecHashLeftJoin(lj, true, live)
+		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok && c.antiJoinShape(node, lj) {
+			if isUncorrelated(lj.Right, lj.Left.Vars()) {
+				return c.buildVecHashLeftJoin(lj, true, live)
+			}
+			if op, ok, err := c.buildVecAnti(lj, live); ok || err != nil {
+				return op, err
+			}
 		}
 		in, err := c.buildVecNode(node.Input, live)
 		if err != nil {
@@ -326,10 +297,13 @@ func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 		f := &vecFilter{c: c, input: in, conds: c.compileFilters(algebra.SplitConjuncts(node.Cond), nil)}
 		return c.vwrap(f, &tnode{op: "filter", detail: "vectorized", children: childTNodes(in)}), nil
 	case *algebra.LeftJoinNode:
-		if probeJoinShape(node) {
+		switch {
+		case probeJoinShape(node):
 			return c.buildVecLeftJoin(node, live)
+		case isUncorrelated(node.Right, node.Left.Vars()):
+			return c.buildVecHashLeftJoin(node, false, live)
 		}
-		return c.buildVecHashLeftJoin(node, false, live)
+		return c.buildVecBind(node.Left, node.Right, node.Cond, true, live)
 	case *algebra.UnionNode:
 		l, err := c.buildVecNode(node.Left, live)
 		if err != nil {
@@ -341,11 +315,11 @@ func (c *compiled) buildVecNode(n algebra.Node, live liveSlots) (vecOp, error) {
 		}
 		return c.unionVec(l, r), nil
 	case *algebra.JoinNode:
-		// Flattened: the UNION, in order, of one BGP per block pair.
-		blocks := c.joins[node]
-		if len(blocks) == 0 {
-			return nil, errors.New("engine: vec: join of groups not flattened by vecDecline")
+		blocks, ok := joinBlocks(node)
+		if !ok {
+			return c.buildVecBind(node.Left, node.Right, nil, false, live)
 		}
+		// Flattened: the UNION, in order, of one BGP per block pair.
 		var op vecOp
 		for _, b := range blocks {
 			bgp := c.buildVecBGP(b.patterns, b.conjuncts, live)
@@ -471,39 +445,60 @@ type compBind struct {
 	slot int
 }
 
-// buildVecBGP compiles a BGP into its batch pipeline for the batch
-// path, traced under WithAnalyze (see planVecBGP).
+// buildVecBGP compiles a BGP into its batch pipeline, traced under
+// WithAnalyze (see planVecBGP).
 func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, live liveSlots) vecOp {
 	return c.vwrap(c.planVecBGP(patterns, conjuncts, live))
 }
 
-// planVecBGP compiles an outer-free BGP into a scan → join-stage
-// pipeline — pattern reordering, block swap and filter placement
-// (prepareBGP), one join operator per step (planVecChain) — and returns
-// it with its trace node. A partitioned BGP runs one pipeline per part
-// of the anchor range under vecParallel. Both executors run BGPs
-// through it: the batch path directly, the tuple operators behind
-// batchRows. Trailing stages that bind only slots live leaves unmarked
-// run as one semi-join stage (see cutSemi); a nil live keeps every
-// stage.
+// planVecBGP compiles a BGP into a scan → join-stage pipeline — pattern
+// reordering, block swap and filter placement (prepareBGP), one join
+// operator per step (planVecChain) — and returns it with its trace
+// node. A partitioned BGP runs one pipeline per part of the anchor
+// range under vecParallel. Trailing stages that bind only slots live
+// leaves unmarked run as one semi-join stage (see cutSemi); a nil live
+// keeps every stage. Conjuncts reading no variable of the BGP run once
+// per run: in a vecFilter above the chain, or on the anchor row. A BGP
+// without patterns is the unit row. Inside a correlated subtree
+// (c.anchor set) the chain starts from the anchor row and is never
+// partitioned: it runs once per left row of a bind join.
 func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, live liveSlots) (vecOp, *tnode) {
-	b, ordered := c.prepareBGP(patterns, conjuncts, nil)
+	a := c.anchor
+	var outer []string
+	if a != nil {
+		outer = a.certain
+	}
+	b, ordered := c.prepareBGP(patterns, conjuncts, outer)
 	if b.empty {
 		// A constant is missing from the dictionary: no rows, ever.
 		c.note("vec operators: empty (a constant is not in the dictionary)")
 		return vecEmpty{}, &tnode{op: "bgp", detail: "vectorized empty"}
 	}
-	ch := c.planVecChain(b.steps, ordered, true, live)
+	pre := c.compileFilters(b.pre, nil)
+	if len(b.steps) == 0 {
+		c.note("vec operators: unit")
+		return &vecUnit{c: c, anchor: a, conds: pre}, &tnode{op: "unit", detail: "vectorized"}
+	}
+	ch := c.planVecChain(b.steps, ordered, true, live, a)
 	n := &tnode{op: "bgp", detail: "vectorized", est: ch.est, steps: ch.tsteps}
 	var pipe vecOp
-	if parts := c.partitionAnchor(ch.scan.rng, ch.touched); len(parts) == 1 {
+	switch {
+	case a != nil:
+		ch.unit = &vecUnit{c: c, anchor: a, conds: pre}
 		pipe = ch.link(c.cancel)
-	} else {
-		par := &vecParallel{c: c, ch: ch, parts: parts}
-		c.cleanups = append(c.cleanups, par.shutdown)
-		fmt.Fprintf(&ch.desc, " parallel=%d", len(parts))
-		n.parallel = len(parts)
-		pipe = par
+	default:
+		if parts := c.partitionAnchor(ch.scan.rng, ch.touched); len(parts) == 1 {
+			pipe = ch.link(c.cancel)
+		} else {
+			par := &vecParallel{c: c, ch: ch, parts: parts}
+			c.cleanups = append(c.cleanups, par.shutdown)
+			fmt.Fprintf(&ch.desc, " parallel=%d", len(parts))
+			n.parallel = len(parts)
+			pipe = par
+		}
+		if len(b.pre) > 0 {
+			pipe = &vecFilter{c: c, input: pipe, conds: pre}
+		}
 	}
 	// A hashed block's build line was noted while the chain was planned,
 	// so it precedes the line of the BGP that probes it.
@@ -512,9 +507,11 @@ func (c *compiled) planVecBGP(patterns []sparql.TriplePattern, conjuncts []sparq
 }
 
 // vecChain is a planned scan → join chain: a BGP's pipeline, or the
-// build side of a hashed disconnected block.
+// build side of a hashed disconnected block. A correlated chain starts
+// from its anchor row (unit) instead of a scan.
 type vecChain struct {
 	scan    *vecScan
+	unit    *vecUnit
 	joins   []*vecJoin
 	semi    *vecSemi        // the trailing semi-join stage, or nil
 	est     float64         // the planner's estimate of the rows out of the chain
@@ -530,12 +527,28 @@ type vecChain struct {
 // block's own chain when buildSegPlan takes it, and index nested loops
 // otherwise. live marks the slots read above the chain (nil: all), for
 // cutSemi and placeDedups.
-func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool, live liveSlots) *vecChain {
+//
+// With an anchor the chain extends the anchor's row: every step is an
+// index nested loop, planned with the variables the anchor certainly
+// binds as bound, and a slot the anchor may leave unbound is probed
+// when the row binds it and bound from the triple otherwise (see
+// vecJoin.fills). Such a chain keeps every stage.
+func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePattern, traced bool, live liveSlots, anchor *vecAnchor) *vecChain {
 	opts := c.eng.opts
 	st := c.eng.src
 	ch := &vecChain{est: 1}
 	bound := map[string]bool{}
 	boundSlots := map[int]bool{}
+	var maybe map[int]bool
+	if anchor != nil {
+		live = nil
+		for _, v := range anchor.certain {
+			bound[v] = true
+			boundSlots[c.slot(v)] = true
+		}
+		maybe = anchor.maybe
+		ch.desc.WriteString(" anchor")
+	}
 	sortSlot := -1
 	var stages []string // each stage's EXPLAIN notation, the scan's first
 	// Steps from cut on bind no live slot: the stages starting there,
@@ -553,7 +566,7 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 
 	for i := 0; i < len(steps); i++ {
 		step, p := steps[i], ordered[i]
-		if i == 0 {
+		if i == 0 && anchor == nil {
 			want := constWant(step)
 			rng := store.Range(st, want[0], want[1], want[2])
 			ch.scan = &vecScan{c: c, rng: rng, conds: step.filt}
@@ -573,14 +586,14 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		if inSemi && semiAt < 0 {
 			semiAt, semiIn = len(ch.joins), ch.est
 		}
-		if disconnected(p, bound) && opts.HashJoins {
+		if disconnected(p, bound) && opts.HashJoins && anchor == nil {
 			end := segmentEnd(ordered, i)
 			segCard := c.blockEstimate(ordered[i:end], nil)
 			if seg, ok := c.buildSegPlan(steps[i:end], bound, segCard); ok {
-				build := &vecSegBuild{seg: seg, chain: c.planVecChain(seg.steps, ordered[i:end], false, nil)}
+				build := &vecSegBuild{seg: seg, chain: c.planVecChain(seg.steps, ordered[i:end], false, nil, nil)}
 				c.note("vec hashseg build:" + build.chain.desc.String())
 				j := &vecJoin{c: c, kind: opHashSeg, seg: build, conds: seg.link}
-				j.configure(boundSlots)
+				j.configure(boundSlots, nil)
 				ch.est *= max(1, segCard)
 				j.est = ch.est
 				fan = append(fan, segCard)
@@ -603,7 +616,7 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		est := c.estimate(p, bound)
 		ps := physStep{kind: opNL}
 		merge := false
-		if opts.MergeJoins && len(shared) == 1 {
+		if opts.MergeJoins && len(shared) == 1 && anchor == nil {
 			// A merge walks a sorted input stream, which a semi-join search
 			// for one row does not have: there it probes like a nested loop.
 			if ms, ok := c.mergeStep(step, shared[0], sortSlot, ch.est, !inSemi); ok {
@@ -613,7 +626,7 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 				}
 			}
 		}
-		if !merge && len(shared) == 1 {
+		if !merge && len(shared) == 1 && anchor == nil {
 			if hs, ok := c.hashStep(step, shared[0], ch.est); ok {
 				ps = hs
 			}
@@ -626,7 +639,7 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 		if ps.kind == opHash {
 			j.hash = &vecHashBuild{}
 		}
-		j.configure(boundSlots)
+		j.configure(boundSlots, maybe)
 		ch.est *= max(1, est)
 		j.est = ch.est
 		fan = append(fan, est)
@@ -656,13 +669,16 @@ func (c *compiled) planVecChain(steps []patternStep, ordered []sparql.TriplePatt
 	return ch
 }
 
-// link links a planned BGP pipeline's stages scan → join → … → semi
-// (when there is one) in place, each join's dedup stage in front of it,
-// checking cancellation through cancel.
+// link links a planned BGP pipeline's stages scan (or anchor row) →
+// join → … → semi (when there is one) in place, each join's dedup stage
+// in front of it, checking cancellation through cancel.
 func (ch *vecChain) link(cancel *canceller) vecOp {
-	scan, joins, semi := ch.scan, ch.joins, ch.semi
-	scan.cancel = cancel
-	var pipe vecOp = scan
+	joins, semi := ch.joins, ch.semi
+	var pipe vecOp = ch.unit
+	if ch.scan != nil {
+		ch.scan.cancel = cancel
+		pipe = ch.scan
+	}
 	later := joins
 	if semi != nil {
 		later = append(slices.Clip(joins), semi.steps...)
@@ -752,31 +768,13 @@ func (f fastCmp) kernel(c *compiled, b *Batch, memo *termMemo, selbuf *[]int32) 
 }
 
 // slowKernel evaluates one general conjunct per live row via the
-// expression evaluator; type errors reject the row, like filterIter.
+// expression evaluator; type errors reject the row, as in a FILTER.
 func slowKernel(c *compiled, b *Batch, f sparql.Expr, selbuf *[]int32, rowbuf *[]store.ID) {
-	pass := func(r int32) bool {
+	narrowSel(b, selbuf, func(r int32) bool {
 		*rowbuf = b.CopyRow(int(r), *rowbuf)
 		v, err := algebra.EvalBool(f, rowBinding{c: c, row: *rowbuf})
 		return err == nil && v
-	}
-	if b.sel == nil {
-		sel := emptySel(*selbuf)
-		for r := 0; r < b.n; r++ {
-			if pass(int32(r)) {
-				sel = append(sel, int32(r))
-			}
-		}
-		*selbuf = sel
-		b.sel = sel
-		return
-	}
-	sel := b.sel[:0]
-	for _, r := range b.sel {
-		if pass(r) {
-			sel = append(sel, r)
-		}
-	}
-	b.sel = sel
+	})
 }
 
 // vecEmpty is the provably-empty BGP: a constant term absent from the
@@ -933,9 +931,14 @@ type vecJoin struct {
 	est      float64       // planner estimate of the rows out of this stage
 
 	prevBound []int // slots bound upstream, copied into each output row
-	// writes and checks index the candidate's components: SPO positions
-	// of a triple, or positions in seg.seg.slots of a block row.
-	writes    []compBind // components binding new variables
+	// writes, fills and checks index the candidate's components: SPO
+	// positions of a triple, or positions in seg.seg.slots of a block
+	// row.
+	writes []compBind // components binding new variables
+	// fills are components at slots an anchor row may leave unbound: the
+	// probe is keyed on the row's binding when there is one, and the
+	// candidate binds the slot when there is none.
+	fills     []compBind
 	checks    []compBind // repeated components, equality-checked after writes
 	wantSlot  [3]int     // opNL: slot supplying the probe constraint (-1 = none)
 	wantConst [3]store.ID
@@ -1027,8 +1030,19 @@ func (b *buildOnce) wait() error {
 // configure splits the pattern's components into probe constraints,
 // fresh-variable writes, and equality checks, given the slots bound by
 // upstream stages.
-func (v *vecJoin) configure(boundSlots map[int]bool) {
-	v.prevBound = sortedSlots(boundSlots)
+//
+// maybe marks the slots an anchor row may bind (nil outside a
+// correlated chain): they are carried like bound slots, and a step
+// reading one that no step before it binds fills it (see fills).
+func (v *vecJoin) configure(boundSlots, maybe map[int]bool) {
+	carried := boundSlots
+	if len(maybe) > 0 {
+		carried = maps.Clone(boundSlots)
+		for s := range maybe {
+			carried[s] = true
+		}
+	}
+	v.prevBound = sortedSlots(carried)
 	if v.kind == opHashSeg {
 		// A block shares no variable with the patterns before it in the
 		// planner's view, where a pinned variable is a constant, but
@@ -1069,6 +1083,10 @@ func (v *vecJoin) configure(boundSlots map[int]bool) {
 			seen[p.slot] = true
 		case boundSlots[p.slot] || seen[p.slot]:
 			v.checks = append(v.checks, compBind{comp: i, slot: p.slot})
+		case maybe[p.slot]:
+			seen[p.slot] = true
+			v.wantSlot[i] = p.slot
+			v.fills = append(v.fills, compBind{comp: i, slot: p.slot})
 		default:
 			seen[p.slot] = true
 			v.writes = append(v.writes, compBind{comp: i, slot: p.slot})
@@ -1104,7 +1122,7 @@ func (v *vecJoin) next() (*Batch, error) {
 			}
 			if b == nil {
 				v.done = true
-				return v.flush(out)
+				return v.flush(out), nil
 			}
 			v.in = b
 			v.ipos = 0
@@ -1123,7 +1141,7 @@ func (v *vecJoin) next() (*Batch, error) {
 		if full := v.drain(out); full {
 			// Batch filled mid-probe: filter and emit; if every row was
 			// filtered away, keep filling from where the probe stopped.
-			if b := v.flushFull(out); b != nil {
+			if b := v.flush(out); b != nil {
 				return b, nil
 			}
 			continue
@@ -1133,33 +1151,20 @@ func (v *vecJoin) next() (*Batch, error) {
 	}
 }
 
-// flush applies the stage filters to whatever accumulated and emits it;
-// called once at input exhaustion.
-func (v *vecJoin) flush(out *Batch) (*Batch, error) {
-	applyVecFilters(v.c, out, &v.conds, &v.memo, &v.selbuf, &v.rowbuf)
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	v.record(out)
-	return out, nil
-}
-
-// flushFull filters a just-filled batch; nil means everything was
-// rejected and the (now compacted) batch has room again.
-func (v *vecJoin) flushFull(out *Batch) *Batch {
+// flush applies the stage filters to the rows accumulated in out — a
+// full batch, or the last rows at input exhaustion — and returns it;
+// nil means every row was rejected and the (now compacted) batch has
+// room again.
+func (v *vecJoin) flush(out *Batch) *Batch {
 	applyVecFilters(v.c, out, &v.conds, &v.memo, &v.selbuf, &v.rowbuf)
 	if out.Len() == 0 {
 		return nil
 	}
-	v.record(out)
-	return out
-}
-
-func (v *vecJoin) record(out *Batch) {
 	if v.ts != nil {
 		v.ts.rows.Add(int64(out.Len()))
 		v.ts.batches.Add(1)
 	}
+	return out
 }
 
 // startProbe positions the stage's cursor for the current input row.
@@ -1192,12 +1197,10 @@ func (v *vecJoin) startProbe() error {
 		v.probeSeg()
 		v.cpos = 0
 	default: // opNL
-		var want store.EncTriple
+		want := v.wantConst
 		for i := 0; i < 3; i++ {
 			if s := v.wantSlot[i]; s >= 0 {
-				want[i] = v.in.cols[s][v.ipos]
-			} else {
-				want[i] = v.wantConst[i]
+				want[i] = v.in.cols[s][v.ipos] // NoID at an unbound fill: a wildcard
 			}
 		}
 		rng := store.Range(v.c.eng.src, want[0], want[1], want[2])
@@ -1274,8 +1277,8 @@ func (v *vecJoin) drain(out *Batch) bool {
 // emit writes one extended row: upstream bindings are copied, the
 // stage's fresh variables are written from the candidate (a triple's
 // SPO components or a block row), and repeated components are
-// equality-checked (term identity — the same dictionary-ID comparison
-// the tuple backtracker's bind uses).
+// equality-checked (term identity: the dictionary-ID comparison of
+// join semantics, not FILTER `=`).
 func (v *vecJoin) emit(out *Batch, t []store.ID) {
 	n := out.n
 	for _, s := range v.prevBound {
@@ -1283,6 +1286,11 @@ func (v *vecJoin) emit(out *Batch, t []store.ID) {
 	}
 	for _, w := range v.writes {
 		out.cols[w.slot][n] = t[w.comp]
+	}
+	for _, f := range v.fills {
+		if out.cols[f.slot][n] == store.NoID {
+			out.cols[f.slot][n] = t[f.comp]
+		}
 	}
 	for _, ck := range v.checks {
 		if out.cols[ck.slot][n] != t[ck.comp] {
@@ -1425,36 +1433,51 @@ type vecSegBuild struct {
 
 // run runs the block's chain under cancel, then buckets its rows.
 func (b *vecSegBuild) run(cancel *canceller, ts *tstep) error {
-	pipe := b.chain.link(cancel)
+	t, n, err := buildValueTable(b.chain.link(cancel), cancel, b.chain.scan.c.eng.src.TermDict(), b.seg.slots, b.seg.buildSlot)
+	if err != nil {
+		return err
+	}
+	b.table = t
+	if ts != nil {
+		ts.build.Store(int64(n))
+	}
+	return nil
+}
+
+// buildValueTable drains pipe under cancel into a valueTable of its
+// rows' values at slots, bucketed by the value key of keySlot (one
+// bucket when keySlot is -1), and returns it with its row count. A row
+// whose key is unbound is dropped: it could never satisfy the `=` the
+// key comes from (comparing an unbound value is a type error).
+func buildValueTable(pipe vecOp, cancel *canceller, dict store.TermSource, slots []int, keySlot int) (*valueTable, int, error) {
 	pipe.open()
 	var flat, keyIDs []store.ID
 	n := 0
 	for {
 		if err := cancel.now(); err != nil {
-			return err
+			return nil, 0, err
 		}
-		batch, err := pipe.next()
+		b, err := pipe.next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		if batch == nil {
-			break
+		if b == nil {
+			return newValueTable(dict, flat, len(slots), n, keyIDs), n, nil
 		}
-		for r := 0; r < batch.Len(); r++ {
-			for _, s := range b.seg.slots {
-				flat = append(flat, batch.cols[s][r])
+		for r := 0; r < b.Len(); r++ {
+			if keySlot >= 0 {
+				key := b.cols[keySlot][r]
+				if key == store.NoID {
+					continue
+				}
+				keyIDs = append(keyIDs, key)
 			}
-			if b.seg.buildSlot >= 0 {
-				keyIDs = append(keyIDs, batch.cols[b.seg.buildSlot][r])
+			for _, s := range slots {
+				flat = append(flat, b.cols[s][r])
 			}
+			n++
 		}
-		n += batch.Len()
 	}
-	b.table = newValueTable(b.chain.scan.c.eng.src.TermDict(), flat, len(b.seg.slots), n, keyIDs)
-	if ts != nil {
-		ts.build.Store(int64(n))
-	}
-	return nil
 }
 
 // buildVecLeftJoin covers the OPTIONAL shape the benchmark exercises
@@ -1488,8 +1511,8 @@ func (c *compiled) buildVecLeftJoin(node *algebra.LeftJoinNode, live liveSlots) 
 
 // vecLeftJoin implements OPTIONAL over a single right-side pattern.
 // Probe constraints come from the left row's bindings (unbound slots
-// probe as wildcards — bind-join semantics, like the tuple path), and
-// extension merges follow the tuple backtracker's term-identity rule.
+// probe as wildcards — bind-join semantics), and extensions merge under
+// term identity.
 type vecLeftJoin struct {
 	c        *compiled
 	child    vecOp
@@ -1617,10 +1640,9 @@ func (v *vecLeftJoin) emit(out *Batch, t store.EncTriple, extend bool) bool {
 }
 
 // buildVecHashLeftJoin covers the OPTIONAL shapes the single-pattern
-// probe cannot: a condition, a multi-pattern right side, or both. It
-// mirrors the tuple path's materialized hash left join — the right
-// side must be uncorrelated, is evaluated once as its own vec
-// pipeline, and is hashed by the canonical value key of an extracted
+// probe cannot: a condition, a multi-pattern right side, or both. The
+// right side must be uncorrelated: it is evaluated once per open as its
+// own vec pipeline, and is hashed by the canonical value key of an extracted
 // `?l = ?r` conjunct; the key conjunct stays in the residual because
 // valueKey buckets may be coarser than `=`. With anti=true, matched left
 // rows are dropped instead of extended (closed-world negation, see
@@ -1672,8 +1694,8 @@ func (c *compiled) buildVecHashLeftJoin(node *algebra.LeftJoinNode, anti bool, l
 // by the value key when one was extracted), then probe per left row,
 // re-checking every condition conjunct on the merged row — fast slot
 // comparisons via the shared cmpIDs core, the rest through the
-// expression evaluator, type errors rejecting the candidate exactly
-// like the tuple path. In anti mode the first passing candidate drops
+// expression evaluator, type errors rejecting the candidate as a
+// FILTER's do. In anti mode the first passing candidate drops
 // the left row and unmatched rows pass through bare.
 type vecHashLeftJoin struct {
 	c           *compiled
@@ -1710,44 +1732,14 @@ func (v *vecHashLeftJoin) open() {
 	v.probing, v.done = false, false
 }
 
-// build drains the right pipeline once, keeping each row's rightSlots
-// values. Rows with an unbound hash key are dropped: they could never
-// satisfy the retained `=` conjunct (unbound comparison is a type
-// error).
+// build drains the right pipeline once into the table.
 func (v *vecHashLeftJoin) build() error {
 	if v.table != nil {
 		return nil
 	}
-	v.right.open()
-	var flat, keyIDs []store.ID
-	n := 0
-	for {
-		b, err := v.right.next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		for r := 0; r < b.Len(); r++ {
-			if v.hashRightSlot >= 0 {
-				key := b.cols[v.hashRightSlot][r]
-				if key == store.NoID {
-					continue
-				}
-				keyIDs = append(keyIDs, key)
-			}
-			for _, s := range v.rightSlots {
-				flat = append(flat, b.cols[s][r])
-			}
-			n++
-		}
-		if err := v.c.cancel.now(); err != nil {
-			return err
-		}
-	}
-	v.table = newValueTable(v.c.eng.src.TermDict(), flat, len(v.rightSlots), n, keyIDs)
-	return nil
+	var err error
+	v.table, _, err = buildValueTable(v.right, v.c.cancel, v.c.eng.src.TermDict(), v.rightSlots, v.hashRightSlot)
+	return err
 }
 
 func (v *vecHashLeftJoin) next() (*Batch, error) {
@@ -1879,9 +1871,8 @@ func (u *vecUnion) next() (*Batch, error) {
 	return u.right.next()
 }
 
-// vecProject zeroes non-projected columns in place so downstream
-// DISTINCT compares only the projection — column-at-a-time, against the
-// tuple path's per-row copy.
+// vecProject zeroes non-projected columns in place, column-at-a-time,
+// so downstream DISTINCT compares only the projection.
 type vecProject struct {
 	input vecOp
 	keep  []bool
@@ -1906,8 +1897,7 @@ func (p *vecProject) next() (*Batch, error) {
 	return b, nil
 }
 
-// vecDistinct suppresses duplicate rows with the tuple path's
-// distinctSet, marking first occurrences in the selection vector and
+// vecDistinct suppresses duplicate rows with a distinctSet, marking first occurrences in the selection vector and
 // compacting in place.
 type vecDistinct struct {
 	c      *compiled

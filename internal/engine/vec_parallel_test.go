@@ -2,7 +2,7 @@ package engine_test
 
 // Tests for the partitioned batch executor (vecParallel): row order
 // against a sequential run, and worker shutdown on every way a query
-// can end early, under the batch operators and the tuple fallbacks.
+// can end early, also under Q7's correlated anti search.
 
 import (
 	"context"
@@ -127,15 +127,55 @@ func checkWorkerFault(t *testing.T, s *store.Store, opts engine.Options, q *spar
 	eng.Count(context.Background(), q)
 }
 
-// TestTupleOperatorsRelayWorkerFaults: the tuple operators run a
-// query's outer-free BGPs as the same partitioned batch chains, so a
-// panic in one of their workers reaches the caller too: Q7, a tuple fallback whose outer BGP is
-// partitioned.
-func TestTupleOperatorsRelayWorkerFaults(t *testing.T) {
+// TestCorrelatedAntiRelaysWorkerFaults: Q7's correlated anti search
+// runs over its outer BGP's partitioned chain, so a panic in one of
+// that chain's workers must reach the caller through the search, and
+// no worker may outlive the query.
+func TestCorrelatedAntiRelaysWorkerFaults(t *testing.T) {
 	testutil.CheckNoLeaks(t)
 	s, _ := generatedStore(t, 10_000)
 	q7, _ := queries.ByID("q7")
 	checkWorkerFault(t, s, parallel4()[0], q7.Parse())
+}
+
+// cancelOnAntiProbe cancels its query at the first object-only probe
+// (s and p unbound, o bound). In Q7's plan at 10k only the correlated
+// search opens one: `?bag3 ?member3 ?doc`, keyed on the left row's
+// ?doc.
+type cancelOnAntiProbe struct {
+	store.Reader
+	cancel context.CancelFunc
+	fired  *atomic.Bool
+}
+
+func (r cancelOnAntiProbe) RangeIn(ord store.Order, s, p, o store.ID) store.IndexRange {
+	if s == store.NoID && p == store.NoID && o != store.NoID && !r.fired.Swap(true) {
+		r.cancel()
+	}
+	return r.Reader.RangeIn(ord, s, p, o)
+}
+
+// TestCorrelatedAntiCancelledMidRun: a Q7 Count cancelled at the first
+// range its correlated search opens must end with ErrCancelled. Q7 has
+// no solution at 10k, so only a check inside the search can see the
+// cancellation: the Count loop's own check comes before a batch that
+// never arrives.
+func TestCorrelatedAntiCancelledMidRun(t *testing.T) {
+	s, _ := generatedStore(t, 10_000)
+	q7, _ := queries.ByID("q7")
+	for _, opts := range []engine.Options{engine.Native(), parallel4()[0]} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var fired atomic.Bool
+		eng := engine.NewReader(cancelOnAntiProbe{Reader: s, cancel: cancel, fired: &fired}, opts)
+		n, err := eng.Count(ctx, q7.Parse())
+		cancel()
+		if !fired.Load() {
+			t.Fatalf("%s: the correlated search opened no object-only range", opts.Name)
+		}
+		if !errors.Is(err, engine.ErrCancelled) {
+			t.Errorf("%s: Count = %d, %v; want ErrCancelled", opts.Name, n, err)
+		}
+	}
 }
 
 // blockProbeFault panics on the probes Q5a's hashed block makes while it

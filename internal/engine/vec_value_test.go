@@ -84,8 +84,9 @@ func TestVecFilterValueInequality(t *testing.T) {
 
 // TestVecJoinBindingIsTermIdentity pins the complementary contract: a
 // repeated variable in a BGP joins by term identity, so "12" and "012"
-// do NOT join even though FILTER `=` calls them equal. The tuple and
-// batch executors must agree on both halves of the distinction.
+// do NOT join even though FILTER `=` calls them equal. Every operator
+// configuration must agree with the oracle on both halves of the
+// distinction.
 func TestVecJoinBindingIsTermIdentity(t *testing.T) {
 	res := runAll(t, vecValueStore(), `
 		SELECT ?a ?b WHERE {
